@@ -8,8 +8,8 @@
 //!   64-byte payloads).
 //! * `sha256` — the one-shot hash at 64B and 4KiB, tracking the
 //!   2×-unrolled compression loop.
-//! * `icv_batch_64B` — per-packet `verify_frame` vs the HMAC suite's
-//!   amortized `verify_batch` over a 512-frame SA queue.
+//! * `icv_batch_64B` — per-packet `verify_frame_with` vs the HMAC
+//!   suite's amortized `verify_batch` over a 512-frame SA queue.
 //! * `suite_rx` — the batched receive pipeline per negotiable cipher
 //!   suite (legacy HMAC+keystream, auth-only, ChaCha20-Poly1305),
 //!   pinned to the scalar crypto backend so the CI-gated numbers are
@@ -18,12 +18,8 @@
 //!   supported on this host (`lanes4`, `avx2`). Advisory in the gate:
 //!   their baseline entries carry a `backend` field and are skipped on
 //!   runners lacking the feature.
-//! * `wire_64B` — `seal`/`open` (key schedule + payload copy) vs
-//!   `seal_into`/`open_zc` (reused buffer, zero-copy payload).
-//! * `rx_pipeline` — a full `Inbound` receive of a 64-byte packet:
-//!   verify → window → decrypt-into-recycled-arena.
-//! * `gateway_drain` — `Sadb::process` per packet vs
-//!   `Sadb::process_batch` over a 512-packet NIC queue.
+//! * `gateway_drain` — `Sadb::process_batch` over a 512-packet NIC
+//!   queue.
 //! * `telemetry_overhead` — a full `Gateway::push_wire_batch` +
 //!   `poll_events` drain with no telemetry handle vs an attached one
 //!   (claim: the uninstrumented path costs the same — every recording
@@ -32,14 +28,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use reset_crypto::{hmac_sha256_96, sha256, CipherSuite, FrameToVerify, HmacKey, HmacSha256Suite};
 use reset_ipsec::{
     Backend, CryptoSuite, GatewayBuilder, Inbound, Outbound, SaKeys, Sadb, SecurityAssociation,
 };
 use reset_stable::MemStable;
 use reset_telemetry::Telemetry;
-use reset_wire::{open, open_zc, seal, seal_into, seal_with, verify_frame, HEADER_LEN, ICV_LEN};
+use reset_wire::{seal_frame, verify_frame_with, HEADER_LEN};
 
 const KEY: &[u8] = b"datapath-bench-auth-key-32bytes!";
 
@@ -73,12 +69,12 @@ fn bench_sha256(c: &mut Criterion) {
 }
 
 fn bench_icv_batch(c: &mut Criterion) {
-    // Verifying a whole SA's pending queue: per-packet `verify_frame`
-    // vs the suite's amortized `verify_batch`.
+    // Verifying a whole SA's pending queue: per-packet
+    // `verify_frame_with` vs the suite's amortized `verify_batch`.
     const BATCH: usize = 512;
-    let hk = HmacKey::new(KEY);
+    let suite = HmacSha256Suite::auth_only(KEY);
     let frames: Vec<Bytes> = (1..=BATCH)
-        .map(|i| seal_with(9, i as u64, &[0xB7u8; 64], &hk, false).unwrap())
+        .map(|i| seal_frame(9, i as u64, &[0xB7u8; 64], &suite, false).unwrap())
         .collect();
     let mut g = c.benchmark_group("datapath/icv_batch_64B");
     g.throughput(Throughput::Elements(BATCH as u64));
@@ -86,7 +82,7 @@ fn bench_icv_batch(c: &mut Criterion) {
         b.iter(|| {
             let mut ok = 0usize;
             for f in &frames {
-                if verify_frame(f, &hk, None).is_ok() {
+                if verify_frame_with(f, &suite, None).is_ok() {
                     ok += 1;
                 }
             }
@@ -94,15 +90,15 @@ fn bench_icv_batch(c: &mut Criterion) {
             std::hint::black_box(ok)
         })
     });
-    let suite = HmacSha256Suite::auth_only(KEY);
+    let icv_len = suite.icv_len();
     let items: Vec<FrameToVerify<'_>> = frames
         .iter()
         .map(|f| FrameToVerify {
             seq: u32::from_be_bytes(f[4..8].try_into().unwrap()) as u64,
             header: &f[..HEADER_LEN],
-            ciphertext: &f[HEADER_LEN..f.len() - ICV_LEN],
+            ciphertext: &f[HEADER_LEN..f.len() - icv_len],
             esn_hi: None,
-            icv: &f[f.len() - ICV_LEN..],
+            icv: &f[f.len() - icv_len..],
         })
         .collect();
     g.bench_function("verify_batch", |b| {
@@ -183,68 +179,6 @@ fn bench_suite_rx_backends(c: &mut Criterion) {
     }
 }
 
-fn bench_wire_64b(c: &mut Criterion) {
-    let payload = [0x5Au8; 64];
-    let hk = HmacKey::new(KEY);
-    let mut g = c.benchmark_group("datapath/wire_64B");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("seal", |b| {
-        let mut seq = 0u64;
-        b.iter(|| {
-            seq += 1;
-            std::hint::black_box(seal(7, seq, &payload, KEY, false).unwrap())
-        })
-    });
-    g.bench_function("seal_into_reused_buf", |b| {
-        let mut buf = BytesMut::with_capacity(256);
-        let mut seq = 0u64;
-        b.iter(|| {
-            seq += 1;
-            seal_into(&mut buf, 7, seq, &payload, &hk, false).unwrap();
-            std::hint::black_box(buf.len())
-        })
-    });
-    let wire = seal_with(7, 42, &payload, &hk, false).unwrap();
-    g.bench_function("open", |b| {
-        b.iter(|| std::hint::black_box(open(&wire, KEY, None).unwrap()))
-    });
-    g.bench_function("open_zc_precomputed", |b| {
-        b.iter(|| std::hint::black_box(open_zc(&wire, &hk, None).unwrap()))
-    });
-    g.finish();
-}
-
-fn bench_rx_pipeline(c: &mut Criterion) {
-    // Full inbound pipeline on an in-order stream of 64-byte payloads:
-    // ICV verify, ESN reconstruction, window accept, decrypt into the
-    // recycled arena. Measured per packet, amortized over a stream.
-    const STREAM: usize = 1024;
-    let keys = SaKeys::derive(b"bench-secret", b"a->b");
-    let sa = SecurityAssociation::new(0x7777, keys);
-    let mut tx = Outbound::new(sa.clone(), MemStable::new(), 1 << 40);
-    let wires: Vec<Bytes> = (0..STREAM)
-        .map(|_| tx.protect(&[0xC3u8; 64]).unwrap().unwrap())
-        .collect();
-    let mut g = c.benchmark_group("datapath/rx_pipeline");
-    g.throughput(Throughput::Elements(STREAM as u64));
-    g.bench_function("process_64B", |b| {
-        b.iter(|| {
-            let mut rx = Inbound::new(sa.clone(), MemStable::new(), 1 << 40, 1024);
-            for wire in &wires {
-                std::hint::black_box(rx.process_bytes(wire).unwrap());
-            }
-            rx
-        })
-    });
-    g.bench_function("process_batch_64B", |b| {
-        b.iter(|| {
-            let mut rx = Inbound::new(sa.clone(), MemStable::new(), 1 << 40, 1024);
-            std::hint::black_box(rx.process_batch(&wires).unwrap())
-        })
-    });
-    g.finish();
-}
-
 fn bench_gateway_drain(c: &mut Criterion) {
     // A gateway drains a 512-packet queue spread over 8 SAs (64-byte
     // payloads), arriving in bursts per SA as a NIC RSS queue would.
@@ -278,15 +212,6 @@ fn bench_gateway_drain(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("datapath/gateway_drain");
     g.throughput(Throughput::Elements(QUEUE as u64));
-    g.bench_with_input(BenchmarkId::new("per_packet", QUEUE), &queue, |b, queue| {
-        b.iter(|| {
-            let mut db = fresh_db();
-            for wire in queue {
-                std::hint::black_box(db.process(wire).unwrap());
-            }
-            db
-        })
-    });
     g.bench_with_input(
         BenchmarkId::new("process_batch", QUEUE),
         &queue,
@@ -358,8 +283,6 @@ criterion_group!(
     bench_icv_batch,
     bench_suite_rx,
     bench_suite_rx_backends,
-    bench_wire_64b,
-    bench_rx_pipeline,
     bench_gateway_drain,
     bench_telemetry_overhead
 );

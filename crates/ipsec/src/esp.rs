@@ -8,24 +8,27 @@
 //! anti-replay window, then decrypts and delivers. Both endpoints survive
 //! resets through their stable stores and the `2K` leap.
 //!
-//! # Hot-path design
+//! # One receive path
 //!
-//! The paper's premise is a ~4 µs per-message budget, so the receive
-//! pipeline is allocation-free after warm-up:
+//! A frame is authenticated, windowed and decrypted in
+//! [`Inbound::process_batch`] and nowhere else. [`Inbound::process`] is
+//! a batch of one, and the frames buffered during a wake-up go through
+//! the same drain when [`Inbound::finish_wakeup`] resolves them. The
+//! paper's premise is a ~4 µs per-message budget, so that drain is
+//! allocation-light after warm-up:
 //!
 //! * all crypto dispatches through the SA's precomputed
 //!   [`reset_crypto::CipherSuite`] — no per-packet key schedule for any
 //!   suite;
-//! * [`reset_wire::verify_frame_with`] authenticates in place, without
-//!   materializing an intermediate packet;
+//! * all ICVs of a drain verify through one
+//!   [`reset_crypto::CipherSuite::verify_batch`] call, so the HMAC
+//!   suite's two-pass amortized verifier and the SIMD backends' lanes
+//!   fill across packet boundaries;
 //! * delivered payloads are either zero-copy slices of the input
-//!   (non-encrypting suites, via [`Inbound::process_bytes`]) or
-//!   decrypted into a recycled arena whose allocation is reclaimed once
-//!   the consumer drops the previous payload;
-//! * [`Inbound::process_batch`] amortizes the arena across a whole NIC
-//!   queue drain *and* verifies all ICVs of the batch through
-//!   [`reset_crypto::CipherSuite::verify_batch`], so the HMAC suite's
-//!   two-pass amortized verifier kicks in per SA run.
+//!   (non-encrypting suites) or decrypted by one
+//!   [`reset_crypto::CipherSuite::decrypt_batch`] call into a recycled
+//!   arena whose allocation is reclaimed once the consumer drops the
+//!   previous drain's payloads.
 
 use bytes::{Bytes, BytesMut};
 use reset_crypto::FrameToVerify;
@@ -175,8 +178,8 @@ impl<S: StableStore> Outbound<S> {
 }
 
 /// Why a packet was rejected before reaching the anti-replay window
-/// (batch-path reporting; the single-packet API surfaces these as
-/// [`IpsecError`]s instead).
+/// (reported in-line by [`Inbound::process_batch`];
+/// [`Inbound::process`] surfaces the first two as [`IpsecError`]s).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RxReject {
     /// Framing or ICV failure (forged, corrupted or malformed bytes).
@@ -186,9 +189,8 @@ pub enum RxReject {
         /// The SPI the packet named.
         spi: u32,
     },
-    /// The receiver's stable store failed while classifying this packet
-    /// (batch path only; the single-packet API returns the error
-    /// instead). Retryable: resubmit once the store recovers.
+    /// The receiver's stable store failed while classifying this packet.
+    /// Retryable: resubmit once the store recovers.
     Store {
         /// The store failure, rendered.
         reason: String,
@@ -213,8 +215,7 @@ pub enum RxResult {
         seq: SeqNum,
     },
     /// Rejected before the window: bad framing, failed authentication or
-    /// an unknown SPI. Produced by the batch APIs, which report
-    /// per-packet failures in-line rather than aborting the batch.
+    /// an unknown SPI, reported in-line rather than aborting the batch.
     Rejected(RxReject),
     /// Endpoint is waking; the packet is buffered and will be resolved by
     /// [`Inbound::finish_wakeup`].
@@ -296,61 +297,30 @@ impl<S: StableStore> Inbound<S> {
         self.auth_failures
     }
 
-    /// Processes one wire packet: authenticate → anti-replay → decrypt.
-    ///
-    /// The payload is produced through the recycled arena (no per-packet
-    /// allocation after warm-up, provided the consumer drops the previous
-    /// payload first). When the input is already a [`Bytes`], prefer
-    /// [`Inbound::process_bytes`], which additionally delivers auth-only
-    /// payloads as zero-copy slices of the input.
+    /// Processes one wire packet — [`Inbound::process_batch`] over a
+    /// batch of one, with the in-line rejections turned into errors.
     ///
     /// # Errors
     ///
     /// * [`IpsecError::UnknownSa`] for a foreign SPI.
     /// * [`IpsecError::Wire`] for framing/ICV failures (also counted in
     ///   [`Inbound::auth_failures`]).
-    pub fn process(&mut self, wire: &[u8]) -> Result<RxResult, IpsecError> {
-        match self.rx.phase() {
-            Phase::Down => return Ok(RxResult::DroppedDown),
-            Phase::Waking => {
-                if self.pending.len() >= self.wakeup_buffer {
-                    return Ok(RxResult::DroppedDown);
-                }
-                self.pending.push(Bytes::copy_from_slice(wire));
-                return Ok(RxResult::Buffered);
-            }
-            Phase::Running => {}
+    pub fn process(&mut self, wire: &Bytes) -> Result<RxResult, IpsecError> {
+        let mut results = self.process_batch(std::slice::from_ref(wire))?;
+        match results.pop().expect("one result per frame") {
+            RxResult::Rejected(RxReject::Wire(e)) => Err(IpsecError::Wire(e)),
+            RxResult::Rejected(RxReject::UnknownSa { spi }) => Err(IpsecError::UnknownSa { spi }),
+            result => Ok(result),
         }
-        self.process_running(wire, None)
     }
 
-    /// [`Inbound::process`] for shared buffers: buffering during wake-up
-    /// is a reference-count bump, and auth-only payloads come back as
-    /// zero-copy slices of `wire`.
+    /// Drains a burst of packets for this SA in arrival order — the one
+    /// place a frame is authenticated, windowed and decrypted.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Inbound::process`].
-    pub fn process_bytes(&mut self, wire: &Bytes) -> Result<RxResult, IpsecError> {
-        match self.rx.phase() {
-            Phase::Down => return Ok(RxResult::DroppedDown),
-            Phase::Waking => {
-                if self.pending.len() >= self.wakeup_buffer {
-                    return Ok(RxResult::DroppedDown);
-                }
-                self.pending.push(wire.clone());
-                return Ok(RxResult::Buffered);
-            }
-            Phase::Running => {}
-        }
-        self.process_running(wire, Some(wire))
-    }
-
-    /// Drains a burst of packets for this SA in arrival order.
-    ///
-    /// Two amortizations over the single-packet path, with results
-    /// guaranteed identical to calling [`Inbound::process`] per packet
-    /// (differential-tested in `tests/it_suites.rs`):
+    /// The results do not depend on how a stream is cut into batches
+    /// (partition-invariance and a per-frame oracle built from
+    /// `reset_wire` + a plain window are differential-tested in
+    /// `tests/it_suites.rs`), while a batch amortizes two things:
     ///
     /// * **Batched ICV verification.** All well-framed frames of the
     ///   batch go through [`reset_crypto::CipherSuite::verify_batch`]
@@ -360,8 +330,8 @@ impl<S: StableStore> Inbound<S> {
     ///   `datapath/icv_batch_64B`). ESN high halves are guessed at the
     ///   batch-start right edge; the rare frame whose guess is
     ///   invalidated by the window advancing across a 2³² boundary
-    ///   mid-batch is re-verified individually, preserving sequential
-    ///   semantics exactly.
+    ///   mid-batch is re-verified individually, so the verdict is the
+    ///   one a frame-at-a-time receiver would reach.
     /// * **One decryption arena.** The whole batch shares one buffer
     ///   (recycled from the previous batch once its payloads were
     ///   dropped), so a gateway draining a NIC queue performs zero
@@ -386,27 +356,23 @@ impl<S: StableStore> Inbound<S> {
     /// Reserved for non-per-packet infrastructure failures; today all
     /// failures are reported in-line and the call returns `Ok`.
     pub fn process_batch(&mut self, wires: &[Bytes]) -> Result<Vec<RxResult>, IpsecError> {
-        self.process_batch_gather(wires.len(), wires.iter())
+        Ok(self.process_batch_gather(wires.len(), wires.iter()))
     }
 
     /// Gather form of [`Inbound::process_batch`]: drains `n` frames
     /// yielded by `wires` — e.g. route indices into a shard-shared batch
     /// — without materializing a contiguous `Vec<Bytes>` first. This *is*
     /// the slice form's implementation, so the two cannot drift.
-    pub(crate) fn process_batch_gather<'w, I>(
-        &mut self,
-        n: usize,
-        wires: I,
-    ) -> Result<Vec<RxResult>, IpsecError>
+    pub(crate) fn process_batch_gather<'w, I>(&mut self, n: usize, wires: I) -> Vec<RxResult>
     where
         I: Iterator<Item = &'w Bytes> + Clone,
     {
         // The phase only changes through external calls, never inside a
         // drain, so it gates the whole batch at once.
         match self.rx.phase() {
-            Phase::Down => return Ok(wires.map(|_| RxResult::DroppedDown).collect()),
+            Phase::Down => return wires.map(|_| RxResult::DroppedDown).collect(),
             Phase::Waking => {
-                return Ok(wires
+                return wires
                     .map(|wire| {
                         if self.pending.len() >= self.wakeup_buffer {
                             RxResult::DroppedDown
@@ -415,15 +381,14 @@ impl<S: StableStore> Inbound<S> {
                             RxResult::Buffered
                         }
                     })
-                    .collect());
+                    .collect();
             }
             Phase::Running => {}
         }
 
         /// Phase-A classification of one frame.
         enum Parsed {
-            /// Framing failure (counted as an auth failure, matching the
-            /// sequential path).
+            /// Framing failure (counted as an auth failure).
             Bad(WireError),
             /// Foreign SPI: rejected before any crypto.
             Foreign(u32),
@@ -459,8 +424,7 @@ impl<S: StableStore> Inbound<S> {
                 parsed.push(Parsed::Foreign(spi));
                 continue;
             }
-            // Framing rules shared with the sequential path — one
-            // definition in reset_wire, so the two cannot drift.
+            // Framing rules have one definition, in reset_wire.
             let (_, seq_lo, declared) = match check_frame_length(wire, overhead) {
                 Ok(parts) => parts,
                 Err(e) => {
@@ -539,7 +503,7 @@ impl<S: StableStore> Inbound<S> {
             } else {
                 // The window crossed an ESN boundary mid-batch and
                 // invalidated the batch-start guess; re-verify with the
-                // live inference, exactly as the sequential path would.
+                // live inference.
                 verify_frame_with(wire, self.sa.cipher(), esn_hi).is_ok()
             };
             if !ok {
@@ -597,7 +561,7 @@ impl<S: StableStore> Inbound<S> {
         }
         let frozen = arena.freeze();
         self.scratch = frozen.clone();
-        Ok(slots
+        slots
             .into_iter()
             .map(|slot| match slot {
                 Slot::Ready(r) => r,
@@ -606,100 +570,7 @@ impl<S: StableStore> Inbound<S> {
                     seq,
                 },
             })
-            .collect())
-    }
-
-    /// Where the (possibly encrypted) payload starts inside a frame of
-    /// this SA's suite.
-    fn body_offset(&self) -> usize {
-        HEADER_LEN + self.sa.cipher().iv_len()
-    }
-
-    /// Parses and authenticates one frame against this SA. On success
-    /// returns the ESN-reconstructed sequence number and the payload
-    /// length (the payload sits at `wire[self.body_offset()..][..len]`).
-    fn verify_one(&mut self, wire: &[u8]) -> Result<(SeqNum, usize), IpsecError> {
-        // Pre-parse SPI and low sequence bits (unauthenticated so far).
-        if wire.len() < 8 {
-            self.auth_failures += 1;
-            return Err(IpsecError::Wire(WireError::Truncated {
-                needed: 8,
-                got: wire.len(),
-            }));
-        }
-        let spi = u32::from_be_bytes(wire[0..4].try_into().expect("fixed"));
-        if spi != self.sa.spi() {
-            return Err(IpsecError::UnknownSa { spi });
-        }
-        let seq_lo = u32::from_be_bytes(wire[4..8].try_into().expect("fixed"));
-        let (seq64, esn_hi) = if self.sa.esn() {
-            let inferred = infer_esn(seq_lo, self.rx.right_edge().value());
-            (inferred, Some((inferred >> 32) as u32))
-        } else {
-            (seq_lo as u64, None)
-        };
-        // Authenticate (a wrong ESN guess fails here too). The SA's
-        // suite holds precomputed key schedules, so none runs per packet.
-        match verify_frame_with(wire, self.sa.cipher(), esn_hi) {
-            Ok((_, _, payload_len)) => Ok((SeqNum::new(seq64), payload_len)),
-            Err(e) => {
-                self.auth_failures += 1;
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Appends the (possibly encrypted) `body` to `buf`, decrypting the
-    /// appended region in place when the suite encrypts. Returns the
-    /// appended range as `(start, len)`. Shared by the single-packet and
-    /// batch delivery paths so the suite dispatch lives in one place.
-    fn decrypt_append(&self, seq: SeqNum, body: &[u8], buf: &mut BytesMut) -> (usize, usize) {
-        let start = buf.len();
-        buf.extend_from_slice(body);
-        self.sa
-            .cipher()
-            .decrypt(seq.value(), &mut buf.as_mut()[start..]);
-        (start, body.len())
-    }
-
-    /// Shared running-phase path. `zc` carries the input as `Bytes` when
-    /// the caller has one, enabling zero-copy delivery for auth-only
-    /// suites.
-    fn process_running(&mut self, wire: &[u8], zc: Option<&Bytes>) -> Result<RxResult, IpsecError> {
-        // 1. Authenticate.
-        let (seq, payload_len) = self.verify_one(wire)?;
-        // 2. Anti-replay window.
-        let outcome = self.rx.receive(seq)?;
-        match outcome {
-            RxOutcome::Delivered => {
-                // 3. Decrypt and deliver.
-                self.sa.account(payload_len);
-                let start = self.body_offset();
-                let payload = match zc {
-                    Some(shared) if !self.sa.cipher().encrypts() => {
-                        // Zero-copy: the payload is a slice of the input.
-                        shared.slice(start..start + payload_len)
-                    }
-                    _ => {
-                        // Copy into the recycled arena (and decrypt in
-                        // place when the suite encrypts).
-                        let mut buf =
-                            BytesMut::recycle(std::mem::take(&mut self.scratch), payload_len);
-                        self.decrypt_append(seq, &wire[start..start + payload_len], &mut buf);
-                        let payload = buf.freeze();
-                        self.scratch = payload.clone();
-                        payload
-                    }
-                };
-                Ok(RxResult::Delivered { payload, seq })
-            }
-            RxOutcome::DiscardedStale | RxOutcome::DiscardedDuplicate => {
-                Ok(RxResult::AntiReplay { outcome, seq })
-            }
-            RxOutcome::Buffered | RxOutcome::DroppedDown => {
-                unreachable!("phase checked before classification")
-            }
-        }
+            .collect()
     }
 
     /// Background SAVE completion.
@@ -729,7 +600,8 @@ impl<S: StableStore> Inbound<S> {
     }
 
     /// Second half of wake-up: rebuild the window at the leaped edge and
-    /// classify every buffered packet in arrival order.
+    /// classify every buffered packet in arrival order, through the same
+    /// drain as live traffic.
     ///
     /// # Errors
     ///
@@ -738,14 +610,18 @@ impl<S: StableStore> Inbound<S> {
     /// as dropped (auth failures are counted).
     pub fn finish_wakeup(&mut self) -> Result<Vec<RxResult>, StableError> {
         self.rx.finish_wakeup()?;
+        if self.pending.is_empty() {
+            // The common case. Returning before the drain keeps a fleet
+            // recovery from taking and re-freezing every SA's arena.
+            return Ok(Vec::new());
+        }
         let pending = std::mem::take(&mut self.pending);
-        let results = pending
-            .into_iter()
-            .map(|wire| match self.process_running(&wire, Some(&wire)) {
-                Ok(r) => r,
-                Err(_) => RxResult::DroppedDown, // unauthenticated buffered junk
-            })
-            .collect();
+        let mut results = self.process_batch_gather(pending.len(), pending.iter());
+        for r in &mut results {
+            if matches!(r, RxResult::Rejected(_)) {
+                *r = RxResult::DroppedDown; // unauthenticated buffered junk
+            }
+        }
         Ok(results)
     }
 
@@ -846,7 +722,7 @@ mod tests {
         let mut forged = wire.to_vec();
         let n = forged.len();
         forged[n - 1] ^= 0xFF;
-        assert!(rx.process(&forged).is_err());
+        assert!(rx.process(&Bytes::from(forged)).is_err());
         assert_eq!(rx.auth_failures(), 1);
     }
 
@@ -972,10 +848,20 @@ mod tests {
         assert!(rx.seq_state().right_edge().value() > u32::MAX as u64);
     }
 
+    /// Drains `wires` cut into batches of `chunk` frames.
+    fn drain_chunked(rx: &mut Inbound<MemStable>, wires: &[Bytes], chunk: usize) -> Vec<RxResult> {
+        wires
+            .chunks(chunk)
+            .flat_map(|c| rx.process_batch(c).unwrap())
+            .collect()
+    }
+
     #[test]
     fn process_batch_matches_sequential_process() {
-        let (mut tx, mut rx_seq) = endpoints(25, 128);
-        let mut rx_batch = rx_seq.clone();
+        // Partition invariance: the same stream cut into batches of one
+        // (the sequential receiver), seven, or drained whole must yield
+        // identical results and auth-failure counts.
+        let (mut tx, rx) = endpoints(25, 128);
         let mut wires: Vec<Bytes> = Vec::new();
         for i in 0..60u64 {
             wires.push(tx.protect(format!("m{i}").as_bytes()).unwrap().unwrap());
@@ -987,20 +873,19 @@ mod tests {
         forged[HEADER_LEN] ^= 0xAA;
         wires.push(Bytes::from(forged));
 
-        let batch = rx_batch.process_batch(&wires).unwrap();
-        assert_eq!(batch.len(), wires.len());
-        for (i, wire) in wires.iter().enumerate() {
-            let single = match rx_seq.process(wire) {
-                Ok(r) => r,
-                Err(IpsecError::Wire(e)) => RxResult::Rejected(RxReject::Wire(e)),
-                Err(IpsecError::UnknownSa { spi }) => {
-                    RxResult::Rejected(RxReject::UnknownSa { spi })
-                }
-                Err(other) => panic!("{other}"),
-            };
-            assert_eq!(batch[i], single, "packet {i}");
+        let mut rx_whole = rx.clone();
+        let whole = rx_whole.process_batch(&wires).unwrap();
+        assert_eq!(whole.len(), wires.len());
+        assert_eq!(rx_whole.auth_failures(), 1, "exactly the forgery");
+        for chunk in [1, 7] {
+            let mut rx_cut = rx.clone();
+            assert_eq!(
+                drain_chunked(&mut rx_cut, &wires, chunk),
+                whole,
+                "chunk {chunk}"
+            );
+            assert_eq!(rx_cut.auth_failures(), rx_whole.auth_failures());
         }
-        assert_eq!(rx_batch.auth_failures(), rx_seq.auth_failures());
     }
 
     #[test]
@@ -1055,13 +940,13 @@ mod tests {
     }
 
     #[test]
-    fn auth_only_process_bytes_is_zero_copy() {
+    fn auth_only_process_is_zero_copy() {
         let keys = SaKeys::derive(b"s", b"d");
         let sa = SecurityAssociation::new(4, keys).with_suite(CryptoSuite::HmacSha256AuthOnly);
         let mut tx = Outbound::new(sa.clone(), MemStable::new(), 25);
         let mut rx = Inbound::new(sa, MemStable::new(), 25, 64);
         let wire = tx.protect(b"view me in place").unwrap().unwrap();
-        match rx.process_bytes(&wire).unwrap() {
+        match rx.process(&wire).unwrap() {
             RxResult::Delivered { payload, .. } => {
                 let wire_range = wire.as_ptr() as usize..wire.as_ptr() as usize + wire.len();
                 assert!(
@@ -1080,8 +965,7 @@ mod tests {
             let keys = SaKeys::derive(b"suite-e2e", b"d");
             let sa = SecurityAssociation::new(0x61, keys).with_suite(suite);
             let mut tx = Outbound::new(sa.clone(), MemStable::new(), 25);
-            let mut rx_seq = Inbound::new(sa, MemStable::new(), 25, 128);
-            let mut rx_batch = rx_seq.clone();
+            let rx = Inbound::new(sa, MemStable::new(), 25, 128);
             let mut wires: Vec<Bytes> = (0..40u64)
                 .map(|i| tx.protect(format!("s{i}").as_bytes()).unwrap().unwrap())
                 .collect();
@@ -1090,28 +974,42 @@ mod tests {
             let n = forged.len();
             forged[n - 1] ^= 0x10; // tag corruption
             wires.push(Bytes::from(forged));
-            let batch = rx_batch.process_batch(&wires).unwrap();
-            for (i, wire) in wires.iter().enumerate() {
-                let single = match rx_seq.process_bytes(wire) {
-                    Ok(r) => r,
-                    Err(IpsecError::Wire(e)) => RxResult::Rejected(RxReject::Wire(e)),
-                    Err(IpsecError::UnknownSa { spi }) => {
-                        RxResult::Rejected(RxReject::UnknownSa { spi })
+
+            let mut rx_whole = rx.clone();
+            let whole = rx_whole.process_batch(&wires).unwrap();
+            for (i, r) in whole[..40].iter().enumerate() {
+                match r {
+                    RxResult::Delivered { payload, seq } => {
+                        assert_eq!(&payload[..], format!("s{i}").as_bytes(), "{suite:?}");
+                        assert_eq!(seq.value(), i as u64 + 1, "{suite:?}");
                     }
-                    Err(other) => panic!("{other}"),
-                };
-                assert_eq!(batch[i], single, "{suite:?} packet {i}");
+                    other => panic!("{suite:?} packet {i}: {other:?}"),
+                }
             }
-            assert_eq!(
-                rx_batch.auth_failures(),
-                rx_seq.auth_failures(),
+            assert!(
+                matches!(whole[40], RxResult::AntiReplay { .. }),
                 "{suite:?}"
             );
             assert_eq!(
-                rx_batch.auth_failures(),
+                whole[41],
+                RxResult::Rejected(RxReject::Wire(WireError::IcvMismatch)),
+                "{suite:?}"
+            );
+            assert_eq!(
+                rx_whole.auth_failures(),
                 1,
                 "{suite:?}: exactly the forgery"
             );
+            // Batch parity: cutting the stream differently changes nothing.
+            for chunk in [1, 7] {
+                let mut rx_cut = rx.clone();
+                assert_eq!(
+                    drain_chunked(&mut rx_cut, &wires, chunk),
+                    whole,
+                    "{suite:?} chunk {chunk}"
+                );
+                assert_eq!(rx_cut.auth_failures(), 1, "{suite:?}");
+            }
         }
     }
 
@@ -1207,7 +1105,7 @@ mod tests {
             } else {
                 RxResult::DroppedDown
             };
-            assert_eq!(rx.process_bytes(wire).unwrap(), want, "frame {i}");
+            assert_eq!(rx.process(wire).unwrap(), want, "frame {i}");
         }
         let resolved = rx.finish_wakeup().unwrap();
         assert_eq!(resolved.len(), 4, "only the capped buffer is classified");

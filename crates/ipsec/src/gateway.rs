@@ -639,24 +639,16 @@ impl<S: StableStore> Gateway<S> {
         Ok(wire.map(|wire| SentFrame { spi, seq, wire }))
     }
 
-    /// Feeds one received frame through authenticate → anti-replay →
-    /// decrypt. The verdict is appended to the event queue (exactly one
-    /// event per frame); nothing is returned in-line.
+    /// Feeds one received frame in — a drain of one. The verdict is
+    /// appended to the event queue (exactly one event per frame); nothing
+    /// is returned in-line.
     ///
     /// # Errors
     ///
-    /// Store failures only — per-packet failures (forgery, unknown SPI,
-    /// replay) are events, not errors.
+    /// As [`Gateway::push_wire_batch`] — per-packet failures (forgery,
+    /// unknown SPI, replay) are events, not errors.
     pub fn push_wire(&mut self, wire: &Bytes) -> Result<(), IpsecError> {
-        let spi = reset_wire::peek_spi(wire).unwrap_or(0);
-        let ev = match self.sadb.process_bytes(wire) {
-            Ok(result) => self.event_from_rx(spi, result),
-            Err(IpsecError::Wire(_)) => GatewayEvent::AuthFailed { spi },
-            Err(IpsecError::UnknownSa { spi }) => GatewayEvent::UnknownSa { spi },
-            Err(other) => return Err(other),
-        };
-        self.emit(ev);
-        Ok(())
+        self.push_wire_routed(1, |_| wire)
     }
 
     /// Feeds a burst of frames (a NIC queue drain) through the batched
@@ -669,19 +661,30 @@ impl<S: StableStore> Gateway<S> {
     ///
     /// Reserved for non-per-packet infrastructure failures.
     pub fn push_wire_batch(&mut self, wires: &[Bytes]) -> Result<(), IpsecError> {
+        self.push_wire_routed(wires.len(), |i| &wires[i])
+    }
+
+    /// The drain behind every `push_wire*` verb: feeds the `n` frames
+    /// `at(0..n)` through [`Sadb::process_batch_routed`] and emits one
+    /// event per frame, in that order. The sharded fan-out passes
+    /// `|i| &batch[route[i]]`, so shards read the one shared batch in
+    /// place instead of receiving per-shard clones; telemetry counts
+    /// the `n` frames against this shard either way.
+    pub(crate) fn push_wire_routed<'w>(
+        &mut self,
+        n: usize,
+        at: impl Fn(usize) -> &'w Bytes + Copy,
+    ) -> Result<(), IpsecError> {
         // Timing is gated on the handle so the uninstrumented path
         // never reads the clock.
         let started = self.telemetry.as_ref().map(|_| Instant::now());
-        let results = self.sadb.process_batch(wires)?;
-        for (wire, result) in wires.iter().zip(results) {
-            let spi = reset_wire::peek_spi(wire).unwrap_or(0);
-            let ev = self.event_from_rx(spi, result);
-            self.emit(ev);
-        }
+        let results = self.sadb.process_batch_routed(n, at);
+        let spis = (0..n).map(|i| reset_wire::peek_spi(at(i)).unwrap_or(0));
+        self.emit_rx(spis.zip(results));
         if let (Some(t), Some(started)) = (&self.telemetry, started) {
             t.record_drain(
                 self.shard_index,
-                wires.len() as u64,
+                n as u64,
                 started.elapsed().as_nanos() as u64,
                 self.events.len() as u64,
             );
@@ -689,33 +692,12 @@ impl<S: StableStore> Gateway<S> {
         Ok(())
     }
 
-    /// Routed form of [`Gateway::push_wire_batch`] for the sharded
-    /// fan-out: drains the frames of a *shared* batch selected by
-    /// `route` (indices into `batch`, in arrival order), so shards read
-    /// the one batch in place instead of receiving per-shard clones. One
-    /// event per routed frame; per-shard telemetry counts the routed
-    /// frames, keeping the occupancy signal for deferred rebalancing.
-    pub(crate) fn push_wire_routed(
-        &mut self,
-        batch: &[Bytes],
-        route: &[u32],
-    ) -> Result<(), IpsecError> {
-        let started = self.telemetry.as_ref().map(|_| Instant::now());
-        let results = self.sadb.process_batch_routed(batch, route)?;
-        for (&idx, result) in route.iter().zip(results) {
-            let spi = reset_wire::peek_spi(&batch[idx as usize]).unwrap_or(0);
+    /// Turns per-frame verdicts into events, in order.
+    fn emit_rx(&mut self, verdicts: impl IntoIterator<Item = (u32, RxResult)>) {
+        for (spi, result) in verdicts {
             let ev = self.event_from_rx(spi, result);
             self.emit(ev);
         }
-        if let (Some(t), Some(started)) = (&self.telemetry, started) {
-            t.record_drain(
-                self.shard_index,
-                route.len() as u64,
-                started.elapsed().as_nanos() as u64,
-                self.events.len() as u64,
-            );
-        }
-        Ok(())
     }
 
     /// Appends `ev` to the event queue, counting its kind into the
@@ -1008,10 +990,7 @@ impl<S: StableStore> Gateway<S> {
     pub fn finish_recover(&mut self) -> Result<usize, IpsecError> {
         let (sas, buffered) = self.sadb.finish_recover_all()?;
         self.emit(GatewayEvent::Recovered { sas });
-        for (spi, result) in buffered {
-            let ev = self.event_from_rx(spi, result);
-            self.emit(ev);
-        }
+        self.emit_rx(buffered);
         if let (Some(t), Some(started)) = (&self.telemetry, self.recover_started.take()) {
             let elapsed = started.elapsed().as_nanos() as u64;
             t.record_recovery_ns(elapsed);
@@ -1162,8 +1141,9 @@ mod tests {
 
     #[test]
     fn batch_push_matches_sequential_push() {
-        let (mut p, mut q_seq) = pair(CryptoSuite::default());
-        let (_, mut q_batch) = pair(CryptoSuite::default());
+        // Partition invariance: one frame per push, batches of seven and
+        // the whole burst at once must emit identical event streams.
+        let (mut p, mut q_whole) = pair(CryptoSuite::default());
         let mut wires = Vec::new();
         for i in 0..30u32 {
             wires.push(
@@ -1178,11 +1158,21 @@ mod tests {
         let n = forged.len();
         forged[n - 1] ^= 0x40;
         wires.push(Bytes::from(forged));
+        q_whole.push_wire_batch(&wires).unwrap();
+        let whole = q_whole.poll_events();
+        assert_eq!(whole.len(), wires.len());
+
+        let (_, mut q_single) = pair(CryptoSuite::default());
         for w in &wires {
-            q_seq.push_wire(w).unwrap();
+            q_single.push_wire(w).unwrap();
         }
-        q_batch.push_wire_batch(&wires).unwrap();
-        assert_eq!(q_seq.poll_events(), q_batch.poll_events());
+        assert_eq!(q_single.poll_events(), whole);
+
+        let (_, mut q_sevens) = pair(CryptoSuite::default());
+        for chunk in wires.chunks(7) {
+            q_sevens.push_wire_batch(chunk).unwrap();
+        }
+        assert_eq!(q_sevens.poll_events(), whole);
     }
 
     #[test]
@@ -1486,9 +1476,10 @@ mod tests {
         let s = t.snapshot();
         assert_eq!(s.recover_ns.count, 1);
         assert_eq!(s.rekey_ns.count, 1);
-        assert_eq!(s.shards[0].batches, 1);
-        assert_eq!(s.shards[0].frames, 8);
-        assert_eq!(s.shards[0].drain_ns.count, 1);
+        // Every pushed frame is a drained frame: 8 batched + 1 single.
+        assert_eq!(s.shards[0].batches, 2);
+        assert_eq!(s.shards[0].frames, 9);
+        assert_eq!(s.shards[0].drain_ns.count, 2);
         // add_peer installed both directions (rekey reinstalls go
         // straight to the SADB and count as rekeys, not installs).
         let class = &s.classes[0];

@@ -17,8 +17,8 @@
 //! The primary public API is [`Gateway`], an event-driven engine that
 //! owns the whole receiver-under-reset story — SADB, datapath,
 //! SAVE/FETCH recovery, DPD, and lifetime-driven rekeys — behind four
-//! verbs: [`Gateway::protect`], [`Gateway::push_wire`] (and
-//! [`Gateway::push_wire_batch`] for NIC-queue drains),
+//! verbs: [`Gateway::protect`], [`Gateway::push_wire_batch`] (a NIC
+//! queue drain; [`Gateway::push_wire`] is a batch of one),
 //! [`Gateway::tick`], and [`Gateway::poll_events`]. Configuration is
 //! fixed up front in [`GatewayBuilder`] (suite, window, save interval,
 //! store factory, rekey/DPD policies); every per-packet and lifecycle
@@ -98,22 +98,22 @@
 //!   telemetry, feeding the occupancy signal the deferred
 //!   rebalancing work (ROADMAP 2(iv)) will consume.
 //!
-//! ## Migrating from the free-standing style
+//! ## One receive path
 //!
-//! Earlier revisions of this crate were driven by hand-wiring the layer
-//! types per use: `Outbound::new(sa, store, k)` +
-//! `Inbound::new(sa, store, k, w)` (or a [`Sadb`] of them), with
-//! `tx.protect(..)` / `rx.process(..)` / `sadb.recover_all()` calls and
-//! per-call `match` on [`RxResult`]. That style still works — the layer
-//! types below remain public, and [`Gateway`] is a facade over them,
-//! not a replacement — but new code should prefer the engine:
+//! A frame is authenticated, windowed and decrypted in
+//! [`Inbound::process_batch`] and nowhere else. Every other receive
+//! verb feeds it: [`Sadb::process_batch`] cuts a queue into runs of
+//! equal SPI, [`Gateway::push_wire_batch`] turns the results into
+//! events, and the single-frame verbs ([`Inbound::process`],
+//! [`Gateway::push_wire`], [`ShardedGateway::push_wire`]) are batches
+//! of one. Code that still hand-wires the layer types below maps onto
+//! the engine like this:
 //!
-//! | free-standing (PR 1/2 style)            | `Gateway` engine                        |
+//! | layer types                             | `Gateway` engine                        |
 //! |-----------------------------------------|-----------------------------------------|
 //! | `Outbound::new` / `Inbound::new` / `Sadb::install_*` | [`GatewayBuilder`] + [`Gateway::add_peer`] / [`Gateway::install_pair`] |
 //! | `tx.protect(payload)` → `Bytes`         | [`Gateway::protect`] → [`SentFrame`] (seq + bytes) |
-//! | `rx.process(..)` → `match RxResult`     | [`Gateway::push_wire`] + [`Gateway::poll_events`] |
-//! | `Inbound::process_batch` / `Sadb::process_batch` | [`Gateway::push_wire_batch`]   |
+//! | `Inbound::process_batch` / `Sadb::process_batch` → `match RxResult` | [`Gateway::push_wire_batch`] + [`Gateway::poll_events`] |
 //! | `reset()` + `wake_up()` / `recover_all` | [`Gateway::reset`] + [`Gateway::recover`] (or the `begin`/`finish` halves) |
 //! | `DpdDetector::poll` + `rekey_due` + `rekey` by hand | [`GatewayBuilder::dpd`] / [`GatewayBuilder::rekey_after`] + [`Gateway::tick`] |
 //!

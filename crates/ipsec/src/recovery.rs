@@ -211,7 +211,7 @@ impl<S: StableStore> IpsecPeer<S> {
     ///
     /// Wire/auth errors (forgery, foreign SPI). Replays are NOT errors —
     /// they surface as [`PeerEvent::Rejected`].
-    pub fn handle_wire(&mut self, wire: &[u8], now_ns: u64) -> Result<PeerEvent, IpsecError> {
+    pub fn handle_wire(&mut self, wire: &Bytes, now_ns: u64) -> Result<PeerEvent, IpsecError> {
         match self.inb.process(wire)? {
             RxResult::Delivered { payload, seq } => {
                 // Authenticated traffic proves liveness.

@@ -326,63 +326,6 @@ impl<S: StableStore> Sadb<S> {
         res
     }
 
-    /// Dispatches an inbound wire packet to its SA by SPI.
-    ///
-    /// # Errors
-    ///
-    /// [`IpsecError::UnknownSa`] for an unknown SPI; datapath errors
-    /// otherwise.
-    pub fn process(&mut self, wire: &[u8]) -> Result<RxResult, IpsecError> {
-        let spi = reset_wire::peek_spi(wire).ok_or(IpsecError::Wire(
-            reset_wire::WireError::Truncated {
-                needed: 4,
-                got: wire.len(),
-            },
-        ))?;
-        let slot = self
-            .in_index
-            .get(&spi)
-            .copied()
-            .ok_or(IpsecError::UnknownSa { spi })?;
-        let inbound = self.in_slots[slot as usize].as_mut().expect("indexed");
-        let was_pending = inbound.seq_state().pending_save().is_some();
-        let res = inbound.process(wire);
-        let now_pending = inbound.seq_state().pending_save().is_some();
-        if now_pending && !was_pending {
-            self.saves_in.insert(spi);
-        }
-        res
-    }
-
-    /// [`Sadb::process`] for shared buffers: auth-only payloads come
-    /// back as zero-copy slices of `wire` and wake-up buffering is a
-    /// reference-count bump (see [`Inbound::process_bytes`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Sadb::process`].
-    pub fn process_bytes(&mut self, wire: &Bytes) -> Result<RxResult, IpsecError> {
-        let spi = reset_wire::peek_spi(wire).ok_or(IpsecError::Wire(
-            reset_wire::WireError::Truncated {
-                needed: 4,
-                got: wire.len(),
-            },
-        ))?;
-        let slot = self
-            .in_index
-            .get(&spi)
-            .copied()
-            .ok_or(IpsecError::UnknownSa { spi })?;
-        let inbound = self.in_slots[slot as usize].as_mut().expect("indexed");
-        let was_pending = inbound.seq_state().pending_save().is_some();
-        let res = inbound.process_bytes(wire);
-        let now_pending = inbound.seq_state().pending_save().is_some();
-        if now_pending && !was_pending {
-            self.saves_in.insert(spi);
-        }
-        res
-    }
-
     /// Drains a queue of inbound packets, in arrival order, with one
     /// result per packet.
     ///
@@ -391,11 +334,9 @@ impl<S: StableStore> Sadb<S> {
     /// [`Inbound::process_batch`]) is amortized across each run rather
     /// than paid per packet. Per-packet failures — unknown SPI, bad
     /// framing, failed authentication — come back in-line as
-    /// [`RxResult::Rejected`] instead of aborting the drain. Wall-clock
-    /// is on par with per-packet [`Sadb::process`] today (the pipeline
-    /// is crypto-bound); the batch form's win is its allocation profile
-    /// — see `BENCH_datapath.json` and the memory caveat on
-    /// [`Inbound::process_batch`].
+    /// [`RxResult::Rejected`] instead of aborting the drain. This is the
+    /// database's only receive verb: a single frame is a batch of one
+    /// (see the memory caveat on [`Inbound::process_batch`]).
     ///
     /// # Errors
     ///
@@ -420,60 +361,24 @@ impl<S: StableStore> Sadb<S> {
     /// # Ok::<(), reset_ipsec::IpsecError>(())
     /// ```
     pub fn process_batch(&mut self, wires: &[Bytes]) -> Result<Vec<RxResult>, IpsecError> {
-        let mut out = Vec::with_capacity(wires.len());
-        let mut i = 0;
-        while i < wires.len() {
-            let Some(spi) = reset_wire::peek_spi(&wires[i]) else {
-                out.push(RxResult::Rejected(RxReject::Wire(
-                    reset_wire::WireError::Truncated {
-                        needed: 4,
-                        got: wires[i].len(),
-                    },
-                )));
-                i += 1;
-                continue;
-            };
-            // Extend the run of consecutive packets for the same SA.
-            let mut j = i + 1;
-            while j < wires.len() && wires[j].len() >= 4 && wires[j][0..4] == wires[i][0..4] {
-                j += 1;
-            }
-            match self.in_index.get(&spi).copied() {
-                Some(slot) => {
-                    let inbound = self.in_slots[slot as usize].as_mut().expect("indexed");
-                    let was_pending = inbound.seq_state().pending_save().is_some();
-                    let res = inbound.process_batch(&wires[i..j]);
-                    let now_pending = inbound.seq_state().pending_save().is_some();
-                    if now_pending && !was_pending {
-                        self.saves_in.insert(spi);
-                    }
-                    out.extend(res?);
-                }
-                None => {
-                    out.extend((i..j).map(|_| RxResult::Rejected(RxReject::UnknownSa { spi })));
-                }
-            }
-            i = j;
-        }
-        Ok(out)
+        Ok(self.process_batch_routed(wires.len(), |i| &wires[i]))
     }
 
-    /// Routed form of [`Sadb::process_batch`] for the sharded fan-out:
-    /// drains the frames of a *shared* batch selected by `route`
-    /// (indices into `batch`, in arrival order) without cloning a
-    /// per-shard `Vec<Bytes>` first. Semantically identical to
-    /// `process_batch(&route.map(|i| batch[i]))` — runs of equal SPI are
-    /// detected over the routed view and dispatched through the same
-    /// gather drain.
-    pub(crate) fn process_batch_routed(
+    /// Routed form of [`Sadb::process_batch`], and its implementation:
+    /// drains the `n` frames `at(0..n)` in that order. The sharded
+    /// fan-out passes `|i| &batch[route[i]]` to drain its share of a
+    /// *shared* batch without cloning a per-shard `Vec<Bytes>` first;
+    /// the slice form passes `|i| &wires[i]`. Runs of equal SPI are
+    /// detected over that view and handed to the SA's gather drain.
+    pub(crate) fn process_batch_routed<'w>(
         &mut self,
-        batch: &[Bytes],
-        route: &[u32],
-    ) -> Result<Vec<RxResult>, IpsecError> {
-        let mut out = Vec::with_capacity(route.len());
+        n: usize,
+        at: impl Fn(usize) -> &'w Bytes + Copy,
+    ) -> Vec<RxResult> {
+        let mut out = Vec::with_capacity(n);
         let mut i = 0;
-        while i < route.len() {
-            let wire = &batch[route[i] as usize];
+        while i < n {
+            let wire = at(i);
             let Some(spi) = reset_wire::peek_spi(wire) else {
                 out.push(RxResult::Rejected(RxReject::Wire(
                     reset_wire::WireError::Truncated {
@@ -484,28 +389,20 @@ impl<S: StableStore> Sadb<S> {
                 i += 1;
                 continue;
             };
+            // Extend the run of consecutive packets for the same SA.
             let mut j = i + 1;
-            while j < route.len() {
-                let next = &batch[route[j] as usize];
-                if next.len() >= 4 && next[0..4] == wire[0..4] {
-                    j += 1;
-                } else {
-                    break;
-                }
+            while j < n && at(j).get(0..4) == Some(&wire[0..4]) {
+                j += 1;
             }
             match self.in_index.get(&spi).copied() {
                 Some(slot) => {
                     let inbound = self.in_slots[slot as usize].as_mut().expect("indexed");
                     let was_pending = inbound.seq_state().pending_save().is_some();
-                    let res = inbound.process_batch_gather(
-                        j - i,
-                        route[i..j].iter().map(|&k| &batch[k as usize]),
-                    );
+                    out.extend(inbound.process_batch_gather(j - i, (i..j).map(at)));
                     let now_pending = inbound.seq_state().pending_save().is_some();
                     if now_pending && !was_pending {
                         self.saves_in.insert(spi);
                     }
-                    out.extend(res?);
                 }
                 None => {
                     out.extend((i..j).map(|_| RxResult::Rejected(RxReject::UnknownSa { spi })));
@@ -513,7 +410,7 @@ impl<S: StableStore> Sadb<S> {
             }
             i = j;
         }
-        Ok(out)
+        out
     }
 
     /// A host-wide reset: every SA loses its volatile counters (and any
@@ -771,6 +668,12 @@ mod tests {
         SecurityAssociation::new(spi, SaKeys::derive(b"secret", &spi.to_be_bytes()))
     }
 
+    /// One frame through the database's only receive verb.
+    fn process_one<S: StableStore>(db: &mut Sadb<S>, wire: &Bytes) -> RxResult {
+        let mut results = db.process_batch(std::slice::from_ref(wire)).unwrap();
+        results.pop().expect("one result per frame")
+    }
+
     fn sadb_with(n: u32) -> Sadb<MemStable> {
         let mut db = Sadb::new();
         for spi in 1..=n {
@@ -791,7 +694,7 @@ mod tests {
     fn protect_and_process_dispatch_by_spi() {
         let mut db = sadb_with(3);
         let wire = db.protect(2, b"to sa 2").unwrap().unwrap();
-        match db.process(&wire).unwrap() {
+        match process_one(&mut db, &wire) {
             RxResult::Delivered { payload, .. } => assert_eq!(&payload[..], b"to sa 2"),
             other => panic!("{other:?}"),
         }
@@ -807,10 +710,10 @@ mod tests {
         let wire = db.protect(1, b"x").unwrap().unwrap();
         let mut foreign = wire.to_vec();
         foreign[3] = 42; // SPI 42 unknown — rejected before any crypto
-        assert!(matches!(
-            db.process(&foreign),
-            Err(IpsecError::UnknownSa { spi: 42 })
-        ));
+        assert_eq!(
+            process_one(&mut db, &Bytes::from(foreign)),
+            RxResult::Rejected(RxReject::UnknownSa { spi: 42 })
+        );
     }
 
     #[test]
@@ -847,7 +750,7 @@ mod tests {
         assert_eq!(ins, outs);
         // And the datapath routes to the right endpoints after churn.
         let wire = db.protect(50, b"to fifty").unwrap().unwrap();
-        match db.process(&wire).unwrap() {
+        match process_one(&mut db, &wire) {
             RxResult::Delivered { payload, .. } => assert_eq!(&payload[..], b"to fifty"),
             other => panic!("{other:?}"),
         }
@@ -861,7 +764,7 @@ mod tests {
         // both the sender and (after processing) the receiver.
         for _ in 0..10 {
             let w = db.protect(1, b"data").unwrap().unwrap();
-            db.process(&w).unwrap();
+            process_one(&mut db, &w);
         }
         assert!(db.has_pending_save());
         assert!(db.saves_out.contains(&1));
@@ -891,7 +794,7 @@ mod tests {
         for spi in 1..=10u32 {
             for _ in 0..15 {
                 let w = db.protect(spi, b"data").unwrap().unwrap();
-                db.process(&w).unwrap();
+                process_one(&mut db, &w);
             }
             db.outbound_mut(spi).unwrap().save_completed().unwrap();
             db.inbound_mut(spi).unwrap().save_completed().unwrap();
@@ -910,7 +813,7 @@ mod tests {
             let mut delivered = false;
             let mut wire = w;
             for _ in 0..25 {
-                if db.process(&wire).unwrap().is_delivered() {
+                if process_one(&mut db, &wire).is_delivered() {
                     delivered = true;
                     break;
                 }
@@ -952,13 +855,14 @@ mod tests {
 
     #[test]
     fn process_batch_agrees_with_process() {
-        let mut db_a = sadb_with(4);
-        let mut db_b = sadb_with(4);
+        // Partition invariance: frame-at-a-time, batches of seven and the
+        // whole queue at once must classify identically.
+        let mut tx = sadb_with(4);
         let mut queue: Vec<Bytes> = Vec::new();
         for round in 0..10u32 {
             for spi in 1..=4u32 {
                 queue.push(
-                    db_a.protect(spi, format!("r{round} s{spi}").as_bytes())
+                    tx.protect(spi, format!("r{round} s{spi}").as_bytes())
                         .unwrap()
                         .unwrap(),
                 );
@@ -966,11 +870,15 @@ mod tests {
         }
         // Duplicate a slice of the queue: replays.
         queue.extend(queue[5..15].to_vec());
-        // Keep db_b's outbound counters in sync (unused, but symmetric).
-        let batch = db_a.process_batch(&queue).unwrap();
-        for (i, wire) in queue.iter().enumerate() {
-            let single = db_b.process(wire).unwrap();
-            assert_eq!(batch[i], single, "packet {i}");
+        let whole = sadb_with(4).process_batch(&queue).unwrap();
+        assert_eq!(whole.iter().filter(|r| r.is_delivered()).count(), 40);
+        for chunk in [1, 7] {
+            let mut db = sadb_with(4);
+            let cut: Vec<RxResult> = queue
+                .chunks(chunk)
+                .flat_map(|c| db.process_batch(c).unwrap())
+                .collect();
+            assert_eq!(cut, whole, "chunk {chunk}");
         }
     }
 
@@ -995,7 +903,7 @@ mod tests {
                                                         // A shard's view: every other frame, arrival order preserved.
         let route: Vec<u32> = (0..batch.len() as u32).filter(|i| i % 2 == 0).collect();
         let gathered: Vec<Bytes> = route.iter().map(|&i| batch[i as usize].clone()).collect();
-        let routed = db_routed.process_batch_routed(&batch, &route).unwrap();
+        let routed = db_routed.process_batch_routed(route.len(), |i| &batch[route[i] as usize]);
         let contig = db_contig.process_batch(&gathered).unwrap();
         assert_eq!(routed.len(), route.len());
         assert_eq!(routed, contig);
@@ -1051,7 +959,7 @@ mod tests {
         for spi in 1..=3u32 {
             for _ in 0..15 {
                 let w = db.protect(spi, b"data").unwrap().unwrap();
-                db.process(&w).unwrap();
+                process_one(&mut db, &w);
             }
             db.outbound_mut(spi).unwrap().save_completed().unwrap();
             db.inbound_mut(spi).unwrap().save_completed().unwrap();
@@ -1077,7 +985,7 @@ mod tests {
         for spi in 1..=4u32 {
             for _ in 0..15 {
                 let w = db.protect(spi, b"data").unwrap().unwrap();
-                db.process(&w).unwrap();
+                process_one(&mut db, &w);
             }
             db.outbound_mut(spi).unwrap().save_completed().unwrap();
             db.inbound_mut(spi).unwrap().save_completed().unwrap();
@@ -1092,7 +1000,7 @@ mod tests {
             }
             other.protect(2, b"fresh").unwrap().unwrap()
         };
-        assert_eq!(db.process(&w).unwrap(), RxResult::Buffered);
+        assert_eq!(process_one(&mut db, &w), RxResult::Buffered);
         let (recovered, buffered) = db.finish_recover_all().unwrap();
         assert_eq!(recovered, 8, "4 SAs x 2 directions");
         assert_eq!(buffered.len(), 1);

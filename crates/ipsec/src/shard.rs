@@ -411,37 +411,18 @@ impl<S: StableStore + Send + 'static> ShardedGateway<S> {
             .unwrap_or_else(|p| Err(p.into_error()))
     }
 
-    /// Feeds one received frame to the shard owning its SPI. Frames too
-    /// short to carry an SPI route to the shard owning SPI 0, which
-    /// reports them as [`GatewayEvent::AuthFailed`] with `spi: 0` —
-    /// exactly what a plain [`Gateway`] reports.
+    /// Feeds one received frame to the shard owning its SPI — a
+    /// [`ShardedGateway::push_wire_batch`] of one. Frames too short to
+    /// carry an SPI route to the shard owning SPI 0, which reports them
+    /// as [`GatewayEvent::AuthFailed`] with `spi: 0` — exactly what a
+    /// plain [`Gateway`] reports.
     ///
     /// # Errors
     ///
     /// Store failures or [`IpsecError::WorkerPanicked`]; per-packet
     /// failures are events.
     pub fn push_wire(&mut self, wire: &Bytes) -> Result<(), IpsecError> {
-        self.flushed()?;
-        let spi = reset_wire::peek_spi(wire).unwrap_or(0);
-        let idx = self.shard_of(spi);
-        if let Some((result, events)) =
-            self.workers[idx].run_borrowed(|g| (g.push_wire(wire), g.poll_events()))
-        {
-            // Single-shard inline: no frame clone, no queue round-trip.
-            self.events.extend(events);
-            return result;
-        }
-        let wire = wire.clone();
-        let done = self.workers[idx]
-            .submit(move |g| (g.push_wire(&wire), g.poll_events()))
-            .wait();
-        match done {
-            Ok((result, events)) => {
-                self.events.extend(events);
-                result
-            }
-            Err(panic) => Err(panic.into_error()),
-        }
+        self.push_wire_batch(std::slice::from_ref(wire))
     }
 
     /// Feeds a burst of frames through the fleet and waits for every
@@ -501,7 +482,10 @@ impl<S: StableStore + Send + 'static> ShardedGateway<S> {
             .filter(|(_, route)| !route.is_empty())
             .map(|(w, route)| {
                 let batch = Arc::clone(&batch);
-                w.submit(move |g| (g.push_wire_routed(&batch, &route), g.poll_events()))
+                w.submit(move |g| {
+                    let drained = g.push_wire_routed(route.len(), |i| &batch[route[i] as usize]);
+                    (drained, g.poll_events())
+                })
             })
             .collect();
         self.in_flight.push_back(group);
@@ -1124,6 +1108,34 @@ mod tests {
             expected[reset_wire::spi_shard(spi, shards)] += 1;
         }
         assert_eq!(t.snapshot().shard_frames(), expected);
+    }
+
+    #[test]
+    fn telemetry_counts_every_pushed_frame_whatever_the_verb() {
+        use reset_telemetry::Telemetry;
+        for shards in [1usize, 2] {
+            let t = Telemetry::with_shards(shards);
+            let mut tx = GatewayBuilder::in_memory().build();
+            let mut rx = GatewayBuilder::in_memory_sharded(shards)
+                .telemetry(t.clone())
+                .build_sharded();
+            for spi in 1..=8 {
+                tx.add_peer(spi, b"frames-master");
+                rx.add_peer(spi, b"frames-master");
+            }
+            let frames: Vec<Bytes> = (0..30u32)
+                .map(|i| tx.protect(1 + i % 8, b"counted").unwrap().unwrap().wire)
+                .collect();
+            for wire in &frames[..5] {
+                rx.push_wire(wire).unwrap();
+            }
+            rx.push_wire_batch(&frames[5..17]).unwrap();
+            rx.submit_batch(&frames[17..]);
+            rx.push_wire(&Bytes::copy_from_slice(&[7])).unwrap(); // runt → shard of SPI 0
+            assert_eq!(rx.drain_events().unwrap().len(), 31);
+            let counted: u64 = t.snapshot().shard_frames().iter().sum();
+            assert_eq!(counted, 31, "shards={shards}");
+        }
     }
 
     #[test]

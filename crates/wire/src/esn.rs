@@ -41,40 +41,6 @@ pub fn infer_esn(seq_lo: u32, right_edge: u64) -> u64 {
         .expect("at least one candidate")
 }
 
-/// Tracks the receiver-side ESN state: a thin convenience wrapper that
-/// remembers the right edge and infers full sequence numbers.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EsnTracker {
-    right_edge: u64,
-}
-
-impl EsnTracker {
-    /// A tracker starting at right edge 0.
-    pub fn new() -> Self {
-        EsnTracker::default()
-    }
-
-    /// A tracker resuming from a known right edge (after FETCH + leap).
-    pub fn resume_at(right_edge: u64) -> Self {
-        EsnTracker { right_edge }
-    }
-
-    /// Current right edge.
-    pub fn right_edge(&self) -> u64 {
-        self.right_edge
-    }
-
-    /// Infers the full sequence number for `seq_lo` without committing.
-    pub fn infer(&self, seq_lo: u32) -> u64 {
-        infer_esn(seq_lo, self.right_edge)
-    }
-
-    /// Commits an accepted sequence number, advancing the right edge.
-    pub fn accept(&mut self, seq: u64) {
-        self.right_edge = self.right_edge.max(seq);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,33 +73,15 @@ mod tests {
     }
 
     #[test]
-    fn tracker_accept_advances_monotonically() {
-        let mut t = EsnTracker::new();
-        t.accept(10);
-        t.accept(5); // lower values never move the edge back
-        assert_eq!(t.right_edge(), 10);
-        t.accept(20);
-        assert_eq!(t.right_edge(), 20);
-    }
-
-    #[test]
-    fn tracker_resume_matches_leap_semantics() {
-        // After a reset the receiver resumes at fetched + 2K; ESN
-        // inference must pick up from there.
-        let t = EsnTracker::resume_at((3u64 << 32) | 7);
-        assert_eq!(t.infer(8), (3u64 << 32) | 8);
-    }
-
-    #[test]
     fn inference_round_trips_sequential_stream() {
-        // Simulate a sender counting through a 2^32 boundary; the tracker
-        // must reconstruct every value exactly.
+        // Simulate a sender counting through a 2^32 boundary; a receiver
+        // whose right edge follows must reconstruct every value exactly.
         let start = (1u64 << 32) - 100;
-        let mut t = EsnTracker::resume_at(start - 1);
+        let mut right_edge = start - 1;
         for seq in start..start + 200 {
-            let inferred = t.infer(seq as u32);
+            let inferred = infer_esn(seq as u32, right_edge);
             assert_eq!(inferred, seq, "at {seq:#x}");
-            t.accept(inferred);
+            right_edge = right_edge.max(inferred);
         }
     }
 }

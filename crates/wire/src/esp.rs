@@ -1,43 +1,36 @@
 //! ESP-style packet sealing and opening (RFC 2406 shape).
 //!
-//! Layout on the wire:
+//! Layout on the wire, for a [`CipherSuite`] with an `IVLEN`-byte
+//! explicit IV and an `ICVLEN`-byte integrity check value:
 //!
 //! ```text
-//! +--------+--------+-------------+------------------+-----------+
-//! | SPI: 4 | SEQ: 4 | PAYLEN: 4   | PAYLOAD: PAYLEN  | ICV: 12   |
-//! +--------+--------+-------------+------------------+-----------+
+//! +--------+--------+-----------+-----------+------------------+-------------+
+//! | SPI: 4 | SEQ: 4 | PAYLEN: 4 | IV: IVLEN | PAYLOAD: PAYLEN  | ICV: ICVLEN |
+//! +--------+--------+-----------+-----------+------------------+-------------+
 //! ```
 //!
-//! The ICV is `HMAC-SHA-256-96` over everything before it, keyed by the
-//! SA's authentication key. As in real IPsec, only the **low 32 bits** of
-//! the sequence number travel on the wire; with extended sequence numbers
-//! (ESN) the high 32 bits are implicit and are included in the ICV
-//! computation, which lets the receiver detect a wrong high-half guess.
+//! The ICV authenticates everything before it (header and IV as
+//! associated data, the encrypted payload as ciphertext) under the SA's
+//! suite — `HMAC-SHA-256-96` for the HMAC suites (no IV, 12-byte ICV), a
+//! Poly1305 tag for ChaCha20-Poly1305 (16 bytes). As in real IPsec, only
+//! the **low 32 bits** of the sequence number travel on the wire; with
+//! extended sequence numbers (ESN) the high 32 bits are implicit and are
+//! included in the ICV computation, which lets the receiver detect a
+//! wrong high-half guess.
 //!
-//! Three tiers of API exist:
-//!
-//! * [`seal`] / [`open`] — convenience forms taking a raw key slice;
-//!   they rerun the HMAC key schedule per call.
-//! * [`seal_with`] / [`seal_into`] / [`open_with`] / [`open_zc`] — the
-//!   keyed HMAC forms: they take a precomputed [`HmacKey`] (built once
-//!   per SA), `seal_into` reuses a caller-owned buffer, and `open_zc`
-//!   returns the payload as a zero-copy slice of the input `Bytes`.
-//! * [`seal_frame_into`] / [`verify_frame_with`] / [`open_frame`] — the
-//!   suite-generic forms: any [`reset_crypto::CipherSuite`] plugs in,
-//!   and the frame layout picks up the suite's IV and ICV lengths
-//!   (`HEADER ‖ IV ‖ ciphertext ‖ ICV`). For the HMAC suite these emit
-//!   byte-identical frames to the keyed forms.
+//! There is one codec: [`seal_frame`] / [`seal_frame_into`] encode,
+//! [`verify_frame_with`] authenticates without touching the payload (the
+//! receive datapath's order: authenticate, consult the window, only then
+//! decrypt), and [`open_frame`] verifies and decrypts in one step. Any
+//! [`reset_crypto::CipherSuite`] plugs in.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use reset_crypto::{ct_eq, CipherSuite, FrameToVerify, HmacKey, MAX_IV_LEN};
+use reset_crypto::{CipherSuite, FrameToVerify, MAX_IV_LEN};
 
 use crate::WireError;
 
 /// Fixed header length (SPI + SEQ + PAYLEN).
 pub const HEADER_LEN: usize = 12;
-
-/// ICV length (HMAC-SHA-256 truncated to 96 bits).
-pub const ICV_LEN: usize = 12;
 
 /// A parsed, verified ESP packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,198 +43,6 @@ pub struct EspPacket {
     pub payload: Bytes,
 }
 
-/// Seals `(spi, seq, payload)` into wire bytes.
-///
-/// `seq` is the full 64-bit sequence number; its low half goes on the
-/// wire, and if `esn` is true the high half is mixed into the ICV (the
-/// RFC 4304 construction).
-///
-/// # Errors
-///
-/// Returns [`WireError::SeqOverflow`] if `seq` exceeds `u32::MAX` while
-/// `esn` is false.
-///
-/// # Examples
-///
-/// ```
-/// use reset_wire::{open, seal};
-///
-/// let key = b"auth-key";
-/// let wire = seal(7, 42, b"hello", key, false)?;
-/// let pkt = open(&wire, key, None)?;
-/// assert_eq!(pkt.spi, 7);
-/// assert_eq!(pkt.seq_lo, 42);
-/// assert_eq!(&pkt.payload[..], b"hello");
-/// # Ok::<(), reset_wire::WireError>(())
-/// ```
-pub fn seal(
-    spi: u32,
-    seq: u64,
-    payload: &[u8],
-    auth_key: &[u8],
-    esn: bool,
-) -> Result<Bytes, WireError> {
-    seal_with(spi, seq, payload, &HmacKey::new(auth_key), esn)
-}
-
-/// [`seal`] with a precomputed [`HmacKey`]: the per-SA fast path that
-/// never re-derives the key schedule.
-pub fn seal_with(
-    spi: u32,
-    seq: u64,
-    payload: &[u8],
-    auth_key: &HmacKey,
-    esn: bool,
-) -> Result<Bytes, WireError> {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len() + ICV_LEN);
-    seal_into(&mut buf, spi, seq, payload, auth_key, esn)?;
-    Ok(buf.freeze())
-}
-
-/// Seals into a caller-owned buffer, appending header, payload and ICV.
-///
-/// The buffer is cleared first; its allocation is reused, so a sender
-/// draining a queue through one scratch `BytesMut` seals packets without
-/// per-packet allocation.
-///
-/// # Errors
-///
-/// Returns [`WireError::SeqOverflow`] if `seq` exceeds `u32::MAX` while
-/// `esn` is false.
-///
-/// # Examples
-///
-/// ```
-/// use bytes::BytesMut;
-/// use reset_crypto::HmacKey;
-/// use reset_wire::{open_with, seal_into};
-///
-/// let key = HmacKey::new(b"auth-key");
-/// let mut scratch = BytesMut::with_capacity(1500);
-/// for seq in 1..=3u64 {
-///     seal_into(&mut scratch, 7, seq, b"payload", &key, false)?;
-///     assert!(open_with(&scratch, &key, None).is_ok());
-/// }
-/// # Ok::<(), reset_wire::WireError>(())
-/// ```
-pub fn seal_into(
-    buf: &mut BytesMut,
-    spi: u32,
-    seq: u64,
-    payload: &[u8],
-    auth_key: &HmacKey,
-    esn: bool,
-) -> Result<(), WireError> {
-    if !esn && seq > u32::MAX as u64 {
-        return Err(WireError::SeqOverflow);
-    }
-    let seq_lo = seq as u32;
-    buf.clear();
-    buf.reserve(HEADER_LEN + payload.len() + ICV_LEN);
-    buf.put_u32(spi);
-    buf.put_u32(seq_lo);
-    buf.put_u32(payload.len() as u32);
-    buf.put_slice(payload);
-    let icv = compute_icv(
-        auth_key,
-        buf,
-        if esn { Some((seq >> 32) as u32) } else { None },
-    );
-    buf.put_slice(&icv);
-    Ok(())
-}
-
-/// Opens wire bytes, verifying the ICV.
-///
-/// `esn_hi` must be `Some(high_half)` when the SA uses extended sequence
-/// numbers — the receiver guesses the high half from its window (see
-/// [`crate::EsnTracker`]) and a wrong guess fails authentication, exactly
-/// as RFC 4304 specifies.
-///
-/// The returned payload copies out of `wire`; the receive datapath uses
-/// [`open_zc`], which slices the input without copying.
-///
-/// # Errors
-///
-/// * [`WireError::Truncated`] / [`WireError::BadLength`] on malformed
-///   framing.
-/// * [`WireError::IcvMismatch`] when authentication fails; the caller must
-///   drop the packet without touching the anti-replay window.
-pub fn open(wire: &[u8], auth_key: &[u8], esn_hi: Option<u32>) -> Result<EspPacket, WireError> {
-    open_with(wire, &HmacKey::new(auth_key), esn_hi)
-}
-
-/// [`open`] with a precomputed [`HmacKey`].
-pub fn open_with(
-    wire: &[u8],
-    auth_key: &HmacKey,
-    esn_hi: Option<u32>,
-) -> Result<EspPacket, WireError> {
-    let (spi, seq_lo, declared) = verify_frame(wire, auth_key, esn_hi)?;
-    Ok(EspPacket {
-        spi,
-        seq_lo,
-        payload: Bytes::copy_from_slice(&wire[HEADER_LEN..HEADER_LEN + declared]),
-    })
-}
-
-/// Zero-copy [`open`]: verifies in place and returns the payload as a
-/// slice of the input buffer — no bytes are copied or allocated.
-///
-/// # Errors
-///
-/// Same as [`open`].
-///
-/// # Examples
-///
-/// ```
-/// use reset_crypto::HmacKey;
-/// use reset_wire::{open_zc, seal_with};
-///
-/// let key = HmacKey::new(b"auth-key");
-/// let wire = seal_with(9, 1, b"zero copy", &key, false)?;
-/// let pkt = open_zc(&wire, &key, None)?;
-/// assert_eq!(&pkt.payload[..], b"zero copy");
-/// # Ok::<(), reset_wire::WireError>(())
-/// ```
-pub fn open_zc(
-    wire: &Bytes,
-    auth_key: &HmacKey,
-    esn_hi: Option<u32>,
-) -> Result<EspPacket, WireError> {
-    let (spi, seq_lo, declared) = verify_frame(wire, auth_key, esn_hi)?;
-    Ok(EspPacket {
-        spi,
-        seq_lo,
-        payload: wire.slice(HEADER_LEN..HEADER_LEN + declared),
-    })
-}
-
-/// Framing + authentication without materializing the payload: returns
-/// `(spi, seq_lo, payload_len)` once the ICV has verified; the payload
-/// occupies `wire[HEADER_LEN..HEADER_LEN + payload_len]`.
-///
-/// This is the receive datapath's entry point when the caller wants to
-/// move verified bytes straight into its own buffer (e.g. a decryption
-/// arena) without an intermediate allocation.
-///
-/// # Errors
-///
-/// Same as [`open`].
-pub fn verify_frame(
-    wire: &[u8],
-    auth_key: &HmacKey,
-    esn_hi: Option<u32>,
-) -> Result<(u32, u32, usize), WireError> {
-    let (spi, seq_lo, declared) = check_frame_length(wire, HEADER_LEN + ICV_LEN)?;
-    let (authed, icv) = wire.split_at(wire.len() - ICV_LEN);
-    let expect = compute_icv(auth_key, authed, esn_hi);
-    if !ct_eq(icv, &expect) {
-        return Err(WireError::IcvMismatch);
-    }
-    Ok((spi, seq_lo, declared))
-}
-
 /// Total per-packet wire overhead of `suite`: fixed header plus the
 /// suite's explicit IV and ICV lengths.
 pub fn frame_overhead(suite: &dyn CipherSuite) -> usize {
@@ -251,11 +52,12 @@ pub fn frame_overhead(suite: &dyn CipherSuite) -> usize {
 /// Seals a plaintext payload under `suite` into a caller-owned buffer:
 /// header, the suite's explicit IV (if any), the encrypted payload, and
 /// the suite's ICV. The buffer is cleared first and its allocation
-/// reused, like [`seal_into`].
+/// reused, so a sender draining a queue through one scratch `BytesMut`
+/// seals packets without per-packet allocation.
 ///
-/// For [`reset_crypto::HmacSha256Suite`] this emits frames
-/// byte-identical to [`seal_into`] over a pre-encrypted body — the
-/// legacy and suite-generic codecs interoperate.
+/// `seq` is the full 64-bit sequence number; its low half goes on the
+/// wire, and if `esn` is true the high half is mixed into the ICV (the
+/// RFC 4304 construction).
 ///
 /// # Errors
 ///
@@ -335,13 +137,18 @@ pub fn seal_frame(
 /// `wire[HEADER_LEN + suite.iv_len()..][..payload_len]`; callers decrypt
 /// it with [`CipherSuite::decrypt`] only after the anti-replay check.
 ///
-/// `esn_hi` supplies the implicit sequence-number high half exactly as
-/// in [`verify_frame`]; it both participates in authentication and
+/// `esn_hi` must be `Some(high_half)` when the SA uses extended sequence
+/// numbers — the receiver guesses the high half from its window (see
+/// [`crate::infer_esn`]) and a wrong guess fails authentication, exactly
+/// as RFC 4304 specifies. It both participates in authentication and
 /// reconstructs the 64-bit nonce for AEAD suites.
 ///
 /// # Errors
 ///
-/// Same as [`open`].
+/// * [`WireError::Truncated`] / [`WireError::BadLength`] on malformed
+///   framing.
+/// * [`WireError::IcvMismatch`] when authentication fails; the caller must
+///   drop the packet without touching the anti-replay window.
 pub fn verify_frame_with(
     wire: &[u8],
     suite: &dyn CipherSuite,
@@ -368,14 +175,14 @@ pub fn verify_frame_with(
 /// Validates the fixed framing of a frame whose total per-packet
 /// overhead is `overhead` bytes: minimum length and the declared-length
 /// consistency check. Returns `(spi, seq_lo, payload_len)`. This is
-/// the single definition of the framing rules — the sequential
-/// ([`verify_frame_with`]) and batch (`reset_ipsec`'s
-/// `Inbound::process_batch`) verification paths both call it, so their
-/// framing semantics cannot drift.
+/// the single definition of the framing rules — [`verify_frame_with`]
+/// and `reset_ipsec`'s batched `Inbound::process_batch` both call it, so
+/// their framing semantics cannot drift.
 ///
 /// # Errors
 ///
-/// [`WireError::Truncated`] / [`WireError::BadLength`] as in [`open`].
+/// [`WireError::Truncated`] / [`WireError::BadLength`] as in
+/// [`verify_frame_with`].
 pub fn check_frame_length(wire: &[u8], overhead: usize) -> Result<(u32, u32, usize), WireError> {
     if wire.len() < overhead {
         return Err(WireError::Truncated {
@@ -441,7 +248,7 @@ pub fn esn_seq(seq_lo: u32, esn_hi: Option<u32>) -> u64 {
 ///
 /// # Errors
 ///
-/// Same as [`open`].
+/// Same as [`verify_frame_with`].
 pub fn open_frame(
     wire: &Bytes,
     suite: &dyn CipherSuite,
@@ -465,30 +272,21 @@ pub fn open_frame(
     })
 }
 
-fn compute_icv(auth_key: &HmacKey, authed: &[u8], esn_hi: Option<u32>) -> [u8; ICV_LEN] {
-    let mut h = auth_key.begin();
-    h.update(authed);
-    if let Some(hi) = esn_hi {
-        // RFC 4304: the implicit high-order bits participate in the
-        // ICV as if appended to the packet.
-        h.update(&hi.to_be_bytes());
-    }
-    let full = h.finalize();
-    let mut out = [0u8; ICV_LEN];
-    out.copy_from_slice(&full[..ICV_LEN]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reset_crypto::HmacSha256Suite;
 
     const KEY: &[u8] = b"test-auth-key";
 
+    fn hmac() -> HmacSha256Suite {
+        HmacSha256Suite::auth_only(KEY)
+    }
+
     #[test]
     fn seal_open_round_trip() {
-        let wire = seal(1, 100, b"payload bytes", KEY, false).unwrap();
-        let pkt = open(&wire, KEY, None).unwrap();
+        let wire = seal_frame(1, 100, b"payload bytes", &hmac(), false).unwrap();
+        let pkt = open_frame(&wire, &hmac(), None).unwrap();
         assert_eq!(pkt.spi, 1);
         assert_eq!(pkt.seq_lo, 100);
         assert_eq!(&pkt.payload[..], b"payload bytes");
@@ -496,47 +294,57 @@ mod tests {
 
     #[test]
     fn empty_payload_ok() {
-        let wire = seal(9, 1, b"", KEY, false).unwrap();
-        let pkt = open(&wire, KEY, None).unwrap();
+        let wire = seal_frame(9, 1, b"", &hmac(), false).unwrap();
+        assert_eq!(wire.len(), frame_overhead(&hmac()));
+        let pkt = open_frame(&wire, &hmac(), None).unwrap();
         assert!(pkt.payload.is_empty());
     }
 
     #[test]
     fn wrong_key_rejected() {
-        let wire = seal(1, 5, b"data", KEY, false).unwrap();
-        assert_eq!(open(&wire, b"other", None), Err(WireError::IcvMismatch));
+        let wire = seal_frame(1, 5, b"data", &hmac(), false).unwrap();
+        let other = HmacSha256Suite::auth_only(b"other");
+        assert_eq!(open_frame(&wire, &other, None), Err(WireError::IcvMismatch));
     }
 
     #[test]
     fn any_bit_flip_rejected() {
-        let wire = seal(3, 77, b"sensitive", KEY, false).unwrap();
+        let wire = seal_frame(3, 77, b"sensitive", &hmac(), false).unwrap();
         for i in 0..wire.len() {
-            let mut bad = wire.to_vec();
-            bad[i] ^= 0x01;
-            assert!(
-                open(&bad, KEY, None).is_err(),
-                "bit flip at byte {i} accepted"
-            );
+            for bit in [0x01, 0x80] {
+                let mut bad = wire.to_vec();
+                bad[i] ^= bit;
+                assert!(
+                    open_frame(&Bytes::from(bad), &hmac(), None).is_err(),
+                    "flip {bit:#x} at byte {i} accepted"
+                );
+            }
         }
     }
 
     #[test]
     fn truncated_rejected() {
-        let wire = seal(1, 1, b"abc", KEY, false).unwrap();
-        assert!(matches!(
-            open(&wire[..10], KEY, None),
-            Err(WireError::Truncated { .. })
-        ));
+        // Every cut: below the suite's overhead the frame is Truncated,
+        // above it the declared length no longer matches.
+        let wire = seal_frame(1, 1, b"abc", &hmac(), false).unwrap();
+        for cut in 0..wire.len() {
+            let err = verify_frame_with(&wire[..cut], &hmac(), None).unwrap_err();
+            if cut < frame_overhead(&hmac()) {
+                assert!(matches!(err, WireError::Truncated { .. }), "cut {cut}");
+            } else {
+                assert!(matches!(err, WireError::BadLength { .. }), "cut {cut}");
+            }
+        }
     }
 
     #[test]
     fn length_mismatch_rejected() {
-        let wire = seal(1, 1, b"abcd", KEY, false).unwrap();
+        let wire = seal_frame(1, 1, b"abcd", &hmac(), false).unwrap();
         // Chop one payload byte: declared length no longer matches.
         let mut bad = wire.to_vec();
         bad.remove(HEADER_LEN); // drop first payload byte
         assert!(matches!(
-            open(&bad, KEY, None),
+            verify_frame_with(&bad, &hmac(), None),
             Err(WireError::BadLength { .. })
         ));
     }
@@ -544,29 +352,35 @@ mod tests {
     #[test]
     fn seq_overflow_without_esn() {
         assert_eq!(
-            seal(1, u32::MAX as u64 + 1, b"", KEY, false),
+            seal_frame(1, u32::MAX as u64 + 1, b"", &hmac(), false),
             Err(WireError::SeqOverflow)
         );
         // Boundary value still fits.
-        assert!(seal(1, u32::MAX as u64, b"", KEY, false).is_ok());
+        assert!(seal_frame(1, u32::MAX as u64, b"", &hmac(), false).is_ok());
     }
 
     #[test]
     fn esn_high_half_participates_in_icv() {
         let seq = (5u64 << 32) | 10;
-        let wire = seal(1, seq, b"x", KEY, true).unwrap();
+        let wire = seal_frame(1, seq, b"x", &hmac(), true).unwrap();
         // Correct high half verifies.
-        assert!(open(&wire, KEY, Some(5)).is_ok());
+        assert!(verify_frame_with(&wire, &hmac(), Some(5)).is_ok());
         // Wrong high half fails authentication (RFC 4304 behaviour).
-        assert_eq!(open(&wire, KEY, Some(4)), Err(WireError::IcvMismatch));
-        assert_eq!(open(&wire, KEY, None), Err(WireError::IcvMismatch));
+        assert_eq!(
+            verify_frame_with(&wire, &hmac(), Some(4)),
+            Err(WireError::IcvMismatch)
+        );
+        assert_eq!(
+            verify_frame_with(&wire, &hmac(), None),
+            Err(WireError::IcvMismatch)
+        );
     }
 
     #[test]
     fn esn_allows_seq_beyond_u32() {
         let seq = u32::MAX as u64 + 123;
-        let wire = seal(1, seq, b"x", KEY, true).unwrap();
-        let pkt = open(&wire, KEY, Some(1)).unwrap();
+        let wire = seal_frame(1, seq, b"x", &hmac(), true).unwrap();
+        let pkt = open_frame(&wire, &hmac(), Some(1)).unwrap();
         assert_eq!(pkt.seq_lo, 122); // low 32 bits wrapped
     }
 
@@ -575,35 +389,20 @@ mod tests {
         // Replay is NOT detectable at the wire layer — byte-identical
         // packets verify again. Only the anti-replay window catches them;
         // this test pins the division of labour.
-        let wire = seal(1, 55, b"resend me", KEY, false).unwrap();
-        let first = open(&wire, KEY, None).unwrap();
-        let replayed = open(&wire, KEY, None).unwrap();
+        let wire = seal_frame(1, 55, b"resend me", &hmac(), false).unwrap();
+        let first = open_frame(&wire, &hmac(), None).unwrap();
+        let replayed = open_frame(&wire, &hmac(), None).unwrap();
         assert_eq!(first, replayed);
     }
 
     #[test]
-    fn keyed_paths_agree_with_raw_key_paths() {
-        let hk = HmacKey::new(KEY);
-        for esn in [false, true] {
-            let seq = if esn { (3u64 << 32) | 9 } else { 9 };
-            let hi = if esn { Some(3) } else { None };
-            let a = seal(21, seq, b"agree", KEY, esn).unwrap();
-            let b = seal_with(21, seq, b"agree", &hk, esn).unwrap();
-            assert_eq!(a, b, "identical wire bytes (esn={esn})");
-            assert_eq!(open(&a, KEY, hi).unwrap(), open_with(&b, &hk, hi).unwrap());
-            assert_eq!(open_zc(&b, &hk, hi).unwrap(), open(&a, KEY, hi).unwrap());
-        }
-    }
-
-    #[test]
-    fn seal_into_reuses_buffer_across_packets() {
-        let hk = HmacKey::new(KEY);
+    fn seal_frame_into_reuses_buffer_across_packets() {
         let mut buf = BytesMut::with_capacity(256);
         let mut cap = None;
         for seq in 1..=10u64 {
-            seal_into(&mut buf, 5, seq, b"same-size payload", &hk, false).unwrap();
-            let pkt = open_with(&buf, &hk, None).unwrap();
-            assert_eq!(pkt.seq_lo, seq as u32);
+            seal_frame_into(&mut buf, 5, seq, b"same-size payload", &hmac(), false).unwrap();
+            let (_, seq_lo, _) = verify_frame_with(&buf, &hmac(), None).unwrap();
+            assert_eq!(seq_lo, seq as u32);
             match cap {
                 None => cap = Some(buf.capacity()),
                 Some(c) => assert_eq!(buf.capacity(), c, "no regrowth while reused"),
@@ -612,38 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn open_zc_payload_shares_input_storage() {
-        let hk = HmacKey::new(KEY);
-        let wire = seal_with(5, 8, b"shared storage", &hk, false).unwrap();
-        let pkt = open_zc(&wire, &hk, None).unwrap();
-        // Same allocation: the payload's first byte lives inside `wire`.
-        let wire_range = wire.as_ptr() as usize..wire.as_ptr() as usize + wire.len();
-        assert!(wire_range.contains(&(pkt.payload.as_ptr() as usize)));
-    }
-
-    #[test]
-    fn hmac_suite_frames_are_byte_identical_to_legacy() {
-        use reset_crypto::{xor_keystream_with, HmacSha256Suite};
-        let suite = HmacSha256Suite::with_keystream(b"auth-key", b"enc-key");
-        let hk = HmacKey::new(b"auth-key");
-        let ek = HmacKey::new(b"enc-key");
-        for (esn, seq) in [(false, 42u64), (true, (6u64 << 32) | 13)] {
-            let suite_wire = seal_frame(3, seq, b"interop payload", &suite, esn).unwrap();
-            // Legacy path: encrypt first (as the SA datapath did), then seal.
-            let mut body = b"interop payload".to_vec();
-            xor_keystream_with(&ek, seq, &mut body);
-            let legacy_wire = seal_with(3, seq, &body, &hk, esn).unwrap();
-            assert_eq!(suite_wire, legacy_wire, "esn={esn}");
-            // And each codec verifies the other's frames.
-            let hi = if esn { Some((seq >> 32) as u32) } else { None };
-            assert!(verify_frame(&suite_wire, &hk, hi).is_ok());
-            assert!(verify_frame_with(&legacy_wire, &suite, hi).is_ok());
-        }
-    }
-
-    #[test]
     fn auth_only_suite_round_trip_is_zero_copy() {
-        use reset_crypto::HmacSha256Suite;
         let suite = HmacSha256Suite::auth_only(b"auth-key");
         let wire = seal_frame(8, 5, b"plain on the wire", &suite, false).unwrap();
         let pkt = open_frame(&wire, &suite, None).unwrap();
@@ -710,7 +478,7 @@ mod tests {
 
     #[test]
     fn explicit_iv_region_is_laid_out_and_authenticated() {
-        use reset_crypto::{CipherSuite, HmacSha256Suite, Icv};
+        use reset_crypto::Icv;
         /// A test-only suite with a 8-byte explicit IV riding on the
         /// wire, delegating crypto to the HMAC suite — exercises the
         /// layout math for `iv_len > 0`.
@@ -756,22 +524,6 @@ mod tests {
             verify_frame_with(&bad, &suite, None),
             Err(WireError::IcvMismatch)
         );
-    }
-
-    #[test]
-    fn open_zc_rejects_what_open_rejects() {
-        let hk = HmacKey::new(KEY);
-        let wire = seal_with(5, 8, b"victim", &hk, false).unwrap();
-        for i in 0..wire.len() {
-            let mut bad = wire.to_vec();
-            bad[i] ^= 0x80;
-            let bad = Bytes::from(bad);
-            assert_eq!(
-                open_zc(&bad, &hk, None).is_err(),
-                open(&bad, KEY, None).is_err()
-            );
-            assert!(open_zc(&bad, &hk, None).is_err());
-        }
     }
 
     #[test]

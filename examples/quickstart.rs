@@ -12,14 +12,11 @@
 //! after a bounded gap. Every verdict arrives as a
 //! [`reset_ipsec::GatewayEvent`] from `poll_events()`.
 //!
-//! Migrating from the PR 1/2 free-function style: where this example
-//! previously hand-wired `Outbound::new(sa, store, k)` /
-//! `Inbound::new(sa, store, k, w)` and matched on each
-//! `rx.process(&wire)` result, the `GatewayBuilder` now owns suite,
-//! save interval, window and stores in one place, `add_peer` installs
-//! the SA pair, and the *event stream* replaces per-call result
-//! matching. The layer types are still public — see the
-//! `reset_ipsec` crate docs for the full migration table.
+//! The `GatewayBuilder` owns suite, save interval, window and stores in
+//! one place, `add_peer` installs the SA pair, and the *event stream*
+//! carries every verdict. The layer types underneath (`Outbound`,
+//! `Inbound`, `Sadb`) are public too — see the `reset_ipsec` crate docs
+//! for how they map onto the engine.
 
 use reset_ipsec::{GatewayBuilder, GatewayEvent};
 

@@ -6,6 +6,7 @@ use reset_ipsec::{
     run_handshake, CryptoSuite, Inbound, Outbound, RxResult, SaKeys, Sadb, SecurityAssociation,
 };
 use reset_stable::{Durability, FileStable, MemStable};
+use system_tests::process_one;
 
 #[test]
 fn ike_established_keys_drive_the_datapath() {
@@ -157,7 +158,7 @@ fn sadb_mixed_suites_and_teardown() {
     }
     for spi in 1..=6u32 {
         let w = db.protect(spi, b"mixed").unwrap().unwrap();
-        assert!(db.process(&w).unwrap().is_delivered(), "spi {spi}");
+        assert!(process_one(&mut db, &w).is_delivered(), "spi {spi}");
     }
     // Tear down half; they must stop working, others unaffected.
     for spi in [2u32, 4, 6] {

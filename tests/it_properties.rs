@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use anti_replay::{AntiReplayWindow, BlockWindow, SeqNum, SfReceiver, SfSender};
 use bytes::Bytes;
+use reset_crypto::HmacSha256Suite;
 use reset_ipsec::{
     CryptoSuite, Gateway, GatewayBuilder, GatewayEvent, SaKeys, SecurityAssociation, ShardedGateway,
 };
@@ -393,8 +394,9 @@ fn wire_round_trip() {
         let payload = bytes(&mut gen, payload_len);
         let key_len = 1 + gen.below(63) as usize;
         let key = bytes(&mut gen, key_len);
-        let wire = reset_wire::seal(spi, seq, &payload, &key, false).expect("seal");
-        let pkt = reset_wire::open(&wire, &key, None).expect("open");
+        let suite = HmacSha256Suite::with_keystream(&key, b"round-trip-enc");
+        let wire = reset_wire::seal_frame(spi, seq, &payload, &suite, false).expect("seal");
+        let pkt = reset_wire::open_frame(&wire, &suite, None).expect("open");
         assert_eq!(pkt.spi, spi);
         assert_eq!(pkt.seq_lo, seq as u32);
         assert_eq!(&pkt.payload[..], &payload[..]);
@@ -408,11 +410,12 @@ fn wire_rejects_any_bit_flip() {
     for _ in 0..CASES {
         let payload_len = gen.below(128) as usize;
         let payload = bytes(&mut gen, payload_len);
-        let wire = reset_wire::seal(7, 42, &payload, b"key", false).expect("seal");
+        let suite = HmacSha256Suite::auth_only(b"key");
+        let wire = reset_wire::seal_frame(7, 42, &payload, &suite, false).expect("seal");
         let mut bad = wire.to_vec();
         let pos = gen.below((bad.len() * 8) as u64) as usize;
         bad[pos / 8] ^= 1 << (pos % 8);
-        assert!(reset_wire::open(&bad, b"key", None).is_err());
+        assert!(reset_wire::verify_frame_with(&bad, &suite, None).is_err());
     }
 }
 

@@ -2,11 +2,11 @@
 //! DPD, grace periods, secured notifies, and gateway-scale recovery.
 
 use reset_ipsec::{
-    rekey, CryptoSuite, DpdAction, DpdConfig, IpsecPeer, PeerEvent, RekeyRequest, SaKeys, Sadb,
-    SecurityAssociation,
+    rekey, CryptoSuite, DpdAction, DpdConfig, IpsecPeer, PeerEvent, RekeyRequest, RxResult, SaKeys,
+    Sadb, SecurityAssociation,
 };
 use reset_stable::MemStable;
-use system_tests::{drive_traffic, peer_pair};
+use system_tests::{drive_traffic, peer_pair, process_one};
 
 #[test]
 fn full_section6_timeline() {
@@ -187,7 +187,7 @@ fn recovery_after_suite_change_converges_and_blocks_stale_suite_replays() {
             .unwrap()
             .unwrap();
         stale.push(w.clone());
-        assert!(db.process(&w).unwrap().is_delivered());
+        assert!(process_one(&mut db, &w).is_delivered());
     }
 
     // Rekey in place: tear down both directions, install the AEAD SA
@@ -210,7 +210,7 @@ fn recovery_after_suite_change_converges_and_blocks_stale_suite_replays() {
             .protect(spi, format!("new {i}").as_bytes())
             .unwrap()
             .unwrap();
-        assert!(db.process(&w).unwrap().is_delivered());
+        assert!(process_one(&mut db, &w).is_delivered());
     }
     db.outbound_mut(spi).unwrap().save_completed().unwrap();
     db.inbound_mut(spi).unwrap().save_completed().unwrap();
@@ -220,13 +220,16 @@ fn recovery_after_suite_change_converges_and_blocks_stale_suite_replays() {
     // Stale-suite recordings fail authentication outright (and do not
     // touch the window), post-recovery or not.
     for w in &stale {
-        assert!(db.process(w).is_err(), "stale-suite frame accepted");
+        assert!(
+            matches!(process_one(&mut db, w), RxResult::Rejected(_)),
+            "stale-suite frame accepted"
+        );
     }
     // Fresh AEAD traffic converges within the 2K + 2K leap budget.
     let mut tries = 0;
     loop {
         let w = db.protect(spi, b"post-recovery").unwrap().unwrap();
-        if db.process(&w).unwrap().is_delivered() {
+        if process_one(&mut db, &w).is_delivered() {
             break;
         }
         tries += 1;
@@ -250,7 +253,7 @@ fn gateway_scale_recovery_mixed_suites_all_converge() {
     for spi in 1..=n {
         for _ in 0..(spi * 2) {
             let w = db.protect(spi, b"t").unwrap().unwrap();
-            db.process(&w).unwrap();
+            process_one(&mut db, &w);
         }
         db.outbound_mut(spi).unwrap().save_completed().unwrap();
         db.inbound_mut(spi).unwrap().save_completed().unwrap();
@@ -261,7 +264,7 @@ fn gateway_scale_recovery_mixed_suites_all_converge() {
         let mut tries = 0;
         loop {
             let w = db.protect(spi, b"post").unwrap().unwrap();
-            if db.process(&w).unwrap().is_delivered() {
+            if process_one(&mut db, &w).is_delivered() {
                 break;
             }
             tries += 1;
@@ -284,7 +287,7 @@ fn gateway_scale_recovery_all_sas_converge() {
     for spi in 1..=n {
         for _ in 0..(spi * 3) {
             let w = db.protect(spi, b"t").unwrap().unwrap();
-            db.process(&w).unwrap();
+            process_one(&mut db, &w);
         }
         db.outbound_mut(spi).unwrap().save_completed().unwrap();
         db.inbound_mut(spi).unwrap().save_completed().unwrap();
@@ -296,7 +299,7 @@ fn gateway_scale_recovery_all_sas_converge() {
         let mut tries = 0;
         loop {
             let w = db.protect(spi, b"post").unwrap().unwrap();
-            if db.process(&w).unwrap().is_delivered() {
+            if process_one(&mut db, &w).is_delivered() {
                 break;
             }
             tries += 1;

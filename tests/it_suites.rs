@@ -4,15 +4,21 @@
 //!
 //! `CipherSuite::verify_batch` exists purely as an amortization (the
 //! HMAC suite's two-pass verifier); it must never change results. These
-//! tests pin that equivalence at three levels: the raw suite API, the
-//! wire codec, and the full `Sadb` batch drain.
+//! tests pin that at three levels: the raw suite API against the wire
+//! codec, the `Inbound` drain against a per-frame oracle assembled from
+//! the wire codec and a plain window, and the `Sadb` drain against
+//! itself under every cut of the queue into batches.
 
+use anti_replay::{AntiReplayWindow, RxOutcome, SeqNum, Verdict};
 use bytes::Bytes;
-use reset_crypto::{ChaCha20Poly1305Suite, CipherSuite, FrameToVerify, HmacKey, HmacSha256Suite};
-use reset_ipsec::{CryptoSuite, IpsecError, RxReject, RxResult, SaKeys, Sadb, SecurityAssociation};
+use reset_crypto::{ChaCha20Poly1305Suite, CipherSuite, FrameToVerify, HmacSha256Suite};
+use reset_ipsec::{CryptoSuite, Inbound, RxReject, RxResult, SaKeys, Sadb, SecurityAssociation};
 use reset_sim::DetRng;
-use reset_stable::MemStable;
-use reset_wire::{frame_overhead, seal_frame, verify_frame, verify_frame_with, HEADER_LEN};
+use reset_stable::{MemStable, SlotId, StableStore};
+use reset_wire::{
+    frame_overhead, infer_esn, open_frame, peek_spi, seal_frame, verify_frame_with, WireError,
+    HEADER_LEN,
+};
 
 fn suites() -> Vec<Box<dyn CipherSuite>> {
     vec![
@@ -156,27 +162,143 @@ fn verify_batch_agrees_with_sequential_on_10k_randomized_frames() {
     assert!(rejected > 1_500, "rejected {rejected}");
 }
 
+/// What a receiver holding `window` must say about `wire`, predicted
+/// from the layers below `reset_ipsec` only: the wire codec's verify and
+/// open, ESN inference, and a plain anti-replay window.
+fn oracle_verdict(
+    wire: &Bytes,
+    spi: u32,
+    cipher: &dyn CipherSuite,
+    window: &mut AntiReplayWindow,
+) -> RxResult {
+    // SPI and the low sequence half (8 bytes) are read before any crypto.
+    if wire.len() < 8 {
+        return RxResult::Rejected(RxReject::Wire(WireError::Truncated {
+            needed: 8,
+            got: wire.len(),
+        }));
+    }
+    let named = peek_spi(wire).expect("at least 8 bytes");
+    if named != spi {
+        return RxResult::Rejected(RxReject::UnknownSa { spi: named });
+    }
+    let seq_lo = u32::from_be_bytes(wire[4..8].try_into().unwrap());
+    let seq64 = infer_esn(seq_lo, window.right_edge().value());
+    let esn_hi = Some((seq64 >> 32) as u32);
+    if let Err(e) = verify_frame_with(wire, cipher, esn_hi) {
+        return RxResult::Rejected(RxReject::Wire(e));
+    }
+    let seq = SeqNum::new(seq64);
+    match window.check_and_accept(seq) {
+        Verdict::Fresh => RxResult::Delivered {
+            payload: open_frame(wire, cipher, esn_hi).expect("verified").payload,
+            seq,
+        },
+        Verdict::Stale => RxResult::AntiReplay {
+            outcome: RxOutcome::DiscardedStale,
+            seq,
+        },
+        Verdict::Duplicate => RxResult::AntiReplay {
+            outcome: RxOutcome::DiscardedDuplicate,
+            seq,
+        },
+    }
+}
+
 #[test]
-fn suite_codec_agrees_with_legacy_hmac_codec_on_randomized_frames() {
-    // The HMAC suites share the 12-byte ICV layout with the legacy
-    // `HmacKey` codec; both must return identical verdicts on everything.
-    let frames = generate_frames(3_000, 0xBEEF);
-    let suites = suites();
-    let legacy = HmacKey::new(b"differential-auth-key");
-    for f in frames.iter().filter(|f| f.suite_idx < 2) {
-        let suite = suites[f.suite_idx].as_ref();
-        let via_suite = verify_frame_with(&f.wire, suite, f.esn_hi);
-        let via_legacy = verify_frame(&f.wire, &legacy, f.esn_hi);
-        assert_eq!(via_suite, via_legacy, "suite {}", suite.name());
+fn inbound_drain_matches_wire_and_window_oracle_across_esn_boundary() {
+    // The one receive path against an independent reference. A seeded
+    // stream of fresh, reordered, replayed, bit-flipped, truncated and
+    // foreign-SPI frames starts 40 below 2^32, walks across the boundary
+    // and then jumps ahead by almost 2^31 — so in the whole-stream drain
+    // the ESN guesses made at batch start go stale and the re-verify
+    // branch carries the tail. Every cut of the stream must reproduce
+    // the oracle's per-frame prediction exactly.
+    const SPI: u32 = 0x0E5A;
+    const K: u64 = 10;
+    const W: u64 = 64;
+    let edge0 = (1u64 << 32) - 40;
+    for (n, &suite) in CryptoSuite::ALL.iter().enumerate() {
+        let sa = SecurityAssociation::new(SPI, SaKeys::derive(b"oracle", b"d")).with_suite(suite);
+        let cipher = sa.cipher();
+        let mut rng = DetRng::new(0x0E5A_0000 + n as u64);
+
+        let mut fresh: Vec<Bytes> = Vec::new();
+        let mut stream: Vec<Bytes> = Vec::new();
+        let mut seq = edge0;
+        for i in 0..160u32 {
+            seq += 1 + rng.below(3); // small gaps leave holes behind the edge
+            if i == 110 {
+                seq += (1 << 31) - 25;
+            }
+            let mut payload = vec![0u8; rng.below(90) as usize];
+            rng.fill_bytes(&mut payload);
+            let wire = seal_frame(SPI, seq, &payload, cipher, true).unwrap();
+            fresh.push(wire.clone());
+            stream.push(wire);
+            let victim = fresh[rng.below(fresh.len() as u64) as usize].clone();
+            match rng.below(8) {
+                0 => stream.push(victim), // replay
+                1 => {
+                    let mut bad = victim.to_vec();
+                    let idx = rng.below(bad.len() as u64) as usize;
+                    bad[idx] ^= 1 << rng.below(8);
+                    stream.push(Bytes::from(bad));
+                }
+                2 => stream.push(victim.slice(..rng.below(victim.len() as u64) as usize)),
+                3 => {
+                    let mut foreign = victim.to_vec();
+                    foreign[0..4].copy_from_slice(&0x0BAD_5B1Du32.to_be_bytes());
+                    stream.push(Bytes::from(foreign));
+                }
+                4 if stream.len() >= 2 => {
+                    let last = stream.len() - 1;
+                    stream.swap(last, last - 1); // reorder
+                }
+                _ => {}
+            }
+        }
+
+        let mut window = AntiReplayWindow::with_right_edge(W, SeqNum::new(edge0), true);
+        let predicted: Vec<RxResult> = stream
+            .iter()
+            .map(|wire| oracle_verdict(wire, SPI, cipher, &mut window))
+            .collect();
+        let delivered = predicted.iter().filter(|r| r.is_delivered()).count();
+        let replayed = predicted
+            .iter()
+            .filter(|r| matches!(r, RxResult::AntiReplay { .. }))
+            .count();
+        assert!(delivered >= 150, "{suite:?}: delivered {delivered}");
+        assert!(replayed >= 5, "{suite:?}: replayed {replayed}");
+        assert!(window.right_edge().value() > (1 << 32) + (1 << 31));
+
+        for chunk in [1, 7, stream.len()] {
+            // A receiver woken by FETCH + 2K leap exactly at `edge0`.
+            let mut store = MemStable::new();
+            store.store(SlotId::receiver(SPI), edge0 - 2 * K).unwrap();
+            let mut rx = Inbound::new(sa.clone(), store, K, W);
+            rx.reset();
+            rx.wake_up().unwrap();
+            assert_eq!(rx.seq_state().right_edge().value(), edge0);
+            let got: Vec<RxResult> = stream
+                .chunks(chunk)
+                .flat_map(|c| rx.process_batch(c).unwrap())
+                .collect();
+            for (i, (got, want)) in got.iter().zip(&predicted).enumerate() {
+                assert_eq!(got, want, "{suite:?} chunk {chunk} frame {i}");
+            }
+            assert_eq!(got.len(), predicted.len());
+        }
     }
 }
 
 #[test]
 fn sadb_batch_drain_matches_sequential_on_mixed_suite_queue() {
     // Three SAs, one per suite, interleaved bursts with replays,
-    // forgeries, runts and a foreign SPI — the batch drain (which uses
-    // verify_batch per SA run) must agree with packet-at-a-time
-    // processing result for result.
+    // forgeries, runts and a foreign SPI — draining the queue whole
+    // (verify_batch per SA run), in batches of seven, or one frame at a
+    // time (the sequential receiver) must agree result for result.
     let mut rng = DetRng::new(0x5ADB);
     let build_db = || {
         let mut db: Sadb<MemStable> = Sadb::new();
@@ -189,17 +311,14 @@ fn sadb_batch_drain_matches_sequential_on_mixed_suite_queue() {
         }
         db
     };
-    let mut db_batch = build_db();
-    let mut db_seq = build_db();
+    let mut tx = build_db();
 
     let mut queue: Vec<Bytes> = Vec::new();
     for round in 0..60u32 {
         let spi = 1 + rng.below(CryptoSuite::ALL.len() as u64) as u32;
         for i in 0..(1 + rng.below(6)) {
             let payload = format!("r{round} s{spi} p{i}");
-            queue.push(db_batch.protect(spi, payload.as_bytes()).unwrap().unwrap());
-            // Keep the sequential DB's outbound counters in lockstep.
-            db_seq.protect(spi, payload.as_bytes()).unwrap().unwrap();
+            queue.push(tx.protect(spi, payload.as_bytes()).unwrap().unwrap());
         }
     }
     // Replays: re-queue a random slice.
@@ -222,20 +341,18 @@ fn sadb_batch_drain_matches_sequential_on_mixed_suite_queue() {
     rng.shuffle(&mut order);
     let queue: Vec<Bytes> = order.into_iter().map(|i| queue[i].clone()).collect();
 
-    let batch = db_batch.process_batch(&queue).unwrap();
-    assert_eq!(batch.len(), queue.len());
-    let mut delivered = 0usize;
-    for (i, wire) in queue.iter().enumerate() {
-        let single = match db_seq.process(wire) {
-            Ok(r) => r,
-            Err(IpsecError::Wire(e)) => RxResult::Rejected(RxReject::Wire(e)),
-            Err(IpsecError::UnknownSa { spi }) => RxResult::Rejected(RxReject::UnknownSa { spi }),
-            Err(other) => panic!("{other}"),
-        };
-        assert_eq!(batch[i], single, "packet {i}");
-        if batch[i].is_delivered() {
-            delivered += 1;
+    let whole = build_db().process_batch(&queue).unwrap();
+    assert_eq!(whole.len(), queue.len());
+    let delivered = whole.iter().filter(|r| r.is_delivered()).count();
+    assert!(delivered > 100, "delivered {delivered}");
+    for chunk in [1, 7] {
+        let mut db = build_db();
+        let cut: Vec<RxResult> = queue
+            .chunks(chunk)
+            .flat_map(|c| db.process_batch(c).unwrap())
+            .collect();
+        for (i, (cut, whole)) in cut.iter().zip(&whole).enumerate() {
+            assert_eq!(cut, whole, "chunk {chunk} packet {i}");
         }
     }
-    assert!(delivered > 100, "delivered {delivered}");
 }

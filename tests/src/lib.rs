@@ -4,8 +4,9 @@
 //! channel faults, APN semantics, the experiment harness — so common
 //! builders live here rather than being copy-pasted per test file.
 
-use reset_ipsec::{DpdConfig, IpsecPeer, SaKeys, SecurityAssociation};
-use reset_stable::MemStable;
+use bytes::Bytes;
+use reset_ipsec::{DpdConfig, IpsecPeer, RxResult, SaKeys, Sadb, SecurityAssociation};
+use reset_stable::{MemStable, StableStore};
 
 /// Builds a bidirectional peer pair (`A ⇄ B`) with fresh in-memory
 /// persistent stores, save interval `k` and window size `w`.
@@ -35,13 +36,22 @@ pub fn peer_pair(k: u64, w: u64) -> (IpsecPeer<MemStable>, IpsecPeer<MemStable>)
     (a, b)
 }
 
+/// One frame through the SADB's receive verb, [`Sadb::process_batch`]:
+/// a batch of one.
+pub fn process_one<S: StableStore>(db: &mut Sadb<S>, wire: &Bytes) -> RxResult {
+    let mut results = db
+        .process_batch(std::slice::from_ref(wire))
+        .expect("failures are reported in-line");
+    results.pop().expect("one result per frame")
+}
+
 /// Drives `n` packets A→B, asserting delivery, and returns the recorded
 /// wire bytes (what an adversary would have captured).
 pub fn drive_traffic(
     a: &mut IpsecPeer<MemStable>,
     b: &mut IpsecPeer<MemStable>,
     n: u32,
-) -> Vec<bytes::Bytes> {
+) -> Vec<Bytes> {
     let mut recorded = Vec::new();
     for i in 0..n {
         let wire = a

@@ -474,7 +474,7 @@ mod tests {
     "datapath/suite_rx_avx2/process_batch_64B/chacha20-poly1305": { "mean_ns": 200000.0, "cores": 1, "backend": "avx2" },
     "window/in_order/1024": { "mean_ns": 24000.0, "cores": 1 },
     "gateway_shard/recover_storm_256sa/4": { "mean_ns": 40000.0, "cores": 1 },
-    "datapath/wire_64B/seal": { "mean_ns": 1590.0, "cores": 1 }
+    "datapath/gateway_drain/process_batch/512": { "mean_ns": 274580.0, "cores": 1 }
   },
   "pre_change_reference": {
     "window/in_order/1024": { "mean_ns": 53860.0 }
@@ -553,7 +553,7 @@ not json at all\n\
             "gateway_shard/recover_storm_256sa/plain_gateway"
         ));
         assert!(!in_fast_groups("gateway_shard/rx_fresh_4096f_256sa/4"));
-        assert!(!in_fast_groups("datapath/wire_64B/seal"));
+        assert!(!in_fast_groups("datapath/gateway_drain/process_batch/512"));
         assert!(in_fast_groups("store_save/fleet_save_1024sa/wal_shared"));
         assert!(in_fast_groups("store_save/fleet_save_1024sa/file_per_slot"));
         assert!(in_fast_groups(
