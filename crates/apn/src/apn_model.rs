@@ -1,7 +1,7 @@
 //! The paper's processes, transcribed into the APN runtime.
 //!
 //! This module wires the protocol state machines into
-//! [`reset_apn::System`] so the *exact* nondeterministic semantics of the
+//! [`System`] so the *exact* nondeterministic semantics of the
 //! paper — one action at a time, weak fairness, background SAVEs whose
 //! completion races with everything else — can be executed and
 //! exhaustively explored.
@@ -12,12 +12,10 @@
 //! takes some time". A reset injected while that action has not fired
 //! reproduces the Fig 1/Fig 2 stale-FETCH races without any clock.
 
-use reset_apn::{ApnProcess, GuardKind, Outbox, ProcId, Schedule, System};
+use anti_replay::{BaselineReceiver, BaselineSender, Phase, SeqNum, SfReceiver, SfSender};
 use reset_stable::{MemStable, SlotId};
 
-use crate::baseline::{BaselineReceiver, BaselineSender};
-use crate::savefetch::{SfReceiver, SfSender};
-use crate::seq::SeqNum;
+use crate::{ApnProcess, GuardKind, Outbox, ProcId, Schedule, System};
 
 /// Process index of the sender `p`.
 pub const P: ProcId = 0;
@@ -102,7 +100,7 @@ impl ApnProcess for PaperProc {
             PaperProc::OrigP(_) => action == 0,
             PaperProc::OrigQ(_) => false,
             PaperProc::SfP(p) => match action {
-                0 => p.phase() == crate::savefetch::Phase::Running,
+                0 => p.phase() == Phase::Running,
                 1 => p.pending_save().is_some(),
                 _ => false,
             },
@@ -169,12 +167,12 @@ impl ApnProcess for PaperProc {
         match self {
             PaperProc::OrigP(_) | PaperProc::OrigQ(_) => {}
             PaperProc::SfP(p) => {
-                if p.phase() == crate::savefetch::Phase::Down {
+                if p.phase() == Phase::Down {
                     p.wake_up().expect("mem store is infallible");
                 }
             }
             PaperProc::SfQ(q) => {
-                if q.phase() == crate::savefetch::Phase::Down {
+                if q.phase() == Phase::Down {
                     q.wake_up().expect("mem store is infallible");
                 }
             }
@@ -187,7 +185,7 @@ impl ApnProcess for PaperProc {
 /// # Examples
 ///
 /// ```
-/// use anti_replay::apn_model::{original_system, Q};
+/// use reset_apn::apn_model::{original_system, Q};
 /// use reset_apn::Schedule;
 ///
 /// let mut sys = original_system(32, Schedule::RoundRobin);

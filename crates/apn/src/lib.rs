@@ -15,12 +15,14 @@
 //!   interleavings, and [`System::enabled`] / [`System::fire`] support
 //!   exhaustive state-space exploration in tests.
 //!
-//! The actual paper processes live in `anti-replay::apn_model`; this
-//! crate is protocol-agnostic.
+//! The runtime ([`ApnProcess`], [`System`]) is protocol-agnostic; the
+//! paper's processes `p` and `q`, transcribed onto it from
+//! `anti-replay`'s endpoints, are in [`apn_model`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod apn_model;
 mod process;
 mod system;
 

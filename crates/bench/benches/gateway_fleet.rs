@@ -14,22 +14,14 @@
 //! visited all 10^6 detectors and SAs per tick, so a reintroduced
 //! sweep lands orders of magnitude over the ceiling, not near it.)
 //!
-//! * `drain_4096f_1m/{1,4}` — a 4096-frame NIC-queue drain through a
-//!   million-SA sharded receiver: the slab SADB's cache-dense batch
-//!   path plus the `Arc<[Bytes]>` index-routed fan-out at full fleet
-//!   size. Multi-shard entries are core-sensitive (advisory off the
-//!   recording host's core count).
+//! The receive path over a wide fleet is measured by the benchmark of
+//! record's `fleet_wide` workload (SPIs uniform over 2^18 SA pairs),
+//! not here.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion};
 
-use bytes::Bytes;
-use reset_ipsec::{
-    DpdConfig, Gateway, GatewayBuilder, SaKeys, SaLifetime, SecurityAssociation, ShardedGateway,
-};
+use reset_ipsec::{DpdConfig, Gateway, GatewayBuilder, SaKeys, SaLifetime, SecurityAssociation};
 use reset_stable::MemStable;
-
-const FRAMES: usize = 4096;
-const TX_SAS: u32 = 1_024;
 
 /// One derivation shared across the fleet — key uniqueness is
 /// irrelevant to timer-wheel and SADB-layout scaling.
@@ -80,51 +72,5 @@ fn bench_tick_idle_1m(c: &mut Criterion) {
     bench_tick_idle(c, "tick_idle_1m", 1_000_000);
 }
 
-fn bench_drain_1m(c: &mut Criterion) {
-    let keys = shared_keys();
-    let mut tx: Gateway<MemStable> = GatewayBuilder::in_memory().save_interval(64).build();
-    for spi in 1..=TX_SAS {
-        tx.install_outbound(SecurityAssociation::new(spi, keys.clone()));
-    }
-    let payload = [0x5Au8; 64];
-    let mut seal = move |n: usize| -> Vec<Bytes> {
-        (0..n)
-            .map(|i| {
-                let spi = 1 + (i as u32 % TX_SAS);
-                tx.protect(spi, &payload).unwrap().expect("tx up").wire
-            })
-            .collect()
-    };
-
-    let mut g = c.benchmark_group("gateway_fleet_1m/drain_4096f_1m");
-    g.throughput(Throughput::Elements(FRAMES as u64));
-    g.sample_size(10);
-    for shards in [1usize, 4] {
-        let mut rx: ShardedGateway<MemStable> = GatewayBuilder::in_memory_sharded(shards)
-            .save_interval(64)
-            .window(64)
-            .build_sharded();
-        for spi in 1..=1_000_000u32 {
-            rx.install_inbound(SecurityAssociation::new(spi, keys.clone()));
-        }
-        g.bench_function(BenchmarkId::from_parameter(shards), |b| {
-            b.iter_batched(
-                || seal(FRAMES),
-                |frames| {
-                    rx.push_wire_batch(&frames).unwrap();
-                    rx.poll_events()
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_tick_idle_1k,
-    bench_tick_idle_1m,
-    bench_drain_1m
-);
+criterion_group!(benches, bench_tick_idle_1k, bench_tick_idle_1m);
 criterion_main!(benches);

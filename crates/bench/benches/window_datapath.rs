@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use anti_replay::{AntiReplayWindow, BlockWindow, SeqNum};
+use anti_replay::{AntiReplayWindow, SeqNum};
 use reset_sim::DetRng;
 
 fn bench_in_order(c: &mut Criterion) {
@@ -70,40 +70,5 @@ fn bench_replay_storm(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_block_window(c: &mut Criterion) {
-    // RFC 6479-style block window vs the reference bitmap, in-order
-    // stream: the block variant's slide is O(blocks), the reference's is
-    // O(bits); the crossover shows at larger windows.
-    let mut g = c.benchmark_group("window/block_vs_reference");
-    for &w in &[64u64, 1024, 4096] {
-        g.throughput(Throughput::Elements(10_000));
-        g.bench_with_input(BenchmarkId::new("reference", w), &w, |b, &w| {
-            b.iter(|| {
-                let mut win = AntiReplayWindow::new(w);
-                for s in 1..=10_000u64 {
-                    std::hint::black_box(win.check_and_accept(SeqNum::new(s)));
-                }
-                win
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("block", w), &w, |b, &w| {
-            b.iter(|| {
-                let mut win = BlockWindow::new(w);
-                for s in 1..=10_000u64 {
-                    std::hint::black_box(win.check_and_accept(SeqNum::new(s)));
-                }
-                win
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_in_order,
-    bench_reordered,
-    bench_replay_storm,
-    bench_block_window
-);
+criterion_group!(benches, bench_in_order, bench_reordered, bench_replay_storm);
 criterion_main!(benches);

@@ -36,10 +36,11 @@
 //!   background-save races, wake-up leap and (bounded) receive buffering.
 //! * [`Monitor`] / [`Report`] — online ground-truth checking of the §5
 //!   theorem.
-//! * [`apn_model`] — the same processes transcribed into the Abstract
-//!   Protocol Notation runtime for exhaustive interleaving exploration.
 //!
-//! This crate is the root of the workspace's dependency graph; the
+//! The same processes transcribed into the Abstract Protocol Notation
+//! runtime live next to that runtime, in `reset_apn::apn_model`. This
+//! crate is the root of the workspace's dependency graph — it depends
+//! on `reset-stable` alone — and the
 //! repo-level `ARCHITECTURE.md` maps the crates built on top of it
 //! (wire format, IPsec substrate, stores, harnesses) and the
 //! invariants they share.
@@ -48,8 +49,9 @@
 //!
 //! The paper's premise is that the anti-replay check must be negligible
 //! next to a ~4 µs per-message budget. The window datapath is tuned
-//! accordingly (numbers from `BENCH_datapath.json`, the repository's
-//! perf-trajectory seed, 10k-packet in-order streams, release profile):
+//! accordingly (`window/in_order` in `BENCH_datapath.json`, gated by
+//! `tools/bench_check.rs`: 10k-packet in-order streams, release
+//! profile):
 //!
 //! * [`AntiReplayWindow::check_and_accept`] is fused: the in-window path
 //!   computes the bit index once and tests-and-sets in a single pass;
@@ -57,12 +59,11 @@
 //!   (whole `u64` stores, masked edges) instead of one bit at a time,
 //!   and skips the accepted bit entirely — the dominant in-order slide
 //!   (distance 1) clears nothing.
-//! * Result: ~2.8 ns per in-order packet at `w = 1024` (was ~5.4 ns for
-//!   the seed's bit-loop slide), now matching the RFC 6479
-//!   [`BlockWindow`] while keeping exact (non-rounded) window semantics.
-//!   Equivalence with the seed behaviour is pinned by a 100k-packet
-//!   three-way oracle test (`tests/it_properties.rs`) and a
-//!   slide-distance sweep against a bit-model in `window.rs`.
+//! * Result: ~2.1–2.8 ns per in-order packet at `w = 1024` with exact
+//!   (non-rounded) window semantics, about half the cost of a
+//!   bit-at-a-time slide. Correctness is pinned by a 100k-packet
+//!   differential against a `HashSet` model (`tests/it_properties.rs`)
+//!   and a slide-distance sweep against a bit-model in `window.rs`.
 //! * The surrounding ESP pipeline amortizes the remaining per-packet
 //!   costs: precomputed per-SA HMAC key schedules (1.59× ICV throughput
 //!   on 64-byte payloads), zero-copy payload delivery, and a recycled
@@ -103,21 +104,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod apn_model;
 mod baseline;
-mod block_window;
 mod convergence;
 pub mod machine;
 mod savefetch;
 mod seq;
 mod window;
-mod window_trait;
 
 pub use baseline::{BaselineReceiver, BaselineSender};
-pub use block_window::BlockWindow;
 pub use convergence::{Monitor, MsgId, Origin, Report, Violation};
 pub use machine::{FetchFaultKind, SfEffect, SfEvent, SfMachine};
 pub use savefetch::{Phase, ReceiverStats, RxOutcome, SenderStats, SfReceiver, SfSender};
 pub use seq::SeqNum;
 pub use window::{AntiReplayWindow, Verdict};
-pub use window_trait::ReplayWindow;

@@ -38,7 +38,6 @@
 
 use crate::seq::SeqNum;
 use crate::window::{AntiReplayWindow, Verdict};
-use crate::window_trait::ReplayWindow;
 
 /// Liveness state of a SAVE/FETCH process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,7 +165,7 @@ pub enum SfEffect {
 
 /// Role-specific volatile state.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Role<W> {
+enum Role {
     Sender {
         /// Next sequence number to send (paper's `s`, initially 1).
         s: SeqNum,
@@ -179,7 +178,7 @@ enum Role<W> {
     },
     Receiver {
         /// The anti-replay window (volatile).
-        window: W,
+        window: AntiReplayWindow,
         /// Messages that arrived while the wake-up SAVE was in flight.
         buffer: Vec<SeqNum>,
         /// Hard cap on `buffer` (see [`DEFAULT_WAKEUP_BUFFER`]).
@@ -216,17 +215,17 @@ enum Role<W> {
 /// assert_eq!(m.step(SfEvent::Send), vec![SfEffect::Sent(SeqNum::new(50))]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SfMachine<W = AntiReplayWindow> {
+pub struct SfMachine {
     k: u64,
     /// Last counter value handed to a SAVE (paper's `lst`).
     lst: u64,
     phase: Phase,
     /// The leaped counter chosen at `BeginWakeup`, applied at `SaveDone`.
     waking_target: Option<SeqNum>,
-    role: Role<W>,
+    role: Role,
 }
 
-impl SfMachine<AntiReplayWindow> {
+impl SfMachine {
     /// A sender machine saving every `k` messages (paper's process `p`).
     ///
     /// # Panics
@@ -253,17 +252,6 @@ impl SfMachine<AntiReplayWindow> {
     ///
     /// Panics if `k == 0` or `w == 0`.
     pub fn receiver(k: u64, w: u64) -> Self {
-        Self::receiver_with_window(k, AntiReplayWindow::new(w))
-    }
-}
-
-impl<W: ReplayWindow> SfMachine<W> {
-    /// A receiver machine over an explicit window implementation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn receiver_with_window(k: u64, window: W) -> Self {
         assert!(k > 0, "save interval must be positive");
         SfMachine {
             k,
@@ -271,7 +259,7 @@ impl<W: ReplayWindow> SfMachine<W> {
             phase: Phase::Running,
             waking_target: None,
             role: Role::Receiver {
-                window,
+                window: AntiReplayWindow::new(w),
                 buffer: Vec::new(),
                 buffer_limit: DEFAULT_WAKEUP_BUFFER,
             },
@@ -326,7 +314,7 @@ impl<W: ReplayWindow> SfMachine<W> {
     }
 
     /// Receiver: the anti-replay window. `None` for senders.
-    pub fn window(&self) -> Option<&W> {
+    pub fn window(&self) -> Option<&AntiReplayWindow> {
         match &self.role {
             Role::Receiver { window, .. } => Some(window),
             Role::Sender { .. } => None,
@@ -485,7 +473,9 @@ impl<W: ReplayWindow> SfMachine<W> {
                         });
                     }
                     Role::Receiver { window, buffer, .. } => {
-                        window.resume_at(leaped);
+                        // §4: every sequence number up to the leaped edge
+                        // is assumed already received.
+                        *window = AntiReplayWindow::with_right_edge(window.size(), leaped, true);
                         buffered = std::mem::take(buffer);
                         effects.push(SfEffect::WokeUp {
                             resumed: leaped,

@@ -52,7 +52,6 @@ use reset_stable::{BackgroundSaver, PendingSave, SlotId, StableError, StableStor
 use crate::machine::{FetchFaultKind, SfEffect, SfEvent, SfMachine};
 use crate::seq::SeqNum;
 use crate::window::AntiReplayWindow;
-use crate::window_trait::ReplayWindow;
 
 pub use crate::machine::{Phase, RxOutcome};
 
@@ -344,38 +343,25 @@ pub struct ReceiverStats {
 /// # Ok::<(), reset_stable::StableError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct SfReceiver<S, W = AntiReplayWindow> {
+pub struct SfReceiver<S> {
     saver: BackgroundSaver<S>,
     slot: SlotId,
-    machine: SfMachine<W>,
+    machine: SfMachine,
     stats: ReceiverStats,
 }
 
-impl<S: StableStore> SfReceiver<S, AntiReplayWindow> {
+impl<S: StableStore> SfReceiver<S> {
     /// A receiver persisting to `slot` of `store`, saving every `k`
-    /// right-edge advances, with a reference anti-replay window of `w`
-    /// entries. Use [`SfReceiver::with_window`] to pick a different
-    /// window implementation (e.g. [`crate::BlockWindow`]).
+    /// right-edge advances, with an anti-replay window of `w` entries.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0` or `w == 0`.
     pub fn new(store: S, slot: SlotId, k: u64, w: u64) -> Self {
-        Self::with_window(store, slot, k, AntiReplayWindow::new(w))
-    }
-}
-
-impl<S: StableStore, W: ReplayWindow> SfReceiver<S, W> {
-    /// A receiver over an explicit window implementation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn with_window(store: S, slot: SlotId, k: u64, window: W) -> Self {
         SfReceiver {
             saver: BackgroundSaver::new(store),
             slot,
-            machine: SfMachine::receiver_with_window(k, window),
+            machine: SfMachine::receiver(k, w),
             stats: ReceiverStats::default(),
         }
     }
@@ -391,7 +377,7 @@ impl<S: StableStore, W: ReplayWindow> SfReceiver<S, W> {
     }
 
     /// The anti-replay window (read-only).
-    pub fn window(&self) -> &W {
+    pub fn window(&self) -> &AntiReplayWindow {
         self.machine.window().expect("receiver machine")
     }
 
@@ -412,7 +398,7 @@ impl<S: StableStore, W: ReplayWindow> SfReceiver<S, W> {
 
     /// The pure transition machine this driver wraps (read-only) — the
     /// state the `reset-model` explorer cross-checks against.
-    pub fn machine(&self) -> &SfMachine<W> {
+    pub fn machine(&self) -> &SfMachine {
         &self.machine
     }
 
@@ -971,44 +957,6 @@ mod tests {
         // The full history replay still bounces.
         for s in 1..=7u64 {
             assert!(!q.receive(SeqNum::new(s)).unwrap().is_delivered());
-        }
-    }
-
-    #[test]
-    fn receiver_over_block_window_converges_identically() {
-        // The RFC 6479 block window drives the same SAVE/FETCH logic; the
-        // §4 wake-up still rejects every replay.
-        use crate::block_window::BlockWindow;
-        let mut q = SfReceiver::with_window(
-            MemStable::new(),
-            SlotId::receiver(9),
-            10,
-            BlockWindow::new(64),
-        );
-        for s in 1..=30u64 {
-            assert!(q.receive(SeqNum::new(s)).unwrap().is_delivered());
-        }
-        q.save_completed().unwrap();
-        q.reset();
-        let leaped = q.wake_up().unwrap();
-        assert!(leaped.value() >= 30);
-        for s in 1..=30u64 {
-            assert!(
-                !q.receive(SeqNum::new(s)).unwrap().is_delivered(),
-                "replayed {s} accepted under block window"
-            );
-        }
-        // Convergence: fresh traffic flows within 2K + one block of
-        // RFC 6479 conservativeness.
-        let mut sacrificed = 0;
-        let mut s = 31u64;
-        loop {
-            if q.receive(SeqNum::new(s)).unwrap().is_delivered() {
-                break;
-            }
-            sacrificed += 1;
-            s += 1;
-            assert!(sacrificed <= 2 * 10 + 64, "never converged");
         }
     }
 

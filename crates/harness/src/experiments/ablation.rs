@@ -244,90 +244,6 @@ pub fn policy_table(n: u64, k: u64, seed: u64) -> Table {
     t
 }
 
-/// Ablation C: window implementation — reference bitmap vs the RFC 6479
-/// block window behind the same SAVE/FETCH receiver.
-///
-/// Safety (0 replays accepted) must be identical; the block window may
-/// sacrifice up to one extra 64-bit block of fresh traffic after a
-/// wake-up (its documented conservativeness), in exchange for
-/// O(blocks) slides.
-pub fn window_impl_table(k: u64) -> Table {
-    use anti_replay::{BlockWindow, ReplayWindow, SeqNum, SfReceiver};
-    use reset_stable::{MemStable, SlotId};
-
-    fn drive<W: ReplayWindow>(mut q: SfReceiver<MemStable, W>, k: u64) -> (u64, u64) {
-        // fig2-style worst case: SAVE(2k) completed, reset immediately.
-        for s in 1..=2 * k {
-            q.receive(SeqNum::new(s)).expect("mem store");
-            if s == k || s == 2 * k {
-                q.save_completed().expect("mem store");
-            }
-        }
-        q.reset();
-        q.wake_up().expect("mem store");
-        let mut replays_accepted = 0;
-        for s in 1..=2 * k {
-            if q.receive(SeqNum::new(s)).expect("mem store").is_delivered() {
-                replays_accepted += 1;
-            }
-        }
-        let mut sacrificed = 0;
-        let mut s = 2 * k + 1;
-        loop {
-            if q.receive(SeqNum::new(s)).expect("mem store").is_delivered() {
-                break;
-            }
-            sacrificed += 1;
-            s += 1;
-            assert!(sacrificed <= 2 * k + 64 + 1, "never converged");
-        }
-        (replays_accepted, sacrificed)
-    }
-
-    let w_bits = 4 * k + 16;
-    let (ref_acc, ref_sac) = drive(
-        SfReceiver::new(MemStable::new(), SlotId::receiver(1), k, w_bits),
-        k,
-    );
-    let (blk_acc, blk_sac) = drive(
-        SfReceiver::with_window(
-            MemStable::new(),
-            SlotId::receiver(1),
-            k,
-            BlockWindow::new(w_bits),
-        ),
-        k,
-    );
-
-    let mut t = Table::new(
-        format!("ablation C: window implementation under SAVE/FETCH (K = {k})"),
-        &[
-            "window impl",
-            "replays_accepted",
-            "fresh_sacrificed",
-            "bound",
-        ],
-    );
-    assert_eq!(ref_acc, 0);
-    assert_eq!(blk_acc, 0, "block window must be no less safe");
-    assert!(ref_sac <= 2 * k);
-    assert!(blk_sac <= 2 * k + 64, "block conservativeness bound");
-    t.row_owned(vec![
-        "reference bitmap".into(),
-        ref_acc.to_string(),
-        ref_sac.to_string(),
-        format!("2K = {}", 2 * k),
-    ]);
-    t.row_owned(vec![
-        "RFC 6479 block".into(),
-        blk_acc.to_string(),
-        blk_sac.to_string(),
-        format!("2K + 64 = {}", 2 * k + 64),
-    ]);
-    t.note("identical safety; the block variant may discard up to one extra 64-bit block after wake-up");
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,13 +317,5 @@ mod tests {
     fn tables_build() {
         assert!(k_sweep_table(&[25], 1).len() == 1);
         assert!(policy_table(1_000, 25, 1).len() == 8);
-        assert!(window_impl_table(25).len() == 2);
-    }
-
-    #[test]
-    fn window_impls_equally_safe() {
-        let t = window_impl_table(10);
-        assert_eq!(t.cell(0, 1), Some("0"));
-        assert_eq!(t.cell(1, 1), Some("0"));
     }
 }

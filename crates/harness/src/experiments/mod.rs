@@ -11,7 +11,7 @@
 //! | `t5` | §3/§6 cost argument | [`t5`] |
 //! | `t6` | §2 w-Delivery & Discrimination | [`t6`] |
 //! | `t7` | §6 prolonged resets | [`t7`] |
-//! | `ablation` | §4 design choices | [`ablation`] |
+//! | `ablation` | §4 design choices (A: save interval, B: SAVE trigger) | [`ablation`] |
 //! | `suites` | cipher-suite sweep (beyond the paper) | [`suites`] |
 //!
 //! Each module exposes raw `run`/`sweep` functions returning typed
@@ -52,7 +52,6 @@ pub fn run_by_id(id: &str) -> Option<Vec<Table>> {
         "ablation" => Some(vec![
             ablation::k_sweep_table(&[1, 5, 25, 100, 500], 5),
             ablation::policy_table(5_000, 25, 42),
-            ablation::window_impl_table(25),
         ]),
         "suites" => Some(vec![suites::table(20_000, 64)]),
         _ => None,

@@ -7,10 +7,14 @@
 //! against the right edge of its anti-replay window and resumes → the
 //! adversary replays the notify and every pre-reset packet: all rejected.
 
-use reset_ipsec::{DpdAction, DpdConfig, IpsecPeer, PeerEvent, SaKeys, SecurityAssociation};
+use bytes::Bytes;
+use reset_ipsec::{DpdConfig, Gateway, GatewayBuilder, GatewayEvent};
 use reset_stable::MemStable;
 
 use crate::report::Table;
+
+/// The one SA pair between A and B (direction-separated keys).
+const SPI: u32 = 0xA2B;
 
 /// Metrics from one full §6 run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,116 +37,105 @@ pub struct T7Outcome {
     pub k: u64,
 }
 
+/// Seals `payload` on the pair's outbound SA.
+fn send(gw: &mut Gateway<MemStable>, payload: &[u8]) -> Bytes {
+    gw.protect(SPI, payload).expect("up").expect("wire").wire
+}
+
+/// Pushes one frame and returns its verdict.
+fn push(gw: &mut Gateway<MemStable>, wire: &Bytes) -> GatewayEvent {
+    gw.push_wire(wire).expect("verdicts are events");
+    let mut events = gw.poll_events();
+    assert_eq!(events.len(), 1, "one event per frame: {events:?}");
+    events.remove(0)
+}
+
 /// Runs the §6 scenario with save interval `k`.
 pub fn run(k: u64) -> T7Outcome {
-    let keys_ab = SaKeys::derive(b"ikm", b"a->b");
-    let keys_ba = SaKeys::derive(b"ikm", b"b->a");
-    let dpd = DpdConfig {
-        idle_timeout_ns: 1_000_000,
-        probe_interval_ns: 500_000,
-        max_probes: 3,
-        grace_period_ns: 60_000_000,
+    let host = |local: &[u8], remote: &[u8]| {
+        let mut gw = GatewayBuilder::in_memory()
+            .save_interval(k)
+            .window(64)
+            .dpd(DpdConfig {
+                idle_timeout_ns: 1_000_000,
+                probe_interval_ns: 500_000,
+                max_probes: 3,
+                grace_period_ns: 60_000_000,
+            })
+            .build();
+        gw.add_peer_between(SPI, b"ikm", local, remote);
+        gw
     };
-    let mut a = IpsecPeer::new(
-        "A",
-        SecurityAssociation::new(0xA2B, keys_ab.clone()),
-        SecurityAssociation::new(0xB2A, keys_ba.clone()),
-        MemStable::new(),
-        MemStable::new(),
-        k,
-        64,
-        dpd,
-    );
-    let mut b = IpsecPeer::new(
-        "B",
-        SecurityAssociation::new(0xB2A, keys_ba),
-        SecurityAssociation::new(0xA2B, keys_ab),
-        MemStable::new(),
-        MemStable::new(),
-        k,
-        64,
-        dpd,
-    );
+    let mut a = host(b"a", b"b");
+    let mut b = host(b"b", b"a");
 
     // Phase 1: bidirectional traffic; record B→A for the replay attack.
     let mut recorded_b2a = Vec::new();
     let mut now = 0u64;
     for i in 0..40u64 {
         now = i * 10_000;
-        let w = a
-            .send_data(format!("a{i}").as_bytes())
-            .expect("up")
-            .expect("wire");
-        b.handle_wire(&w, now).expect("deliver");
-        let w = b
-            .send_data(format!("b{i}").as_bytes())
-            .expect("up")
-            .expect("wire");
-        recorded_b2a.push(w.clone());
-        a.handle_wire(&w, now).expect("deliver");
+        a.tick(now);
+        let w = send(&mut a, format!("a{i}").as_bytes());
+        assert!(matches!(push(&mut b, &w), GatewayEvent::Delivered { .. }));
+        let w = send(&mut b, format!("b{i}").as_bytes());
+        assert!(matches!(push(&mut a, &w), GatewayEvent::Delivered { .. }));
+        recorded_b2a.push(w);
     }
     // Make B's counters durable, then crash B.
-    b.save_completed_out().expect("store");
-    b.save_completed_in().expect("store");
+    b.save_completed().expect("store");
     b.reset();
 
     // Phase 2: A's DPD notices the silence.
     let mut probes_sent = 0u32;
-    let presumed_down_at;
-    loop {
+    while a.in_grace(SPI) != Some(true) {
         now += 250_000;
-        match a.dpd_mut().poll(now) {
-            DpdAction::SendProbe => {
-                probes_sent += 1;
-                if let Some(probe) = a.make_probe().expect("up") {
+        a.tick(now);
+        for ev in a.poll_events() {
+            match ev {
+                GatewayEvent::ProbeDue { .. } => {
+                    probes_sent += 1;
                     // B is down; the probe evaporates.
-                    let _ = b.handle_wire(&probe, now);
+                    let probe = send(&mut a, b"R-U-THERE");
+                    assert!(matches!(
+                        push(&mut b, &probe),
+                        GatewayEvent::DroppedDown { .. }
+                    ));
                 }
+                other => panic!("grace must not expire yet: {other:?}"),
             }
-            DpdAction::PeerPresumedDown => {
-                presumed_down_at = now;
-                break;
-            }
-            DpdAction::Idle => {}
-            DpdAction::TearDown => panic!("grace must not expire yet"),
         }
     }
-    assert!(a.dpd().in_grace(), "SA pair kept alive");
+    let presumed_down_at = now;
 
-    // Phase 3: B wakes up within the grace period and announces itself.
+    // Phase 3: B wakes up within the grace period and announces itself —
+    // the notify is simply its first protected frame after FETCH + leap.
     now += 5_000_000;
-    let notify = b.recover().expect("wake");
-    let announced_seq;
-    let notify_accepted = match a.handle_wire(&notify, now).expect("authenticated") {
-        PeerEvent::PeerRecovered { seq } => {
-            announced_seq = seq.value();
-            true
-        }
-        _ => {
-            announced_seq = 0;
-            false
-        }
+    a.tick(now);
+    b.recover().expect("wake");
+    b.poll_events();
+    let notify = send(&mut b, b"recovered");
+    let (notify_accepted, announced_seq) = match push(&mut a, &notify) {
+        GatewayEvent::Delivered { seq, .. } => (true, seq.value()),
+        _ => (false, 0),
     };
-    assert!(!a.dpd().in_grace(), "recovery revives the peer");
+    assert_eq!(a.in_grace(SPI), Some(false), "recovery revives the peer");
 
     // Phase 4: the adversary replays the notify and the old traffic.
     let replayed_notify_rejected =
-        a.handle_wire(&notify, now + 1_000).expect("authenticated") == PeerEvent::Rejected;
-    let mut replayed_data_rejected = 0u64;
-    for w in &recorded_b2a {
-        if a.handle_wire(w, now + 2_000).expect("authenticated") == PeerEvent::Rejected {
-            replayed_data_rejected += 1;
-        }
-    }
+        matches!(push(&mut a, &notify), GatewayEvent::ReplayDropped { .. });
+    let replayed_data_rejected = recorded_b2a
+        .iter()
+        .filter(|w| matches!(push(&mut a, w), GatewayEvent::ReplayDropped { .. }))
+        .count() as u64;
 
     // Phase 5: A→B traffic resumes, sacrificing at most 2K messages
     // (B's inbound window leaped ahead of A's live counter).
     let mut fresh_sacrificed = 0u64;
     loop {
-        let w = a.send_data(b"resume").expect("up").expect("wire");
-        match b.handle_wire(&w, now + 3_000).expect("authenticated") {
-            PeerEvent::Data(_) => break,
-            PeerEvent::Rejected => fresh_sacrificed += 1,
+        let w = send(&mut a, b"resume");
+        match push(&mut b, &w) {
+            GatewayEvent::Delivered { .. } => break,
+            GatewayEvent::ReplayDropped { .. } => fresh_sacrificed += 1,
             other => panic!("{other:?}"),
         }
         assert!(fresh_sacrificed <= 2 * k + 1, "sacrifice exceeded bound");
@@ -208,6 +201,8 @@ mod tests {
     fn full_scenario_properties() {
         let o = run(10);
         assert_eq!(o.probes_sent, 3);
+        // Last traffic at 390 µs + 1 ms idle + three 0.5 ms probe gaps.
+        assert_eq!(o.presumed_down_at, 2_890_000);
         assert!(o.notify_accepted);
         assert!(o.replayed_notify_rejected);
         assert_eq!(o.replayed_data_rejected, 40);

@@ -496,8 +496,7 @@ impl<S: StableStore> Gateway<S> {
     /// inbound expects `remote → local`. The peer gateway calls this
     /// with the names swapped, so the two interoperate while a frame a
     /// host sent can never be reflected back into that same host (it
-    /// fails authentication, like [`IpsecPeer`](crate::IpsecPeer)'s
-    /// directional SAs).
+    /// fails authentication).
     pub fn add_peer_between(&mut self, spi: u32, master: &[u8], local: &[u8], remote: &[u8]) {
         let label = |from: &[u8], to: &[u8]| {
             let mut l = Vec::with_capacity(4 + from.len() + 2 + to.len());

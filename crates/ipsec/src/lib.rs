@@ -131,9 +131,17 @@
 //!   SAVE/FETCH-protected counters and RFC 4304 ESN.
 //! * [`DpdDetector`] — detects the peer's unavailability and opens the
 //!   bounded §6 grace window.
-//! * [`IpsecPeer`] / [`PeerEvent`] — bidirectional peer with the secured
-//!   recovery notify ("I am up again; my counter is now X") that a
-//!   replayed copy cannot spoof.
+//!
+//! The §6 secured recovery notify ("I am up again; my counter is now
+//! X") has no type of its own: it is the first frame a host
+//! [`Gateway::protect`]s after [`Gateway::recover`]. The FETCH + `2K`
+//! leap puts its sequence number above everything sent before the
+//! reset, so the survivor accepts it iff it clears the right edge of
+//! its window — [`GatewayEvent::Delivered`] ends the DPD grace
+//! ([`Gateway::in_grace`]), and a replayed copy is an ordinary
+//! [`GatewayEvent::ReplayDropped`] that proves nothing about liveness.
+//! A FETCH that hits untrusted state emits no notify at all: the SA
+//! fails closed ([`GatewayEvent::FailedClosed`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -144,7 +152,6 @@ mod esp;
 mod gateway;
 mod ike;
 mod pool;
-mod recovery;
 mod rekey;
 mod sa;
 mod sadb;
@@ -159,7 +166,6 @@ pub use ike::{
     run_handshake, run_handshake_mismatched_psk, run_handshake_with_suites, CostModel,
     EstablishedPair, HandshakeCost, IkeMessage,
 };
-pub use recovery::{IpsecPeer, PeerEvent};
 pub use rekey::{rekey, rekey_auth_tag, rekey_due, RekeyOutcome, RekeyRequest};
 pub use reset_crypto::Backend;
 pub use sa::{CryptoSuite, SaKeys, SaLifetime, SaUsage, SecurityAssociation};

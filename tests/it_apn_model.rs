@@ -3,7 +3,7 @@
 //! baseline automatically — and proves (to the explored depth) that
 //! SAVE/FETCH admits no such path.
 
-use anti_replay::apn_model::{original_system, savefetch_system, PaperProc, P, Q};
+use reset_apn::apn_model::{original_system, savefetch_system, PaperProc, P, Q};
 use reset_apn::{Schedule, System};
 use reset_sim::DetRng;
 

@@ -5,10 +5,10 @@
 //! splicing, reflection, and massed replay during every protocol phase.
 
 use bytes::Bytes;
-use reset_ipsec::{Inbound, Outbound};
-use reset_ipsec::{IpsecError, PeerEvent, RxResult, SaKeys, SecurityAssociation};
+use reset_ipsec::{GatewayEvent, Inbound, Outbound};
+use reset_ipsec::{IpsecError, RxResult, SaKeys, SecurityAssociation};
 use reset_stable::MemStable;
-use system_tests::{drive_traffic, peer_pair};
+use system_tests::{drive_traffic, peer_pair, push_one, reset_and_notify, PAIR_SPI};
 
 fn endpoints(k: u64) -> (Outbound<MemStable>, Inbound<MemStable>) {
     let keys = SaKeys::derive(b"attack-secret", b"p->q");
@@ -140,14 +140,16 @@ fn cross_sa_splicing_rejected() {
 
 #[test]
 fn reflection_attack_rejected() {
-    // A→B traffic reflected back at A: A's inbound SA is B→A with
-    // different SPI and keys, so reflected bytes never authenticate.
+    // A→B traffic reflected back at A: A's inbound SA holds the B→A
+    // keys, so reflected bytes never authenticate.
     let (mut a, mut b) = peer_pair(10, 64);
     let recorded = drive_traffic(&mut a, &mut b, 10);
     for w in &recorded {
-        // These packets carry SPI 0xA2B (A→B); A's inbound expects 0xB2A.
-        let err = a.handle_wire(w, 0);
-        assert!(err.is_err(), "reflection accepted");
+        assert_eq!(
+            push_one(&mut a, w),
+            GatewayEvent::AuthFailed { spi: PAIR_SPI },
+            "reflection accepted"
+        );
     }
 }
 
@@ -156,23 +158,24 @@ fn replayed_recovery_notify_cannot_reset_peer_state() {
     let (mut a, mut b) = peer_pair(10, 64);
     drive_traffic(&mut a, &mut b, 30);
     drive_traffic(&mut b, &mut a, 30);
-    b.save_completed_out().unwrap();
-    b.save_completed_in().unwrap();
+    b.save_completed().unwrap();
 
-    b.reset();
-    let notify = b.recover().unwrap();
+    let notify = reset_and_notify(&mut b);
     assert!(matches!(
-        a.handle_wire(&notify, 100).unwrap(),
-        PeerEvent::PeerRecovered { .. }
+        push_one(&mut a, &notify),
+        GatewayEvent::Delivered { .. }
     ));
-    let edge_after_notify = a.inbound().seq_state().right_edge();
+    let edge_after_notify = a.right_edge(PAIR_SPI);
 
     // The adversary replays the notify 100 times: every copy rejected,
     // edge unmoved — the paper's closing-attack defence.
     for _ in 0..100 {
-        assert_eq!(a.handle_wire(&notify, 200).unwrap(), PeerEvent::Rejected);
+        assert!(matches!(
+            push_one(&mut a, &notify),
+            GatewayEvent::ReplayDropped { .. }
+        ));
     }
-    assert_eq!(a.inbound().seq_state().right_edge(), edge_after_notify);
+    assert_eq!(a.right_edge(PAIR_SPI), edge_after_notify);
 }
 
 #[test]

@@ -1,93 +1,146 @@
 //! Integration: §6 prolonged-reset recovery across the whole stack —
 //! DPD, grace periods, secured notifies, and gateway-scale recovery.
+//!
+//! The secured recovery notify is the first frame a host protects after
+//! `recover()`: its sequence number (FETCH + `2K` leap) is what proves
+//! freshness, so the survivor's verdict on it is an ordinary
+//! `Delivered` / `ReplayDropped`.
 
+use bytes::Bytes;
 use reset_ipsec::{
-    rekey, CryptoSuite, DpdAction, DpdConfig, IpsecPeer, PeerEvent, RekeyRequest, RxResult, SaKeys,
-    Sadb, SecurityAssociation,
+    rekey, CryptoSuite, DpdConfig, Gateway, GatewayBuilder, GatewayEvent, IpsecError, RekeyRequest,
+    RxResult, SaKeys, Sadb, SecurityAssociation,
 };
 use reset_stable::MemStable;
-use system_tests::{drive_traffic, peer_pair, process_one};
+use system_tests::{
+    drive_traffic, peer_pair, peer_pair_from, process_one, push_one, reset_and_notify, send,
+    PAIR_SPI,
+};
+
+/// A pair with save interval 10, window 64 and `dpd` armed on both hosts.
+fn dpd_pair(dpd: DpdConfig) -> (Gateway<MemStable>, Gateway<MemStable>) {
+    peer_pair_from(|| {
+        GatewayBuilder::in_memory()
+            .save_interval(10)
+            .window(64)
+            .dpd(dpd)
+    })
+}
+
+/// The sequence number `a` accepted `notify` under.
+fn accept_notify(a: &mut Gateway<MemStable>, notify: &Bytes) -> u64 {
+    match push_one(a, notify) {
+        GatewayEvent::Delivered { seq, .. } => seq.value(),
+        other => panic!("{other:?}"),
+    }
+}
 
 #[test]
 fn full_section6_timeline() {
-    let dpd = DpdConfig {
+    let (mut a, mut b) = dpd_pair(DpdConfig {
         idle_timeout_ns: 1_000,
         probe_interval_ns: 500,
         max_probes: 2,
         grace_period_ns: 100_000,
-    };
-    let keys_ab = SaKeys::derive(b"s6", b"a->b");
-    let keys_ba = SaKeys::derive(b"s6", b"b->a");
-    let mut a = IpsecPeer::new(
-        "A",
-        SecurityAssociation::new(1, keys_ab.clone()),
-        SecurityAssociation::new(2, keys_ba.clone()),
-        MemStable::new(),
-        MemStable::new(),
-        10,
-        64,
-        dpd,
-    );
-    let mut b = IpsecPeer::new(
-        "B",
-        SecurityAssociation::new(2, keys_ba),
-        SecurityAssociation::new(1, keys_ab),
-        MemStable::new(),
-        MemStable::new(),
-        10,
-        64,
-        dpd,
-    );
+    });
 
-    // Traffic up to t=0; then B crashes.
-    for i in 0..20u64 {
-        let w = b.send_data(b"keepalive").unwrap().unwrap();
-        a.handle_wire(&w, i).unwrap();
+    // Traffic up to t=19; then B crashes.
+    for t in 0..20u64 {
+        a.tick(t);
+        let w = send(&mut b, b"keepalive");
+        assert!(matches!(
+            push_one(&mut a, &w),
+            GatewayEvent::Delivered { .. }
+        ));
     }
-    b.save_completed_out().unwrap();
+    b.save_completed().unwrap();
     b.reset();
 
     // A probes, then enters grace; SAs stay alive.
-    assert_eq!(a.dpd_mut().poll(2_000), DpdAction::SendProbe);
-    assert_eq!(a.dpd_mut().poll(2_600), DpdAction::SendProbe);
-    assert_eq!(a.dpd_mut().poll(3_200), DpdAction::PeerPresumedDown);
-    assert!(a.dpd().in_grace());
-    assert!(a.dpd().sas_alive());
+    let probe_due = vec![GatewayEvent::ProbeDue { spi: PAIR_SPI }];
+    a.tick(2_000);
+    assert_eq!(a.poll_events(), probe_due);
+    a.tick(2_600);
+    assert_eq!(a.poll_events(), probe_due);
+    a.tick(3_200);
+    assert_eq!(a.poll_events(), vec![], "presumed down is not an event");
+    assert_eq!(a.in_grace(PAIR_SPI), Some(true));
+    assert!(a.right_edge(PAIR_SPI).is_some(), "grace keeps the SAs");
 
     // B recovers within grace; A accepts and leaves grace.
-    let notify = b.recover().unwrap();
-    assert!(matches!(
-        a.handle_wire(&notify, 10_000).unwrap(),
-        PeerEvent::PeerRecovered { .. }
-    ));
-    assert!(!a.dpd().in_grace());
+    b.recover().unwrap();
+    let notify = send(&mut b, b"recovered");
+    a.tick(10_000);
+    assert!(
+        accept_notify(&mut a, &notify) > 20,
+        "leaped past the history"
+    );
+    assert_eq!(a.in_grace(PAIR_SPI), Some(false));
 }
 
 #[test]
 fn grace_expiry_without_recovery_tears_down() {
-    let dpd = DpdConfig {
+    let (mut a, _) = dpd_pair(DpdConfig {
         idle_timeout_ns: 1_000,
         probe_interval_ns: 500,
         max_probes: 1,
         grace_period_ns: 5_000,
-    };
-    let keys = SaKeys::derive(b"s6", b"x");
-    let mut a = IpsecPeer::new(
-        "A",
-        SecurityAssociation::new(1, keys.clone()),
-        SecurityAssociation::new(2, keys),
-        MemStable::new(),
-        MemStable::new(),
-        10,
-        64,
-        dpd,
+    });
+    a.tick(0);
+    a.tick(1_500);
+    assert_eq!(
+        a.poll_events(),
+        vec![GatewayEvent::ProbeDue { spi: PAIR_SPI }]
     );
-    a.dpd_mut().on_traffic(0);
-    assert_eq!(a.dpd_mut().poll(1_500), DpdAction::SendProbe);
-    assert_eq!(a.dpd_mut().poll(2_100), DpdAction::PeerPresumedDown);
+    a.tick(2_100);
+    assert_eq!(a.in_grace(PAIR_SPI), Some(true));
     // No recovery arrives: grace runs out, the paper's bounded wait ends.
-    assert_eq!(a.dpd_mut().poll(8_000), DpdAction::TearDown);
-    assert!(!a.dpd().sas_alive());
+    a.tick(8_000);
+    assert_eq!(
+        a.poll_events(),
+        vec![GatewayEvent::PeerDead { spi: PAIR_SPI }]
+    );
+    assert!(matches!(
+        a.protect(PAIR_SPI, b"gone"),
+        Err(IpsecError::UnknownSa { spi: PAIR_SPI })
+    ));
+}
+
+#[test]
+fn replayed_notify_during_grace_does_not_refresh_liveness() {
+    let (mut a, mut b) = dpd_pair(DpdConfig {
+        idle_timeout_ns: 1_000,
+        probe_interval_ns: 500,
+        max_probes: 1,
+        grace_period_ns: 5_000,
+    });
+    a.tick(0);
+    drive_traffic(&mut b, &mut a, 15);
+    b.save_completed().unwrap();
+    // B recovers once, announces itself, then goes silent for good.
+    let notify = reset_and_notify(&mut b);
+    accept_notify(&mut a, &notify);
+    a.tick(1_000); // probe
+    a.tick(1_500); // presumed down: grace runs until 6_500
+    assert_eq!(a.in_grace(PAIR_SPI), Some(true));
+    a.poll_events();
+
+    // The adversary replays the (authentic) notify mid-grace. It bounces
+    // off the window, and only *delivered* traffic proves liveness.
+    a.tick(4_000);
+    assert!(matches!(
+        push_one(&mut a, &notify),
+        GatewayEvent::ReplayDropped { .. }
+    ));
+    assert_eq!(a.in_grace(PAIR_SPI), Some(true));
+    a.tick(6_499);
+    assert_eq!(a.poll_events(), vec![]);
+    a.tick(6_500);
+    assert_eq!(
+        a.poll_events(),
+        vec![GatewayEvent::PeerDead { spi: PAIR_SPI }],
+        "teardown on the original schedule"
+    );
 }
 
 #[test]
@@ -95,32 +148,22 @@ fn both_peers_reset_and_both_recover() {
     let (mut a, mut b) = peer_pair(10, 64);
     drive_traffic(&mut a, &mut b, 25);
     drive_traffic(&mut b, &mut a, 25);
-    a.save_completed_out().unwrap();
-    a.save_completed_in().unwrap();
-    b.save_completed_out().unwrap();
-    b.save_completed_in().unwrap();
+    a.save_completed().unwrap();
+    b.save_completed().unwrap();
 
-    a.reset();
-    b.reset();
-    let notify_a = a.recover().unwrap();
-    let notify_b = b.recover().unwrap();
+    let notify_a = reset_and_notify(&mut a);
+    let notify_b = reset_and_notify(&mut b);
     // Each accepts the other's notify (leaps exceed all pre-reset seqs).
-    assert!(matches!(
-        b.handle_wire(&notify_a, 1).unwrap(),
-        PeerEvent::PeerRecovered { .. }
-    ));
-    assert!(matches!(
-        a.handle_wire(&notify_b, 1).unwrap(),
-        PeerEvent::PeerRecovered { .. }
-    ));
+    accept_notify(&mut b, &notify_a);
+    accept_notify(&mut a, &notify_b);
     // Bidirectional traffic converges again within 2K each way.
-    fn converge(x: &mut IpsecPeer<MemStable>, y: &mut IpsecPeer<MemStable>) {
+    fn converge(x: &mut Gateway<MemStable>, y: &mut Gateway<MemStable>) {
         let mut sacrificed = 0;
         loop {
-            let w = x.send_data(b"resume").unwrap().unwrap();
-            match y.handle_wire(&w, 2).unwrap() {
-                PeerEvent::Data(_) => break,
-                PeerEvent::Rejected => sacrificed += 1,
+            let w = send(x, b"resume");
+            match push_one(y, &w) {
+                GatewayEvent::Delivered { .. } => break,
+                GatewayEvent::ReplayDropped { .. } => sacrificed += 1,
                 other => panic!("{other:?}"),
             }
             assert!(sacrificed <= 20, "2K bound per direction");
@@ -139,32 +182,52 @@ fn naive_reset_to_one_scheme_would_be_replayable() {
     // even 1000 replays of old notifies never move the peer's window.
     let (mut a, mut b) = peer_pair(5, 64);
     drive_traffic(&mut b, &mut a, 15);
-    b.save_completed_out().unwrap();
+    b.save_completed().unwrap();
 
-    let mut notifies = Vec::new();
-    for _ in 0..3 {
-        b.reset();
-        notifies.push(b.recover().unwrap());
-    }
+    let notifies: Vec<_> = (0..3).map(|_| reset_and_notify(&mut b)).collect();
     // Deliver them in order; each later notify has a strictly higher seq.
     let mut last_seq = 0;
     for n in &notifies {
-        match a.handle_wire(n, 5).unwrap() {
-            PeerEvent::PeerRecovered { seq } => {
-                assert!(seq.value() > last_seq);
-                last_seq = seq.value();
-            }
-            other => panic!("{other:?}"),
-        }
+        let seq = accept_notify(&mut a, n);
+        assert!(seq > last_seq);
+        last_seq = seq;
     }
     // Massive replay of all old notifies: every copy rejected.
-    let edge = a.inbound().seq_state().right_edge();
+    let edge = a.right_edge(PAIR_SPI);
     for _ in 0..1_000 {
         for n in &notifies {
-            assert_eq!(a.handle_wire(n, 6).unwrap(), PeerEvent::Rejected);
+            assert!(matches!(
+                push_one(&mut a, n),
+                GatewayEvent::ReplayDropped { .. }
+            ));
         }
     }
-    assert_eq!(a.inbound().seq_state().right_edge(), edge);
+    assert_eq!(a.right_edge(PAIR_SPI), edge);
+}
+
+#[test]
+fn double_reset_recovery_still_monotone() {
+    let (mut a, mut b) = peer_pair(10, 64);
+    drive_traffic(&mut b, &mut a, 15);
+    b.save_completed().unwrap();
+    let n1 = reset_and_notify(&mut b);
+    let s1 = accept_notify(&mut a, &n1);
+    // Immediately reset again (before any further background save).
+    let n2 = reset_and_notify(&mut b);
+    let s2 = accept_notify(&mut a, &n2);
+    assert!(s2 > s1, "second recovery strictly beyond the first");
+}
+
+#[test]
+fn down_peer_drops_traffic() {
+    let (mut a, mut b) = peer_pair(10, 64);
+    b.reset();
+    let w = send(&mut a, b"into the void");
+    assert_eq!(
+        push_one(&mut b, &w),
+        GatewayEvent::DroppedDown { spi: PAIR_SPI }
+    );
+    assert!(b.protect(PAIR_SPI, b"from the void").unwrap().is_none());
 }
 
 #[test]

@@ -90,7 +90,7 @@ const FAST_GROUPS: [&str; 6] = [
 /// inline zero-thread `1`-shard variant — are carved out below and
 /// gate on any host: a reintroduced per-verb spawn or a slowed
 /// recovery path must not hide behind the multi-shard advisory.
-const CORE_SENSITIVE: [&str; 2] = ["gateway_shard/", "gateway_fleet_1m/"];
+const CORE_SENSITIVE: [&str; 1] = ["gateway_shard/"];
 
 /// Benchmark-id suffixes that are single-threaded even inside a
 /// core-sensitive group.
@@ -163,8 +163,8 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 
 /// Parses the `"benchmarks": { ... }` block of `BENCH_datapath.json`:
 /// one `"group/bench/param": { "mean_ns": N, ..., "cores": C }` entry
-/// per line. Entries outside that block (acceptance records, the
-/// pre-change reference) are ignored.
+/// per line. Entries outside that block (the acceptance records) are
+/// ignored.
 fn parse_baseline(text: &str) -> BTreeMap<String, Baseline> {
     let mut out = BTreeMap::new();
     let mut in_block = false;
@@ -467,7 +467,8 @@ mod tests {
     const BASELINE: &str = r#"{
   "description": "x",
   "acceptance": {
-    "thing": { "before_ns": 10.0, "after_ns": 5.0 }
+    "thing": { "before_ns": 10.0, "after_ns": 5.0 },
+    "window/in_order/1024": { "mean_ns": 53860.0 }
   },
   "benchmarks": {
     "datapath/suite_rx/process_batch_64B/chacha20-poly1305": { "mean_ns": 500000.0, "cores": 1 },
@@ -475,9 +476,6 @@ mod tests {
     "window/in_order/1024": { "mean_ns": 24000.0, "cores": 1 },
     "gateway_shard/recover_storm_256sa/4": { "mean_ns": 40000.0, "cores": 1 },
     "datapath/gateway_drain/process_batch/512": { "mean_ns": 274580.0, "cores": 1 }
-  },
-  "pre_change_reference": {
-    "window/in_order/1024": { "mean_ns": 53860.0 }
   }
 }"#;
 
@@ -492,7 +490,7 @@ mod tests {
             b["datapath/suite_rx_avx2/process_batch_64B/chacha20-poly1305"].backend,
             Some("avx2".to_string())
         );
-        // The pre-change reference's identically named entry must not
+        // An identically named entry outside the block must not
         // clobber the live baseline.
         assert_ne!(b["window/in_order/1024"].mean_ns, 53860.0);
     }
@@ -562,9 +560,6 @@ not json at all\n\
         assert!(in_fast_groups(
             "gateway_fleet_1m/tick_idle_1m/plain_gateway"
         ));
-        // The fleet-scale drain sweep is too heavy for the per-push
-        // lane; it is recorded for reference, not gated.
-        assert!(!in_fast_groups("gateway_fleet_1m/drain_4096f_1m/4"));
     }
 
     #[test]
@@ -665,13 +660,8 @@ not json at all\n\
             ),
             Verdict::Regressed
         );
-        // The fleet group follows the same carve-out: multi-shard drain
-        // entries go advisory on a core mismatch, the single-threaded
-        // tick sentinels gate on any host.
-        assert_eq!(
-            judge("gateway_fleet_1m/drain_4096f_1m/4", 1500.0, &base, 25.0, 4),
-            Verdict::Advisory
-        );
+        // The fleet group's tick sentinels are single-threaded: they
+        // gate on any host.
         assert_eq!(
             judge(
                 "gateway_fleet_1m/tick_idle_1m/plain_gateway",
