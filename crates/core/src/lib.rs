@@ -28,7 +28,7 @@
 //! * [`BaselineSender`] / [`BaselineReceiver`] — the §2 protocol with the
 //!   §3 naive restart (the vulnerable baseline).
 //! * [`SfMachine`] ([`machine`]) — the §4 protocol as a **pure
-//!   transition function** `step(SfEvent) → Vec<SfEffect>`: no store, no
+//!   transition function** `step(SfEvent) → SfEffects`: no store, no
 //!   clock, hashable state — the substrate the `reset-model` bounded
 //!   exhaustive explorer enumerates and cross-checks.
 //! * [`SfSender`] / [`SfReceiver`] — thin **drivers** over [`SfMachine`]

@@ -8,7 +8,10 @@
 //! [`SfEffect`]s the environment must perform. Nothing in here performs
 //! I/O, reads time, or touches randomness: `step` is a total function of
 //! `(state, event)`, so any schedule can be replayed verbatim and any
-//! state can be hashed, compared and enumerated.
+//! state can be hashed, compared and enumerated. The per-message events
+//! ([`Send`](SfEvent::Send), [`Receive`](SfEvent::Receive)) emit at most
+//! two effects, which [`SfEffects`] holds inline: a step on the datapath
+//! touches no heap.
 //!
 //! Two layers sit on top:
 //!
@@ -132,7 +135,7 @@ pub enum SfEvent {
 }
 
 /// One obligation or observation handed back to the environment.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SfEffect {
     /// Send the message under this sequence number.
     Sent(SeqNum),
@@ -161,6 +164,88 @@ pub enum SfEffect {
     },
     /// A FETCH fault was recorded; the machine remains `Down`.
     FailedClosed(FetchFaultKind),
+}
+
+/// The effects of one [`SfMachine::step`], in emission order: iterate it
+/// (`for effect in m.step(e)`), or read it as a slice (`fx[0]`,
+/// `fx.len()`, `fx[..]` patterns) and compare it with an array.
+///
+/// Every event but one emits at most two effects, and those live in the
+/// value itself. Only the wake-up
+/// [`SaveDone`](SfEvent::SaveDone) that replays a buffered backlog emits
+/// more; it spills to the heap, off the per-message path. `SfEffect` is
+/// `Copy`, so code on that path reads the slice (`for &effect in
+/// fx.iter()`), which is cheaper than consuming the value.
+pub struct SfEffects {
+    /// The effects while at most `INLINE` were emitted; `Blocked` pads
+    /// the unused tail.
+    inline: [SfEffect; Self::INLINE],
+    /// Effects held in `inline`; 0 once spilled.
+    len: usize,
+    /// All effects once more than `INLINE` were emitted, else empty.
+    spill: Vec<SfEffect>,
+}
+
+impl SfEffects {
+    /// The most effects a step emits without touching the heap.
+    const INLINE: usize = 2;
+
+    #[inline]
+    fn new() -> Self {
+        SfEffects {
+            inline: [SfEffect::Blocked; Self::INLINE],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, effect: SfEffect) {
+        if self.spill.is_empty() && self.len < Self::INLINE {
+            self.inline[self.len] = effect;
+            self.len += 1;
+            return;
+        }
+        self.spill.extend_from_slice(&self.inline[..self.len]);
+        self.len = 0;
+        self.spill.push(effect);
+    }
+}
+
+impl std::ops::Deref for SfEffects {
+    type Target = [SfEffect];
+    #[inline]
+    fn deref(&self) -> &[SfEffect] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl IntoIterator for SfEffects {
+    type Item = SfEffect;
+    type IntoIter = std::iter::Chain<
+        std::iter::Take<std::array::IntoIter<SfEffect, { SfEffects::INLINE }>>,
+        std::vec::IntoIter<SfEffect>,
+    >;
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.inline.into_iter().take(self.len).chain(self.spill)
+    }
+}
+
+impl std::fmt::Debug for SfEffects {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<const N: usize> PartialEq<[SfEffect; N]> for SfEffects {
+    fn eq(&self, other: &[SfEffect; N]) -> bool {
+        self[..] == other[..]
+    }
 }
 
 /// Role-specific volatile state.
@@ -198,21 +283,21 @@ enum Role {
 /// use anti_replay::{Phase, SeqNum};
 ///
 /// let mut m = SfMachine::sender(25);
-/// assert_eq!(m.step(SfEvent::Send), vec![SfEffect::Sent(SeqNum::new(1))]);
+/// assert_eq!(m.step(SfEvent::Send), [SfEffect::Sent(SeqNum::new(1))]);
 /// m.step(SfEvent::Reset);
 /// assert_eq!(m.phase(), Phase::Down);
 /// // The environment FETCHed nothing (0); the machine leaps 2K = 50 and
 /// // issues the synchronous SAVE of the leaped value.
 /// let fx = m.step(SfEvent::BeginWakeup { fetched: 0 });
-/// assert_eq!(fx, vec![SfEffect::SaveIssued(50)]);
+/// assert_eq!(fx, [SfEffect::SaveIssued(50)]);
 /// // The SAVE becomes durable: the machine resumes, reporting the true
 /// // unusable gap (50 − 2 = 48 ≤ 2K; sequence number 1 was used).
 /// let fx = m.step(SfEvent::SaveDone);
 /// assert_eq!(
 ///     fx,
-///     vec![SfEffect::WokeUp { resumed: SeqNum::new(50), unusable_gap: 48 }]
+///     [SfEffect::WokeUp { resumed: SeqNum::new(50), unusable_gap: 48 }]
 /// );
-/// assert_eq!(m.step(SfEvent::Send), vec![SfEffect::Sent(SeqNum::new(50))]);
+/// assert_eq!(m.step(SfEvent::Send), [SfEffect::Sent(SeqNum::new(50))]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SfMachine {
@@ -343,7 +428,7 @@ impl SfMachine {
 
     /// Classifies `seq` against the window and issues a background SAVE
     /// when the right edge crosses the threshold. Running phase only.
-    fn classify(&mut self, seq: SeqNum, effects: &mut Vec<SfEffect>) {
+    fn classify(&mut self, seq: SeqNum, effects: &mut SfEffects) {
         let Role::Receiver { window, .. } = &mut self.role else {
             panic!("Receive is a receiver event");
         };
@@ -367,8 +452,8 @@ impl SfMachine {
     /// * [`SfEvent::Send`] on a receiver, [`SfEvent::Receive`] on a
     ///   sender.
     /// * Sequence-number overflow (the documented [`SeqNum`] ceiling).
-    pub fn step(&mut self, event: SfEvent) -> Vec<SfEffect> {
-        let mut effects = Vec::new();
+    pub fn step(&mut self, event: SfEvent) -> SfEffects {
+        let mut effects = SfEffects::new();
         match event {
             SfEvent::Send => {
                 if self.phase != Phase::Running {
@@ -531,9 +616,9 @@ mod tests {
     fn sender_blocked_while_down_and_waking() {
         let mut m = SfMachine::sender(5);
         m.step(SfEvent::Reset);
-        assert_eq!(m.step(SfEvent::Send), vec![SfEffect::Blocked]);
+        assert_eq!(m.step(SfEvent::Send), [SfEffect::Blocked]);
         m.step(SfEvent::BeginWakeup { fetched: 0 });
-        assert_eq!(m.step(SfEvent::Send), vec![SfEffect::Blocked]);
+        assert_eq!(m.step(SfEvent::Send), [SfEffect::Blocked]);
     }
 
     #[test]
@@ -552,7 +637,7 @@ mod tests {
         // Leaped to 16; the true gap is 16 − 8 = 8, strictly below 2K=10.
         assert_eq!(
             fx,
-            vec![SfEffect::WokeUp {
+            [SfEffect::WokeUp {
                 resumed: SeqNum::new(16),
                 unusable_gap: 8
             }]
@@ -571,7 +656,7 @@ mod tests {
         // Still measured against s = 2, the only counter ever live.
         assert_eq!(
             fx,
-            vec![SfEffect::WokeUp {
+            [SfEffect::WokeUp {
                 resumed: SeqNum::new(10),
                 unusable_gap: 8
             }]
@@ -607,7 +692,7 @@ mod tests {
         let fx = m.step(SfEvent::Receive(SeqNum::new(u64::MAX - 1)));
         assert_eq!(
             fx,
-            vec![SfEffect::Rx {
+            [SfEffect::Rx {
                 seq: SeqNum::new(u64::MAX - 1),
                 outcome: RxOutcome::Delivered
             }],
@@ -651,6 +736,42 @@ mod tests {
     }
 
     #[test]
+    fn wakeup_backlog_keeps_emission_order_past_the_inline_capacity() {
+        // WokeUp + three buffered arrivals, the last crossing the save
+        // threshold: five effects, more than a step holds inline. Slice
+        // view, by-value iteration and array equality must all agree.
+        let mut m = SfMachine::receiver(5, 8);
+        m.step(SfEvent::Reset);
+        m.step(SfEvent::BeginWakeup { fetched: 0 }); // leaps to 10
+        for s in [1u64, 11, 15] {
+            m.step(SfEvent::Receive(SeqNum::new(s)));
+        }
+        let rx = |s: u64, outcome| SfEffect::Rx {
+            seq: SeqNum::new(s),
+            outcome,
+        };
+        let want = [
+            SfEffect::WokeUp {
+                resumed: SeqNum::new(10),
+                unusable_gap: 0,
+            },
+            rx(1, RxOutcome::DiscardedStale),
+            rx(11, RxOutcome::Delivered),
+            rx(15, RxOutcome::Delivered),
+            SfEffect::SaveIssued(15),
+        ];
+        let fx = m.step(SfEvent::SaveDone);
+        assert_eq!(fx, want);
+        assert_eq!(fx.len(), 5);
+        assert_eq!(fx[4], SfEffect::SaveIssued(15));
+        assert_eq!(fx.into_iter().collect::<Vec<_>>(), want);
+        // Two effects stay inline and read the same way.
+        let fx = m.step(SfEvent::Receive(SeqNum::new(20)));
+        assert_eq!(fx, [rx(20, RxOutcome::Delivered), SfEffect::SaveIssued(20)]);
+        assert_eq!(fx.into_iter().count(), 2);
+    }
+
+    #[test]
     fn receiver_wakeup_rejects_history() {
         let k = 10;
         let mut m = SfMachine::receiver(k, 32);
@@ -690,7 +811,7 @@ mod tests {
         let mut m = SfMachine::sender(5);
         m.step(SfEvent::Reset);
         let fx = m.step(SfEvent::FetchFault(FetchFaultKind::Rollback));
-        assert_eq!(fx, vec![SfEffect::FailedClosed(FetchFaultKind::Rollback)]);
+        assert_eq!(fx, [SfEffect::FailedClosed(FetchFaultKind::Rollback)]);
         assert_eq!(m.phase(), Phase::Down);
         // A later healthy wake-up still works.
         m.step(SfEvent::BeginWakeup { fetched: 0 });
@@ -705,7 +826,7 @@ mod tests {
             m.step(SfEvent::Send);
         }
         let before = m.clone();
-        assert_eq!(m.step(SfEvent::SaveLost), vec![]);
+        assert_eq!(m.step(SfEvent::SaveLost), []);
         assert_eq!(m, before);
     }
 

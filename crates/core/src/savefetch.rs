@@ -10,7 +10,7 @@
 //! # Architecture: pure machine, thin driver
 //!
 //! All protocol *logic* lives in [`crate::machine::SfMachine`], a pure
-//! transition function `step(SfEvent) → Vec<SfEffect>` with no store, no
+//! transition function `step(SfEvent) → SfEffects` with no store, no
 //! clock and no allocation beyond its own state — which is what lets the
 //! `reset-model` crate exhaustively enumerate every bounded interleaving
 //! of sends, resets, save races and adversary schedules, and replay any
@@ -172,7 +172,7 @@ impl<S: StableStore> SfSender<S> {
     /// room for stores that fail on `issue` bookkeeping.
     pub fn send_next(&mut self) -> Result<Option<SeqNum>, StableError> {
         let mut sent = None;
-        for effect in self.machine.step(SfEvent::Send) {
+        for &effect in self.machine.step(SfEvent::Send).iter() {
             match effect {
                 SfEffect::Sent(seq) => {
                     self.stats.sent += 1;
@@ -422,10 +422,9 @@ impl<S: StableStore> SfReceiver<S> {
     }
 
     /// Applies one machine event and folds its effects into stats and
-    /// store operations, returning the `Rx` outcomes in order.
-    fn drive(&mut self, event: SfEvent) -> Vec<(SeqNum, RxOutcome)> {
-        let mut outcomes = Vec::new();
-        for effect in self.machine.step(event) {
+    /// store operations, handing the `Rx` outcomes to `on_rx` in order.
+    fn drive(&mut self, event: SfEvent, mut on_rx: impl FnMut(SeqNum, RxOutcome)) {
+        for &effect in self.machine.step(event).iter() {
             match effect {
                 SfEffect::Rx { seq, outcome } => {
                     match outcome {
@@ -435,7 +434,7 @@ impl<S: StableStore> SfReceiver<S> {
                         RxOutcome::Buffered => self.stats.buffered += 1,
                         RxOutcome::DroppedDown => self.stats.dropped_down += 1,
                     }
-                    outcomes.push((seq, outcome));
+                    on_rx(seq, outcome);
                 }
                 SfEffect::SaveIssued(v) => {
                     self.saver.issue(self.slot, v);
@@ -445,7 +444,6 @@ impl<S: StableStore> SfReceiver<S> {
                 other => unreachable!("receiver event produced {other:?}"),
             }
         }
-        outcomes
     }
 
     /// The paper's receive action: classify against the window, deliver
@@ -459,11 +457,9 @@ impl<S: StableStore> SfReceiver<S> {
     /// Never errs today; mirrors the sender API for forward-compatible
     /// stores.
     pub fn receive(&mut self, seq: SeqNum) -> Result<RxOutcome, StableError> {
-        let outcomes = self.drive(SfEvent::Receive(seq));
-        let [(_, outcome)] = outcomes[..] else {
-            unreachable!("Receive produced {outcomes:?}");
-        };
-        Ok(outcome)
+        let mut outcome = None;
+        self.drive(SfEvent::Receive(seq), |_, o| outcome = Some(o));
+        Ok(outcome.expect("Receive produces one Rx"))
     }
 
     /// Completion event for a background SAVE.
@@ -548,7 +544,11 @@ impl<S: StableStore> SfReceiver<S> {
             "no wake-up in progress"
         );
         self.saver.complete()?;
-        Ok(self.drive(SfEvent::SaveDone))
+        let mut outcomes = Vec::new();
+        self.drive(SfEvent::SaveDone, |seq, outcome| {
+            outcomes.push((seq, outcome))
+        });
+        Ok(outcomes)
     }
 
     /// Atomic wake-up (both halves) for untimed runs. Returns the leaped

@@ -723,52 +723,50 @@ pub(crate) fn chacha20_xor_backend(
 /// XORs the ChaCha20 keystream into several disjoint regions of `buf`,
 /// one `(nonce, start counter, byte range)` job per region, batching
 /// 64-byte blocks *across* jobs so small packets still fill every lane.
-/// Byte-identical to running [`chacha20_xor`] per job.
+/// Byte-identical to running [`chacha20_xor`] per job. The jobs stream
+/// through one stack group of lanes: nothing is allocated.
 pub(crate) fn chacha20_xor_jobs(
     backend: Backend,
     key: &[u8; CHACHA_KEY_LEN],
     buf: &mut [u8],
-    jobs: &[([u8; CHACHA_NONCE_LEN], u32, Range<usize>)],
+    jobs: impl Iterator<Item = ([u8; CHACHA_NONCE_LEN], u32, Range<usize>)>,
 ) {
     let lanes = backend.lanes();
     if lanes == 1 {
         for (nonce, counter, range) in jobs {
-            chacha20_xor(key, *counter, nonce, &mut buf[range.clone()]);
+            chacha20_xor(key, counter, &nonce, &mut buf[range]);
         }
         return;
     }
-    // Flatten every job into 64-byte keystream units so lanes fill up
-    // across packet boundaries. Capacity bound: ranges are disjoint, so
-    // at most one partial unit per job on top of the full ones.
-    let mut units: Vec<(u32, [u8; CHACHA_NONCE_LEN], usize, usize)> =
-        Vec::with_capacity(buf.len() / 64 + jobs.len());
+    // Every job is cut into 64-byte keystream units; units fill the
+    // group across job boundaries and a full group is one kernel call.
+    let mut group = [(0u32, [0u8; CHACHA_NONCE_LEN]); MAX_LANES];
+    let mut spans = [(0usize, 0usize); MAX_LANES];
+    let mut ks = [[0u8; 64]; MAX_LANES];
+    let mut filled = 0;
     for (nonce, counter, range) in jobs {
         let mut off = range.start;
-        let mut ctr = *counter;
+        let mut ctr = counter;
         while off < range.end {
             let len = (range.end - off).min(64);
-            units.push((ctr, *nonce, off, len));
+            group[filled] = (ctr, nonce);
+            spans[filled] = (off, len);
+            filled += 1;
+            if filled == lanes {
+                chacha_blocks(backend, key, &group[..lanes], &mut ks[..lanes]);
+                for (&(off, len), block) in spans[..lanes].iter().zip(&ks) {
+                    xor_keystream(&mut buf[off..off + len], block);
+                }
+                filled = 0;
+            }
             ctr = ctr.checked_add(1).expect("chacha20 counter overflow");
             off += len;
         }
     }
-    let mut lane_jobs = [(0u32, [0u8; CHACHA_NONCE_LEN]); MAX_LANES];
-    let mut ks = [[0u8; 64]; MAX_LANES];
-    for chunk in units.chunks(lanes) {
-        if chunk.len() == lanes {
-            for (l, unit) in chunk.iter().enumerate() {
-                lane_jobs[l] = (unit.0, unit.1);
-            }
-            chacha_blocks(backend, key, &lane_jobs[..lanes], &mut ks[..lanes]);
-            for (l, unit) in chunk.iter().enumerate() {
-                xor_keystream(&mut buf[unit.2..unit.2 + unit.3], &ks[l]);
-            }
-        } else {
-            for unit in chunk {
-                let block = chacha20_block(key, unit.0, &unit.1);
-                xor_keystream(&mut buf[unit.2..unit.2 + unit.3], &block);
-            }
-        }
+    // The units left over do not fill the lanes: one scalar block each.
+    for ((ctr, nonce), &(off, len)) in group[..filled].iter().zip(&spans) {
+        let block = chacha20_block(key, *ctr, nonce);
+        xor_keystream(&mut buf[off..off + len], &block);
     }
 }
 
@@ -906,30 +904,54 @@ mod tests {
         }
     }
 
+    /// Packs `sizes` back to back into one buffer, one job each with its
+    /// own nonce and start counter, and checks `chacha20_xor_jobs`
+    /// against the scalar oracle run per job.
+    fn assert_xor_jobs_match_scalar(backend: Backend, sizes: &[usize], seed: &mut u64) {
+        let key = [0x09u8; 32];
+        let mut buf = vec![0u8; sizes.iter().sum()];
+        fill(seed, &mut buf);
+        let mut jobs = Vec::new();
+        let mut off = 0;
+        for (i, len) in sizes.iter().enumerate() {
+            jobs.push(([i as u8; 12], 1u32 + i as u32, off..off + len));
+            off += len;
+        }
+        let mut expect = buf.clone();
+        for (nonce, counter, range) in &jobs {
+            chacha20_xor(&key, *counter, nonce, &mut expect[range.clone()]);
+        }
+        chacha20_xor_jobs(backend, &key, &mut buf, jobs.into_iter());
+        assert_eq!(buf, expect, "{backend} sizes {sizes:?}");
+    }
+
     #[test]
     fn xor_jobs_matches_scalar_per_job() {
-        let key = [0x09u8; 32];
         let mut seed = 1234u64;
         for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
             // Mixed job sizes across several nonces/counters, all packed
             // into one buffer.
             let sizes = [0usize, 1, 63, 64, 65, 130, 1400, 64, 64, 64, 64];
-            let total: usize = sizes.iter().sum();
-            let mut buf = vec![0u8; total];
-            fill(&mut seed, &mut buf);
-            let mut jobs = Vec::new();
-            let mut off = 0;
-            for (i, len) in sizes.iter().enumerate() {
-                let nonce = [i as u8; 12];
-                jobs.push((nonce, 1u32 + i as u32, off..off + len));
-                off += len;
+            assert_xor_jobs_match_scalar(backend, &sizes, &mut seed);
+        }
+    }
+
+    #[test]
+    fn xor_jobs_matches_scalar_when_jobs_straddle_lane_groups() {
+        // The units of a job stream through one stack group of lanes, so
+        // the shapes that matter are the ones where a job starts, ends or
+        // vanishes in the middle of a group: every length 0..=200 (0 to 4
+        // units, full and partial) in job counts around the lane widths.
+        let mut seed = 0x57AD_D1E5u64;
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
+            assert_xor_jobs_match_scalar(backend, &[], &mut seed);
+            assert_xor_jobs_match_scalar(backend, &[0], &mut seed);
+            for jobs in [1usize, 2, 3, 5, 7, 9, 13] {
+                for first in 0..=200usize {
+                    let sizes: Vec<usize> = (0..jobs).map(|j| (first + 37 * j) % 201).collect();
+                    assert_xor_jobs_match_scalar(backend, &sizes, &mut seed);
+                }
             }
-            let mut expect = buf.clone();
-            for (nonce, counter, range) in &jobs {
-                chacha20_xor(&key, *counter, nonce, &mut expect[range.clone()]);
-            }
-            chacha20_xor_jobs(backend, &key, &mut buf, &jobs);
-            assert_eq!(buf, expect, "{backend}");
         }
     }
 }

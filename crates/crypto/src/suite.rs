@@ -697,22 +697,16 @@ impl CipherSuite for ChaCha20Poly1305Suite {
         }
     }
 
-    /// The laned batch decrypt: jobs are flattened into 64-byte
-    /// keystream units so lanes fill across packet boundaries (eight
-    /// 64-byte packets decrypt in one AVX2 pass). On [`Backend::Scalar`]
-    /// this is the trait default loop.
+    /// The laned batch decrypt: jobs are cut into 64-byte keystream
+    /// units that stream through the lanes across packet boundaries
+    /// (eight 64-byte packets decrypt in one AVX2 pass), without
+    /// allocating. On [`Backend::Scalar`] it decrypts job by job, as the
+    /// trait default does.
     fn decrypt_batch(&self, buf: &mut [u8], jobs: &[(u64, Range<usize>)]) {
-        if self.backend == Backend::Scalar {
-            for (seq, range) in jobs {
-                self.decrypt(*seq, &mut buf[range.clone()]);
-            }
-            return;
-        }
-        let lane_jobs: Vec<([u8; CHACHA_NONCE_LEN], u32, Range<usize>)> = jobs
+        let jobs = jobs
             .iter()
-            .map(|(seq, range)| (Self::nonce(*seq), 1u32, range.clone()))
-            .collect();
-        chacha20_xor_jobs(self.backend, &self.key, buf, &lane_jobs);
+            .map(|(seq, range)| (Self::nonce(*seq), 1u32, range.clone()));
+        chacha20_xor_jobs(self.backend, &self.key, buf, jobs);
     }
 }
 

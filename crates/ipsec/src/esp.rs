@@ -10,25 +10,52 @@
 //!
 //! # One receive path
 //!
-//! A frame is authenticated, windowed and decrypted in
-//! [`Inbound::process_batch`] and nowhere else. [`Inbound::process`] is
-//! a batch of one, and the frames buffered during a wake-up go through
-//! the same drain when [`Inbound::finish_wakeup`] resolves them. The
-//! paper's premise is a ~4 µs per-message budget, so that drain is
-//! allocation-light after warm-up:
+//! A frame is authenticated, windowed and decrypted in one drain body and
+//! nowhere else: [`crate::Sadb::process_batch`] runs it over each SPI run
+//! of a batch, [`Inbound::process_batch`] over one SA's frames,
+//! [`Inbound::process`] over a batch of one, and the frames buffered
+//! during a wake-up go through it when [`Inbound::finish_wakeup`]
+//! resolves them. The paper's premise is a ~4 µs per-message budget, so
+//! after warm-up that drain allocates nothing per frame and nothing per
+//! SPI run:
 //!
 //! * all crypto dispatches through the SA's precomputed
 //!   [`reset_crypto::CipherSuite`] — no per-packet key schedule for any
 //!   suite;
-//! * all ICVs of a drain verify through one
-//!   [`reset_crypto::CipherSuite::verify_batch`] call, so the HMAC
-//!   suite's two-pass amortized verifier and the SIMD backends' lanes
-//!   fill across packet boundaries;
+//! * ICVs verify through [`reset_crypto::CipherSuite::verify_batch`] in
+//!   stack groups of 16 frames, so the HMAC suite's two-pass amortized
+//!   verifier and the SIMD backends' lanes fill across packet boundaries;
 //! * delivered payloads are either zero-copy slices of the input
-//!   (non-encrypting suites) or decrypted by one
-//!   [`reset_crypto::CipherSuite::decrypt_batch`] call into a recycled
-//!   arena whose allocation is reclaimed once the consumer drops the
-//!   previous drain's payloads.
+//!   (non-encrypting suites) or decrypted in place, one
+//!   [`reset_crypto::CipherSuite::decrypt_batch`] call per run, in an
+//!   arena shared by the whole drain and frozen once at its end.
+//!
+//! One exception, below this crate: on the SIMD backends the two HMAC
+//! suites' multi-buffer verifier still builds a bucket map per
+//! `verify_batch` call (`reset_crypto`, `verify_batch_multiway`), i.e.
+//! per group of up to 16 frames. The default ChaCha20-Poly1305 suite and
+//! the scalar backend allocate nothing; `tests/it_alloc.rs` counts the
+//! default suite on every backend.
+//!
+//! # Where the working memory lives
+//!
+//! The drain's working vectors (parsed records, verdicts, decrypt jobs,
+//! result fix-ups) and the handle that recycles the arena are one
+//! `DrainScratch`. The [`crate::Sadb`] owns one and lends it to every run
+//! of every batch it drains — that is the gateway path, shard workers
+//! included, and it is the one that reaches an allocation-free steady
+//! state. An [`Inbound`] owns none: a wide fleet must not keep an arena
+//! resident per SA, so the standalone [`Inbound`] verbs run the same body
+//! over a scratch local to the call and pay for it per call.
+//!
+//! The arena is reclaimed for the next drain once the consumer has
+//! dropped every payload of the previous one. Retaining *one* payload
+//! pins the arena of the whole drain it came from — every SA's payloads
+//! of that batch, not one SA's run — and makes the next drain allocate a
+//! fresh one; consumers that keep payloads beyond their event loop should
+//! copy them out (`Bytes::copy_from_slice`).
+
+use std::ops::Range;
 
 use bytes::{Bytes, BytesMut};
 use reset_crypto::FrameToVerify;
@@ -231,6 +258,82 @@ impl RxResult {
     }
 }
 
+/// How many well-framed frames one
+/// [`reset_crypto::CipherSuite::verify_batch`] call takes. The borrowed
+/// [`FrameToVerify`] list cannot live in the reusable scratch, so it is a
+/// stack array: a multiple of every backend's lane width, and large
+/// enough that a 16-frame SPI run still verifies in one call.
+const VERIFY_GROUP: usize = 16;
+
+/// Phase-A classification of one frame.
+#[derive(Debug)]
+enum Parsed {
+    /// Framing failure (counted as an auth failure).
+    Bad(WireError),
+    /// Foreign SPI: rejected before any crypto.
+    Foreign(u32),
+    /// Well-framed; its ICV verdict is the run's next unread one.
+    Frame {
+        seq_lo: u32,
+        payload_len: usize,
+        guess_hi: Option<u32>,
+    },
+}
+
+/// The working memory of the receive drain, reused across every SPI run
+/// of every batch so that the steady state allocates nothing. One drain
+/// is [`DrainScratch::begin`], any number of [`Inbound::drain_run`]s
+/// appending to one result vector, then [`DrainScratch::finish`] on that
+/// vector. The [`crate::Sadb`] owns the one that persists; the module
+/// docs say why an [`Inbound`] does not.
+#[derive(Debug, Default)]
+pub(crate) struct DrainScratch {
+    /// Phase-A records of the current run (phase B drains them).
+    parsed: Vec<Parsed>,
+    /// ICV verdicts of the current run's well-framed frames, in order.
+    verdicts: Vec<bool>,
+    /// The verdicts of one `verify_batch` call (which clears its output).
+    group_ok: Vec<bool>,
+    /// `(seq, arena range)` of every payload this drain delivered into
+    /// the arena; each run decrypts its own tail of the list.
+    jobs: Vec<(u64, Range<usize>)>,
+    /// Per job, the index of its placeholder in the result vector.
+    slots: Vec<usize>,
+    /// The drain's decryption arena, empty between drains.
+    arena: BytesMut,
+    /// The batch's wire bytes — more than the arena can be asked to hold.
+    /// Reserved in one step when the first payload needs the arena, so a
+    /// drain that delivers nothing encrypted reserves nothing.
+    arena_bound: usize,
+    /// Handle onto the previous drain's frozen arena. Once the consumer
+    /// has dropped that drain's payloads this is the unique owner and
+    /// the next drain reclaims the allocation.
+    recycled: Bytes,
+}
+
+impl DrainScratch {
+    /// Opens a drain of frames totalling `wire_bytes`.
+    pub(crate) fn begin(&mut self, wire_bytes: usize) {
+        self.jobs.clear();
+        self.slots.clear();
+        self.arena = BytesMut::recycle(std::mem::take(&mut self.recycled), 0);
+        self.arena_bound = wire_bytes;
+    }
+
+    /// Closes the drain: freezes the arena once and points every
+    /// delivered placeholder in `out` at its decrypted slice.
+    pub(crate) fn finish(&mut self, out: &mut [RxResult]) {
+        let frozen = std::mem::take(&mut self.arena).freeze();
+        for (&slot, (_, range)) in self.slots.iter().zip(&self.jobs) {
+            let RxResult::Delivered { payload, .. } = &mut out[slot] else {
+                unreachable!("a slot names a delivered placeholder");
+            };
+            *payload = frozen.slice(range.clone());
+        }
+        self.recycled = frozen;
+    }
+}
+
 /// Receiver half of one SA's datapath.
 #[derive(Debug, Clone)]
 pub struct Inbound<S> {
@@ -245,11 +348,6 @@ pub struct Inbound<S> {
     wakeup_buffer: usize,
     /// Authentication failures seen (forgeries/corruption).
     auth_failures: u64,
-    /// Handle onto the most recent delivery arena. Once the consumer
-    /// drops its payload(s), this handle is the unique owner and the
-    /// allocation is recycled for the next packet/batch — the
-    /// steady-state receive path allocates nothing.
-    scratch: Bytes,
 }
 
 impl<S: StableStore> Inbound<S> {
@@ -263,7 +361,6 @@ impl<S: StableStore> Inbound<S> {
             pending: Vec::new(),
             wakeup_buffer: DEFAULT_WAKEUP_BUFFER,
             auth_failures: 0,
-            scratch: Bytes::new(),
         }
     }
 
@@ -314,29 +411,32 @@ impl<S: StableStore> Inbound<S> {
         }
     }
 
-    /// Drains a burst of packets for this SA in arrival order — the one
-    /// place a frame is authenticated, windowed and decrypted.
+    /// Drains a burst of packets for this SA in arrival order, through
+    /// the one drain body that authenticates, windows and decrypts a
+    /// frame. The working vectors and the decryption arena are local to
+    /// this call; a gateway drains through
+    /// [`crate::Sadb::process_batch`], whose database keeps them from
+    /// drain to drain and so allocates nothing per frame or per run.
     ///
     /// The results do not depend on how a stream is cut into batches
     /// (partition-invariance and a per-frame oracle built from
     /// `reset_wire` + a plain window are differential-tested in
     /// `tests/it_suites.rs`), while a batch amortizes two things:
     ///
-    /// * **Batched ICV verification.** All well-framed frames of the
+    /// * **Batched ICV verification.** The well-framed frames of the
     ///   batch go through [`reset_crypto::CipherSuite::verify_batch`]
-    ///   in one call; the HMAC suite's two-pass verifier amortizes the
+    ///   16 at a time; the HMAC suite's two-pass verifier amortizes the
     ///   one-shot SHA-256 padding assembly and outer-hash bookkeeping
-    ///   across the run (see `BENCH_datapath.json`,
+    ///   across each group (see `BENCH_datapath.json`,
     ///   `datapath/icv_batch_64B`). ESN high halves are guessed at the
     ///   batch-start right edge; the rare frame whose guess is
     ///   invalidated by the window advancing across a 2³² boundary
     ///   mid-batch is re-verified individually, so the verdict is the
     ///   one a frame-at-a-time receiver would reach.
-    /// * **One decryption arena.** The whole batch shares one buffer
-    ///   (recycled from the previous batch once its payloads were
-    ///   dropped), so a gateway draining a NIC queue performs zero
-    ///   buffer allocations per delivered packet: non-encrypting suites
-    ///   slice the input buffers, encrypting suites slice the arena.
+    /// * **One decryption arena.** The whole drain shares one buffer, so
+    ///   there is no buffer allocation per delivered packet:
+    ///   non-encrypting suites slice the input buffers, encrypting
+    ///   suites slice the arena.
     ///
     /// Per-packet failures (bad ICV, foreign SPI, malformed framing,
     /// store hiccups) are reported in-line as [`RxResult::Rejected`]
@@ -345,10 +445,9 @@ impl<S: StableStore> Inbound<S> {
     /// save (the disk queue collapses, see
     /// [`reset_stable::BackgroundSaver::issue`]).
     ///
-    /// Memory caveat: every encrypted payload of a batch is a slice of
-    /// the one shared arena, so *retaining* any single payload pins the
-    /// whole batch's buffer (and forces the next batch to allocate a
-    /// fresh arena). Consumers that keep payloads beyond the drain loop
+    /// Memory caveat: every encrypted payload of a drain is a slice of
+    /// the drain's one arena, so *retaining* any single payload pins the
+    /// whole buffer. Consumers that keep payloads beyond the drain loop
     /// should copy them out (`Bytes::copy_from_slice`).
     ///
     /// # Errors
@@ -356,64 +455,79 @@ impl<S: StableStore> Inbound<S> {
     /// Reserved for non-per-packet infrastructure failures; today all
     /// failures are reported in-line and the call returns `Ok`.
     pub fn process_batch(&mut self, wires: &[Bytes]) -> Result<Vec<RxResult>, IpsecError> {
-        Ok(self.process_batch_gather(wires.len(), wires.iter()))
+        Ok(self.drain_alone(&mut DrainScratch::default(), wires))
     }
 
-    /// Gather form of [`Inbound::process_batch`]: drains `n` frames
-    /// yielded by `wires` — e.g. route indices into a shard-shared batch
-    /// — without materializing a contiguous `Vec<Bytes>` first. This *is*
-    /// the slice form's implementation, so the two cannot drift.
-    pub(crate) fn process_batch_gather<'w, I>(&mut self, n: usize, wires: I) -> Vec<RxResult>
-    where
+    /// A whole drain over this SA alone: open, one run, close.
+    fn drain_alone(&mut self, scratch: &mut DrainScratch, wires: &[Bytes]) -> Vec<RxResult> {
+        let mut out = Vec::with_capacity(wires.len());
+        scratch.begin(wires.iter().map(Bytes::len).sum());
+        self.drain_run(scratch, wires.iter(), &mut out);
+        scratch.finish(&mut out);
+        out
+    }
+
+    /// The drain body: classifies the frames `wires` yields — one SPI
+    /// run of a batch, e.g. route indices into a shard-shared batch —
+    /// and appends one result per frame to `out`, inside the drain the
+    /// caller opened on `scratch`. Payloads delivered into the arena are
+    /// empty placeholders until [`DrainScratch::finish`] patches them.
+    pub(crate) fn drain_run<'w, I>(
+        &mut self,
+        scratch: &mut DrainScratch,
+        wires: I,
+        out: &mut Vec<RxResult>,
+    ) where
         I: Iterator<Item = &'w Bytes> + Clone,
     {
         // The phase only changes through external calls, never inside a
-        // drain, so it gates the whole batch at once.
+        // drain, so it gates the whole run at once.
         match self.rx.phase() {
-            Phase::Down => return wires.map(|_| RxResult::DroppedDown).collect(),
+            Phase::Down => {
+                out.extend(wires.map(|_| RxResult::DroppedDown));
+                return;
+            }
             Phase::Waking => {
-                return wires
-                    .map(|wire| {
-                        if self.pending.len() >= self.wakeup_buffer {
-                            RxResult::DroppedDown
-                        } else {
-                            self.pending.push(wire.clone());
-                            RxResult::Buffered
-                        }
-                    })
-                    .collect();
+                out.extend(wires.map(|wire| {
+                    if self.pending.len() >= self.wakeup_buffer {
+                        RxResult::DroppedDown
+                    } else {
+                        self.pending.push(wire.clone());
+                        RxResult::Buffered
+                    }
+                }));
+                return;
             }
             Phase::Running => {}
         }
 
-        /// Phase-A classification of one frame.
-        enum Parsed {
-            /// Framing failure (counted as an auth failure).
-            Bad(WireError),
-            /// Foreign SPI: rejected before any crypto.
-            Foreign(u32),
-            /// Well-framed; its ICV verdict sits in the batch at `slot`.
-            Frame {
-                seq_lo: u32,
-                payload_len: usize,
-                guess_hi: Option<u32>,
-                slot: usize,
-            },
-        }
-
-        // ---- Phase A: parse every frame, then verify all ICVs in one
-        // suite call. ESN high halves are inferred against the right
-        // edge as of batch start and re-checked in phase B.
+        // ---- Phase A: parse every frame and verify the ICVs of the
+        // well-framed ones, a stack group per suite call. ESN high
+        // halves are inferred against the right edge as of run start and
+        // re-checked in phase B.
         let esn = self.sa.esn();
         let edge0 = self.rx.right_edge().value();
         let cipher = self.sa.cipher();
         let overhead = HEADER_LEN + cipher.iv_len() + cipher.icv_len();
         let body_off = HEADER_LEN + cipher.iv_len();
-        let mut parsed: Vec<Parsed> = Vec::with_capacity(n);
-        let mut to_verify: Vec<FrameToVerify<'_>> = Vec::with_capacity(n);
+        scratch.verdicts.clear();
+        let mut group = [FrameToVerify {
+            seq: 0,
+            header: &[],
+            ciphertext: &[],
+            esn_hi: None,
+            icv: &[],
+        }; VERIFY_GROUP];
+        let mut grouped = 0;
+        // One suite call per group; `verify_batch` clears its output, so
+        // the run's verdicts accumulate next to it.
+        let mut verify = |frames: &[FrameToVerify<'_>]| {
+            cipher.verify_batch(frames, &mut scratch.group_ok);
+            scratch.verdicts.extend_from_slice(&scratch.group_ok);
+        };
         for wire in wires.clone() {
             if wire.len() < 8 {
-                parsed.push(Parsed::Bad(WireError::Truncated {
+                scratch.parsed.push(Parsed::Bad(WireError::Truncated {
                     needed: 8,
                     got: wire.len(),
                 }));
@@ -421,14 +535,14 @@ impl<S: StableStore> Inbound<S> {
             }
             let spi = u32::from_be_bytes(wire[0..4].try_into().expect("fixed"));
             if spi != self.sa.spi() {
-                parsed.push(Parsed::Foreign(spi));
+                scratch.parsed.push(Parsed::Foreign(spi));
                 continue;
             }
             // Framing rules have one definition, in reset_wire.
             let (_, seq_lo, declared) = match check_frame_length(wire, overhead) {
                 Ok(parts) => parts,
                 Err(e) => {
-                    parsed.push(Parsed::Bad(e));
+                    scratch.parsed.push(Parsed::Bad(e));
                     continue;
                 }
             };
@@ -438,60 +552,55 @@ impl<S: StableStore> Inbound<S> {
             } else {
                 (seq_lo as u64, None)
             };
+            scratch.parsed.push(Parsed::Frame {
+                seq_lo,
+                payload_len: declared,
+                guess_hi,
+            });
             let ct_end = wire.len() - cipher.icv_len();
-            to_verify.push(FrameToVerify {
+            group[grouped] = FrameToVerify {
                 seq,
                 header: &wire[..body_off],
                 ciphertext: &wire[body_off..ct_end],
                 esn_hi: guess_hi,
                 icv: &wire[ct_end..],
-            });
-            parsed.push(Parsed::Frame {
-                seq_lo,
-                payload_len: declared,
-                guess_hi,
-                slot: to_verify.len() - 1,
-            });
+            };
+            grouped += 1;
+            if grouped == VERIFY_GROUP {
+                verify(&group);
+                grouped = 0;
+            }
         }
-        let mut verdicts: Vec<bool> = Vec::with_capacity(to_verify.len());
-        cipher.verify_batch(&to_verify, &mut verdicts);
+        if grouped > 0 {
+            verify(&group[..grouped]);
+        }
 
         // ---- Phase B: consume verdicts in arrival order, driving the
         // window, accounting and the shared decryption arena.
-        enum Slot {
-            Ready(RxResult),
-            /// Delivered, payload decrypted into the arena at `start..start+len`.
-            Arena {
-                seq: SeqNum,
-                start: usize,
-                len: usize,
-            },
-        }
-        let mut slots: Vec<Slot> = Vec::with_capacity(n);
-        let mut arena = BytesMut::recycle(std::mem::take(&mut self.scratch), 0);
         // Decryption is deferred: Phase B appends raw ciphertext to the
         // arena and records (seq, range) jobs, then one batched suite
-        // call below decrypts everything — SIMD backends fill their
-        // lanes across packet boundaries.
-        let mut decrypt_jobs: Vec<(u64, std::ops::Range<usize>)> = Vec::new();
-        for (wire, p) in wires.zip(parsed) {
-            let (seq_lo, payload_len, guess_hi, slot) = match p {
+        // call below decrypts the run in place — SIMD backends fill
+        // their lanes across packet boundaries.
+        let first_job = scratch.jobs.len();
+        let mut verdicts = scratch.verdicts.iter();
+        for (wire, p) in wires.zip(scratch.parsed.drain(..)) {
+            let (seq_lo, payload_len, guess_hi) = match p {
                 Parsed::Bad(e) => {
                     self.auth_failures += 1;
-                    slots.push(Slot::Ready(RxResult::Rejected(RxReject::Wire(e))));
+                    out.push(RxResult::Rejected(RxReject::Wire(e)));
                     continue;
                 }
                 Parsed::Foreign(spi) => {
-                    slots.push(Slot::Ready(RxResult::Rejected(RxReject::UnknownSa { spi })));
+                    out.push(RxResult::Rejected(RxReject::UnknownSa { spi }));
                     continue;
                 }
                 Parsed::Frame {
                     seq_lo,
                     payload_len,
                     guess_hi,
-                    slot,
-                } => (seq_lo, payload_len, guess_hi, slot),
+                } => (seq_lo, payload_len, guess_hi),
             };
+            let guessed_ok = *verdicts.next().expect("one verdict per well-framed frame");
             let (seq64, esn_hi) = if esn {
                 let inferred = infer_esn(seq_lo, self.rx.right_edge().value());
                 (inferred, Some((inferred >> 32) as u32))
@@ -499,18 +608,16 @@ impl<S: StableStore> Inbound<S> {
                 (seq_lo as u64, None)
             };
             let ok = if esn_hi == guess_hi {
-                verdicts[slot]
+                guessed_ok
             } else {
-                // The window crossed an ESN boundary mid-batch and
-                // invalidated the batch-start guess; re-verify with the
+                // The window crossed an ESN boundary mid-run and
+                // invalidated the run-start guess; re-verify with the
                 // live inference.
                 verify_frame_with(wire, self.sa.cipher(), esn_hi).is_ok()
             };
             if !ok {
                 self.auth_failures += 1;
-                slots.push(Slot::Ready(RxResult::Rejected(RxReject::Wire(
-                    WireError::IcvMismatch,
-                ))));
+                out.push(RxResult::Rejected(RxReject::Wire(WireError::IcvMismatch)));
                 continue;
             }
             let seq = SeqNum::new(seq64);
@@ -520,57 +627,53 @@ impl<S: StableStore> Inbound<S> {
                     // Report in-line like every other per-packet failure:
                     // aborting here would discard the results of packets
                     // that already advanced the window.
-                    slots.push(Slot::Ready(RxResult::Rejected(RxReject::Store {
+                    out.push(RxResult::Rejected(RxReject::Store {
                         reason: e.to_string(),
-                    })));
+                    }));
                     continue;
                 }
             };
             match outcome {
                 RxOutcome::Delivered => {
                     self.sa.account(payload_len);
+                    let body = body_off..body_off + payload_len;
                     if !self.sa.cipher().encrypts() {
                         // Zero-copy: the payload is a slice of the input.
-                        slots.push(Slot::Ready(RxResult::Delivered {
-                            payload: wire.slice(body_off..body_off + payload_len),
+                        out.push(RxResult::Delivered {
+                            payload: wire.slice(body),
                             seq,
-                        }));
-                    } else {
-                        let start = arena.len();
-                        arena.extend_from_slice(&wire[body_off..body_off + payload_len]);
-                        decrypt_jobs.push((seq.value(), start..start + payload_len));
-                        slots.push(Slot::Arena {
-                            seq,
-                            start,
-                            len: payload_len,
                         });
+                        continue;
                     }
+                    if scratch.arena.capacity() < scratch.arena_bound {
+                        // First use this drain: one reservation, so the
+                        // arena never grows by doubling inside the loop.
+                        scratch
+                            .arena
+                            .reserve(scratch.arena_bound - scratch.arena.len());
+                    }
+                    let start = scratch.arena.len();
+                    scratch.arena.extend_from_slice(&wire[body]);
+                    scratch.jobs.push((seq.value(), start..start + payload_len));
+                    scratch.slots.push(out.len());
+                    out.push(RxResult::Delivered {
+                        payload: Bytes::new(),
+                        seq,
+                    });
                 }
                 outcome @ (RxOutcome::DiscardedStale | RxOutcome::DiscardedDuplicate) => {
-                    slots.push(Slot::Ready(RxResult::AntiReplay { outcome, seq }));
+                    out.push(RxResult::AntiReplay { outcome, seq });
                 }
                 RxOutcome::Buffered | RxOutcome::DroppedDown => {
                     unreachable!("phase checked before classification")
                 }
             }
         }
-        if !decrypt_jobs.is_empty() {
+        if scratch.jobs.len() > first_job {
             self.sa
                 .cipher()
-                .decrypt_batch(arena.as_mut(), &decrypt_jobs);
+                .decrypt_batch(scratch.arena.as_mut(), &scratch.jobs[first_job..]);
         }
-        let frozen = arena.freeze();
-        self.scratch = frozen.clone();
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Ready(r) => r,
-                Slot::Arena { seq, start, len } => RxResult::Delivered {
-                    payload: frozen.slice(start..start + len),
-                    seq,
-                },
-            })
-            .collect()
     }
 
     /// Background SAVE completion.
@@ -609,14 +712,25 @@ impl<S: StableStore> Inbound<S> {
     /// buffered packets are reported per-packet inside the result vector
     /// as dropped (auth failures are counted).
     pub fn finish_wakeup(&mut self) -> Result<Vec<RxResult>, StableError> {
+        self.finish_wakeup_with(&mut DrainScratch::default())
+    }
+
+    /// [`Inbound::finish_wakeup`] over the caller's scratch: the buffered
+    /// frames are one drain of their own (the SADB's recovery sweep lends
+    /// its scratch to each waking SA in turn).
+    pub(crate) fn finish_wakeup_with(
+        &mut self,
+        scratch: &mut DrainScratch,
+    ) -> Result<Vec<RxResult>, StableError> {
         self.rx.finish_wakeup()?;
         if self.pending.is_empty() {
-            // The common case. Returning before the drain keeps a fleet
-            // recovery from taking and re-freezing every SA's arena.
+            // The common case: a fleet recovery wakes every SA and almost
+            // none has a frame buffered. Returning here keeps the sweep
+            // from opening and closing a drain per SA.
             return Ok(Vec::new());
         }
         let pending = std::mem::take(&mut self.pending);
-        let mut results = self.process_batch_gather(pending.len(), pending.iter());
+        let mut results = self.drain_alone(scratch, &pending);
         for r in &mut results {
             if matches!(r, RxResult::Rejected(_)) {
                 *r = RxResult::DroppedDown; // unauthenticated buffered junk
@@ -918,25 +1032,72 @@ mod tests {
 
     #[test]
     fn steady_state_recycles_the_arena() {
-        // When the consumer drops each payload before the next packet,
-        // the delivery buffer is reclaimed: the same allocation serves
-        // every packet.
-        let (mut tx, mut rx) = endpoints(25, 128);
-        // Warm-up packet establishes the arena.
-        let w0 = tx.protect(&[0u8; 64]).unwrap().unwrap();
-        let first = match rx.process(&w0).unwrap() {
-            RxResult::Delivered { payload, .. } => payload.as_ptr() as usize,
-            other => panic!("{other:?}"),
-        }; // payload dropped here
-        for _ in 0..32 {
-            let wire = tx.protect(&[7u8; 64]).unwrap().unwrap();
-            match rx.process(&wire).unwrap() {
-                RxResult::Delivered { payload, .. } => {
-                    assert_eq!(payload.as_ptr() as usize, first, "arena was reallocated");
+        // The arena belongs to the SADB's drain scratch: when the
+        // consumer drops a drain's payloads before the next one, the same
+        // allocation serves every drain, whichever SA the frames are for.
+        // (The standalone `Inbound` verbs use a scratch local to the
+        // call, so there is nothing to recycle there.)
+        let mut db: crate::Sadb<MemStable> = crate::Sadb::new();
+        for spi in [0x55u32, 0x56] {
+            let sa = SecurityAssociation::new(spi, SaKeys::derive(b"arena", &spi.to_be_bytes()));
+            db.install_outbound(sa.clone(), MemStable::new(), 25);
+            db.install_inbound(sa, MemStable::new(), 25, 128);
+        }
+        let arena_of = |db: &mut crate::Sadb<MemStable>, spi: u32, fill: u8| {
+            let wire = db.protect(spi, &[fill; 64]).unwrap().unwrap();
+            match db.process_batch(&[wire]).unwrap().pop() {
+                Some(RxResult::Delivered { payload, .. }) => {
+                    assert_eq!(&payload[..], &[fill; 64]);
+                    payload.as_ptr() as usize
                 }
                 other => panic!("{other:?}"),
-            }
+            } // payload dropped here
+        };
+        // Warm-up packet establishes the arena.
+        let first = arena_of(&mut db, 0x55, 0);
+        for i in 0..32u8 {
+            let spi = 0x55 + u32::from(i % 2);
+            assert_eq!(arena_of(&mut db, spi, i), first, "arena was reallocated");
         }
+        // A retained payload pins the arena: the next drain gets a fresh
+        // one and the retained bytes stay intact.
+        let wire = db.protect(0x55, b"keep me").unwrap().unwrap();
+        let kept = db.process_batch(&[wire]).unwrap();
+        let RxResult::Delivered { payload: kept, .. } = &kept[0] else {
+            panic!("{kept:?}");
+        };
+        assert_eq!(kept.as_ptr() as usize, first);
+        assert_ne!(
+            arena_of(&mut db, 0x56, 9),
+            first,
+            "a shared arena was overwritten"
+        );
+        assert_eq!(&kept[..], b"keep me");
+    }
+
+    #[test]
+    fn verify_groups_fill_every_backends_lanes() {
+        // A group that is not a whole number of lane groups would send a
+        // partial tail down the scalar path in the middle of a long run.
+        for backend in crate::Backend::ALL {
+            assert_eq!(VERIFY_GROUP % backend.lanes(), 0, "{backend}");
+        }
+        // Longer runs than one group verify across the group boundary.
+        let (mut tx, mut rx) = endpoints(25, 128);
+        let mut wires: Vec<Bytes> = (0..2 * VERIFY_GROUP + 3)
+            .map(|i| tx.protect(format!("g{i}").as_bytes()).unwrap().unwrap())
+            .collect();
+        for at in [VERIFY_GROUP - 1, VERIFY_GROUP, 2 * VERIFY_GROUP + 2] {
+            let mut forged = wires[at].to_vec();
+            *forged.last_mut().unwrap() ^= 1;
+            wires[at] = Bytes::from(forged);
+        }
+        let results = rx.process_batch(&wires).unwrap();
+        for (i, r) in results.iter().enumerate() {
+            let forged = [VERIFY_GROUP - 1, VERIFY_GROUP, 2 * VERIFY_GROUP + 2].contains(&i);
+            assert_eq!(r.is_delivered(), !forged, "frame {i}: {r:?}");
+        }
+        assert_eq!(rx.auth_failures(), 3);
     }
 
     #[test]

@@ -348,6 +348,7 @@ impl<S: StableStore> GatewayBuilder<S> {
             timer: TimerWheel::new(),
             dpd_timer: BTreeMap::new(),
             timer_scratch: Vec::new(),
+            rx_scratch: Vec::new(),
             rekey_due: BTreeSet::new(),
             rekey_generation: BTreeMap::new(),
             pending_fail_closed: Vec::new(),
@@ -438,6 +439,10 @@ pub struct Gateway<S> {
     /// Reusable drain buffer for due timers — the idle tick touches it
     /// without allocating.
     timer_scratch: Vec<(u64, u32)>,
+    /// Reusable result buffer of the receive drain: each drain's verdicts
+    /// land here and leave as events, so a single-frame
+    /// [`Gateway::push_wire`] does not allocate a vector per frame.
+    rx_scratch: Vec<RxResult>,
     /// SPIs whose usage crossed the rekey lifetime, marked at accounting
     /// time (protect / delivery / install) and drained by
     /// [`Gateway::tick`] — dueness is usage-driven, so it cannot be
@@ -677,9 +682,11 @@ impl<S: StableStore> Gateway<S> {
         // Timing is gated on the handle so the uninstrumented path
         // never reads the clock.
         let started = self.telemetry.as_ref().map(|_| Instant::now());
-        let results = self.sadb.process_batch_routed(n, at);
+        let mut results = std::mem::take(&mut self.rx_scratch);
+        self.sadb.process_batch_routed(n, at, &mut results);
         let spis = (0..n).map(|i| reset_wire::peek_spi(at(i)).unwrap_or(0));
-        self.emit_rx(spis.zip(results));
+        self.emit_rx(spis.zip(results.drain(..)));
+        self.rx_scratch = results;
         if let (Some(t), Some(started)) = (&self.telemetry, started) {
             t.record_drain(
                 self.shard_index,

@@ -100,13 +100,20 @@
 //!
 //! ## One receive path
 //!
-//! A frame is authenticated, windowed and decrypted in
-//! [`Inbound::process_batch`] and nowhere else. Every other receive
-//! verb feeds it: [`Sadb::process_batch`] cuts a queue into runs of
-//! equal SPI, [`Gateway::push_wire_batch`] turns the results into
-//! events, and the single-frame verbs ([`Inbound::process`],
+//! A frame is authenticated, windowed and decrypted in one drain body
+//! and nowhere else. Every receive verb feeds it:
+//! [`Sadb::process_batch`] cuts a queue into runs of equal SPI and runs
+//! the body over each, [`Gateway::push_wire_batch`] turns the results
+//! into events, [`Inbound::process_batch`] runs it over one SA's frames,
+//! and the single-frame verbs ([`Inbound::process`],
 //! [`Gateway::push_wire`], [`ShardedGateway::push_wire`]) are batches
-//! of one. Code that still hand-wires the layer types below maps onto
+//! of one. The body's working vectors and its decryption arena belong
+//! to the [`Sadb`] (one per gateway, one per shard), not to each SA:
+//! after warm-up a drain allocates nothing per frame and nothing per
+//! run, and the arena is frozen once per drain — so a retained payload
+//! pins the whole drain's arena (copy out what you keep).
+//!
+//! Code that still hand-wires the layer types below maps onto
 //! the engine like this:
 //!
 //! | layer types                             | `Gateway` engine                        |

@@ -17,6 +17,19 @@
 //! order a [`crate::Gateway`] reports — walks the index, which the
 //! seeded harness scenarios rely on.
 //!
+//! # The drain scratch and the arena
+//!
+//! The database owns the receive drain's one `DrainScratch` (working
+//! vectors plus the handle that recycles the decryption arena; see
+//! [`crate::esp`]) and lends it to the SA of every SPI run of every batch
+//! — and, during a split recovery, to each waking SA's buffered frames.
+//! Endpoints own no working memory of their own, so per-SA state stays
+//! what the protocol needs and a fleet of 2¹⁸ SAs keeps one arena, not
+//! 2¹⁸. The arena is opened at the start of a drain, frozen once at its
+//! end, and reclaimed by the next drain when the consumer has dropped
+//! every payload of this one; until then the next drain allocates a
+//! fresh arena.
+//!
 //! # The pending-save index
 //!
 //! Alongside the slabs, the database maintains one ordered due-set per
@@ -36,7 +49,7 @@ use reset_stable::{StableError, StableStore};
 
 use anti_replay::{Phase, SeqNum};
 
-use crate::esp::{Inbound, Outbound, RxReject, RxResult};
+use crate::esp::{DrainScratch, Inbound, Outbound, RxReject, RxResult};
 use crate::IpsecError;
 
 /// Both directional endpoints torn out of the database by
@@ -54,7 +67,9 @@ pub struct RemovedSa<S> {
 /// Endpoint storage is slab-based with a `BTreeMap` SPI index per
 /// direction (see the [crate docs](crate)): lookups and iteration are
 /// SPI-deterministic, while the endpoints themselves sit in contiguous
-/// vectors for cache-dense batch drains.
+/// vectors for cache-dense batch drains. The database also owns the
+/// receive drain's working memory and its one decryption arena, reused
+/// from run to run and drain to drain ([`Sadb::process_batch`]).
 ///
 /// # Examples
 ///
@@ -93,6 +108,8 @@ pub struct Sadb<S> {
     /// deferring the rebuild keeps the recover-storm loop free of
     /// per-SA index maintenance it would immediately throw away.
     saves_stale: bool,
+    /// The receive drain's working memory (see the module docs).
+    scratch: DrainScratch,
 }
 
 impl<S> Sadb<S> {
@@ -122,6 +139,7 @@ impl<S: StableStore> Sadb<S> {
             saves_out: BTreeSet::new(),
             saves_in: BTreeSet::new(),
             saves_stale: false,
+            scratch: DrainScratch::default(),
         }
     }
 
@@ -330,13 +348,20 @@ impl<S: StableStore> Sadb<S> {
     /// result per packet.
     ///
     /// Packets are dispatched in runs of equal SPI so the SA lookup (and
-    /// the run's shared decryption arena inside
-    /// [`Inbound::process_batch`]) is amortized across each run rather
-    /// than paid per packet. Per-packet failures — unknown SPI, bad
-    /// framing, failed authentication — come back in-line as
-    /// [`RxResult::Rejected`] instead of aborting the drain. This is the
-    /// database's only receive verb: a single frame is a batch of one
-    /// (see the memory caveat on [`Inbound::process_batch`]).
+    /// the run's batched verify and decrypt inside the drain body) is
+    /// amortized across each run rather than paid per packet; the
+    /// working memory and the decryption arena belong to the database
+    /// and are reused from run to run and batch to batch, so a warmed-up
+    /// drain allocates its result vector and nothing else. Per-packet
+    /// failures — unknown SPI, bad framing, failed authentication — come
+    /// back in-line as [`RxResult::Rejected`] instead of aborting the
+    /// drain. This is the database's only receive verb: a single frame
+    /// is a batch of one.
+    ///
+    /// Memory caveat: every encrypted payload this call delivers, for
+    /// whichever SA, is a slice of the drain's one arena. Retaining any
+    /// of them pins that whole buffer and makes the next drain allocate
+    /// a fresh one; copy out (`Bytes::copy_from_slice`) what you keep.
     ///
     /// # Errors
     ///
@@ -361,21 +386,26 @@ impl<S: StableStore> Sadb<S> {
     /// # Ok::<(), reset_ipsec::IpsecError>(())
     /// ```
     pub fn process_batch(&mut self, wires: &[Bytes]) -> Result<Vec<RxResult>, IpsecError> {
-        Ok(self.process_batch_routed(wires.len(), |i| &wires[i]))
+        let mut out = Vec::with_capacity(wires.len());
+        self.process_batch_routed(wires.len(), |i| &wires[i], &mut out);
+        Ok(out)
     }
 
     /// Routed form of [`Sadb::process_batch`], and its implementation:
-    /// drains the `n` frames `at(0..n)` in that order. The sharded
-    /// fan-out passes `|i| &batch[route[i]]` to drain its share of a
-    /// *shared* batch without cloning a per-shard `Vec<Bytes>` first;
-    /// the slice form passes `|i| &wires[i]`. Runs of equal SPI are
-    /// detected over that view and handed to the SA's gather drain.
+    /// drains the `n` frames `at(0..n)` in that order, appending one
+    /// result per frame to `out` (the gateway passes a vector it reuses).
+    /// The sharded fan-out passes `|i| &batch[route[i]]` to drain its
+    /// share of a *shared* batch without cloning a per-shard `Vec<Bytes>`
+    /// first; the slice form passes `|i| &wires[i]`. Runs of equal SPI
+    /// are detected over that view and handed to the SA's drain body,
+    /// all inside one drain of the database's scratch.
     pub(crate) fn process_batch_routed<'w>(
         &mut self,
         n: usize,
         at: impl Fn(usize) -> &'w Bytes + Copy,
-    ) -> Vec<RxResult> {
-        let mut out = Vec::with_capacity(n);
+        out: &mut Vec<RxResult>,
+    ) {
+        self.scratch.begin((0..n).map(|i| at(i).len()).sum());
         let mut i = 0;
         while i < n {
             let wire = at(i);
@@ -398,7 +428,7 @@ impl<S: StableStore> Sadb<S> {
                 Some(slot) => {
                     let inbound = self.in_slots[slot as usize].as_mut().expect("indexed");
                     let was_pending = inbound.seq_state().pending_save().is_some();
-                    out.extend(inbound.process_batch_gather(j - i, (i..j).map(at)));
+                    inbound.drain_run(&mut self.scratch, (i..j).map(at), out);
                     let now_pending = inbound.seq_state().pending_save().is_some();
                     if now_pending && !was_pending {
                         self.saves_in.insert(spi);
@@ -410,7 +440,7 @@ impl<S: StableStore> Sadb<S> {
             }
             i = j;
         }
-        out
+        self.scratch.finish(out);
     }
 
     /// A host-wide reset: every SA loses its volatile counters (and any
@@ -524,7 +554,7 @@ impl<S: StableStore> Sadb<S> {
         for (&spi, &slot) in self.in_index.iter() {
             let i = self.in_slots[slot as usize].as_mut().expect("indexed");
             if i.phase() == Phase::Waking {
-                let outcomes = i.finish_wakeup()?;
+                let outcomes = i.finish_wakeup_with(&mut self.scratch)?;
                 buffered.extend(outcomes.into_iter().map(|r| (spi, r)));
                 n += 1;
             }
@@ -903,7 +933,8 @@ mod tests {
                                                         // A shard's view: every other frame, arrival order preserved.
         let route: Vec<u32> = (0..batch.len() as u32).filter(|i| i % 2 == 0).collect();
         let gathered: Vec<Bytes> = route.iter().map(|&i| batch[i as usize].clone()).collect();
-        let routed = db_routed.process_batch_routed(route.len(), |i| &batch[route[i] as usize]);
+        let mut routed = Vec::new();
+        db_routed.process_batch_routed(route.len(), |i| &batch[route[i] as usize], &mut routed);
         let contig = db_contig.process_batch(&gathered).unwrap();
         assert_eq!(routed.len(), route.len());
         assert_eq!(routed, contig);

@@ -109,7 +109,7 @@ fn machine_save_threshold_near_ceiling() {
     let fx = m.step(SfEvent::Send);
     assert_eq!(
         fx,
-        vec![SfEffect::Sent(SeqNum::new(u64::MAX - 2))],
+        [SfEffect::Sent(SeqNum::new(u64::MAX - 2))],
         "a send near the ceiling must not trip an overflowed threshold"
     );
     assert_eq!(m.last_stored(), u64::MAX - 2 * k - 2 + 2 * k);
@@ -200,7 +200,7 @@ fn fetch_fault_differential_fail_closed() {
             .begin_wakeup()
             .expect_err("scripted FETCH fault must surface");
         let fx = pure.step(SfEvent::FetchFault(kind));
-        assert_eq!(fx, vec![SfEffect::FailedClosed(kind)], "{err}");
+        assert_eq!(fx, [SfEffect::FailedClosed(kind)], "{err}");
         assert_eq!(q.machine(), &pure, "driver/machine parity after {kind:?}");
         assert_eq!(q.phase(), Phase::Down, "fail closed: still down");
         assert_eq!(

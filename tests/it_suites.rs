@@ -5,9 +5,11 @@
 //! `CipherSuite::verify_batch` exists purely as an amortization (the
 //! HMAC suite's two-pass verifier); it must never change results. These
 //! tests pin that at three levels: the raw suite API against the wire
-//! codec, the `Inbound` drain against a per-frame oracle assembled from
-//! the wire codec and a plain window, and the `Sadb` drain against
-//! itself under every cut of the queue into batches.
+//! codec, the drain — through `Inbound` (scratch local to the call) and
+//! through `Sadb` (one persistent scratch and arena) — against a
+//! per-frame oracle assembled from the wire codec and a plain window,
+//! and the `Sadb` drain against itself under every cut of the queue
+//! into batches.
 
 use anti_replay::{AntiReplayWindow, RxOutcome, SeqNum, Verdict};
 use bytes::Bytes;
@@ -205,15 +207,62 @@ fn oracle_verdict(
     }
 }
 
+/// A seeded stream of fresh, reordered, replayed, bit-flipped, truncated
+/// and foreign-SPI frames for one SA. It starts just above `edge0`, 40
+/// below 2^32, walks across the boundary and then jumps ahead by almost
+/// 2^31 — so in a drain that takes it whole the ESN guesses made at the
+/// start go stale and the re-verify branch carries the tail.
+fn hostile_stream(spi: u32, cipher: &dyn CipherSuite, edge0: u64, rng: &mut DetRng) -> Vec<Bytes> {
+    let mut fresh: Vec<Bytes> = Vec::new();
+    let mut stream: Vec<Bytes> = Vec::new();
+    let mut seq = edge0;
+    for i in 0..160u32 {
+        seq += 1 + rng.below(3); // small gaps leave holes behind the edge
+        if i == 110 {
+            seq += (1 << 31) - 25;
+        }
+        let mut payload = vec![0u8; rng.below(90) as usize];
+        rng.fill_bytes(&mut payload);
+        let wire = seal_frame(spi, seq, &payload, cipher, true).unwrap();
+        fresh.push(wire.clone());
+        stream.push(wire);
+        let victim = fresh[rng.below(fresh.len() as u64) as usize].clone();
+        match rng.below(8) {
+            0 => stream.push(victim), // replay
+            1 => {
+                let mut bad = victim.to_vec();
+                let idx = rng.below(bad.len() as u64) as usize;
+                bad[idx] ^= 1 << rng.below(8);
+                stream.push(Bytes::from(bad));
+            }
+            2 => stream.push(victim.slice(..rng.below(victim.len() as u64) as usize)),
+            3 => {
+                let mut foreign = victim.to_vec();
+                foreign[0..4].copy_from_slice(&0x0BAD_5B1Du32.to_be_bytes());
+                stream.push(Bytes::from(foreign));
+            }
+            4 if stream.len() >= 2 => {
+                let last = stream.len() - 1;
+                stream.swap(last, last - 1); // reorder
+            }
+            _ => {}
+        }
+    }
+    stream
+}
+
+/// A store from which FETCH + 2K leap wakes a receiver exactly at `edge0`.
+fn store_waking_at(spi: u32, edge0: u64, k: u64) -> MemStable {
+    let mut store = MemStable::new();
+    store.store(SlotId::receiver(spi), edge0 - 2 * k).unwrap();
+    store
+}
+
 #[test]
 fn inbound_drain_matches_wire_and_window_oracle_across_esn_boundary() {
-    // The one receive path against an independent reference. A seeded
-    // stream of fresh, reordered, replayed, bit-flipped, truncated and
-    // foreign-SPI frames starts 40 below 2^32, walks across the boundary
-    // and then jumps ahead by almost 2^31 — so in the whole-stream drain
-    // the ESN guesses made at batch start go stale and the re-verify
-    // branch carries the tail. Every cut of the stream must reproduce
-    // the oracle's per-frame prediction exactly.
+    // The one receive path against an independent reference, over the
+    // hostile stream: every cut of it must reproduce the oracle's
+    // per-frame prediction exactly.
     const SPI: u32 = 0x0E5A;
     const K: u64 = 10;
     const W: u64 = 64;
@@ -222,42 +271,7 @@ fn inbound_drain_matches_wire_and_window_oracle_across_esn_boundary() {
         let sa = SecurityAssociation::new(SPI, SaKeys::derive(b"oracle", b"d")).with_suite(suite);
         let cipher = sa.cipher();
         let mut rng = DetRng::new(0x0E5A_0000 + n as u64);
-
-        let mut fresh: Vec<Bytes> = Vec::new();
-        let mut stream: Vec<Bytes> = Vec::new();
-        let mut seq = edge0;
-        for i in 0..160u32 {
-            seq += 1 + rng.below(3); // small gaps leave holes behind the edge
-            if i == 110 {
-                seq += (1 << 31) - 25;
-            }
-            let mut payload = vec![0u8; rng.below(90) as usize];
-            rng.fill_bytes(&mut payload);
-            let wire = seal_frame(SPI, seq, &payload, cipher, true).unwrap();
-            fresh.push(wire.clone());
-            stream.push(wire);
-            let victim = fresh[rng.below(fresh.len() as u64) as usize].clone();
-            match rng.below(8) {
-                0 => stream.push(victim), // replay
-                1 => {
-                    let mut bad = victim.to_vec();
-                    let idx = rng.below(bad.len() as u64) as usize;
-                    bad[idx] ^= 1 << rng.below(8);
-                    stream.push(Bytes::from(bad));
-                }
-                2 => stream.push(victim.slice(..rng.below(victim.len() as u64) as usize)),
-                3 => {
-                    let mut foreign = victim.to_vec();
-                    foreign[0..4].copy_from_slice(&0x0BAD_5B1Du32.to_be_bytes());
-                    stream.push(Bytes::from(foreign));
-                }
-                4 if stream.len() >= 2 => {
-                    let last = stream.len() - 1;
-                    stream.swap(last, last - 1); // reorder
-                }
-                _ => {}
-            }
-        }
+        let stream = hostile_stream(SPI, cipher, edge0, &mut rng);
 
         let mut window = AntiReplayWindow::with_right_edge(W, SeqNum::new(edge0), true);
         let predicted: Vec<RxResult> = stream
@@ -275,9 +289,7 @@ fn inbound_drain_matches_wire_and_window_oracle_across_esn_boundary() {
 
         for chunk in [1, 7, stream.len()] {
             // A receiver woken by FETCH + 2K leap exactly at `edge0`.
-            let mut store = MemStable::new();
-            store.store(SlotId::receiver(SPI), edge0 - 2 * K).unwrap();
-            let mut rx = Inbound::new(sa.clone(), store, K, W);
+            let mut rx = Inbound::new(sa.clone(), store_waking_at(SPI, edge0, K), K, W);
             rx.reset();
             rx.wake_up().unwrap();
             assert_eq!(rx.seq_state().right_edge().value(), edge0);
@@ -289,6 +301,145 @@ fn inbound_drain_matches_wire_and_window_oracle_across_esn_boundary() {
                 assert_eq!(got, want, "{suite:?} chunk {chunk} frame {i}");
             }
             assert_eq!(got.len(), predicted.len());
+        }
+    }
+}
+
+#[test]
+fn sadb_drain_with_persistent_scratch_matches_the_oracle_and_a_fresh_scratch() {
+    // The twin of the test above for the path a gateway runs: the `Sadb`
+    // keeps ONE scratch and ONE arena across every SPI run of every
+    // batch, so anything a run or a batch leaves behind in it — a stale
+    // verdict, a decrypt job, a result fix-up, arena bytes — would reach
+    // the next. Two SAs of different suites, each with its own hostile
+    // stream across the ESN boundary, interleaved in runs of 1–5 frames;
+    // the queue is cut into batches of 1, of 7, whole, and one large batch
+    // followed by small ones (the arena shrinks back into a buffer sized
+    // for more). Each batch's results are checked and DROPPED before the
+    // next batch, so the arena really is recycled, against
+    //  * the per-frame oracle, and
+    //  * the same frames through standalone `Inbound`s, whose scratch is
+    //    fresh for every call. (A `Sadb` cannot be swapped for a fresh one
+    //    mid-stream without losing its windows, so the fresh scratch comes
+    //    from the standalone verb; both run the same drain body.)
+    const SPIS: [u32; 2] = [0x0E5A, 0x0E5B];
+    const K: u64 = 10;
+    const W: u64 = 64;
+    let edge0 = (1u64 << 32) - 40;
+    for (n, &suite) in CryptoSuite::ALL.iter().enumerate() {
+        let suites = [suite, CryptoSuite::ALL[(n + 1) % CryptoSuite::ALL.len()]];
+        let sas = [0, 1].map(|i| {
+            SecurityAssociation::new(SPIS[i], SaKeys::derive(b"oracle-sadb", &[i as u8]))
+                .with_suite(suites[i])
+        });
+        let mut rng = DetRng::new(0x5ADB_0E5A + n as u64);
+        let mut streams =
+            [0, 1].map(|i| hostile_stream(SPIS[i], sas[i].cipher(), edge0, &mut rng).into_iter());
+        let mut queue: Vec<Bytes> = Vec::new();
+        while streams.iter().any(|s| s.len() > 0) {
+            let from = rng.below(2) as usize;
+            queue.extend(streams[from].by_ref().take(1 + rng.below(5) as usize));
+        }
+
+        // The per-frame prediction: what `Sadb` adds to the SA-level
+        // oracle is the SPI lookup in front of it.
+        let mut windows =
+            [0, 1].map(|_| AntiReplayWindow::with_right_edge(W, SeqNum::new(edge0), true));
+        let predicted: Vec<RxResult> = queue
+            .iter()
+            .map(|wire| match peek_spi(wire) {
+                None => RxResult::Rejected(RxReject::Wire(WireError::Truncated {
+                    needed: 4,
+                    got: wire.len(),
+                })),
+                Some(spi) => match SPIS.iter().position(|&s| s == spi) {
+                    None => RxResult::Rejected(RxReject::UnknownSa { spi }),
+                    Some(i) => oracle_verdict(wire, spi, sas[i].cipher(), &mut windows[i]),
+                },
+            })
+            .collect();
+        let delivered = predicted.iter().filter(|r| r.is_delivered()).count();
+        assert!(delivered >= 300, "{suites:?}: delivered {delivered}");
+        assert!(windows
+            .iter()
+            .all(|w| w.right_edge().value() > (1 << 32) + (1 << 31)));
+
+        let n_frames = queue.len();
+        // (name, first batch, every later batch)
+        let cuts = [
+            ("1", 1, 1),
+            ("7", 7, 7),
+            ("whole", n_frames, n_frames),
+            ("large-then-small", n_frames * 3 / 4, 3),
+        ];
+        for (cut, first, rest) in cuts {
+            let mut db: Sadb<MemStable> = Sadb::new();
+            let mut alone: Vec<Inbound<MemStable>> = Vec::new();
+            for (i, sa) in sas.iter().enumerate() {
+                let rx = db.install_inbound(sa.clone(), store_waking_at(SPIS[i], edge0, K), K, W);
+                rx.reset();
+                rx.wake_up().unwrap();
+                assert_eq!(rx.seq_state().right_edge().value(), edge0);
+                let mut rx = Inbound::new(sa.clone(), store_waking_at(SPIS[i], edge0, K), K, W);
+                rx.reset();
+                rx.wake_up().unwrap();
+                alone.push(rx);
+            }
+            // One payload of the first batch is kept to the end: it pins
+            // that drain's arena, which later drains must not touch.
+            let mut kept: Option<(usize, Bytes)> = None;
+            let (mut at, mut size) = (0, first);
+            while at < n_frames {
+                let batch = &queue[at..n_frames.min(at + size)];
+                let got = db.process_batch(batch).unwrap();
+                assert_eq!(got.len(), batch.len());
+                for (i, (got, want)) in got.iter().zip(&predicted[at..]).enumerate() {
+                    assert_eq!(got, want, "{suites:?} cut {cut} frame {}", at + i);
+                }
+                // The fresh-scratch twin: this batch's frames, per SA,
+                // through the standalone verb.
+                for (i, rx) in alone.iter_mut().enumerate() {
+                    let is_mine = |w: &&Bytes| peek_spi(w) == Some(SPIS[i]);
+                    let mine: Vec<Bytes> = batch.iter().filter(is_mine).cloned().collect();
+                    let theirs: Vec<&RxResult> = batch
+                        .iter()
+                        .zip(&got)
+                        .filter(|(w, _)| is_mine(w))
+                        .map(|(_, r)| r)
+                        .collect();
+                    let fresh = rx.process_batch(&mine).unwrap();
+                    assert_eq!(
+                        fresh.iter().collect::<Vec<_>>(),
+                        theirs,
+                        "{suites:?} cut {cut}"
+                    );
+                }
+                if kept.is_none() {
+                    kept = got.iter().enumerate().find_map(|(i, r)| match r {
+                        RxResult::Delivered { payload, .. } if !payload.is_empty() => {
+                            Some((at + i, payload.clone()))
+                        }
+                        _ => None,
+                    });
+                }
+                at += batch.len();
+                size = rest;
+                // `got` drops here, and with it every payload but `kept`.
+            }
+            let (i, payload) = kept.expect("something was delivered");
+            assert!(
+                matches!(&predicted[i], RxResult::Delivered { payload: want, .. } if *want == payload),
+                "{suites:?} cut {cut}: a retained payload was overwritten by a later drain"
+            );
+            for (i, rx) in alone.iter().enumerate() {
+                let through_db = db.inbound(SPIS[i]).unwrap();
+                assert_eq!(through_db.auth_failures(), rx.auth_failures(), "cut {cut}");
+                assert_eq!(
+                    through_db.seq_state().right_edge(),
+                    windows[i].right_edge(),
+                    "cut {cut}"
+                );
+            }
         }
     }
 }
