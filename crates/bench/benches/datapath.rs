@@ -1,15 +1,8 @@
-//! Bench: the rebuilt ESP receive datapath.
+//! Bench: the ESP receive datapath, from one SA's drain up to the
+//! gateway's. (The primitive-level groups that used to open this file —
+//! `icv_64B`, `sha256`, `icv_batch_64B` — are the `crypto.verify_batch_ns`
+//! and `wire.verify_ns` rows of the benchmark of record, `benchmark/`.)
 //!
-//! One benchmark per optimization of the fast-path PR, each phrased as
-//! before/after so the speedup is read straight off the report:
-//!
-//! * `icv_64B` — per-packet HMAC-SHA-256-96 with the one-shot key
-//!   schedule vs the SA's precomputed [`HmacKey`] (claim: ≥1.5× on
-//!   64-byte payloads).
-//! * `sha256` — the one-shot hash at 64B and 4KiB, tracking the
-//!   2×-unrolled compression loop.
-//! * `icv_batch_64B` — per-packet `verify_frame_with` vs the HMAC
-//!   suite's amortized `verify_batch` over a 512-frame SA queue.
 //! * `suite_rx` — the batched receive pipeline per negotiable cipher
 //!   suite (legacy HMAC+keystream, auth-only, ChaCha20-Poly1305),
 //!   pinned to the scalar crypto backend so the CI-gated numbers are
@@ -29,88 +22,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use bytes::Bytes;
-use reset_crypto::{hmac_sha256_96, sha256, CipherSuite, FrameToVerify, HmacKey, HmacSha256Suite};
 use reset_ipsec::{
     Backend, CryptoSuite, GatewayBuilder, Inbound, Outbound, SaKeys, Sadb, SecurityAssociation,
 };
 use reset_stable::MemStable;
 use reset_telemetry::Telemetry;
-use reset_wire::{seal_frame, verify_frame_with, HEADER_LEN};
-
-const KEY: &[u8] = b"datapath-bench-auth-key-32bytes!";
-
-fn bench_icv_64b(c: &mut Criterion) {
-    let msg = [0xA5u8; 64];
-    let mut g = c.benchmark_group("datapath/icv_64B");
-    g.throughput(Throughput::Bytes(64));
-    g.bench_function("oneshot_keyschedule", |b| {
-        b.iter(|| std::hint::black_box(hmac_sha256_96(KEY, &msg)))
-    });
-    let hk = HmacKey::new(KEY);
-    g.bench_function("precomputed_key", |b| {
-        b.iter(|| std::hint::black_box(hk.mac_96(&msg)))
-    });
-    g.finish();
-}
-
-fn bench_sha256(c: &mut Criterion) {
-    // The SHA-256 compression loop is the bottom of every ICV and
-    // keystream cost in the pipeline; benchmarked one-shot at a
-    // single-block-ish and a streaming size.
-    let mut g = c.benchmark_group("datapath/sha256");
-    for len in [64usize, 4096] {
-        let data = vec![0x6Bu8; len];
-        g.throughput(Throughput::Bytes(len as u64));
-        g.bench_function(BenchmarkId::new("oneshot", format!("{len}B")), |b| {
-            b.iter(|| std::hint::black_box(sha256(&data)))
-        });
-    }
-    g.finish();
-}
-
-fn bench_icv_batch(c: &mut Criterion) {
-    // Verifying a whole SA's pending queue: per-packet
-    // `verify_frame_with` vs the suite's amortized `verify_batch`.
-    const BATCH: usize = 512;
-    let suite = HmacSha256Suite::auth_only(KEY);
-    let frames: Vec<Bytes> = (1..=BATCH)
-        .map(|i| seal_frame(9, i as u64, &[0xB7u8; 64], &suite, false).unwrap())
-        .collect();
-    let mut g = c.benchmark_group("datapath/icv_batch_64B");
-    g.throughput(Throughput::Elements(BATCH as u64));
-    g.bench_function("sequential_verify", |b| {
-        b.iter(|| {
-            let mut ok = 0usize;
-            for f in &frames {
-                if verify_frame_with(f, &suite, None).is_ok() {
-                    ok += 1;
-                }
-            }
-            assert_eq!(ok, BATCH);
-            std::hint::black_box(ok)
-        })
-    });
-    let icv_len = suite.icv_len();
-    let items: Vec<FrameToVerify<'_>> = frames
-        .iter()
-        .map(|f| FrameToVerify {
-            seq: u32::from_be_bytes(f[4..8].try_into().unwrap()) as u64,
-            header: &f[..HEADER_LEN],
-            ciphertext: &f[HEADER_LEN..f.len() - icv_len],
-            esn_hi: None,
-            icv: &f[f.len() - icv_len..],
-        })
-        .collect();
-    g.bench_function("verify_batch", |b| {
-        let mut ok: Vec<bool> = Vec::with_capacity(BATCH);
-        b.iter(|| {
-            suite.verify_batch(&items, &mut ok);
-            assert!(ok.iter().all(|&v| v));
-            std::hint::black_box(ok.len())
-        })
-    });
-    g.finish();
-}
 
 fn suite_rx_group(c: &mut Criterion, group: &str, backend: Backend) {
     // The per-suite receive pipeline: batched drain of a 1024-packet
@@ -278,9 +194,6 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_icv_64b,
-    bench_sha256,
-    bench_icv_batch,
     bench_suite_rx,
     bench_suite_rx_backends,
     bench_gateway_drain,

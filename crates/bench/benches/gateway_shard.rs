@@ -1,53 +1,36 @@
-//! Bench: the sharded gateway's batched receive path and reset
-//! recovery on the persistent worker-pool runtime, swept over
-//! worker-shard counts on a 256-SA fleet.
+//! Bench: the sharded gateway's reset recovery on the persistent
+//! worker-pool runtime, swept over worker-shard counts on a 256-SA
+//! fleet.
 //!
-//! Four benchmarks, each at shards ∈ {1, 2, 4, 8} plus a
-//! `plain_gateway` baseline (the unsharded [`Gateway`], same fleet —
-//! the parity bar the pool must meet on one core):
+//! One benchmark, at shards ∈ {1, 2, 4, 8} plus a `plain_gateway`
+//! baseline (the unsharded [`Gateway`], same fleet — the parity bar the
+//! pool must meet on one core):
 //!
-//! * `rx_fresh_4096f_256sa` — one 4096-frame NIC-queue drain of fresh
-//!   traffic interleaved round-robin across 256 SAs (full pipeline:
-//!   fan-out → per-shard batch verify → window → decrypt → event
-//!   merge). The receiver fleet and its worker pool are built **once,
-//!   outside the measured closure**; each iteration's input is a
-//!   freshly sealed batch with advancing sequence numbers (sealed in
-//!   the setup half of `iter_batched`, off the clock), so every timed
-//!   drain delivers without ever reconstructing — or re-spawning — the
-//!   pool.
-//! * `rx_replay_4096f_256sa` — the same drain in replay steady state
-//!   (authenticate + window reject, no decrypt): the in-window
-//!   duplicate path a gateway burns CPU on under a replay storm.
 //! * `recover_storm_256sa` — `reset()` + shard-parallel `recover()` of
 //!   the whole fleet (FETCH + `2K` leap + synchronous SAVE on all 256
 //!   SA directions) on the persistent pool. Before the pool this group
 //!   isolated the scoped spawn-per-verb cost (~30 µs/thread on the CI
 //!   kernel); now it must sit at parity or better vs `plain_gateway`
 //!   even on one core.
-//! * `pipeline_8x512f_256sa` — seal-then-drain of eight 512-frame
-//!   chunks: `sync_push` seals each chunk and then blocks in
-//!   `push_wire_batch`; `submit_drain` overlaps sealing chunk *i+1*
-//!   with the shards draining chunk *i* via `submit_batch` /
-//!   `drain_events`. On a multi-core host the overlap hides the seal
-//!   cost; on one core it measures the queueing overhead of the split.
 //!
-//! Shard scaling is a *core-count* lever: on an N-core host the 4-shard
-//! drain approaches 4× one shard; on a single-core host (CI containers)
-//! the sweep instead measures the pool machinery — fan-out, queue
+//! The receive-path sweeps that used to live here (`rx_fresh_*`,
+//! `rx_replay_*`, `pipeline_*`) are the `sharded_small` workload and the
+//! `ipsec.shard.*` rows of the benchmark of record (`benchmark/`).
+//!
+//! Shard scaling is a *core-count* lever: on a single-core host (CI
+//! containers) the sweep measures the pool machinery — queue
 //! round-trips, deterministic event merge — which must stay small.
 //! `BENCH_datapath.json` records `cores` with every entry so readers
 //! know which kind of host produced the numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use bytes::Bytes;
 use reset_ipsec::{
     CryptoSuite, Gateway, GatewayBuilder, SaKeys, SecurityAssociation, ShardedGateway,
 };
 use reset_stable::MemStable;
 
 const N_SAS: u32 = 256;
-const FRAMES: usize = 4096;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn sa_for(spi: u32) -> SecurityAssociation {
@@ -78,96 +61,6 @@ fn plain_rx_fleet() -> Gateway<MemStable> {
         rx.install_inbound(sa_for(spi));
     }
     rx
-}
-
-fn tx_fleet() -> Gateway<MemStable> {
-    let mut tx: Gateway<MemStable> = GatewayBuilder::in_memory().save_interval(64).build();
-    for spi in 1..=N_SAS {
-        tx.install_outbound(sa_for(spi));
-    }
-    tx
-}
-
-/// Seals the next `n` frames from the persistent sender fleet,
-/// round-robin across the 256 SAs — sequence numbers keep advancing,
-/// so consecutive batches are always fresh to any receiver that has
-/// seen the earlier ones.
-fn seal_batch(tx: &mut Gateway<MemStable>, n: usize) -> Vec<Bytes> {
-    let payload = [0x5Au8; 64];
-    (0..n)
-        .map(|i| {
-            let spi = 1 + (i as u32 % N_SAS);
-            tx.protect(spi, &payload).unwrap().expect("tx up").wire
-        })
-        .collect()
-}
-
-fn bench_rx_fresh(c: &mut Criterion) {
-    let mut g = c.benchmark_group("gateway_shard/rx_fresh_4096f_256sa");
-    g.throughput(Throughput::Elements(FRAMES as u64));
-    g.sample_size(10);
-    {
-        let mut tx = tx_fleet();
-        let mut rx = plain_rx_fleet();
-        g.bench_function("plain_gateway", |b| {
-            b.iter_batched(
-                || seal_batch(&mut tx, FRAMES),
-                |frames| {
-                    rx.push_wire_batch(&frames).unwrap();
-                    rx.poll_events()
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    for shards in SHARD_COUNTS {
-        // The pool spawns here, once; only seal (setup, off the clock)
-        // and drain (routine) happen per iteration.
-        let mut tx = tx_fleet();
-        let mut rx = rx_fleet(shards);
-        g.bench_function(BenchmarkId::from_parameter(shards), |b| {
-            b.iter_batched(
-                || seal_batch(&mut tx, FRAMES),
-                |frames| {
-                    rx.push_wire_batch(&frames).unwrap();
-                    rx.poll_events()
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-fn bench_rx_replay(c: &mut Criterion) {
-    let frames = seal_batch(&mut tx_fleet(), FRAMES);
-    let mut g = c.benchmark_group("gateway_shard/rx_replay_4096f_256sa");
-    g.throughput(Throughput::Elements(FRAMES as u64));
-    {
-        let mut rx = plain_rx_fleet();
-        rx.push_wire_batch(&frames).unwrap();
-        rx.poll_events();
-        g.bench_function("plain_gateway", |b| {
-            b.iter(|| {
-                rx.push_wire_batch(&frames).unwrap();
-                rx.poll_events()
-            })
-        });
-    }
-    for shards in SHARD_COUNTS {
-        let mut rx = rx_fleet(shards);
-        // Warm delivery pass; every timed pass is then a pure replay
-        // storm (authenticate + in-window duplicate reject).
-        rx.push_wire_batch(&frames).unwrap();
-        rx.poll_events();
-        g.bench_function(BenchmarkId::from_parameter(shards), |b| {
-            b.iter(|| {
-                rx.push_wire_batch(&frames).unwrap();
-                rx.poll_events()
-            })
-        });
-    }
-    g.finish();
 }
 
 fn bench_recover_storm(c: &mut Criterion) {
@@ -202,50 +95,5 @@ fn bench_recover_storm(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_pipeline(c: &mut Criterion) {
-    const CHUNK: usize = 512;
-    const CHUNKS: usize = 8;
-    let mut g = c.benchmark_group("gateway_shard/pipeline_8x512f_256sa");
-    g.throughput(Throughput::Elements((CHUNK * CHUNKS) as u64));
-    g.sample_size(10);
-    for shards in [1usize, 4] {
-        {
-            let mut tx = tx_fleet();
-            let mut rx = rx_fleet(shards);
-            g.bench_function(BenchmarkId::new("sync_push", shards), |b| {
-                b.iter(|| {
-                    for _ in 0..CHUNKS {
-                        let chunk = seal_batch(&mut tx, CHUNK);
-                        rx.push_wire_batch(&chunk).unwrap();
-                    }
-                    rx.poll_events()
-                })
-            });
-        }
-        {
-            let mut tx = tx_fleet();
-            let mut rx = rx_fleet(shards);
-            g.bench_function(BenchmarkId::new("submit_drain", shards), |b| {
-                b.iter(|| {
-                    // Seal chunk i+1 while the shards drain chunk i;
-                    // one barrier at the end collects everything.
-                    for _ in 0..CHUNKS {
-                        let chunk = seal_batch(&mut tx, CHUNK);
-                        rx.submit_batch(&chunk);
-                    }
-                    rx.drain_events().unwrap()
-                })
-            });
-        }
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_rx_fresh,
-    bench_rx_replay,
-    bench_recover_storm,
-    bench_pipeline
-);
+criterion_group!(benches, bench_recover_storm);
 criterion_main!(benches);

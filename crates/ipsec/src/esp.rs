@@ -280,6 +280,17 @@ enum Parsed {
     },
 }
 
+/// One SPI run of a result vector: `len` consecutive verdicts, all for
+/// `spi`, classified by the inbound SA in slab slot `slot` of the
+/// [`crate::Sadb`] — `None` when no SA was (an unknown SPI, or a frame too
+/// short to carry one, which reports SPI 0).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    pub(crate) spi: u32,
+    pub(crate) slot: Option<u32>,
+    pub(crate) len: usize,
+}
+
 /// The working memory of the receive drain, reused across every SPI run
 /// of every batch so that the steady state allocates nothing. One drain
 /// is [`DrainScratch::begin`], any number of [`Inbound::drain_run`]s
@@ -288,6 +299,12 @@ enum Parsed {
 /// docs say why an [`Inbound`] does not.
 #[derive(Debug, Default)]
 pub(crate) struct DrainScratch {
+    /// How the database's last result vector falls into SPI runs, in
+    /// order and without gaps. Written by the database's run walker (and
+    /// its recovery sweep, whose result vector spans one drain per waking
+    /// SA — so `begin` leaves it alone); read by the gateway, which turns
+    /// verdicts into events run by run with the SA's record in hand.
+    pub(crate) runs: Vec<Run>,
     /// Phase-A records of the current run (phase B drains them).
     parsed: Vec<Parsed>,
     /// ICV verdicts of the current run's well-framed frames, in order.
@@ -427,8 +444,8 @@ impl<S: StableStore> Inbound<S> {
     ///   batch go through [`reset_crypto::CipherSuite::verify_batch`]
     ///   16 at a time; the HMAC suite's two-pass verifier amortizes the
     ///   one-shot SHA-256 padding assembly and outer-hash bookkeeping
-    ///   across each group (see `BENCH_datapath.json`,
-    ///   `datapath/icv_batch_64B`). ESN high halves are guessed at the
+    ///   across each group (the benchmark of record's
+    ///   `crypto.verify_batch_ns` row). ESN high halves are guessed at the
     ///   batch-start right edge; the rare frame whose guess is
     ///   invalidated by the window advancing across a 2³² boundary
     ///   mid-batch is re-verified individually, so the verdict is the

@@ -26,7 +26,7 @@
 //! [`Gateway::add_peer`] (symmetric shortcut) or
 //! [`Gateway::install_pair`] (e.g. from [`crate::run_handshake`]).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::time::Instant;
 
@@ -38,10 +38,10 @@ use reset_telemetry::{EventKind, Severity, Telemetry};
 use anti_replay::{Phase, RxOutcome, SeqNum};
 
 use crate::dpd::{DpdAction, DpdConfig, DpdDetector};
-use crate::esp::{RxReject, RxResult};
+use crate::esp::{Inbound, Outbound, RxReject, RxResult};
 use crate::rekey::{rekey, rekey_due, RekeyRequest};
 use crate::sa::{CryptoSuite, SaKeys, SaLifetime, SecurityAssociation};
-use crate::sadb::{RemovedSa, Sadb};
+use crate::sadb::{SaPolicy, Sadb};
 use crate::timer::TimerWheel;
 use crate::IpsecError;
 
@@ -343,14 +343,11 @@ impl<S: StableStore> GatewayBuilder<S> {
             shard_index: 0,
             recover_started: None,
             make_store: self.make_store,
-            dpd: BTreeMap::new(),
             dpd_unarmed: BTreeSet::new(),
             timer: TimerWheel::new(),
-            dpd_timer: BTreeMap::new(),
             timer_scratch: Vec::new(),
             rx_scratch: Vec::new(),
             rekey_due: BTreeSet::new(),
-            rekey_generation: BTreeMap::new(),
             pending_fail_closed: Vec::new(),
             events: VecDeque::new(),
             now_ns: 0,
@@ -420,22 +417,23 @@ pub struct Gateway<S> {
     /// spans the whole FETCH → wake-up SAVE window, retries included).
     recover_started: Option<Instant>,
     make_store: Box<dyn FnMut(u32, SaDirection) -> S + Send>,
-    /// One detector per inbound SPI (created when DPD is configured).
-    dpd: BTreeMap<u32, DpdDetector>,
-    /// Inbound SPIs whose detector has not been armed yet: arming waits
+    // Per-SA state (detector, live wheel deadline, rekey generation) is
+    // in the SA's record in the SADB, its `SaPolicy`, and leaves with it.
+    // The SPI-keyed fields below hold only work that is due: each entry
+    // is a hint, verified against the live record when drained, so none
+    // needs removing at teardown.
+    /// Due-list: inbound SPIs whose detector is to be armed. Arming waits
     /// for the first [`Gateway::tick`] (or delivered frame) so the idle
     /// clock starts at the driver's real time, not at install time.
     dpd_unarmed: BTreeSet<u32>,
     /// Hierarchical wheel holding every scheduled DPD deadline. Entries
-    /// are SPIs; only the entry whose deadline matches `dpd_timer` is
-    /// live — superseded or torn-down entries expire as stale no-ops.
+    /// are SPIs; only the one whose deadline matches the record's
+    /// `dpd_deadline` is live — superseded ones, and those of an SA torn
+    /// down since, expire as stale no-ops. The live deadline never
+    /// exceeds the detector's true next transition, so a tick can skip
+    /// every SPI the wheel does not surface; an entry that fires early
+    /// merely polls `Idle` and re-arms at the true deadline.
     timer: TimerWheel<u32>,
-    /// Deadline of the single *live* wheel entry per armed SPI. The
-    /// invariant is that the live deadline never exceeds the detector's
-    /// true next transition, so a tick can skip every SPI the wheel does
-    /// not surface; an entry that fires early merely polls `Idle` and
-    /// re-arms at the true deadline.
-    dpd_timer: BTreeMap<u32, u64>,
     /// Reusable drain buffer for due timers — the idle tick touches it
     /// without allocating.
     timer_scratch: Vec<(u64, u32)>,
@@ -443,16 +441,14 @@ pub struct Gateway<S> {
     /// land here and leave as events, so a single-frame
     /// [`Gateway::push_wire`] does not allocate a vector per frame.
     rx_scratch: Vec<RxResult>,
-    /// SPIs whose usage crossed the rekey lifetime, marked at accounting
-    /// time (protect / delivery / install) and drained by
+    /// Due-list: SPIs whose usage crossed the rekey lifetime, marked at
+    /// accounting time (protect / delivery / install) and drained by
     /// [`Gateway::tick`] — dueness is usage-driven, so it cannot be
     /// time-bucketed into the wheel.
     rekey_due: BTreeSet<u32>,
-    /// Rekey generation per SPI: folded into the deterministic nonces so
-    /// each generation derives fresh key material.
-    rekey_generation: BTreeMap<u32, u32>,
-    /// SAs whose wake-up FETCH failed in [`Gateway::begin_recover`],
-    /// carried to [`Gateway::finish_recover`] where they are replaced
+    /// Due-list: SAs whose wake-up FETCH failed in
+    /// [`Gateway::begin_recover`], with the reason, carried to
+    /// [`Gateway::finish_recover`] where those still down are replaced
     /// (fail closed) after the healthy SAs' recovery is reported.
     pending_fail_closed: Vec<(u32, String)>,
     events: VecDeque<GatewayEvent>,
@@ -525,20 +521,25 @@ impl<S: StableStore> Gateway<S> {
         self.install_inbound(sa);
     }
 
-    /// Installs an SA for sending only.
-    pub fn install_outbound(&mut self, sa: SecurityAssociation) {
-        let spi = sa.spi();
+    /// Counts an install and marks the due-at-install edge (a zero
+    /// lifetime): there is no tick sweep, so dueness must be marked
+    /// wherever usage state enters.
+    fn note_install(&mut self, sa: &SecurityAssociation) {
         if let Some(t) = &self.telemetry {
             t.class(sa.suite().name()).installs.incr();
         }
-        // Due-at-install edge (a zero lifetime): the tick sweep is gone,
-        // so dueness must be marked wherever usage state enters.
-        if let Some(lifetime) = self.rekey_after {
-            if rekey_due(&sa, &lifetime) {
-                self.rekey_due.insert(spi);
-            }
+        if self
+            .rekey_after
+            .is_some_and(|lifetime| rekey_due(sa, &lifetime))
+        {
+            self.rekey_due.insert(sa.spi());
         }
-        let store = (self.make_store)(spi, SaDirection::Outbound);
+    }
+
+    /// Installs an SA for sending only.
+    pub fn install_outbound(&mut self, sa: SecurityAssociation) {
+        self.note_install(&sa);
+        let store = (self.make_store)(sa.spi(), SaDirection::Outbound);
         self.sadb.install_outbound(sa, store, self.k);
     }
 
@@ -549,37 +550,32 @@ impl<S: StableStore> Gateway<S> {
     /// phantom idle gap).
     pub fn install_inbound(&mut self, sa: SecurityAssociation) {
         let spi = sa.spi();
-        if let Some(t) = &self.telemetry {
-            t.class(sa.suite().name()).installs.incr();
-        }
-        if let Some(lifetime) = self.rekey_after {
-            if rekey_due(&sa, &lifetime) {
-                self.rekey_due.insert(spi);
-            }
-        }
+        self.note_install(&sa);
         let store = (self.make_store)(spi, SaDirection::Inbound);
         self.sadb
             .install_inbound(sa, store, self.k, self.w)
             .set_wakeup_buffer(self.wakeup_buffer);
         if self.dpd_cfg.is_some() {
+            // Installing over a live receiver restarts its detector too:
+            // the one it had judged the SA this one replaces.
+            let record = self.sadb.record_mut(spi).expect("just installed");
+            record.policy.dpd = None;
             self.dpd_unarmed.insert(spi);
         }
     }
 
-    /// Tears down both directions of `spi`. Best-effort erases the
-    /// directions' persistent slots (so a later FETCH cannot resurrect
-    /// this SA's counters into a reused SPI). Returns whether anything
-    /// was removed.
+    /// Tears down both directions of `spi`. The record leaves the SADB
+    /// with everything kept for the SA (a wheel entry it still has expires
+    /// as a stale no-op), so a later SA under the same SPI starts from
+    /// scratch. Best-effort erases the directions' persistent slots (so a
+    /// later FETCH cannot resurrect this SA's counters into a reused
+    /// SPI). Returns whether anything was removed.
     pub fn remove_peer(&mut self, spi: u32) -> bool {
-        self.dpd.remove(&spi);
-        self.dpd_unarmed.remove(&spi);
-        // Any wheel entry the SPI still has goes stale with its
-        // `dpd_timer` record gone; it expires as a no-op.
-        self.dpd_timer.remove(&spi);
-        self.rekey_due.remove(&spi);
-        self.rekey_generation.remove(&spi);
-        let removed = self.remove_and_erase(spi);
-        if let (Some(t), Some(removed)) = (&self.telemetry, &removed) {
+        let Some(mut removed) = self.sadb.remove(spi) else {
+            return false;
+        };
+        erase_slots(spi, removed.outbound.as_mut(), removed.inbound.as_mut());
+        if let Some(t) = &self.telemetry {
             for sa in [
                 removed.outbound.as_ref().map(|o| o.sa()),
                 removed.inbound.as_ref().map(|i| i.sa()),
@@ -590,23 +586,7 @@ impl<S: StableStore> Gateway<S> {
                 t.class(sa.suite().name()).removals.incr();
             }
         }
-        removed.is_some()
-    }
-
-    /// [`Sadb::remove`] plus best-effort erasure of the removed
-    /// endpoints' persistent slots — the teardown duty
-    /// [`Sadb::remove`]'s docs assign to the caller. Erase failures are
-    /// swallowed: the slot then merely retains a stale value, which is
-    /// no worse than the pre-teardown state.
-    fn remove_and_erase(&mut self, spi: u32) -> Option<RemovedSa<S>> {
-        let mut removed = self.sadb.remove(spi)?;
-        if let Some(o) = removed.outbound.as_mut() {
-            let _ = o.store_mut().erase(SlotId::sender(spi));
-        }
-        if let Some(i) = removed.inbound.as_mut() {
-            let _ = i.store_mut().erase(SlotId::receiver(spi));
-        }
-        Some(removed)
+        true
     }
 
     // ------------------------------------------------------------------
@@ -621,24 +601,13 @@ impl<S: StableStore> Gateway<S> {
     /// [`IpsecError::UnknownSa`], lifetime exhaustion, or store
     /// failures.
     pub fn protect(&mut self, spi: u32, payload: &[u8]) -> Result<Option<SentFrame>, IpsecError> {
-        let rekey_after = self.rekey_after;
-        let out = self
-            .sadb
-            .outbound_mut(spi)
-            .ok_or(IpsecError::UnknownSa { spi })?;
-        let seq = out.seq_state().next_seq();
-        let was_pending = out.seq_state().pending_save().is_some();
-        let wire = out.protect(payload)?;
-        // Capture while the borrow is live, record after it ends: the
-        // pending-save index and the rekey due-set are what let
-        // `save_completed` and `tick` skip the rest of the fleet.
-        let now_pending = out.seq_state().pending_save().is_some();
-        let due = rekey_after.is_some_and(|lifetime| rekey_due(out.sa(), &lifetime));
-        if now_pending && !was_pending {
-            self.sadb.note_outbound_save(spi);
-        }
-        if due {
-            self.rekey_due.insert(spi);
+        let (wire, seq, record) = self.sadb.protect_on(spi, payload)?;
+        // Marked here, where usage changes: the rekey due-list is what
+        // lets `tick` skip the rest of the fleet.
+        if let (Some(lifetime), Some(out)) = (self.rekey_after, record.outbound()) {
+            if rekey_due(out.sa(), &lifetime) {
+                self.rekey_due.insert(spi);
+            }
         }
         Ok(wire.map(|wire| SentFrame { spi, seq, wire }))
     }
@@ -682,11 +651,8 @@ impl<S: StableStore> Gateway<S> {
         // Timing is gated on the handle so the uninstrumented path
         // never reads the clock.
         let started = self.telemetry.as_ref().map(|_| Instant::now());
-        let mut results = std::mem::take(&mut self.rx_scratch);
-        self.sadb.process_batch_routed(n, at, &mut results);
-        let spis = (0..n).map(|i| reset_wire::peek_spi(at(i)).unwrap_or(0));
-        self.emit_rx(spis.zip(results.drain(..)));
-        self.rx_scratch = results;
+        self.sadb.process_batch_routed(n, at, &mut self.rx_scratch);
+        self.emit_rx();
         if let (Some(t), Some(started)) = (&self.telemetry, started) {
             t.record_drain(
                 self.shard_index,
@@ -698,11 +664,46 @@ impl<S: StableStore> Gateway<S> {
         Ok(())
     }
 
-    /// Turns per-frame verdicts into events, in order.
-    fn emit_rx(&mut self, verdicts: impl IntoIterator<Item = (u32, RxResult)>) {
-        for (spi, result) in verdicts {
-            let ev = self.event_from_rx(spi, result);
-            self.emit(ev);
+    /// Turns the verdicts the SADB just left in `rx_scratch` into events,
+    /// in order, walking the SPI runs it recorded beside them: a run names
+    /// its SPI and its record's slot, so no frame is parsed and no SA
+    /// looked up again. What a delivery means for the SA's policies is
+    /// settled once per run that delivered anything: every step of it is
+    /// idempotent at a fixed clock and reads post-drain state.
+    fn emit_rx(&mut self) {
+        let mut results = std::mem::take(&mut self.rx_scratch);
+        let runs = std::mem::take(self.sadb.runs_mut());
+        let mut verdicts = results.drain(..);
+        for run in &runs {
+            let mut delivered = false;
+            for result in verdicts.by_ref().take(run.len) {
+                delivered |= result.is_delivered();
+                self.emit(event_from_rx(run.spi, result));
+            }
+            if let (true, Some(slot)) = (delivered, run.slot) {
+                self.note_delivery(run.spi, slot);
+            }
+        }
+        drop(verdicts);
+        self.rx_scratch = results;
+        *self.sadb.runs_mut() = runs;
+    }
+
+    /// Authenticated traffic arrived on the SA in slab slot `slot`: only
+    /// that proves the peer alive (and gives a detector still waiting for
+    /// its first clock reading one), and it is where inbound usage grows.
+    fn note_delivery(&mut self, spi: u32, slot: u32) {
+        let record = self.sadb.record_at_mut(slot);
+        if let Some(cfg) = self.dpd_cfg {
+            // Re-scheduling is usually a no-op (traffic pushes the
+            // deadline later); a grace-exit can pull it earlier, which
+            // must supersede the live entry.
+            heard_from(&mut record.policy, cfg, self.now_ns, &mut self.timer, spi);
+        }
+        if let (Some(lifetime), Some(inbound)) = (self.rekey_after, record.inbound()) {
+            if rekey_due(inbound.sa(), &lifetime) {
+                self.rekey_due.insert(spi);
+            }
         }
     }
 
@@ -726,38 +727,6 @@ impl<S: StableStore> Gateway<S> {
     /// (`build_sharded` assigns each shard its own).
     pub(crate) fn set_shard_index(&mut self, index: usize) {
         self.shard_index = index;
-    }
-
-    fn event_from_rx(&mut self, spi: u32, result: RxResult) -> GatewayEvent {
-        match result {
-            RxResult::Delivered { payload, seq } => {
-                // Only authenticated traffic proves liveness (and arms a
-                // detector still waiting for its first clock reading).
-                self.arm_dpd(spi);
-                if let Some(det) = self.dpd.get_mut(&spi) {
-                    det.on_traffic(self.now_ns);
-                    // Usually a no-op (traffic pushes the deadline
-                    // later); a grace-exit can pull it earlier, which
-                    // must supersede the live entry.
-                    self.schedule_dpd(spi);
-                }
-                if let Some(lifetime) = self.rekey_after {
-                    if let Some(i) = self.sadb.inbound(spi) {
-                        if rekey_due(i.sa(), &lifetime) {
-                            self.rekey_due.insert(spi);
-                        }
-                    }
-                }
-                GatewayEvent::Delivered { spi, seq, payload }
-            }
-            RxResult::AntiReplay { outcome, seq } => {
-                GatewayEvent::ReplayDropped { spi, seq, outcome }
-            }
-            RxResult::Rejected(RxReject::UnknownSa { spi }) => GatewayEvent::UnknownSa { spi },
-            RxResult::Rejected(_) => GatewayEvent::AuthFailed { spi },
-            RxResult::Buffered => GatewayEvent::Buffered { spi },
-            RxResult::DroppedDown => GatewayEvent::DroppedDown { spi },
-        }
     }
 
     /// Drains everything that happened since the last poll, in order.
@@ -784,9 +753,16 @@ impl<S: StableStore> Gateway<S> {
     pub fn tick(&mut self, now_ns: u64) {
         self.now_ns = now_ns;
         // Arm detectors installed since the last tick: their idle clock
-        // starts now, the first instant the driver's time is known.
+        // starts now, the first instant the driver's time is known. An
+        // entry whose receiver is gone, or was armed by a delivery since,
+        // is stale.
         while let Some(spi) = self.dpd_unarmed.pop_first() {
-            self.arm_dpd_at_now(spi);
+            let (Some(cfg), Some(record)) = (self.dpd_cfg, self.sadb.record_mut(spi)) else {
+                continue;
+            };
+            if record.inbound().is_some() && record.policy.dpd.is_none() {
+                heard_from(&mut record.policy, cfg, now_ns, &mut self.timer, spi);
+            }
         }
         // DPD first: a peer torn down here must not be rekeyed below.
         // Only SPIs the wheel surfaces as due are polled — tick cost is
@@ -796,24 +772,27 @@ impl<S: StableStore> Gateway<S> {
         if !self.timer_scratch.is_empty() {
             let mut due = std::mem::take(&mut self.timer_scratch);
             for &(deadline, spi) in &due {
-                if self.dpd_timer.get(&spi) != Some(&deadline) {
-                    continue; // superseded or torn down: stale entry
+                let Some(record) = self.sadb.record_mut(spi) else {
+                    continue; // torn down: stale entry
+                };
+                if record.policy.dpd_deadline != Some(deadline) {
+                    continue; // superseded, or a previous SA's: stale entry
                 }
-                self.dpd_timer.remove(&spi);
-                let Some(det) = self.dpd.get_mut(&spi) else {
+                record.policy.dpd_deadline = None;
+                let Some(det) = record.policy.dpd.as_mut() else {
                     continue;
                 };
-                match det.poll(now_ns) {
-                    DpdAction::Idle | DpdAction::PeerPresumedDown => {}
-                    DpdAction::SendProbe => self.emit(GatewayEvent::ProbeDue { spi }),
-                    DpdAction::TearDown => {
-                        self.remove_peer(spi);
-                        self.trace(Severity::Warn, "peer_dead", spi, 0);
-                        self.emit(GatewayEvent::PeerDead { spi });
-                        continue; // detector gone; nothing to re-arm
-                    }
+                let action = det.poll(now_ns);
+                if action == DpdAction::TearDown {
+                    self.remove_peer(spi);
+                    self.trace(Severity::Warn, "peer_dead", spi, 0);
+                    self.emit(GatewayEvent::PeerDead { spi });
+                    continue; // record gone; nothing to re-arm
                 }
-                self.schedule_dpd(spi);
+                schedule_dpd(&mut record.policy, &mut self.timer, spi);
+                if action == DpdAction::SendProbe {
+                    self.emit(GatewayEvent::ProbeDue { spi });
+                }
             }
             due.clear();
             self.timer_scratch = due;
@@ -827,58 +806,18 @@ impl<S: StableStore> Gateway<S> {
             let due = std::mem::take(&mut self.rekey_due);
             for spi in due {
                 let still_due = self.rekey_after.is_some_and(|lifetime| {
-                    self.sadb
-                        .outbound(spi)
-                        .is_some_and(|o| rekey_due(o.sa(), &lifetime))
-                        || self
-                            .sadb
-                            .inbound(spi)
-                            .is_some_and(|i| rekey_due(i.sa(), &lifetime))
+                    self.sadb.record(spi).is_some_and(|record| {
+                        record
+                            .outbound()
+                            .is_some_and(|o| rekey_due(o.sa(), &lifetime))
+                            || record
+                                .inbound()
+                                .is_some_and(|i| rekey_due(i.sa(), &lifetime))
+                    })
                 });
                 if still_due {
                     self.rekey_now(spi);
                 }
-            }
-        }
-    }
-
-    /// Creates `spi`'s DPD detector on its first clock reading (no-op
-    /// once armed or when DPD is off / the SPI unknown).
-    fn arm_dpd(&mut self, spi: u32) {
-        if !self.dpd_unarmed.remove(&spi) {
-            return;
-        }
-        self.arm_dpd_at_now(spi);
-    }
-
-    /// [`Gateway::arm_dpd`] after the unarmed-queue membership check.
-    fn arm_dpd_at_now(&mut self, spi: u32) {
-        let cfg = self.dpd_cfg.expect("only DPD-configured SPIs are queued");
-        let mut det = DpdDetector::new(cfg);
-        det.on_traffic(self.now_ns);
-        self.dpd.insert(spi, det);
-        self.schedule_dpd(spi);
-    }
-
-    /// (Re-)schedules `spi`'s live wheel entry at its detector's next
-    /// transition deadline. An existing entry that is already at or
-    /// before the new deadline stays live (it fires early and re-arms);
-    /// a later one is superseded so detection is never delayed.
-    fn schedule_dpd(&mut self, spi: u32) {
-        let deadline = match self.dpd.get(&spi).and_then(|det| det.next_deadline()) {
-            Some(d) => d,
-            None => {
-                // Dead detector or no detector: whatever wheel entry
-                // remains is stale and will be ignored when it fires.
-                self.dpd_timer.remove(&spi);
-                return;
-            }
-        };
-        match self.dpd_timer.get(&spi) {
-            Some(&live) if live <= deadline => {}
-            _ => {
-                self.dpd_timer.insert(spi, deadline);
-                self.timer.schedule(deadline, spi);
             }
         }
     }
@@ -889,32 +828,37 @@ impl<S: StableStore> Gateway<S> {
     /// gateways performing the same generation derive identical SAs).
     /// Emits `RekeyStarted` + `RekeyCompleted`.
     pub fn rekey_now(&mut self, spi: u32) {
-        if self.sadb.outbound(spi).is_none() && self.sadb.inbound(spi).is_none() {
+        let Some(record) = self.sadb.record_mut(spi) else {
             return;
-        }
+        };
         let started = self.telemetry.as_ref().map(|_| Instant::now());
+        record.policy.rekey_generation += 1;
+        let generation = record.policy.rekey_generation;
+        // Erase the old generation's persistent slots: the replacement
+        // starts a fresh number space, and a stale FETCH after a
+        // post-rekey crash must not leap the new SA to the old
+        // generation's counters.
+        let (outbound, inbound) = record.halves_mut();
+        let (had_outbound, had_inbound) = (outbound.is_some(), inbound.is_some());
+        erase_slots(spi, outbound, inbound);
         self.emit(GatewayEvent::RekeyStarted { spi });
-        let generation = self.rekey_generation.entry(spi).or_insert(0);
-        *generation += 1;
         let request = RekeyRequest {
             skeyid: self.skeyid.clone(),
-            nonce_i: rekey_nonce(&self.skeyid, b"ni", spi, *generation),
-            nonce_r: rekey_nonce(&self.skeyid, b"nr", spi, *generation),
+            nonce_i: rekey_nonce(&self.skeyid, b"ni", spi, generation),
+            nonce_r: rekey_nonce(&self.skeyid, b"nr", spi, generation),
             new_spi: spi,
             suite: self.suite,
         };
         let replacement = rekey(&request).sa;
-        // Tear down the old generation *and* its persistent slots: the
-        // replacement starts a fresh number space, and a stale FETCH
-        // after a post-rekey crash must not leap the new SA to the old
-        // generation's counters.
-        let had = self.remove_and_erase(spi).expect("checked above");
-        if had.outbound.is_some() {
+        // The new endpoints go in over the old ones, in the same record:
+        // the detector, its live deadline and the generation just counted
+        // are the SA's, not a generation's, and stay.
+        if had_outbound {
             let store = (self.make_store)(spi, SaDirection::Outbound);
             self.sadb
                 .install_outbound(replacement.clone(), store, self.k);
         }
-        if had.inbound.is_some() {
+        if had_inbound {
             let store = (self.make_store)(spi, SaDirection::Inbound);
             self.sadb
                 .install_inbound(replacement.clone(), store, self.k, self.w)
@@ -984,7 +928,8 @@ impl<S: StableStore> Gateway<S> {
     /// event per frame buffered during the wake-up (the §3 test: a
     /// replay stream spanning the reset must surface as `ReplayDropped`
     /// here, never `Delivered`). Finally, every SA whose FETCH failed in
-    /// [`Gateway::begin_recover`] is **failed closed**: one
+    /// [`Gateway::begin_recover`] and that is still down — not torn down,
+    /// replaced or woken since — is **failed closed**: one
     /// [`GatewayEvent::FailedClosed`] followed by its replacement rekey's
     /// events. Returns the recovered direction count.
     ///
@@ -994,22 +939,26 @@ impl<S: StableStore> Gateway<S> {
     /// waking; retry — the paper's SAVE device is merely slow, not
     /// untrusted, so retrying the completion is safe).
     pub fn finish_recover(&mut self) -> Result<usize, IpsecError> {
-        let (sas, buffered) = self.sadb.finish_recover_all()?;
+        let sas = self.sadb.finish_recover_all(&mut self.rx_scratch)?;
         self.emit(GatewayEvent::Recovered { sas });
-        self.emit_rx(buffered);
+        self.emit_rx();
         if let (Some(t), Some(started)) = (&self.telemetry, self.recover_started.take()) {
             let elapsed = started.elapsed().as_nanos() as u64;
             t.record_recovery_ns(elapsed);
             t.class(self.suite.name()).recoveries.incr();
             t.trace(self.now_ns, Severity::Info, "recovered", 0, elapsed);
         }
-        // Replace every SA that woke into untrusted state. Dedupe: both
-        // directions of one SPI may have failed, but the SA is replaced
-        // (and the peer must resynchronize) exactly once.
-        let failed = std::mem::take(&mut self.pending_fail_closed);
-        let mut replaced = BTreeSet::new();
-        for (spi, reason) in failed {
-            if !replaced.insert(spi) {
+        // Replace every SA that woke into untrusted state. A note stands
+        // only while an installed half of its SA is still down: one torn
+        // down, replaced or woken since the FETCH failed needs no
+        // replacement, nor does one just replaced for its other half's
+        // note — the peer must resynchronize exactly once.
+        for (spi, reason) in std::mem::take(&mut self.pending_fail_closed) {
+            let still_down = self.sadb.record(spi).is_some_and(|record| {
+                record.outbound().is_some_and(|o| o.phase() == Phase::Down)
+                    || record.inbound().is_some_and(|i| i.phase() == Phase::Down)
+            });
+            if !still_down {
                 continue;
             }
             if let Some(t) = &self.telemetry {
@@ -1027,16 +976,17 @@ impl<S: StableStore> Gateway<S> {
     // ------------------------------------------------------------------
 
     /// True iff any SA has a background SAVE in flight (timed drivers
-    /// schedule a completion after the device latency). Answered from
-    /// the SADB's pending-save index — O(SAs owing a save), not a fleet
-    /// sweep.
+    /// schedule a completion after the device latency) — the wake-up
+    /// SAVEs between the recovery halves included. Answered from the
+    /// SADB's SAVE due-list — O(SAs queued), not a fleet sweep.
     pub fn pending_save(&self) -> bool {
         self.sadb.has_pending_save()
     }
 
     /// Completes every in-flight background SAVE (the device finished
-    /// writing). Walks only the SADB's pending-save index, so a
-    /// million-SA fleet pays for the saves it owes, not for its size.
+    /// writing), outbound SPIs ascending, then inbound. Walks only the
+    /// SADB's SAVE due-list, so a million-SA fleet pays for the saves it
+    /// owes, not for its size.
     ///
     /// # Errors
     ///
@@ -1069,19 +1019,75 @@ impl<S: StableStore> Gateway<S> {
     /// (peer presumed down, SAs kept alive awaiting its recovery).
     /// `None` when DPD is not configured or the SPI unknown.
     pub fn in_grace(&self, spi: u32) -> Option<bool> {
-        self.dpd.get(&spi).map(|d| d.in_grace())
+        let detector = self.sadb.record(spi)?.policy.dpd.as_ref()?;
+        Some(detector.in_grace())
     }
 
     /// Read access to the underlying SADB.
     pub fn sadb(&self) -> &Sadb<S> {
         &self.sadb
     }
+}
 
-    /// Mutable access to the underlying SADB — escape hatch for tests
-    /// and store fault injection; normal operation goes through the
-    /// event API.
-    pub fn sadb_mut(&mut self) -> &mut Sadb<S> {
-        &mut self.sadb
+/// The event a drained frame's verdict becomes (`spi` is the SPI of the
+/// frame's run).
+fn event_from_rx(spi: u32, result: RxResult) -> GatewayEvent {
+    match result {
+        RxResult::Delivered { payload, seq } => GatewayEvent::Delivered { spi, seq, payload },
+        RxResult::AntiReplay { outcome, seq } => GatewayEvent::ReplayDropped { spi, seq, outcome },
+        RxResult::Rejected(RxReject::UnknownSa { spi }) => GatewayEvent::UnknownSa { spi },
+        RxResult::Rejected(_) => GatewayEvent::AuthFailed { spi },
+        RxResult::Buffered => GatewayEvent::Buffered { spi },
+        RxResult::DroppedDown => GatewayEvent::DroppedDown { spi },
+    }
+}
+
+/// Best-effort erasure of an SA's persistent slots — the teardown duty
+/// [`Sadb::remove`]'s docs assign to the caller, and a rekey's towards
+/// the generation it replaces. Erase failures are swallowed: the slot
+/// then merely retains a stale value, which is no worse than before.
+fn erase_slots<S: StableStore>(
+    spi: u32,
+    outbound: Option<&mut Outbound<S>>,
+    inbound: Option<&mut Inbound<S>>,
+) {
+    if let Some(o) = outbound {
+        let _ = o.store_mut().erase(SlotId::sender(spi));
+    }
+    if let Some(i) = inbound {
+        let _ = i.store_mut().erase(SlotId::receiver(spi));
+    }
+}
+
+/// Notes that `spi`'s peer is alive at `now_ns` — authenticated traffic,
+/// or the first clock reading of a freshly installed receiver — creating
+/// the detector on first use, and keeps its wheel entry in step.
+fn heard_from(
+    policy: &mut SaPolicy,
+    cfg: DpdConfig,
+    now_ns: u64,
+    timer: &mut TimerWheel<u32>,
+    spi: u32,
+) {
+    let detector = policy.dpd.get_or_insert_with(|| DpdDetector::new(cfg));
+    detector.on_traffic(now_ns);
+    schedule_dpd(policy, timer, spi);
+}
+
+/// (Re-)schedules `spi`'s live wheel entry at its detector's next
+/// transition deadline. An existing entry that is already at or before
+/// the new deadline stays live (it fires early and re-arms); a later one
+/// is superseded so detection is never delayed.
+fn schedule_dpd(policy: &mut SaPolicy, timer: &mut TimerWheel<u32>, spi: u32) {
+    let Some(deadline) = policy.dpd.as_ref().and_then(|det| det.next_deadline()) else {
+        // Dead detector or none: whatever wheel entry remains is stale
+        // and will be ignored when it fires.
+        policy.dpd_deadline = None;
+        return;
+    };
+    if policy.dpd_deadline.is_none_or(|live| live > deadline) {
+        policy.dpd_deadline = Some(deadline);
+        timer.schedule(deadline, spi);
     }
 }
 
@@ -1349,8 +1355,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn corrupt_fetch_fails_closed_and_replaces_the_sa() {
+    type FaultyGateway = Gateway<reset_stable::FaultyStable<MemStable>>;
+
+    /// A pair over SPI 0x55 whose receiver `q` persists through
+    /// fault-injecting stores: 30 frames in, SAVEs durable, then the
+    /// reset strikes and the receiver's persisted window record is
+    /// scripted to come back corrupt on the next FETCH. Returns the
+    /// recorded frames too.
+    fn struck_with_a_corrupt_record() -> (Gateway<MemStable>, FaultyGateway, Vec<Bytes>) {
         use reset_stable::{Fault, FaultyStable};
         let mut p = GatewayBuilder::in_memory().save_interval(10).build();
         let mut q = GatewayBuilder::with_stores(|_, _| FaultyStable::new(MemStable::new()))
@@ -1371,14 +1383,18 @@ mod tests {
         q.save_completed().unwrap();
         q.poll_events();
 
-        // The reset strikes, and the receiver's persisted window record
-        // comes back corrupt on FETCH.
         q.reset();
-        q.sadb_mut()
+        q.sadb
             .inbound_mut(0x55)
             .unwrap()
             .store_mut()
             .push_fault(Fault::CorruptLoad);
+        (p, q, recorded)
+    }
+
+    #[test]
+    fn corrupt_fetch_fails_closed_and_replaces_the_sa() {
+        let (mut p, mut q, recorded) = struck_with_a_corrupt_record();
         let sas = q.recover().unwrap();
         assert_eq!(sas, 1, "only the healthy outbound direction woke");
         let events = q.poll_events();
@@ -1420,6 +1436,122 @@ mod tests {
             q.poll_events()[..],
             [GatewayEvent::Delivered { .. }]
         ));
+    }
+
+    #[test]
+    fn a_fail_closed_note_dies_with_the_sa_it_was_written_for() {
+        // The FETCH fails in the first half; before the second, the SA is
+        // torn down (`remove_peer`, or DPD's teardown from a tick). There
+        // is nothing left to fail closed — and no `FailedClosed` without
+        // its replacement rekey's events.
+        let (_, mut q, _) = struck_with_a_corrupt_record();
+        q.begin_recover().unwrap();
+        assert!(q.remove_peer(0x55));
+        assert_eq!(q.finish_recover().unwrap(), 0);
+        assert_eq!(q.poll_events(), vec![GatewayEvent::Recovered { sas: 0 }]);
+    }
+
+    #[test]
+    fn a_fail_closed_note_spares_the_sa_that_took_over_its_spi() {
+        // As above, but the SPI is keyed afresh before the second half:
+        // the note was about the SA that is gone, and the healthy,
+        // never-reset one under its SPI must not be replaced under its
+        // peer.
+        let (_, mut q, _) = struck_with_a_corrupt_record();
+        q.begin_recover().unwrap();
+        assert!(q.remove_peer(0x55));
+        q.add_peer(0x55, b"another-master");
+        assert_eq!(q.finish_recover().unwrap(), 0);
+        assert_eq!(q.poll_events(), vec![GatewayEvent::Recovered { sas: 0 }]);
+        // Still the keys it was installed with.
+        let mut peer = GatewayBuilder::in_memory().build();
+        peer.add_peer(0x55, b"another-master");
+        let f = peer.protect(0x55, b"still in step").unwrap().unwrap();
+        q.push_wire(&f.wire).unwrap();
+        assert!(matches!(
+            q.poll_events()[..],
+            [GatewayEvent::Delivered { .. }]
+        ));
+    }
+
+    #[test]
+    fn a_reused_slot_inherits_nothing_from_the_sa_it_held() {
+        const A: u32 = 0xA;
+        const B: u32 = 0xB;
+        let dpd = DpdConfig {
+            idle_timeout_ns: 1_000,
+            probe_interval_ns: 500,
+            max_probes: 1,
+            grace_period_ns: 10_000,
+        };
+        let receiver = || {
+            GatewayBuilder::in_memory()
+                .save_interval(10)
+                .dpd(dpd)
+                .build()
+        };
+        let (mut p, mut q) = (GatewayBuilder::in_memory().build(), receiver());
+        p.add_peer(A, b"first");
+        q.add_peer(A, b"first");
+
+        // Give A everything a record can hold: two rekey generations, an
+        // armed detector deep in grace with a live wheel entry at the
+        // grace expiry (1_500 + 10_000), and a SAVE owed.
+        q.tick(0);
+        for gw in [&mut p, &mut q] {
+            gw.rekey_now(A);
+            gw.rekey_now(A);
+        }
+        for _ in 0..10 {
+            let f = p.protect(A, b"to the first").unwrap().unwrap();
+            q.push_wire(&f.wire).unwrap();
+        }
+        q.tick(1_000); // probe
+        q.tick(1_500); // presumed down: grace
+        assert_eq!(q.in_grace(A), Some(true));
+        assert!(q.pending_save());
+        q.poll_events();
+
+        // `(spi, master)` keyed into the slot A's teardown freed must look
+        // exactly like the same SA on a gateway that never held A.
+        let starts_from_scratch = |q: &mut Gateway<MemStable>, spi: u32, master: &[u8]| {
+            q.add_peer(spi, master);
+            assert_eq!(q.sadb.len(), 2, "one pair, in the one slot");
+            assert_eq!(
+                q.in_grace(spi),
+                None,
+                "no detector before its own clock reading"
+            );
+            assert!(!q.pending_save(), "owes no SAVE");
+            // Its first rekey is generation 1: the same keys, hence the
+            // same bytes, as on the fresh gateway.
+            let mut fresh = receiver();
+            fresh.add_peer(spi, master);
+            q.rekey_now(spi);
+            fresh.rekey_now(spi);
+            assert_eq!(
+                q.protect(spi, b"generation 1").unwrap(),
+                fresh.protect(spi, b"generation 1").unwrap()
+            );
+            q.poll_events();
+        };
+        assert!(q.remove_peer(A));
+        assert!(!q.pending_save(), "A took its owed SAVE with it");
+        starts_from_scratch(&mut q, B, b"second");
+
+        // B arms at its own first tick. When A's wheel entry comes due,
+        // it finds no A: the only thing that happens at that instant is
+        // B's own first probe.
+        q.tick(2_000);
+        assert_eq!(q.in_grace(B), Some(false));
+        assert_eq!(q.poll_events(), vec![]);
+        q.tick(11_500);
+        assert_eq!(q.poll_events(), vec![GatewayEvent::ProbeDue { spi: B }]);
+
+        // Re-adding A itself is no different: its old entries name its
+        // SPI, but the record they were about is gone.
+        assert!(q.remove_peer(B));
+        starts_from_scratch(&mut q, A, b"first");
     }
 
     #[test]

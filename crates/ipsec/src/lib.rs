@@ -83,14 +83,18 @@
 //!   allocation claim with a counting global allocator;
 //!   `gateway_fleet_1m/tick_idle` and a same-run 2× ratio ceiling in
 //!   the bench gate pin the flatness).
-//! * **Slab SADB.** [`Sadb`] stores endpoints in slab vectors (freed
-//!   slots reused) so batch drains walk dense memory; the `BTreeMap`
-//!   survives only as the deterministic SPI → slot index that fixes
-//!   iteration order. A pending-save index over the slabs answers
+//! * **One record per SA.** [`Sadb`] keeps everything the host holds
+//!   for an SPI — both directional endpoints and the gateway's policy
+//!   state (DPD detector, live timer deadline, rekey generation) — as
+//!   one record in one slab vector (freed slots reused), so batch
+//!   drains walk dense memory and a torn-down SA takes all of its state
+//!   with it; one `BTreeMap` survives as the deterministic SPI → slot
+//!   index that fixes sweep order. What lives outside the records is
+//!   only work that is due: a reused due-list of owed SAVEs answers
 //!   [`Gateway::pending_save`] / [`Gateway::save_completed`] without
-//!   scanning a million endpoints; fleet-wide recovery sweeps defer
-//!   its maintenance behind a stale flag rather than paying per-SA
-//!   set surgery in the storm path.
+//!   scanning a million endpoints, and every entry of it — as of the
+//!   gateway's own due-lists — is verified against its record when
+//!   drained, so nothing needs removing at teardown.
 //! * **Zero-copy shard fan-out.** [`ShardedGateway::submit_batch`]
 //!   shares one `Arc<[Bytes]>` batch across the worker pool and routes
 //!   per-shard *frame indices* (`Vec<u32>`) instead of cloning `Bytes`

@@ -8,14 +8,30 @@
 //!
 //! # Storage layout
 //!
-//! Endpoints live in slab vectors (`Vec<Option<...>>`, one per
-//! direction, with free-lists for slot reuse), so the hot
-//! [`Sadb::process_batch`] drain walks cache-dense contiguous storage
-//! instead of chasing tree nodes. A `BTreeMap<spi, slot>` per direction
-//! is kept purely as the *deterministic index*: every SPI-ordered sweep
-//! — [`Sadb::recover_all`], [`Sadb::iter_outbound`], the wake-up event
-//! order a [`crate::Gateway`] reports — walks the index, which the
-//! seeded harness scenarios rely on.
+//! The paper's SA is self-contained — its counter, its window, its one
+//! SAVE slot, nothing shared — and so is its storage: everything kept
+//! for one SPI is **one record** in one slab vector (one free-list; freed
+//! slots are reused). A record holds the SPI, the outbound and inbound
+//! halves (either may be absent) and a crate-internal policy block: the
+//! [`crate::Gateway`]'s DPD detector, the deadline of its one live
+//! timer-wheel entry, the rekey generation, and this module's "SAVE
+//! queued" bits. A standalone database never fills it, and a reused slot
+//! starts from a default one, so nothing a torn-down SA knew reaches its
+//! successor.
+//!
+//! One `BTreeMap<spi, slot>` is the *deterministic index*: every
+//! SPI-ordered sweep — [`Sadb::recover_all`], [`Sadb::spis`], the wake-up
+//! event order a [`crate::Gateway`] reports — walks it, outbound halves
+//! first, then inbound, which seeded scenarios and the order of store
+//! operations rely on. The [`Sadb::process_batch`] drain looks a run's
+//! record up once and hands the gateway its slot.
+//!
+//! The stated cost: a record with one direction installed carries the
+//! other's empty half inline (a little under 1 KB). A database keyed in
+//! both directions — every gateway — pays nothing; a sender-only or
+//! receiver-only one pays it per SA. The halves are not boxed to avoid
+//! it: that is a pointer chase and an allocation per SA on the path a
+//! wide fleet measures.
 //!
 //! # The drain scratch and the arena
 //!
@@ -30,26 +46,32 @@
 //! every payload of this one; until then the next drain allocates a
 //! fresh arena.
 //!
-//! # The pending-save index
+//! # Due-lists carry work, never state
 //!
-//! Alongside the slabs, the database maintains one ordered due-set per
-//! direction of SPIs that *may* have a background SAVE in flight. Every
-//! datapath entry point records the no-save → save-pending transition
-//! into it, so [`crate::Gateway::save_completed`] completes in time
-//! proportional to the SAs that actually owe a save instead of sweeping
-//! a million-entry fleet. The set is a superset (entries are verified
-//! against the endpoint before completing, and false positives are
-//! dropped), which keeps the maintenance a single capture around each
-//! mutation instead of a bookkeeping protocol.
+//! Outside the records lives only *work that is due* — here, the SAVEs
+//! that may be owed: `(half, spi, slot)` entries in one reused vector.
+//! Every operation that can put a SAVE in flight (a send, a drained run,
+//! a wake-up) queues its half unless the record's queued bit says an
+//! entry is waiting, and [`crate::Gateway::save_completed`] sorts the list
+//! — outbound SPIs ascending, then inbound: the store-operation order —
+//! and completes it in time proportional to the SAs queued, not to the
+//! fleet. An entry is a hint, re-verified against its record when
+//! drained: one whose slot changed hands, whose half is gone, or whose
+//! SAVE was completed on the endpoint directly is dropped without
+//! touching a store. So teardown and replacement need no list surgery,
+//! and nothing kept in a list can outlive its SA. The gateway's own
+//! due-lists (detectors to arm, rekeys due, SAs to fail closed) follow
+//! the same rule.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use reset_stable::{StableError, StableStore};
 
 use anti_replay::{Phase, SeqNum};
 
-use crate::esp::{DrainScratch, Inbound, Outbound, RxReject, RxResult};
+use crate::dpd::DpdDetector;
+use crate::esp::{DrainScratch, Inbound, Outbound, Run, RxReject, RxResult};
 use crate::IpsecError;
 
 /// Both directional endpoints torn out of the database by
@@ -62,12 +84,148 @@ pub struct RemovedSa<S> {
     pub inbound: Option<Inbound<S>>,
 }
 
+/// Which half of a record a sweep or a queued SAVE is about. Outbound
+/// sorts first: sweeps and SAVE completion both go outbound SPIs
+/// ascending, then inbound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Half {
+    Outbound,
+    Inbound,
+}
+
+impl Half {
+    const BOTH: [Half; 2] = [Half::Outbound, Half::Inbound];
+}
+
+/// Either endpoint of a record, for the sweeps that treat the two alike.
+enum Endpoint<'a, S> {
+    Out(&'a mut Outbound<S>),
+    In(&'a mut Inbound<S>),
+}
+
+impl<S: StableStore> Endpoint<'_, S> {
+    fn phase(&self) -> Phase {
+        match self {
+            Endpoint::Out(o) => o.phase(),
+            Endpoint::In(i) => i.phase(),
+        }
+    }
+
+    fn save_completed(&mut self) -> Result<(), StableError> {
+        match self {
+            Endpoint::Out(o) => o.save_completed(),
+            Endpoint::In(i) => i.save_completed(),
+        }
+    }
+
+    fn begin_wakeup(&mut self) -> Result<(), StableError> {
+        match self {
+            Endpoint::Out(o) => o.begin_wakeup().map(drop),
+            Endpoint::In(i) => i.begin_wakeup().map(drop),
+        }
+    }
+
+    /// Completes the wake-up and returns the verdicts of the frames
+    /// buffered meanwhile (a sender buffers none).
+    fn finish_wakeup(&mut self, scratch: &mut DrainScratch) -> Result<Vec<RxResult>, StableError> {
+        match self {
+            Endpoint::Out(o) => o.finish_wakeup().map(|_| Vec::new()),
+            Endpoint::In(i) => i.finish_wakeup_with(scratch),
+        }
+    }
+}
+
+/// What a [`crate::Gateway`] keeps per SA besides the endpoints — state,
+/// as opposed to the due-lists' work (module docs). A standalone [`Sadb`]
+/// leaves it at its default.
+#[derive(Debug, Default)]
+pub(crate) struct SaPolicy {
+    /// The inbound half's dead-peer detector; `None` until its first
+    /// clock reading (and always, when DPD is off).
+    pub(crate) dpd: Option<DpdDetector>,
+    /// Deadline of the SPI's single *live* timer-wheel entry. The wheel
+    /// has no cancel: an entry that fires with any other deadline —
+    /// superseded, or scheduled for a previous owner of the SPI — is
+    /// stale and ignored.
+    pub(crate) dpd_deadline: Option<u64>,
+    /// Rekeys performed on this SA, folded into the deterministic nonces
+    /// so each generation derives fresh key material.
+    pub(crate) rekey_generation: u32,
+    /// Per [`Half`]: an entry for it is in the database's SAVE due-list.
+    save_queued: [bool; 2],
+}
+
+/// Everything the host keeps for one SPI (module docs, "Storage layout").
+/// A free slab slot holds a vacant record: no halves, default policy.
+#[derive(Debug)]
+pub(crate) struct SaRecord<S> {
+    spi: u32,
+    outbound: Option<Outbound<S>>,
+    inbound: Option<Inbound<S>>,
+    pub(crate) policy: SaPolicy,
+}
+
+impl<S: StableStore> SaRecord<S> {
+    fn vacant() -> Self {
+        SaRecord {
+            spi: 0,
+            outbound: None,
+            inbound: None,
+            policy: SaPolicy::default(),
+        }
+    }
+
+    pub(crate) fn outbound(&self) -> Option<&Outbound<S>> {
+        self.outbound.as_ref()
+    }
+
+    pub(crate) fn inbound(&self) -> Option<&Inbound<S>> {
+        self.inbound.as_ref()
+    }
+
+    /// Both halves at once (installing or removing one goes through the
+    /// database, which counts them).
+    pub(crate) fn halves_mut(&mut self) -> (Option<&mut Outbound<S>>, Option<&mut Inbound<S>>) {
+        (self.outbound.as_mut(), self.inbound.as_mut())
+    }
+
+    fn half_mut(&mut self, half: Half) -> Option<Endpoint<'_, S>> {
+        match half {
+            Half::Outbound => self.outbound.as_mut().map(Endpoint::Out),
+            Half::Inbound => self.inbound.as_mut().map(Endpoint::In),
+        }
+    }
+
+    /// True iff `half` is installed and has a SAVE in flight.
+    fn owes_save(&self, half: Half) -> bool {
+        match half {
+            Half::Outbound => self
+                .outbound()
+                .is_some_and(|o| o.seq_state().pending_save().is_some()),
+            Half::Inbound => self
+                .inbound()
+                .is_some_and(|i| i.seq_state().pending_save().is_some()),
+        }
+    }
+
+    /// The one capture of "this half may now owe a SAVE": queues it unless
+    /// an entry is already waiting. Called after every operation that can
+    /// issue one — so the endpoint, just used, is asked first, and the
+    /// policy block is only read for the one frame in `K` that saves.
+    fn queue_save(&mut self, half: Half, slot: u32, saves: &mut Vec<(Half, u32, u32)>) {
+        if self.owes_save(half) && !self.policy.save_queued[half as usize] {
+            self.policy.save_queued[half as usize] = true;
+            saves.push((half, self.spi, slot));
+        }
+    }
+}
+
 /// The SA database of one host.
 ///
-/// Endpoint storage is slab-based with a `BTreeMap` SPI index per
-/// direction (see the [crate docs](crate)): lookups and iteration are
-/// SPI-deterministic, while the endpoints themselves sit in contiguous
-/// vectors for cache-dense batch drains. The database also owns the
+/// One record per SPI in a slab vector, behind one `BTreeMap` SPI → slot
+/// index (see the [crate docs](crate)): lookups and sweeps are
+/// SPI-deterministic, while the records themselves sit in contiguous
+/// storage for cache-dense batch drains. The database also owns the
 /// receive drain's working memory and its one decryption arena, reused
 /// from run to run and drain to drain ([`Sadb::process_batch`]).
 ///
@@ -80,34 +238,23 @@ pub struct RemovedSa<S> {
 /// let mut sadb: Sadb<MemStable> = Sadb::new();
 /// let keys = SaKeys::derive(b"secret", b"out");
 /// sadb.install_outbound(SecurityAssociation::new(1, keys), MemStable::new(), 25);
-/// assert_eq!(sadb.outbound_count(), 1);
+/// assert_eq!(sadb.len(), 1);
 /// let wire = sadb.protect(1, b"data")?.expect("up");
 /// # Ok::<(), reset_ipsec::IpsecError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct Sadb<S> {
-    /// Outbound endpoints, slab order (holes are free slots).
-    out_slots: Vec<Option<Outbound<S>>>,
-    /// Inbound endpoints, slab order.
-    in_slots: Vec<Option<Inbound<S>>>,
-    /// Deterministic SPI → slab-slot index, outbound.
-    out_index: BTreeMap<u32, u32>,
-    /// Deterministic SPI → slab-slot index, inbound.
-    in_index: BTreeMap<u32, u32>,
-    /// Reusable outbound slots.
-    out_free: Vec<u32>,
-    /// Reusable inbound slots.
-    in_free: Vec<u32>,
-    /// SPIs whose outbound endpoint may owe a background SAVE.
-    saves_out: BTreeSet<u32>,
-    /// SPIs whose inbound endpoint may owe a background SAVE.
-    saves_in: BTreeSet<u32>,
-    /// True when a fleet-wide recovery sweep left the save index out of
-    /// date (wake-up SAVEs issued or completed in bulk). Consumers
-    /// rebuild via [`Sadb::resync_saves`] before trusting the sets —
-    /// deferring the rebuild keeps the recover-storm loop free of
-    /// per-SA index maintenance it would immediately throw away.
-    saves_stale: bool,
+    /// One record per SPI, slab order (a free slot holds a vacant one).
+    slots: Vec<SaRecord<S>>,
+    /// Deterministic SPI → slab-slot index.
+    index: BTreeMap<u32, u32>,
+    /// Reusable slots.
+    free: Vec<u32>,
+    /// Installed endpoints, both directions ([`Sadb::len`]).
+    endpoints: usize,
+    /// Due-list of SAVEs that may be owed: `(half, spi, slot)`, one entry
+    /// per set queued bit, verified against the record when drained.
+    saves: Vec<(Half, u32, u32)>,
     /// The receive drain's working memory (see the module docs).
     scratch: DrainScratch,
 }
@@ -117,12 +264,12 @@ impl<S> Sadb<S> {
     /// pair installed in both directions counts twice, matching what
     /// [`Sadb::recover_all`] reports).
     pub fn len(&self) -> usize {
-        self.out_index.len() + self.in_index.len()
+        self.endpoints
     }
 
     /// True iff no SA is installed in either direction.
     pub fn is_empty(&self) -> bool {
-        self.out_index.is_empty() && self.in_index.is_empty()
+        self.index.is_empty()
     }
 }
 
@@ -130,59 +277,45 @@ impl<S: StableStore> Sadb<S> {
     /// An empty database.
     pub fn new() -> Self {
         Sadb {
-            out_slots: Vec::new(),
-            in_slots: Vec::new(),
-            out_index: BTreeMap::new(),
-            in_index: BTreeMap::new(),
-            out_free: Vec::new(),
-            in_free: Vec::new(),
-            saves_out: BTreeSet::new(),
-            saves_in: BTreeSet::new(),
-            saves_stale: false,
+            slots: Vec::new(),
+            index: BTreeMap::new(),
+            free: Vec::new(),
+            endpoints: 0,
+            saves: Vec::new(),
             scratch: DrainScratch::default(),
         }
     }
 
+    /// The slot of `spi`'s record, allocating one — off the free-list,
+    /// else by growing the slab — if the SPI is new.
+    fn slot_for(&mut self, spi: u32) -> usize {
+        let slot = *self.index.entry(spi).or_insert_with(|| {
+            let slot = self.free.pop().unwrap_or_else(|| {
+                self.slots.push(SaRecord::vacant());
+                (self.slots.len() - 1) as u32
+            });
+            self.slots[slot as usize].spi = spi;
+            slot
+        });
+        slot as usize
+    }
+
     /// Installs an outbound SA with its persistent store and save
-    /// interval. Replaces any previous SA with the same SPI (reusing its
-    /// slab slot).
+    /// interval. Replaces any previous outbound SA with the same SPI, in
+    /// its record; everything else the record holds stays.
     pub fn install_outbound(
         &mut self,
         sa: crate::SecurityAssociation,
         store: S,
         k: u64,
     ) -> &mut Outbound<S> {
-        let spi = sa.spi();
-        let ep = Outbound::new(sa, store, k);
-        // A fresh endpoint owes no save; drop any stale index entry
-        // from a replaced predecessor.
-        self.saves_out.remove(&spi);
-        let slot = match self.out_index.get(&spi).copied() {
-            Some(slot) => {
-                self.out_slots[slot as usize] = Some(ep);
-                slot
-            }
-            None => {
-                let slot = match self.out_free.pop() {
-                    Some(slot) => {
-                        self.out_slots[slot as usize] = Some(ep);
-                        slot
-                    }
-                    None => {
-                        self.out_slots.push(Some(ep));
-                        (self.out_slots.len() - 1) as u32
-                    }
-                };
-                self.out_index.insert(spi, slot);
-                slot
-            }
-        };
-        self.out_slots[slot as usize]
-            .as_mut()
-            .expect("just installed")
+        let slot = self.slot_for(sa.spi());
+        let half = &mut self.slots[slot].outbound;
+        self.endpoints += usize::from(half.is_none());
+        half.insert(Outbound::new(sa, store, k))
     }
 
-    /// Installs an inbound SA.
+    /// Installs an inbound SA (as [`Sadb::install_outbound`]).
     pub fn install_inbound(
         &mut self,
         sa: crate::SecurityAssociation,
@@ -190,136 +323,70 @@ impl<S: StableStore> Sadb<S> {
         k: u64,
         w: u64,
     ) -> &mut Inbound<S> {
-        let spi = sa.spi();
-        let ep = Inbound::new(sa, store, k, w);
-        self.saves_in.remove(&spi);
-        let slot = match self.in_index.get(&spi).copied() {
-            Some(slot) => {
-                self.in_slots[slot as usize] = Some(ep);
-                slot
-            }
-            None => {
-                let slot = match self.in_free.pop() {
-                    Some(slot) => {
-                        self.in_slots[slot as usize] = Some(ep);
-                        slot
-                    }
-                    None => {
-                        self.in_slots.push(Some(ep));
-                        (self.in_slots.len() - 1) as u32
-                    }
-                };
-                self.in_index.insert(spi, slot);
-                slot
-            }
-        };
-        self.in_slots[slot as usize]
-            .as_mut()
-            .expect("just installed")
+        let slot = self.slot_for(sa.spi());
+        let half = &mut self.slots[slot].inbound;
+        self.endpoints += usize::from(half.is_none());
+        half.insert(Inbound::new(sa, store, k, w))
     }
 
-    /// Number of outbound SAs.
-    pub fn outbound_count(&self) -> usize {
-        self.out_index.len()
+    /// The record serving `spi`, if either direction is installed.
+    pub(crate) fn record(&self, spi: u32) -> Option<&SaRecord<S>> {
+        let slot = *self.index.get(&spi)?;
+        Some(&self.slots[slot as usize])
     }
 
-    /// Number of inbound SAs.
-    pub fn inbound_count(&self) -> usize {
-        self.in_index.len()
+    /// Mutable form of [`Sadb::record`].
+    pub(crate) fn record_mut(&mut self, spi: u32) -> Option<&mut SaRecord<S>> {
+        let slot = *self.index.get(&spi)?;
+        Some(&mut self.slots[slot as usize])
+    }
+
+    /// The record in slab slot `slot`, as a [`Run`] of the last drain
+    /// names it — no lookup by SPI.
+    pub(crate) fn record_at_mut(&mut self, slot: u32) -> &mut SaRecord<S> {
+        &mut self.slots[slot as usize]
     }
 
     /// Looks up an outbound SA (read-only).
     pub fn outbound(&self, spi: u32) -> Option<&Outbound<S>> {
-        let slot = self.out_index.get(&spi).copied()?;
-        self.out_slots[slot as usize].as_ref()
+        self.record(spi)?.outbound()
     }
 
     /// Looks up an inbound SA (read-only).
     pub fn inbound(&self, spi: u32) -> Option<&Inbound<S>> {
-        let slot = self.in_index.get(&spi).copied()?;
-        self.in_slots[slot as usize].as_ref()
+        self.record(spi)?.inbound()
     }
 
     /// Looks up an outbound SA.
     ///
     /// Note for direct datapath use: a background SAVE issued through
-    /// this handle (rather than through [`Sadb::protect`]) is invisible
-    /// to the pending-save index until the next indexed operation on
-    /// the SPI — complete such saves directly on the endpoint.
+    /// this handle (rather than through [`Sadb::protect`]) is not queued
+    /// on the SAVE due-list — nothing observes the handle — and stays
+    /// invisible to it until the next send through the database queues
+    /// the half. Complete such saves directly on the endpoint.
     pub fn outbound_mut(&mut self, spi: u32) -> Option<&mut Outbound<S>> {
-        let slot = self.out_index.get(&spi).copied()?;
-        self.out_slots[slot as usize].as_mut()
+        self.record_mut(spi)?.outbound.as_mut()
     }
 
     /// Looks up an inbound SA (the caveat on [`Sadb::outbound_mut`]
-    /// applies here too).
+    /// applies here too, with the next drained run in place of the next
+    /// send).
     pub fn inbound_mut(&mut self, spi: u32) -> Option<&mut Inbound<S>> {
-        let slot = self.in_index.get(&spi).copied()?;
-        self.in_slots[slot as usize].as_mut()
+        self.record_mut(spi)?.inbound.as_mut()
     }
 
-    /// Iterates over outbound endpoints in SPI order.
-    pub fn iter_outbound(&self) -> impl Iterator<Item = (u32, &Outbound<S>)> {
-        self.out_index.iter().map(|(&spi, &slot)| {
-            (
-                spi,
-                self.out_slots[slot as usize].as_ref().expect("indexed"),
-            )
-        })
-    }
-
-    /// Iterates over inbound endpoints in SPI order.
-    pub fn iter_inbound(&self) -> impl Iterator<Item = (u32, &Inbound<S>)> {
-        self.in_index
-            .iter()
-            .map(|(&spi, &slot)| (spi, self.in_slots[slot as usize].as_ref().expect("indexed")))
-    }
-
-    /// Mutably iterates over outbound endpoints in SPI order (save
-    /// completion sweeps, fault injection). Collects the references up
-    /// front, so it is a cold-path tool, not a drain loop.
-    pub fn iter_outbound_mut(&mut self) -> impl Iterator<Item = (u32, &mut Outbound<S>)> {
-        let mut refs: Vec<(u32, &mut Outbound<S>)> = self
-            .out_slots
-            .iter_mut()
-            .filter_map(|s| s.as_mut())
-            .map(|o| (o.sa().spi(), o))
-            .collect();
-        refs.sort_unstable_by_key(|(spi, _)| *spi);
-        refs.into_iter()
-    }
-
-    /// Mutably iterates over inbound endpoints in SPI order.
-    pub fn iter_inbound_mut(&mut self) -> impl Iterator<Item = (u32, &mut Inbound<S>)> {
-        let mut refs: Vec<(u32, &mut Inbound<S>)> = self
-            .in_slots
-            .iter_mut()
-            .filter_map(|s| s.as_mut())
-            .map(|i| (i.sa().spi(), i))
-            .collect();
-        refs.sort_unstable_by_key(|(spi, _)| *spi);
-        refs.into_iter()
-    }
-
-    /// Removes both directions of `spi` (SA teardown). Returns the
-    /// removed endpoints — e.g. to erase their persistent slots, which a
-    /// correct teardown must do before the SPI can be reused — or `None`
-    /// if the SPI was not installed in either direction. Freed slab
-    /// slots are reused by later installs.
+    /// Removes both directions of `spi` (SA teardown) — the whole record,
+    /// policy block included. Returns the removed endpoints — e.g. to
+    /// erase their persistent slots, which a correct teardown must do
+    /// before the SPI can be reused — or `None` if the SPI was not
+    /// installed in either direction. The freed slab slot is reused by a
+    /// later install.
     pub fn remove(&mut self, spi: u32) -> Option<RemovedSa<S>> {
-        let outbound = self.out_index.remove(&spi).map(|slot| {
-            self.out_free.push(slot);
-            self.out_slots[slot as usize].take().expect("indexed")
-        });
-        let inbound = self.in_index.remove(&spi).map(|slot| {
-            self.in_free.push(slot);
-            self.in_slots[slot as usize].take().expect("indexed")
-        });
-        if outbound.is_none() && inbound.is_none() {
-            return None;
-        }
-        self.saves_out.remove(&spi);
-        self.saves_in.remove(&spi);
+        let slot = self.index.remove(&spi)?;
+        self.free.push(slot);
+        let vacated = std::mem::replace(&mut self.slots[slot as usize], SaRecord::vacant());
+        let (outbound, inbound) = (vacated.outbound, vacated.inbound);
+        self.endpoints -= usize::from(outbound.is_some()) + usize::from(inbound.is_some());
         Some(RemovedSa { outbound, inbound })
     }
 
@@ -329,19 +396,28 @@ impl<S: StableStore> Sadb<S> {
     ///
     /// [`IpsecError::UnknownSa`] if no such SA; datapath errors otherwise.
     pub fn protect(&mut self, spi: u32, payload: &[u8]) -> Result<Option<Bytes>, IpsecError> {
-        let slot = self
-            .out_index
-            .get(&spi)
-            .copied()
+        self.protect_on(spi, payload).map(|(wire, ..)| wire)
+    }
+
+    /// [`Sadb::protect`], and its implementation, for the gateway: also
+    /// returns the sequence number the frame carries and the record it
+    /// was sealed on, whose post-send usage the rekey policy reads
+    /// without a second lookup.
+    pub(crate) fn protect_on(
+        &mut self,
+        spi: u32,
+        payload: &[u8],
+    ) -> Result<(Option<Bytes>, SeqNum, &SaRecord<S>), IpsecError> {
+        let slot = *self.index.get(&spi).ok_or(IpsecError::UnknownSa { spi })?;
+        let record = &mut self.slots[slot as usize];
+        let out = record
+            .outbound
+            .as_mut()
             .ok_or(IpsecError::UnknownSa { spi })?;
-        let out = self.out_slots[slot as usize].as_mut().expect("indexed");
-        let was_pending = out.seq_state().pending_save().is_some();
-        let res = out.protect(payload);
-        let now_pending = out.seq_state().pending_save().is_some();
-        if now_pending && !was_pending {
-            self.saves_out.insert(spi);
-        }
-        res
+        let seq = out.seq_state().next_seq();
+        let sealed = out.protect(payload);
+        record.queue_save(Half::Outbound, slot, &mut self.saves);
+        Ok((sealed?, seq, record))
     }
 
     /// Drains a queue of inbound packets, in arrival order, with one
@@ -398,13 +474,15 @@ impl<S: StableStore> Sadb<S> {
     /// share of a *shared* batch without cloning a per-shard `Vec<Bytes>`
     /// first; the slice form passes `|i| &wires[i]`. Runs of equal SPI
     /// are detected over that view and handed to the SA's drain body,
-    /// all inside one drain of the database's scratch.
+    /// all inside one drain of the database's scratch, which also keeps
+    /// the list of runs ([`Sadb::runs_mut`]).
     pub(crate) fn process_batch_routed<'w>(
         &mut self,
         n: usize,
         at: impl Fn(usize) -> &'w Bytes + Copy,
         out: &mut Vec<RxResult>,
     ) {
+        self.scratch.runs.clear();
         self.scratch.begin((0..n).map(|i| at(i).len()).sum());
         let mut i = 0;
         while i < n {
@@ -416,6 +494,12 @@ impl<S: StableStore> Sadb<S> {
                         got: wire.len(),
                     },
                 )));
+                let spi = 0; // what a frame too short to name one reports
+                self.scratch.runs.push(Run {
+                    spi,
+                    slot: None,
+                    len: 1,
+                });
                 i += 1;
                 continue;
             };
@@ -424,37 +508,47 @@ impl<S: StableStore> Sadb<S> {
             while j < n && at(j).get(0..4) == Some(&wire[0..4]) {
                 j += 1;
             }
-            match self.in_index.get(&spi).copied() {
+            let inbound_at = |&slot: &u32| self.slots[slot as usize].inbound.is_some();
+            let slot = self.index.get(&spi).copied().filter(inbound_at);
+            match slot {
                 Some(slot) => {
-                    let inbound = self.in_slots[slot as usize].as_mut().expect("indexed");
-                    let was_pending = inbound.seq_state().pending_save().is_some();
+                    let record = &mut self.slots[slot as usize];
+                    let inbound = record.inbound.as_mut().expect("filtered on it");
                     inbound.drain_run(&mut self.scratch, (i..j).map(at), out);
-                    let now_pending = inbound.seq_state().pending_save().is_some();
-                    if now_pending && !was_pending {
-                        self.saves_in.insert(spi);
-                    }
+                    record.queue_save(Half::Inbound, slot, &mut self.saves);
                 }
                 None => {
                     out.extend((i..j).map(|_| RxResult::Rejected(RxReject::UnknownSa { spi })));
                 }
             }
+            let len = j - i;
+            self.scratch.runs.push(Run { spi, slot, len });
             i = j;
         }
         self.scratch.finish(out);
     }
 
+    /// How the result vector of the last [`Sadb::process_batch_routed`]
+    /// or [`Sadb::finish_recover_all`] falls into SPI runs. The gateway
+    /// takes the list while it walks it and puts it back, so it is
+    /// allocated once.
+    pub(crate) fn runs_mut(&mut self) -> &mut Vec<Run> {
+        &mut self.scratch.runs
+    }
+
     /// A host-wide reset: every SA loses its volatile counters (and any
     /// in-flight background SAVE with them).
     pub fn reset_all(&mut self) {
-        for o in self.out_slots.iter_mut().flatten() {
-            o.reset();
+        for record in &mut self.slots {
+            if let Some(o) = &mut record.outbound {
+                o.reset();
+            }
+            if let Some(i) = &mut record.inbound {
+                i.reset();
+            }
+            record.policy.save_queued = [false; 2];
         }
-        for i in self.in_slots.iter_mut().flatten() {
-            i.reset();
-        }
-        self.saves_out.clear();
-        self.saves_in.clear();
-        self.saves_stale = false;
+        self.saves.clear();
     }
 
     /// SAVE/FETCH wake-up of the whole database; returns the number of
@@ -465,226 +559,149 @@ impl<S: StableStore> Sadb<S> {
     ///
     /// First store failure aborts the sweep.
     pub fn recover_all(&mut self) -> Result<usize, StableError> {
-        let res = self.recover_all_sweep();
-        self.saves_stale = true;
-        res
-    }
-
-    fn recover_all_sweep(&mut self) -> Result<usize, StableError> {
         let mut n = 0;
-        for &slot in self.out_index.values() {
-            let o = self.out_slots[slot as usize].as_mut().expect("indexed");
-            o.wake_up()?;
-            n += 1;
-        }
-        for &slot in self.in_index.values() {
-            let i = self.in_slots[slot as usize].as_mut().expect("indexed");
-            i.wake_up()?;
-            n += 1;
+        for half in Half::BOTH {
+            for &slot in self.index.values() {
+                if let Some(mut endpoint) = self.slots[slot as usize].half_mut(half) {
+                    endpoint.begin_wakeup()?;
+                    endpoint.finish_wakeup(&mut self.scratch)?;
+                    n += 1;
+                }
+            }
         }
         Ok(n)
     }
 
-    /// First half of [`Sadb::recover_all`] for timed drivers: FETCH +
-    /// leap + issue the synchronous wake-up SAVE on every SA that is
-    /// down. Inbound traffic arriving before
+    /// First half of [`Sadb::recover_all`], split for the gateway's timed
+    /// drivers: FETCH + leap + issue the synchronous wake-up SAVE on every
+    /// SA that is down. Inbound traffic arriving before
     /// [`Sadb::finish_recover_all`] is buffered per SA.
     ///
     /// A FETCH failure — a corrupt record, or a generation rollback
-    /// caught by the store witness — no longer aborts the sweep: the
+    /// caught by the store witness — does not abort the sweep: the
     /// failing SA direction stays `Down` and is reported in the returned
-    /// list, while every healthy SA proceeds with its wake-up. The layer
-    /// above ([`crate::Gateway`]) **fails the reported SAs closed**:
-    /// no window leaped from untrusted state is safe, so the SA is
-    /// replaced rather than resumed.
-    pub fn begin_recover_all(&mut self) -> Vec<(u32, StableError)> {
+    /// list, while every healthy SA proceeds with its wake-up. The
+    /// [`crate::Gateway`] **fails the reported SAs closed**: no window
+    /// leaped from untrusted state is safe, so the SA is replaced rather
+    /// than resumed.
+    pub(crate) fn begin_recover_all(&mut self) -> Vec<(u32, StableError)> {
         let mut failed = Vec::new();
-        for (&spi, &slot) in self.out_index.iter() {
-            let o = self.out_slots[slot as usize].as_mut().expect("indexed");
-            if o.phase() == Phase::Down {
-                if let Err(e) = o.begin_wakeup() {
-                    failed.push((spi, e));
+        for half in Half::BOTH {
+            for (&spi, &slot) in &self.index {
+                let record = &mut self.slots[slot as usize];
+                let Some(mut endpoint) = record.half_mut(half) else {
+                    continue;
+                };
+                if endpoint.phase() != Phase::Down {
+                    continue;
+                }
+                match endpoint.begin_wakeup() {
+                    // The wake-up SAVE is owed until the second half — or
+                    // a completion in between — lands it.
+                    Ok(()) => record.queue_save(half, slot, &mut self.saves),
+                    Err(e) => failed.push((spi, e)),
                 }
             }
         }
-        for (&spi, &slot) in self.in_index.iter() {
-            let i = self.in_slots[slot as usize].as_mut().expect("indexed");
-            if i.phase() == Phase::Down {
-                if let Err(e) = i.begin_wakeup() {
-                    failed.push((spi, e));
-                }
-            }
-        }
-        // The wake-up SAVEs issued above are pending until
-        // `finish_recover_all`; consumers resync before trusting the
-        // index.
-        self.saves_stale = true;
         failed
     }
 
     /// Second half of [`Sadb::recover_all`]: completes the wake-up SAVE
     /// on every waking SA, rebuilds the windows at the leaped edges and
     /// classifies the packets buffered in between. Returns the number of
-    /// SA directions recovered and, per inbound SA in SPI order, the
-    /// buffered packets' outcomes in arrival order.
+    /// SA directions recovered. The buffered packets' outcomes — per
+    /// inbound SA in SPI order, each SA's in arrival order — are appended
+    /// to `out` in the shape of a drain: [`Sadb::runs_mut`] describes
+    /// them, one run per SA that had any.
     ///
     /// # Errors
     ///
-    /// First store failure aborts the sweep.
-    #[allow(clippy::type_complexity)]
-    pub fn finish_recover_all(&mut self) -> Result<(usize, Vec<(u32, RxResult)>), StableError> {
-        let res = self.finish_recover_all_sweep();
-        // The wake-up SAVEs are done, but classifying buffered frames
-        // can put *new* background SAVEs in flight — the deferred
-        // rebuild picks those up.
-        self.saves_stale = true;
-        res
-    }
-
-    fn finish_recover_all_sweep(&mut self) -> Result<(usize, Vec<(u32, RxResult)>), StableError> {
+    /// First store failure aborts the sweep, and the outcomes gathered so
+    /// far are dropped with it.
+    pub(crate) fn finish_recover_all(
+        &mut self,
+        out: &mut Vec<RxResult>,
+    ) -> Result<usize, StableError> {
+        self.scratch.runs.clear();
+        let unswept = out.len();
         let mut n = 0;
-        for &slot in self.out_index.values() {
-            let o = self.out_slots[slot as usize].as_mut().expect("indexed");
-            if o.phase() == Phase::Waking {
-                o.finish_wakeup()?;
+        for half in Half::BOTH {
+            for (&spi, &slot) in &self.index {
+                let record = &mut self.slots[slot as usize];
+                let Some(mut endpoint) = record.half_mut(half) else {
+                    continue;
+                };
+                if endpoint.phase() != Phase::Waking {
+                    continue;
+                }
+                let buffered = match endpoint.finish_wakeup(&mut self.scratch) {
+                    Ok(buffered) => buffered,
+                    Err(e) => {
+                        // The verdicts of the SAs that did wake go with
+                        // the failed sweep; a retry reports the rest.
+                        out.truncate(unswept);
+                        return Err(e);
+                    }
+                };
+                // Classifying buffered frames can put a *new* background
+                // SAVE in flight behind the wake-up one.
+                record.queue_save(half, slot, &mut self.saves);
+                if !buffered.is_empty() {
+                    let len = buffered.len();
+                    let slot = Some(slot);
+                    self.scratch.runs.push(Run { spi, slot, len });
+                    out.extend(buffered);
+                }
                 n += 1;
             }
         }
-        let mut buffered = Vec::new();
-        for (&spi, &slot) in self.in_index.iter() {
-            let i = self.in_slots[slot as usize].as_mut().expect("indexed");
-            if i.phase() == Phase::Waking {
-                let outcomes = i.finish_wakeup_with(&mut self.scratch)?;
-                buffered.extend(outcomes.into_iter().map(|r| (spi, r)));
-                n += 1;
-            }
-        }
-        Ok((n, buffered))
-    }
-
-    /// Rebuilds the pending-save index from the endpoints' own state —
-    /// the bulk form of the per-endpoint transition tracking, for the
-    /// fleet-wide recovery sweeps where per-SPI set surgery would pay a
-    /// tree rebalance per SA (measured ~40% on a 256-SA recover storm).
-    /// Index iteration yields SPIs in ascending order, so the collect
-    /// takes `BTreeSet`'s O(n) sorted bulk-build path, and the rebuild
-    /// is exact: a superset of the truly pending endpoints with no
-    /// stale carry-over.
-    fn resync_saves(&mut self) {
-        let slots = &self.out_slots;
-        self.saves_out = self
-            .out_index
-            .iter()
-            .filter(|&(_, &slot)| {
-                slots[slot as usize]
-                    .as_ref()
-                    .expect("indexed")
-                    .seq_state()
-                    .pending_save()
-                    .is_some()
-            })
-            .map(|(&spi, _)| spi)
-            .collect();
-        let slots = &self.in_slots;
-        self.saves_in = self
-            .in_index
-            .iter()
-            .filter(|&(_, &slot)| {
-                slots[slot as usize]
-                    .as_ref()
-                    .expect("indexed")
-                    .seq_state()
-                    .pending_save()
-                    .is_some()
-            })
-            .map(|(&spi, _)| spi)
-            .collect();
-    }
-
-    /// Marks `spi`'s outbound endpoint as possibly owing a background
-    /// SAVE — for callers (the gateway's `protect`) that drive the
-    /// endpoint through [`Sadb::outbound_mut`] and observe the
-    /// no-save → save-pending transition themselves.
-    pub(crate) fn note_outbound_save(&mut self, spi: u32) {
-        self.saves_out.insert(spi);
+        Ok(n)
     }
 
     /// True iff any SA actually has a background SAVE in flight. Walks
-    /// the pending-save index (a superset), verifying each candidate
-    /// against its endpoint — O(pending), not O(fleet).
+    /// the SAVE due-list, verifying each entry against its record —
+    /// O(queued), not O(fleet).
     pub(crate) fn has_pending_save(&self) -> bool {
-        if self.saves_stale {
-            // A recovery sweep invalidated the index; answer from the
-            // endpoints directly (`&self` can't rebuild the sets).
-            return self
-                .out_slots
-                .iter()
-                .flatten()
-                .any(|o| o.seq_state().pending_save().is_some())
-                || self
-                    .in_slots
-                    .iter()
-                    .flatten()
-                    .any(|i| i.seq_state().pending_save().is_some());
-        }
-        self.saves_out.iter().any(
-            |&spi| matches!(self.outbound(spi), Some(o) if o.seq_state().pending_save().is_some()),
-        ) || self.saves_in.iter().any(
-            |&spi| matches!(self.inbound(spi), Some(i) if i.seq_state().pending_save().is_some()),
-        )
+        self.saves.iter().any(|&(half, spi, slot)| {
+            let record = &self.slots[slot as usize];
+            record.spi == spi && record.owes_save(half)
+        })
     }
 
-    /// Completes every in-flight background SAVE (outbound SPIs
-    /// ascending, then inbound), dropping verified-stale index entries
-    /// along the way. On a store failure the failing SPI (and everything
-    /// after it) stays indexed so the completion can be retried.
+    /// Completes every in-flight background SAVE on the due-list
+    /// (outbound SPIs ascending, then inbound), dropping entries their
+    /// record no longer backs along the way. On a store failure the
+    /// failing entry (and everything after it) stays queued so the
+    /// completion can be retried.
     pub(crate) fn complete_pending_saves(&mut self) -> Result<(), StableError> {
-        if self.saves_stale {
-            self.resync_saves();
-            self.saves_stale = false;
-        }
-        while let Some(&spi) = self.saves_out.iter().next() {
-            let slot = self.out_index.get(&spi).copied();
-            if let Some(slot) = slot {
-                let o = self.out_slots[slot as usize].as_mut().expect("indexed");
-                if o.seq_state().pending_save().is_some() {
-                    o.save_completed()?;
+        self.saves.sort_unstable();
+        let mut done = 0;
+        let mut result = Ok(());
+        for &(half, spi, slot) in &self.saves {
+            let record = &mut self.slots[slot as usize];
+            // A slot that changed hands answers for its new SPI only,
+            // which queues (and sorts) under its own entry.
+            if record.spi == spi {
+                if record.owes_save(half) {
+                    let mut endpoint = record.half_mut(half).expect("owes a SAVE");
+                    result = endpoint.save_completed();
+                    if result.is_err() {
+                        break;
+                    }
                 }
+                record.policy.save_queued[half as usize] = false;
             }
-            self.saves_out.remove(&spi);
+            done += 1;
         }
-        while let Some(&spi) = self.saves_in.iter().next() {
-            let slot = self.in_index.get(&spi).copied();
-            if let Some(slot) = slot {
-                let i = self.in_slots[slot as usize].as_mut().expect("indexed");
-                if i.seq_state().pending_save().is_some() {
-                    i.save_completed()?;
-                }
-            }
-            self.saves_in.remove(&spi);
-        }
-        Ok(())
+        self.saves.drain(..done);
+        result
     }
 
-    /// Every installed SPI (either direction), ascending and deduplicated
-    /// — the sweep order fleet-wide operations (sharded recovery
-    /// accounting, per-SA scenario bookkeeping) iterate in.
+    /// Every installed SPI (either direction), ascending — the sweep
+    /// order fleet-wide operations (sharded recovery accounting, per-SA
+    /// scenario bookkeeping) iterate in.
     pub fn spis(&self) -> Vec<u32> {
-        let mut spis: Vec<u32> = self
-            .out_index
-            .keys()
-            .chain(self.in_index.keys())
-            .copied()
-            .collect();
-        spis.sort_unstable();
-        spis.dedup();
-        spis
-    }
-
-    /// Iterates over outbound `(spi, next_seq)` pairs.
-    pub fn outbound_seqs(&self) -> impl Iterator<Item = (u32, SeqNum)> + '_ {
-        self.iter_outbound()
-            .map(|(spi, o)| (spi, o.seq_state().next_seq()))
+        self.index.keys().copied().collect()
     }
 }
 
@@ -715,9 +732,16 @@ mod tests {
 
     #[test]
     fn install_and_count() {
-        let db = sadb_with(5);
-        assert_eq!(db.outbound_count(), 5);
-        assert_eq!(db.inbound_count(), 5);
+        let mut db = sadb_with(5);
+        assert_eq!(db.len(), 10, "5 SAs x 2 directions");
+        assert_eq!(db.spis(), vec![1, 2, 3, 4, 5]);
+        assert!((1..=5).all(|spi| db.outbound(spi).is_some() && db.inbound(spi).is_some()));
+        // Replacing a half in place adds no endpoint; a first half does.
+        db.install_outbound(sa(5), MemStable::new(), 10);
+        assert_eq!(db.len(), 10);
+        db.install_inbound(sa(6), MemStable::new(), 10, 64);
+        assert_eq!(db.len(), 11);
+        assert!(db.outbound(6).is_none() && db.inbound(6).is_some());
     }
 
     #[test]
@@ -754,7 +778,8 @@ mod tests {
         assert_eq!(removed.outbound.expect("outbound half").sa().spi(), 1);
         assert_eq!(removed.inbound.expect("inbound half").sa().spi(), 1);
         assert!(db.remove(1).is_none(), "second remove is a no-op");
-        assert_eq!(db.outbound_count(), 1);
+        assert!(db.outbound(1).is_none() && db.inbound(1).is_none());
+        assert_eq!(db.spis(), vec![2]);
         assert_eq!(db.len(), 2);
         assert!(!db.is_empty());
         assert!(db.protect(1, b"x").is_err());
@@ -763,7 +788,7 @@ mod tests {
     #[test]
     fn freed_slots_are_reused_and_churn_keeps_spi_order() {
         let mut db = sadb_with(4);
-        let slots_before = db.out_slots.len();
+        let slots_before = db.slots.len();
         db.remove(2);
         db.remove(3);
         // Two new SPIs must reuse the two freed slots, not grow the slab.
@@ -771,13 +796,11 @@ mod tests {
         db.install_inbound(sa(100), MemStable::new(), 10, 64);
         db.install_outbound(sa(50), MemStable::new(), 10);
         db.install_inbound(sa(50), MemStable::new(), 10, 64);
-        assert_eq!(db.out_slots.len(), slots_before, "slab did not grow");
-        assert!(db.out_free.is_empty(), "both free slots consumed");
-        // The deterministic index still iterates in SPI order.
-        let outs: Vec<u32> = db.iter_outbound().map(|(spi, _)| spi).collect();
-        assert_eq!(outs, vec![1, 4, 50, 100]);
-        let ins: Vec<u32> = db.iter_inbound().map(|(spi, _)| spi).collect();
-        assert_eq!(ins, outs);
+        assert_eq!(db.slots.len(), slots_before, "slab did not grow");
+        assert!(db.free.is_empty(), "both free slots consumed");
+        // The deterministic index still sweeps in SPI order.
+        assert_eq!(db.spis(), vec![1, 4, 50, 100]);
+        assert_eq!(db.len(), 8);
         // And the datapath routes to the right endpoints after churn.
         let wire = db.protect(50, b"to fifty").unwrap().unwrap();
         match process_one(&mut db, &wire) {
@@ -797,12 +820,18 @@ mod tests {
             process_one(&mut db, &w);
         }
         assert!(db.has_pending_save());
-        assert!(db.saves_out.contains(&1));
-        assert!(db.saves_in.contains(&1));
-        assert!(!db.saves_out.contains(&2), "untouched SA not indexed");
+        let queued: Vec<(Half, u32)> = db.saves.iter().map(|&(half, spi, _)| (half, spi)).collect();
+        assert_eq!(queued, [(Half::Outbound, 1), (Half::Inbound, 1)]);
+        // Another K packets issue another SAVE each way; the halves are
+        // queued already, so the list does not grow.
+        for _ in 0..10 {
+            let w = db.protect(1, b"data").unwrap().unwrap();
+            process_one(&mut db, &w);
+        }
+        assert_eq!(db.saves.len(), 2, "one entry per half, not per SAVE");
         db.complete_pending_saves().unwrap();
         assert!(!db.has_pending_save());
-        assert!(db.saves_out.is_empty() && db.saves_in.is_empty());
+        assert!(db.saves.is_empty());
 
         // Completing a save directly on the endpoint (the documented
         // escape hatch) leaves a stale index entry — a false positive
@@ -812,9 +841,29 @@ mod tests {
         }
         assert!(db.has_pending_save());
         db.outbound_mut(2).unwrap().save_completed().unwrap();
-        assert!(!db.has_pending_save(), "index verifies, never trusts");
+        assert!(
+            !db.has_pending_save(),
+            "entries are verified, never trusted"
+        );
         db.complete_pending_saves().unwrap();
-        assert!(db.saves_out.is_empty());
+        assert!(db.saves.is_empty());
+
+        // An entry outlives its SA harmlessly: the slot's next owner is
+        // not mistaken for it, and queues for itself.
+        for _ in 0..10 {
+            db.protect(2, b"data").unwrap().unwrap();
+        }
+        db.remove(2);
+        assert!(!db.has_pending_save(), "the SA took its SAVE with it");
+        db.install_outbound(sa(9), MemStable::new(), 10);
+        for _ in 0..10 {
+            db.protect(9, b"data").unwrap().unwrap();
+        }
+        assert_eq!(db.saves.len(), 2, "stale entry + the new owner's own");
+        assert_eq!(db.saves[0].2, db.saves[1].2, "same slot, reused");
+        db.complete_pending_saves().unwrap();
+        assert!(db.saves.is_empty());
+        assert!(db.outbound(9).unwrap().seq_state().pending_save().is_none());
     }
 
     #[test]
@@ -942,16 +991,6 @@ mod tests {
     }
 
     #[test]
-    fn outbound_seqs_iterates() {
-        let mut db = sadb_with(3);
-        db.protect(1, b"x").unwrap();
-        let seqs: std::collections::HashMap<u32, SeqNum> = db.outbound_seqs().collect();
-        assert_eq!(seqs.len(), 3);
-        assert_eq!(seqs[&1], SeqNum::new(2));
-        assert_eq!(seqs[&2], SeqNum::new(1));
-    }
-
-    #[test]
     fn spis_unions_both_directions_sorted_deduped() {
         let mut db: Sadb<MemStable> = Sadb::new();
         db.install_outbound(sa(9), MemStable::new(), 10);
@@ -960,23 +999,6 @@ mod tests {
         db.install_inbound(sa(7), MemStable::new(), 10, 64);
         assert_eq!(db.spis(), vec![3, 7, 9]);
         assert!(Sadb::<MemStable>::new().spis().is_empty());
-    }
-
-    #[test]
-    fn iterators_walk_spis_in_order() {
-        let mut db = Sadb::new();
-        for &spi in &[9u32, 3, 7, 1] {
-            db.install_outbound(sa(spi), MemStable::new(), 10);
-            db.install_inbound(sa(spi), MemStable::new(), 10, 64);
-        }
-        let outs: Vec<u32> = db.iter_outbound().map(|(spi, _)| spi).collect();
-        let ins: Vec<u32> = db.iter_inbound().map(|(spi, _)| spi).collect();
-        assert_eq!(outs, vec![1, 3, 7, 9], "deterministic SPI order");
-        assert_eq!(ins, outs);
-        let outs_mut: Vec<u32> = db.iter_outbound_mut().map(|(spi, _)| spi).collect();
-        let ins_mut: Vec<u32> = db.iter_inbound_mut().map(|(spi, _)| spi).collect();
-        assert_eq!(outs_mut, vec![1, 3, 7, 9]);
-        assert_eq!(ins_mut, outs_mut);
     }
 
     #[test]
@@ -1005,7 +1027,7 @@ mod tests {
         assert_eq!(failed.len(), 1, "{failed:?}");
         assert_eq!(failed[0].0, 2);
         // The sweep did not abort: the other five directions woke.
-        let (recovered, _) = db.finish_recover_all().unwrap();
+        let recovered = db.finish_recover_all(&mut Vec::new()).unwrap();
         assert_eq!(recovered, 5, "3 outbound + 2 healthy inbound");
         assert_eq!(db.inbound(2).unwrap().phase(), Phase::Down);
     }
@@ -1032,10 +1054,12 @@ mod tests {
             other.protect(2, b"fresh").unwrap().unwrap()
         };
         assert_eq!(process_one(&mut db, &w), RxResult::Buffered);
-        let (recovered, buffered) = db.finish_recover_all().unwrap();
+        let mut buffered = Vec::new();
+        let recovered = db.finish_recover_all(&mut buffered).unwrap();
         assert_eq!(recovered, 8, "4 SAs x 2 directions");
         assert_eq!(buffered.len(), 1);
-        assert_eq!(buffered[0].0, 2);
-        assert!(buffered[0].1.is_delivered(), "{buffered:?}");
+        assert!(buffered[0].is_delivered(), "{buffered:?}");
+        let runs: Vec<(u32, usize)> = db.runs_mut().iter().map(|r| (r.spi, r.len)).collect();
+        assert_eq!(runs, [(2, 1)], "one run, for the SA that buffered");
     }
 }

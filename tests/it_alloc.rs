@@ -6,9 +6,10 @@
 //! is per frame once SPIs are uniform over a wide fleet — is not that, so
 //! this binary counts them: after one warm-up batch the receive drain
 //! allocates a small constant **per batch**, whatever the frame count and
-//! however the batch falls into SPI runs; a single-frame `push_wire`
-//! allocates nothing; the machine and its drivers allocate nothing per
-//! message.
+//! however the batch falls into SPI runs — and so does the whole cycle
+//! with the background SAVEs of the default `K` issued and completed
+//! every batch; a single-frame `push_wire` allocates nothing; the machine
+//! and its drivers allocate nothing per message.
 //!
 //! A counting `#[global_allocator]` sees every thread (the sharded drain
 //! allocates on its workers), so everything lives in **one** `#[test]`:
@@ -68,13 +69,16 @@ const BATCH: usize = 4096;
 const PAYLOAD: [u8; 64] = [0xA7; 64];
 
 /// What a drain may allocate per batch once warm. Measured: 1, the event
-/// vector `poll_events` returns; the rest is slack for a queue that grows
-/// late. The parent of this change allocated 2.6 per *frame* on runs of
-/// 16 (10 800 a batch) and 11 per frame on singleton runs (45 000).
+/// vector `poll_events` returns — with or without SAVEs issued and
+/// completed around it; the rest is slack for a queue that grows late.
+/// Before ISSUE 17 the drain allocated 2.6 per *frame* on runs of 16
+/// (10 800 a batch) and 11 per frame on singleton runs (45 000); before
+/// ISSUE 18 a batch that issued its SAVEs allocated 42.
 const PER_BATCH: u64 = 4;
 /// The same through a 2-shard pool, which adds its fan-out per batch: the
 /// shared `Arc<[Bytes]>`, per-shard route vectors (grown by doubling),
-/// jobs, completions and per-shard event vectors. Measured: 33–35.
+/// jobs, completions and per-shard event vectors. Measured: 33–35, and
+/// 42–43 with a `save_completed` (one more job per shard) in the cycle.
 const PER_SHARDED_BATCH: u64 = 64;
 
 fn sa(spi: u32, backend: Backend) -> SecurityAssociation {
@@ -82,13 +86,20 @@ fn sa(spi: u32, backend: Backend) -> SecurityAssociation {
     SecurityAssociation::new(spi, keys).with_backend(backend)
 }
 
-/// A plain gateway over `sas` SA pairs: default suite, DPD off, and a
-/// save interval no SA reaches, so what is counted is the drain and not
-/// the SADB's pending-save index (a B-tree node per ~6 SAVEs issued — per
-/// ~150 frames at the default `K` = 25 — which is the paper's one-per-`K`
-/// background cost, not a per-frame one).
-fn gateway(sas: u32, backend: Backend) -> Gateway<MemStable> {
-    let mut gw = GatewayBuilder::in_memory().save_interval(1 << 40).build();
+/// A save interval no SA reaches: the fleets built with it issue no
+/// SAVE, so what is counted on them is the drain alone. (Before the SADB
+/// kept its owed SAVEs in one reused vector this was also the only way to
+/// a per-batch constant — the pending-save sets cost a B-tree node per ~6
+/// SAVEs issued. The fleets built with [`DEFAULT_K`] count that cycle
+/// now.)
+const NO_SAVES: u64 = 1 << 40;
+/// The builder's default save interval: with 16 frames per SA per batch,
+/// SAVEs are issued in two batches of every three.
+const DEFAULT_K: u64 = 25;
+
+/// A plain gateway over `sas` SA pairs, default suite, DPD off.
+fn gateway(sas: u32, backend: Backend, k: u64) -> Gateway<MemStable> {
+    let mut gw = GatewayBuilder::in_memory().save_interval(k).build();
     for spi in SPI_BASE..SPI_BASE + sas {
         gw.install_pair(sa(spi, backend));
     }
@@ -96,9 +107,9 @@ fn gateway(sas: u32, backend: Backend) -> Gateway<MemStable> {
 }
 
 /// The same fleet behind a 2-shard pool.
-fn sharded_gateway(sas: u32, backend: Backend) -> ShardedGateway<MemStable> {
+fn sharded_gateway(sas: u32, backend: Backend, k: u64) -> ShardedGateway<MemStable> {
     let mut gw = GatewayBuilder::in_memory()
-        .save_interval(1 << 40)
+        .save_interval(k)
         .shards(2)
         .build_sharded();
     for spi in SPI_BASE..SPI_BASE + sas {
@@ -128,20 +139,28 @@ fn assert_all_delivered(events: &[GatewayEvent], what: &str) {
     }
 }
 
-/// One warm-up batch through `drain` (a receiver's `push_wire_batch` +
-/// `poll_events`), then the allocations of a second one.
+/// `warm_up` batches through `drain` (a receiver's `push_wire_batch` +
+/// `poll_events`, and whatever else its cycle does), then the most any
+/// one of `measured` further batches allocates.
 fn drain_allocs(
-    sas: u32,
-    run: usize,
+    (sas, run): (u32, usize),
     backend: Backend,
+    (warm_up, measured): (usize, usize),
     mut drain: impl FnMut(&[Bytes]) -> Vec<GatewayEvent>,
 ) -> u64 {
-    let mut tx = gateway(sas, backend);
-    assert_all_delivered(&drain(&seal_batch(&mut tx, sas, run)), "warm-up");
-    let batch = seal_batch(&mut tx, sas, run);
-    let (events, allocs) = counted(|| drain(&batch));
-    assert_all_delivered(&events, "counted batch");
-    allocs
+    let mut tx = gateway(sas, backend, NO_SAVES);
+    for _ in 0..warm_up {
+        assert_all_delivered(&drain(&seal_batch(&mut tx, sas, run)), "warm-up");
+    }
+    (0..measured)
+        .map(|_| {
+            let batch = seal_batch(&mut tx, sas, run);
+            let (events, allocs) = counted(|| drain(&batch));
+            assert_all_delivered(&events, "counted batch");
+            allocs
+        })
+        .max()
+        .expect("at least one measured batch")
 }
 
 #[test]
@@ -186,8 +205,8 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
         // (a) 16-frame runs over 256 SAs; (b) singleton runs over 4 096
         // distinct SAs — every frame a different SA than the last.
         for (sas, run) in [(256u32, 16usize), (BATCH as u32, 1)] {
-            let mut rx = gateway(sas, backend);
-            let allocs = drain_allocs(sas, run, backend, |batch| {
+            let mut rx = gateway(sas, backend, NO_SAVES);
+            let allocs = drain_allocs((sas, run), backend, (1, 1), |batch| {
                 rx.push_wire_batch(batch).unwrap();
                 rx.poll_events()
             });
@@ -196,8 +215,8 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
                 "{backend}: {BATCH} frames in runs of {run} over {sas} SAs allocated \
                  {allocs} times (limit {PER_BATCH} per batch)"
             );
-            let mut rx = sharded_gateway(sas, backend);
-            let allocs = drain_allocs(sas, run, backend, |batch| {
+            let mut rx = sharded_gateway(sas, backend, NO_SAVES);
+            let allocs = drain_allocs((sas, run), backend, (1, 1), |batch| {
                 rx.push_wire_batch(batch).unwrap();
                 rx.poll_events()
             });
@@ -208,10 +227,45 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
             );
         }
 
+        // ---- the whole receive cycle at the default K: every SA issues a
+        // SAVE in two batches of three and the driver completes them after
+        // each batch. Owing and completing SAVEs is per-batch bookkeeping
+        // in reused memory, so the constants are the drain's. Warm until
+        // every SA has saved once (its store has the slot); then no batch
+        // of a full issue pattern may exceed them.
+        let shape = (256u32, 16usize);
+        let mut rx = gateway(shape.0, backend, DEFAULT_K);
+        let mut batches_that_saved = 0;
+        let allocs = drain_allocs(shape, backend, (2, 6), |batch| {
+            rx.push_wire_batch(batch).unwrap();
+            let events = rx.poll_events();
+            batches_that_saved += u32::from(rx.pending_save());
+            rx.save_completed().unwrap();
+            events
+        });
+        assert!(batches_that_saved >= 4, "the cycle must issue SAVEs");
+        assert!(
+            allocs <= PER_BATCH,
+            "{backend}: a batch with its SAVEs issued and completed allocated {allocs} \
+             times (limit {PER_BATCH} per batch)"
+        );
+        let mut rx = sharded_gateway(shape.0, backend, DEFAULT_K);
+        let allocs = drain_allocs(shape, backend, (2, 6), |batch| {
+            rx.push_wire_batch(batch).unwrap();
+            let events = rx.poll_events();
+            rx.save_completed().unwrap();
+            events
+        });
+        assert!(
+            allocs <= PER_SHARDED_BATCH,
+            "{backend}: 2 shards, a batch with its SAVEs issued and completed allocated \
+             {allocs} times (limit {PER_SHARDED_BATCH} per batch)"
+        );
+
         // ---- single frames: push_wire allocates nothing at all once
         // warm, and protect only what it hands out (the frame's buffer
         // and its reference count).
-        let (mut tx, mut rx) = (gateway(8, backend), gateway(8, backend));
+        let (mut tx, mut rx) = (gateway(8, backend, NO_SAVES), gateway(8, backend, NO_SAVES));
         let (mut push, mut protect) = (0, 0);
         for i in 0..BATCH as u32 + 64 {
             let spi = SPI_BASE + i % 8;

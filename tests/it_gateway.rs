@@ -350,3 +350,112 @@ fn handshake_keyed_gateways_interoperate() {
         .iter()
         .all(|e| matches!(e, GatewayEvent::Delivered { .. })));
 }
+
+/// A store that appends the slot of every SAVE it performs to a log
+/// shared by the whole gateway.
+struct Recording {
+    inner: MemStable,
+    saves: std::sync::Arc<std::sync::Mutex<Vec<String>>>,
+}
+
+impl reset_stable::StableStore for Recording {
+    fn store(
+        &mut self,
+        slot: reset_stable::SlotId,
+        value: u64,
+    ) -> Result<(), reset_stable::StableError> {
+        self.saves.lock().unwrap().push(slot.to_string());
+        self.inner.store(slot, value)
+    }
+    fn load(&self, slot: reset_stable::SlotId) -> Result<Option<u64>, reset_stable::StableError> {
+        self.inner.load(slot)
+    }
+    fn erase(&mut self, slot: reset_stable::SlotId) -> Result<(), reset_stable::StableError> {
+        self.inner.erase(slot)
+    }
+}
+
+#[test]
+fn owed_saves_are_reported_and_completed_in_store_order_across_a_recovery() {
+    // The order in which `save_completed` reaches the stores is part of
+    // the contract (WAL bytes and seeded fault schedules hang on it):
+    // outbound SPIs ascending, then inbound — whatever order the SAVEs
+    // were issued in, before and after a recovery sweep.
+    let saves = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let log = std::sync::Arc::clone(&saves);
+    let mut q = GatewayBuilder::with_stores(move |_, _| Recording {
+        inner: MemStable::new(),
+        saves: std::sync::Arc::clone(&log),
+    })
+    .save_interval(4)
+    .build();
+    let mut p = GatewayBuilder::in_memory().save_interval(4).build();
+    for spi in [0x30, 0x10, 0x20] {
+        p.add_peer(spi, MASTER);
+        q.add_peer(spi, MASTER);
+    }
+    let taken = || std::mem::take(&mut *saves.lock().unwrap());
+
+    // A mixed backlog: `q` owes outbound SAVEs on 0x20 and 0x10 and
+    // inbound ones on 0x30 and 0x10, issued in no particular order.
+    let backlog = |p: &mut Gateway<MemStable>, q: &mut Gateway<Recording>| {
+        for (sends, spi) in [(false, 0x30), (true, 0x20), (false, 0x10), (true, 0x10)] {
+            for _ in 0..8 {
+                if sends {
+                    q.protect(spi, b"out").unwrap().unwrap();
+                } else {
+                    let f = p.protect(spi, b"in").unwrap().unwrap();
+                    q.push_wire(&f.wire).unwrap();
+                }
+            }
+        }
+        q.poll_events();
+    };
+    assert!(!q.pending_save());
+    backlog(&mut p, &mut q);
+    assert!(q.pending_save());
+    assert_eq!(taken(), Vec::<String>::new(), "issued, not yet written");
+    q.save_completed().unwrap();
+    assert_eq!(taken(), ["tx:0x10", "tx:0x20", "rx:0x10", "rx:0x30"]);
+    assert!(!q.pending_save());
+
+    // Between the recovery halves every waking SA owes its wake-up SAVE,
+    // and `finish_recover` lands them in the same order.
+    q.reset();
+    assert!(!q.pending_save(), "a reset loses the SAVEs in flight");
+    q.begin_recover().unwrap();
+    assert!(q.pending_save());
+    q.finish_recover().unwrap();
+    let all_six = [
+        "tx:0x10", "tx:0x20", "tx:0x30", "rx:0x10", "rx:0x20", "rx:0x30",
+    ];
+    assert_eq!(taken(), all_six);
+    q.save_completed().unwrap();
+    assert!(!q.pending_save());
+    assert_eq!(taken(), Vec::<String>::new(), "nothing was left to write");
+
+    // ... or a completion between the halves does, and the second half
+    // finds them written.
+    q.reset();
+    q.begin_recover().unwrap();
+    q.save_completed().unwrap();
+    assert_eq!(taken(), all_six);
+    assert!(!q.pending_save());
+    q.finish_recover().unwrap();
+    assert_eq!(taken(), Vec::<String>::new());
+    q.poll_events();
+
+    // Two recoveries leaped `q`'s windows 4K ahead of `p`; once `p` has
+    // caught up, the same backlog completes in the same order after the
+    // sweeps as before them.
+    for _ in 0..4 {
+        backlog(&mut p, &mut q);
+    }
+    q.save_completed().unwrap();
+    taken();
+    backlog(&mut p, &mut q);
+    assert!(q.pending_save());
+    q.save_completed().unwrap();
+    assert_eq!(taken(), ["tx:0x10", "tx:0x20", "rx:0x10", "rx:0x30"]);
+    assert!(!q.pending_save());
+}

@@ -550,7 +550,7 @@ not json at all\n\
         assert!(in_fast_groups(
             "gateway_shard/recover_storm_256sa/plain_gateway"
         ));
-        assert!(!in_fast_groups("gateway_shard/rx_fresh_4096f_256sa/4"));
+        assert!(!in_fast_groups("window/replay_storm/w=64"));
         assert!(!in_fast_groups("datapath/gateway_drain/process_batch/512"));
         assert!(in_fast_groups("store_save/fleet_save_1024sa/wal_shared"));
         assert!(in_fast_groups("store_save/fleet_save_1024sa/file_per_slot"));
