@@ -660,7 +660,7 @@ pub(crate) fn sha256_multiway(backend: Backend, states: &mut [[u32; 8]], blocks:
 /// optimizer widens the pair of word loads/stores to vector ops), with a
 /// byte tail for non-multiple-of-8 payload ends.
 #[inline(always)]
-fn xor_keystream(dst: &mut [u8], ks: &[u8; 64]) {
+pub(crate) fn xor_keystream(dst: &mut [u8], ks: &[u8; 64]) {
     let words = dst.len() / 8;
     for i in 0..words {
         let off = i * 8;
@@ -673,101 +673,118 @@ fn xor_keystream(dst: &mut [u8], ks: &[u8; 64]) {
     }
 }
 
-/// XORs the ChaCha20 keystream into one contiguous payload, filling the
-/// lanes with this payload's *sequential* block counters — the same-key
-/// multi-block mode used by `encrypt`/`decrypt` on large payloads.
-/// Byte-identical to [`chacha20_xor`], including the counter-overflow
-/// panic.
-pub(crate) fn chacha20_xor_backend(
+/// A partial lane group of at least this many blocks runs on the vector
+/// kernel, padded to its width; a smaller one is scalar blocks. A kernel
+/// pass costs about two scalar blocks on both vector backends (measured:
+/// 190–225 ns against 87–118 ns), so two real blocks are a wash — and
+/// left scalar, a fleet whose runs are single frames never touches the
+/// wide registers at all.
+const PAD_FROM: usize = 3;
+
+/// The one keystream scheduler. `units` are 64-byte block requests under
+/// one key, each with a caller's tag saying where its keystream goes;
+/// they fill a stack group of lanes in order, every full group is one
+/// kernel pass, and `sink` receives each block with its tag, in order.
+/// Every user — `encrypt` / `decrypt` / `decrypt_batch` through
+/// [`chacha20_xor_jobs`], the one-time keys of `verify_batch`, the fused
+/// `seal` — comes through here, and what happens to the last group when
+/// it is *not* full is decided here and nowhere else:
+///
+/// * `extra` are blocks the caller could use but does not need. They are
+///   drawn only to top up lanes the last group would otherwise pad —
+///   never to start a group, and not at all when nothing is pending;
+/// * [`PAD_FROM`] or more blocks then run on the kernel, the pad lanes
+///   repeating the last real job (so nothing is computed, and no counter
+///   advanced, that nobody asked for); fewer are scalar blocks.
+///
+/// Nothing is allocated. The working arrays are locals of this function,
+/// not fields of a scheduler object, on purpose: the kernels take them by
+/// pointer, and an object they pointed into would pin its fill count in
+/// memory too (measured: +12 % on a 16-frame `decrypt_batch`).
+#[inline(always)]
+pub(crate) fn chacha_units<T: Copy + Default>(
     backend: Backend,
     key: &[u8; CHACHA_KEY_LEN],
-    counter: u32,
-    nonce: &[u8; CHACHA_NONCE_LEN],
-    data: &mut [u8],
+    units: impl Iterator<Item = (BlockJob, T)>,
+    extra: impl Iterator<Item = (BlockJob, T)>,
+    mut sink: impl FnMut(T, &[u8; 64]),
 ) {
     let lanes = backend.lanes();
-    if lanes == 1 || data.len() <= 64 {
-        chacha20_xor(key, counter, nonce, data);
+    let mut jobs = [(0u32, [0u8; CHACHA_NONCE_LEN]); MAX_LANES];
+    let mut tags = [T::default(); MAX_LANES];
+    let mut ks = [[0u8; 64]; MAX_LANES];
+    let mut filled = 0;
+    for (job, tag) in units {
+        jobs[filled] = job;
+        tags[filled] = tag;
+        filled += 1;
+        if filled == lanes {
+            chacha_blocks(backend, key, &jobs[..lanes], &mut ks[..lanes]);
+            for (tag, block) in tags[..lanes].iter().zip(&ks) {
+                sink(*tag, block);
+            }
+            filled = 0;
+        }
+    }
+    if filled == 0 {
         return;
     }
-    let mut jobs = [(0u32, [0u8; CHACHA_NONCE_LEN]); MAX_LANES];
-    let mut ks = [[0u8; 64]; MAX_LANES];
-    let mut ctr = counter;
-    for group in data.chunks_mut(64 * lanes) {
-        let nblocks = group.len().div_ceil(64);
-        if nblocks == lanes {
-            for (l, job) in jobs.iter_mut().take(lanes).enumerate() {
-                let lane_ctr = ctr
-                    .checked_add(l as u32)
-                    .expect("chacha20 counter overflow");
-                *job = (lane_ctr, *nonce);
-            }
-            chacha_blocks(backend, key, &jobs[..lanes], &mut ks[..lanes]);
-            for (l, chunk) in group.chunks_mut(64).enumerate() {
-                xor_keystream(chunk, &ks[l]);
-            }
-            ctr = ctr
-                .checked_add(nblocks as u32)
-                .expect("chacha20 counter overflow");
-        } else {
-            // Short tail: the scalar path advances (and overflow-checks)
-            // the counter exactly like the full-lane path above.
-            chacha20_xor(key, ctr, nonce, group);
-            ctr = ctr
-                .checked_add(nblocks as u32)
-                .expect("chacha20 counter overflow");
+    for (job, tag) in extra.take(lanes - filled) {
+        jobs[filled] = job;
+        tags[filled] = tag;
+        filled += 1;
+    }
+    if filled >= PAD_FROM {
+        let last = jobs[filled - 1];
+        jobs[filled..lanes].fill(last);
+        chacha_blocks(backend, key, &jobs[..lanes], &mut ks[..lanes]);
+        for (tag, block) in tags[..filled].iter().zip(&ks) {
+            sink(*tag, block);
+        }
+    } else {
+        for (tag, job) in tags[..filled].iter().zip(&jobs) {
+            sink(*tag, &chacha20_block(key, job.0, &job.1));
         }
     }
 }
 
 /// XORs the ChaCha20 keystream into several disjoint regions of `buf`,
 /// one `(nonce, start counter, byte range)` job per region, batching
-/// 64-byte blocks *across* jobs so small packets still fill every lane.
-/// Byte-identical to running [`chacha20_xor`] per job. The jobs stream
-/// through one stack group of lanes: nothing is allocated.
+/// 64-byte blocks *across* jobs so small packets still fill every lane;
+/// one job is the same-key multi-block mode `encrypt` / `decrypt` run on
+/// a single payload. Byte-identical to running [`chacha20_xor`] per job,
+/// including the counter-overflow panic. The jobs stream through
+/// [`chacha_units`]: nothing is allocated.
 pub(crate) fn chacha20_xor_jobs(
     backend: Backend,
     key: &[u8; CHACHA_KEY_LEN],
     buf: &mut [u8],
     jobs: impl Iterator<Item = ([u8; CHACHA_NONCE_LEN], u32, Range<usize>)>,
 ) {
-    let lanes = backend.lanes();
-    if lanes == 1 {
+    if backend.lanes() == 1 {
         for (nonce, counter, range) in jobs {
             chacha20_xor(key, counter, &nonce, &mut buf[range]);
         }
         return;
     }
-    // Every job is cut into 64-byte keystream units; units fill the
-    // group across job boundaries and a full group is one kernel call.
-    let mut group = [(0u32, [0u8; CHACHA_NONCE_LEN]); MAX_LANES];
-    let mut spans = [(0usize, 0usize); MAX_LANES];
-    let mut ks = [[0u8; 64]; MAX_LANES];
-    let mut filled = 0;
-    for (nonce, counter, range) in jobs {
-        let mut off = range.start;
-        let mut ctr = counter;
-        while off < range.end {
-            let len = (range.end - off).min(64);
-            group[filled] = (ctr, nonce);
-            spans[filled] = (off, len);
-            filled += 1;
-            if filled == lanes {
-                chacha_blocks(backend, key, &group[..lanes], &mut ks[..lanes]);
-                for (&(off, len), block) in spans[..lanes].iter().zip(&ks) {
-                    xor_keystream(&mut buf[off..off + len], block);
-                }
-                filled = 0;
-            }
-            ctr = ctr.checked_add(1).expect("chacha20 counter overflow");
-            off += len;
-        }
-    }
-    // The units left over do not fill the lanes: one scalar block each.
-    for ((ctr, nonce), &(off, len)) in group[..filled].iter().zip(&spans) {
-        let block = chacha20_block(key, *ctr, nonce);
-        xor_keystream(&mut buf[off..off + len], &block);
-    }
+    // Every job is cut into 64-byte keystream units tagged with their
+    // span of `buf`. Like `chacha20_xor`, a job may not end on the last
+    // counter: the one after each unit must exist.
+    let units = jobs.flat_map(|(nonce, counter, range)| {
+        let end = range.end;
+        range.step_by(64).zip(1u32..).map(move |(off, nth)| {
+            let after = counter.checked_add(nth);
+            let ctr = after.expect("chacha20 counter overflow") - 1;
+            ((ctr, nonce), (off, (end - off).min(64)))
+        })
+    });
+    chacha_units(
+        backend,
+        key,
+        units,
+        std::iter::empty(),
+        |(off, len), block| xor_keystream(&mut buf[off..off + len], block),
+    );
 }
 
 #[cfg(test)]
@@ -898,7 +915,8 @@ mod tests {
                 fill(&mut seed, &mut data);
                 let mut expect = data.clone();
                 chacha20_xor(&key, 1, &nonce, &mut expect);
-                chacha20_xor_backend(backend, &key, 1, &nonce, &mut data);
+                let whole = 0..data.len();
+                chacha20_xor_jobs(backend, &key, &mut data, [(nonce, 1, whole)].into_iter());
                 assert_eq!(data, expect, "{backend} len {len}");
             }
         }

@@ -96,6 +96,6 @@ pub use poly1305::{poly1305, Poly1305, POLY1305_KEY_LEN, POLY1305_TAG_LEN};
 pub use prf::{prf_plus, xor_keystream, xor_keystream_with};
 pub use sha256::{from_hex, sha256, to_hex, Sha256, BLOCK_LEN, DIGEST_LEN};
 pub use suite::{
-    ChaCha20Poly1305Suite, CipherSuite, FrameToVerify, HmacSha256Suite, Icv, HMAC_ICV_LEN,
-    MAX_ICV_LEN, MAX_IV_LEN,
+    ChaCha20Poly1305Suite, CipherSuite, FrameToVerify, HmacSha256Suite, Icv, SealAhead,
+    HMAC_ICV_LEN, MAX_ICV_LEN, MAX_IV_LEN,
 };

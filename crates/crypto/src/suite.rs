@@ -46,8 +46,54 @@
 //! ICV verdict, tag, ciphertext, and plaintext must be byte-identical
 //! across backends. The per-lane kernel KATs in `crate::lanes`, the
 //! existing suite KATs re-run per backend, and the randomized 10k-frame
-//! differential in `tests/backend_differential.rs` enforce this for
+//! differentials in `tests/backend_differential.rs` enforce this for
 //! every backend the host supports.
+//!
+//! # The sealing rule
+//!
+//! A lane group is one kernel pass: [`Backend::lanes`] ChaCha20 blocks
+//! under one key, each with its own `(nonce, counter)`. Every batch verb
+//! fills groups across packets; where the last group cannot be filled,
+//! one rule (written once, `chacha_units` in `crate::lanes`) decides:
+//! **three or more blocks run on the vector kernel, padded to its width;
+//! one or two are scalar blocks** — a kernel pass costs about two scalar
+//! blocks, so a padded pass of three never loses and a short tail never
+//! pays for lanes it cannot use. `encrypt` / `decrypt` / `decrypt_batch`
+//! pad by repeating their last real block (nothing they did not ask for
+//! is computed).
+//!
+//! [`CipherSuite::seal`] has something better to put in those lanes. A
+//! sender knows its future — `s := s + 1` per message — so the nonce of
+//! the *next* frame is known before its payload exists. The AEAD suite's
+//! `seal` sends counter 0 (the Poly1305 one-time key) and counters
+//! `1..=n` (the payload keystream) of its frame through the lanes
+//! together, and the lanes its last group would pad compute the lowest
+//! counters of the sequence numbers that follow — `(seq + 1, 0)`,
+//! `(seq + 1, 1)`, … "the next frames look like this one" — into a
+//! [`SealAhead`], at most one group of blocks (blocks offered this way
+//! are real blocks: a topped-up group runs on the kernel whatever the
+//! rule above would have done with the frame's own one or two). It bets
+//! only on a run:
+//! the look-ahead remembers the sequence number it sealed last, and a
+//! frame is computed ahead for only when it follows that number by one —
+//! a first send pads like everyone else, computes nothing it may not
+//! use and copies nothing. The next `seal` first
+//! takes the blocks cached under its exact `(seq, counter)`, computes
+//! only what is missing, and forgets whatever was cached at or before its
+//! own sequence number: a block is used at most once, a leap simply
+//! misses, and a guess about a frame that turns out shorter, longer or
+//! never sent costs nothing but the lanes that were spare anyway. On a
+//! run of 64-byte frames that is, from the second frame on, one 8-lane
+//! pass per four frames instead of two scalar blocks per frame.
+//!
+//! The look-ahead changes no byte: a cached block is the same pure
+//! function of `(key, seq, counter)` it would be if computed on demand,
+//! which is why it must never be offered to another key ([`SealAhead`]
+//! states the lender's side of that). The scalar backend seals by the
+//! trait default — `encrypt`, then `icv` — and stays the oracle:
+//! `tests/backend_differential.rs` drives 12k seals per backend through
+//! one carried look-ahead (three keys, leaps, fall-backs, clears, every
+//! block and group edge) against exactly that pair.
 //!
 //! Forcing a backend (tests, benches, the differential oracle) bypasses
 //! selection entirely:
@@ -76,9 +122,7 @@ use crate::backend::Backend;
 use crate::chacha::{CHACHA_KEY_LEN, CHACHA_NONCE_LEN};
 use crate::ct::ct_eq;
 use crate::hmac::HmacKey;
-use crate::lanes::{
-    chacha20_xor_backend, chacha20_xor_jobs, chacha_blocks, sha256_multiway, MAX_LANES,
-};
+use crate::lanes::{chacha20_xor_jobs, chacha_units, sha256_multiway, xor_keystream, MAX_LANES};
 use crate::prf::xor_keystream_with;
 use crate::sha256::{BLOCK_LEN, DIGEST_LEN};
 use core::ops::Range;
@@ -140,6 +184,107 @@ pub struct FrameToVerify<'a> {
     pub icv: &'a [u8],
 }
 
+/// The send look-ahead: keystream blocks a [`CipherSuite::seal`] computed
+/// in lanes its own frame left spare, kept for the frames that follow it
+/// (module docs, "The sealing rule"). At most one lane group of blocks,
+/// inline — about 0.6 KB, no heap.
+///
+/// A cached block is keystream, so it lives and dies with its key: the
+/// owner lends one look-ahead to one key at a time and calls
+/// [`SealAhead::clear`] before lending it to another (or when the key is
+/// replaced, removed or lost). A call-local `SealAhead::default()` is the
+/// standalone form: nothing carries over, nothing can go stale.
+pub struct SealAhead {
+    /// `(seq, block counter)` of each cached block; the first `len` live.
+    tags: [(u64, u32); MAX_LANES],
+    blocks: [[u8; 64]; MAX_LANES],
+    len: usize,
+    /// The sequence number sealed last through this look-ahead: two in a
+    /// row are a run, and only a run is worth computing ahead for.
+    last: Option<u64>,
+    /// Whether `blocks` has held keystream since it was last overwritten.
+    used: bool,
+}
+
+impl Default for SealAhead {
+    fn default() -> Self {
+        SealAhead {
+            tags: [(0, 0); MAX_LANES],
+            blocks: [[0; 64]; MAX_LANES],
+            len: 0,
+            last: None,
+            used: false,
+        }
+    }
+}
+
+/// Reports how much is cached and never what: the blocks are keystream.
+impl std::fmt::Debug for SealAhead {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SealAhead")
+            .field("cached", &self.len)
+            .finish()
+    }
+}
+
+impl SealAhead {
+    /// Drops every cached block, overwriting the storage if it ever held
+    /// one, and forgets the run: the next seal starts from nothing.
+    pub fn clear(&mut self) {
+        if self.used {
+            self.blocks = [[0; 64]; MAX_LANES];
+            self.used = false;
+        }
+        self.len = 0;
+        self.last = None;
+    }
+
+    /// Notes that `seq` is being sealed; true iff the seal before it was
+    /// for `seq - 1` — the sender is in a run, and the next frame's
+    /// sequence number is worth betting spare lanes on.
+    fn in_run(&mut self, seq: u64) -> bool {
+        let before = self.last.replace(seq);
+        before.is_some_and(|last| last.checked_add(1) == Some(seq))
+    }
+
+    /// Hands the blocks cached for counters `..blocks` of `seq` to
+    /// `place` and forgets everything at or before `seq`: a block is used
+    /// at most once, and a sequence number that has passed is never sent
+    /// again. Returns the counters placed, as a bit mask.
+    fn take(&mut self, seq: u64, blocks: u32, mut place: impl FnMut(u32, &[u8; 64])) -> u32 {
+        let (mut have, mut kept) = (0, 0);
+        for i in 0..self.len {
+            let (s, ctr) = self.tags[i];
+            if s > seq {
+                self.tags[kept] = self.tags[i];
+                self.blocks[kept] = self.blocks[i];
+                kept += 1;
+            } else if s == seq && ctr < blocks.min(u32::BITS) && have & (1 << ctr) == 0 {
+                // (Never twice: a second XOR would undo the first.)
+                place(ctr, &self.blocks[i]);
+                have |= 1 << ctr;
+            }
+        }
+        self.len = kept;
+        have
+    }
+
+    fn holds(&self, seq: u64, ctr: u32) -> bool {
+        self.tags[..self.len].contains(&(seq, ctr))
+    }
+
+    fn room(&self) -> usize {
+        MAX_LANES - self.len
+    }
+
+    fn push(&mut self, seq: u64, ctr: u32, block: &[u8; 64]) {
+        self.tags[self.len] = (seq, ctr);
+        self.blocks[self.len] = *block;
+        self.len += 1;
+        self.used = true;
+    }
+}
+
 /// A pluggable ESP transform: confidentiality + integrity + layout
 /// metadata, dispatched dynamically by the wire codec and the SA.
 ///
@@ -194,6 +339,26 @@ pub trait CipherSuite {
 
     /// Computes the ICV over `header ‖ ciphertext ‖ esn_hi?`.
     fn icv(&self, seq: u64, header: &[u8], ciphertext: &[u8], esn_hi: Option<u32>) -> Icv;
+
+    /// The sending half in one verb: encrypts `body` in place and returns
+    /// the ICV over `header ‖ ciphertext ‖ esn_hi?` — byte for byte
+    /// [`CipherSuite::encrypt`] followed by [`CipherSuite::icv`], which is
+    /// the default. A suite overrides it only to amortize: `ahead` is
+    /// working memory it may fill with keystream for the sequence numbers
+    /// after `seq` and draw on when they come (see [`SealAhead`] for what
+    /// the lender owes), never to change a byte.
+    fn seal(
+        &self,
+        seq: u64,
+        header: &[u8],
+        body: &mut [u8],
+        esn_hi: Option<u32>,
+        ahead: &mut SealAhead,
+    ) -> Icv {
+        let _ = ahead;
+        self.encrypt(seq, body);
+        self.icv(seq, header, body, esn_hi)
+    }
 
     /// Constant-time ICV check for one frame.
     fn verify(&self, frame: &FrameToVerify<'_>) -> bool {
@@ -603,16 +768,18 @@ impl ChaCha20Poly1305Suite {
     }
 
     /// Poly1305 over the RFC 8439 AEAD layout, given a lane-computed
-    /// one-time key.
-    fn verify_with_otk(&self, f: &FrameToVerify<'_>, otk: &[u8; 32]) -> bool {
-        let tag = match f.esn_hi {
-            Some(hi) => {
-                let hi = hi.to_be_bytes();
-                poly1305_aead_tag(otk, &[f.header, &hi], f.ciphertext)
-            }
-            None => poly1305_aead_tag(otk, &[f.header], f.ciphertext),
-        };
-        f.icv.len() == AEAD_TAG_LEN && ct_eq(f.icv, &tag)
+    /// counter-0 block (whose first half is the one-time key).
+    fn tag_with_block0(
+        block0: &[u8; 64],
+        header: &[u8],
+        ciphertext: &[u8],
+        esn_hi: Option<u32>,
+    ) -> [u8; AEAD_TAG_LEN] {
+        let otk = block0[..32].try_into().expect("fixed");
+        match esn_hi {
+            Some(hi) => poly1305_aead_tag(otk, &[header, &hi.to_be_bytes()], ciphertext),
+            None => poly1305_aead_tag(otk, &[header], ciphertext),
+        }
     }
 }
 
@@ -634,10 +801,12 @@ impl CipherSuite for ChaCha20Poly1305Suite {
     }
 
     fn encrypt(&self, seq: u64, body: &mut [u8]) {
-        // Large payloads fill the lanes with this packet's sequential
-        // block counters (the same-key multi-block mode); on
-        // `Backend::Scalar` this is exactly `chacha20_xor`.
-        chacha20_xor_backend(self.backend, &self.key, 1, &Self::nonce(seq), body);
+        // One job of the batch scheduler: the lanes fill with this
+        // packet's sequential block counters (the same-key multi-block
+        // mode); on `Backend::Scalar` this is exactly `chacha20_xor`.
+        let whole = 0..body.len();
+        let job = (Self::nonce(seq), 1, whole);
+        chacha20_xor_jobs(self.backend, &self.key, body, [job].into_iter());
     }
 
     fn decrypt(&self, seq: u64, body: &mut [u8]) {
@@ -657,44 +826,99 @@ impl CipherSuite for ChaCha20Poly1305Suite {
         Icv::new(&tag)
     }
 
+    /// The fused seal (module docs, "The sealing rule"): counter 0 and
+    /// the payload's counters go through the lanes together, blocks the
+    /// look-ahead holds for exactly this `(seq, counter)` are taken
+    /// instead of computed, and the lanes the last group would pad
+    /// compute the lowest counters of the sequence numbers that follow.
+    /// On [`Backend::Scalar`] this is the trait default, the oracle.
+    fn seal(
+        &self,
+        seq: u64,
+        header: &[u8],
+        body: &mut [u8],
+        esn_hi: Option<u32>,
+        ahead: &mut SealAhead,
+    ) -> Icv {
+        if self.backend.lanes() == 1 {
+            self.encrypt(seq, body);
+            return self.icv(seq, header, body, esn_hi);
+        }
+        /// Counter 0 keys Poly1305; counter `c` covers payload block `c - 1`.
+        fn place(block0: &mut [u8; 64], body: &mut [u8], ctr: u32, block: &[u8; 64]) {
+            match ctr as usize {
+                0 => *block0 = *block,
+                c => {
+                    let end = body.len().min(c * 64);
+                    xor_keystream(&mut body[(c - 1) * 64..end], block);
+                }
+            }
+        }
+        let blocks = u32::try_from(1 + body.len().div_ceil(64)).expect("chacha20 counter overflow");
+        let mut block0 = [0u8; 64];
+        let in_run = ahead.in_run(seq);
+        let have = ahead.take(seq, blocks, |ctr, block| {
+            place(&mut block0, body, ctr, block)
+        });
+        if have.count_ones() < blocks {
+            let cached = |ctr: u32| ctr < u32::BITS && have & (1 << ctr) != 0;
+            let needed = (0..blocks).filter(|&ctr| !cached(ctr));
+            // In a run the next frames look like this one: their
+            // counters, lowest first, are what spare lanes compute. A
+            // first send offers nothing, so it bets and copies nothing.
+            let mut upcoming = [(0u64, 0u32); MAX_LANES];
+            let mut offered = 0;
+            if in_run {
+                let next = (seq..u64::MAX)
+                    .flat_map(|s| (0..blocks).map(move |ctr| (s + 1, ctr)))
+                    .filter(|&(s, ctr)| !ahead.holds(s, ctr));
+                for (slot, unit) in upcoming[..ahead.room()].iter_mut().zip(next) {
+                    *slot = unit;
+                    offered += 1;
+                }
+            }
+            // Tagged `(seq, counter)`: this frame's blocks are placed,
+            // every other sequence number's go to the look-ahead.
+            let unit = |(s, ctr): (u64, u32)| ((ctr, Self::nonce(s)), (s, ctr));
+            chacha_units(
+                self.backend,
+                &self.key,
+                needed.map(|ctr| unit((seq, ctr))),
+                upcoming[..offered].iter().copied().map(unit),
+                |(s, ctr), block| {
+                    if s == seq {
+                        place(&mut block0, body, ctr, block);
+                    } else {
+                        ahead.push(s, ctr, block);
+                    }
+                },
+            );
+        }
+        Icv::new(&Self::tag_with_block0(&block0, header, body, esn_hi))
+    }
+
     /// The laned batch verify: every frame needs one ChaCha20 block at
     /// counter 0 (the Poly1305 one-time key), and those blocks differ
     /// only in their seq-derived nonces — exactly the shape the
-    /// interleaved kernel wants. Full lane groups compute their OTKs in
-    /// one pass; the Poly1305 tag itself stays scalar per frame, as does
-    /// any partial tail group. On [`Backend::Scalar`] this is the trait
-    /// default (per-frame [`CipherSuite::verify`]), kept as the
-    /// independent oracle path.
+    /// interleaved kernel wants. Each lane group of frames computes its
+    /// OTKs in one pass (a partial tail group as `chacha_units`
+    /// decides); the Poly1305 tag itself stays scalar per frame. On
+    /// [`Backend::Scalar`] this is the trait default (per-frame
+    /// [`CipherSuite::verify`]), kept as the independent oracle path.
     fn verify_batch(&self, frames: &[FrameToVerify<'_>], ok: &mut Vec<bool>) {
         ok.clear();
         if self.backend == Backend::Scalar {
             ok.extend(frames.iter().map(|f| self.verify(f)));
             return;
         }
-        let lanes = self.backend.lanes();
         ok.reserve(frames.len());
-        let mut jobs = [(0u32, [0u8; CHACHA_NONCE_LEN]); MAX_LANES];
-        let mut blocks = [[0u8; 64]; MAX_LANES];
-        for chunk in frames.chunks(lanes) {
-            if chunk.len() < lanes {
-                ok.extend(chunk.iter().map(|f| self.verify(f)));
-                continue;
-            }
-            for (l, f) in chunk.iter().enumerate() {
-                jobs[l] = (0, Self::nonce(f.seq));
-            }
-            chacha_blocks(
-                self.backend,
-                &self.key,
-                &jobs[..lanes],
-                &mut blocks[..lanes],
-            );
-            for (l, f) in chunk.iter().enumerate() {
-                let mut otk = [0u8; 32];
-                otk.copy_from_slice(&blocks[l][..32]);
-                ok.push(self.verify_with_otk(f, &otk));
-            }
-        }
+        let units = frames.iter().map(|f| ((0, Self::nonce(f.seq)), Some(f)));
+        let verify = |f: Option<&FrameToVerify<'_>>, block0: &[u8; 64]| {
+            let f = f.expect("only pushed tags come back");
+            let tag = Self::tag_with_block0(block0, f.header, f.ciphertext, f.esn_hi);
+            ok.push(f.icv.len() == AEAD_TAG_LEN && ct_eq(f.icv, &tag));
+        };
+        chacha_units(self.backend, &self.key, units, std::iter::empty(), verify);
     }
 
     /// The laned batch decrypt: jobs are cut into 64-byte keystream
@@ -889,6 +1113,77 @@ mod tests {
                 suite.encrypt(42, &mut body);
                 suite.decrypt(42, &mut body);
                 assert_eq!(body, original, "{} len {len}", suite.name());
+            }
+        }
+    }
+
+    /// `seal` through `ahead` against the scalar suite's `encrypt` + `icv`.
+    fn assert_seal_matches_oracle(
+        suite: &ChaCha20Poly1305Suite,
+        ahead: &mut SealAhead,
+        seq: u64,
+        len: usize,
+    ) {
+        let oracle = suite.clone().with_backend(Backend::Scalar);
+        let plain: Vec<u8> = (0..len).map(|i| (i as u64 ^ seq) as u8).collect();
+        let mut expect = plain.clone();
+        oracle.encrypt(seq, &mut expect);
+        let expect_icv = oracle.icv(seq, b"hdr-of-12-by", &expect, Some(1));
+        let mut body = plain;
+        let icv = suite.seal(seq, b"hdr-of-12-by", &mut body, Some(1), ahead);
+        let at = format!("{} seq {seq} len {len}", suite.backend());
+        assert_eq!(body, expect, "{at}");
+        assert_eq!(icv, expect_icv, "{at}");
+    }
+
+    #[test]
+    fn a_cached_block_is_served_once_and_only_to_its_own_sequence_number() {
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
+            let suite = ChaCha20Poly1305Suite::new([0x6b; 32]).with_backend(backend);
+            let lanes = backend.lanes();
+            let mut ahead = SealAhead::default();
+            // A first send bets nothing. The second in a row is a run: a
+            // 64-byte frame needs counters 0 and 1, and the other lanes of
+            // its one group compute the same two for the frames after it.
+            assert_seal_matches_oracle(&suite, &mut ahead, 5, 64);
+            assert_eq!(ahead.len, 0, "{backend}");
+            assert_seal_matches_oracle(&suite, &mut ahead, 6, 64);
+            let spare = if lanes == 1 { 0 } else { lanes - 2 };
+            let want: Vec<(u64, u32)> = (0..spare as u64)
+                .map(|i| (7 + i / 2, (i % 2) as u32))
+                .collect();
+            assert_eq!(&ahead.tags[..ahead.len], &want[..], "{backend}");
+            // Sequence number 7 takes its two blocks out; sealing 7 again
+            // finds nothing under its name and computes afresh.
+            assert_seal_matches_oracle(&suite, &mut ahead, 7, 64);
+            assert!(!ahead.holds(7, 0) && !ahead.holds(7, 1), "{backend}");
+            assert_eq!(ahead.len, spare.saturating_sub(2), "{backend}");
+            assert_seal_matches_oracle(&suite, &mut ahead, 7, 64);
+            assert!(ahead.tags[..ahead.len].iter().all(|&(s, _)| s > 7));
+            // A leap misses and leaves nothing of the passed numbers.
+            assert_seal_matches_oracle(&suite, &mut ahead, 40, 64);
+            assert!(ahead.tags[..ahead.len].iter().all(|&(s, _)| s > 40));
+            ahead.clear();
+            assert_eq!(ahead.len, 0);
+            assert!(ahead.blocks.iter().all(|b| b == &[0; 64]), "overwritten");
+        }
+    }
+
+    #[test]
+    fn speculation_for_another_length_never_changes_a_byte() {
+        // "The next frames look like this one" is a guess about shape:
+        // when the next frame is longer it takes what was cached and
+        // computes the rest; when it is shorter the surplus is dropped.
+        let lens = [
+            64usize, 300, 0, 1400, 1, 449, 448, 65, 2000, 64, 64, 0, 0, 129,
+        ];
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
+            let suite = ChaCha20Poly1305Suite::new([0x3c; 32]).with_backend(backend);
+            let mut ahead = SealAhead::default();
+            for (seq, &len) in (u32::MAX as u64 - 5..).zip(&lens) {
+                assert_seal_matches_oracle(&suite, &mut ahead, seq, len);
+                assert!(ahead.len <= MAX_LANES);
+                assert!(ahead.tags[..ahead.len].iter().all(|&(s, _)| s > seq));
             }
         }
     }

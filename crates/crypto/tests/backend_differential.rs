@@ -2,12 +2,14 @@
 //! byte-identical to the scalar oracle through the full suite surface —
 //! `encrypt`, `decrypt`, `icv`, `verify_batch`, `decrypt_batch` — over
 //! randomized batches of mixed payload sizes, mixed suites, ESN and
-//! non-ESN frames, and deliberate corruptions. The suite-level KATs
-//! (RFC 8439 seal equivalence, raw-HMAC equivalence) re-run per backend.
+//! non-ESN frames, and deliberate corruptions; and through the sending
+//! verb, `seal`, with its look-ahead carried from frame to frame the way
+//! a sender carries it. The suite-level KATs (RFC 8439 seal equivalence,
+//! raw-HMAC equivalence) re-run per backend.
 
 use reset_crypto::{
     chacha20_poly1305_seal, hmac_sha256_96, Backend, ChaCha20Poly1305Suite, CipherSuite,
-    FrameToVerify, HmacSha256Suite,
+    FrameToVerify, HmacSha256Suite, SealAhead,
 };
 
 /// Payload sizes exercising block boundaries of both suites.
@@ -157,6 +159,79 @@ fn randomized_10k_frame_differential_every_supported_backend() {
                     "{backend} decrypt batch {batch_no}"
                 );
             }
+        }
+    }
+}
+
+/// The oracle for the send look-ahead: `seal` must be `encrypt` + `icv`
+/// of the scalar suite, byte for byte, whatever a look-ahead that is used
+/// the way a sender uses it happens to hold. One look-ahead serves three
+/// keys under the owner rule (cleared whenever the key sealing differs
+/// from the key that sealed last — `SealAhead`'s contract, and the only
+/// thing that keeps a block from being served under the wrong key);
+/// sequence numbers mostly step by one, sometimes leap `2K`, sometimes
+/// fall back to a smaller value; lengths sit on and around every block
+/// and lane-group edge.
+#[test]
+fn seal_with_a_carried_look_ahead_matches_scalar_encrypt_then_icv() {
+    const SEALS: usize = 12_000;
+    const TWO_K: u64 = 50;
+    // 64-byte blocks incl. counter 0: 448 B is eight (one AVX2 group),
+    // 192 B four (one 4-lane group), 960 B sixteen, 1400 B twenty-three.
+    const EDGES: [usize; 19] = [
+        0, 1, 63, 64, 65, 127, 128, 191, 192, 193, 447, 448, 449, 959, 960, 961, 1400, 1999, 2000,
+    ];
+    for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
+        let mut rng = XorShift(0x5ea1_a4ea_d000_0001);
+        let keys = [[0x11u8; 32], [0x22; 32], [0x33; 32]];
+        let lanes = keys.map(|k| ChaCha20Poly1305Suite::new(k).with_backend(backend));
+        let oracles = keys.map(|k| ChaCha20Poly1305Suite::new(k).with_backend(Backend::Scalar));
+        // Every key starts at the same number, so a block left over from
+        // one key is exactly what another would ask for next.
+        let mut seqs = [u32::MAX as u64 - 3_000; 3];
+        let mut ahead = SealAhead::default();
+        let (mut key, mut owner) = (0usize, usize::MAX);
+        let mut run_len = 64usize;
+        for i in 0..SEALS {
+            // Runs on one key, broken by singletons on the others.
+            if rng.next().is_multiple_of(6) {
+                key = (rng.next() % 3) as usize;
+            }
+            if key != owner {
+                ahead.clear();
+                owner = key;
+            }
+            if rng.next().is_multiple_of(97) {
+                ahead.clear();
+            }
+            let seq = match rng.next() % 40 {
+                0 => seqs[key] + TWO_K,
+                1 => seqs[key].saturating_sub(1 + rng.next() % 7),
+                _ => seqs[key] + 1,
+            };
+            seqs[key] = seq;
+            // Runs of one length (the case speculation bets on), edges,
+            // and anything in between.
+            let len = match rng.next() % 4 {
+                0 => EDGES[(rng.next() % EDGES.len() as u64) as usize],
+                1 => (rng.next() % 2_001) as usize,
+                _ => run_len,
+            };
+            run_len = len;
+            let esn_hi = rng.next().is_multiple_of(2).then_some((seq >> 32) as u32);
+            let mut header = [0u8; 12];
+            rng.fill(&mut header);
+            let mut plain = vec![0u8; len];
+            rng.fill(&mut plain);
+
+            let mut expect = plain.clone();
+            oracles[key].encrypt(seq, &mut expect);
+            let expect_icv = oracles[key].icv(seq, &header, &expect, esn_hi);
+            let mut body = plain;
+            let icv = lanes[key].seal(seq, &header, &mut body, esn_hi, &mut ahead);
+            let at = format!("{backend} seal {i}: key {key} seq {seq} len {len} esn {esn_hi:?}");
+            assert_eq!(body, expect, "{at}");
+            assert_eq!(icv, expect_icv, "{at}");
         }
     }
 }

@@ -37,6 +37,18 @@
 //! the scalar backend allocate nothing; `tests/it_alloc.rs` counts the
 //! default suite on every backend.
 //!
+//! # One send path
+//!
+//! A frame is sealed in one body too: [`Outbound::protect`] and
+//! [`crate::Sadb::protect`] (so every `Gateway` send) are
+//! `Outbound::protect_ahead`, which takes the next sequence number — after
+//! checking that a 32-bit space still has one — and hands the frame to
+//! `reset_wire::seal_frame_ahead` and so to the suite's fused
+//! [`reset_crypto::CipherSuite::seal`]. What differs between the callers
+//! is only whose send look-ahead the suite may fill: the database's,
+//! kept from frame to frame (see [`crate::sadb`], "The send look-ahead"),
+//! or one local to the call.
+//!
 //! # Where the working memory lives
 //!
 //! The drain's working vectors (parsed records, verdicts, decrypt jobs,
@@ -58,10 +70,11 @@
 use std::ops::Range;
 
 use bytes::{Bytes, BytesMut};
-use reset_crypto::FrameToVerify;
+use reset_crypto::{FrameToVerify, SealAhead};
 use reset_stable::{SlotId, StableError, StableStore};
 use reset_wire::{
-    check_frame_length, infer_esn, seal_frame, verify_frame_with, WireError, HEADER_LEN,
+    check_frame_length, frame_overhead, infer_esn, seal_frame_ahead, verify_frame_with, WireError,
+    HEADER_LEN,
 };
 
 use anti_replay::machine::DEFAULT_WAKEUP_BUFFER;
@@ -123,25 +136,48 @@ impl<S: StableStore> Outbound<S> {
     /// Protects one payload. Returns `None` while the endpoint is down or
     /// waking (nothing can be sent), `Some(wire)` otherwise.
     ///
+    /// This is the standalone form of the one sealing body: its send
+    /// look-ahead is local to the call, so each frame's spare crypto
+    /// lanes are computed and thrown away. A run of sends on one SA is
+    /// cheaper through [`crate::Sadb::protect`], whose database keeps the
+    /// look-ahead from frame to frame.
+    ///
     /// # Errors
     ///
     /// Lifetime exhaustion, sequence overflow, or store failures.
     pub fn protect(&mut self, payload: &[u8]) -> Result<Option<Bytes>, IpsecError> {
+        self.protect_ahead(payload, &mut SealAhead::default())
+    }
+
+    /// The sealing body: [`Outbound::protect`] over the caller's
+    /// look-ahead, which must hold nothing computed under another key
+    /// (the [`crate::Sadb`] lends its own under that rule).
+    pub(crate) fn protect_ahead(
+        &mut self,
+        payload: &[u8],
+        ahead: &mut SealAhead,
+    ) -> Result<Option<Bytes>, IpsecError> {
         self.sa.check_lifetime()?;
+        // A 32-bit sequence space ends at `u32::MAX`. Refuse *before*
+        // `send_next` consumes a number (and, every `K`, a SAVE) for a
+        // frame that cannot be sealed; a down endpoint still reports
+        // `None`, not an error.
+        let exhausted = !self.sa.esn() && self.seq.next_seq().value() > u64::from(u32::MAX);
+        if exhausted && self.seq.phase() == Phase::Running {
+            return Err(WireError::SeqOverflow.into());
+        }
         let Some(seq) = self.seq.send_next()? else {
             return Ok(None);
         };
         // The suite encrypts in place inside the wire buffer, so the
-        // only per-packet allocation is the returned buffer itself.
-        let wire = seal_frame(
-            self.sa.spi(),
-            seq.value(),
-            payload,
-            self.sa.cipher(),
-            self.sa.esn(),
-        )?;
+        // per-packet allocations are the returned buffer's own two: the
+        // `Vec` behind it and the `Arc` that `freeze` wraps it in.
+        let cipher = self.sa.cipher();
+        let mut wire = BytesMut::with_capacity(frame_overhead(cipher) + payload.len());
+        let (spi, esn) = (self.sa.spi(), self.sa.esn());
+        seal_frame_ahead(&mut wire, spi, seq.value(), payload, cipher, esn, ahead)?;
         self.sa.account(payload.len());
-        Ok(Some(wire))
+        Ok(Some(wire.freeze()))
     }
 
     /// Background SAVE completion (simulator-driven).
@@ -977,6 +1013,68 @@ mod tests {
             assert!(r.is_delivered(), "packet {i} across boundary: {r:?}");
         }
         assert!(rx.seq_state().right_edge().value() > u32::MAX as u64);
+    }
+
+    #[test]
+    fn exhausted_32bit_space_refuses_before_consuming_a_number() {
+        // Regression: `protect` used to take the next sequence number and
+        // only then fail to seal it, so every send past the end of a
+        // 32-bit space burned a number (and a SAVE every `K`) for nothing.
+        use reset_crypto::Backend;
+        use reset_stable::{SlotId, StableStore};
+        let k = 4;
+        let edge = u64::from(u32::MAX);
+        for esn in [false, true] {
+            let sa = SecurityAssociation::new(9, SaKeys::derive(b"edge", b"d")).with_esn(esn);
+            let oracle = sa.clone().with_backend(Backend::Scalar);
+            let mut store = MemStable::new();
+            store.store(SlotId::sender(9), edge - 2 * k - 11).unwrap();
+            let mut tx = Outbound::new(sa, store, k);
+            tx.reset();
+            assert_eq!(tx.wake_up().unwrap().value(), edge - 11);
+            // One look-ahead across the run, as the SADB lends it: frames
+            // on both sides of 2^32 are drawn from it.
+            let mut ahead = SealAhead::default();
+            let mut send = |tx: &mut Outbound<MemStable>| {
+                let seq = tx.seq_state().next_seq().value();
+                let wire = tx.protect_ahead(&[0xE5; 64], &mut ahead).unwrap();
+                let expect =
+                    reset_wire::seal_frame(9, seq, &[0xE5; 64], oracle.cipher(), esn).unwrap();
+                assert_eq!(wire, Some(expect), "esn {esn} seq {seq}");
+            };
+            while tx.seq_state().next_seq().value() <= edge {
+                send(&mut tx);
+            }
+            if esn {
+                for _ in 0..12 {
+                    send(&mut tx);
+                }
+                assert_eq!(tx.seq_state().next_seq().value(), edge + 13);
+                continue;
+            }
+            let state = |tx: &Outbound<MemStable>| {
+                let seq = tx.seq_state();
+                let stats = seq.stats();
+                (
+                    seq.next_seq(),
+                    stats.sent,
+                    stats.saves_issued,
+                    seq.pending_save(),
+                )
+            };
+            let (before, cached) = (state(&tx), format!("{ahead:?}"));
+            for _ in 0..2 * k {
+                assert!(matches!(
+                    tx.protect_ahead(&[0xE5; 64], &mut ahead),
+                    Err(IpsecError::Wire(WireError::SeqOverflow))
+                ));
+                assert_eq!(state(&tx), before);
+                assert_eq!(format!("{ahead:?}"), cached);
+            }
+            // Down is still "nothing can be sent", not an error.
+            tx.reset();
+            assert!(tx.protect(b"down").unwrap().is_none());
+        }
     }
 
     /// Drains `wires` cut into batches of `chunk` frames.

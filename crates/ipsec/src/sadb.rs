@@ -46,6 +46,53 @@
 //! every payload of this one; until then the next drain allocates a
 //! fresh arena.
 //!
+//! # The send look-ahead
+//!
+//! The sender is the one process that knows its future: the next frame
+//! on an SA carries the next sequence number. The AEAD suite's fused
+//! seal ([`reset_crypto::CipherSuite::seal`]) uses the crypto lanes one
+//! frame leaves spare to compute keystream for the frames after it, and
+//! keeps it in a [`reset_crypto::SealAhead`] — at most one lane group of
+//! blocks, ~0.6 KB inline. Like the drain scratch it is working memory,
+//! so the database owns **one** (one per gateway, so one per shard; never
+//! one per SA) and lends it down [`Sadb::protect`] → `Outbound` →
+//! `reset_wire::seal_frame_ahead` → the suite.
+//!
+//! A cached block is keystream, so it lives and dies with its key. The
+//! look-ahead belongs to the outbound key of the SPI that sent last, and
+//! is dropped (and overwritten):
+//!
+//! * when another SPI sends (the owner check in `protect_on`);
+//! * when any outbound half is installed or replaced —
+//!   [`Sadb::install_outbound`] is the only place an outbound key
+//!   changes: rekeys, the fail-closed replacement and an install over a
+//!   live SPI all come through it;
+//! * when a record is removed ([`Sadb::remove`]);
+//! * in [`Sadb::reset_all`]: volatile state is lost on a reset — the
+//!   paper's model — and this is volatile state.
+//!
+//! Within one key, entries are matched on the exact `(seq, counter)`,
+//! used at most once and forgotten once their sequence number has passed,
+//! so the `2K` leap after a recovery simply misses. The last two drops
+//! are hygiene rather than correctness (a removed SPI must be reinstalled
+//! before it can send; a reset keeps the key) and are pinned on the
+//! look-ahead itself in this module's tests; the first two are what
+//! `tests/it_gateway.rs` catches on the wire.
+//!
+//! The gain needs a property of the traffic: *consecutive sends on one
+//! SA*. A send whose predecessor on this database named another SPI finds
+//! nothing cached and computes exactly what it did before (a 64 B frame:
+//! two scalar blocks) and nothing ahead: the suite bets spare lanes
+//! only from the second consecutive sequence number on, so a fleet whose
+//! sends are runs of one never fills (or has to overwrite) the
+//! look-ahead at all.
+//! Stated costs: the database grows by the look-ahead, per shard, not per
+//! SA; the standalone [`Outbound::protect`] seals over a look-ahead local
+//! to the call and so gains nothing from a run; and an endpoint swapped
+//! wholesale through [`Sadb::outbound_mut`] (assigning through the
+//! handle) is a key change nothing here observes — install through
+//! [`Sadb::install_outbound`].
+//!
 //! # Due-lists carry work, never state
 //!
 //! Outside the records lives only *work that is due* — here, the SAVEs
@@ -66,6 +113,7 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
+use reset_crypto::SealAhead;
 use reset_stable::{StableError, StableStore};
 
 use anti_replay::{Phase, SeqNum};
@@ -257,6 +305,10 @@ pub struct Sadb<S> {
     saves: Vec<(Half, u32, u32)>,
     /// The receive drain's working memory (see the module docs).
     scratch: DrainScratch,
+    /// The send look-ahead (module docs): keystream computed ahead for
+    /// the outbound key of `ahead_owner`, the SPI that sent last.
+    ahead: SealAhead,
+    ahead_owner: Option<u32>,
 }
 
 impl<S> Sadb<S> {
@@ -283,6 +335,17 @@ impl<S: StableStore> Sadb<S> {
             endpoints: 0,
             saves: Vec::new(),
             scratch: DrainScratch::default(),
+            ahead: SealAhead::default(),
+            ahead_owner: None,
+        }
+    }
+
+    /// Drops the send look-ahead: the key it was computed under is about
+    /// to change hands, or is gone.
+    fn drop_ahead(&mut self) {
+        // Unowned means empty: installing a fleet overwrites nothing.
+        if self.ahead_owner.take().is_some() {
+            self.ahead.clear();
         }
     }
 
@@ -309,6 +372,9 @@ impl<S: StableStore> Sadb<S> {
         store: S,
         k: u64,
     ) -> &mut Outbound<S> {
+        // The only place an outbound key changes: a rekey, a fail-closed
+        // replacement and an install over a live SPI all come through here.
+        self.drop_ahead();
         let slot = self.slot_for(sa.spi());
         let half = &mut self.slots[slot].outbound;
         self.endpoints += usize::from(half.is_none());
@@ -383,6 +449,7 @@ impl<S: StableStore> Sadb<S> {
     /// later install.
     pub fn remove(&mut self, spi: u32) -> Option<RemovedSa<S>> {
         let slot = self.index.remove(&spi)?;
+        self.drop_ahead();
         self.free.push(slot);
         let vacated = std::mem::replace(&mut self.slots[slot as usize], SaRecord::vacant());
         let (outbound, inbound) = (vacated.outbound, vacated.inbound);
@@ -415,7 +482,12 @@ impl<S: StableStore> Sadb<S> {
             .as_mut()
             .ok_or(IpsecError::UnknownSa { spi })?;
         let seq = out.seq_state().next_seq();
-        let sealed = out.protect(payload);
+        if self.ahead_owner != Some(spi) {
+            self.ahead.clear();
+            self.ahead_owner = Some(spi);
+        }
+        debug_assert_eq!(self.ahead_owner, Some(out.sa().spi()));
+        let sealed = out.protect_ahead(payload, &mut self.ahead);
         record.queue_save(Half::Outbound, slot, &mut self.saves);
         Ok((sealed?, seq, record))
     }
@@ -549,6 +621,8 @@ impl<S: StableStore> Sadb<S> {
             record.policy.save_queued = [false; 2];
         }
         self.saves.clear();
+        // Volatile state, lost with the rest of it.
+        self.drop_ahead();
     }
 
     /// SAVE/FETCH wake-up of the whole database; returns the number of
@@ -864,6 +938,53 @@ mod tests {
         db.complete_pending_saves().unwrap();
         assert!(db.saves.is_empty());
         assert!(db.outbound(9).unwrap().seq_state().pending_save().is_none());
+    }
+
+    #[test]
+    fn send_look_ahead_is_dropped_wherever_its_key_can_change() {
+        // Each arm is one line of the invalidation list in the module
+        // docs. The last two cannot be seen on the wire — a removed SPI
+        // must be reinstalled before it sends, and a reset keeps the key
+        // — so they are pinned here, on the look-ahead itself.
+        if crate::Backend::select().lanes() == 1 {
+            return; // the scalar pair computes nothing ahead
+        }
+        let empty = format!("{:?}", SealAhead::default());
+        let mut db = sadb_with(3);
+        let fill = |db: &mut Sadb<MemStable>, spi: u32| {
+            for _ in 0..2 {
+                db.protect(spi, &[7; 64]).unwrap().unwrap();
+            }
+            assert_eq!(db.ahead_owner, Some(spi));
+            assert_ne!(
+                format!("{:?}", db.ahead),
+                empty,
+                "the second 64 B send of a run fills its spare lanes"
+            );
+        };
+        let assert_dropped = |db: &Sadb<MemStable>, after: &str| {
+            assert_eq!(db.ahead_owner, None, "{after}");
+            assert_eq!(format!("{:?}", db.ahead), empty, "{after}");
+        };
+        fill(&mut db, 1);
+        fill(&mut db, 2); // another SPI sends: it owns what is cached now
+        db.install_outbound(sa(2), MemStable::new(), 10);
+        assert_dropped(&db, "an outbound half replaced");
+        fill(&mut db, 2);
+        db.install_outbound(sa(7), MemStable::new(), 10);
+        assert_dropped(&db, "an outbound half installed");
+        fill(&mut db, 1);
+        db.remove(3);
+        assert_dropped(&db, "a record removed");
+        fill(&mut db, 1);
+        db.reset_all();
+        assert_dropped(&db, "a host reset");
+        // What does not touch an outbound key leaves it alone.
+        db.recover_all().unwrap();
+        fill(&mut db, 1);
+        db.install_inbound(sa(8), MemStable::new(), 10, 64);
+        assert!(db.remove(99).is_none());
+        assert_eq!(db.ahead_owner, Some(1));
     }
 
     #[test]

@@ -18,14 +18,15 @@
 //! included in the ICV computation, which lets the receiver detect a
 //! wrong high-half guess.
 //!
-//! There is one codec: [`seal_frame`] / [`seal_frame_into`] encode,
+//! There is one codec: [`seal_frame_ahead`] encodes ([`seal_frame`] and
+//! [`seal_frame_into`] are it, over a look-ahead local to the call),
 //! [`verify_frame_with`] authenticates without touching the payload (the
 //! receive datapath's order: authenticate, consult the window, only then
 //! decrypt), and [`open_frame`] verifies and decrypts in one step. Any
 //! [`reset_crypto::CipherSuite`] plugs in.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use reset_crypto::{CipherSuite, FrameToVerify, MAX_IV_LEN};
+use reset_crypto::{CipherSuite, FrameToVerify, SealAhead, MAX_IV_LEN};
 
 use crate::WireError;
 
@@ -86,6 +87,38 @@ pub fn seal_frame_into(
     suite: &dyn CipherSuite,
     esn: bool,
 ) -> Result<(), WireError> {
+    seal_frame_ahead(
+        buf,
+        spi,
+        seq,
+        payload,
+        suite,
+        esn,
+        &mut SealAhead::default(),
+    )
+}
+
+/// The sealing body behind [`seal_frame_into`] and [`seal_frame`]: lays
+/// the frame out in `buf` and hands header, payload and `ahead` to
+/// [`CipherSuite::seal`], the suite's one sending verb. A sender that
+/// seals consecutive sequence numbers under one key keeps one `ahead`
+/// across the calls, so the lanes one frame leaves spare compute
+/// keystream for the next; [`SealAhead`] says what that sender owes when
+/// the key changes. The bytes written never depend on `ahead`.
+///
+/// # Errors
+///
+/// Same as [`seal_frame_into`]; on an error neither `buf` nor `ahead` is
+/// touched.
+pub fn seal_frame_ahead(
+    buf: &mut BytesMut,
+    spi: u32,
+    seq: u64,
+    payload: &[u8],
+    suite: &dyn CipherSuite,
+    esn: bool,
+    ahead: &mut SealAhead,
+) -> Result<(), WireError> {
     if !esn && seq > u32::MAX as u64 {
         return Err(WireError::SeqOverflow);
     }
@@ -103,12 +136,9 @@ pub fn seal_frame_into(
     }
     let body_start = buf.len();
     buf.put_slice(payload);
-    suite.encrypt(seq, &mut buf.as_mut()[body_start..]);
     let esn_hi = if esn { Some((seq >> 32) as u32) } else { None };
-    let icv = {
-        let (aad, ct) = buf.split_at(body_start);
-        suite.icv(seq, aad, ct, esn_hi)
-    };
+    let (aad, body) = buf.as_mut().split_at_mut(body_start);
+    let icv = suite.seal(seq, aad, body, esn_hi, ahead);
     buf.put_slice(&icv);
     Ok(())
 }
@@ -125,8 +155,7 @@ pub fn seal_frame(
     suite: &dyn CipherSuite,
     esn: bool,
 ) -> Result<Bytes, WireError> {
-    let mut buf =
-        BytesMut::with_capacity(HEADER_LEN + suite.iv_len() + payload.len() + suite.icv_len());
+    let mut buf = BytesMut::with_capacity(frame_overhead(suite) + payload.len());
     seal_frame_into(&mut buf, spi, seq, payload, suite, esn)?;
     Ok(buf.freeze())
 }

@@ -8,7 +8,9 @@
 //! fail authentication before the window is ever consulted.
 //!
 //! * [`seal_frame`] / [`seal_frame_into`] — encode + authenticate under
-//!   a [`reset_crypto::CipherSuite`] (fresh or caller-owned buffer).
+//!   a [`reset_crypto::CipherSuite`] (fresh or caller-owned buffer);
+//!   both are [`seal_frame_ahead`], the one sealing body, over a
+//!   call-local look-ahead.
 //! * [`verify_frame_with`] — framing + ICV check without touching the
 //!   payload; [`open_frame`] — verify + decrypt into an [`EspPacket`].
 //! * [`peek_spi`] / [`spi_shard`] — the pre-crypto demultiplexing step.
@@ -59,6 +61,6 @@ mod esp;
 pub use error::WireError;
 pub use esn::infer_esn;
 pub use esp::{
-    check_frame_length, esn_seq, frame_overhead, open_frame, peek_spi, seal_frame, seal_frame_into,
-    spi_shard, verify_frame_with, EspPacket, HEADER_LEN,
+    check_frame_length, esn_seq, frame_overhead, open_frame, peek_spi, seal_frame,
+    seal_frame_ahead, seal_frame_into, spi_shard, verify_frame_with, EspPacket, HEADER_LEN,
 };

@@ -5,9 +5,11 @@
 
 use bytes::Bytes;
 use reset_ipsec::{
-    CryptoSuite, DpdConfig, Gateway, GatewayBuilder, GatewayEvent, IpsecError, SaLifetime,
+    Backend, CryptoSuite, DpdConfig, Gateway, GatewayBuilder, GatewayEvent, IpsecError, SaLifetime,
 };
+use reset_sim::DetRng;
 use reset_stable::MemStable;
+use reset_wire::seal_frame;
 
 const SPI: u32 = 0x6A7E;
 const MASTER: &[u8] = b"it-gateway-master";
@@ -458,4 +460,131 @@ fn owed_saves_are_reported_and_completed_in_store_order_across_a_recovery() {
     q.save_completed().unwrap();
     assert_eq!(taken(), ["tx:0x10", "tx:0x20", "rx:0x10", "rx:0x30"]);
     assert!(!q.pending_save());
+}
+
+/// The send look-ahead's oracle at the engine: whatever a `Gateway` has
+/// computed ahead, every frame it sends is byte for byte the scalar
+/// suite's seal of that payload, at the sequence number reported, under
+/// the SA's key *as of that send* — and a peer keyed in lockstep delivers
+/// it. The seeded script is runs on one SPI broken by singletons on the
+/// others, with the outbound key changing in the middle of a run every
+/// way it can; each run then goes on past the sequence numbers the
+/// look-ahead held when the key changed, so a block that outlived its key
+/// is asked for by its exact name. What each sub-case guards, in
+/// `reset_ipsec`'s `sadb.rs`:
+///
+/// * singletons between and before runs — the owner check in
+///   `Sadb::protect_on` (every SA counts from 1, so one SPI's cached
+///   blocks are exactly what the next asks for);
+/// * `rekey_now`, the policy rekey out of `tick`, `remove_peer` +
+///   `add_peer` under another master — the drop in `Sadb::install_outbound`;
+/// * `reset` + `recover` — nothing on the wire can: the key survives and
+///   the leap only misses. That drop (and `Sadb::remove`'s) is pinned on
+///   the look-ahead itself by `send_look_ahead_is_dropped_wherever_its_key_
+///   can_change` in `sadb.rs`; here the sub-case checks that frames after
+///   the leap are sealed afresh.
+///
+/// Under `RESET_CRYPTO_BACKEND=scalar` the gateway *is* the oracle and
+/// the test is vacuous; unset, `lanes4` and `avx2` are the three
+/// look-ahead shapes (CI runs them all).
+#[test]
+fn sent_frames_equal_the_scalar_seal_across_runs_rekeys_teardown_and_resets() {
+    const SPIS: [u32; 3] = [0x51, 0x52, 0x53];
+    const K: u64 = 8;
+    let lifetime = SaLifetime {
+        max_packets: 40,
+        max_bytes: u64::MAX,
+    };
+    let build = || {
+        GatewayBuilder::in_memory()
+            .suite(CryptoSuite::ChaCha20Poly1305)
+            .save_interval(K)
+            .window(64)
+            .rekey_after(lifetime)
+            .skeyid(b"look-ahead-phase1")
+            .build()
+    };
+    let (mut p, mut q) = (build(), build());
+    for spi in SPIS {
+        p.add_peer(spi, MASTER);
+        q.add_peer(spi, MASTER);
+    }
+    let mut rng = DetRng::new(0x5EA1_A4EA);
+    let send = |p: &mut Gateway<MemStable>, q: &mut Gateway<MemStable>, spi: u32, len| {
+        let payload = vec![len as u8 ^ 0x5A; len];
+        let f = p.protect(spi, &payload).expect("datapath").expect("up");
+        let sa = p.sadb().outbound(spi).expect("installed").sa().clone();
+        let sa = sa.with_backend(Backend::Scalar);
+        let expect = seal_frame(spi, f.seq.value(), &payload, sa.cipher(), sa.esn()).unwrap();
+        assert_eq!(
+            f.wire,
+            expect,
+            "spi {spi:#x} seq {} len {len}",
+            f.seq.value()
+        );
+        q.push_wire(&f.wire).expect("mem store");
+        let events = q.poll_events();
+        assert!(
+            matches!(events[..], [GatewayEvent::Delivered { .. }]),
+            "spi {spi:#x} seq {}: {events:?}",
+            f.seq.value()
+        );
+    };
+    let (mut now, mut policy_rekeys) = (0u64, 0usize);
+    for round in 0..80u32 {
+        let spi = *rng.pick(&SPIS);
+        for other in SPIS.into_iter().filter(|&o| o != spi) {
+            if rng.chance(0.5) {
+                send(&mut p, &mut q, other, 64);
+            }
+        }
+        // Mostly the benchmark's frame, sometimes another shape per run.
+        let len = [64, 64, 64, 0, 200, 1400][rng.below(6) as usize];
+        for _ in 0..rng.range_inclusive(1, 6) {
+            send(&mut p, &mut q, spi, len);
+        }
+        // The run is cut in two; whatever the look-ahead holds for `spi`
+        // was computed under the key of the first half.
+        let held_up_to = p.next_seq(spi).expect("installed").value() + 8;
+        match round % 4 {
+            0 => {
+                p.rekey_now(spi);
+                q.rekey_now(spi);
+            }
+            1 => {
+                let master = format!("master-of-round-{round}");
+                for gw in [&mut p, &mut q] {
+                    assert!(gw.remove_peer(spi));
+                    gw.add_peer(spi, master.as_bytes());
+                }
+            }
+            2 => {
+                p.save_completed().unwrap();
+                p.reset();
+                p.recover().unwrap();
+            }
+            _ => {} // the policy rekey below is the only key change
+        }
+        now += 1_000;
+        p.tick(now);
+        q.tick(now);
+        let started = |e: &GatewayEvent| matches!(e, GatewayEvent::RekeyStarted { .. });
+        let p_rekeys = p.poll_events().into_iter().filter(started).count();
+        assert_eq!(
+            p_rekeys,
+            q.poll_events().into_iter().filter(started).count(),
+            "the peers rekey in lockstep"
+        );
+        policy_rekeys += p_rekeys - usize::from(round % 4 == 0);
+        let first = p.next_seq(spi).expect("installed").value();
+        for _ in 0..held_up_to.saturating_sub(first) + rng.below(8) {
+            send(&mut p, &mut q, spi, len);
+        }
+        p.save_completed().unwrap();
+        q.save_completed().unwrap();
+    }
+    assert!(
+        policy_rekeys >= 10,
+        "policy rekeys fired inside runs: {policy_rekeys}"
+    );
 }
