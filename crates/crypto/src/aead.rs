@@ -6,9 +6,11 @@
 //! `aad ‖ pad16 ‖ ciphertext ‖ pad16 ‖ len(aad) ‖ len(ciphertext)`.
 //! Validated against the RFC 8439 §2.8.2 vector.
 
+use crate::backend::Backend;
 use crate::chacha::{chacha20_block, chacha20_xor, CHACHA_KEY_LEN, CHACHA_NONCE_LEN};
 use crate::ct::ct_eq;
-use crate::poly1305::{Poly1305, POLY1305_TAG_LEN};
+use crate::lanes::POLY_MAX_LANES;
+use crate::poly1305::{poly1305_across, Poly1305, POLY1305_TAG_LEN};
 
 /// AEAD tag length in bytes.
 pub const AEAD_TAG_LEN: usize = POLY1305_TAG_LEN;
@@ -16,6 +18,8 @@ pub const AEAD_TAG_LEN: usize = POLY1305_TAG_LEN;
 /// The RFC 8439 §2.8 tag over AAD supplied in parts (treated as their
 /// concatenation) and a ciphertext. Exposed so the suite layer can
 /// authenticate `header ‖ esn_high` without materializing one buffer.
+/// Scalar throughout: this is the RFC reference the suites' laned paths
+/// are differenced against.
 pub fn chacha20_poly1305_tag(
     key: &[u8; CHACHA_KEY_LEN],
     nonce: &[u8; CHACHA_NONCE_LEN],
@@ -25,14 +29,17 @@ pub fn chacha20_poly1305_tag(
     let otk_block = chacha20_block(key, 0, nonce);
     let mut otk = [0u8; 32];
     otk.copy_from_slice(&otk_block[..32]);
-    poly1305_aead_tag(&otk, aad_parts, ciphertext)
+    poly1305_aead_tag(Backend::Scalar, &otk, aad_parts, ciphertext)
 }
 
 /// The Poly1305 half of the RFC 8439 tag, given an already-derived
-/// one-time key. The batch verify path computes OTKs for several frames
-/// in one multi-lane ChaCha20 pass and feeds them through here;
-/// [`chacha20_poly1305_tag`] is exactly `otk-from-block-0` + this.
+/// one-time key; [`chacha20_poly1305_tag`] is exactly
+/// `otk-from-block-0` + this on [`Backend::Scalar`]. On a vector backend
+/// a long enough ciphertext goes through the lanes strided
+/// ([`Poly1305::update_wide`]); the AAD, the padding and the length block
+/// are scalar blocks either way, and so is every byte of the tag.
 pub(crate) fn poly1305_aead_tag(
+    backend: Backend,
     otk: &[u8; 32],
     aad_parts: &[&[u8]],
     ciphertext: &[u8],
@@ -45,11 +52,54 @@ pub(crate) fn poly1305_aead_tag(
         aad_len += part.len();
     }
     mac.update(&zeros[..(16 - aad_len % 16) % 16]);
-    mac.update(ciphertext);
+    mac.update_wide(backend, ciphertext);
     mac.update(&zeros[..(16 - ciphertext.len() % 16) % 16]);
-    mac.update(&(aad_len as u64).to_le_bytes());
-    mac.update(&(ciphertext.len() as u64).to_le_bytes());
+    mac.update(&lengths_block(aad_len, ciphertext.len()));
     mac.finalize()
+}
+
+/// The closing block of the AEAD layout: both lengths, little-endian.
+fn lengths_block(aad_len: usize, ciphertext_len: usize) -> [u8; 16] {
+    let mut block = [0u8; 16];
+    block[..8].copy_from_slice(&(aad_len as u64).to_le_bytes());
+    block[8..].copy_from_slice(&(ciphertext_len as u64).to_le_bytes());
+    block
+}
+
+/// [`poly1305_aead_tag`] for up to a Poly1305 lane group of frames of
+/// **one shape** at once — every `aads[l]` holds the same number of AAD bytes
+/// (`aad_len`, at most 16, zero-padded to the block) and every
+/// `ciphertexts[l]` has the same length — each under its own one-time key:
+/// lane `l` is frame `l`, one kernel pass ([`poly1305_across`]). Every
+/// block of the layout is a whole block (the AAD and the ciphertext's
+/// ragged end are zero-padded by construction), so the lanes run it from
+/// first block to last. Tags come back in frame order.
+pub(crate) fn poly1305_aead_tags_across(
+    backend: Backend,
+    otks: &[[u8; 32]],
+    aad_len: usize,
+    aads: &[[u8; 16]],
+    ciphertexts: &[&[u8]],
+) -> [[u8; AEAD_TAG_LEN]; POLY_MAX_LANES] {
+    let len = ciphertexts[0].len();
+    let whole = len / 16;
+    // Blocks, in order: the AAD, the whole ciphertext blocks, the ragged
+    // end zero-padded (if there is one), the lengths.
+    let mut ragged = [[0u8; 16]; POLY_MAX_LANES];
+    for (pad, ct) in ragged.iter_mut().zip(ciphertexts) {
+        pad[..len % 16].copy_from_slice(&ct[whole * 16..]);
+    }
+    let lengths = lengths_block(aad_len, len);
+    let steps = 1 + len.div_ceil(16) + 1;
+    poly1305_across(backend, otks, steps, |step, l| match step {
+        0 => aads[l],
+        _ if step <= whole => {
+            let at = (step - 1) * 16;
+            ciphertexts[l][at..at + 16].try_into().expect("fixed")
+        }
+        _ if step == steps - 1 => lengths,
+        _ => ragged[l],
+    })
 }
 
 fn mac_data(

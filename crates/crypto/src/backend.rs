@@ -10,7 +10,7 @@
 //! batch sweeps through every backend the host supports and requires
 //! byte-identical verdicts, tags, and plaintexts.
 //!
-//! Selection order (see [`Backend::select`]):
+//! Selection order (see [`Backend::select`]; decided once per process):
 //!
 //! 1. the `RESET_CRYPTO_BACKEND` environment variable, if it names a
 //!    backend the host supports (CI determinism knob);
@@ -19,6 +19,7 @@
 //! 3. [`Backend::Scalar`] as the unconditional fallback.
 
 use core::fmt;
+use std::sync::OnceLock;
 
 /// Environment variable that forces a backend for the auto-selecting
 /// suite constructors ([`Backend::select`]). Recognized values are the
@@ -109,7 +110,20 @@ impl Backend {
     /// Picks the backend the auto-selecting suite constructors use:
     /// [`BACKEND_ENV`] override (if supported), else the strongest
     /// backend runtime detection reports, else [`Backend::Scalar`].
+    ///
+    /// Decided once per process, on the first call: every SA install
+    /// builds a suite, and the environment lookup and feature probe
+    /// behind the answer cost ~70 ns a time (2²⁰ installs on a wide
+    /// fleet). [`BACKEND_ENV`] is therefore read at first use and a later
+    /// change to it is not seen; forcing a backend per suite
+    /// (`with_backend`) is unaffected.
     pub fn select() -> Backend {
+        static SELECTED: OnceLock<Backend> = OnceLock::new();
+        *SELECTED.get_or_init(Backend::detect)
+    }
+
+    /// The selection itself (see [`Backend::select`]).
+    fn detect() -> Backend {
         if let Ok(name) = std::env::var(BACKEND_ENV) {
             if let Some(forced) = Backend::from_name(name.trim()) {
                 if forced.is_supported() {

@@ -30,12 +30,20 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 /// let key = HmacKey::new(b"sa-auth-key");
 /// assert_eq!(key.mac(b"packet"), hmac_sha256(b"sa-auth-key", b"packet"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct HmacKey {
     /// State after absorbing `key ⊕ ipad` (one compression).
     inner: Sha256,
     /// State after absorbing `key ⊕ opad` (one compression).
     outer: Sha256,
+}
+
+/// Names the type and nothing else: both fields are keyed hash states,
+/// and either one forges MACs under the key.
+impl core::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("HmacKey(<redacted>)")
+    }
 }
 
 impl HmacKey {
@@ -157,10 +165,17 @@ impl HmacKey {
 ///     "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8"
 /// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct HmacSha256 {
     inner: Sha256,
     outer: Sha256,
+}
+
+/// As [`HmacKey`]: the context is two keyed hash states.
+impl core::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("HmacSha256(<redacted>)")
+    }
 }
 
 impl HmacSha256 {

@@ -1,22 +1,30 @@
-//! Multi-lane kernels: interleaved ChaCha20 blocks and multi-buffer
-//! SHA-256 compression.
+//! Multi-lane kernels: interleaved ChaCha20 blocks, multi-buffer
+//! SHA-256 compression, and Poly1305 with one multiplier per lane.
 //!
 //! Each kernel computes N independent streams per pass by holding one
 //! state *word* across N lanes of a vector register — the classic
-//! multi-buffer layout. Three implementations share one generic body via
-//! the [`Vec32`] trait: a portable `[u32; 4]` manual-lane fallback, SSE2
-//! (`__m128i`, 4 lanes), and AVX2 (`__m256i`, 8 lanes). The arithmetic
-//! is identical in all of them, so every backend is byte-for-byte equal
-//! to the scalar functions in [`crate::chacha`] / [`crate::sha256`] —
-//! the unit tests below pin that per lane position, and
+//! multi-buffer layout. The two bit-mixing kernels share one generic
+//! body each via the [`Vec32`] trait: a portable `[u32; 4]` manual-lane
+//! fallback, SSE2 (`__m128i`, 4 lanes), and AVX2 (`__m256i`, 8 lanes).
+//! The arithmetic one, [`poly1305_kernel`], runs over [`Vec64`] — the
+//! same registers cut into half as many 64-bit lanes (portable
+//! `[u64; 2]`, SSE2 2, AVX2 4), because its limb products need the
+//! width. The arithmetic is identical in every implementation, so every
+//! backend is byte-for-byte equal to the scalar functions in
+//! [`crate::chacha`] / [`crate::sha256`] / [`crate::poly1305`] — the
+//! unit tests below pin that per lane position, and
 //! `tests/backend_differential.rs` pins it end-to-end through the
 //! suites.
 //!
 //! This is the only module in the crate allowed to contain `unsafe`
-//! code, and every unsafe block is one of exactly two shapes: a call to
-//! a `std::arch` intrinsic (safe by the target-feature contract of the
-//! enclosing dispatch, documented at each site) or a `transmute` between
-//! a vector register and its exact-size `[u32; N]` representation.
+//! code, and every unsafe block is one of exactly three shapes: a call
+//! to a `std::arch` intrinsic (safe by the target-feature contract of
+//! the enclosing dispatch, documented at each site), a `transmute`
+//! between a vector register and its exact-size `[u32; N]` / `[u64; N]`
+//! representation, or — in `store_blocks` only — an unaligned vector
+//! store through a pointer into a slice whose bounds are checked at the
+//! site. The Poly1305 kernel adds instances of the first two and none of
+//! the third: its limbs and message words pass by register.
 
 use crate::backend::Backend;
 use crate::chacha::{chacha20_block, chacha20_xor, CHACHA_KEY_LEN, CHACHA_NONCE_LEN, SIGMA};
@@ -176,6 +184,97 @@ impl Vec32 for P4 {
     }
 }
 
+/// The most 64-bit lanes any backend gives the Poly1305 kernel
+/// ([`Backend::Avx2`]).
+pub(crate) const POLY_MAX_LANES: usize = 4;
+
+/// 64-bit SIMD lane abstraction for the Poly1305 kernel. One value holds
+/// `LANES` independent `u64` streams; all ops are lane-wise and wrapping.
+trait Vec64: Copy {
+    /// Number of lanes.
+    const LANES: usize;
+    /// Broadcasts `x` into every lane.
+    fn splat(x: u64) -> Self;
+    /// Loads the first `LANES` values of `xs`.
+    fn load(xs: &[u64]) -> Self;
+    /// Stores the lanes into the first `LANES` slots of `out`.
+    fn store(self, out: &mut [u64]);
+    /// The first `LANES` blocks as two vectors of little-endian words:
+    /// lane `l` of the first is bytes `0..8` of `blocks[l]`, lane `l` of
+    /// the second bytes `8..16`.
+    fn words(blocks: &[[u8; 16]; POLY_MAX_LANES]) -> (Self, Self);
+    /// Lane-wise wrapping add.
+    fn add(self, o: Self) -> Self;
+    /// Lane-wise AND.
+    fn and(self, o: Self) -> Self;
+    /// Lane-wise OR.
+    fn or(self, o: Self) -> Self;
+    /// Lane-wise logical shift left by `n` bits (`0 < n < 64`).
+    fn shl(self, n: u32) -> Self;
+    /// Lane-wise logical shift right by `n` bits (`0 < n < 64`).
+    fn shr(self, n: u32) -> Self;
+    /// Lane-wise 32×32→64 multiply of the **low halves**: the high 32
+    /// bits of each operand lane are ignored, exactly as `pmuludq` does.
+    fn mul32(self, o: Self) -> Self;
+}
+
+/// Portable 2-lane fallback for the Poly1305 kernel: `Backend::Lanes4`
+/// off x86_64, and a kernel cross-check in tests.
+#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
+#[derive(Copy, Clone)]
+struct P2([u64; 2]);
+
+impl Vec64 for P2 {
+    const LANES: usize = 2;
+    #[inline(always)]
+    fn splat(x: u64) -> Self {
+        P2([x; 2])
+    }
+    #[inline(always)]
+    fn load(xs: &[u64]) -> Self {
+        P2([xs[0], xs[1]])
+    }
+    #[inline(always)]
+    fn store(self, out: &mut [u64]) {
+        out[..2].copy_from_slice(&self.0);
+    }
+    #[inline(always)]
+    fn words(blocks: &[[u8; 16]; POLY_MAX_LANES]) -> (Self, Self) {
+        let word = |l: usize, at: usize| {
+            u64::from_le_bytes(blocks[l][at..at + 8].try_into().expect("fixed"))
+        };
+        (P2([word(0, 0), word(1, 0)]), P2([word(0, 8), word(1, 8)]))
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        P2([
+            self.0[0].wrapping_add(o.0[0]),
+            self.0[1].wrapping_add(o.0[1]),
+        ])
+    }
+    #[inline(always)]
+    fn and(self, o: Self) -> Self {
+        P2([self.0[0] & o.0[0], self.0[1] & o.0[1]])
+    }
+    #[inline(always)]
+    fn or(self, o: Self) -> Self {
+        P2([self.0[0] | o.0[0], self.0[1] | o.0[1]])
+    }
+    #[inline(always)]
+    fn shl(self, n: u32) -> Self {
+        P2([self.0[0] << n, self.0[1] << n])
+    }
+    #[inline(always)]
+    fn shr(self, n: u32) -> Self {
+        P2([self.0[0] >> n, self.0[1] >> n])
+    }
+    #[inline(always)]
+    fn mul32(self, o: Self) -> Self {
+        let lo = |x: u64| x & 0xffff_ffff;
+        P2([lo(self.0[0]) * lo(o.0[0]), lo(self.0[1]) * lo(o.0[1])])
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
@@ -186,7 +285,10 @@ mod x86 {
     //! the dispatchers in the parent module call strictly behind a
     //! runtime `is_x86_feature_detected!("avx2")` check.
 
-    use super::{chacha_blocks_kernel, sha256_multiway_kernel, BlockJob, Vec32};
+    use super::{
+        chacha_blocks_kernel, poly1305_kernel, sha256_multiway_kernel, BlockJob, Limbs26, Vec32,
+        Vec64, POLY_MAX_LANES,
+    };
     use crate::chacha::CHACHA_KEY_LEN;
     use std::arch::x86_64::*;
 
@@ -421,6 +523,154 @@ mod x86 {
         }
     }
 
+    /// Two 64-bit lanes in one `__m128i` (SSE2).
+    #[derive(Copy, Clone)]
+    pub(super) struct S2(__m128i);
+
+    impl Vec64 for S2 {
+        const LANES: usize = 2;
+        #[inline(always)]
+        fn splat(x: u64) -> Self {
+            // SAFETY: sse2 is part of the x86_64 baseline ISA.
+            S2(unsafe { _mm_set1_epi64x(x as i64) })
+        }
+        #[inline(always)]
+        fn load(xs: &[u64]) -> Self {
+            let lanes: [u64; 2] = xs[..2].try_into().expect("fixed");
+            // SAFETY: `[u64; 2]` and `__m128i` have identical size and
+            // no invalid bit patterns.
+            S2(unsafe { core::mem::transmute::<[u64; 2], __m128i>(lanes) })
+        }
+        #[inline(always)]
+        fn store(self, out: &mut [u64]) {
+            // SAFETY: `__m128i` and `[u64; 2]` have identical size and
+            // no invalid bit patterns.
+            let lanes: [u64; 2] = unsafe { core::mem::transmute(self.0) };
+            out[..2].copy_from_slice(&lanes);
+        }
+        #[inline(always)]
+        fn words(blocks: &[[u8; 16]; POLY_MAX_LANES]) -> (Self, Self) {
+            // A block in a register is its two words, low word in the low
+            // half (x86 is little-endian); one unpack pair transposes.
+            // SAFETY: `[u8; 16]` and `__m128i` have identical size and no
+            // invalid bit patterns; sse2 is part of the x86_64 baseline.
+            unsafe {
+                let [m0, m1, ..] = blocks.map(|m| core::mem::transmute::<[u8; 16], __m128i>(m));
+                (
+                    S2(_mm_unpacklo_epi64(m0, m1)),
+                    S2(_mm_unpackhi_epi64(m0, m1)),
+                )
+            }
+        }
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: sse2 is part of the x86_64 baseline ISA.
+            S2(unsafe { _mm_add_epi64(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn and(self, o: Self) -> Self {
+            // SAFETY: as above.
+            S2(unsafe { _mm_and_si128(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn or(self, o: Self) -> Self {
+            // SAFETY: as above.
+            S2(unsafe { _mm_or_si128(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn shl(self, n: u32) -> Self {
+            // SAFETY: as above.
+            S2(unsafe { _mm_sll_epi64(self.0, _mm_cvtsi32_si128(n as i32)) })
+        }
+        #[inline(always)]
+        fn shr(self, n: u32) -> Self {
+            // SAFETY: as above.
+            S2(unsafe { _mm_srl_epi64(self.0, _mm_cvtsi32_si128(n as i32)) })
+        }
+        #[inline(always)]
+        fn mul32(self, o: Self) -> Self {
+            // SAFETY: as above. `pmuludq` reads the low 32 bits of each
+            // 64-bit lane and writes the full 64-bit product.
+            S2(unsafe { _mm_mul_epu32(self.0, o.0) })
+        }
+    }
+
+    /// Four 64-bit lanes in one `__m256i` (AVX2). Values of this type
+    /// only flow inside `poly1305_avx2` below.
+    #[derive(Copy, Clone)]
+    pub(super) struct A4(__m256i);
+
+    impl Vec64 for A4 {
+        const LANES: usize = 4;
+        #[inline(always)]
+        fn splat(x: u64) -> Self {
+            // SAFETY: reachable only from `poly1305_avx2`, which
+            // dispatches strictly behind a runtime AVX2 check.
+            A4(unsafe { _mm256_set1_epi64x(x as i64) })
+        }
+        #[inline(always)]
+        fn load(xs: &[u64]) -> Self {
+            let lanes: [u64; 4] = xs[..4].try_into().expect("fixed");
+            // SAFETY: `[u64; 4]` and `__m256i` have identical size and
+            // no invalid bit patterns.
+            A4(unsafe { core::mem::transmute::<[u64; 4], __m256i>(lanes) })
+        }
+        #[inline(always)]
+        fn store(self, out: &mut [u64]) {
+            // SAFETY: `__m256i` and `[u64; 4]` have identical size and
+            // no invalid bit patterns.
+            let lanes: [u64; 4] = unsafe { core::mem::transmute(self.0) };
+            out[..4].copy_from_slice(&lanes);
+        }
+        #[inline(always)]
+        fn words(blocks: &[[u8; 16]; POLY_MAX_LANES]) -> (Self, Self) {
+            // Blocks 0 and 2 share one register, 1 and 3 another; the
+            // unpack pair works per 128-bit half, so lanes come out in
+            // order: (0, 1 | 2, 3).
+            // SAFETY: `[u8; 16]` and `__m128i` have identical size and no
+            // invalid bit patterns; reachable only behind the runtime
+            // AVX2 check.
+            unsafe {
+                let [m0, m1, m2, m3] = blocks.map(|m| core::mem::transmute::<[u8; 16], __m128i>(m));
+                let (even, odd) = (_mm256_set_m128i(m2, m0), _mm256_set_m128i(m3, m1));
+                (
+                    A4(_mm256_unpacklo_epi64(even, odd)),
+                    A4(_mm256_unpackhi_epi64(even, odd)),
+                )
+            }
+        }
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: reachable only behind the runtime AVX2 check.
+            A4(unsafe { _mm256_add_epi64(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn and(self, o: Self) -> Self {
+            // SAFETY: as above.
+            A4(unsafe { _mm256_and_si256(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn or(self, o: Self) -> Self {
+            // SAFETY: as above.
+            A4(unsafe { _mm256_or_si256(self.0, o.0) })
+        }
+        #[inline(always)]
+        fn shl(self, n: u32) -> Self {
+            // SAFETY: as above.
+            A4(unsafe { _mm256_sll_epi64(self.0, _mm_cvtsi32_si128(n as i32)) })
+        }
+        #[inline(always)]
+        fn shr(self, n: u32) -> Self {
+            // SAFETY: as above.
+            A4(unsafe { _mm256_srl_epi64(self.0, _mm_cvtsi32_si128(n as i32)) })
+        }
+        #[inline(always)]
+        fn mul32(self, o: Self) -> Self {
+            // SAFETY: as above. `vpmuludq`: low halves in, 64 bits out.
+            A4(unsafe { _mm256_mul_epu32(self.0, o.0) })
+        }
+    }
+
     #[target_feature(enable = "sse2")]
     pub(super) fn chacha_blocks_sse2(
         key: &[u8; CHACHA_KEY_LEN],
@@ -447,6 +697,35 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub(super) fn sha256_multiway_avx2(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
         sha256_multiway_kernel::<A8>(states, blocks);
+    }
+
+    /// The 2-lane kernel. Safe and without `#[target_feature]` (sse2 is
+    /// the x86_64 baseline; [`S2`] says so at each intrinsic) because it
+    /// must be `#[inline(never)]`, and rustc drops that attribute from
+    /// `#[target_feature]` functions. Merged into a caller that starts
+    /// every accumulator from a constant zero, LLVM proves the operands of
+    /// `pmuludq` narrow, strips the masking that makes each product one
+    /// instruction, loses the proof across the loop and emits a
+    /// three-multiply 64-bit product instead (measured: 18 ns a step
+    /// against 11). Behind a call the limbs are just memory.
+    #[inline(never)]
+    pub(super) fn poly1305_sse2(
+        h: &mut Limbs26,
+        rows: &Limbs26,
+        steps: usize,
+        block: impl Fn(usize, usize) -> [u8; 16],
+    ) {
+        poly1305_kernel::<S2>(h, rows, steps, block);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn poly1305_avx2(
+        h: &mut Limbs26,
+        rows: &Limbs26,
+        steps: usize,
+        block: impl Fn(usize, usize) -> [u8; 16],
+    ) {
+        poly1305_kernel::<A4>(h, rows, steps, block);
     }
 }
 
@@ -573,6 +852,97 @@ fn sha256_multiway_kernel<V: Vec32>(states: &mut [[u32; 8]], blocks: &[[u8; 64]]
     }
 }
 
+/// A Poly1305 value per lane in radix 2²⁶, limb-major: `limbs[i][l]` is
+/// limb `i` (weight 2^(26·i)) of lane `l`. Accumulators and multiplier
+/// rows both travel in this shape; `crate::poly1305` owns the conversion
+/// to and from the scalar code's radix 2⁴⁴.
+pub(crate) type Limbs26 = [[u64; POLY_MAX_LANES]; 5];
+
+/// Low 26 bits: one radix-2²⁶ limb.
+pub(crate) const MASK26: u64 = (1 << 26) - 1;
+
+/// `steps` Poly1305 steps in every lane at once: lane `l` runs
+/// `h_l ← (h_l + m)·r_l mod 2¹³⁰ − 5` with `m = block(step, l)` (a whole
+/// 16-byte block: bit 128 is set, as for every block but a message's
+/// ragged last) and `r_l` the lane's own row of `rows`. What the lanes
+/// hold is the caller's business — `crate::poly1305` fills them with one
+/// message strided under powers of one `r`, or with one message each
+/// under unrelated one-time keys; the step is the same.
+///
+/// Limb bounds, which are what make `pmuludq`'s 32-bit operands enough:
+/// rows at most 2²⁶ per limb (so `5·r` is under 2²⁹), accumulator limbs at
+/// most 2²⁶ + 2¹² coming in; then `h + m` is under 2²⁸, each of the 25
+/// products under 2⁵⁷, each column sum under 2⁶⁰, and the carry chain
+/// leaves limbs 0, 2, 3 under 2²⁶, limb 1 under 2²⁶ + 2¹² and limb 4 under
+/// 2²⁶ + 2⁹ — the bound it started from. No branch, index or trip count
+/// depends on a limb or a message byte.
+#[inline(always)]
+fn poly1305_kernel<V: Vec64>(
+    h: &mut Limbs26,
+    rows: &Limbs26,
+    steps: usize,
+    block: impl Fn(usize, usize) -> [u8; 16],
+) {
+    let load = |limbs: &Limbs26| -> [V; 5] { core::array::from_fn(|i| V::load(&limbs[i])) };
+    let r = load(rows);
+    // 2¹³⁰ ≡ 5: a product that spills past limb 4 re-enters at ·5.
+    let s: [V; 4] = core::array::from_fn(|i| r[i + 1].add(r[i + 1].shl(2)));
+    let mask = V::splat(MASK26);
+    let bit128 = V::splat(1 << 24);
+    let mut acc = load(h);
+    for step in 0..steps {
+        // The one message-to-limbs split: each lane's block as two
+        // little-endian words, cut at the 26-bit boundaries.
+        let mut blocks = [[0u8; 16]; POLY_MAX_LANES];
+        for (l, m) in blocks[..V::LANES].iter_mut().enumerate() {
+            *m = block(step, l);
+        }
+        let (t0, t1) = V::words(&blocks);
+        let x = [
+            acc[0].add(t0.and(mask)),
+            acc[1].add(t0.shr(26).and(mask)),
+            acc[2].add(t0.shr(52).or(t1.shl(12)).and(mask)),
+            acc[3].add(t1.shr(14).and(mask)),
+            acc[4].add(t1.shr(40).or(bit128)),
+        ];
+        acc = poly1305_mul_carry(&x, &r, &s, mask);
+    }
+    for (limb, v) in h.iter_mut().zip(acc) {
+        v.store(limb);
+    }
+}
+
+/// The one multiply-and-carry body: `x·r mod 2¹³⁰ − 5` per lane, five
+/// schoolbook columns with the wrap folded in through `s = 5·r[1..]`,
+/// then one pass of carries run as two interleaved chains (0→1→2→3→4
+/// and 3→4→0→1) so the dependency chain is four links, not six.
+#[inline(always)]
+fn poly1305_mul_carry<V: Vec64>(x: &[V; 5], r: &[V; 5], s: &[V; 4], mask: V) -> [V; 5] {
+    let col = |a: V, b: V, c: V, d: V, e: V| a.add(b).add(c.add(d)).add(e);
+    let [x0, x1, x2, x3, x4] = *x;
+    let [r0, r1, r2, r3, r4] = *r;
+    let [s1, s2, s3, s4] = *s;
+    #[rustfmt::skip]
+    let [d0, d1, d2, d3, d4] = [
+        col(x0.mul32(r0), x1.mul32(s4), x2.mul32(s3), x3.mul32(s2), x4.mul32(s1)),
+        col(x0.mul32(r1), x1.mul32(r0), x2.mul32(s4), x3.mul32(s3), x4.mul32(s2)),
+        col(x0.mul32(r2), x1.mul32(r1), x2.mul32(r0), x3.mul32(s4), x4.mul32(s3)),
+        col(x0.mul32(r3), x1.mul32(r2), x2.mul32(r1), x3.mul32(r0), x4.mul32(s4)),
+        col(x0.mul32(r4), x1.mul32(r3), x2.mul32(r2), x3.mul32(r1), x4.mul32(r0)),
+    ];
+    let (d1, d4) = (d1.add(d0.shr(26)), d4.add(d3.shr(26)));
+    let (d0, d3) = (d0.and(mask), d3.and(mask));
+    // The carry out of limb 4 can exceed 32 bits: ·5 by shift and add,
+    // never by `mul32`.
+    let c4 = d4.shr(26);
+    let (d2, d0) = (d2.add(d1.shr(26)), d0.add(c4).add(c4.shl(2)));
+    let (d1, d4) = (d1.and(mask), d4.and(mask));
+    let (d3, d1) = (d3.add(d2.shr(26)), d1.add(d0.shr(26)));
+    let (d2, d0) = (d2.and(mask), d0.and(mask));
+    let d4 = d4.add(d3.shr(26));
+    [d0, d1, d2, d3.and(mask), d4]
+}
+
 /// Computes `jobs.len()` ChaCha20 blocks under one key. For SIMD
 /// backends `jobs.len()` must equal [`Backend::lanes`]; the scalar
 /// backend accepts any length.
@@ -656,6 +1026,51 @@ pub(crate) fn sha256_multiway(backend: Backend, states: &mut [[u32; 8]], blocks:
     }
 }
 
+/// How many 64-bit lanes the Poly1305 kernel runs on `backend`: half the
+/// backend's 32-bit lanes, and 1 — no lane code at all, the scalar
+/// `Poly1305` only — on [`Backend::Scalar`].
+pub(crate) fn poly1305_lanes(backend: Backend) -> usize {
+    match backend {
+        Backend::Scalar => 1,
+        Backend::Lanes4 | Backend::Avx2 => backend.lanes() / 2,
+    }
+}
+
+/// Runs [`poly1305_kernel`] on `backend`'s registers: `steps` steps over
+/// the first [`poly1305_lanes`] lanes of `h` under `rows`. Callers come
+/// here only with a vector backend (`poly1305_lanes(backend) > 1`).
+#[allow(unsafe_code)]
+pub(crate) fn poly1305_steps(
+    backend: Backend,
+    h: &mut Limbs26,
+    rows: &Limbs26,
+    steps: usize,
+    block: impl Fn(usize, usize) -> [u8; 16],
+) {
+    match backend {
+        Backend::Scalar => unreachable!("the scalar backend runs no lane code"),
+        Backend::Lanes4 => {
+            #[cfg(target_arch = "x86_64")]
+            x86::poly1305_sse2(h, rows, steps, block);
+            #[cfg(not(target_arch = "x86_64"))]
+            poly1305_kernel::<P2>(h, rows, steps, block)
+        }
+        Backend::Avx2 => {
+            assert!(
+                Backend::Avx2.is_supported(),
+                "avx2 backend invoked on a host without AVX2"
+            );
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the assert above proves runtime AVX2 support.
+            unsafe {
+                x86::poly1305_avx2(h, rows, steps, block)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            unreachable!("avx2 backend is never supported off x86_64")
+        }
+    }
+}
+
 /// XORs up to 64 keystream bytes into `dst` in `u64` words (the
 /// optimizer widens the pair of word loads/stores to vector ops), with a
 /// byte tail for non-multiple-of-8 payload ends.
@@ -680,6 +1095,27 @@ pub(crate) fn xor_keystream(dst: &mut [u8], ks: &[u8; 64]) {
 /// left scalar, a fleet whose runs are single frames never touches the
 /// wide registers at all.
 const PAD_FROM: usize = 3;
+
+/// Message bytes from which `Poly1305::update_wide` runs a message's
+/// whole blocks strided through the lanes; a shorter one is scalar
+/// blocks. Striding costs a fixed ~60 ns (three scalar multiplications
+/// for the powers of `r`, the radix conversions, two kernel entries), so
+/// it has a break-even. Measured, one AEAD tag, scalar → 2 lanes (SSE2) /
+/// 4 lanes (AVX2), ns: 256 B 144 → 156 / 141; 288 B 163 → 158 / 161;
+/// 320 B 183 → 175 / 161; 384 B 229 → 209 / 174; 1 400 B 802 → 549 /
+/// 391; 4 096 B 2 102 → 1 295 / 762. Both widths tie between 256 and
+/// 304 B and win from 320.
+pub(crate) const POLY_STRIDED_FROM: usize = 320;
+
+/// A partial Poly1305 lane group of at least this many equal-shape frames
+/// runs the across-frames pass, padded to its width; a smaller one is
+/// MACs of their own. A pass costs the same whatever it holds, so on four
+/// lanes three frames still win and two do not. Measured, ns per frame,
+/// a MAC of its own → a pass of 4 / 3 / 2 (AVX2): 64 B 50 → 32 / 39 / 57;
+/// 256 B 148 → 65 / 83 / 119; 1 400 B 381 (strided) → 273 / 364 / 539.
+/// On two lanes (SSE2) only a full group ever passes; it wins from 128 B
+/// (81 → 72; 1 400 B 537 → 485) and is a wash at 64 B (50 → 53).
+pub(crate) const POLY_PAD_FROM: usize = 3;
 
 /// The one keystream scheduler. `units` are 64-byte block requests under
 /// one key, each with a caller's tag saying where its keystream goes;
@@ -873,6 +1309,171 @@ mod tests {
         }
         sha256_multiway_kernel::<P4>(&mut states, &blocks);
         assert_eq!(states, expect);
+        let run =
+            |h: &mut Limbs26, rows: &Limbs26, steps, block: &dyn Fn(usize, usize) -> [u8; 16]| {
+                poly1305_kernel::<P2>(h, rows, steps, block)
+            };
+        for steps in [1usize, 2, 9] {
+            let per_lane = [poly_lane(&mut seed, steps), poly_lane(&mut seed, steps)];
+            assert_poly_steps_match_scalar(run, 2, &per_lane, &format!("portable {steps} steps"));
+        }
+    }
+
+    /// The value of five radix-2²⁶ limbs (any size) mod 2¹³⁰ − 5, by the
+    /// crate's bignum: two accumulators are the same number iff these are
+    /// equal, whatever their carries look like.
+    fn poly_value(limbs: [u64; 5]) -> crate::bignum::BigUint {
+        use crate::bignum::BigUint;
+        let p = BigUint::from_hex("3fffffffffffffffffffffffffffffffb");
+        let mut sum = BigUint::zero();
+        for limb in limbs.iter().rev() {
+            for _ in 0..26 {
+                sum = sum.shl1();
+            }
+            sum = sum.add(&BigUint::from_u64(*limb));
+        }
+        sum.rem(&p)
+    }
+
+    /// One lane of a kernel test: multiplier bytes (clamped by the
+    /// oracle), starting accumulator limbs, blocks to absorb.
+    type PolyLane = ([u8; 16], [u64; 5], Vec<[u8; 16]>);
+
+    /// Runs `steps` kernel steps with `(r, h, blocks)` per lane and checks
+    /// every lane against the scalar `Poly1305::block` chain.
+    fn assert_poly_steps_match_scalar(
+        run: impl Fn(&mut Limbs26, &Limbs26, usize, &dyn Fn(usize, usize) -> [u8; 16]),
+        lanes: usize,
+        per_lane: &[PolyLane],
+        at: &str,
+    ) {
+        let steps = per_lane[0].2.len();
+        let (mut h, mut rows) = ([[0u64; POLY_MAX_LANES]; 5], [[0u64; POLY_MAX_LANES]; 5]);
+        let mut expect = Vec::new();
+        for (l, (r, start, blocks)) in per_lane.iter().enumerate() {
+            let (after, row) = crate::poly1305::Poly1305::scalar_blocks(r, *start, blocks);
+            for i in 0..5 {
+                h[i][l] = start[i];
+                rows[i][l] = row[i];
+            }
+            expect.push(after);
+        }
+        run(&mut h, &rows, steps, &|step, l| per_lane[l].2[step]);
+        for l in 0..lanes {
+            let got = h.map(|limb| limb[l]);
+            assert_eq!(poly_value(got), poly_value(expect[l]), "{at} lane {l}");
+            // And the bound the next step relies on.
+            assert!(
+                got.iter().all(|&x| x <= (1 << 26) + (1 << 12)),
+                "{at} lane {l}: {got:x?}"
+            );
+        }
+    }
+
+    fn poly_lane(seed: &mut u64, steps: usize) -> PolyLane {
+        let mut r = [0u8; 16];
+        fill(seed, &mut r);
+        let h = [0u64; 5].map(|_| xorshift(seed) & MASK26);
+        let mut blocks = vec![[0u8; 16]; steps];
+        for b in &mut blocks {
+            fill(seed, b);
+        }
+        (r, h, blocks)
+    }
+
+    #[test]
+    fn poly1305_kernel_matches_scalar_block_chains_in_every_lane() {
+        let mut seed = 0x0123_4567_89ab_cdefu64;
+        for backend in supported_simd_backends() {
+            let lanes = poly1305_lanes(backend);
+            let run = |h: &mut Limbs26,
+                       rows: &Limbs26,
+                       steps,
+                       block: &dyn Fn(usize, usize) -> [u8; 16]| {
+                poly1305_steps(backend, h, rows, steps, block)
+            };
+            for steps in 1..=40 {
+                // One stream in each lane position in turn, decoys — other
+                // keys, accumulators and blocks — in the others.
+                let stream = poly_lane(&mut seed, steps);
+                for pos in 0..lanes {
+                    let per_lane: Vec<_> = (0..lanes)
+                        .map(|l| {
+                            if l == pos {
+                                stream.clone()
+                            } else {
+                                poly_lane(&mut seed, steps)
+                            }
+                        })
+                        .collect();
+                    let at = format!("{backend} {steps} steps, stream in lane {pos}");
+                    assert_poly_steps_match_scalar(run, lanes, &per_lane, &at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn poly1305_kernel_holds_at_the_limb_edges() {
+        // Multipliers 0, 1, 2 and the clamp maximum
+        // 0ffffffc0ffffffc0ffffffc0fffffff (all-ones bytes, clamped);
+        // accumulators 0, p − 1, every limb at the kernel's entry bound,
+        // and every limb all-ones; blocks all 0xff, all zero, and the
+        // A.3 #10 blocks that end on a 2¹³⁰ carry.
+        let small = |x: u8| {
+            let mut r = [0u8; 16];
+            r[0] = x;
+            r
+        };
+        let multipliers = [small(0), small(1), small(2), [0xff; 16]];
+        let m26 = MASK26;
+        let accumulators = [
+            [0u64; 5],
+            [m26 - 5, m26, m26, m26, m26],
+            [(1 << 26) + (1 << 12); 5],
+            [m26; 5],
+        ];
+        let a3 =
+            |hex: &str| -> [u8; 16] { crate::sha256::from_hex(hex).unwrap().try_into().unwrap() };
+        let chains = [
+            vec![[0xffu8; 16]; 8],
+            vec![[0u8; 16]; 3],
+            vec![
+                a3("e33594d7505e43b90000000000000000"),
+                a3("3394d7505e4379cd0100000000000000"),
+                a3("00000000000000000000000000000000"),
+                a3("01000000000000000000000000000000"),
+            ],
+        ];
+        for backend in supported_simd_backends() {
+            let lanes = poly1305_lanes(backend);
+            let run = |h: &mut Limbs26,
+                       rows: &Limbs26,
+                       steps,
+                       block: &dyn Fn(usize, usize) -> [u8; 16]| {
+                poly1305_steps(backend, h, rows, steps, block)
+            };
+            for (ci, chain) in chains.iter().enumerate() {
+                for (ri, _) in multipliers.iter().enumerate() {
+                    for (ai, _) in accumulators.iter().enumerate() {
+                        // Lane l takes the (l + ri)-th multiplier and the
+                        // (l + ai)-th accumulator: every pair meets in
+                        // every lane.
+                        let per_lane: Vec<_> = (0..lanes)
+                            .map(|l| {
+                                (
+                                    multipliers[(l + ri) % 4],
+                                    accumulators[(l + ai) % 4],
+                                    chain.clone(),
+                                )
+                            })
+                            .collect();
+                        let at = format!("{backend} chain {ci} multiplier {ri} accumulator {ai}");
+                        assert_poly_steps_match_scalar(run, lanes, &per_lane, &at);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

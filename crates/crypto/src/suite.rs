@@ -21,9 +21,10 @@
 //!
 //! # The backend model
 //!
-//! Both suites run their bulk primitives — ChaCha20 block generation and
-//! SHA-256 compression — through a [`Backend`] fixed **once at suite
-//! construction** and never re-probed on the datapath:
+//! Both suites run their bulk primitives — ChaCha20 block generation,
+//! SHA-256 compression and the Poly1305 multiply — through a [`Backend`]
+//! fixed **once at suite construction** and never re-probed on the
+//! datapath:
 //!
 //! * [`Backend::Scalar`] — one stream at a time, pure safe Rust; the
 //!   reference implementation.
@@ -32,12 +33,37 @@
 //! * [`Backend::Avx2`] — 8 interleaved lanes (x86_64 with runtime-
 //!   detected AVX2 only).
 //!
+//! Poly1305 rides the same registers as 64-bit lanes — two on
+//! `Lanes4`, four on `Avx2`, none on `Scalar`, whose only Poly1305 is the
+//! scalar MAC — in one kernel whose step is `h ← (h + m)·r` **with a
+//! multiplier per lane**, filled two ways:
+//!
+//! * *strided, inside one message:* lane `l` holds blocks
+//!   `l, l + L, l + 2L, …` of the ciphertext under `r^L` (closing with
+//!   `r^(L−l)`, then the lanes are summed). `seal`, `icv`, `verify` and
+//!   the odd frames of `verify_batch` take it for a ciphertext of 320
+//!   bytes or more: the powers and the radix conversions cost a fixed
+//!   ~60 ns, and under that length the scalar MAC is as fast.
+//! * *across frames, inside `verify_batch`:* lane `l` holds frame `l`
+//!   under its own one-time `r`, for `L` consecutive frames of one shape
+//!   (equal AAD length, at most a block of it, and equal ciphertext
+//!   length); a partial group of three still runs, padded, and a smaller
+//!   one is MACs of their own. This is where runs of short frames gain. On
+//!   `Lanes4` a pass is two frames: it wins from 128 B and is a wash at
+//!   64 B.
+//!
+//! Both thresholds are constants beside the kernel (`POLY_STRIDED_FROM`,
+//! `POLY_PAD_FROM` in `crate::lanes`, each with the measurement that fixed
+//! it), selection reads lengths and the backend only, and the AAD, the
+//! padding, the length block, the blocks past a whole lane group and
+//! every finalization stay on the scalar MAC.
+//!
 //! The auto-selecting constructors ([`ChaCha20Poly1305Suite::new`],
 //! [`HmacSha256Suite::with_keystream`], …) pick a backend in this order:
 //!
 //! 1. the `RESET_CRYPTO_BACKEND` environment variable, when it names a
 //!    backend this host supports (`scalar` / `lanes4` / `avx2`) — the
-//!    CI determinism knob;
+//!    CI determinism knob, read once per process;
 //! 2. runtime feature detection — AVX2 if the CPU has it, else 4-lane;
 //! 3. scalar, unconditionally, everywhere else.
 //!
@@ -117,12 +143,15 @@
 //! assert_eq!(a, b, "backends are byte-identical");
 //! ```
 
-use crate::aead::{chacha20_poly1305_tag, poly1305_aead_tag, AEAD_TAG_LEN};
+use crate::aead::{poly1305_aead_tag, poly1305_aead_tags_across, AEAD_TAG_LEN};
 use crate::backend::Backend;
-use crate::chacha::{CHACHA_KEY_LEN, CHACHA_NONCE_LEN};
+use crate::chacha::{chacha20_block, CHACHA_KEY_LEN, CHACHA_NONCE_LEN};
 use crate::ct::ct_eq;
 use crate::hmac::HmacKey;
-use crate::lanes::{chacha20_xor_jobs, chacha_units, sha256_multiway, xor_keystream, MAX_LANES};
+use crate::lanes::{
+    chacha20_xor_jobs, chacha_units, poly1305_lanes, sha256_multiway, xor_keystream, MAX_LANES,
+    POLY_MAX_LANES, POLY_PAD_FROM,
+};
 use crate::prf::xor_keystream_with;
 use crate::sha256::{BLOCK_LEN, DIGEST_LEN};
 use core::ops::Range;
@@ -698,10 +727,20 @@ impl CipherSuite for HmacSha256Suite {
 ///     icv: &icv,
 /// }));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ChaCha20Poly1305Suite {
     key: [u8; CHACHA_KEY_LEN],
     backend: Backend,
+}
+
+/// Reports the backend and never the key.
+impl std::fmt::Debug for ChaCha20Poly1305Suite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ChaCha20Poly1305Suite")
+            .field("key", &"<redacted>")
+            .field("backend", &self.backend)
+            .finish()
+    }
 }
 
 /// Equality is over the key only — the backend changes how the bytes
@@ -767,20 +806,78 @@ impl ChaCha20Poly1305Suite {
         n
     }
 
-    /// Poly1305 over the RFC 8439 AEAD layout, given a lane-computed
-    /// counter-0 block (whose first half is the one-time key).
-    fn tag_with_block0(
-        block0: &[u8; 64],
+    /// Poly1305 over the RFC 8439 AEAD layout under the one-time key
+    /// `otk` (the first half of the frame's counter-0 block); a long
+    /// ciphertext goes through this suite's lanes strided.
+    fn tag_with_otk(
+        &self,
+        otk: &[u8; 32],
         header: &[u8],
         ciphertext: &[u8],
         esn_hi: Option<u32>,
     ) -> [u8; AEAD_TAG_LEN] {
-        let otk = block0[..32].try_into().expect("fixed");
         match esn_hi {
-            Some(hi) => poly1305_aead_tag(otk, &[header, &hi.to_be_bytes()], ciphertext),
-            None => poly1305_aead_tag(otk, &[header], ciphertext),
+            Some(hi) => {
+                let hi = hi.to_be_bytes();
+                poly1305_aead_tag(self.backend, otk, &[header, &hi], ciphertext)
+            }
+            None => poly1305_aead_tag(self.backend, otk, &[header], ciphertext),
         }
     }
+
+    /// Verdicts for consecutive frames of one shape ([`same_shape`]), at
+    /// most a Poly1305 lane group of them, under their one-time keys:
+    /// appended to `ok` in order. A full group, or a partial one of at
+    /// least [`POLY_PAD_FROM`], is one across-frames pass with lane `l` =
+    /// frame `l`; fewer frames, or AAD longer than a block, are MACs of
+    /// their own.
+    fn verify_group(&self, frames: &[FrameToVerify<'_>], otks: &[[u8; 32]], ok: &mut Vec<bool>) {
+        let Some(first) = frames.first() else {
+            return;
+        };
+        let full = frames.len() == poly1305_lanes(self.backend);
+        if aad_len(first) > 16 || !(full || frames.len() >= POLY_PAD_FROM) {
+            ok.extend(frames.iter().zip(otks).map(|(f, otk)| {
+                icv_is(f, &self.tag_with_otk(otk, f.header, f.ciphertext, f.esn_hi))
+            }));
+            return;
+        }
+        let mut aads = [[0u8; 16]; POLY_MAX_LANES];
+        let mut ciphertexts = [&[][..]; POLY_MAX_LANES];
+        for (l, f) in frames.iter().enumerate() {
+            aads[l][..f.header.len()].copy_from_slice(f.header);
+            if let Some(hi) = f.esn_hi {
+                aads[l][f.header.len()..][..4].copy_from_slice(&hi.to_be_bytes());
+            }
+            ciphertexts[l] = f.ciphertext;
+        }
+        let tags = poly1305_aead_tags_across(
+            self.backend,
+            otks,
+            aad_len(first),
+            &aads,
+            &ciphertexts[..frames.len()],
+        );
+        ok.extend(frames.iter().zip(&tags).map(|(f, tag)| icv_is(f, tag)));
+    }
+}
+
+/// Whether the frame carries exactly `tag`, compared in constant time.
+fn icv_is(f: &FrameToVerify<'_>, tag: &[u8; AEAD_TAG_LEN]) -> bool {
+    f.icv.len() == AEAD_TAG_LEN && ct_eq(f.icv, tag)
+}
+
+/// Authenticated bytes in front of the ciphertext: the header and, on an
+/// ESN SA, the four bytes of the high half.
+fn aad_len(f: &FrameToVerify<'_>) -> usize {
+    f.header.len() + if f.esn_hi.is_some() { 4 } else { 0 }
+}
+
+/// Whether two frames lay out the same Poly1305 blocks — equal AAD and
+/// ciphertext lengths — and so can share an across-frames pass. Lengths
+/// only: nothing here reads a key or a byte.
+fn same_shape(a: &FrameToVerify<'_>, b: &FrameToVerify<'_>) -> bool {
+    aad_len(a) == aad_len(b) && a.ciphertext.len() == b.ciphertext.len()
 }
 
 impl CipherSuite for ChaCha20Poly1305Suite {
@@ -815,15 +912,9 @@ impl CipherSuite for ChaCha20Poly1305Suite {
     }
 
     fn icv(&self, seq: u64, header: &[u8], ciphertext: &[u8], esn_hi: Option<u32>) -> Icv {
-        let nonce = Self::nonce(seq);
-        let tag = match esn_hi {
-            Some(hi) => {
-                let hi = hi.to_be_bytes();
-                chacha20_poly1305_tag(&self.key, &nonce, &[header, &hi], ciphertext)
-            }
-            None => chacha20_poly1305_tag(&self.key, &nonce, &[header], ciphertext),
-        };
-        Icv::new(&tag)
+        let block0 = chacha20_block(&self.key, 0, &Self::nonce(seq));
+        let otk = block0[..32].try_into().expect("fixed");
+        Icv::new(&self.tag_with_otk(otk, header, ciphertext, esn_hi))
     }
 
     /// The fused seal (module docs, "The sealing rule"): counter 0 and
@@ -894,15 +985,20 @@ impl CipherSuite for ChaCha20Poly1305Suite {
                 },
             );
         }
-        Icv::new(&Self::tag_with_block0(&block0, header, body, esn_hi))
+        let otk = block0[..32].try_into().expect("fixed");
+        Icv::new(&self.tag_with_otk(otk, header, body, esn_hi))
     }
 
-    /// The laned batch verify: every frame needs one ChaCha20 block at
-    /// counter 0 (the Poly1305 one-time key), and those blocks differ
-    /// only in their seq-derived nonces — exactly the shape the
-    /// interleaved kernel wants. Each lane group of frames computes its
-    /// OTKs in one pass (a partial tail group as `chacha_units`
-    /// decides); the Poly1305 tag itself stays scalar per frame. On
+    /// The laned batch verify, both halves of the tag. Every frame needs
+    /// one ChaCha20 block at counter 0 (the Poly1305 one-time key), and
+    /// those blocks differ only in their seq-derived nonces — exactly the
+    /// shape the interleaved kernel wants: each lane group of frames
+    /// computes its keys in one pass (a partial tail group as
+    /// `chacha_units` decides). The keys are then spent a Poly1305 lane
+    /// group at a time: consecutive frames of one shape run one
+    /// across-frames pass, lane `l` = frame `l` under its own key; a
+    /// frame whose neighbours differ is a MAC of its own, strided through
+    /// the lanes if it is long (module docs, "The backend model"). On
     /// [`Backend::Scalar`] this is the trait default (per-frame
     /// [`CipherSuite::verify`]), kept as the independent oracle path.
     fn verify_batch(&self, frames: &[FrameToVerify<'_>], ok: &mut Vec<bool>) {
@@ -912,13 +1008,32 @@ impl CipherSuite for ChaCha20Poly1305Suite {
             return;
         }
         ok.reserve(frames.len());
-        let units = frames.iter().map(|f| ((0, Self::nonce(f.seq)), Some(f)));
-        let verify = |f: Option<&FrameToVerify<'_>>, block0: &[u8; 64]| {
-            let f = f.expect("only pushed tags come back");
-            let tag = Self::tag_with_block0(block0, f.header, f.ciphertext, f.esn_hi);
-            ok.push(f.icv.len() == AEAD_TAG_LEN && ct_eq(f.icv, &tag));
-        };
-        chacha_units(self.backend, &self.key, units, std::iter::empty(), verify);
+        let lanes = poly1305_lanes(self.backend);
+        // Keys come back in frame order, so the frames that hold a key
+        // and no verdict yet are always the `waiting` just before `i`.
+        let mut otks = [[0u8; 32]; POLY_MAX_LANES];
+        let mut waiting = 0;
+        let units = frames.iter().enumerate();
+        let units = units.map(|(i, f)| ((0, Self::nonce(f.seq)), i));
+        chacha_units(
+            self.backend,
+            &self.key,
+            units,
+            std::iter::empty(),
+            |i, block0| {
+                if waiting > 0 && !same_shape(&frames[i], &frames[i - 1]) {
+                    self.verify_group(&frames[i - waiting..i], &otks[..waiting], ok);
+                    waiting = 0;
+                }
+                otks[waiting].copy_from_slice(&block0[..32]);
+                waiting += 1;
+                if waiting == lanes {
+                    self.verify_group(&frames[i + 1 - waiting..=i], &otks[..waiting], ok);
+                    waiting = 0;
+                }
+            },
+        );
+        self.verify_group(&frames[frames.len() - waiting..], &otks[..waiting], ok);
     }
 
     /// The laned batch decrypt: jobs are cut into 64-byte keystream

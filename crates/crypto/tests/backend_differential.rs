@@ -236,6 +236,165 @@ fn seal_with_a_carried_look_ahead_matches_scalar_encrypt_then_icv() {
     }
 }
 
+/// The Poly1305 lanes inside one message: `icv` and `seal` of the AEAD
+/// suite at **every** ciphertext length 0..=2 048 — every count of whole
+/// blocks on either side of a lane group, every ragged end, both sides of
+/// the strided threshold — with and without `esn_hi` (a 16- and a 12-byte
+/// AAD), over random and all-`0xff` (wraparound-heavy) payloads, against
+/// the scalar suite. If the strided filler drops or double-counts the
+/// whole blocks it leaves to the scalar tail, the lengths from the
+/// threshold up whose block count is not a multiple of the lane count
+/// fail here; if it mishandles the ragged end, the lengths that are not a
+/// multiple of 16 do.
+#[test]
+fn icv_and_seal_match_scalar_at_every_length_to_2048() {
+    let key = [0x9c; 32];
+    let oracle = ChaCha20Poly1305Suite::new(key).with_backend(Backend::Scalar);
+    let mut rng = XorShift(0x0b5e_55ed_0123_4567);
+    let header = [0xa5u8; 12];
+    for len in 0..=2_048usize {
+        for wraparound in [false, true] {
+            let seq = (len as u64) << 1 | wraparound as u64;
+            // The ciphertext is what the MAC reads: make *it* all-ones
+            // in the wraparound case by sealing its decryption.
+            let mut plain = vec![0xffu8; len];
+            if wraparound {
+                oracle.decrypt(seq, &mut plain);
+            } else {
+                rng.fill(&mut plain);
+            }
+            let mut ct = plain.clone();
+            oracle.encrypt(seq, &mut ct);
+            for esn_hi in [None, Some(0xfeed_0000 | len as u32)] {
+                let expect = oracle.icv(seq, &header, &ct, esn_hi);
+                for backend in simd_backends() {
+                    let lane = ChaCha20Poly1305Suite::new(key).with_backend(backend);
+                    let at = format!("{backend} len {len} esn {esn_hi:?} 0xff {wraparound}");
+                    assert_eq!(lane.icv(seq, &header, &ct, esn_hi), expect, "icv {at}");
+                    let mut body = plain.clone();
+                    let icv = lane.seal(seq, &header, &mut body, esn_hi, &mut SealAhead::default());
+                    assert_eq!(body, ct, "seal body {at}");
+                    assert_eq!(icv, expect, "seal icv {at}");
+                }
+            }
+        }
+    }
+}
+
+/// The Poly1305 lanes across the frames of a batch: `verify_batch` over
+/// 5 000 seeded batches of 1..=17 frames must equal the scalar suite's
+/// per-frame `verify`, element for element. Batches are runs of one
+/// length, fully mixed lengths, or a run with the length changed at one
+/// position (so a shape change lands in every position of a lane group,
+/// and the frames before it form every size of partial group); lengths
+/// sit on each side of the strided threshold and of every block edge;
+/// most batches carry one flipped bit — in the ICV, the header, `esn_hi`
+/// or the ciphertext (its first block, a middle one, the ragged end) — in
+/// a frame chosen so every lane position is hit; some carry a truncated
+/// ICV or a header longer than a block. If the across filler mishandles
+/// the ragged last block, the equal-length batches whose length is not a
+/// multiple of 16 accept a ciphertext flipped in its last bytes, or
+/// reject an intact frame; if a partial group's pad lanes leak into real
+/// ones, the batches of 3, 7, 11 and 15 equal frames fail.
+#[test]
+fn verify_batch_matches_scalar_verify_over_shapes_and_single_bit_flips() {
+    const BATCHES: usize = 5_000;
+    const LENS: [usize; 24] = [
+        0, 1, 15, 16, 17, 31, 32, 47, 48, 63, 64, 65, 80, 127, 128, 255, 256, 303, 304, 319, 320,
+        321, 336, 1400,
+    ];
+    let key = [0x17; 32];
+    let oracle = ChaCha20Poly1305Suite::new(key).with_backend(Backend::Scalar);
+    let lanes: Vec<ChaCha20Poly1305Suite> = simd_backends()
+        .into_iter()
+        .map(|b| ChaCha20Poly1305Suite::new(key).with_backend(b))
+        .collect();
+    let mut rng = XorShift(0xacc0_55f4_a3e5_0001);
+    let mut seq = 1u64 << 33;
+    let mut verdicts = [0usize; 2];
+    for batch in 0..BATCHES {
+        let n = 1 + batch % 17;
+        let pick = |rng: &mut XorShift| LENS[(rng.next() % LENS.len() as u64) as usize];
+        let run_len = pick(&mut rng);
+        let (other_len, change_at) = (pick(&mut rng), (batch / 17) % n);
+        let esn_all = rng.next().is_multiple_of(2);
+        let mut storage: Vec<OwnedFrame> = (0..n)
+            .map(|i| {
+                seq += 1 + rng.next() % 3;
+                let len = match batch % 3 {
+                    0 => run_len,
+                    1 => pick(&mut rng),
+                    _ if i == change_at => other_len,
+                    _ => run_len,
+                };
+                // Mostly the 12-byte ESP header; sometimes one that makes
+                // the AAD longer than a block.
+                let mut header = vec![
+                    0u8;
+                    if rng.next().is_multiple_of(23) {
+                        20
+                    } else {
+                        12
+                    }
+                ];
+                rng.fill(&mut header);
+                let mut body = vec![0u8; len];
+                rng.fill(&mut body);
+                // ESN on the whole batch, or (rarely) on one frame only:
+                // a shape change that is not a length change.
+                let esn_hi = (esn_all ^ (i == change_at && rng.next().is_multiple_of(5)))
+                    .then_some((seq >> 32) as u32);
+                oracle.encrypt(seq, &mut body);
+                let icv = oracle.icv(seq, &header, &body, esn_hi).to_vec();
+                (seq, header, body, esn_hi, icv)
+            })
+            .collect();
+        // One fault in one frame; the victim walks through the batch so
+        // every lane position of every group size gets each kind.
+        let victim = &mut storage[(batch / 7) % n];
+        match rng.next() % 8 {
+            0 => victim.4[(rng.next() % 16) as usize] ^= 1 << (rng.next() % 8),
+            1 => victim.1[(rng.next() % 12) as usize] ^= 1 << (rng.next() % 8),
+            2 => victim.3 = victim.3.map(|hi| hi ^ 1 << (rng.next() % 32)),
+            3 if !victim.2.is_empty() => victim.2[0] ^= 0x80,
+            4 if !victim.2.is_empty() => {
+                let last = victim.2.len() - 1;
+                victim.2[last] ^= 1;
+            }
+            5 if !victim.2.is_empty() => {
+                let mid = (rng.next() % victim.2.len() as u64) as usize;
+                victim.2[mid] ^= 1 << (rng.next() % 8);
+            }
+            6 => victim.4.truncate(15),
+            _ => {}
+        }
+        let frames: Vec<FrameToVerify<'_>> = storage
+            .iter()
+            .map(|(seq, h, ct, esn, icv)| FrameToVerify {
+                seq: *seq,
+                header: h,
+                ciphertext: ct,
+                esn_hi: *esn,
+                icv,
+            })
+            .collect();
+        let expect: Vec<bool> = frames.iter().map(|f| oracle.verify(f)).collect();
+        for v in &expect {
+            verdicts[*v as usize] += 1;
+        }
+        let mut ok = vec![true; 3]; // stale content must be cleared
+        for lane in &lanes {
+            lane.verify_batch(&frames, &mut ok);
+            let lens: Vec<usize> = storage.iter().map(|f| f.2.len()).collect();
+            assert_eq!(ok, expect, "{} batch {batch} lens {lens:?}", lane.backend());
+        }
+    }
+    assert!(
+        verdicts[0] > BATCHES / 3 && verdicts[1] > BATCHES * 4,
+        "{verdicts:?}"
+    );
+}
+
 #[test]
 fn aead_suite_kat_per_backend() {
     // The suite must equal the validated one-shot RFC 8439 seal for the

@@ -821,6 +821,32 @@ mod tests {
     use crate::sa::{CryptoSuite, SaKeys};
     use reset_stable::MemStable;
 
+    #[test]
+    fn debug_of_an_endpoint_prints_no_key_material() {
+        // 32 + 32 distinct known bytes, none of which may survive into
+        // `{:?}` — as Rust prints byte arrays (decimal, comma-separated)
+        // or as hex, in runs of three or more.
+        let keys = SaKeys {
+            auth: (0x40..0x60).collect(),
+            enc: (0xa0..0xc0).collect(),
+        };
+        for &suite in CryptoSuite::ALL {
+            let sa = SecurityAssociation::new(0x77, keys.clone()).with_suite(suite);
+            let tx = Outbound::new(sa.clone(), MemStable::new(), 25);
+            let rx = Inbound::new(sa, MemStable::new(), 25, 64);
+            for shown in [format!("{tx:?}"), format!("{rx:?}"), format!("{tx:#?}")] {
+                let flat: String = shown.split_whitespace().collect();
+                for run in keys.auth.windows(3).chain(keys.enc.windows(3)) {
+                    let decimal = format!("{},{},{}", run[0], run[1], run[2]);
+                    let hex = format!("{:02x}{:02x}{:02x}", run[0], run[1], run[2]);
+                    let leaked = flat.contains(&decimal) || flat.to_lowercase().contains(&hex);
+                    assert!(!leaked, "{suite:?}: key bytes {run:?} in {shown}");
+                }
+                assert!(shown.contains("<redacted>") || shown.contains("auth_len"));
+            }
+        }
+    }
+
     fn endpoints(k: u64, w: u64) -> (Outbound<MemStable>, Inbound<MemStable>) {
         let keys = SaKeys::derive(b"shared-secret", b"a->b");
         let sa = SecurityAssociation::new(0x55, keys);

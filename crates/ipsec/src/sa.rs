@@ -121,12 +121,23 @@ impl SuiteState {
 }
 
 /// Keys derived for one unidirectional SA.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct SaKeys {
     /// Authentication (ICV) key.
     pub auth: Vec<u8>,
     /// Encryption key (unused for auth-only suites).
     pub enc: Vec<u8>,
+}
+
+/// Reports the key lengths and never the keys: an SA, and everything
+/// that holds one, is printed by tests and error paths.
+impl std::fmt::Debug for SaKeys {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SaKeys")
+            .field("auth_len", &self.auth.len())
+            .field("enc_len", &self.enc.len())
+            .finish()
+    }
 }
 
 impl SaKeys {
