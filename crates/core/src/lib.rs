@@ -49,9 +49,8 @@
 //!
 //! The paper's premise is that the anti-replay check must be negligible
 //! next to a ~4 µs per-message budget. The window datapath is tuned
-//! accordingly (`window/in_order` in `BENCH_datapath.json`, gated by
-//! `tools/bench_check.rs`: 10k-packet in-order streams, release
-//! profile):
+//! accordingly (measured as `core.window_ns` by the benchmark of record,
+//! `BENCHMARK.json`, and across window sizes by experiment t6):
 //!
 //! * [`AntiReplayWindow::check_and_accept`] is fused: the in-window path
 //!   computes the bit index once and tests-and-sets in a single pass;

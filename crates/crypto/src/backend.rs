@@ -58,9 +58,8 @@ impl Backend {
     /// strongest. Tests iterate this and skip unsupported entries.
     pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Lanes4, Backend::Avx2];
 
-    /// The stable lowercase name used by [`BACKEND_ENV`], bench entry
-    /// ids (`datapath/suite_rx_<backend>`), and the `backend` field in
-    /// `BENCH_datapath.json`.
+    /// The stable lowercase name used by [`BACKEND_ENV`] and reported as
+    /// the crypto backend in the benchmark of record's results.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",

@@ -79,10 +79,10 @@
 //!   checks ride a due-set marked at accounting time, so
 //!   [`Gateway::tick`] touches only *due* work: an idle tick is a
 //!   single comparison — ~4ns and zero allocations whether the SADB
-//!   holds 10³ or 10⁶ SAs (`tests/idle_tick_alloc.rs` pins the
-//!   allocation claim with a counting global allocator;
-//!   `gateway_fleet_1m/tick_idle` and a same-run 2× ratio ceiling in
-//!   the bench gate pin the flatness).
+//!   holds 10³ or 10⁶ SAs (`tests/it_alloc.rs` pins the allocation
+//!   claim with a counting global allocator; `tests/it_fleet.rs` pins
+//!   the flatness with a same-run 2× ceiling, at 2⁸ vs 2¹⁴ SAs in tier-1
+//!   and 10³ vs 10⁶ in the CI scaling lane).
 //! * **One record per SA.** [`Sadb`] keeps everything the host holds
 //!   for an SPI — both directional endpoints and the gateway's policy
 //!   state (DPD detector, live timer deadline, rekey generation) — as

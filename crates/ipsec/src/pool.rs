@@ -5,8 +5,8 @@
 //! verb out with *scoped* threads — one `thread::spawn` per non-idle
 //! shard per call. On the CI kernel a scoped spawn costs ~30 µs, which
 //! swamps the per-shard work at realistic batch sizes
-//! (`gateway_shard/recover_storm_256sa` isolates it: 55 µs of actual
-//! recovery buried under ~90 µs of spawn/join at 4 shards). This module
+//! (a 256-SA recover storm isolated it: 55 µs of actual recovery buried
+//! under ~90 µs of spawn/join at 4 shards). This module
 //! replaces that model: each shard's [`Gateway`] moves into a worker
 //! thread **once**, at build time, and lives there until the
 //! `ShardedGateway` is dropped.

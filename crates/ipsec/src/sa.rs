@@ -24,7 +24,7 @@ pub enum CryptoSuite {
     /// ChaCha20-Poly1305 AEAD (RFC 8439): one transform providing both
     /// confidentiality and a 128-bit tag. The default — it runs the
     /// batched receive pipeline ~5× faster than the HMAC+keystream
-    /// transform (see `BENCH_datapath.json`).
+    /// transform (see the `suites` experiment).
     #[default]
     ChaCha20Poly1305,
 }
@@ -89,8 +89,8 @@ impl CryptoSuite {
     }
 
     /// As [`CryptoSuite::build`], but forcing a specific backend —
-    /// benches and differential tests use this to pin the scalar oracle
-    /// or a particular SIMD tier.
+    /// differential tests use this to pin the scalar oracle or a
+    /// particular SIMD tier.
     fn build_with_backend(self, keys: &SaKeys, backend: Backend) -> SuiteState {
         match self.build(keys) {
             SuiteState::Hmac(s) => SuiteState::Hmac(s.with_backend(backend)),
@@ -244,8 +244,8 @@ impl SecurityAssociation {
 
     /// Forces a specific crypto [`Backend`] (builder style), rebuilding
     /// the transform. By default SAs auto-select the strongest backend
-    /// the host supports ([`Backend::select`]); forcing matters for the
-    /// scalar-gated benches and backend differential tests.
+    /// the host supports ([`Backend::select`]); forcing matters for
+    /// backend differential tests.
     ///
     /// # Panics
     ///

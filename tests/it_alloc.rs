@@ -9,7 +9,8 @@
 //! however the batch falls into SPI runs — and so does the whole cycle
 //! with the background SAVEs of the default `K` issued and completed
 //! every batch; a single-frame `push_wire` allocates nothing; the machine
-//! and its drivers allocate nothing per message.
+//! and its drivers allocate nothing per message; an idle `tick` allocates
+//! nothing.
 //!
 //! A counting `#[global_allocator]` sees every thread (the sharded drain
 //! allocates on its workers), so everything lives in **one** `#[test]`:
@@ -22,7 +23,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use anti_replay::{SeqNum, SfEvent, SfMachine, SfReceiver, SfSender};
 use bytes::{Bytes, BytesMut};
 use reset_ipsec::{
-    Backend, Gateway, GatewayBuilder, GatewayEvent, SaKeys, SecurityAssociation, ShardedGateway,
+    Backend, DpdConfig, Gateway, GatewayBuilder, GatewayEvent, SaKeys, SaLifetime,
+    SecurityAssociation, ShardedGateway,
 };
 use reset_stable::{MemStable, SlotId};
 
@@ -199,6 +201,33 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
         }
     });
     assert_eq!(allocs, 0, "SfMachine::step / send_next / receive allocated");
+
+    // ---- the control plane: an idle tick only compares `now` against
+    // the timer wheel's cached lower bound, even on a fleet with live DPD
+    // detectors, armed wheel entries and a rekey policy.
+    let mut gw = GatewayBuilder::in_memory()
+        .dpd(DpdConfig::default())
+        .rekey_after(SaLifetime {
+            max_packets: 1_000_000,
+            max_bytes: u64::MAX,
+        })
+        .build();
+    for spi in 1..=256u32 {
+        gw.add_peer(spi, b"alloc-probe-master");
+    }
+    let frame = gw.protect(7, b"warm the datapath").unwrap().unwrap();
+    gw.push_wire(&frame.wire).unwrap();
+    // The first tick arms every detector and fills the wheel: it may
+    // allocate.
+    gw.tick(1_000);
+    gw.poll_events();
+    let ((), allocs) = counted(|| {
+        for step in 1..=64u64 {
+            gw.tick(1_000 + step);
+        }
+    });
+    assert_eq!(allocs, 0, "64 idle ticks over 256 SAs allocated");
+    assert_eq!(gw.poll_events(), vec![], "idle ticks must not emit events");
 
     for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
         // ---- the drain: per-batch constant, whatever the run length.
