@@ -74,13 +74,20 @@ fn crash_child() {
 
 fn spawn_child_and_crash(dir: &Path) {
     let exe = env::current_exe().expect("test binary path");
-    let status = Command::new(exe)
+    // Capture the child's output: its libtest lines end mid-line at the
+    // abort and would otherwise splice into the parent's own test lines.
+    let out = Command::new(exe)
         .args(["crash_child", "--exact", "--nocapture", "--test-threads=1"])
         .env(CHILD_ENV, "1")
         .env(DIR_ENV, dir)
-        .status()
+        .output()
         .expect("spawn child");
-    assert!(!status.success(), "child must die by abort, got {status:?}");
+    assert!(
+        !out.status.success(),
+        "child must die by abort, got {:?}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
