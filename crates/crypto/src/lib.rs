@@ -93,7 +93,7 @@ pub use ct::ct_eq;
 pub use dh::{oakley_group1, oakley_group2, toy_group, DhGroup, DhKeyPair};
 pub use hmac::{hmac_sha256, hmac_sha256_96, HmacKey, HmacSha256};
 pub use poly1305::{poly1305, Poly1305, POLY1305_KEY_LEN, POLY1305_TAG_LEN};
-pub use prf::{prf_plus, xor_keystream, xor_keystream_with};
+pub use prf::{prf_plus, prf_plus_with, xor_keystream, xor_keystream_with};
 pub use sha256::{from_hex, sha256, to_hex, Sha256, BLOCK_LEN, DIGEST_LEN};
 pub use suite::{
     ChaCha20Poly1305Suite, CipherSuite, FrameToVerify, HmacSha256Suite, Icv, SealAhead,

@@ -782,22 +782,6 @@ impl ChaCha20Poly1305Suite {
         }
     }
 
-    /// Builds from derived key material (first 32 bytes). The backend is
-    /// auto-selected (see [`Backend::select`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `material` holds fewer than 32 bytes.
-    pub fn from_material(material: &[u8]) -> Self {
-        assert!(
-            material.len() >= CHACHA_KEY_LEN,
-            "chacha20-poly1305 needs 32 key bytes"
-        );
-        let mut key = [0u8; CHACHA_KEY_LEN];
-        key.copy_from_slice(&material[..CHACHA_KEY_LEN]);
-        ChaCha20Poly1305Suite::new(key)
-    }
-
     /// Forces a specific backend, bypassing auto-selection — tests,
     /// benches, and the scalar differential oracle use this.
     ///

@@ -1011,8 +1011,8 @@ mod tests {
         // `{:?}` — as Rust prints byte arrays (decimal, comma-separated)
         // or as hex, in runs of three or more.
         let keys = SaKeys {
-            auth: (0x40..0x60).collect(),
-            enc: (0xa0..0xc0).collect(),
+            auth: std::array::from_fn(|i| 0x40 + i as u8),
+            enc: std::array::from_fn(|i| 0xa0 + i as u8),
         };
         for &suite in CryptoSuite::ALL {
             let sa = SecurityAssociation::new(0x77, keys.clone()).with_suite(suite);

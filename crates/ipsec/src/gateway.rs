@@ -31,7 +31,7 @@ use std::fmt;
 use std::time::Instant;
 
 use bytes::Bytes;
-use reset_crypto::hmac_sha256;
+use reset_crypto::{ct_eq, hmac_sha256, HmacKey};
 use reset_stable::{MemStable, SlotId, StableError, StableStore};
 use reset_telemetry::{EventKind, Severity, Telemetry};
 
@@ -338,6 +338,7 @@ impl<S: StableStore> GatewayBuilder<S> {
             rekey_after: self.rekey_after,
             dpd_cfg: self.dpd,
             skeyid: self.skeyid,
+            master_schedule: None,
             wakeup_buffer: self.wakeup_buffer,
             telemetry: self.telemetry,
             shard_index: 0,
@@ -403,6 +404,12 @@ pub struct Gateway<S> {
     rekey_after: Option<SaLifetime>,
     dpd_cfg: Option<DpdConfig>,
     skeyid: Vec<u8>,
+    /// The PRF schedule of the last master [`Gateway::add_peer`] /
+    /// [`Gateway::add_peer_between`] derived under, beside that master's
+    /// bytes: one entry, rebuilt when the master changes. Volatile,
+    /// so [`Gateway::reset`] drops it; key material, so `{:?}` never
+    /// shows it.
+    master_schedule: Option<(Vec<u8>, HmacKey)>,
     /// Per-SPI cap on frames buffered during a wake-up (OOM guard).
     wakeup_buffer: usize,
     /// Optional instrumentation (see [`GatewayBuilder::telemetry`]).
@@ -486,8 +493,15 @@ impl<S: StableStore> Gateway<S> {
     /// bidirectional deployment should use [`Gateway::add_peer_between`]
     /// (direction-separated keys, reflection-proof) or install
     /// handshake-negotiated SAs via [`Gateway::install_pair`].
+    ///
+    /// The keys are [`SaKeys::derive`]'s. The gateway keeps the PRF
+    /// schedule (HMAC ipad/opad states) of the last master it derived
+    /// under, with that master's bytes, so a fleet installed under one
+    /// master runs the master's key schedule once, not twice per SA.
+    /// A different master replaces the entry; [`Gateway::reset`] drops
+    /// it like any volatile state, and `{:?}` never prints it.
     pub fn add_peer(&mut self, spi: u32, master: &[u8]) {
-        let keys = SaKeys::derive(master, &spi.to_be_bytes());
+        let keys = self.derive_keys(master, &spi.to_be_bytes());
         let sa = SecurityAssociation::new(spi, keys).with_suite(self.suite);
         self.install_pair(sa);
     }
@@ -497,7 +511,8 @@ impl<S: StableStore> Gateway<S> {
     /// inbound expects `remote → local`. The peer gateway calls this
     /// with the names swapped, so the two interoperate while a frame a
     /// host sent can never be reflected back into that same host (it
-    /// fails authentication).
+    /// fails authentication). Both directions derive under the cached
+    /// schedule of [`Gateway::add_peer`].
     pub fn add_peer_between(&mut self, spi: u32, master: &[u8], local: &[u8], remote: &[u8]) {
         let label = |from: &[u8], to: &[u8]| {
             let mut l = Vec::with_capacity(4 + from.len() + 2 + to.len());
@@ -507,10 +522,20 @@ impl<S: StableStore> Gateway<S> {
             l.extend_from_slice(to);
             l
         };
-        let out_keys = SaKeys::derive(master, &label(local, remote));
-        let in_keys = SaKeys::derive(master, &label(remote, local));
+        let out_keys = self.derive_keys(master, &label(local, remote));
+        let in_keys = self.derive_keys(master, &label(remote, local));
         self.install_outbound(SecurityAssociation::new(spi, out_keys).with_suite(self.suite));
         self.install_inbound(SecurityAssociation::new(spi, in_keys).with_suite(self.suite));
+    }
+
+    /// [`SaKeys::derive`]`(master, label)` under the cached schedule,
+    /// rebuilt first when `master` is not the one it was built from.
+    fn derive_keys(&mut self, master: &[u8], label: &[u8]) -> SaKeys {
+        if !matches!(&self.master_schedule, Some((cached, _)) if ct_eq(cached, master)) {
+            self.master_schedule = Some((master.to_vec(), HmacKey::new(master)));
+        }
+        let (_, schedule) = self.master_schedule.as_ref().expect("filled above");
+        SaKeys::derive_with(schedule, label)
     }
 
     /// Installs an externally built SA (e.g. from
@@ -882,6 +907,7 @@ impl<S: StableStore> Gateway<S> {
     /// ([`GatewayEvent::DroppedDown`]).
     pub fn reset(&mut self) {
         self.trace(Severity::Warn, "reset", 0, self.sadb.len() as u64);
+        self.master_schedule = None;
         self.sadb.reset_all();
     }
 
@@ -1267,6 +1293,78 @@ mod tests {
             a.poll_events()[..],
             [GatewayEvent::Delivered { .. }]
         ));
+    }
+
+    #[test]
+    fn cached_master_schedule_follows_the_master() {
+        // One gateway installs under masters A, B, A and a 100-byte one
+        // (RFC 2104 pre-hashes it), by both install verbs; each peer is
+        // keyed under one master.
+        let long: Vec<u8> = (0..100u8)
+            .map(|i| i.wrapping_mul(37).wrapping_add(11))
+            .collect();
+        let masters: [&[u8]; 4] = [
+            b"fleet-master-a",
+            b"fleet-master-b",
+            b"fleet-master-a",
+            &long,
+        ];
+        let mut gw = GatewayBuilder::in_memory().build();
+        let mut peers: Vec<Gateway<MemStable>> = (0..3)
+            .map(|_| GatewayBuilder::in_memory().build())
+            .collect();
+        let peer_of = |m: usize| [0, 1, 0, 2][m];
+        for (m, master) in masters.iter().enumerate() {
+            let (one_key, between) = (m as u32 + 1, m as u32 + 11);
+            gw.add_peer(one_key, master);
+            gw.add_peer_between(between, master, b"gw", b"peer");
+            peers[peer_of(m)].add_peer(one_key, master);
+            peers[peer_of(m)].add_peer_between(between, master, b"peer", b"gw");
+        }
+        for m in 0..masters.len() {
+            let peer = &mut peers[peer_of(m)];
+            for spi in [m as u32 + 1, m as u32 + 11] {
+                let to_gw = peer.protect(spi, b"to gw").unwrap().unwrap();
+                gw.push_wire(&to_gw.wire).unwrap();
+                assert!(
+                    matches!(gw.poll_events()[..], [GatewayEvent::Delivered { .. }]),
+                    "master {m}, spi {spi}: peer to gateway"
+                );
+                let to_peer = gw.protect(spi, b"to peer").unwrap().unwrap();
+                peer.push_wire(&to_peer.wire).unwrap();
+                assert!(
+                    matches!(peer.poll_events()[..], [GatewayEvent::Delivered { .. }]),
+                    "master {m}, spi {spi}: gateway to peer"
+                );
+            }
+        }
+        // A frame sealed under A to the SPI the gateway keyed under B.
+        peers[0].add_peer(2, masters[0]);
+        let forged = peers[0].protect(2, b"wrong master").unwrap().unwrap();
+        gw.push_wire(&forged.wire).unwrap();
+        assert_eq!(gw.poll_events(), vec![GatewayEvent::AuthFailed { spi: 2 }]);
+
+        // No master and no derived key shows in `{:?}`, in runs of three
+        // bytes, decimal (as Rust prints byte arrays) or hex.
+        let mut secrets: Vec<Vec<u8>> = masters.iter().map(|m| m.to_vec()).collect();
+        for spi in gw.sadb.spis() {
+            for sa in [
+                gw.sadb.outbound(spi).unwrap().sa(),
+                gw.sadb.inbound(spi).unwrap().sa(),
+            ] {
+                secrets.push(sa.keys().auth.to_vec());
+                secrets.push(sa.keys().enc.to_vec());
+            }
+        }
+        for shown in [format!("{gw:?}"), format!("{gw:#?}")] {
+            let flat: String = shown.split_whitespace().collect();
+            for run in secrets.iter().flat_map(|s| s.windows(3)) {
+                let decimal = format!("{},{},{}", run[0], run[1], run[2]);
+                let hex = format!("{:02x}{:02x}{:02x}", run[0], run[1], run[2]);
+                let leaked = flat.contains(&decimal) || flat.to_lowercase().contains(&hex);
+                assert!(!leaked, "bytes {run:?} in {shown}");
+            }
+        }
     }
 
     #[test]

@@ -78,10 +78,7 @@ pub fn rekey(req: &RekeyRequest) -> RekeyOutcome {
     seed.extend_from_slice(&req.new_spi.to_be_bytes());
     seed.push(req.suite.wire_id());
     let keymat = prf_plus(&req.skeyid, &seed, 64);
-    let keys = SaKeys {
-        auth: keymat[..32].to_vec(),
-        enc: keymat[32..].to_vec(),
-    };
+    let keys = SaKeys::from_keymat(&keymat);
     // 3 messages: HDR+HASH+SA+Ni / HDR+HASH+SA+Nr / HDR+HASH. Each
     // carries one HMAC; key derivation adds two PRF expansions per side.
     let cost = HandshakeCost {

@@ -6,7 +6,9 @@
 //! SA's lifetime — so persisting the two counters is enough to rescue the
 //! whole SA across a reset, avoiding a full renegotiation.
 
-use reset_crypto::{prf_plus, Backend, ChaCha20Poly1305Suite, CipherSuite, HmacSha256Suite};
+use reset_crypto::{
+    prf_plus_with, Backend, ChaCha20Poly1305Suite, CipherSuite, HmacKey, HmacSha256Suite,
+};
 
 use crate::IpsecError;
 
@@ -76,25 +78,13 @@ impl CryptoSuite {
     /// ([`reset_crypto::Backend::select`]).
     fn build(self, keys: &SaKeys) -> SuiteState {
         match self {
-            CryptoSuite::HmacSha256WithKeystream => {
-                SuiteState::Hmac(HmacSha256Suite::with_keystream(&keys.auth, &keys.enc))
-            }
+            CryptoSuite::HmacSha256WithKeystream => SuiteState::Hmac(Box::new(
+                HmacSha256Suite::with_keystream(&keys.auth, &keys.enc),
+            )),
             CryptoSuite::HmacSha256AuthOnly => {
-                SuiteState::Hmac(HmacSha256Suite::auth_only(&keys.auth))
+                SuiteState::Hmac(Box::new(HmacSha256Suite::auth_only(&keys.auth)))
             }
-            CryptoSuite::ChaCha20Poly1305 => {
-                SuiteState::Aead(ChaCha20Poly1305Suite::from_material(&keys.enc))
-            }
-        }
-    }
-
-    /// As [`CryptoSuite::build`], but forcing a specific backend —
-    /// differential tests use this to pin the scalar oracle or a
-    /// particular SIMD tier.
-    fn build_with_backend(self, keys: &SaKeys, backend: Backend) -> SuiteState {
-        match self.build(keys) {
-            SuiteState::Hmac(s) => SuiteState::Hmac(s.with_backend(backend)),
-            SuiteState::Aead(s) => SuiteState::Aead(s.with_backend(backend)),
+            CryptoSuite::ChaCha20Poly1305 => SuiteState::Aead(ChaCha20Poly1305Suite::new(keys.enc)),
         }
     }
 }
@@ -103,30 +93,39 @@ impl CryptoSuite {
 /// [`SecurityAssociation`] `Clone + PartialEq` while
 /// [`SecurityAssociation::cipher`] hands the datapath a `&dyn
 /// CipherSuite`.
+///
+/// The HMAC suite is boxed. Its two precomputed schedules are ~0.46 KB,
+/// against the AEAD's 32-byte key; inline, every SA — the default AEAD
+/// fleet included — would carry that much in its record. The cost falls
+/// on HMAC SAs alone: one pointer chase per crypto call and one
+/// allocation per install. Those suites are off the wide fleet's hot
+/// path (ARCHITECTURE.md, "The backend model").
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[allow(clippy::large_enum_variant)] // one per SA; boxing the HMAC
-                                     // schedules would put a pointer chase on every packet's dispatch
 enum SuiteState {
-    Hmac(HmacSha256Suite),
+    Hmac(Box<HmacSha256Suite>),
     Aead(ChaCha20Poly1305Suite),
 }
 
 impl SuiteState {
     fn as_dyn(&self) -> &dyn CipherSuite {
         match self {
-            SuiteState::Hmac(s) => s,
+            SuiteState::Hmac(s) => &**s,
             SuiteState::Aead(s) => s,
         }
     }
 }
 
 /// Keys derived for one unidirectional SA.
+///
+/// Both keys are inline: every key the repo derives or negotiates —
+/// [`SaKeys::derive`], [`crate::rekey`], the IKE handshake — is 32
+/// bytes, so an SA carries its 64 key bytes without two heap copies.
 #[derive(Clone, PartialEq, Eq)]
 pub struct SaKeys {
     /// Authentication (ICV) key.
-    pub auth: Vec<u8>,
-    /// Encryption key (unused for auth-only suites).
-    pub enc: Vec<u8>,
+    pub auth: [u8; 32],
+    /// Encryption key: the AEAD's cipher key; unused for auth-only suites.
+    pub enc: [u8; 32],
 }
 
 /// Reports the key lengths and never the keys: an SA, and everything
@@ -144,13 +143,24 @@ impl SaKeys {
     /// Derives both keys from keying material (e.g. a DH shared secret)
     /// and a direction label, using the PRF+ expansion.
     pub fn derive(material: &[u8], label: &[u8]) -> SaKeys {
+        SaKeys::derive_with(&HmacKey::new(material), label)
+    }
+
+    /// [`SaKeys::derive`] under the material's precomputed PRF schedule,
+    /// for callers that derive many SAs under one master.
+    pub(crate) fn derive_with(material: &HmacKey, label: &[u8]) -> SaKeys {
         let mut seed = Vec::with_capacity(label.len() + 4);
         seed.extend_from_slice(label);
         seed.extend_from_slice(b"-key");
-        let okm = prf_plus(material, &seed, 64);
+        SaKeys::from_keymat(&prf_plus_with(material, &seed, 64))
+    }
+
+    /// Splits 64 bytes of KEYMAT into the two keys, `auth` first.
+    pub(crate) fn from_keymat(keymat: &[u8]) -> SaKeys {
+        let (auth, enc) = keymat.split_at(32);
         SaKeys {
-            auth: okm[..32].to_vec(),
-            enc: okm[32..].to_vec(),
+            auth: auth.try_into().expect("64 bytes of keymat"),
+            enc: enc.try_into().expect("64 bytes of keymat"),
         }
     }
 }
@@ -242,17 +252,22 @@ impl SecurityAssociation {
         self
     }
 
-    /// Forces a specific crypto [`Backend`] (builder style), rebuilding
-    /// the transform. By default SAs auto-select the strongest backend
-    /// the host supports ([`Backend::select`]); forcing matters for
-    /// backend differential tests.
+    /// Forces a specific crypto [`Backend`] (builder style) on the
+    /// built transform; the key schedules stand, since a backend changes
+    /// how the bytes are computed, never what they are. By default SAs
+    /// auto-select the strongest backend the host supports
+    /// ([`Backend::select`]); forcing matters for backend differential
+    /// tests.
     ///
     /// # Panics
     ///
     /// Panics if this host cannot run `backend`
     /// ([`Backend::is_supported`]).
     pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.cipher = self.suite.build_with_backend(&self.keys, backend);
+        self.cipher = match self.cipher {
+            SuiteState::Hmac(s) => SuiteState::Hmac(Box::new(s.with_backend(backend))),
+            SuiteState::Aead(s) => SuiteState::Aead(s.with_backend(backend)),
+        };
         self
     }
 
@@ -348,6 +363,21 @@ mod tests {
         assert_ne!(a.auth, a.enc, "auth and enc keys differ");
         assert_eq!(a.auth.len(), 32);
         assert_eq!(a.enc.len(), 32);
+    }
+
+    #[test]
+    fn derive_matches_the_recorded_keys() {
+        // The benchmark's master and first SPI; the hex is what the
+        // per-block PRF+ derived before the keyed body replaced it.
+        let keys = SaKeys::derive(b"gateway-benchmark-master", &0x1000u32.to_be_bytes());
+        assert_eq!(
+            reset_crypto::to_hex(&keys.auth),
+            "2ba5c52ae4d50b1f0a1c4ad71958f9778280b4dc70ed771dd0e80f1c413e231d"
+        );
+        assert_eq!(
+            reset_crypto::to_hex(&keys.enc),
+            "56d751cf54eb2977b92d17c2ec83752fbb26b8b50e74170b3760455b470b24c0"
+        );
     }
 
     #[test]

@@ -43,11 +43,12 @@
 //! slot.
 //!
 //! The stated cost: a record with one direction installed carries the
-//! other's empty half inline (a little under 1 KB). A database keyed in
-//! both directions — every gateway — pays nothing; a sender-only or
-//! receiver-only one pays it per SA. The halves are not boxed to avoid
-//! it: that is a pointer chase and an allocation per SA on the path a
-//! wide fleet measures.
+//! other's empty half inline (~0.47 KB; an SA keeps its keys inline and
+//! an HMAC SA boxes its schedules, so a half is mostly SAVE/FETCH
+//! state). A database keyed in both directions — every gateway — pays
+//! nothing; a sender-only or receiver-only one pays it per SA. The
+//! halves are not boxed to avoid it: that is a pointer chase and an
+//! allocation per SA on the path a wide fleet measures.
 //!
 //! # The drain scratch and the arena
 //!
@@ -883,6 +884,26 @@ mod tests {
             db.install_inbound(sa(spi), MemStable::new(), 10, 64);
         }
         db
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn records_stay_small() {
+        // A wide fleet's memory is these records (ROADMAP 4(c),
+        // `rss_bytes_per_sa`): an SA carries its keys inline and boxes
+        // the HMAC schedules an AEAD SA never uses. The record is the one
+        // the benchmark's fleet holds, over a boxed store; `MemStable`
+        // puts 48 more bytes in each half.
+        let sa = std::mem::size_of::<SecurityAssociation>();
+        let record = std::mem::size_of::<SaRecord<Box<dyn StableStore + Send>>>();
+        assert!(
+            sa <= 160,
+            "SecurityAssociation is {sa} B, over 160 (ROADMAP 4(c), rss_bytes_per_sa)"
+        );
+        assert!(
+            record <= 1024,
+            "SaRecord is {record} B, over 1024 (ROADMAP 4(c), rss_bytes_per_sa)"
+        );
     }
 
     #[test]

@@ -210,11 +210,11 @@ fn chained_rekeys_always_separate_key_material() {
             suite: CryptoSuite::default(),
         });
         assert!(
-            seen.insert(out.sa.keys().auth.clone()),
+            seen.insert(out.sa.keys().auth),
             "generation {gen} repeated auth key"
         );
         assert!(
-            seen.insert(out.sa.keys().enc.clone()),
+            seen.insert(out.sa.keys().enc),
             "generation {gen} repeated enc key"
         );
     }
