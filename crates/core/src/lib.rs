@@ -31,9 +31,10 @@
 //!   transition function** `step(SfEvent) → SfEffects`: no store, no
 //!   clock, hashable state — the substrate the `reset-model` bounded
 //!   exhaustive explorer enumerates and cross-checks.
-//! * [`SfSender`] / [`SfReceiver`] — thin **drivers** over [`SfMachine`]
-//!   that own the stable store: the §4 protocol with SAVE/FETCH,
-//!   background-save races, wake-up leap and (bounded) receive buffering.
+//! * [`SfDriver`] — the one thin **driver** over [`SfMachine`], for
+//!   either role, that owns the stable store: the §4 protocol with
+//!   SAVE/FETCH, background-save races, wake-up leap and (bounded)
+//!   receive buffering.
 //! * [`Monitor`] / [`Report`] — online ground-truth checking of the §5
 //!   theorem.
 //!
@@ -73,7 +74,7 @@
 //! The §3 attack and the §4 defence, side by side:
 //!
 //! ```
-//! use anti_replay::{BaselineReceiver, SeqNum, SfReceiver};
+//! use anti_replay::{BaselineReceiver, SeqNum, SfDriver};
 //! use reset_stable::{MemStable, SlotId};
 //!
 //! // Baseline: receiver reset forgets the window...
@@ -86,16 +87,16 @@
 //! assert!(naive.receive(SeqNum::new(1)).is_deliverable());
 //!
 //! // SAVE/FETCH: the counter was saved every K = 10 messages.
-//! let mut patched = SfReceiver::new(MemStable::new(), SlotId::receiver(1), 10, 32);
+//! let mut patched = SfDriver::receiver(MemStable::new(), SlotId::receiver(1), 10, 32);
 //! for s in 1..=100u64 {
-//!     patched.receive(SeqNum::new(s))?;
+//!     patched.receive(SeqNum::new(s));
 //!     patched.save_completed()?; // background save completes promptly
 //! }
 //! patched.reset();
 //! patched.wake_up()?; // FETCH + leap 2K
 //! // Every replay of old traffic is rejected:
 //! for s in 1..=100u64 {
-//!     assert!(!patched.receive(SeqNum::new(s))?.is_delivered());
+//!     assert!(!patched.receive(SeqNum::new(s)).is_delivered());
 //! }
 //! # Ok::<(), reset_stable::StableError>(())
 //! ```
@@ -113,6 +114,6 @@ mod window;
 pub use baseline::{BaselineReceiver, BaselineSender};
 pub use convergence::{Monitor, MsgId, Origin, Report, Violation};
 pub use machine::{FetchFaultKind, SfEffect, SfEvent, SfMachine};
-pub use savefetch::{Phase, ReceiverStats, RxOutcome, SenderStats, SfReceiver, SfSender};
+pub use savefetch::{Phase, RxOutcome, SfDriver, Wakeup};
 pub use seq::SeqNum;
 pub use window::{AntiReplayWindow, Verdict};

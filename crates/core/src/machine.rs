@@ -15,12 +15,13 @@
 //!
 //! Two layers sit on top:
 //!
-//! * [`SfSender`](crate::SfSender) / [`SfReceiver`](crate::SfReceiver)
-//!   (`savefetch.rs`) are thin **drivers**: they own a
-//!   [`reset_stable::BackgroundSaver`] and translate effects into store
+//! * [`SfDriver`](crate::SfDriver) (`savefetch.rs`) is the one thin
+//!   **driver**, for either role: it owns a one-slot
+//!   [`reset_stable::BackgroundSaver`] and translates effects into store
 //!   operations (`SaveIssued` → `issue`, a wake-up FETCH → the
-//!   [`SfEvent::BeginWakeup`] payload) while keeping the public API of
-//!   the pre-refactor endpoints byte-identical.
+//!   [`SfEvent::BeginWakeup`] payload). It counts nothing; what the
+//!   effects report — a sent number, a receive outcome, the
+//!   [`WokeUp`](SfEffect::WokeUp) gap — its verbs return.
 //! * `reset-model`'s bounded explorer enumerates *all* interleavings of
 //!   sends, resets, save completions/losses and adversary
 //!   replay/reorder/drop for small bounds, asserting the §3/§4
@@ -560,7 +561,7 @@ impl SfMachine {
                     Role::Receiver { window, buffer, .. } => {
                         // §4: every sequence number up to the leaped edge
                         // is assumed already received.
-                        *window = AntiReplayWindow::with_right_edge(window.size(), leaped, true);
+                        window.resume_at(leaped);
                         buffered = std::mem::take(buffer);
                         effects.push(SfEffect::WokeUp {
                             resumed: leaped,

@@ -246,6 +246,13 @@ impl AntiReplayWindow {
         self.mask_tail_word();
     }
 
+    /// `*self = with_right_edge(self.size(), right, true)` in place: the
+    /// bitmap is reused, so §4's wake-up rebuild allocates nothing.
+    pub(crate) fn resume_at(&mut self, right: SeqNum) {
+        self.right = right.value();
+        self.mark_all_seen();
+    }
+
     /// The §3 *naive* restart after a reset without SAVE/FETCH: right
     /// edge back to 0, everything forgotten. This is the vulnerable
     /// behaviour the paper fixes; it exists here for the baseline
@@ -486,6 +493,21 @@ mod tests {
         w.mark_all_seen();
         assert_eq!(w.bits.last().unwrap() >> (70 % 64), 0);
         assert_eq!(w, AntiReplayWindow::with_right_edge(70, n(100), true));
+    }
+
+    #[test]
+    fn resume_at_rebuilds_in_place_as_a_new_window() {
+        // The wake-up rebuild reuses the bitmap; the state must be the
+        // one a freshly built all-seen window has, whatever came before.
+        for w in [1u64, 63, 64, 70, 1024] {
+            let mut win = AntiReplayWindow::new(w);
+            win.accept(n(3));
+            win.reset_naive();
+            let bits = win.bits.as_ptr();
+            win.resume_at(n(500));
+            assert_eq!(win, AntiReplayWindow::with_right_edge(w, n(500), true));
+            assert_eq!(win.bits.as_ptr(), bits, "w={w}: bitmap reallocated");
+        }
     }
 
     #[test]

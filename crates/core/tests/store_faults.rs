@@ -7,15 +7,17 @@
 //! accepted, wake-ups stay fresh) survives, with the failure surfaced as
 //! a retryable error rather than silent corruption.
 
-use anti_replay::{Phase, SeqNum, SfReceiver, SfSender};
+use anti_replay::{Phase, SeqNum, SfDriver};
 use reset_stable::{Fault, FaultyStable, MemStable, SlotId};
 
-fn sender(k: u64) -> SfSender<FaultyStable<MemStable>> {
-    SfSender::new(FaultyStable::new(MemStable::new()), SlotId::sender(1), k)
+type Driver = SfDriver<FaultyStable<MemStable>>;
+
+fn sender(k: u64) -> Driver {
+    SfDriver::sender(FaultyStable::new(MemStable::new()), SlotId::sender(1), k)
 }
 
-fn receiver(k: u64, w: u64) -> SfReceiver<FaultyStable<MemStable>> {
-    SfReceiver::new(
+fn receiver(k: u64, w: u64) -> Driver {
+    SfDriver::receiver(
         FaultyStable::new(MemStable::new()),
         SlotId::receiver(1),
         k,
@@ -23,70 +25,29 @@ fn receiver(k: u64, w: u64) -> SfReceiver<FaultyStable<MemStable>> {
     )
 }
 
-/// Helper: script the next store write to fail.
-fn fail_next<S>(s: &mut S)
-where
-    S: FailInject,
-{
-    s.inject();
-}
-
-trait FailInject {
-    fn inject(&mut self);
-}
-
-impl FailInject for SfSender<FaultyStable<MemStable>> {
-    fn inject(&mut self) {
-        // Scripting happens through a fresh fault pushed onto the store.
-        // SAFETY of the experiment: we only need mutable access to the
-        // wrapped store, which the saver exposes for teardown purposes.
-        self.store_mut_for_test().push_fault(Fault::FailStore);
-    }
-}
-
-impl FailInject for SfReceiver<FaultyStable<MemStable>> {
-    fn inject(&mut self) {
-        self.store_mut_for_test().push_fault(Fault::FailStore);
-    }
-}
-
-// Accessors for the test: the public API exposes `store()` read-only;
-// reach the mutable store through BackgroundSaver's accessor via a small
-// extension implemented with the crate's public surface.
-trait StoreMutExt {
-    fn store_mut_for_test(&mut self) -> &mut FaultyStable<MemStable>;
-}
-
-impl StoreMutExt for SfSender<FaultyStable<MemStable>> {
-    fn store_mut_for_test(&mut self) -> &mut FaultyStable<MemStable> {
-        self.store_mut()
-    }
-}
-
-impl StoreMutExt for SfReceiver<FaultyStable<MemStable>> {
-    fn store_mut_for_test(&mut self) -> &mut FaultyStable<MemStable> {
-        self.store_mut()
-    }
+/// Scripts the next store write to fail.
+fn fail_next(d: &mut Driver) {
+    d.store_mut().push_fault(Fault::FailStore);
 }
 
 #[test]
 fn background_save_failure_is_retryable() {
     let mut p = sender(5);
     for _ in 0..5 {
-        p.send_next().unwrap();
+        p.send_next();
     }
     assert!(p.pending_save().is_some());
     fail_next(&mut p);
     assert!(p.save_completed().is_err(), "scripted failure surfaces");
     assert!(p.pending_save().is_some(), "pending retained for retry");
-    assert!(p.save_completed().unwrap().is_some(), "retry lands");
+    assert_eq!(p.save_completed().unwrap(), Some(6), "retry lands");
 }
 
 #[test]
 fn wakeup_save_failure_keeps_process_waking() {
     let mut p = sender(5);
     for _ in 0..5 {
-        p.send_next().unwrap();
+        p.send_next();
     }
     p.save_completed().unwrap(); // durable 6
     p.reset();
@@ -94,9 +55,9 @@ fn wakeup_save_failure_keeps_process_waking() {
     fail_next(&mut p);
     assert!(p.finish_wakeup().is_err(), "wake-up SAVE failed");
     assert_eq!(p.phase(), Phase::Waking, "must not resume un-persisted");
-    assert_eq!(p.send_next().unwrap(), None, "still blocked");
+    assert_eq!(p.send_next(), None, "still blocked");
     // Retry succeeds; resumed value unchanged and fresh.
-    let resumed = p.finish_wakeup().unwrap();
+    let resumed = p.finish_wakeup().unwrap().resumed;
     assert_eq!(resumed.value(), 16, "6 + 2K");
 }
 
@@ -104,17 +65,17 @@ fn wakeup_save_failure_keeps_process_waking() {
 fn receiver_wakeup_failure_keeps_buffering() {
     let mut q = receiver(5, 32);
     for s in 1..=10u64 {
-        q.receive(SeqNum::new(s)).unwrap();
+        q.receive(SeqNum::new(s));
     }
     q.save_completed().unwrap();
     q.reset();
     q.begin_wakeup().unwrap();
-    q.receive(SeqNum::new(100)).unwrap(); // buffered
+    q.receive(SeqNum::new(100)); // buffered
     fail_next(&mut q);
     assert!(q.finish_wakeup().is_err());
     assert_eq!(q.phase(), Phase::Waking);
     // Buffered traffic is still held; the retry resolves it.
-    let outcomes = q.finish_wakeup().unwrap();
+    let outcomes = q.finish_wakeup().unwrap().buffered;
     assert_eq!(outcomes.len(), 1);
     assert!(outcomes[0].1.is_delivered(), "fresh buffered packet kept");
 }
@@ -126,16 +87,16 @@ fn failed_save_never_advances_durable_state() {
     // corrupt.
     let mut p = sender(5);
     for _ in 0..5 {
-        p.send_next().unwrap();
+        p.send_next();
     }
     p.save_completed().unwrap(); // durable 6
     for _ in 0..5 {
-        p.send_next().unwrap();
+        p.send_next();
     }
     fail_next(&mut p);
     let _ = p.save_completed(); // SAVE(11) fails
     p.reset();
-    let resumed = p.wake_up().unwrap();
+    let resumed = p.wake_up().unwrap().resumed;
     // FETCH must see 6 (not 11, not garbage): resumed = 6 + 10.
     assert_eq!(resumed.value(), 16);
     assert!(resumed.value() > 10, "fresh above all used seqs");
@@ -145,15 +106,15 @@ fn failed_save_never_advances_durable_state() {
 fn corrupt_fetch_is_an_error_not_a_stale_resume() {
     let mut q = receiver(5, 32);
     for s in 1..=10u64 {
-        q.receive(SeqNum::new(s)).unwrap();
+        q.receive(SeqNum::new(s));
     }
     q.save_completed().unwrap();
     q.reset();
-    q.store_mut_for_test().push_fault(Fault::CorruptLoad);
+    q.store_mut().push_fault(Fault::CorruptLoad);
     assert!(q.begin_wakeup().is_err(), "corruption must surface");
     assert_eq!(q.phase(), Phase::Down, "no resume on corrupt FETCH");
     // A second attempt (storage recovered) proceeds normally.
-    let leaped = q.wake_up().unwrap();
+    let leaped = q.wake_up().unwrap().resumed;
     assert!(leaped.value() >= 10);
 }
 
@@ -167,7 +128,7 @@ fn repeated_failures_delay_but_never_break_safety() {
             fail_next(&mut q);
         }
         let _ = q.save_completed();
-        if q.receive(SeqNum::new(s)).unwrap().is_delivered() {
+        if q.receive(SeqNum::new(s)).is_delivered() {
             delivered.push(s);
         }
         if s % 20 == 0 {
@@ -185,7 +146,7 @@ fn repeated_failures_delay_but_never_break_safety() {
             // Replay of everything delivered so far: still all rejected.
             for &old in &delivered {
                 assert!(
-                    !q.receive(SeqNum::new(old)).unwrap().is_delivered(),
+                    !q.receive(SeqNum::new(old)).is_delivered(),
                     "replay of {old} accepted under store failures"
                 );
             }

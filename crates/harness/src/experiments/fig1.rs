@@ -12,9 +12,9 @@
 //! * that the resumed counter is strictly fresh.
 //!
 //! Instead of re-deriving the paper's arithmetic, the experiment runs the
-//! real [`SfSender`] against a real store and *measures*.
+//! real [`SfDriver`] sender against a real store and *measures*.
 
-use anti_replay::SfSender;
+use anti_replay::SfDriver;
 use reset_stable::{MemStable, SlotId};
 
 use crate::report::Table;
@@ -60,28 +60,28 @@ pub fn sweep(k: u64, samples: u64) -> Vec<Fig1Point> {
 /// case. It then sends `t` further messages and is reset.
 pub fn run_one(k: u64, t: u64, completed: bool) -> Fig1Point {
     assert!(t < k, "offset must fall inside one save cycle");
-    let mut p = SfSender::new(MemStable::new(), SlotId::sender(1), k);
+    let mut p = SfDriver::sender(MemStable::new(), SlotId::sender(1), k);
     // Cycle 1: reach the first SAVE (issued after sending seq k, value
     // k+1) and let it complete — the durable baseline.
     for _ in 0..k {
-        p.send_next().expect("mem store");
+        p.send_next();
     }
     p.save_completed().expect("mem store");
     // Cycle 2: reach the second SAVE (value 2k+1).
     for _ in 0..k {
-        p.send_next().expect("mem store");
+        p.send_next();
     }
     if completed {
         p.save_completed().expect("mem store");
     }
     // `t` more sends, then the reset.
     for _ in 0..t {
-        p.send_next().expect("mem store");
+        p.send_next();
     }
-    let last_used = p.next_seq().value() - 1;
+    let last_used = p.machine().next_seq().expect("sender").value() - 1;
     p.reset();
     let fetched = p.store().iter().next().map(|(_, v)| v).unwrap_or(0);
-    let resumed = p.wake_up().expect("mem store").value();
+    let resumed = p.wake_up().expect("mem store").resumed.value();
     Fig1Point {
         offset: t,
         save_completed: completed,

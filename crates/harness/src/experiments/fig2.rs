@@ -5,7 +5,7 @@
 //! rejects **every** replay of pre-reset traffic, and count the fresh
 //! messages sacrificed by the leap (condition (ii): ≤ `2Kq`).
 
-use anti_replay::{RxOutcome, SeqNum, SfReceiver};
+use anti_replay::{RxOutcome, SeqNum, SfDriver};
 use reset_stable::{MemStable, SlotId};
 
 use crate::report::Table;
@@ -35,32 +35,32 @@ pub struct Fig2Point {
 pub fn run_one(k: u64, t: u64, completed: bool) -> Fig2Point {
     assert!(t < k, "offset must fall inside one save cycle");
     let w = 4 * k + 16; // wide enough that staleness, not w, dominates
-    let mut q = SfReceiver::new(MemStable::new(), SlotId::receiver(1), k, w);
+    let mut q = SfDriver::receiver(MemStable::new(), SlotId::receiver(1), k, w);
     // Cycle 1: receive 1..=k in order; SAVE(k) issues and completes.
     for s in 1..=k {
-        q.receive(SeqNum::new(s)).expect("mem store");
+        q.receive(SeqNum::new(s));
     }
     q.save_completed().expect("mem store");
     // Cycle 2: receive up to 2k; SAVE(2k) issues.
     for s in k + 1..=2 * k {
-        q.receive(SeqNum::new(s)).expect("mem store");
+        q.receive(SeqNum::new(s));
     }
     if completed {
         q.save_completed().expect("mem store");
     }
     // `t` further advances, then the reset.
     for s in 2 * k + 1..=2 * k + t {
-        q.receive(SeqNum::new(s)).expect("mem store");
+        q.receive(SeqNum::new(s));
     }
-    let last_received = q.right_edge().value();
+    let last_received = q.machine().window().expect("receiver").right_edge().value();
     q.reset();
     let fetched = q.store().iter().next().map(|(_, v)| v).unwrap_or(0);
-    let resumed = q.wake_up().expect("mem store").value();
+    let resumed = q.wake_up().expect("mem store").resumed.value();
 
     // The §3 adversary: replay the entire pre-reset history in order.
     let mut replays_accepted = 0;
     for s in 1..=last_received {
-        if q.receive(SeqNum::new(s)).expect("mem store").is_delivered() {
+        if q.receive(SeqNum::new(s)).is_delivered() {
             replays_accepted += 1;
         }
     }
@@ -68,7 +68,7 @@ pub fn run_one(k: u64, t: u64, completed: bool) -> Fig2Point {
     // count sacrificed fresh messages until delivery resumes.
     let mut fresh_sacrificed = 0;
     for s in last_received + 1..=resumed + 1 {
-        match q.receive(SeqNum::new(s)).expect("mem store") {
+        match q.receive(SeqNum::new(s)) {
             RxOutcome::Delivered => break,
             _ => fresh_sacrificed += 1,
         }

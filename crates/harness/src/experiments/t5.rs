@@ -25,7 +25,7 @@ use reset_crypto::oakley_group1;
 use reset_ipsec::{run_handshake, CostModel, HandshakeCost};
 use reset_stable::{Durability, FileStable, SlotId};
 
-use anti_replay::SfSender;
+use anti_replay::SfDriver;
 
 use crate::report::Table;
 
@@ -59,9 +59,9 @@ pub fn measure_recovery_ns() -> u64 {
         std::thread::current().id()
     ));
     let store = FileStable::open(&dir, Durability::ProcessCrash).expect("temp dir");
-    let mut sender = SfSender::new(store, SlotId::sender(1), 25);
+    let mut sender = SfDriver::sender(store, SlotId::sender(1), 25);
     for _ in 0..30 {
-        sender.send_next().expect("store");
+        sender.send_next();
     }
     sender.save_completed().expect("store");
     sender.reset();

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use anti_replay::{
     BaselineReceiver, BaselineSender, Monitor, MsgId, Origin, Phase, Report, RxOutcome, SeqNum,
-    SfReceiver, SfSender,
+    SfDriver,
 };
 use bytes::Bytes;
 use reset_channel::{Link, LinkConfig, LinkStats, Tap};
@@ -292,8 +292,8 @@ enum Ev {
 #[allow(clippy::large_enum_variant)] // one Proto per scenario; size is irrelevant
 enum Proto {
     Sf {
-        p: SfSender<MemStable>,
-        q: SfReceiver<MemStable>,
+        p: SfDriver<MemStable>,
+        q: SfDriver<MemStable>,
     },
     Base {
         p: BaselineSender,
@@ -320,6 +320,11 @@ const ESP_SPI: u32 = 1;
 const ESP_MASTER: &[u8] = b"scenario-esp-master";
 /// Fixed application payload (the model transport carries none).
 const ESP_PAYLOAD: &[u8] = b"scenario payload";
+
+/// The next sequence number a SAVE/FETCH sender would send.
+fn sf_next_seq(p: &SfDriver<MemStable>) -> SeqNum {
+    p.machine().next_seq().expect("sender")
+}
 
 fn esp_sa(suite: CryptoSuite, spi: u32) -> SecurityAssociation {
     let keys = SaKeys::derive(ESP_MASTER, &spi.to_be_bytes());
@@ -421,8 +426,8 @@ impl ScenarioRunner {
         let adv_rng = sim.rng().fork();
         let proto = match (cfg.protocol, cfg.transport) {
             (Protocol::SaveFetch, Transport::Model) => Proto::Sf {
-                p: SfSender::new(MemStable::new(), SlotId::sender(1), cfg.kp),
-                q: SfReceiver::new(MemStable::new(), SlotId::receiver(1), cfg.kq, cfg.w),
+                p: SfDriver::sender(MemStable::new(), SlotId::sender(1), cfg.kp),
+                q: SfDriver::receiver(MemStable::new(), SlotId::receiver(1), cfg.kq, cfg.w),
             },
             (Protocol::Baseline, Transport::Model) => Proto::Base {
                 p: BaselineSender::new(),
@@ -527,7 +532,7 @@ impl ScenarioRunner {
         let spi = 1 + (self.send_attempts % self.monitors.len() as u64) as u32;
         self.send_attempts += 1;
         let sent = match &mut self.proto {
-            Proto::Sf { p, .. } => p.send_next().expect("mem store").map(|seq| (seq, None)),
+            Proto::Sf { p, .. } => p.send_next().map(|seq| (seq, None)),
             Proto::Base { p, .. } => Some((p.send_next(), None)),
             Proto::Esp { tx, .. } => tx
                 .protect(spi, ESP_PAYLOAD)
@@ -569,23 +574,18 @@ impl ScenarioRunner {
 
     fn on_deliver(&mut self, msg: Msg, origin: Origin) {
         match &mut self.proto {
-            Proto::Sf { q, .. } => {
-                let outcome = q.receive(msg.seq).expect("mem store");
-                match outcome {
-                    RxOutcome::Delivered => {
-                        self.mon(msg.spi).on_deliver(Some(msg.id), msg.seq, origin)
-                    }
-                    RxOutcome::DiscardedStale | RxOutcome::DiscardedDuplicate => {
-                        self.mon(msg.spi).on_discard(Some(msg.id), msg.seq, origin)
-                    }
-                    RxOutcome::Buffered => self
-                        .buffered_meta
-                        .entry(msg.spi)
-                        .or_default()
-                        .push_back((msg.id, origin)),
-                    RxOutcome::DroppedDown => self.dropped_down += 1,
+            Proto::Sf { q, .. } => match q.receive(msg.seq) {
+                RxOutcome::Delivered => self.mon(msg.spi).on_deliver(Some(msg.id), msg.seq, origin),
+                RxOutcome::DiscardedStale | RxOutcome::DiscardedDuplicate => {
+                    self.mon(msg.spi).on_discard(Some(msg.id), msg.seq, origin)
                 }
-            }
+                RxOutcome::Buffered => self
+                    .buffered_meta
+                    .entry(msg.spi)
+                    .or_default()
+                    .push_back((msg.id, origin)),
+                RxOutcome::DroppedDown => self.dropped_down += 1,
+            },
             Proto::Base { q, .. } => {
                 if q.receive(msg.seq).is_deliverable() {
                     self.mon(msg.spi).on_deliver(Some(msg.id), msg.seq, origin);
@@ -685,7 +685,7 @@ impl ScenarioRunner {
             Proto::Sf { p, q } => match side {
                 Side::P => {
                     if p.phase() == Phase::Running {
-                        self.p_next_at_reset[0] = p.next_seq();
+                        self.p_next_at_reset[0] = sf_next_seq(p);
                     }
                     p.reset();
                     self.p_resets += 1;
@@ -827,19 +827,16 @@ impl ScenarioRunner {
     fn on_wake(&mut self, now: SimTime, side: Side) {
         let d = self.cfg.save_latency.sample_ns(self.latency_rng.next_u64());
         let began = match (&mut self.proto, side) {
-            (Proto::Sf { p, .. }, Side::P) => {
+            (Proto::Sf { p, q }, side) => {
+                let sf = match side {
+                    Side::P => p,
+                    Side::Q => q,
+                };
                 // Stale wakes after overlapping resets are ignored.
-                if p.phase() != Phase::Down {
+                if sf.phase() != Phase::Down {
                     return;
                 }
-                p.begin_wakeup().expect("mem store");
-                true
-            }
-            (Proto::Sf { q, .. }, Side::Q) => {
-                if q.phase() != Phase::Down {
-                    return;
-                }
-                q.begin_wakeup().expect("mem store");
+                sf.begin_wakeup().expect("mem store");
                 true
             }
             (Proto::Esp { tx, .. }, Side::P) => {
@@ -870,7 +867,7 @@ impl ScenarioRunner {
                 if p.phase() != Phase::Waking {
                     return;
                 }
-                let resumed = p.finish_wakeup().expect("mem store");
+                let resumed = p.finish_wakeup().expect("mem store").resumed;
                 let (old, kp) = (self.p_next_at_reset[0], self.cfg.kp);
                 self.mon(1).on_sender_wakeup(old, resumed, kp);
             }
@@ -878,7 +875,7 @@ impl ScenarioRunner {
                 if q.phase() != Phase::Waking {
                     return;
                 }
-                let outcomes = q.finish_wakeup().expect("mem store");
+                let outcomes = q.finish_wakeup().expect("mem store").buffered;
                 for (seq, outcome) in outcomes {
                     let (id, origin) = self.pop_buffered_meta(1);
                     match outcome {
@@ -965,7 +962,10 @@ impl ScenarioRunner {
 
     fn finish(self) -> ScenarioOutcome {
         let (final_next_seq, final_right_edge) = match &self.proto {
-            Proto::Sf { p, q } => (p.next_seq().value(), q.right_edge().value()),
+            Proto::Sf { p, q } => {
+                let edge = q.machine().window().expect("receiver").right_edge();
+                (sf_next_seq(p).value(), edge.value())
+            }
             Proto::Base { p, q } => (p.next_seq().value(), q.right_edge().value()),
             Proto::Esp { tx, rx, .. } => (
                 tx.next_seq(ESP_SPI).expect("sa installed").value(),

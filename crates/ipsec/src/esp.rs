@@ -2,7 +2,7 @@
 //! authentication and (simulated) encryption.
 //!
 //! [`Outbound`] allocates sequence numbers through
-//! [`anti_replay::SfSender`] and seals packets; [`Inbound`] verifies the
+//! [`anti_replay::SfDriver`] and seals packets; [`Inbound`] verifies the
 //! ICV **first** (RFC 2406 order: authentication before replay check),
 //! reconstructs the full 64-bit sequence number (ESN), consults the
 //! anti-replay window, then decrypts and delivers. Both endpoints survive
@@ -96,7 +96,7 @@ use reset_wire::{
 };
 
 use anti_replay::machine::DEFAULT_WAKEUP_BUFFER;
-use anti_replay::{Phase, RxOutcome, SeqNum, SfReceiver, SfSender};
+use anti_replay::{Phase, RxOutcome, SeqNum, SfDriver};
 
 use crate::sa::SecurityAssociation;
 use crate::IpsecError;
@@ -127,7 +127,7 @@ use crate::IpsecError;
 #[derive(Debug, Clone)]
 pub struct Outbound<S> {
     sa: SecurityAssociation,
-    seq: SfSender<S>,
+    seq: SfDriver<S>,
 }
 
 impl<S: StableStore> Outbound<S> {
@@ -137,7 +137,7 @@ impl<S: StableStore> Outbound<S> {
         let slot = SlotId::sender(sa.spi());
         Outbound {
             sa,
-            seq: SfSender::new(store, slot, k),
+            seq: SfDriver::sender(store, slot, k),
         }
     }
 
@@ -146,9 +146,18 @@ impl<S: StableStore> Outbound<S> {
         &self.sa
     }
 
-    /// The SAVE/FETCH sender (counters, phase, pending saves).
-    pub fn seq_state(&self) -> &SfSender<S> {
+    /// The SAVE/FETCH sender (phase, pending save, machine).
+    pub fn seq_state(&self) -> &SfDriver<S> {
         &self.seq
+    }
+
+    /// The next sequence number this endpoint would send (the paper's
+    /// `s`).
+    pub fn next_seq(&self) -> SeqNum {
+        self.seq
+            .machine()
+            .next_seq()
+            .expect("an outbound drives a sender")
     }
 
     /// Protects one payload. Returns `None` while the endpoint is down or
@@ -162,7 +171,8 @@ impl<S: StableStore> Outbound<S> {
     ///
     /// # Errors
     ///
-    /// Lifetime exhaustion, sequence overflow, or store failures.
+    /// Lifetime exhaustion or sequence overflow (a send touches no store:
+    /// its SAVE is issued in the background).
     pub fn protect(&mut self, payload: &[u8]) -> Result<Option<Bytes>, IpsecError> {
         self.protect_ahead(payload, &mut SealAhead::default())
     }
@@ -180,11 +190,11 @@ impl<S: StableStore> Outbound<S> {
         // `send_next` consumes a number (and, every `K`, a SAVE) for a
         // frame that cannot be sealed; a down endpoint still reports
         // `None`, not an error.
-        let exhausted = !self.sa.esn() && self.seq.next_seq().value() > u64::from(u32::MAX);
+        let exhausted = !self.sa.esn() && self.next_seq().value() > u64::from(u32::MAX);
         if exhausted && self.seq.phase() == Phase::Running {
             return Err(WireError::SeqOverflow.into());
         }
-        let Some(seq) = self.seq.send_next()? else {
+        let Some(seq) = self.seq.send_next() else {
             return Ok(None);
         };
         // The suite encrypts in place inside the wire buffer, so the
@@ -219,7 +229,7 @@ impl<S: StableStore> Outbound<S> {
     ///
     /// Store failures.
     pub fn wake_up(&mut self) -> Result<SeqNum, StableError> {
-        self.seq.wake_up()
+        Ok(self.seq.wake_up()?.resumed)
     }
 
     /// First half of wake-up (FETCH + leap + issue the synchronous
@@ -241,7 +251,7 @@ impl<S: StableStore> Outbound<S> {
     ///
     /// Store failures (the endpoint stays waking; retry).
     pub fn finish_wakeup(&mut self) -> Result<SeqNum, StableError> {
-        self.seq.finish_wakeup()
+        Ok(self.seq.finish_wakeup()?.resumed)
     }
 
     /// Current phase.
@@ -255,6 +265,12 @@ impl<S: StableStore> Outbound<S> {
     /// and fault-injection tests.
     pub fn store_mut(&mut self) -> &mut S {
         self.seq.store_mut()
+    }
+
+    /// The driver, for the database's sweeps that treat both halves
+    /// alike.
+    pub(crate) fn driver_mut(&mut self) -> &mut SfDriver<S> {
+        &mut self.seq
     }
 }
 
@@ -563,7 +579,7 @@ impl DrainScratch {
 #[derive(Debug, Clone)]
 pub struct Inbound<S> {
     sa: SecurityAssociation,
-    rx: SfReceiver<S>,
+    rx: SfDriver<S>,
     /// Wire packets that arrived during a wake-up (the §4 buffer, held at
     /// the packet level so payloads survive to delivery). Bounded by
     /// `wakeup_buffer`; overflow is dropped, not stored.
@@ -582,7 +598,7 @@ impl<S: StableStore> Inbound<S> {
         let slot = SlotId::receiver(sa.spi());
         Inbound {
             sa,
-            rx: SfReceiver::new(store, slot, k, w),
+            rx: SfDriver::receiver(store, slot, k, w),
             pending: Vec::new(),
             wakeup_buffer: DEFAULT_WAKEUP_BUFFER,
             auth_failures: 0,
@@ -592,11 +608,11 @@ impl<S: StableStore> Inbound<S> {
     /// Caps the wake-up packet buffer at `limit` frames (clamped to ≥ 1;
     /// default [`DEFAULT_WAKEUP_BUFFER`]). Frames arriving while `Waking`
     /// beyond the cap are reported [`RxResult::DroppedDown`] instead of
-    /// growing memory without bound. The same limit is mirrored onto the
-    /// inner [`SfReceiver`]'s sequence-number buffer.
+    /// growing memory without bound. This is the one cap: the endpoint
+    /// buffers frames itself and hands the driver only `Running`
+    /// arrivals, so the driver's sequence-number buffer stays empty.
     pub fn set_wakeup_buffer(&mut self, limit: usize) {
         self.wakeup_buffer = limit.max(1);
-        self.rx.set_buffer_limit(limit);
     }
 
     /// The configured wake-up packet-buffer cap.
@@ -609,9 +625,18 @@ impl<S: StableStore> Inbound<S> {
         &self.sa
     }
 
-    /// The SAVE/FETCH receiver (window, phase, stats).
-    pub fn seq_state(&self) -> &SfReceiver<S> {
+    /// The SAVE/FETCH receiver (phase, pending save, machine).
+    pub fn seq_state(&self) -> &SfDriver<S> {
         &self.rx
+    }
+
+    /// The anti-replay window's right edge `r`.
+    pub fn right_edge(&self) -> SeqNum {
+        self.rx
+            .machine()
+            .window()
+            .expect("an inbound drives a receiver")
+            .right_edge()
     }
 
     /// Authentication failures observed so far.
@@ -666,8 +691,8 @@ impl<S: StableStore> Inbound<S> {
     /// Per-packet failures (bad ICV, foreign SPI, malformed framing,
     /// store hiccups) are reported in-line as [`RxResult::Rejected`]
     /// without aborting the batch; background SAVEs issued while the
-    /// batch advances the window coalesce into the single newest pending
-    /// save (the disk queue collapses, see
+    /// batch advances the window coalesce into the driver's one pending
+    /// save (the disk queue collapses to the newest value, see
     /// [`reset_stable::BackgroundSaver::issue`]).
     ///
     /// Memory caveat: every encrypted payload of a drain is a slice of
@@ -712,7 +737,7 @@ impl<S: StableStore> Inbound<S> {
         ok: &mut Vec<bool>,
         across: &mut Option<Across<'a>>,
     ) {
-        let edge0 = self.rx.right_edge().value();
+        let edge0 = self.right_edge().value();
         let esn = self.sa.esn();
         let cipher = self.sa.cipher();
         let aead = self.sa.aead();
@@ -849,7 +874,7 @@ impl<S: StableStore> Inbound<S> {
                 } => (seq_lo, payload_len, guess_hi, ok),
             };
             let (seq64, esn_hi) = if esn {
-                let inferred = infer_esn(seq_lo, self.rx.right_edge().value());
+                let inferred = infer_esn(seq_lo, self.right_edge().value());
                 (inferred, Some((inferred >> 32) as u32))
             } else {
                 (seq_lo as u64, None)
@@ -869,11 +894,7 @@ impl<S: StableStore> Inbound<S> {
                 continue;
             }
             let seq = SeqNum::new(seq64);
-            let outcome = self
-                .rx
-                .receive(seq)
-                .expect("SfReceiver::receive never errs (see its docs)");
-            match outcome {
+            match self.rx.receive(seq) {
                 RxOutcome::Delivered => {
                     self.sa.account(payload_len);
                     let body = body_off..body_off + payload_len;
@@ -996,6 +1017,12 @@ impl<S: StableStore> Inbound<S> {
     /// `SlotId::receiver(spi)`) and fault-injection tests.
     pub fn store_mut(&mut self) -> &mut S {
         self.rx.store_mut()
+    }
+
+    /// The driver, for the database's sweeps that treat both halves
+    /// alike.
+    pub(crate) fn driver_mut(&mut self) -> &mut SfDriver<S> {
+        &mut self.rx
     }
 }
 
@@ -1136,13 +1163,13 @@ mod tests {
             assert!(!r.is_delivered(), "replay accepted: {r:?}");
         }
         // Fresh traffic beyond the leap flows once the sender catches up.
-        let edge = rx.seq_state().right_edge().value();
+        let edge = rx.right_edge().value();
         for _ in 0..(2 * 10 + 5) {
             let wire = tx.protect(b"new").unwrap().unwrap();
             let _ = rx.process(&wire).unwrap();
         }
         assert!(
-            rx.seq_state().right_edge().value() > edge,
+            rx.right_edge().value() > edge,
             "traffic resumed past the leap"
         );
     }
@@ -1222,7 +1249,7 @@ mod tests {
             let r = rx.process(&wire).unwrap();
             assert!(r.is_delivered(), "packet {i} across boundary: {r:?}");
         }
-        assert!(rx.seq_state().right_edge().value() > u32::MAX as u64);
+        assert!(rx.right_edge().value() > u32::MAX as u64);
     }
 
     #[test]
@@ -1246,31 +1273,25 @@ mod tests {
             // on both sides of 2^32 are drawn from it.
             let mut ahead = SealAhead::default();
             let mut send = |tx: &mut Outbound<MemStable>| {
-                let seq = tx.seq_state().next_seq().value();
+                let seq = tx.next_seq().value();
                 let wire = tx.protect_ahead(&[0xE5; 64], &mut ahead).unwrap();
                 let expect =
                     reset_wire::seal_frame(9, seq, &[0xE5; 64], oracle.cipher(), esn).unwrap();
                 assert_eq!(wire, Some(expect), "esn {esn} seq {seq}");
             };
-            while tx.seq_state().next_seq().value() <= edge {
+            while tx.next_seq().value() <= edge {
                 send(&mut tx);
             }
             if esn {
                 for _ in 0..12 {
                     send(&mut tx);
                 }
-                assert_eq!(tx.seq_state().next_seq().value(), edge + 13);
+                assert_eq!(tx.next_seq().value(), edge + 13);
                 continue;
             }
             let state = |tx: &Outbound<MemStable>| {
                 let seq = tx.seq_state();
-                let stats = seq.stats();
-                (
-                    seq.next_seq(),
-                    stats.sent,
-                    stats.saves_issued,
-                    seq.pending_save(),
-                )
+                (tx.next_seq(), seq.last_stored(), seq.pending_save())
             };
             let (before, cached) = (state(&tx), format!("{ahead:?}"));
             for _ in 0..2 * k {
@@ -1560,7 +1581,11 @@ mod tests {
             .collect();
         let during = rx.process_batch(&fresh).unwrap();
         assert!(during.iter().all(|r| *r == RxResult::Buffered));
+        // The endpoint buffers the frames itself; the driver's
+        // sequence-number buffer never fills.
+        assert!(rx.seq_state().machine().buffered().is_empty());
         let resolved = rx.finish_wakeup().unwrap();
+        assert!(rx.seq_state().machine().buffered().is_empty());
         assert_eq!(resolved.len(), 3);
         assert!(resolved.iter().all(|r| r.is_delivered()), "{resolved:?}");
     }

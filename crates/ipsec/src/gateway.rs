@@ -1022,12 +1022,12 @@ impl<S: StableStore> Gateway<S> {
 
     /// The next sequence number the outbound SA `spi` would send.
     pub fn next_seq(&self, spi: u32) -> Option<SeqNum> {
-        self.sadb.outbound(spi).map(|o| o.seq_state().next_seq())
+        self.sadb.outbound(spi).map(|o| o.next_seq())
     }
 
     /// The inbound SA's anti-replay right edge.
     pub fn right_edge(&self, spi: u32) -> Option<SeqNum> {
-        self.sadb.inbound(spi).map(|i| i.seq_state().right_edge())
+        self.sadb.inbound(spi).map(|i| i.right_edge())
     }
 
     /// The SA's liveness phase (outbound half preferred when both

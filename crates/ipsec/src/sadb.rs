@@ -43,10 +43,11 @@
 //! slot.
 //!
 //! The stated cost: a record with one direction installed carries the
-//! other's empty half inline (~0.47 KB; an SA keeps its keys inline and
-//! an HMAC SA boxes its schedules, so a half is mostly SAVE/FETCH
-//! state). A database keyed in both directions — every gateway — pays
-//! nothing; a sender-only or receiver-only one pays it per SA. The
+//! other's empty half inline (~0.3 KB; an SA keeps its keys inline and
+//! an HMAC SA boxes its schedules, and the SAVE/FETCH driver is a
+//! machine over a one-slot saver, 160 B). A database keyed in both
+//! directions — every gateway — pays nothing; a sender-only or
+//! receiver-only one pays it per SA. The
 //! halves are not boxed to avoid it: that is a pointer chase and an
 //! allocation per SA on the path a wide fleet measures.
 //!
@@ -133,7 +134,7 @@ use bytes::Bytes;
 use reset_crypto::SealAhead;
 use reset_stable::{StableError, StableStore};
 
-use anti_replay::{Phase, SeqNum};
+use anti_replay::{Phase, SeqNum, SfDriver};
 
 use crate::dpd::DpdDetector;
 use crate::esp::{drain, DrainScratch, Inbound, Outbound, Receivers, Run, RxResult};
@@ -160,44 +161,6 @@ enum Half {
 
 impl Half {
     const BOTH: [Half; 2] = [Half::Outbound, Half::Inbound];
-}
-
-/// Either endpoint of a record, for the sweeps that treat the two alike.
-enum Endpoint<'a, S> {
-    Out(&'a mut Outbound<S>),
-    In(&'a mut Inbound<S>),
-}
-
-impl<S: StableStore> Endpoint<'_, S> {
-    fn phase(&self) -> Phase {
-        match self {
-            Endpoint::Out(o) => o.phase(),
-            Endpoint::In(i) => i.phase(),
-        }
-    }
-
-    fn save_completed(&mut self) -> Result<(), StableError> {
-        match self {
-            Endpoint::Out(o) => o.save_completed(),
-            Endpoint::In(i) => i.save_completed(),
-        }
-    }
-
-    fn begin_wakeup(&mut self) -> Result<(), StableError> {
-        match self {
-            Endpoint::Out(o) => o.begin_wakeup().map(drop),
-            Endpoint::In(i) => i.begin_wakeup().map(drop),
-        }
-    }
-
-    /// Completes the wake-up and returns the verdicts of the frames
-    /// buffered meanwhile (a sender buffers none).
-    fn finish_wakeup(&mut self, scratch: &mut DrainScratch) -> Result<Vec<RxResult>, StableError> {
-        match self {
-            Endpoint::Out(o) => o.finish_wakeup().map(|_| Vec::new()),
-            Endpoint::In(i) => i.finish_wakeup_with(scratch),
-        }
-    }
 }
 
 /// What a [`crate::Gateway`] keeps per SA besides the endpoints — state,
@@ -254,23 +217,47 @@ impl<S: StableStore> SaRecord<S> {
         (self.outbound.as_mut(), self.inbound.as_mut())
     }
 
-    fn half_mut(&mut self, half: Half) -> Option<Endpoint<'_, S>> {
+    /// The SAVE/FETCH driver of `half`, if installed: the sweeps treat
+    /// both halves alike.
+    fn driver(&self, half: Half) -> Option<&SfDriver<S>> {
         match half {
-            Half::Outbound => self.outbound.as_mut().map(Endpoint::Out),
-            Half::Inbound => self.inbound.as_mut().map(Endpoint::In),
+            Half::Outbound => self.outbound().map(Outbound::seq_state),
+            Half::Inbound => self.inbound().map(Inbound::seq_state),
+        }
+    }
+
+    /// [`SaRecord::driver`], mutably.
+    fn driver_mut(&mut self, half: Half) -> Option<&mut SfDriver<S>> {
+        match half {
+            Half::Outbound => self.outbound.as_mut().map(Outbound::driver_mut),
+            Half::Inbound => self.inbound.as_mut().map(Inbound::driver_mut),
+        }
+    }
+
+    /// Completes the wake-up of installed `half` and returns the
+    /// verdicts of the frames buffered meanwhile: the inbound endpoint
+    /// drains them, a sender buffers none.
+    fn finish_wakeup(
+        &mut self,
+        half: Half,
+        scratch: &mut DrainScratch,
+    ) -> Result<Vec<RxResult>, StableError> {
+        match half {
+            Half::Inbound => {
+                let inbound = self.inbound.as_mut().expect("installed");
+                inbound.finish_wakeup_with(scratch)
+            }
+            Half::Outbound => {
+                let driver = self.driver_mut(half).expect("installed");
+                driver.finish_wakeup().map(|_| Vec::new())
+            }
         }
     }
 
     /// True iff `half` is installed and has a SAVE in flight.
     fn owes_save(&self, half: Half) -> bool {
-        match half {
-            Half::Outbound => self
-                .outbound()
-                .is_some_and(|o| o.seq_state().pending_save().is_some()),
-            Half::Inbound => self
-                .inbound()
-                .is_some_and(|i| i.seq_state().pending_save().is_some()),
-        }
+        self.driver(half)
+            .is_some_and(|d| d.pending_save().is_some())
     }
 
     /// The one capture of "this half may now owe a SAVE": queues it unless
@@ -547,7 +534,7 @@ impl<S: StableStore> Sadb<S> {
             .outbound
             .as_mut()
             .ok_or(IpsecError::UnknownSa { spi })?;
-        let seq = out.seq_state().next_seq();
+        let seq = out.next_seq();
         if self.ahead_owner != Some(spi) {
             self.ahead.clear();
             self.ahead_owner = Some(spi);
@@ -695,9 +682,10 @@ impl<S: StableStore> Sadb<S> {
             let mut n = 0;
             for half in Half::BOTH {
                 for &(_, slot) in order {
-                    if let Some(mut endpoint) = db.slots[slot as usize].half_mut(half) {
-                        endpoint.begin_wakeup()?;
-                        endpoint.finish_wakeup(&mut db.scratch)?;
+                    let record = &mut db.slots[slot as usize];
+                    if let Some(driver) = record.driver_mut(half) {
+                        driver.begin_wakeup()?;
+                        record.finish_wakeup(half, &mut db.scratch)?;
                         n += 1;
                     }
                 }
@@ -733,16 +721,14 @@ impl<S: StableStore> Sadb<S> {
             for half in Half::BOTH {
                 for &(spi, slot) in order {
                     let record = &mut db.slots[slot as usize];
-                    let Some(mut endpoint) = record.half_mut(half) else {
+                    let down = record.driver_mut(half).filter(|d| d.phase() == Phase::Down);
+                    let Some(driver) = down else {
                         continue;
                     };
-                    if endpoint.phase() != Phase::Down {
-                        continue;
-                    }
-                    match endpoint.begin_wakeup() {
+                    match driver.begin_wakeup() {
                         // The wake-up SAVE is owed until the second half —
                         // or a completion in between — lands it.
-                        Ok(()) => record.queue_save(half, slot, &mut db.saves),
+                        Ok(_) => record.queue_save(half, slot, &mut db.saves),
                         Err(e) => failed.push((spi, e)),
                     }
                 }
@@ -774,13 +760,10 @@ impl<S: StableStore> Sadb<S> {
             for half in Half::BOTH {
                 for &(spi, slot) in order {
                     let record = &mut db.slots[slot as usize];
-                    let Some(mut endpoint) = record.half_mut(half) else {
-                        continue;
-                    };
-                    if endpoint.phase() != Phase::Waking {
+                    if record.driver(half).map(SfDriver::phase) != Some(Phase::Waking) {
                         continue;
                     }
-                    let buffered = match endpoint.finish_wakeup(&mut db.scratch) {
+                    let buffered = match record.finish_wakeup(half, &mut db.scratch) {
                         Ok(buffered) => buffered,
                         Err(e) => {
                             // The verdicts of the SAs that did wake go with
@@ -830,8 +813,8 @@ impl<S: StableStore> Sadb<S> {
             // which queues (and sorts) under its own entry.
             if record.spi == spi {
                 if record.owes_save(half) {
-                    let mut endpoint = record.half_mut(half).expect("owes a SAVE");
-                    result = endpoint.save_completed();
+                    let driver = record.driver_mut(half).expect("owes a SAVE");
+                    result = driver.save_completed().map(drop);
                     if result.is_err() {
                         break;
                     }
@@ -891,18 +874,25 @@ mod tests {
     fn records_stay_small() {
         // A wide fleet's memory is these records (ROADMAP 4(c),
         // `rss_bytes_per_sa`): an SA carries its keys inline and boxes
-        // the HMAC schedules an AEAD SA never uses. The record is the one
-        // the benchmark's fleet holds, over a boxed store; `MemStable`
-        // puts 48 more bytes in each half.
+        // the HMAC schedules an AEAD SA never uses, and each half's
+        // SAVE/FETCH driver is a machine over a one-slot saver that
+        // counts nothing. The record is the one the benchmark's fleet
+        // holds, over a boxed store; `MemStable` puts 48 more bytes in
+        // each half.
         let sa = std::mem::size_of::<SecurityAssociation>();
+        let driver = std::mem::size_of::<SfDriver<Box<dyn StableStore + Send>>>();
         let record = std::mem::size_of::<SaRecord<Box<dyn StableStore + Send>>>();
         assert!(
             sa <= 160,
             "SecurityAssociation is {sa} B, over 160 (ROADMAP 4(c), rss_bytes_per_sa)"
         );
         assert!(
-            record <= 1024,
-            "SaRecord is {record} B, over 1024 (ROADMAP 4(c), rss_bytes_per_sa)"
+            driver <= 160,
+            "SfDriver is {driver} B, over 160 (ROADMAP 4(c), rss_bytes_per_sa)"
+        );
+        assert!(
+            record <= 768,
+            "SaRecord is {record} B, over 768 (ROADMAP 4(c), rss_bytes_per_sa)"
         );
     }
 

@@ -89,7 +89,7 @@ fn main() -> ExitCode {
     }
     println!(
         "model-check PASS: {total_states} states, {total_transitions} transitions, \
-         every transition differentially cross-checked against SfSender/SfReceiver"
+         every transition differentially cross-checked against the SfDriver of each role"
     );
     ExitCode::SUCCESS
 }

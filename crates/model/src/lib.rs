@@ -45,7 +45,7 @@
 //!    durable SAVE — even when a reset lands mid-SAVE or mid-wake-up.
 //!
 //! Every transition is simultaneously executed against the **real**
-//! driver endpoints (`SfSender`/`SfReceiver` over `MemStable`), and full
+//! driver (one `SfDriver` per role over `MemStable`), and full
 //! machine-state parity is asserted at every state (differential
 //! oracle): the store-owning production drivers and the pure machine can
 //! never disagree on any schedule within bounds.
@@ -76,7 +76,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use anti_replay::machine::{Phase, RxOutcome, SfEffect, SfEvent, SfMachine};
-use anti_replay::{SeqNum, SfReceiver, SfSender};
+use anti_replay::{SeqNum, SfDriver};
 use reset_stable::{MemStable, SlotId, StableStore};
 
 /// Exploration bounds: the product of these budgets defines the schedule
@@ -242,8 +242,8 @@ struct ModelState {
 struct World {
     cfg: Config,
     m: ModelState,
-    real_p: SfSender<MemStable>,
-    real_q: SfReceiver<MemStable>,
+    real_p: SfDriver<MemStable>,
+    real_q: SfDriver<MemStable>,
 }
 
 const SLOT_P: SlotId = SlotId::sender(1);
@@ -260,7 +260,7 @@ enum ApplyError {
 
 impl World {
     fn new(cfg: Config) -> World {
-        let mut real_q = SfReceiver::new(MemStable::new(), SLOT_Q, cfg.k_q, cfg.w);
+        let mut real_q = SfDriver::receiver(MemStable::new(), SLOT_Q, cfg.k_q, cfg.w);
         let mut q = SfMachine::receiver(cfg.k_q, cfg.w);
         if let Some(limit) = cfg.buffer_limit {
             real_q.set_buffer_limit(limit);
@@ -287,7 +287,7 @@ impl World {
                 max_sent: 0,
                 edge_at_reset_q: 0,
             },
-            real_p: SfSender::new(MemStable::new(), SLOT_P, cfg.k_p),
+            real_p: SfDriver::sender(MemStable::new(), SLOT_P, cfg.k_p),
             real_q,
         }
     }
@@ -391,10 +391,7 @@ impl World {
                 }
             }
         }
-        let real = self
-            .real_q
-            .receive(SeqNum::new(seq))
-            .map_err(|e| ApplyError::Violation(format!("real receiver errored: {e}")))?;
+        let real = self.real_q.receive(SeqNum::new(seq));
         if Some(real) != model_outcome {
             return Err(ApplyError::Violation(format!(
                 "differential: receive({seq}) → machine {model_outcome:?}, driver {real:?}"
@@ -433,10 +430,7 @@ impl World {
                 self.m.history.insert(seq.value());
                 let i = self.m.channel.partition_point(|&x| x <= seq.value());
                 self.m.channel.insert(i, seq.value());
-                let real = self
-                    .real_p
-                    .send_next()
-                    .map_err(|e| ApplyError::Violation(format!("real sender errored: {e}")))?;
+                let real = self.real_p.send_next();
                 if real != Some(seq) {
                     return Err(ApplyError::Violation(format!(
                         "differential: send → machine {seq:?}, driver {real:?}"
@@ -567,7 +561,7 @@ impl World {
                     let real = self.real_p.finish_wakeup().map_err(|e| {
                         ApplyError::Violation(format!("real finish_wakeup errored: {e}"))
                     })?;
-                    if real != resumed {
+                    if (real.resumed, real.unusable_gap) != (resumed, unusable_gap) {
                         return Err(ApplyError::Violation(format!(
                             "differential: finish_wakeup → machine {resumed:?}, driver {real:?}"
                         )));
@@ -627,7 +621,7 @@ impl World {
                     let real = self.real_q.finish_wakeup().map_err(|e| {
                         ApplyError::Violation(format!("real finish_wakeup errored: {e}"))
                     })?;
-                    if real != model_rx {
+                    if (real.resumed, &real.buffered) != (resumed, &model_rx) {
                         return Err(ApplyError::Violation(format!(
                             "differential: wakeup flush → machine {model_rx:?}, driver {real:?}"
                         )));
@@ -674,14 +668,14 @@ impl World {
         }
         // The simulated save device must mirror the real BackgroundSaver
         // and MemStable exactly.
-        let real_pending_p = self.real_p.pending_save().map(|s| s.value);
+        let real_pending_p = self.real_p.pending_save();
         if real_pending_p != m.env_p.pending {
             return Err(ApplyError::Violation(format!(
                 "parity: sender pending save model {:?} vs driver {real_pending_p:?}",
                 m.env_p.pending
             )));
         }
-        let real_pending_q = self.real_q.pending_save().map(|s| s.value);
+        let real_pending_q = self.real_q.pending_save();
         if real_pending_q != m.env_q.pending {
             return Err(ApplyError::Violation(format!(
                 "parity: receiver pending save model {:?} vs driver {real_pending_q:?}",

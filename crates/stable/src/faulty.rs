@@ -400,14 +400,14 @@ mod tests {
     fn works_under_background_saver() {
         let mut inner = FaultyStable::new(MemStable::new());
         inner.push_fault(Fault::FailStore);
-        let mut saver = BackgroundSaver::new(inner);
-        saver.issue(SlotId::raw(1), 42);
+        let mut saver = BackgroundSaver::new(inner, SlotId::raw(1));
+        saver.issue(42);
         // Completion hits the scripted failure; pending is retained.
         assert!(saver.complete().is_err());
         assert!(saver.pending().is_some(), "retry remains possible");
         // Retry succeeds.
-        assert!(saver.complete().unwrap().is_some());
-        assert_eq!(saver.fetch(SlotId::raw(1)).unwrap(), Some(42));
+        assert_eq!(saver.complete().unwrap(), Some(42));
+        assert_eq!(saver.fetch().unwrap(), Some(42));
     }
 
     #[test]
@@ -453,16 +453,16 @@ mod tests {
     #[test]
     fn rollback_is_caught_by_fetch_checked_not_fetch() {
         let slot = SlotId::raw(6);
-        let mut saver = BackgroundSaver::new(FaultyStable::new(MemStable::new()));
-        saver.save_now(slot, 100).unwrap();
-        saver.save_now(slot, 125).unwrap();
+        let mut saver = BackgroundSaver::new(FaultyStable::new(MemStable::new()), slot);
+        saver.save_now(100).unwrap();
+        saver.save_now(125).unwrap();
         saver.store_mut().push_fault(Fault::RollbackLoad);
         saver.store_mut().push_fault(Fault::RollbackLoad);
         // The plain FETCH resurrects the replayable counter...
-        assert_eq!(saver.fetch(slot).unwrap(), Some(100));
+        assert_eq!(saver.fetch().unwrap(), Some(100));
         // ...the witnessed FETCH fails closed.
         assert!(matches!(
-            saver.fetch_checked(slot),
+            saver.fetch_checked(),
             Err(StableError::Rollback { .. })
         ));
     }

@@ -56,12 +56,11 @@
 //! ```
 //! use reset_stable::{BackgroundSaver, MemStable, SlotId};
 //!
-//! let slot = SlotId::sender(0x22);
-//! let mut disk = BackgroundSaver::new(MemStable::new());
-//! disk.save_now(slot, 100)?;   // SAVE(100) completed earlier
-//! disk.issue(slot, 125);       // SAVE(125) still in flight...
+//! let mut disk = BackgroundSaver::new(MemStable::new(), SlotId::sender(0x22));
+//! disk.save_now(100)?;         // SAVE(100) completed earlier
+//! disk.issue(125);             // SAVE(125) still in flight...
 //! disk.crash();                // ...when the reset strikes
-//! assert_eq!(disk.fetch(slot)?, Some(100)); // FETCH sees the stale value
+//! assert_eq!(disk.fetch()?, Some(100)); // FETCH sees the stale value
 //! # Ok::<(), reset_stable::StableError>(())
 //! ```
 //!
@@ -71,13 +70,13 @@
 //! ```
 //! use reset_stable::{BackgroundSaver, Fault, FaultyStable, MemStable, SlotId, StableError};
 //!
-//! let slot = SlotId::receiver(0x22);
-//! let mut disk = BackgroundSaver::new(FaultyStable::new(MemStable::new()));
-//! disk.save_now(slot, 100)?;
-//! disk.save_now(slot, 125)?;   // both SAVEs acknowledged durable
+//! let store = FaultyStable::new(MemStable::new());
+//! let mut disk = BackgroundSaver::new(store, SlotId::receiver(0x22));
+//! disk.save_now(100)?;
+//! disk.save_now(125)?;         // both SAVEs acknowledged durable
 //! disk.store_mut().push_fault(Fault::RollbackLoad); // ...but the disk was restored
 //! assert!(matches!(
-//!     disk.fetch_checked(slot),
+//!     disk.fetch_checked(),
 //!     Err(StableError::Rollback { .. })  // FETCH fails closed
 //! ));
 //! # Ok::<(), reset_stable::StableError>(())
@@ -103,6 +102,6 @@ pub use record::{
     decode_record, decode_wal_record, encode_record, encode_wal_record, WalRecord, RECORD_LEN,
     WAL_RECORD_LEN,
 };
-pub use saver::{BackgroundSaver, PendingSave, SaveLatencyModel};
+pub use saver::{BackgroundSaver, SaveLatencyModel};
 pub use store::{SlotId, StableStore};
 pub use wal::{CompactionCrash, WalStable};

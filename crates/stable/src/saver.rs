@@ -6,26 +6,17 @@
 //! reset in between recovers the **previous** saved value. That staleness
 //! is what forces the `2K` leap (Figs 1 and 2).
 //!
-//! [`BackgroundSaver`] models this honestly: [`issue`] records a pending
-//! write (volatile!), [`complete`] commits it to the wrapped
-//! [`StableStore`], and [`crash`] — a reset — discards whatever was in
-//! flight. The completion *instant* is chosen by the driver (simulator or
-//! real clock) using a [`SaveLatencyModel`].
+//! [`BackgroundSaver`] models this honestly for one process's one slot:
+//! [`issue`] records a pending write (volatile!), [`complete`] commits it
+//! to the wrapped [`StableStore`], and [`crash`] — a reset — discards
+//! whatever was in flight. The completion *instant* is chosen by the
+//! driver (simulator or real clock) using a [`SaveLatencyModel`].
 //!
 //! [`issue`]: BackgroundSaver::issue
 //! [`complete`]: BackgroundSaver::complete
 //! [`crash`]: BackgroundSaver::crash
 
 use crate::{SlotId, StableError, StableStore};
-
-/// A SAVE that has been issued but has not yet reached persistent memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingSave {
-    /// Destination slot.
-    pub slot: SlotId,
-    /// Value that will become durable on completion.
-    pub value: u64,
-}
 
 /// Latency model for one SAVE, in nanoseconds.
 ///
@@ -83,95 +74,82 @@ impl SaveLatencyModel {
     }
 }
 
-/// Wraps a [`StableStore`] with in-flight SAVE semantics.
+/// Wraps a [`StableStore`] with in-flight SAVE semantics for one slot —
+/// the paper's process SAVEs one counter, so its saver serves one slot,
+/// given at construction.
 ///
 /// # Examples
 ///
 /// ```
 /// use reset_stable::{BackgroundSaver, MemStable, SlotId};
 ///
-/// let slot = SlotId::sender(1);
-/// let mut saver = BackgroundSaver::new(MemStable::new());
-/// saver.issue(slot, 100);          // SAVE(100) begins...
+/// let mut saver = BackgroundSaver::new(MemStable::new(), SlotId::sender(1));
+/// saver.issue(100);                 // SAVE(100) begins...
 /// saver.crash();                    // ...reset strikes first
-/// assert_eq!(saver.fetch(slot)?, None); // nothing was ever durable
+/// assert_eq!(saver.fetch()?, None); // nothing was ever durable
 ///
-/// saver.issue(slot, 200);
+/// saver.issue(200);
 /// saver.complete()?;                // SAVE finished
 /// saver.crash();
-/// assert_eq!(saver.fetch(slot)?, Some(200));
+/// assert_eq!(saver.fetch()?, Some(200));
 /// # Ok::<(), reset_stable::StableError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct BackgroundSaver<S> {
     store: S,
-    pending: Option<PendingSave>,
-    issued: u64,
-    completed: u64,
-    superseded: u64,
-    /// Newest store generation witnessed as durable, per slot. This is
-    /// the rollback witness: it survives [`crash`](BackgroundSaver::crash)
-    /// the same way the store handle itself does (think TPM-style
-    /// monotonic counter living next to the persistent memory), so a
-    /// FETCH served an older generation is caught by
-    /// [`fetch_checked`](BackgroundSaver::fetch_checked). Plain stores
-    /// witness generation 0 and the check is vacuous.
-    acked: std::collections::HashMap<SlotId, u64>,
+    slot: SlotId,
+    /// The value of the SAVE in flight, if any.
+    pending: Option<u64>,
+    /// Newest store generation witnessed as durable for the slot. This
+    /// is the rollback witness: it survives
+    /// [`crash`](BackgroundSaver::crash) the same way the store handle
+    /// itself does (think TPM-style monotonic counter living next to the
+    /// persistent memory), so a FETCH served an older generation is
+    /// caught by [`fetch_checked`](BackgroundSaver::fetch_checked). Plain
+    /// stores witness generation 0 and the check is vacuous.
+    acked: u64,
 }
 
 impl<S: StableStore> BackgroundSaver<S> {
-    /// Wraps `store` with no SAVE in flight.
-    pub fn new(store: S) -> Self {
+    /// Wraps `store`, saving into `slot`, with no SAVE in flight.
+    pub fn new(store: S, slot: SlotId) -> Self {
         BackgroundSaver {
             store,
+            slot,
             pending: None,
-            issued: 0,
-            completed: 0,
-            superseded: 0,
-            acked: std::collections::HashMap::new(),
+            acked: 0,
         }
     }
 
-    fn note_acked(&mut self, slot: SlotId, generation: u64) {
-        if generation == 0 {
-            return;
-        }
-        let e = self.acked.entry(slot).or_insert(0);
-        if generation > *e {
-            *e = generation;
-        }
+    /// One durable write, witnessed: the acked generation becomes the
+    /// newest one seen (generation 0 — a plain store — changes nothing).
+    fn write(&mut self, value: u64) -> Result<(), StableError> {
+        let generation = self.store.store_witnessed(self.slot, value)?;
+        self.acked = self.acked.max(generation);
+        Ok(())
     }
 
-    /// Begins a background SAVE of `value` into `slot`. If a SAVE was
-    /// already in flight it is superseded (the disk queue collapses to the
-    /// newest value) and `true` is returned.
-    pub fn issue(&mut self, slot: SlotId, value: u64) -> bool {
-        self.issued += 1;
-        let had_pending = self.pending.is_some();
-        if had_pending {
-            self.superseded += 1;
-        }
-        self.pending = Some(PendingSave { slot, value });
-        had_pending
+    /// Begins a background SAVE of `value`. A SAVE already in flight is
+    /// superseded: the disk queue collapses to the newest value.
+    pub fn issue(&mut self, value: u64) {
+        self.pending = Some(value);
     }
 
     /// Completes the in-flight SAVE, making it durable. Returns the
-    /// committed record, or `None` if nothing was pending (e.g. the save
+    /// committed value, or `None` if nothing was pending (e.g. the save
     /// was wiped by a crash before its completion event fired).
     ///
     /// # Errors
     ///
     /// Propagates the underlying store error; the pending save is kept so
     /// the caller may retry.
-    pub fn complete(&mut self) -> Result<Option<PendingSave>, StableError> {
-        let Some(p) = self.pending else {
+    pub fn complete(&mut self) -> Result<Option<u64>, StableError> {
+        let Some(value) = self.pending else {
             return Ok(None);
         };
-        let generation = self.store.store_witnessed(p.slot, p.value)?;
-        self.note_acked(p.slot, generation);
+        self.write(value)?;
         self.pending = None;
-        self.completed += 1;
-        Ok(Some(p))
+        Ok(Some(value))
     }
 
     /// A reset: the in-flight SAVE (volatile) is lost; durable state is
@@ -180,92 +158,63 @@ impl<S: StableStore> BackgroundSaver<S> {
         self.pending = None;
     }
 
-    /// Synchronous SAVE — used on wake-up, where the paper requires the
-    /// process to *wait* for `SAVE(fetched + 2K)` before resuming.
+    /// Synchronous SAVE: durable when this returns.
     ///
     /// # Errors
     ///
     /// Propagates the underlying store error.
-    pub fn save_now(&mut self, slot: SlotId, value: u64) -> Result<(), StableError> {
-        let generation = self.store.store_witnessed(slot, value)?;
-        self.note_acked(slot, generation);
-        self.issued += 1;
-        self.completed += 1;
-        Ok(())
+    pub fn save_now(&mut self, value: u64) -> Result<(), StableError> {
+        self.write(value)
     }
 
-    /// FETCH: the last durable value of `slot` (pending saves invisible).
+    /// FETCH: the last durable value of the slot (pending saves
+    /// invisible).
     ///
     /// # Errors
     ///
     /// Propagates the underlying store error (e.g. a corrupt record).
-    pub fn fetch(&self, slot: SlotId) -> Result<Option<u64>, StableError> {
-        self.store.load(slot)
+    pub fn fetch(&self) -> Result<Option<u64>, StableError> {
+        self.store.load(self.slot)
     }
 
     /// FETCH with rollback detection: like
     /// [`fetch`](BackgroundSaver::fetch), but compares the generation the
     /// store serves against the newest generation this saver witnessed as
-    /// durable for `slot`. A store serving an older generation — or
-    /// nothing at all after a witnessed save — has rolled back, and the
-    /// caller must fail closed rather than resume from the stale counter.
+    /// durable. A store serving an older generation — or nothing at all
+    /// after a witnessed save — has rolled back, and the caller must fail
+    /// closed rather than resume from the stale counter.
     ///
     /// # Errors
     ///
     /// [`StableError::Rollback`] on a detected rollback; otherwise the
     /// underlying store error (e.g. a corrupt record).
-    pub fn fetch_checked(&self, slot: SlotId) -> Result<Option<u64>, StableError> {
-        let acked = self.acked_generation(slot);
+    pub fn fetch_checked(&self) -> Result<Option<u64>, StableError> {
+        let (slot, acked) = (self.slot, self.acked);
         match self.store.load_witnessed(slot)? {
-            Some((value, served)) => {
-                if served < acked {
-                    Err(StableError::Rollback {
-                        slot,
-                        served,
-                        acked,
-                    })
-                } else {
-                    Ok(Some(value))
-                }
-            }
-            None => {
-                if acked > 0 {
-                    Err(StableError::Rollback {
-                        slot,
-                        served: 0,
-                        acked,
-                    })
-                } else {
-                    Ok(None)
-                }
-            }
+            Some((_, served)) if served < acked => Err(StableError::Rollback {
+                slot,
+                served,
+                acked,
+            }),
+            Some((value, _)) => Ok(Some(value)),
+            None if acked > 0 => Err(StableError::Rollback {
+                slot,
+                served: 0,
+                acked,
+            }),
+            None => Ok(None),
         }
     }
 
-    /// The newest generation witnessed as durable for `slot` (0 when no
-    /// witnessed save completed, or the store doesn't track generations).
-    pub fn acked_generation(&self, slot: SlotId) -> u64 {
-        self.acked.get(&slot).copied().unwrap_or(0)
+    /// The newest generation witnessed as durable (0 when no witnessed
+    /// save completed, or the store doesn't track generations).
+    pub fn acked_generation(&self) -> u64 {
+        self.acked
     }
 
-    /// The SAVE currently in flight, if any.
-    pub fn pending(&self) -> Option<PendingSave> {
+    /// The value of the SAVE currently in flight, if any.
+    pub fn pending(&self) -> Option<u64> {
         self.pending
-    }
-
-    /// Total SAVEs issued (background + synchronous).
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Total SAVEs that reached persistent memory.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Background SAVEs that were superseded before completing.
-    pub fn superseded(&self) -> u64 {
-        self.superseded
     }
 
     /// Shared access to the wrapped store.
@@ -291,73 +240,67 @@ mod tests {
 
     const SLOT: SlotId = SlotId::raw(1);
 
+    fn saver<S: StableStore>(store: S) -> BackgroundSaver<S> {
+        BackgroundSaver::new(store, SLOT)
+    }
+
     #[test]
     fn pending_save_is_invisible_until_complete() {
-        let mut s = BackgroundSaver::new(MemStable::new());
-        s.issue(SLOT, 10);
-        assert_eq!(s.fetch(SLOT).unwrap(), None, "not durable yet");
-        s.complete().unwrap();
-        assert_eq!(s.fetch(SLOT).unwrap(), Some(10));
+        let mut s = saver(MemStable::new());
+        s.issue(10);
+        assert_eq!(s.fetch().unwrap(), None, "not durable yet");
+        assert_eq!(s.complete().unwrap(), Some(10));
+        assert_eq!(s.fetch().unwrap(), Some(10));
     }
 
     #[test]
     fn crash_before_complete_recovers_previous_value() {
         // Exactly the Fig 1 "reset during SAVE" case: SAVE(s) in flight,
         // crash, FETCH returns s - K (the previously saved value).
-        let mut s = BackgroundSaver::new(MemStable::new());
-        s.issue(SLOT, 100);
+        let mut s = saver(MemStable::new());
+        s.issue(100);
         s.complete().unwrap(); // SAVE(100) durable
-        s.issue(SLOT, 125); // SAVE(125) in flight...
+        s.issue(125); // SAVE(125) in flight...
         s.crash(); // ...reset
-        assert_eq!(s.fetch(SLOT).unwrap(), Some(100));
+        assert_eq!(s.fetch().unwrap(), Some(100));
         assert_eq!(s.pending(), None);
     }
 
     #[test]
     fn crash_after_complete_recovers_latest() {
         // Fig 1 "reset after SAVE finished" case.
-        let mut s = BackgroundSaver::new(MemStable::new());
-        s.issue(SLOT, 100);
+        let mut s = saver(MemStable::new());
+        s.issue(100);
         s.complete().unwrap();
-        s.issue(SLOT, 125);
+        s.issue(125);
         s.complete().unwrap();
         s.crash();
-        assert_eq!(s.fetch(SLOT).unwrap(), Some(125));
+        assert_eq!(s.fetch().unwrap(), Some(125));
     }
 
     #[test]
     fn issue_supersedes_previous_pending() {
-        let mut s = BackgroundSaver::new(MemStable::new());
-        assert!(!s.issue(SLOT, 1));
-        assert!(s.issue(SLOT, 2), "second issue supersedes");
-        s.complete().unwrap();
-        assert_eq!(s.fetch(SLOT).unwrap(), Some(2), "newest value wins");
-        assert_eq!(s.superseded(), 1);
+        let mut s = saver(MemStable::new());
+        s.issue(1);
+        s.issue(2);
+        assert_eq!(s.pending(), Some(2), "second issue supersedes");
+        assert_eq!(s.complete().unwrap(), Some(2));
+        assert_eq!(s.fetch().unwrap(), Some(2), "newest value wins");
+        assert_eq!(s.complete().unwrap(), None, "the superseded SAVE is gone");
     }
 
     #[test]
     fn complete_with_nothing_pending_is_none() {
-        let mut s: BackgroundSaver<MemStable> = BackgroundSaver::new(MemStable::new());
+        let mut s = saver(MemStable::new());
         assert_eq!(s.complete().unwrap(), None);
     }
 
     #[test]
     fn save_now_is_immediately_durable() {
-        let mut s = BackgroundSaver::new(MemStable::new());
-        s.save_now(SLOT, 77).unwrap();
-        assert_eq!(s.fetch(SLOT).unwrap(), Some(77));
-    }
-
-    #[test]
-    fn counters_track_lifecycle() {
-        let mut s = BackgroundSaver::new(MemStable::new());
-        s.issue(SLOT, 1);
-        s.complete().unwrap();
-        s.issue(SLOT, 2);
-        s.crash();
-        s.save_now(SLOT, 3).unwrap();
-        assert_eq!(s.issued(), 3);
-        assert_eq!(s.completed(), 2);
+        let mut s = saver(MemStable::new());
+        s.save_now(77).unwrap();
+        assert_eq!(s.fetch().unwrap(), Some(77));
+        assert_eq!(s.pending(), None, "nothing left in flight");
     }
 
     #[test]
@@ -417,23 +360,23 @@ mod tests {
 
     #[test]
     fn fetch_checked_passes_on_current_generation() {
-        let mut s = BackgroundSaver::new(GenStore::default());
-        s.save_now(SLOT, 100).unwrap();
-        s.issue(SLOT, 125);
+        let mut s = saver(GenStore::default());
+        s.save_now(100).unwrap();
+        s.issue(125);
         s.complete().unwrap();
-        assert_eq!(s.acked_generation(SLOT), 2);
+        assert_eq!(s.acked_generation(), 2);
         s.crash();
-        assert_eq!(s.fetch_checked(SLOT).unwrap(), Some(125));
+        assert_eq!(s.fetch_checked().unwrap(), Some(125));
     }
 
     #[test]
     fn fetch_checked_flags_stale_generation_as_rollback() {
-        let mut s = BackgroundSaver::new(GenStore::default());
-        s.save_now(SLOT, 100).unwrap();
-        s.save_now(SLOT, 125).unwrap();
+        let mut s = saver(GenStore::default());
+        s.save_now(100).unwrap();
+        s.save_now(125).unwrap();
         // The store rolls back: it serves generation 1 after acking 2.
         s.store().serve_gen.set(Some(1));
-        let err = s.fetch_checked(SLOT).unwrap_err();
+        let err = s.fetch_checked().unwrap_err();
         assert!(
             matches!(
                 err,
@@ -446,15 +389,15 @@ mod tests {
             "{err}"
         );
         // Plain fetch stays oblivious — the witness is what catches it.
-        assert_eq!(s.fetch(SLOT).unwrap(), Some(125));
+        assert_eq!(s.fetch().unwrap(), Some(125));
     }
 
     #[test]
     fn fetch_checked_flags_vanished_slot_as_rollback() {
-        let mut s = BackgroundSaver::new(GenStore::default());
-        s.save_now(SLOT, 100).unwrap();
+        let mut s = saver(GenStore::default());
+        s.save_now(100).unwrap();
         s.store_mut().inner.erase(SLOT).unwrap(); // data loss behind our back
-        let err = s.fetch_checked(SLOT).unwrap_err();
+        let err = s.fetch_checked().unwrap_err();
         assert!(
             matches!(err, StableError::Rollback { served: 0, .. }),
             "{err}"
@@ -463,19 +406,19 @@ mod tests {
 
     #[test]
     fn fetch_checked_is_vacuous_for_plain_stores() {
-        let mut s = BackgroundSaver::new(MemStable::new());
-        s.save_now(SLOT, 77).unwrap();
-        assert_eq!(s.acked_generation(SLOT), 0);
-        assert_eq!(s.fetch_checked(SLOT).unwrap(), Some(77));
+        let mut s = saver(MemStable::new());
+        s.save_now(77).unwrap();
+        assert_eq!(s.acked_generation(), 0);
+        assert_eq!(s.fetch_checked().unwrap(), Some(77));
         s.store_mut().erase(SLOT).unwrap();
         // A plain store can't witness, so a vanished slot reads as None.
-        assert_eq!(s.fetch_checked(SLOT).unwrap(), None);
+        assert_eq!(s.fetch_checked().unwrap(), None);
     }
 
     #[test]
     fn into_inner_returns_store() {
-        let mut s = BackgroundSaver::new(MemStable::new());
-        s.save_now(SLOT, 5).unwrap();
+        let mut s = saver(MemStable::new());
+        s.save_now(5).unwrap();
         let store = s.into_inner();
         assert_eq!(store.load(SLOT).unwrap(), Some(5));
     }

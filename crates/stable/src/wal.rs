@@ -11,7 +11,7 @@
 //! Every record carries a **monotonic generation number**. The generation
 //! is the rollback witness: [`StableStore::store_witnessed`] returns it,
 //! [`BackgroundSaver`](crate::BackgroundSaver) remembers the newest acked
-//! generation per slot, and a FETCH that is served an *older* generation
+//! generation of its slot, and a FETCH that is served an *older* generation
 //! (a restored-from-backup or otherwise rolled-back log) fails closed
 //! with [`StableError::Rollback`] instead of resurrecting a replayable
 //! anti-replay window.

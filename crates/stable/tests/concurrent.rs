@@ -10,8 +10,8 @@ use reset_stable::{BackgroundSaver, MemStable, SlotId, StableStore};
 
 #[derive(Debug)]
 enum Op {
-    Issue { slot: SlotId, value: u64 },
-    Complete,
+    Issue { sa: u32, value: u64 },
+    Complete { sa: u32 },
     Crash,
     Done,
 }
@@ -23,23 +23,27 @@ fn saver_thread_serializes_concurrent_sa_updates() {
     let updates_per_sa = 500u64;
 
     let saver_thread = std::thread::spawn(move || {
-        let mut saver = BackgroundSaver::new(MemStable::new());
+        // One saver per SA, as each SA SAVEs its one slot.
+        let mut savers: Vec<_> = (0..n_sas)
+            .map(|sa| BackgroundSaver::new(MemStable::new(), SlotId::sender(sa)))
+            .collect();
         let mut done = 0;
         loop {
             match rx.recv().expect("channel open") {
-                Op::Issue { slot, value } => {
-                    saver.issue(slot, value);
+                Op::Issue { sa, value } => savers[sa as usize].issue(value),
+                Op::Complete { sa } => {
+                    savers[sa as usize].complete().expect("mem store");
                 }
-                Op::Complete => {
-                    saver.complete().expect("mem store");
-                }
-                Op::Crash => saver.crash(),
+                // A reset loses every SAVE in flight.
+                Op::Crash => savers.iter_mut().for_each(BackgroundSaver::crash),
                 Op::Done => {
                     done += 1;
                     if done == n_sas {
-                        // Flush the last pending save before reporting.
-                        saver.complete().expect("mem store");
-                        return saver.into_inner();
+                        // Flush the last pending saves before reporting.
+                        for saver in &mut savers {
+                            saver.complete().expect("mem store");
+                        }
+                        return savers;
                     }
                 }
             }
@@ -50,11 +54,10 @@ fn saver_thread_serializes_concurrent_sa_updates() {
         for sa in 0..n_sas {
             let tx = tx.clone();
             scope.spawn(move || {
-                let slot = SlotId::sender(sa);
                 for v in 1..=updates_per_sa {
-                    tx.send(Op::Issue { slot, value: v }).expect("send");
+                    tx.send(Op::Issue { sa, value: v }).expect("send");
                     if v % 25 == 0 {
-                        tx.send(Op::Complete).expect("send");
+                        tx.send(Op::Complete { sa }).expect("send");
                     }
                     if v % 181 == 0 {
                         tx.send(Op::Crash).expect("send");
@@ -65,13 +68,14 @@ fn saver_thread_serializes_concurrent_sa_updates() {
         }
     });
 
-    let store = saver_thread.join().expect("saver thread clean");
+    let savers = saver_thread.join().expect("saver thread clean");
     // Every slot holds SOME durable value ≤ its final counter, and at
     // least one slot made real progress. (Interleaving is nondeterministic
     // across SAs; monotonicity per slot is what matters.)
     let mut populated = 0;
-    for sa in 0..n_sas {
-        if let Some(v) = store.load(SlotId::sender(sa)).expect("load") {
+    for (sa, saver) in savers.iter().enumerate() {
+        let slot = SlotId::sender(sa as u32);
+        if let Some(v) = saver.store().load(slot).expect("load") {
             assert!(v <= updates_per_sa, "slot {sa} overshot: {v}");
             populated += 1;
         }

@@ -9,8 +9,8 @@
 //! however the batch falls into SPI runs — and so does the whole cycle
 //! with the background SAVEs of the default `K` issued and completed
 //! every batch; a single-frame `push_wire` allocates nothing; the machine
-//! and its drivers allocate nothing per message; an idle `tick` allocates
-//! nothing.
+//! and its driver allocate nothing per message, nor to complete a
+//! witnessed SAVE or a wake-up; an idle `tick` allocates nothing.
 //!
 //! A counting `#[global_allocator]` sees every thread (the sharded drain
 //! allocates on its workers), so everything lives in **one** `#[test]`:
@@ -20,13 +20,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use anti_replay::{SeqNum, SfEvent, SfMachine, SfReceiver, SfSender};
+use anti_replay::{SeqNum, SfDriver, SfEvent, SfMachine};
 use bytes::{Bytes, BytesMut};
 use reset_ipsec::{
     Backend, DpdConfig, Gateway, GatewayBuilder, GatewayEvent, SaKeys, SaLifetime,
     SecurityAssociation, ShardedGateway,
 };
-use reset_stable::{MemStable, SlotId};
+use reset_stable::{MemStable, SlotId, StableError, StableStore};
 
 struct CountingAlloc;
 
@@ -64,6 +64,35 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let out = f();
     ARMED.store(false, Ordering::SeqCst);
     (out, ALLOCS.load(Ordering::SeqCst) - before)
+}
+
+/// A one-slot store that witnesses a generation per write, as a WAL
+/// does, and allocates nothing.
+#[derive(Debug, Default)]
+struct GenStore {
+    value: Option<u64>,
+    generation: u64,
+}
+
+impl StableStore for GenStore {
+    fn store(&mut self, _: SlotId, value: u64) -> Result<(), StableError> {
+        self.store_witnessed(SlotId::raw(0), value).map(drop)
+    }
+    fn load(&self, _: SlotId) -> Result<Option<u64>, StableError> {
+        Ok(self.value)
+    }
+    fn erase(&mut self, _: SlotId) -> Result<(), StableError> {
+        self.value = None;
+        Ok(())
+    }
+    fn store_witnessed(&mut self, _: SlotId, value: u64) -> Result<u64, StableError> {
+        self.value = Some(value);
+        self.generation += 1;
+        Ok(self.generation)
+    }
+    fn load_witnessed(&self, _: SlotId) -> Result<Option<(u64, u64)>, StableError> {
+        Ok(self.value.map(|v| (v, self.generation)))
+    }
 }
 
 const SPI_BASE: u32 = 0x4000;
@@ -188,19 +217,39 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
     // through the drivers (K = 5, so SaveIssued effects are in the mix).
     let mut p = SfMachine::sender(5);
     let mut q = SfMachine::receiver(5, 64);
-    let mut tx = SfSender::new(MemStable::new(), SlotId::sender(1), 5);
-    let mut rx = SfReceiver::new(MemStable::new(), SlotId::receiver(1), 5, 64);
+    let mut tx = SfDriver::sender(MemStable::new(), SlotId::sender(1), 5);
+    let mut rx = SfDriver::receiver(MemStable::new(), SlotId::receiver(1), 5, 64);
     let ((), allocs) = counted(|| {
         for s in 1..=100u64 {
             assert_eq!(p.step(SfEvent::Send).len(), 1 + usize::from(s % 5 == 0));
             let fx = q.step(SfEvent::Receive(SeqNum::new(s)));
             assert_eq!(fx.len(), 1 + usize::from(s % 5 == 0));
-            let seq = tx.send_next().unwrap().expect("running");
-            assert!(rx.receive(seq).unwrap().is_delivered());
-            assert!(!rx.receive(seq).unwrap().is_delivered());
+            let seq = tx.send_next().expect("running");
+            assert!(rx.receive(seq).is_delivered());
+            assert!(!rx.receive(seq).is_delivered());
         }
     });
     assert_eq!(allocs, 0, "SfMachine::step / send_next / receive allocated");
+
+    // ---- ... nor does completing a SAVE the store witnesses (the
+    // rollback witness is one generation per driver, not a map), nor a
+    // wake-up (the receiver rebuilds its window in place).
+    let mut tx = SfDriver::sender(GenStore::default(), SlotId::sender(1), 5);
+    let mut rx = SfDriver::receiver(GenStore::default(), SlotId::receiver(1), 5, 64);
+    for s in 1..=5u64 {
+        tx.send_next().expect("running");
+        assert!(rx.receive(SeqNum::new(s)).is_delivered());
+    }
+    let ((), allocs) = counted(|| {
+        assert_eq!(tx.save_completed().unwrap(), Some(6));
+        assert_eq!(rx.save_completed().unwrap(), Some(5));
+        tx.reset();
+        rx.reset();
+        assert_eq!(tx.wake_up().unwrap().resumed, SeqNum::new(16));
+        assert_eq!(rx.wake_up().unwrap().resumed, SeqNum::new(15));
+    });
+    assert_eq!(allocs, 0, "a witnessed SAVE or a wake-up allocated");
+    assert_eq!((tx.store().generation, rx.store().generation), (2, 2));
 
     // ---- the control plane: an idle tick only compares `now` against
     // the timer wheel's cached lower bound, even on a fleet with live DPD

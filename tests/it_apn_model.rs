@@ -12,26 +12,22 @@ use reset_sim::DetRng;
 /// no-reuse SAVE/FETCH discipline, `delivered > sent` can only happen by
 /// accepting a replayed copy.
 fn savefetch_safe(sys: &System<PaperProc>) -> bool {
-    let p = sys.proc(P).as_sf_sender().expect("sf sender");
-    let q = sys.proc(Q).as_sf_receiver().expect("sf receiver");
-    q.stats().delivered <= p.stats().sent
+    assert!(sys.proc(P).as_sf_sender().is_some(), "sf sender");
+    assert!(sys.proc(Q).as_sf_receiver().is_some(), "sf receiver");
+    delivered(sys) <= sys.proc(P).sent().expect("sender")
+}
+
+fn delivered(sys: &System<PaperProc>) -> u64 {
+    sys.proc(Q).delivered().expect("receiver")
 }
 
 fn baseline_safe(sys: &System<PaperProc>) -> bool {
-    let q = sys.proc(Q).as_orig_receiver().expect("orig receiver");
-    let delivered = q.total_delivered();
+    assert!(sys.proc(Q).as_orig_receiver().is_some(), "orig receiver");
     // For the baseline, the sender may reuse sequence numbers after a
     // reset; ground truth is distinct seqs over all incarnations, which
     // equals max(counter progress), conservatively bounded by sent.
     // Double delivery beyond total sends = replay definitely accepted.
-    delivered <= sent_baseline(sys)
-}
-
-fn sent_baseline(sys: &System<PaperProc>) -> u64 {
-    match sys.proc(P) {
-        PaperProc::OrigP(p) => p.total_sent(),
-        _ => unreachable!("baseline sender"),
-    }
+    delivered(sys) <= sys.proc(P).sent().expect("baseline sender")
 }
 
 /// All environment moves the explorer may interleave with protocol steps.
@@ -172,19 +168,9 @@ fn random_walks_with_fault_injection_stay_safe() {
         // Liveness probe: after waking everyone up, traffic flows again.
         sys.inject_wakeup(P);
         sys.inject_wakeup(Q);
-        let before = sys
-            .proc(Q)
-            .as_sf_receiver()
-            .expect("receiver")
-            .stats()
-            .delivered;
+        let before = delivered(&sys);
         sys.run(5_000);
-        let after = sys
-            .proc(Q)
-            .as_sf_receiver()
-            .expect("receiver")
-            .stats()
-            .delivered;
+        let after = delivered(&sys);
         assert!(after > before, "seed {seed}: no convergence after storm");
     }
 }
@@ -197,7 +183,7 @@ fn weak_fairness_keeps_background_saves_completing() {
     sys.run(2_000);
     let p = sys.proc(P).as_sf_sender().expect("sender");
     let durable = p.store().iter().next().map(|(_, v)| v).unwrap_or(0);
-    let live = p.next_seq().value();
+    let live = p.machine().next_seq().expect("sender").value();
     assert!(
         live - durable <= 2 * 5,
         "durable {durable} trails live {live} too far"
@@ -208,7 +194,11 @@ fn weak_fairness_keeps_background_saves_completing() {
 fn literal_paper_actions_under_round_robin_converge_after_reset() {
     let mut sys = savefetch_system(4, 4, 16, Schedule::RoundRobin);
     sys.run(500);
-    let edge_before = sys.proc(Q).as_sf_receiver().expect("q").right_edge();
+    let right_edge = |sys: &System<PaperProc>| {
+        let q = sys.proc(Q).as_sf_receiver().expect("q");
+        q.machine().window().expect("receiver").right_edge()
+    };
+    let edge_before = right_edge(&sys);
 
     // Reset q; replay the §3 attack using channel duplication before the
     // wake-up (messages still in flight get copied).
@@ -219,12 +209,10 @@ fn literal_paper_actions_under_round_robin_converge_after_reset() {
     sys.inject_wakeup(Q);
     sys.run(3_000);
 
-    let q = sys.proc(Q).as_sf_receiver().expect("q");
-    let p = sys.proc(P).as_sf_sender().expect("p");
-    assert!(q.right_edge() >= edge_before, "leap covered the old edge");
+    assert!(right_edge(&sys) >= edge_before, "leap covered the old edge");
     assert!(savefetch_safe(&sys));
     assert!(
-        p.stats().sent >= q.stats().delivered,
+        sys.proc(P).sent().expect("p") >= delivered(&sys),
         "no phantom deliveries"
     );
 }

@@ -9,7 +9,7 @@
 //! driver trips the corresponding invariant or the parity check.
 
 use anti_replay::machine::{FetchFaultKind, Phase, SfEffect, SfEvent, SfMachine};
-use anti_replay::{RxOutcome, SeqNum, SfReceiver, SfSender};
+use anti_replay::{RxOutcome, SeqNum, SfDriver};
 use reset_model::{replay, Action, Config};
 use reset_stable::{Fault, FaultyStable, MemStable, SlotId};
 
@@ -75,18 +75,18 @@ fn trace_leap_gap_is_true_not_nominal() {
     // Driver-level cross-check with K large enough that the true gap
     // (8) is strictly below the nominal 2K (10) the old stat charged.
     let k = 5;
-    let mut p = SfSender::new(MemStable::new(), SlotId::sender(0x51), k);
+    let mut p = SfDriver::sender(MemStable::new(), SlotId::sender(0x51), k);
     for _ in 0..5 {
-        p.send_next().unwrap();
+        p.send_next();
     }
     p.save_completed().unwrap();
     for _ in 0..2 {
-        p.send_next().unwrap();
+        p.send_next();
     }
     p.reset();
-    let resumed = p.wake_up().unwrap();
-    assert_eq!(resumed.value(), 16);
-    assert_eq!(p.stats().seqs_leaped, 8, "true gap, not 2K = 10");
+    let woke = p.wake_up().unwrap();
+    assert_eq!(woke.resumed.value(), 16);
+    assert_eq!(woke.unusable_gap, 8, "true gap, not 2K = 10");
 }
 
 // ----------------------------------------------------------------------
@@ -178,14 +178,14 @@ fn fetch_fault_differential_fail_closed() {
     for (fault, kind) in cases {
         let slot = SlotId::receiver(0xF0);
         let store = FaultyStable::new(MemStable::new());
-        let mut q: SfReceiver<_> = SfReceiver::new(store, slot, 5, 32);
+        let mut q = SfDriver::receiver(store, slot, 5, 32);
 
         // Two SAVEs witnessed *by the receiver's own saver* (edges 5 and
         // 10), so a rollback has a stale generation to serve and the
         // witness has a baseline to catch it against.
         let mut pure = SfMachine::receiver(5, 32);
         for s in 1..=10u64 {
-            q.receive(SeqNum::new(s)).unwrap();
+            q.receive(SeqNum::new(s));
             pure.step(SfEvent::Receive(SeqNum::new(s)));
             if s % 5 == 0 {
                 q.save_completed().unwrap();
@@ -204,14 +204,14 @@ fn fetch_fault_differential_fail_closed() {
         assert_eq!(q.machine(), &pure, "driver/machine parity after {kind:?}");
         assert_eq!(q.phase(), Phase::Down, "fail closed: still down");
         assert_eq!(
-            q.receive(SeqNum::new(11)).unwrap(),
+            q.receive(SeqNum::new(11)),
             RxOutcome::DroppedDown,
             "no traffic is accepted after a failed-closed FETCH"
         );
 
         // The fault script is exhausted: a retry recovers and the leap
         // covers the newest witnessed SAVE.
-        let leaped = q.wake_up().unwrap();
+        let leaped = q.wake_up().unwrap().resumed;
         assert_eq!(leaped.value(), 10 + 10);
         assert_eq!(q.phase(), Phase::Running);
     }

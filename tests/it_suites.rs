@@ -305,7 +305,7 @@ fn inbound_drain_matches_wire_and_window_oracle_across_esn_boundary() {
             let mut rx = Inbound::new(sa.clone(), store_waking_at(SPI, edge0, K), K, W);
             rx.reset();
             rx.wake_up().unwrap();
-            assert_eq!(rx.seq_state().right_edge().value(), edge0);
+            assert_eq!(rx.right_edge().value(), edge0);
             let got: Vec<RxResult> = stream
                 .chunks(chunk)
                 .flat_map(|c| rx.process_batch(c).unwrap())
@@ -392,7 +392,7 @@ fn sadb_drain_with_persistent_scratch_matches_the_oracle_and_a_fresh_scratch() {
                 let rx = db.install_inbound(sa.clone(), store_waking_at(SPIS[i], edge0, K), K, W);
                 rx.reset();
                 rx.wake_up().unwrap();
-                assert_eq!(rx.seq_state().right_edge().value(), edge0);
+                assert_eq!(rx.right_edge().value(), edge0);
                 let mut rx = Inbound::new(sa.clone(), store_waking_at(SPIS[i], edge0, K), K, W);
                 rx.reset();
                 rx.wake_up().unwrap();
@@ -448,7 +448,7 @@ fn sadb_drain_with_persistent_scratch_matches_the_oracle_and_a_fresh_scratch() {
                 let through_db = db.inbound(SPIS[i]).unwrap();
                 assert_eq!(through_db.auth_failures(), rx.auth_failures(), "cut {cut}");
                 assert_eq!(
-                    through_db.seq_state().right_edge(),
+                    through_db.right_edge(),
                     windows[i].right_edge(),
                     "cut {cut}"
                 );
@@ -522,7 +522,7 @@ fn sadb_drain_across_three_interleaved_sas_matches_the_oracle() {
             let rx = db.install_inbound(sa.clone(), store_waking_at(SPIS[i], at, K), K, W);
             rx.reset();
             rx.wake_up().unwrap();
-            assert_eq!(rx.seq_state().right_edge().value(), at);
+            assert_eq!(rx.right_edge().value(), at);
         }
         let got: Vec<RxResult> = queue
             .chunks(chunk)
