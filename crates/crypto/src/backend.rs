@@ -17,6 +17,16 @@
 //! 2. runtime feature detection — [`Backend::Avx2`] where the CPU has
 //!    AVX2, else [`Backend::Lanes4`];
 //! 3. [`Backend::Scalar`] as the unconditional fallback.
+//!
+//! Single-stream SHA-256 carries no backend: [`crate::Sha256`],
+//! [`crate::HmacKey`] (`new`, `mac_parts`, `finish_outer`) and PRF+
+//! follow [`Backend::select`], not a suite's forced backend. Where it is
+//! not [`Backend::Scalar`] and the CPU has the SHA extensions (`sha`,
+//! `ssse3`, `sse4.1`), they compress on those; otherwise on the scalar
+//! body. So `RESET_CRYPTO_BACKEND=scalar` makes the whole process the
+//! pure oracle, while a suite built `with_backend(Backend::Scalar)` in a
+//! process that selected a vector backend hashes its HMAC frames on the
+//! SHA extensions — the same bytes either way.
 
 use core::fmt;
 use std::sync::OnceLock;

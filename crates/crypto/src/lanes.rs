@@ -25,11 +25,22 @@
 //! store through a pointer into a slice whose bounds are checked at the
 //! site. The Poly1305 kernel adds instances of the first two and none of
 //! the third: its limbs and message words pass by register.
+//!
+//! The fourth kernel is not a lane kernel: one SHA-256 compression on
+//! the x86 SHA extensions ([`sha256_compress_ext`]), for the hashes that
+//! chain block on block — `Sha256`, HMAC, PRF+ — and so cannot fill
+//! lanes. `crate::sha256::compress_block` dispatches to it where
+//! [`sha_ext_selected`] says so. It adds no `unsafe` shape: inside its
+//! `#[target_feature]` function the intrinsics are safe calls, its
+//! state and message words pass by register, and its one `unsafe` is the
+//! call into it behind a runtime feature check, as for the AVX2 entry
+//! points.
 
 use crate::backend::Backend;
 use crate::chacha::{chacha20_block, chacha20_xor, CHACHA_KEY_LEN, CHACHA_NONCE_LEN, SIGMA};
 use crate::sha256::K;
 use core::ops::Range;
+use std::sync::OnceLock;
 
 /// The widest lane count any backend uses ([`Backend::Avx2`]).
 pub(crate) const MAX_LANES: usize = 8;
@@ -285,11 +296,13 @@ mod x86 {
     //! ISA, so the SSE2 intrinsics are sound on every x86_64 host; the
     //! AVX2 intrinsics only execute inside `*_avx2` entry points, which
     //! the dispatchers in the parent module call strictly behind a
-    //! runtime `is_x86_feature_detected!("avx2")` check.
+    //! runtime `is_x86_feature_detected!("avx2")` check. The SHA-256
+    //! kernel, `sha256_compress_shani`, is entered the same way, behind
+    //! the runtime check for `sha`, `ssse3` and `sse4.1`.
 
     use super::{
         chacha_blocks_kernel, poly1305_kernel, sha256_multiway_kernel, BlockJob, Limbs26, Vec32,
-        Vec64, POLY_MAX_LANES,
+        Vec64, K, POLY_MAX_LANES,
     };
     use std::arch::x86_64::*;
 
@@ -720,6 +733,65 @@ mod x86 {
     ) {
         poly1305_kernel::<A4>(h, rows, steps, block);
     }
+
+    /// One SHA-256 compression of `block` into `state` on the SHA
+    /// extensions: a single stream, two `sha256rnds2` per four rounds and
+    /// the schedule four words at a time by `sha256msg1` / `sha256msg2`
+    /// (Gulley et al., "Intel SHA Extensions", 2013). The instructions
+    /// hold the state as two quartets, `ABEF` and `CDGH` (lane 0 is `F`
+    /// and `H`), built and taken apart by register, like the message
+    /// words. Identical to the scalar `compress_block_scalar`.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) fn sha256_compress_shani(state: &mut [u32; 8], block: &[u8; 64]) {
+        let word = |i: usize| {
+            u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("fixed")) as i32
+        };
+        let [a, b, c, d, e, f, g, h] = state.map(|x| x as i32);
+        let (abef_in, cdgh_in) = (_mm_set_epi32(a, b, e, f), _mm_set_epi32(c, d, g, h));
+        let (mut abef, mut cdgh) = (abef_in, cdgh_in);
+        // Message quartet q (words 4q..4q+4) lives in `m[q % 4]` until
+        // quartet q + 4 replaces it.
+        let mut m = [_mm_setzero_si128(); 4];
+        for q in 0..16 {
+            m[q % 4] = match q {
+                0..4 => _mm_set_epi32(
+                    word(4 * q + 3),
+                    word(4 * q + 2),
+                    word(4 * q + 1),
+                    word(4 * q),
+                ),
+                // W[t] = σ1(W[t−2]) + W[t−7] + σ0(W[t−15]) + W[t−16]:
+                // msg1 adds the σ0 terms to quartet q − 4, the byte shift
+                // picks W[t−7] out of quartets q − 2 and q − 1, and msg2
+                // adds the σ1 terms, the last two from its own first two.
+                _ => {
+                    let (prev2, prev) = (m[(q + 2) % 4], m[(q + 3) % 4]);
+                    let sigma0 = _mm_sha256msg1_epu32(m[q % 4], m[(q + 1) % 4]);
+                    let w7 = _mm_alignr_epi8::<4>(prev, prev2);
+                    _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w7), prev)
+                }
+            };
+            let k = |j: usize| K[4 * q + j] as i32;
+            let wk = _mm_add_epi32(m[q % 4], _mm_set_epi32(k(3), k(2), k(1), k(0)));
+            // Two rounds leave the old ABEF as the new CDGH, so the two
+            // registers trade roles and are back in place after four.
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+        }
+        let abef = _mm_add_epi32(abef, abef_in);
+        let cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|x| x as u32);
+    }
 }
 
 /// N interleaved ChaCha20 blocks: lane `l` computes the RFC 8439 block
@@ -992,7 +1064,7 @@ pub(crate) fn sha256_multiway(backend: Backend, states: &mut [[u32; 8]], blocks:
     match backend {
         Backend::Scalar => {
             for (state, block) in states.iter_mut().zip(blocks.iter()) {
-                crate::sha256::compress_block(state, block);
+                crate::sha256::compress_block_scalar(state, block);
             }
         }
         Backend::Lanes4 => {
@@ -1020,6 +1092,49 @@ pub(crate) fn sha256_multiway(backend: Backend, states: &mut [[u32; 8]], blocks:
             unreachable!("avx2 backend is never supported off x86_64")
         }
     }
+}
+
+/// Whether this CPU has what the single-stream SHA-256 kernel runs on:
+/// the SHA extensions, `ssse3` and `sse4.1`.
+fn sha_ext_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether this process runs single-stream SHA-256 (`compress_block`)
+/// on [`sha256_compress_ext`]: where the CPU supports it and
+/// [`Backend::select`] is not [`Backend::Scalar`], so
+/// `RESET_CRYPTO_BACKEND=scalar` keeps the pure oracle. Decided once per
+/// process, as [`Backend::select`] is.
+pub(crate) fn sha_ext_selected() -> bool {
+    static SELECTED: OnceLock<bool> = OnceLock::new();
+    *SELECTED.get_or_init(|| Backend::select() != Backend::Scalar && sha_ext_supported())
+}
+
+/// One SHA-256 compression of `block` into `state` on the SHA
+/// extensions, byte for byte the scalar `compress_block_scalar`. Panics
+/// on a CPU without them.
+#[allow(unsafe_code)]
+pub(crate) fn sha256_compress_ext(state: &mut [u32; 8], block: &[u8; 64]) {
+    assert!(
+        sha_ext_supported(),
+        "SHA-256 kernel invoked on a host without the SHA extensions"
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the assert above proves runtime sha, ssse3 and sse4.1.
+    unsafe {
+        x86::sha256_compress_shani(state, block)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("the SHA extensions are never supported off x86_64")
 }
 
 /// How many 64-bit lanes the Poly1305 kernel runs on `backend`: half the
@@ -1302,7 +1417,7 @@ mod tests {
         }
         let mut expect = states;
         for l in 0..4 {
-            crate::sha256::compress_block(&mut expect[l], &blocks[l]);
+            crate::sha256::compress_block_scalar(&mut expect[l], &blocks[l]);
         }
         sha256_multiway_kernel::<P4>(&mut states, &blocks);
         assert_eq!(states, expect);
@@ -1494,11 +1609,96 @@ mod tests {
                 }
                 let mut expect = states.clone();
                 for l in 0..lanes {
-                    crate::sha256::compress_block(&mut expect[l], &blocks[l]);
+                    crate::sha256::compress_block_scalar(&mut expect[l], &blocks[l]);
                 }
                 sha256_multiway(backend, &mut states, &blocks);
                 assert_eq!(states, expect, "{backend}");
             }
+        }
+    }
+
+    /// `msg` with SHA-256 padding: `0x80`, zeros to 56 mod 64, the bit
+    /// length — one or more whole blocks.
+    fn padded(msg: &[u8]) -> Vec<u8> {
+        let mut out = msg.to_vec();
+        out.push(0x80);
+        while out.len() % 64 != 56 {
+            out.push(0);
+        }
+        out.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        out
+    }
+
+    #[test]
+    fn sha_ext_kernel_matches_scalar_compression() {
+        if !sha_ext_supported() {
+            eprintln!("skipped: this CPU lacks the SHA extensions (sha, ssse3, sse4.1)");
+            return;
+        }
+        let check = |state: [u32; 8], block: &[u8; 64]| {
+            let (mut fast, mut expect) = (state, state);
+            sha256_compress_ext(&mut fast, block);
+            crate::sha256::compress_block_scalar(&mut expect, block);
+            assert_eq!(fast, expect, "state {state:08x?} block {block:02x?}");
+        };
+        // Every block of the FIPS 180-2 messages of `sha256.rs`'s
+        // `nist_abc`, `nist_two_block` and `nist_four_block_896_bit`,
+        // each from the chain value before it.
+        let fips: [&[u8]; 3] = [
+            b"abc",
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+        ];
+        for msg in fips {
+            let mut state = Sha256::new().state_words();
+            for block in padded(msg).chunks_exact(64) {
+                let block = block.try_into().expect("whole block");
+                check(state, block);
+                crate::sha256::compress_block_scalar(&mut state, block);
+            }
+        }
+        for word in [0u32, u32::MAX] {
+            for byte in [0u8, 0xff] {
+                check([word; 8], &[byte; 64]);
+            }
+        }
+        let mut seed = 0x5EA5_1DE5_C0DE_F00Du64;
+        for _ in 0..10_000 {
+            let state: [u32; 8] = core::array::from_fn(|_| xorshift(&mut seed) as u32);
+            let mut block = [0u8; 64];
+            fill(&mut seed, &mut block);
+            check(state, &block);
+        }
+    }
+
+    #[test]
+    fn sha256_stream_matches_a_scalar_hasher_at_every_length() {
+        // `Sha256` runs on whatever `compress_block` dispatches to; this
+        // hasher runs only the scalar body. Lengths 0..=130 cover one-
+        // and two-block padding and the block edges of each.
+        if !sha_ext_selected() {
+            eprintln!("note: Sha256 runs the scalar body in this process; no kernel is checked");
+        }
+        let scalar = |msg: &[u8]| {
+            let mut state = Sha256::new().state_words();
+            for block in padded(msg).chunks_exact(64) {
+                crate::sha256::compress_block_scalar(&mut state, block.try_into().expect("whole"));
+            }
+            state
+        };
+        let mut seed = 130u64;
+        let mut data = [0u8; 130];
+        fill(&mut seed, &mut data);
+        for len in 0..=data.len() {
+            let msg = &data[..len];
+            let expect: Vec<u8> = scalar(msg).iter().flat_map(|w| w.to_be_bytes()).collect();
+            let mut streamed = Sha256::new();
+            for chunk in msg.chunks(7) {
+                streamed.update(chunk);
+            }
+            assert_eq!(streamed.finalize().as_slice(), expect, "len {len}");
+            assert_eq!(crate::sha256::sha256(msg).as_slice(), expect, "len {len}");
         }
     }
 

@@ -152,12 +152,28 @@ impl Sha256 {
 
 /// One compression of `block` into `state`, exposed crate-internally so
 /// [`crate::HmacKey::finish_outer`] can run a single precomputed-layout
-/// compression without a full hasher object.
+/// compression without a full hasher object. [`Sha256`],
+/// `HmacKey::new` / `mac_parts` / `finish_outer` and `prf_plus_with` all
+/// compress here, on one of two bodies: the SHA-extensions kernel in
+/// [`crate::lanes`] where the process selected it (the CPU has `sha`,
+/// `ssse3` and `sse4.1`, and [`crate::Backend::select`] is not
+/// [`crate::Backend::Scalar`]), else [`compress_block_scalar`]. Both give
+/// the same bytes.
+pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    if crate::lanes::sha_ext_selected() {
+        crate::lanes::sha256_compress_ext(state, block)
+    } else {
+        compress_block_scalar(state, block)
+    }
+}
+
+/// The scalar compression: pure safe Rust, the oracle every other SHA-256
+/// body is differenced against.
 ///
 /// The round loop is 2×-unrolled: two rounds per iteration with renamed
 /// working variables, so the eight-way register rotation of the textbook
 /// loop happens once per pair instead of once per round.
-pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+pub(crate) fn compress_block_scalar(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     let mut w = [0u32; 64];
     for i in 0..16 {
         w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("fixed"));
