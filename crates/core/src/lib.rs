@@ -25,8 +25,6 @@
 //! * [`SeqNum`] — sequence numbers (the paper's unbounded integers).
 //! * [`AntiReplayWindow`] / [`Verdict`] — the §2 window with its three
 //!   receive cases.
-//! * [`BaselineSender`] / [`BaselineReceiver`] — the §2 protocol with the
-//!   §3 naive restart (the vulnerable baseline).
 //! * [`SfMachine`] ([`machine`]) — the §4 protocol as a **pure
 //!   transition function** `step(SfEvent) → SfEffects`: no store, no
 //!   clock, hashable state — the substrate the `reset-model` bounded
@@ -38,8 +36,8 @@
 //! * [`Monitor`] / [`Report`] — online ground-truth checking of the §5
 //!   theorem.
 //!
-//! The same processes transcribed into the Abstract Protocol Notation
-//! runtime live next to that runtime, in `reset_apn::apn_model`. This
+//! The §2 protocol with the §3 naive restart (the vulnerable baseline)
+//! is figure code and lives above the gateway, in `reset-harness`. This
 //! crate is the root of the workspace's dependency graph — it depends
 //! on `reset-stable` alone — and the
 //! repo-level `ARCHITECTURE.md` maps the crates built on top of it
@@ -71,20 +69,12 @@
 //!
 //! # Examples
 //!
-//! The §3 attack and the §4 defence, side by side:
+//! The §4 defence against the §3 attack (a receiver reset followed by a
+//! replay of the whole history):
 //!
 //! ```
-//! use anti_replay::{BaselineReceiver, SeqNum, SfDriver};
+//! use anti_replay::{SeqNum, SfDriver};
 //! use reset_stable::{MemStable, SlotId};
-//!
-//! // Baseline: receiver reset forgets the window...
-//! let mut naive = BaselineReceiver::new(32);
-//! for s in 1..=100u64 {
-//!     naive.receive(SeqNum::new(s));
-//! }
-//! naive.reset_and_wake();
-//! // ...so a replayed old message is accepted:
-//! assert!(naive.receive(SeqNum::new(1)).is_deliverable());
 //!
 //! // SAVE/FETCH: the counter was saved every K = 10 messages.
 //! let mut patched = SfDriver::receiver(MemStable::new(), SlotId::receiver(1), 10, 32);
@@ -104,14 +94,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod baseline;
 mod convergence;
 pub mod machine;
 mod savefetch;
 mod seq;
 mod window;
 
-pub use baseline::{BaselineReceiver, BaselineSender};
 pub use convergence::{Monitor, MsgId, Origin, Report, Violation};
 pub use machine::{FetchFaultKind, SfEffect, SfEvent, SfMachine};
 pub use savefetch::{Phase, RxOutcome, SfDriver, Wakeup};

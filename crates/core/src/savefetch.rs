@@ -757,6 +757,28 @@ mod tests {
     }
 
     #[test]
+    fn completing_every_save_keeps_durable_within_2k_of_live() {
+        // Weak fairness for the background SAVE: when every issued SAVE
+        // completes before the next step, the durable counter trails the
+        // live one by at most 2K, in either role.
+        let k = 5;
+        let mut p = sender(k);
+        let mut q = receiver(k, 16);
+        for step in 0..2_000 {
+            let seq = p.send_next().expect("running");
+            q.receive(seq);
+            p.save_completed().unwrap();
+            q.save_completed().unwrap();
+            let p_durable = p.store().load(SlotId::sender(1)).unwrap().unwrap_or(0);
+            let q_durable = q.store().load(SlotId::receiver(1)).unwrap().unwrap_or(0);
+            let p_live = next_seq(&p).value();
+            let q_live = q.machine().window().expect("receiver").right_edge().value();
+            assert!(p_live - p_durable <= 2 * k, "step {step}: sender lag");
+            assert!(q_live - q_durable <= 2 * k, "step {step}: receiver lag");
+        }
+    }
+
+    #[test]
     fn sender_receiver_end_to_end_with_sender_reset_no_fresh_loss() {
         // Condition (i): sender reset, in-order channel ⇒ zero fresh
         // messages discarded (some sequence numbers are skipped, but

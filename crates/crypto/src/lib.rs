@@ -18,10 +18,10 @@
 //! * [`chacha20_block`] / [`Poly1305`] / [`chacha20_poly1305_seal`] —
 //!   RFC 8439 ChaCha20, the Poly1305 one-time MAC, and their AEAD
 //!   composition, each checked against the RFC's vectors.
-//! * [`BigUint`] + the OAKLEY groups ([`oakley_group1`],
-//!   [`oakley_group2`], RFC 2412 — the paper's reference \[9\]) — the
-//!   modular exponentiation that dominates the cost of the IETF
-//!   "renegotiate the whole SA" remedy the paper argues against.
+//! * [`BigUint`] — arbitrary-precision modular arithmetic: the oracle
+//!   the Poly1305 lane kernel is checked against, and the modular
+//!   exponentiation under `reset-harness`'s OAKLEY Diffie–Hellman (the
+//!   IETF "renegotiate the whole SA" remedy the paper argues against).
 //!
 //! # Cipher suites
 //!
@@ -75,7 +75,6 @@ mod backend;
 mod bignum;
 mod chacha;
 mod ct;
-mod dh;
 mod hmac;
 mod lanes;
 mod poly1305;
@@ -90,7 +89,6 @@ pub use backend::{Backend, BACKEND_ENV};
 pub use bignum::BigUint;
 pub use chacha::{chacha20_block, chacha20_xor, CHACHA_KEY_LEN, CHACHA_NONCE_LEN};
 pub use ct::ct_eq;
-pub use dh::{oakley_group1, oakley_group2, toy_group, DhGroup, DhKeyPair};
 pub use hmac::{hmac_sha256, hmac_sha256_96, HmacKey, HmacSha256};
 pub use poly1305::{poly1305, Poly1305, POLY1305_KEY_LEN, POLY1305_TAG_LEN};
 pub use prf::{prf_plus, prf_plus_with, xor_keystream, xor_keystream_with};

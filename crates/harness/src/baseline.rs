@@ -6,16 +6,46 @@
 //! unbounded number of discarded fresh messages (sender reset), and a
 //! blackhole attack (both reset). These types exist so experiments t3 can
 //! demonstrate exactly those failures next to the SAVE/FETCH fix.
+//!
+//! The §3 attack and the §4 defence, side by side:
+//!
+//! ```
+//! use anti_replay::{SeqNum, SfDriver};
+//! use reset_harness::BaselineReceiver;
+//! use reset_stable::{MemStable, SlotId};
+//!
+//! // Baseline: receiver reset forgets the window...
+//! let mut naive = BaselineReceiver::new(32);
+//! for s in 1..=100u64 {
+//!     naive.receive(SeqNum::new(s));
+//! }
+//! naive.reset_and_wake();
+//! // ...so a replayed old message is accepted:
+//! assert!(naive.receive(SeqNum::new(1)).is_deliverable());
+//!
+//! // SAVE/FETCH: the counter was saved every K = 10 messages.
+//! let mut patched = SfDriver::receiver(MemStable::new(), SlotId::receiver(1), 10, 32);
+//! for s in 1..=100u64 {
+//!     patched.receive(SeqNum::new(s));
+//!     patched.save_completed()?; // background save completes promptly
+//! }
+//! patched.reset();
+//! patched.wake_up()?; // FETCH + leap 2K
+//! // Every replay of old traffic is rejected:
+//! for s in 1..=100u64 {
+//!     assert!(!patched.receive(SeqNum::new(s)).is_delivered());
+//! }
+//! # Ok::<(), reset_stable::StableError>(())
+//! ```
 
-use crate::seq::SeqNum;
-use crate::window::{AntiReplayWindow, Verdict};
+use anti_replay::{AntiReplayWindow, SeqNum, Verdict};
 
 /// Process `p` of §2: a bare counter, forgotten on reset.
 ///
 /// # Examples
 ///
 /// ```
-/// use anti_replay::BaselineSender;
+/// use reset_harness::BaselineSender;
 ///
 /// let mut p = BaselineSender::new();
 /// assert_eq!(p.send_next().value(), 1);

@@ -28,19 +28,11 @@ use std::collections::{BTreeMap, HashSet};
 
 use bytes::Bytes;
 use reset_ipsec::{CryptoSuite, GatewayBuilder, GatewayEvent, SaDirection};
+use reset_sim::splitmix64;
 use reset_stable::{Fault, FaultyStable, MemStable};
 use reset_telemetry::Json;
 
 use crate::report::{RunReport, RunTotals};
-
-/// SplitMix64 — the campaign's only randomness source.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Campaign shape: the sweep axes and per-run intensity.
 #[derive(Debug, Clone)]

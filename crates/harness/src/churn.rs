@@ -42,20 +42,12 @@ use std::collections::{BTreeMap, HashSet};
 
 use bytes::Bytes;
 use reset_ipsec::{CryptoSuite, Gateway, GatewayBuilder, GatewayEvent, ShardedGateway};
+use reset_sim::splitmix64;
 use reset_stable::MemStable;
 use reset_telemetry::{Json, Snapshot, Telemetry};
 use reset_wire::spi_shard;
 
 use crate::report::{RunReport, RunTotals, SaVerdict, TimelinePoint};
-
-/// SplitMix64 — the soak's only randomness source.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Which adversary strategies run (all on by default). Per-strategy
 /// unit tests switch on exactly one and assert its counter moved while

@@ -5,7 +5,7 @@
 //! cost is these modular exponentiations. The primes below are the actual
 //! OAKLEY "Well-Known Group" moduli cited by the paper's reference [9].
 
-use crate::bignum::BigUint;
+use reset_crypto::BigUint;
 
 /// A Diffie–Hellman group (prime modulus + generator).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -21,12 +21,12 @@
 
 use std::time::Instant;
 
-use reset_crypto::oakley_group1;
-use reset_ipsec::{run_handshake, CostModel, HandshakeCost};
 use reset_stable::{Durability, FileStable, SlotId};
 
 use anti_replay::SfDriver;
 
+use crate::dh::oakley_group1;
+use crate::ike::{run_handshake, CostModel, HandshakeCost};
 use crate::report::Table;
 
 /// Ledger for one SAVE/FETCH recovery (per SA direction): one FETCH read

@@ -14,10 +14,11 @@
 
 use std::collections::HashSet;
 
-use anti_replay::{BaselineReceiver, SeqNum};
+use anti_replay::SeqNum;
 use reset_channel::{max_reorder_degree, Link, LinkConfig};
 use reset_sim::{DetRng, SimDuration, SimTime};
 
+use crate::baseline::BaselineReceiver;
 use crate::report::Table;
 
 /// Result of one channel configuration run.

@@ -12,11 +12,18 @@
 //! (messages, round trips, modular exponentiations, PRF invocations,
 //! bytes). Experiment t5 compares this ledger against the SAVE/FETCH
 //! recovery path, reproducing the paper's cost argument.
+//!
+//! None of this is on the gateway path: an SA pair negotiated here is
+//! installed with `reset_ipsec::Gateway::install_pair`, and the
+//! quick-mode rekey the engine runs (`reset_ipsec::rekey`) is priced by
+//! [`HandshakeCost::QUICK_MODE`].
 
-use reset_crypto::{ct_eq, hmac_sha256, prf_plus, BigUint, DhGroup, DhKeyPair};
+use std::fmt;
 
-use crate::sa::{CryptoSuite, SaKeys, SecurityAssociation};
-use crate::IpsecError;
+use reset_crypto::{ct_eq, hmac_sha256, prf_plus, BigUint};
+use reset_ipsec::{CryptoSuite, SaKeys, SecurityAssociation};
+
+use crate::dh::{DhGroup, DhKeyPair};
 
 /// One ISAKMP-like message. Phase-1 main mode: SA proposal/accept, key
 /// exchange with nonces, and authentication hashes.
@@ -88,6 +95,19 @@ pub struct HandshakeCost {
 }
 
 impl HandshakeCost {
+    /// The ledger of one quick-mode rekey under an existing phase-1
+    /// secret (`reset_ipsec::rekey`): 3 messages, HDR+HASH+SA+Ni /
+    /// HDR+HASH+SA+Nr / HDR+HASH. Each carries one HMAC; key derivation
+    /// adds two PRF expansions per side. No DH: this model omits PFS,
+    /// matching the cheap path.
+    pub const QUICK_MODE: HandshakeCost = HandshakeCost {
+        messages: 3,
+        round_trips: 2,
+        modexps: 0,
+        prf_calls: 3 + 4,
+        bytes: 3 * 76,
+    };
+
     /// Estimated wall time under a [`CostModel`].
     pub fn estimate_ns(&self, m: &CostModel) -> u64 {
         self.modexps * m.modexp_ns
@@ -133,6 +153,19 @@ impl CostModel {
     }
 }
 
+/// The handshake's one failure: the two sides' transcript tags disagree,
+/// because the peers hold different pre-shared keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HandshakeAuthFailed;
+
+impl fmt::Display for HandshakeAuthFailed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("handshake authentication failed")
+    }
+}
+
+impl std::error::Error for HandshakeAuthFailed {}
+
 /// Result of a completed handshake: one SA per direction plus the ledger.
 #[derive(Debug, Clone)]
 pub struct EstablishedPair {
@@ -167,13 +200,12 @@ fn transcript_digest(
 ///
 /// # Errors
 ///
-/// [`IpsecError::HandshakeAuthFailed`] if the PSKs differ.
+/// [`HandshakeAuthFailed`] if the PSKs differ.
 ///
 /// # Examples
 ///
 /// ```
-/// use reset_crypto::toy_group;
-/// use reset_ipsec::run_handshake;
+/// use reset_harness::{run_handshake, toy_group};
 ///
 /// let pair = run_handshake(
 ///     toy_group(),
@@ -185,7 +217,7 @@ fn transcript_digest(
 /// )?;
 /// assert_eq!(pair.cost.messages, 6);
 /// assert_eq!(pair.cost.modexps, 4);
-/// # Ok::<(), reset_ipsec::IpsecError>(())
+/// # Ok::<(), reset_harness::HandshakeAuthFailed>(())
 /// ```
 pub fn run_handshake(
     group: DhGroup,
@@ -194,7 +226,7 @@ pub fn run_handshake(
     secret_r: &[u8],
     spi_i2r: u32,
     spi_r2i: u32,
-) -> Result<EstablishedPair, IpsecError> {
+) -> Result<EstablishedPair, HandshakeAuthFailed> {
     run_handshake_with_suites(
         group,
         psk,
@@ -213,7 +245,7 @@ pub fn run_handshake(
 ///
 /// # Errors
 ///
-/// [`IpsecError::HandshakeAuthFailed`] if the PSKs differ.
+/// [`HandshakeAuthFailed`] if the PSKs differ.
 ///
 /// # Panics
 ///
@@ -227,7 +259,7 @@ pub fn run_handshake_with_suites(
     spi_i2r: u32,
     spi_r2i: u32,
     offered: &[CryptoSuite],
-) -> Result<EstablishedPair, IpsecError> {
+) -> Result<EstablishedPair, HandshakeAuthFailed> {
     assert!(!offered.is_empty(), "empty suite proposal");
     let mut cost = HandshakeCost::default();
     let mut ledger = |m: &IkeMessage| {
@@ -299,7 +331,7 @@ pub fn run_handshake_with_suites(
     let verify_i = auth_tag(&skeyid_r, &transcript, b"I");
     let verify_r = auth_tag(&skeyid_i, &transcript, b"R");
     if !ct_eq(&tag_i, &verify_i) || !ct_eq(&tag_r, &verify_r) {
-        return Err(IpsecError::HandshakeAuthFailed);
+        return Err(HandshakeAuthFailed);
     }
 
     cost.round_trips = cost.messages / 2;
@@ -321,7 +353,7 @@ pub fn run_handshake_with_suites(
 ///
 /// # Errors
 ///
-/// Always returns [`IpsecError::HandshakeAuthFailed`] when the keys
+/// Always returns [`HandshakeAuthFailed`] when the keys
 /// differ (this function exists so tests and experiments can exercise the
 /// failure path deterministically).
 pub fn run_handshake_mismatched_psk(
@@ -330,14 +362,14 @@ pub fn run_handshake_mismatched_psk(
     psk_r: &[u8],
     secret_i: &[u8],
     secret_r: &[u8],
-) -> Result<EstablishedPair, IpsecError> {
+) -> Result<EstablishedPair, HandshakeAuthFailed> {
     if psk_i == psk_r {
         return run_handshake(group, psk_i, secret_i, secret_r, 1, 2);
     }
     // Tags computed under different SKEYIDs can only collide with
     // negligible probability; model the rejection directly.
     let _ = (group, secret_i, secret_r);
-    Err(IpsecError::HandshakeAuthFailed)
+    Err(HandshakeAuthFailed)
 }
 
 fn derive_nonce(psk: &[u8], secret: &[u8], label: &[u8]) -> [u8; 16] {
@@ -360,7 +392,7 @@ fn auth_tag(skeyid: &[u8], transcript: &[u8], role: &[u8]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reset_crypto::toy_group;
+    use crate::dh::toy_group;
 
     fn pair() -> EstablishedPair {
         run_handshake(toy_group(), b"psk", b"dh-secret-i", b"dh-secret-r", 10, 20).unwrap()
@@ -432,7 +464,8 @@ mod tests {
     fn psk_mismatch_fails_auth() {
         let err = run_handshake_mismatched_psk(toy_group(), b"psk-a", b"psk-b", b"si", b"sr")
             .unwrap_err();
-        assert!(matches!(err, IpsecError::HandshakeAuthFailed));
+        assert_eq!(err, HandshakeAuthFailed);
+        assert!(err.to_string().contains("auth"));
     }
 
     #[test]
@@ -443,6 +476,17 @@ mod tests {
         assert!(paper > lan);
         // Paper-era full handshake: ≥ 4 modexps × 10 ms = 40 ms at least.
         assert!(paper >= 40_000_000, "paper-era estimate {paper} ns");
+    }
+
+    #[test]
+    fn rekey_is_much_cheaper_than_main_mode() {
+        let quick = HandshakeCost::QUICK_MODE;
+        assert_eq!(quick.modexps, 0);
+        let model = CostModel::paper_era();
+        // Main mode: 4 modexps ≈ 40 ms alone. Quick mode: PRF + 2 RTTs.
+        assert!(quick.estimate_ns(&model) < 100_000_000);
+        assert!(quick.estimate_ns(&model) > 0);
+        assert!(quick.estimate_ns(&model) < pair().cost.estimate_ns(&model));
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! [`Monitor`](anti_replay::Monitor) — plus one module per figure/table
 //! of the paper under [`experiments`].
 //!
+//! It also holds the figure code that has no place on the gateway path:
+//! the reset-naive §2 protocol ([`BaselineSender`] / [`BaselineReceiver`],
+//! for t3 and t6) and the ISAKMP main-mode handshake over the OAKLEY
+//! Diffie–Hellman groups with its cost ledger ([`run_handshake`],
+//! [`HandshakeCost`], [`CostModel`], for t5).
+//!
 //! Run everything:
 //!
 //! ```text
@@ -64,15 +70,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod baseline;
 pub mod campaign;
 pub mod churn;
+mod dh;
 pub mod experiments;
+mod ike;
 mod report;
 mod scenario;
 mod workload;
 
+pub use baseline::{BaselineReceiver, BaselineSender};
+
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
 pub use churn::{run_churn, AdversaryZoo, ChurnConfig, ChurnReport};
+pub use dh::{oakley_group1, oakley_group2, toy_group, DhGroup, DhKeyPair};
+pub use ike::{
+    run_handshake, run_handshake_mismatched_psk, run_handshake_with_suites, CostModel,
+    EstablishedPair, HandshakeAuthFailed, HandshakeCost, IkeMessage,
+};
 pub use report::{RunReport, RunTotals, SaVerdict, Table, TimelinePoint, REPORT_SCHEMA};
 pub use scenario::{
     run_scenario, AdversaryPlan, Protocol, ScenarioConfig, ScenarioOutcome, Transport,

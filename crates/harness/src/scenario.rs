@@ -25,10 +25,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use anti_replay::{
-    BaselineReceiver, BaselineSender, Monitor, MsgId, Origin, Phase, Report, RxOutcome, SeqNum,
-    SfDriver,
-};
+use anti_replay::{Monitor, MsgId, Origin, Phase, Report, RxOutcome, SeqNum, SfDriver};
 use bytes::Bytes;
 use reset_channel::{Link, LinkConfig, LinkStats, Tap};
 use reset_ipsec::{
@@ -38,6 +35,7 @@ use reset_sim::{DetRng, SimDuration, SimTime, Simulator};
 use reset_stable::{MemStable, SaveLatencyModel, SlotId};
 use reset_telemetry::Json;
 
+use crate::baseline::{BaselineReceiver, BaselineSender};
 use crate::report::{RunReport, RunTotals, SaVerdict};
 use crate::workload::Workload;
 

@@ -25,16 +25,6 @@ pub enum IpsecError {
         /// The affected SPI.
         spi: u32,
     },
-    /// The handshake state machine received a message it cannot accept in
-    /// its current state.
-    HandshakeOutOfOrder {
-        /// What the state machine was doing.
-        state: &'static str,
-    },
-    /// Peer authentication failed during the handshake.
-    HandshakeAuthFailed,
-    /// The endpoint is down (reset and not yet woken up).
-    EndpointDown,
     /// A [`ShardedGateway`](crate::ShardedGateway) worker job panicked.
     /// The panic is reported here instead of hanging or killing the
     /// caller; the shard's worker thread survives and keeps serving,
@@ -56,11 +46,6 @@ impl fmt::Display for IpsecError {
             IpsecError::LifetimeExpired { spi } => {
                 write!(f, "SA lifetime expired for spi {spi:#x}")
             }
-            IpsecError::HandshakeOutOfOrder { state } => {
-                write!(f, "handshake message unexpected in state {state}")
-            }
-            IpsecError::HandshakeAuthFailed => write!(f, "handshake authentication failed"),
-            IpsecError::EndpointDown => write!(f, "endpoint is down after a reset"),
             IpsecError::WorkerPanicked { shard, message } => {
                 write!(f, "shard {shard} worker job panicked: {message}")
             }
@@ -99,7 +84,9 @@ mod tests {
         assert!(IpsecError::UnknownSa { spi: 0xff }
             .to_string()
             .contains("0xff"));
-        assert!(IpsecError::HandshakeAuthFailed.to_string().contains("auth"));
+        assert!(IpsecError::LifetimeExpired { spi: 0x10 }
+            .to_string()
+            .contains("expired"));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! size, save interval, the persistent-store factory, and the optional
 //! rekey/DPD policies are fixed up front, then SAs are added with
 //! [`Gateway::add_peer`] (symmetric shortcut) or
-//! [`Gateway::install_pair`] (e.g. from [`crate::run_handshake`]).
+//! [`Gateway::install_pair`] (e.g. an SA pair negotiated by IKE).
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -538,8 +538,8 @@ impl<S: StableStore> Gateway<S> {
         SaKeys::derive_with(schedule, label)
     }
 
-    /// Installs an externally built SA (e.g. from
-    /// [`crate::run_handshake`] or [`crate::rekey`]) in both directions,
+    /// Installs an externally built SA (e.g. negotiated by IKE, or from
+    /// [`crate::rekey`]) in both directions,
     /// with fresh stores from the builder's factory.
     pub fn install_pair(&mut self, sa: SecurityAssociation) {
         self.install_outbound(sa.clone());
@@ -873,7 +873,7 @@ impl<S: StableStore> Gateway<S> {
             new_spi: spi,
             suite: self.suite,
         };
-        let replacement = rekey(&request).sa;
+        let replacement = rekey(&request);
         // The new endpoints go in over the old ones, in the same record:
         // the detector, its live deadline and the generation just counted
         // are the SA's, not a generation's, and stay.

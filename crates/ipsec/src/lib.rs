@@ -2,10 +2,12 @@
 //!
 //! The paper's protocol lives inside a larger system: security
 //! associations with keys and lifetimes (RFC 2401), an ESP datapath that
-//! authenticates before it checks replay (RFC 2406), the ISAKMP/Oakley
-//! key exchange whose cost motivates rescuing SAs instead of rebuilding
-//! them (RFC 2408/2412), dead-peer detection (the drafts in the paper's
-//! references \[3\] and \[7\]), and the §6 bidirectional recovery scheme.
+//! authenticates before it checks replay (RFC 2406), dead-peer detection
+//! (the drafts in the paper's references \[3\] and \[7\]), and the §6
+//! bidirectional recovery scheme. The ISAKMP/Oakley key exchange whose
+//! cost motivates rescuing SAs instead of rebuilding them (RFC 2408/2412)
+//! is figure code: it lives above the gateway, in `reset-harness`, and
+//! hands its SA pair to [`Gateway::install_pair`].
 //!
 //! The repo-level `ARCHITECTURE.md` maps how this crate sits on top of
 //! `anti-replay`, `reset-wire`, `reset-crypto` and `reset-stable`, and
@@ -27,7 +29,7 @@
 //! ```
 //! use reset_ipsec::{GatewayBuilder, GatewayEvent};
 //!
-//! // Two gateways sharing one SA pair (normally keyed via run_handshake).
+//! // Two gateways sharing one SA pair (normally keyed via IKE).
 //! let mut p = GatewayBuilder::in_memory().save_interval(25).window(64).build();
 //! let mut q = GatewayBuilder::in_memory().save_interval(25).window(64).build();
 //! p.add_peer(0x1001, b"master-secret");
@@ -138,8 +140,8 @@
 //!   only the counters change per packet, which is the whole point.
 //! * [`Sadb`] — a host's SA database; `recover_all` is the cheap
 //!   SAVE/FETCH reboot path.
-//! * [`run_handshake`] / [`HandshakeCost`] / [`CostModel`] — the
-//!   expensive IETF alternative, with an exact cost ledger.
+//! * [`rekey`] — the quick-mode key derivation a lifetime rekey runs
+//!   under the existing phase-1 secret.
 //! * [`Outbound`] / [`Inbound`] / [`RxResult`] — the ESP datapath with
 //!   SAVE/FETCH-protected counters and RFC 4304 ESN.
 //! * [`DpdDetector`] — detects the peer's unavailability and opens the
@@ -163,7 +165,6 @@ mod dpd;
 mod error;
 mod esp;
 mod gateway;
-mod ike;
 mod pool;
 mod rekey;
 mod sa;
@@ -175,11 +176,7 @@ pub use dpd::{DpdAction, DpdConfig, DpdDetector};
 pub use error::IpsecError;
 pub use esp::{Inbound, Outbound, RxReject, RxResult};
 pub use gateway::{Gateway, GatewayBuilder, GatewayEvent, SaDirection, SentFrame};
-pub use ike::{
-    run_handshake, run_handshake_mismatched_psk, run_handshake_with_suites, CostModel,
-    EstablishedPair, HandshakeCost, IkeMessage,
-};
-pub use rekey::{rekey, rekey_auth_tag, rekey_due, RekeyOutcome, RekeyRequest};
+pub use rekey::{rekey, rekey_auth_tag, rekey_due, RekeyRequest};
 pub use reset_crypto::Backend;
 pub use sa::{CryptoSuite, SaKeys, SaLifetime, SaUsage, SecurityAssociation};
 pub use sadb::{RemovedSa, Sadb};

@@ -15,7 +15,6 @@
 use reset_crypto::{hmac_sha256, prf_plus};
 
 use crate::sa::{CryptoSuite, SaKeys, SaLifetime, SecurityAssociation};
-use crate::HandshakeCost;
 
 /// Inputs for a quick-mode rekey under an existing phase-1 SKEYID.
 #[derive(Debug, Clone)]
@@ -37,38 +36,29 @@ pub struct RekeyRequest {
     pub suite: CryptoSuite,
 }
 
-/// Outcome of a rekey: the replacement SA and the exchange's cost ledger.
-#[derive(Debug, Clone)]
-pub struct RekeyOutcome {
-    /// The replacement SA (fresh keys, zeroed usage).
-    pub sa: SecurityAssociation,
-    /// Cost of the 3-message quick mode (no DH unless PFS is requested;
-    /// this model omits PFS, matching the cheap path).
-    pub cost: HandshakeCost,
-}
-
-/// Derives the replacement SA. Both peers call this with the same inputs
-/// and obtain identical keys — the quick-mode exchange itself only
-/// transports the nonces and authenticates with SKEYID.
+/// Derives the replacement SA (fresh keys, zeroed usage). Both peers
+/// call this with the same inputs and obtain identical keys — the
+/// quick-mode exchange itself only transports the nonces and
+/// authenticates with SKEYID. The exchange's cost ledger is figure code
+/// and lives with the main-mode handshake in `reset-harness`.
 ///
 /// # Examples
 ///
 /// ```
 /// use reset_ipsec::{rekey, RekeyRequest};
 ///
-/// let out = rekey(&RekeyRequest {
+/// let sa = rekey(&RekeyRequest {
 ///     skeyid: b"phase-1-shared-secret".to_vec(),
 ///     nonce_i: [1; 16],
 ///     nonce_r: [2; 16],
 ///     new_spi: 0x2002,
 ///     suite: reset_ipsec::CryptoSuite::ChaCha20Poly1305,
 /// });
-/// assert_eq!(out.sa.spi(), 0x2002);
-/// assert_eq!(out.sa.suite(), reset_ipsec::CryptoSuite::ChaCha20Poly1305);
-/// assert_eq!(out.cost.messages, 3);
-/// assert_eq!(out.cost.modexps, 0); // no DH on the cheap path
+/// assert_eq!(sa.spi(), 0x2002);
+/// assert_eq!(sa.suite(), reset_ipsec::CryptoSuite::ChaCha20Poly1305);
+/// assert_eq!(sa.usage().packets, 0);
 /// ```
-pub fn rekey(req: &RekeyRequest) -> RekeyOutcome {
+pub fn rekey(req: &RekeyRequest) -> SecurityAssociation {
     // KEYMAT = prf+(SKEYID, Ni | Nr | SPI | suite-id), per the RFC 2409
     // quick-mode shape (protocol id folded into the SPI here; the suite
     // id keeps keymat domains separate across transform migrations).
@@ -79,19 +69,7 @@ pub fn rekey(req: &RekeyRequest) -> RekeyOutcome {
     seed.push(req.suite.wire_id());
     let keymat = prf_plus(&req.skeyid, &seed, 64);
     let keys = SaKeys::from_keymat(&keymat);
-    // 3 messages: HDR+HASH+SA+Ni / HDR+HASH+SA+Nr / HDR+HASH. Each
-    // carries one HMAC; key derivation adds two PRF expansions per side.
-    let cost = HandshakeCost {
-        messages: 3,
-        round_trips: 2,
-        modexps: 0,
-        prf_calls: 3 + 4,
-        bytes: 3 * 76,
-    };
-    RekeyOutcome {
-        sa: SecurityAssociation::new(req.new_spi, keys).with_suite(req.suite),
-        cost,
-    }
+    SecurityAssociation::new(req.new_spi, keys).with_suite(req.suite)
 }
 
 /// Convenience: is this SA due for a rekey under `lifetime`?
@@ -131,7 +109,7 @@ mod tests {
     fn both_sides_derive_identical_keys() {
         let a = rekey(&req(0x30));
         let b = rekey(&req(0x30));
-        assert_eq!(a.sa.keys(), b.sa.keys());
+        assert_eq!(a.keys(), b.keys());
     }
 
     #[test]
@@ -139,26 +117,15 @@ mod tests {
         let base = rekey(&req(0x30));
         let mut r = req(0x30);
         r.nonce_i = [0xCC; 16];
-        assert_ne!(rekey(&r).sa.keys(), base.sa.keys());
-        assert_ne!(rekey(&req(0x31)).sa.keys(), base.sa.keys());
-    }
-
-    #[test]
-    fn rekey_is_much_cheaper_than_main_mode() {
-        use crate::CostModel;
-        let quick = rekey(&req(1)).cost;
-        assert_eq!(quick.modexps, 0);
-        let model = CostModel::paper_era();
-        // Main mode: 4 modexps ≈ 40 ms alone. Quick mode: PRF + 2 RTTs.
-        assert!(quick.estimate_ns(&model) < 100_000_000);
-        assert!(quick.estimate_ns(&model) > 0);
+        assert_ne!(rekey(&r).keys(), base.keys());
+        assert_ne!(rekey(&req(0x31)).keys(), base.keys());
     }
 
     #[test]
     fn old_recorded_traffic_useless_after_rekey() {
         // The adversary's replay library dies with the old keys.
         let old = rekey(&req(0x40));
-        let mut tx_old = Outbound::new(old.sa.clone(), MemStable::new(), 25);
+        let mut tx_old = Outbound::new(old.clone(), MemStable::new(), 25);
         let recorded: Vec<_> = (0..10)
             .map(|_| tx_old.protect(b"old").unwrap().unwrap())
             .collect();
@@ -167,7 +134,7 @@ mod tests {
             nonce_i: [0xDD; 16],
             ..req(0x40) // same SPI reused for the replacement
         });
-        let mut rx_new = Inbound::new(new.sa, MemStable::new(), 25, 64);
+        let mut rx_new = Inbound::new(new, MemStable::new(), 25, 64);
         for w in &recorded {
             assert!(rx_new.process(w).is_err(), "old-SA packet authenticated");
         }
@@ -175,22 +142,20 @@ mod tests {
 
     #[test]
     fn new_sa_starts_counters_from_scratch() {
-        let out = rekey(&req(0x50));
-        let sa = out.sa.clone();
+        let sa = rekey(&req(0x50));
         let mut tx = Outbound::new(sa.clone(), MemStable::new(), 25);
-        let mut rx = Inbound::new(sa, MemStable::new(), 25, 64);
+        let mut rx = Inbound::new(sa.clone(), MemStable::new(), 25, 64);
         let w = tx.protect(b"first").unwrap().unwrap();
         match rx.process(&w).unwrap() {
             crate::RxResult::Delivered { seq, .. } => assert_eq!(seq.value(), 1),
             other => panic!("{other:?}"),
         }
-        assert_eq!(out.sa.usage().packets, 0, "usage zeroed");
+        assert_eq!(sa.usage().packets, 0, "usage zeroed");
     }
 
     #[test]
     fn rekey_due_tracks_lifetime() {
-        let out = rekey(&req(0x60));
-        let mut sa = out.sa;
+        let mut sa = rekey(&req(0x60));
         let lt = SaLifetime {
             max_packets: 2,
             max_bytes: u64::MAX,
@@ -220,11 +185,11 @@ mod tests {
         let mut r = req(0x70);
         r.suite = CryptoSuite::HmacSha256WithKeystream;
         let legacy = rekey(&r);
-        assert_eq!(aead.sa.suite(), CryptoSuite::ChaCha20Poly1305);
-        assert_eq!(legacy.sa.suite(), CryptoSuite::HmacSha256WithKeystream);
+        assert_eq!(aead.suite(), CryptoSuite::ChaCha20Poly1305);
+        assert_eq!(legacy.suite(), CryptoSuite::HmacSha256WithKeystream);
         assert_ne!(
-            legacy.sa.keys(),
-            aead.sa.keys(),
+            legacy.keys(),
+            aead.keys(),
             "keymat domains separated by suite id"
         );
     }

@@ -51,7 +51,7 @@ mod stats;
 mod time;
 mod trace;
 
-pub use rng::DetRng;
+pub use rng::{splitmix64, DetRng};
 pub use simulator::{ControlFlow, EventId, Simulator};
 pub use stats::{Histogram, Summary};
 pub use time::{SimDuration, SimTime};

@@ -22,7 +22,10 @@ pub struct DetRng {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// One step of SplitMix64: advances `state` and returns the next output.
+/// [`DetRng::new`] seeds from it; the fault campaign and the churn soak
+/// draw from it directly, with one `u64` of state instead of a generator.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

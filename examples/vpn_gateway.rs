@@ -14,8 +14,8 @@
 use std::time::Instant;
 
 use bytes::Bytes;
-use reset_crypto::oakley_group1;
-use reset_ipsec::{run_handshake, CostModel, GatewayBuilder, GatewayEvent};
+use reset_harness::{oakley_group1, run_handshake, CostModel};
+use reset_ipsec::{GatewayBuilder, GatewayEvent};
 use reset_stable::{Durability, WalStable};
 use reset_telemetry::Telemetry;
 

@@ -1,10 +1,8 @@
 //! Integration: the full ESP pipeline — IKE establishment through
 //! datapath through reset recovery — with real crypto end to end.
 
-use reset_crypto::{oakley_group2, toy_group};
-use reset_ipsec::{
-    run_handshake, CryptoSuite, Inbound, Outbound, RxResult, SaKeys, Sadb, SecurityAssociation,
-};
+use reset_harness::{oakley_group2, run_handshake, toy_group};
+use reset_ipsec::{CryptoSuite, Inbound, Outbound, RxResult, SaKeys, Sadb, SecurityAssociation};
 use reset_stable::{Durability, FileStable, MemStable};
 use system_tests::process_one;
 

@@ -331,8 +331,7 @@ fn rekey_erases_persistent_slots_so_a_crash_recovers_the_fresh_generation() {
 #[test]
 fn handshake_keyed_gateways_interoperate() {
     // Keys negotiated by real IKE drive the engine end to end.
-    use reset_crypto::toy_group;
-    use reset_ipsec::run_handshake;
+    use reset_harness::{run_handshake, toy_group};
     let pair = run_handshake(toy_group(), b"psk", b"init", b"resp", 0x10, 0x20).unwrap();
     let mut initiator = GatewayBuilder::in_memory().build();
     let mut responder = GatewayBuilder::in_memory().build();

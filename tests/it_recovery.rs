@@ -261,8 +261,7 @@ fn recovery_after_suite_change_converges_and_blocks_stale_suite_replays() {
         nonce_r: [2; 16],
         new_spi: spi,
         suite: CryptoSuite::ChaCha20Poly1305,
-    })
-    .sa;
+    });
     assert!(db.remove(spi).is_some());
     db.install_outbound(migrated.clone(), MemStable::new(), 10);
     db.install_inbound(migrated, MemStable::new(), 10, 64);

@@ -38,14 +38,14 @@ fn rekey_at_lifetime_then_savefetch_reset_on_new_sa() {
     assert!(rekey_due(tx0.sa(), &lifetime));
 
     // Phase 2: quick-mode rekey to generation 1.
-    let out = rekey(&RekeyRequest {
+    let new_sa = rekey(&RekeyRequest {
         skeyid: b"phase1-skeyid".to_vec(),
         nonce_i: [3; 16],
         nonce_r: [4; 16],
         new_spi: 0x101,
         suite: CryptoSuite::default(),
     });
-    let (mut tx1, mut rx1) = fresh_pair(&out.sa, 10);
+    let (mut tx1, mut rx1) = fresh_pair(&new_sa, 10);
 
     // Generation-0 recordings are dead against generation 1 (different
     // SPI => unknown SA; respliced SPI => ICV failure).
@@ -98,14 +98,14 @@ fn rekey_reusing_spi_resets_counters_and_slots() {
     }
     // Rekey with SPI reuse; tear down the old slot (SA teardown duty).
     store.erase(SlotId::sender(0x200)).unwrap();
-    let out = rekey(&RekeyRequest {
+    let new_sa = rekey(&RekeyRequest {
         skeyid: b"phase1-skeyid".to_vec(),
         nonce_i: [7; 16],
         nonce_r: [8; 16],
         new_spi: 0x200,
         suite: CryptoSuite::default(),
     });
-    let mut tx1 = Outbound::new(out.sa, store, 5);
+    let mut tx1 = Outbound::new(new_sa, store, 5);
     // A reset + wake on the brand-new SA must leap from zero (2K = 10),
     // not from the stale 20 + 10 = 30.
     tx1.reset();
@@ -129,15 +129,15 @@ fn rekey_to_aead_suite_delivers_in_order_and_rejects_stale_suite_frames() {
     }
 
     // Quick-mode rekey migrates the SA (same SPI) to ChaCha20-Poly1305.
-    let out = rekey(&RekeyRequest {
+    let new_sa = rekey(&RekeyRequest {
         skeyid: b"phase1-skeyid".to_vec(),
         nonce_i: [9; 16],
         nonce_r: [10; 16],
         new_spi: 0x400,
         suite: CryptoSuite::ChaCha20Poly1305,
     });
-    assert_eq!(out.sa.suite(), CryptoSuite::ChaCha20Poly1305);
-    let (mut tx1, mut rx1) = fresh_pair(&out.sa, 10);
+    assert_eq!(new_sa.suite(), CryptoSuite::ChaCha20Poly1305);
+    let (mut tx1, mut rx1) = fresh_pair(&new_sa, 10);
 
     // Every stale-suite frame fails authentication against the new SA —
     // wrong transform *and* wrong keys, counted as auth failures.
@@ -181,28 +181,25 @@ fn rekey_to_aead_suite_delivers_in_order_and_rejects_stale_suite_frames() {
 
 #[test]
 fn rekey_costs_stay_far_below_main_mode() {
-    use reset_ipsec::CostModel;
-    let quick = rekey(&RekeyRequest {
-        skeyid: b"skeyid".to_vec(),
-        nonce_i: [1; 16],
-        nonce_r: [2; 16],
-        new_spi: 9,
-        suite: CryptoSuite::default(),
-    })
-    .cost;
+    use reset_harness::{run_handshake, toy_group, CostModel, HandshakeCost};
+    let quick = HandshakeCost::QUICK_MODE;
+    let main = run_handshake(toy_group(), b"psk", b"si", b"sr", 1, 2)
+        .unwrap()
+        .cost;
     // From the t5 ledger: main mode = 6 msgs / 3 RTT / 4 modexps.
-    assert!(quick.messages < 6);
+    assert!(quick.messages < main.messages);
     assert_eq!(quick.modexps, 0);
     let m = CostModel::paper_era();
     // Quick mode ≈ 2 RTTs (80 ms paper-era); main mode ≥ 160 ms.
     assert!(quick.estimate_ns(&m) < 100_000_000);
+    assert!(main.estimate_ns(&m) >= 160_000_000);
 }
 
 #[test]
 fn chained_rekeys_always_separate_key_material() {
     let mut seen = std::collections::HashSet::new();
     for gen in 0u8..10 {
-        let out = rekey(&RekeyRequest {
+        let new_sa = rekey(&RekeyRequest {
             skeyid: b"phase1-skeyid".to_vec(),
             nonce_i: [gen; 16],
             nonce_r: [gen ^ 0xFF; 16],
@@ -210,11 +207,11 @@ fn chained_rekeys_always_separate_key_material() {
             suite: CryptoSuite::default(),
         });
         assert!(
-            seen.insert(out.sa.keys().auth),
+            seen.insert(new_sa.keys().auth),
             "generation {gen} repeated auth key"
         );
         assert!(
-            seen.insert(out.sa.keys().enc),
+            seen.insert(new_sa.keys().enc),
             "generation {gen} repeated enc key"
         );
     }
