@@ -494,8 +494,7 @@ impl ScenarioRunner {
                 .schedule_at(SimTime::ZERO + every, Ev::AdversaryTick);
         }
         let deadline = SimTime::ZERO + self.cfg.duration;
-        // Pump events; the handler needs &mut self alongside &mut sim, so
-        // the loop is hand-rolled rather than using Simulator::run.
+        // Pump events up to the deadline; later ones stay queued.
         loop {
             match self.sim.peek_time() {
                 Some(t) if t <= deadline => {}
@@ -1167,6 +1166,10 @@ mod tests {
             );
             assert!(out.monitor.fresh_delivered > 500, "{suite:?}");
             assert_eq!(out.monitor.fresh_discarded, 0, "{suite:?}");
+            assert!(
+                out.end_time <= SimTime::from_millis(5),
+                "{suite:?}: an event past the run's end was handled"
+            );
         }
     }
 

@@ -122,7 +122,7 @@ impl DpdDetector {
 
     /// The earliest instant at which [`DpdDetector::poll`] could do
     /// anything other than return [`DpdAction::Idle`] — the deadline a
-    /// timer wheel should arm for this detector. `None` means the
+    /// deadline heap should arm for this detector. `None` means the
     /// detector never transitions again on its own: either it is
     /// `Dead`, or the deadline arithmetic would overflow `u64`
     /// nanoseconds (in which case `poll`'s saturating subtraction can

@@ -26,7 +26,8 @@
 //! [`Gateway::add_peer`] (symmetric shortcut) or
 //! [`Gateway::install_pair`] (e.g. an SA pair negotiated by IKE).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
 use std::time::Instant;
 
@@ -42,7 +43,6 @@ use crate::esp::{Inbound, Outbound, RxReject, RxResult};
 use crate::rekey::{rekey, rekey_due, RekeyRequest};
 use crate::sa::{CryptoSuite, SaKeys, SaLifetime, SecurityAssociation};
 use crate::sadb::{SaPolicy, Sadb};
-use crate::timer::TimerWheel;
 use crate::IpsecError;
 
 /// Which directional endpoint a store is being created for (the
@@ -280,9 +280,9 @@ impl<S: StableStore> GatewayBuilder<S> {
     /// Enables dead-peer detection: [`Gateway::tick`] emits
     /// [`GatewayEvent::ProbeDue`] after silence and tears the pair down
     /// ([`GatewayEvent::PeerDead`]) when the §6 grace period expires.
-    /// Probe/teardown deadlines live in a hierarchical timer wheel, so a
-    /// tick visits only detectors whose deadline has arrived — never the
-    /// whole fleet. Disabled by default.
+    /// Probe/teardown deadlines live in one min-heap, so a tick visits
+    /// only detectors whose deadline has arrived — never the whole
+    /// fleet. Disabled by default.
     pub fn dpd(mut self, cfg: DpdConfig) -> Self {
         self.dpd = Some(cfg);
         self
@@ -345,7 +345,8 @@ impl<S: StableStore> GatewayBuilder<S> {
             recover_started: None,
             make_store: self.make_store,
             dpd_unarmed: BTreeSet::new(),
-            timer: TimerWheel::new(),
+            dpd_heap: BinaryHeap::new(),
+            dpd_pushed: 0,
             timer_scratch: Vec::new(),
             rx_scratch: Vec::new(),
             rekey_due: BTreeSet::new(),
@@ -424,7 +425,7 @@ pub struct Gateway<S> {
     /// spans the whole FETCH → wake-up SAVE window, retries included).
     recover_started: Option<Instant>,
     make_store: Box<dyn FnMut(u32, SaDirection) -> S + Send>,
-    // Per-SA state (detector, live wheel deadline, rekey generation) is
+    // Per-SA state (detector, live DPD deadline, rekey generation) is
     // in the SA's record in the SADB, its `SaPolicy`, and leaves with it.
     // The SPI-keyed fields below hold only work that is due: each entry
     // is a hint, verified against the live record when drained, so none
@@ -433,14 +434,17 @@ pub struct Gateway<S> {
     /// for the first [`Gateway::tick`] (or delivered frame) so the idle
     /// clock starts at the driver's real time, not at install time.
     dpd_unarmed: BTreeSet<u32>,
-    /// Hierarchical wheel holding every scheduled DPD deadline. Entries
-    /// are SPIs; only the one whose deadline matches the record's
+    /// Every scheduled DPD deadline as `(deadline, push number, SPI)`,
+    /// earliest first; the push number (`dpd_pushed` at the push) makes
+    /// equal deadlines fire in scheduling order. Only the entry whose deadline matches the record's
     /// `dpd_deadline` is live — superseded ones, and those of an SA torn
-    /// down since, expire as stale no-ops. The live deadline never
+    /// down since, fire as stale no-ops. The live deadline never
     /// exceeds the detector's true next transition, so a tick can skip
-    /// every SPI the wheel does not surface; an entry that fires early
+    /// every SPI the heap does not surface; an entry that fires early
     /// merely polls `Idle` and re-arms at the true deadline.
-    timer: TimerWheel<u32>,
+    dpd_heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// Entries ever pushed onto `dpd_heap`.
+    dpd_pushed: u64,
     /// Reusable drain buffer for due timers — the idle tick touches it
     /// without allocating.
     timer_scratch: Vec<(u64, u32)>,
@@ -451,7 +455,7 @@ pub struct Gateway<S> {
     /// Due-list: SPIs whose usage crossed the rekey lifetime, marked at
     /// accounting time (protect / delivery / install) and drained by
     /// [`Gateway::tick`] — dueness is usage-driven, so it cannot be
-    /// time-bucketed into the wheel.
+    /// kept in the deadline heap.
     rekey_due: BTreeSet<u32>,
     /// Due-list: SAs whose wake-up FETCH failed in
     /// [`Gateway::begin_recover`], with the reason, carried to
@@ -471,7 +475,7 @@ impl<S> fmt::Debug for Gateway<S> {
             .field("k", &self.k)
             .field("w", &self.w)
             .field("sas", &self.sadb.len())
-            .field("scheduled_timers", &self.timer.len())
+            .field("scheduled_timers", &self.dpd_heap.len())
             .field("pending_events", &self.events.len())
             .finish_non_exhaustive()
     }
@@ -590,9 +594,9 @@ impl<S: StableStore> Gateway<S> {
     }
 
     /// Tears down both directions of `spi`. The record leaves the SADB
-    /// with everything kept for the SA (a wheel entry it still has expires
-    /// as a stale no-op), so a later SA under the same SPI starts from
-    /// scratch. Best-effort erases the directions' persistent slots (so a
+    /// with everything kept for the SA (a deadline it still has in the
+    /// heap fires as a stale no-op), so a later SA under the same SPI
+    /// starts from scratch. Best-effort erases the directions' persistent slots (so a
     /// later FETCH cannot resurrect this SA's counters into a reused
     /// SPI). Returns whether anything was removed.
     pub fn remove_peer(&mut self, spi: u32) -> bool {
@@ -722,7 +726,14 @@ impl<S: StableStore> Gateway<S> {
             // Re-scheduling is usually a no-op (traffic pushes the
             // deadline later); a grace-exit can pull it earlier, which
             // must supersede the live entry.
-            heard_from(&mut record.policy, cfg, self.now_ns, &mut self.timer, spi);
+            heard_from(
+                &mut record.policy,
+                cfg,
+                self.now_ns,
+                &mut self.dpd_heap,
+                &mut self.dpd_pushed,
+                spi,
+            );
         }
         if let (Some(lifetime), Some(inbound)) = (self.rekey_after, record.inbound()) {
             if rekey_due(inbound.sa(), &lifetime) {
@@ -768,12 +779,16 @@ impl<S: StableStore> Gateway<S> {
     // ------------------------------------------------------------------
 
     /// Advances the gateway's clock and runs the *due* work only: DPD
-    /// deadlines that the hierarchical timer wheel says have expired,
+    /// deadlines at or before `now_ns`, in (deadline, scheduling) order,
     /// and rekeys for SAs the accounting paths marked in the due-set
     /// since the last tick. There is no per-SA sweep — an idle tick
-    /// (nothing due) is a single wheel comparison regardless of SADB
-    /// size. Emits [`GatewayEvent::ProbeDue`], [`GatewayEvent::PeerDead`],
+    /// (nothing due) is one heap `peek` regardless of SADB size. Emits
+    /// [`GatewayEvent::ProbeDue`], [`GatewayEvent::PeerDead`],
     /// [`GatewayEvent::RekeyStarted`]/[`GatewayEvent::RekeyCompleted`].
+    ///
+    /// `now_ns` should never decrease. A tick whose clock runs backward
+    /// fires only the deadlines due at its own `now_ns`; nothing is
+    /// clamped to the latest clock seen.
     pub fn tick(&mut self, now_ns: u64) {
         self.now_ns = now_ns;
         // Arm detectors installed since the last tick: their idle clock
@@ -785,14 +800,29 @@ impl<S: StableStore> Gateway<S> {
                 continue;
             };
             if record.inbound().is_some() && record.policy.dpd.is_none() {
-                heard_from(&mut record.policy, cfg, now_ns, &mut self.timer, spi);
+                heard_from(
+                    &mut record.policy,
+                    cfg,
+                    now_ns,
+                    &mut self.dpd_heap,
+                    &mut self.dpd_pushed,
+                    spi,
+                );
             }
         }
         // DPD first: a peer torn down here must not be rekeyed below.
-        // Only SPIs the wheel surfaces as due are polled — tick cost is
+        // Only SPIs the heap surfaces as due are polled — tick cost is
         // proportional to *due* timers, not fleet size, and an idle tick
-        // (nothing due) allocates nothing.
-        self.timer.expire_into(now_ns, &mut self.timer_scratch);
+        // (nothing due) allocates nothing. Every due entry is popped
+        // before any is handled, so one scheduled below (a zero-length
+        // interval) waits for the next tick.
+        while let Some(&Reverse((deadline, _, spi))) = self.dpd_heap.peek() {
+            if deadline > now_ns {
+                break;
+            }
+            self.dpd_heap.pop();
+            self.timer_scratch.push((deadline, spi));
+        }
         if !self.timer_scratch.is_empty() {
             let mut due = std::mem::take(&mut self.timer_scratch);
             for &(deadline, spi) in &due {
@@ -813,7 +843,12 @@ impl<S: StableStore> Gateway<S> {
                     self.emit(GatewayEvent::PeerDead { spi });
                     continue; // record gone; nothing to re-arm
                 }
-                schedule_dpd(&mut record.policy, &mut self.timer, spi);
+                schedule_dpd(
+                    &mut record.policy,
+                    &mut self.dpd_heap,
+                    &mut self.dpd_pushed,
+                    spi,
+                );
                 if action == DpdAction::SendProbe {
                     self.emit(GatewayEvent::ProbeDue { spi });
                 }
@@ -1086,33 +1121,40 @@ fn erase_slots<S: StableStore>(
 
 /// Notes that `spi`'s peer is alive at `now_ns` — authenticated traffic,
 /// or the first clock reading of a freshly installed receiver — creating
-/// the detector on first use, and keeps its wheel entry in step.
+/// the detector on first use, and keeps its heap entry in step.
 fn heard_from(
     policy: &mut SaPolicy,
     cfg: DpdConfig,
     now_ns: u64,
-    timer: &mut TimerWheel<u32>,
+    heap: &mut BinaryHeap<Reverse<(u64, u64, u32)>>,
+    pushed: &mut u64,
     spi: u32,
 ) {
     let detector = policy.dpd.get_or_insert_with(|| DpdDetector::new(cfg));
     detector.on_traffic(now_ns);
-    schedule_dpd(policy, timer, spi);
+    schedule_dpd(policy, heap, pushed, spi);
 }
 
-/// (Re-)schedules `spi`'s live wheel entry at its detector's next
+/// (Re-)schedules `spi`'s live heap entry at its detector's next
 /// transition deadline. An existing entry that is already at or before
 /// the new deadline stays live (it fires early and re-arms); a later one
 /// is superseded so detection is never delayed.
-fn schedule_dpd(policy: &mut SaPolicy, timer: &mut TimerWheel<u32>, spi: u32) {
+fn schedule_dpd(
+    policy: &mut SaPolicy,
+    heap: &mut BinaryHeap<Reverse<(u64, u64, u32)>>,
+    pushed: &mut u64,
+    spi: u32,
+) {
     let Some(deadline) = policy.dpd.as_ref().and_then(|det| det.next_deadline()) else {
-        // Dead detector or none: whatever wheel entry remains is stale
+        // Dead detector or none: whatever heap entry remains is stale
         // and will be ignored when it fires.
         policy.dpd_deadline = None;
         return;
     };
     if policy.dpd_deadline.is_none_or(|live| live > deadline) {
         policy.dpd_deadline = Some(deadline);
-        timer.schedule(deadline, spi);
+        heap.push(Reverse((deadline, *pushed, spi)));
+        *pushed += 1;
     }
 }
 
@@ -1427,6 +1469,37 @@ mod tests {
         ));
     }
 
+    /// With every interval zero each deadline a tick schedules is due at
+    /// once, yet it fires only at the next tick: the detector moves one
+    /// step per tick, never cascading through several in one.
+    #[test]
+    fn zero_intervals_move_dpd_one_step_per_tick() {
+        let mut p = GatewayBuilder::in_memory()
+            .dpd(DpdConfig {
+                idle_timeout_ns: 0,
+                probe_interval_ns: 0,
+                max_probes: 2,
+                grace_period_ns: 0,
+            })
+            .build();
+        p.add_peer(0x34, b"zero-dpd-master");
+        let mut step = || {
+            p.tick(7_000);
+            (p.poll_events(), p.in_grace(0x34))
+        };
+        assert_eq!(
+            step(),
+            (vec![GatewayEvent::ProbeDue { spi: 0x34 }], Some(false))
+        );
+        assert_eq!(
+            step(),
+            (vec![GatewayEvent::ProbeDue { spi: 0x34 }], Some(false))
+        );
+        assert_eq!(step(), (vec![], Some(true)), "presumed down: grace");
+        assert_eq!(step(), (vec![GatewayEvent::PeerDead { spi: 0x34 }], None));
+        assert_eq!(step(), (vec![], None));
+    }
+
     #[test]
     fn authenticated_traffic_keeps_dpd_alive() {
         let dpd_cfg = DpdConfig {
@@ -1592,7 +1665,7 @@ mod tests {
         q.add_peer(A, b"first");
 
         // Give A everything a record can hold: two rekey generations, an
-        // armed detector deep in grace with a live wheel entry at the
+        // armed detector deep in grace with a live heap entry at the
         // grace expiry (1_500 + 10_000), and a SAVE owed.
         q.tick(0);
         for gw in [&mut p, &mut q] {
@@ -1636,7 +1709,7 @@ mod tests {
         assert!(!q.pending_save(), "A took its owed SAVE with it");
         starts_from_scratch(&mut q, B, b"second");
 
-        // B arms at its own first tick. When A's wheel entry comes due,
+        // B arms at its own first tick. When A's heap entry comes due,
         // it finds no A: the only thing that happens at that instant is
         // B's own first probe.
         q.tick(2_000);

@@ -75,19 +75,18 @@
 //! Three structural choices keep the control plane flat as the fleet
 //! grows from thousands of SAs to a million (ROADMAP item 2):
 //!
-//! * **Hierarchical timer wheel.** Every DPD probe/teardown deadline
-//!   lives in a private 11-level × 64-slot timer wheel (per-level
-//!   occupancy bitmaps, a cached next-due lower bound), and rekey
+//! * **One deadline heap.** Every DPD probe/teardown deadline lives in
+//!   one `BinaryHeap` ordered by (deadline, scheduling order), and rekey
 //!   checks ride a due-set marked at accounting time, so
-//!   [`Gateway::tick`] touches only *due* work: an idle tick is a
-//!   single comparison — ~4ns and zero allocations whether the SADB
+//!   [`Gateway::tick`] touches only *due* work: an idle tick is one
+//!   heap `peek` — ~9 ns and zero allocations whether the SADB
 //!   holds 10³ or 10⁶ SAs (`tests/it_alloc.rs` pins the allocation
 //!   claim with a counting global allocator; `tests/it_fleet.rs` pins
 //!   the flatness with a same-run 2× ceiling, at 2⁸ vs 2¹⁴ SAs in tier-1
 //!   and 10³ vs 10⁶ in the CI scaling lane).
 //! * **One record per SA.** [`Sadb`] keeps everything the host holds
 //!   for an SPI — both directional endpoints and the gateway's policy
-//!   state (DPD detector, live timer deadline, rekey generation) — as
+//!   state (DPD detector, live DPD deadline, rekey generation) — as
 //!   one record in one slab vector (freed slots reused), so batch
 //!   drains walk dense memory and a torn-down SA takes all of its state
 //!   with it; one hashed SPI → slot index finds a record in one probe,
@@ -170,13 +169,12 @@ mod rekey;
 mod sa;
 mod sadb;
 mod shard;
-mod timer;
 
 pub use dpd::{DpdAction, DpdConfig, DpdDetector};
 pub use error::IpsecError;
 pub use esp::{Inbound, Outbound, RxReject, RxResult};
 pub use gateway::{Gateway, GatewayBuilder, GatewayEvent, SaDirection, SentFrame};
-pub use rekey::{rekey, rekey_auth_tag, rekey_due, RekeyRequest};
+pub use rekey::{rekey, rekey_due, RekeyRequest};
 pub use reset_crypto::Backend;
 pub use sa::{CryptoSuite, SaKeys, SaLifetime, SaUsage, SecurityAssociation};
 pub use sadb::{RemovedSa, Sadb};

@@ -12,7 +12,7 @@
 //! under the old SA fails authentication under the new keys, so a rekey
 //! (unlike a SAVE/FETCH recovery) wipes the replay library.
 
-use reset_crypto::{hmac_sha256, prf_plus};
+use reset_crypto::prf_plus;
 
 use crate::sa::{CryptoSuite, SaKeys, SaLifetime, SecurityAssociation};
 
@@ -29,10 +29,9 @@ pub struct RekeyRequest {
     pub new_spi: u32,
     /// Suite for the replacement SA. A rekey may migrate the SA to a
     /// different transform (e.g. legacy HMAC+keystream → ChaCha20-
-    /// Poly1305); the suite id is bound into both the key derivation
-    /// and the quick-mode authentication tag, so a downgraded or
-    /// up-graded exchange cannot be spliced from another rekey's
-    /// messages.
+    /// Poly1305); the suite id is bound into the key derivation, so the
+    /// replacement's keys differ from those the same nonces and SPI
+    /// would derive under any other suite.
     pub suite: CryptoSuite,
 }
 
@@ -75,18 +74,6 @@ pub fn rekey(req: &RekeyRequest) -> SecurityAssociation {
 /// Convenience: is this SA due for a rekey under `lifetime`?
 pub fn rekey_due(sa: &SecurityAssociation, lifetime: &SaLifetime) -> bool {
     sa.usage().packets >= lifetime.max_packets || sa.usage().bytes >= lifetime.max_bytes
-}
-
-/// Authenticated rekey-notify tag (binds the nonces, SPI and suite id
-/// to SKEYID), so the 3 quick-mode messages cannot be mixed and matched
-/// across rekeys — nor a suite migration downgraded in flight.
-pub fn rekey_auth_tag(req: &RekeyRequest) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(37);
-    msg.extend_from_slice(&req.nonce_i);
-    msg.extend_from_slice(&req.nonce_r);
-    msg.extend_from_slice(&req.new_spi.to_be_bytes());
-    msg.push(req.suite.wire_id());
-    hmac_sha256(&req.skeyid, &msg)
 }
 
 #[cfg(test)]
@@ -164,19 +151,6 @@ mod tests {
         sa.account(10);
         sa.account(10);
         assert!(rekey_due(&sa, &lt));
-    }
-
-    #[test]
-    fn auth_tag_binds_all_inputs() {
-        let t0 = rekey_auth_tag(&req(1));
-        let mut r = req(1);
-        r.nonce_r = [0; 16];
-        assert_ne!(rekey_auth_tag(&r), t0);
-        assert_ne!(rekey_auth_tag(&req(2)), t0);
-        let mut s = req(1);
-        s.suite = CryptoSuite::HmacSha256WithKeystream;
-        assert_ne!(rekey_auth_tag(&s), t0, "suite id must be bound");
-        assert_eq!(rekey_auth_tag(&req(1)), t0);
     }
 
     #[test]

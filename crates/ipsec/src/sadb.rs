@@ -14,7 +14,7 @@
 //! slots are reused). A record holds the SPI, the outbound and inbound
 //! halves (either may be absent) and a crate-internal policy block: the
 //! [`crate::Gateway`]'s DPD detector, the deadline of its one live
-//! timer-wheel entry, the rekey generation, and this module's "SAVE
+//! DPD heap entry, the rekey generation, and this module's "SAVE
 //! queued" bits. A standalone database never fills it, and a reused slot
 //! starts from a default one, so nothing a torn-down SA knew reaches its
 //! successor.
@@ -171,7 +171,7 @@ pub(crate) struct SaPolicy {
     /// The inbound half's dead-peer detector; `None` until its first
     /// clock reading (and always, when DPD is off).
     pub(crate) dpd: Option<DpdDetector>,
-    /// Deadline of the SPI's single *live* timer-wheel entry. The wheel
+    /// Deadline of the SPI's single *live* DPD heap entry. The heap
     /// has no cancel: an entry that fires with any other deadline —
     /// superseded, or scheduled for a previous owner of the SPI — is
     /// stale and ignored.

@@ -12,34 +12,28 @@
 //! * [`SimTime`] / [`SimDuration`] — virtual nanosecond clock.
 //! * [`DetRng`] — a locally implemented xoshiro256++ generator so random
 //!   streams are stable across toolchains; forkable per component.
-//! * [`Simulator`] — time-ordered event queue with cancellation and
-//!   deterministic FIFO tie-breaking.
-//! * [`TraceLog`] — bounded human-readable execution traces.
-//! * [`Summary`] / [`Histogram`] — online statistics for experiment
-//!   reports.
+//! * [`Simulator`] — time-ordered event queue with deterministic FIFO
+//!   tie-breaking.
 //!
 //! # Examples
 //!
 //! ```
-//! use reset_sim::{ControlFlow, SimDuration, Simulator};
+//! use reset_sim::{SimDuration, SimTime, Simulator};
 //!
 //! // A two-event "protocol": a send and its delivery.
 //! #[derive(Debug)]
 //! enum Ev { Send(u64), Deliver(u64) }
 //!
 //! let mut sim = Simulator::new(0xC0FFEE);
-//! sim.schedule_in(SimDuration::from_micros(1), Ev::Send(1));
+//! sim.schedule_at(SimTime::ZERO + SimDuration::from_micros(1), Ev::Send(1));
 //! let mut delivered = Vec::new();
-//! sim.run(1_000, |sim, _, ev| {
+//! while let Some((now, ev)) = sim.next_event() {
 //!     match ev {
-//!         Ev::Send(s) => {
-//!             sim.schedule_in(SimDuration::from_micros(40), Ev::Deliver(s));
-//!         }
-//!         Ev::Deliver(s) => delivered.push(s),
+//!         Ev::Send(s) => sim.schedule_at(now + SimDuration::from_micros(40), Ev::Deliver(s)),
+//!         Ev::Deliver(s) => delivered.push((now.as_micros(), s)),
 //!     }
-//!     ControlFlow::Continue
-//! });
-//! assert_eq!(delivered, vec![1]);
+//! }
+//! assert_eq!(delivered, vec![(41, 1)]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,12 +41,8 @@
 
 mod rng;
 mod simulator;
-mod stats;
 mod time;
-mod trace;
 
 pub use rng::{splitmix64, DetRng};
-pub use simulator::{ControlFlow, EventId, Simulator};
-pub use stats::{Histogram, Summary};
+pub use simulator::Simulator;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEntry, TraceLog};

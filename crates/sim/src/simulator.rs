@@ -9,25 +9,22 @@
 //! order (FIFO tie-break), which keeps runs deterministic.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::rng::DetRng;
-use crate::time::{SimDuration, SimTime};
-
-/// Handle to a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+use crate::time::SimTime;
 
 #[derive(Debug)]
 struct Scheduled<E> {
     at: SimTime,
-    id: EventId,
+    /// Scheduling order: breaks ties between equal `at`.
+    seq: u64,
     event: E,
 }
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.id == other.id
+        self.at == other.at && self.seq == other.seq
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -40,9 +37,12 @@ impl<E> PartialOrd for Scheduled<E> {
 
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, id) pops
-        // first. Equal times fall back to insertion order via the id.
-        other.at.cmp(&self.at).then_with(|| other.id.cmp(&self.id))
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq)
+        // pops first. Equal times fall back to scheduling order.
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
@@ -51,28 +51,27 @@ impl<E> Ord for Scheduled<E> {
 /// # Examples
 ///
 /// ```
-/// use reset_sim::{SimDuration, Simulator};
+/// use reset_sim::{SimTime, Simulator};
 ///
 /// #[derive(Debug, PartialEq)]
 /// enum Ev { Ping, Pong }
 ///
 /// let mut sim = Simulator::new(1);
-/// sim.schedule_in(SimDuration::from_micros(5), Ev::Pong);
-/// sim.schedule_in(SimDuration::from_micros(1), Ev::Ping);
+/// sim.schedule_at(SimTime::from_nanos(5), Ev::Pong);
+/// sim.schedule_at(SimTime::from_nanos(1), Ev::Ping);
+/// assert_eq!(sim.peek_time(), Some(SimTime::from_nanos(1)));
 /// let (t1, e1) = sim.next_event().unwrap();
-/// assert_eq!((t1.as_micros(), e1), (1, Ev::Ping));
+/// assert_eq!((t1.as_nanos(), e1), (1, Ev::Ping));
 /// let (t2, e2) = sim.next_event().unwrap();
-/// assert_eq!((t2.as_micros(), e2), (5, Ev::Pong));
+/// assert_eq!((t2.as_nanos(), e2), (5, Ev::Pong));
 /// assert!(sim.next_event().is_none());
 /// ```
 #[derive(Debug)]
 pub struct Simulator<E> {
     now: SimTime,
     queue: BinaryHeap<Scheduled<E>>,
-    cancelled: HashSet<EventId>,
-    next_id: u64,
+    next_seq: u64,
     rng: DetRng,
-    processed: u64,
 }
 
 impl<E> Simulator<E> {
@@ -81,26 +80,14 @@ impl<E> Simulator<E> {
         Simulator {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
-            cancelled: HashSet::new(),
-            next_id: 0,
+            next_seq: 0,
             rng: DetRng::new(seed),
-            processed: 0,
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events delivered so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of pending (non-cancelled) events.
-    pub fn pending(&self) -> usize {
-        self.queue.len() - self.cancelled.len()
     }
 
     /// The simulator's root RNG. Components should [`DetRng::fork`] their
@@ -114,118 +101,41 @@ impl<E> Simulator<E> {
     /// # Panics
     ///
     /// Panics if `at` is in the past (before [`Simulator::now`]).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "cannot schedule into the past");
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.queue.push(Scheduled { at, id, event });
-        id
-    }
-
-    /// Schedules `event` after a relative delay.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
-        self.schedule_at(self.now + delay, event)
+        self.queue.push(Scheduled {
+            at,
+            seq: self.next_seq,
+            event,
+        });
+        self.next_seq += 1;
     }
 
     /// Schedules `event` at the current instant (delivered after any
     /// already-queued events for this instant).
-    pub fn schedule_now(&mut self, event: E) -> EventId {
+    pub fn schedule_now(&mut self, event: E) {
         self.schedule_at(self.now, event)
-    }
-
-    /// Cancels a pending event. Returns `true` if the event was still
-    /// pending, `false` if it already fired or was already cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_id {
-            return false;
-        }
-        // Tombstone; the heap entry is skipped when popped.
-        self.cancelled.insert(id)
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     /// Returns `None` when the queue is exhausted.
     pub fn next_event(&mut self) -> Option<(SimTime, E)> {
-        while let Some(s) = self.queue.pop() {
-            if self.cancelled.remove(&s.id) {
-                continue;
-            }
-            debug_assert!(s.at >= self.now, "time must be monotone");
-            self.now = s.at;
-            self.processed += 1;
-            return Some((s.at, s.event));
-        }
-        None
+        let s = self.queue.pop()?;
+        debug_assert!(s.at >= self.now, "time must be monotone");
+        self.now = s.at;
+        Some((s.at, s.event))
     }
 
-    /// Peeks at the timestamp of the next (non-cancelled) event.
+    /// The timestamp of the next event, without delivering it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // The heap may have tombstones at the top; scan lazily without
-        // mutating. Tombstones are rare so a linear scan over the top few
-        // is acceptable; we do it by iterating in heap order.
-        self.queue
-            .iter()
-            .filter(|s| !self.cancelled.contains(&s.id))
-            .map(|s| s.at)
-            .min()
+        self.queue.peek().map(|s| s.at)
     }
-
-    /// Runs until the queue is exhausted, `handler` returns
-    /// [`ControlFlow::Halt`], or `max_events` events have been processed.
-    /// Returns the number of events handled.
-    pub fn run<F>(&mut self, max_events: u64, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Self, SimTime, E) -> ControlFlow,
-    {
-        let mut handled = 0;
-        while handled < max_events {
-            let Some((t, ev)) = self.next_event() else {
-                break;
-            };
-            handled += 1;
-            if handler(self, t, ev) == ControlFlow::Halt {
-                break;
-            }
-        }
-        handled
-    }
-
-    /// Runs until virtual time reaches `deadline` (events strictly after the
-    /// deadline remain queued), the queue empties, or the handler halts.
-    pub fn run_until<F>(&mut self, deadline: SimTime, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Self, SimTime, E) -> ControlFlow,
-    {
-        let mut handled = 0;
-        loop {
-            match self.peek_time() {
-                Some(t) if t <= deadline => {}
-                _ => break,
-            }
-            let Some((t, ev)) = self.next_event() else {
-                break;
-            };
-            handled += 1;
-            if handler(self, t, ev) == ControlFlow::Halt {
-                break;
-            }
-        }
-        handled
-    }
-}
-
-/// Tells [`Simulator::run`] whether to keep pumping events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlFlow {
-    /// Keep processing events.
-    Continue,
-    /// Stop the run loop immediately.
-    Halt,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[derive(Debug, PartialEq, Clone)]
     enum Ev {
@@ -240,10 +150,12 @@ mod tests {
         sim.schedule_at(SimTime::from_nanos(30), Ev::C);
         sim.schedule_at(SimTime::from_nanos(10), Ev::A);
         sim.schedule_at(SimTime::from_nanos(20), Ev::B);
+        assert_eq!(sim.peek_time(), Some(SimTime::from_nanos(10)));
         let order: Vec<_> = std::iter::from_fn(|| sim.next_event())
             .map(|(_, e)| e)
             .collect();
         assert_eq!(order, vec![Ev::A, Ev::B, Ev::C]);
+        assert_eq!(sim.peek_time(), None);
     }
 
     #[test]
@@ -261,28 +173,10 @@ mod tests {
     #[test]
     fn clock_advances_to_event_time() {
         let mut sim = Simulator::new(0);
-        sim.schedule_in(SimDuration::from_micros(7), Ev::A);
+        sim.schedule_at(SimTime::ZERO + SimDuration::from_micros(7), Ev::A);
         let (t, _) = sim.next_event().unwrap();
         assert_eq!(t.as_micros(), 7);
         assert_eq!(sim.now().as_micros(), 7);
-    }
-
-    #[test]
-    fn cancellation_suppresses_delivery() {
-        let mut sim = Simulator::new(0);
-        let a = sim.schedule_at(SimTime::from_nanos(1), Ev::A);
-        sim.schedule_at(SimTime::from_nanos(2), Ev::B);
-        assert!(sim.cancel(a));
-        assert!(!sim.cancel(a), "double cancel is a no-op");
-        let (_, e) = sim.next_event().unwrap();
-        assert_eq!(e, Ev::B);
-        assert!(sim.next_event().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut sim: Simulator<Ev> = Simulator::new(0);
-        assert!(!sim.cancel(EventId(999)));
     }
 
     #[test]
@@ -295,67 +189,17 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_deadline() {
-        let mut sim = Simulator::new(0);
-        sim.schedule_at(SimTime::from_nanos(1), Ev::A);
-        sim.schedule_at(SimTime::from_nanos(2), Ev::B);
-        sim.schedule_at(SimTime::from_nanos(10), Ev::C);
-        let mut seen = Vec::new();
-        sim.run_until(SimTime::from_nanos(5), |_, _, e| {
-            seen.push(e);
-            ControlFlow::Continue
-        });
-        assert_eq!(seen, vec![Ev::A, Ev::B]);
-        assert_eq!(sim.pending(), 1, "C stays queued");
-    }
-
-    #[test]
-    fn run_halts_on_request() {
-        let mut sim = Simulator::new(0);
-        for i in 0..10 {
-            sim.schedule_at(SimTime::from_nanos(i), Ev::A);
-        }
-        let handled = sim.run(u64::MAX, |_, t, _| {
-            if t.as_nanos() >= 3 {
-                ControlFlow::Halt
-            } else {
-                ControlFlow::Continue
-            }
-        });
-        assert_eq!(handled, 4);
-    }
-
-    #[test]
     fn handler_may_schedule_more_events() {
         let mut sim = Simulator::new(0);
         sim.schedule_at(SimTime::from_nanos(1), 0u32);
         let mut total = 0;
-        sim.run(u64::MAX, |sim, _, n| {
+        while let Some((now, n)) = sim.next_event() {
             total += 1;
             if n < 5 {
-                sim.schedule_in(SimDuration::from_nanos(1), n + 1);
+                sim.schedule_at(now + SimDuration::from_nanos(1), n + 1);
             }
-            ControlFlow::Continue
-        });
+        }
         assert_eq!(total, 6);
         assert_eq!(sim.now().as_nanos(), 6);
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut sim = Simulator::new(0);
-        let a = sim.schedule_at(SimTime::from_nanos(1), Ev::A);
-        sim.schedule_at(SimTime::from_nanos(4), Ev::B);
-        sim.cancel(a);
-        assert_eq!(sim.peek_time(), Some(SimTime::from_nanos(4)));
-    }
-
-    #[test]
-    fn pending_counts_exclude_cancelled() {
-        let mut sim = Simulator::new(0);
-        let a = sim.schedule_at(SimTime::from_nanos(1), Ev::A);
-        sim.schedule_at(SimTime::from_nanos(2), Ev::B);
-        sim.cancel(a);
-        assert_eq!(sim.pending(), 1);
     }
 }

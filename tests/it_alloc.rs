@@ -252,8 +252,8 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
     assert_eq!((tx.store().generation, rx.store().generation), (2, 2));
 
     // ---- the control plane: an idle tick only compares `now` against
-    // the timer wheel's cached lower bound, even on a fleet with live DPD
-    // detectors, armed wheel entries and a rekey policy.
+    // the earliest DPD deadline in the heap, even on a fleet with live
+    // DPD detectors, scheduled deadlines and a rekey policy.
     let mut gw = GatewayBuilder::in_memory()
         .dpd(DpdConfig::default())
         .rekey_after(SaLifetime {
@@ -266,8 +266,8 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
     }
     let frame = gw.protect(7, b"warm the datapath").unwrap().unwrap();
     gw.push_wire(&frame.wire).unwrap();
-    // The first tick arms every detector and fills the wheel: it may
-    // allocate.
+    // The first tick arms every detector and fills the deadline heap:
+    // it may allocate.
     gw.tick(1_000);
     gw.poll_events();
     let ((), allocs) = counted(|| {

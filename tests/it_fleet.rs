@@ -1,16 +1,19 @@
 //! Idle-tick flatness across fleet sizes (ROADMAP item 2: "a million
 //! tunnels").
 //!
-//! The control-plane property the hierarchical timer wheel exists for:
-//! an *idle* `tick` costs the same whether the SADB holds a few hundred
-//! SAs or a million, because tick work is proportional to the number of
-//! *due* timers, not to fleet size. The pre-wheel implementation swept
-//! every DPD detector and every SA on every tick, so this assertion was
-//! impossible to meet.
+//! The control-plane property the DPD deadline heap exists for: an
+//! *idle* `tick` costs the same whether the SADB holds a few hundred SAs
+//! or a million, because tick work is proportional to the number of
+//! *due* timers, not to fleet size. An implementation that swept every
+//! DPD detector and every SA on every tick could not meet this
+//! assertion.
 //!
 //! Tier-1 checks it at 2^8 vs 2^14 SA pairs, where a reintroduced
-//! fleet-proportional sweep reads about 64x. The full scale — 10^3 vs
-//! 10^6 SA pairs, then a 4096-frame batch drained through the million-SA
+//! fleet-proportional sweep reads about 64x. The large fleet then takes
+//! two probe storms — ticks at which every detector is due at once —
+//! that must probe each SA exactly once, in arming order; their cost per
+//! SA is printed, not asserted. The full scale — 10^3 vs 10^6 SA pairs,
+//! the storms, then a 4096-frame batch drained through the million-SA
 //! gateway to prove the datapath still delivers under the slab SADB — is
 //! gated behind `IT_FLEET_1M=1`, because installing 10^6 SA pairs takes
 //! real time and memory; the CI scaling lane opts in explicitly.
@@ -24,8 +27,11 @@ use std::time::Instant;
 
 const MASTER: &[u8] = b"fleet-master-secret";
 
+/// The clock of the tick that arms every detector.
+const ARMED_AT: u64 = 1_000;
+
 /// Install `n` SA pairs with shared keys (one derivation, not `n` —
-/// key uniqueness is irrelevant to timer-wheel scaling).
+/// key uniqueness is irrelevant to tick scaling).
 fn build_fleet(n: u32) -> Gateway<MemStable> {
     let keys = SaKeys::derive(MASTER, b"fleet-shared");
     let mut gw = GatewayBuilder::in_memory()
@@ -39,10 +45,10 @@ fn build_fleet(n: u32) -> Gateway<MemStable> {
     for spi in 1..=n {
         gw.install_pair(SecurityAssociation::new(spi, keys.clone()));
     }
-    // First tick arms every DPD detector and populates the wheel; this
-    // is the one fleet-proportional tick and stays outside the timed
-    // region.
-    gw.tick(1_000);
+    // First tick arms every DPD detector and fills the deadline heap;
+    // this is the one fleet-proportional tick and stays outside the
+    // timed region.
+    gw.tick(ARMED_AT);
     gw.poll_events();
     gw
 }
@@ -50,7 +56,7 @@ fn build_fleet(n: u32) -> Gateway<MemStable> {
 /// Median-of-5 wall time for `rounds` idle ticks.
 fn time_idle_ticks(gw: &mut Gateway<MemStable>, rounds: u64) -> std::time::Duration {
     let mut samples = Vec::new();
-    let mut now = 1_000u64;
+    let mut now = ARMED_AT;
     for _ in 0..5 {
         let start = Instant::now();
         for _ in 0..rounds {
@@ -87,9 +93,42 @@ fn assert_idle_tick_flat(small: u32, large: u32) -> Gateway<MemStable> {
     fleet
 }
 
+/// Ticks `fleet`, armed at [`ARMED_AT`] and idle since, past the idle
+/// timeout and then one probe interval later. Every detector is due at
+/// each of the two ticks: each must emit exactly one `ProbeDue` per SA,
+/// in arming order (ascending SPI, the order the equal deadlines were
+/// scheduled in).
+fn assert_probe_storms(fleet: &mut Gateway<MemStable>, n: u32) {
+    let cfg = DpdConfig::default();
+    let want: Vec<GatewayEvent> = (1..=n).map(|spi| GatewayEvent::ProbeDue { spi }).collect();
+    let first = ARMED_AT + cfg.idle_timeout_ns;
+    for (storm, at) in [first, first + cfg.probe_interval_ns]
+        .into_iter()
+        .enumerate()
+    {
+        let start = Instant::now();
+        fleet.tick(at);
+        let elapsed = start.elapsed();
+        eprintln!(
+            "probe storm {}: {n} SAs, {:.0} ns per SA",
+            storm + 1,
+            elapsed.as_nanos() as f64 / f64::from(n)
+        );
+        let events = fleet.poll_events();
+        assert!(
+            events == want,
+            "probe storm {}: {} events, want one ProbeDue per SA in ascending SPI order",
+            storm + 1,
+            events.len()
+        );
+    }
+}
+
 #[test]
 fn million_sa_idle_tick_costs_the_same_as_a_thousand() {
-    assert_idle_tick_flat(1 << 8, 1 << 14);
+    let mut fleet = assert_idle_tick_flat(1 << 8, 1 << 14);
+    assert_probe_storms(&mut fleet, 1 << 14);
+    drop(fleet);
     if std::env::var("IT_FLEET_1M").is_err() {
         eprintln!(
             "million_sa_idle_tick_costs_the_same_as_a_thousand: 10^6 SKIPPED \
@@ -98,6 +137,7 @@ fn million_sa_idle_tick_costs_the_same_as_a_thousand() {
         return;
     }
     let mut fleet = assert_idle_tick_flat(1_000, 1_000_000);
+    assert_probe_storms(&mut fleet, 1_000_000);
 
     // Datapath smoke at full fleet size: a 4096-frame batch across the
     // first 1024 SPIs drains through the slab SADB and delivers.
