@@ -83,7 +83,7 @@
 //! pins the arena of the whole drain it came from — every SA's payloads
 //! of that batch, not one SA's run — and makes the next drain allocate a
 //! fresh one; consumers that keep payloads beyond their event loop should
-//! copy them out (`Bytes::copy_from_slice`).
+//! copy them out (`Bytes::copy_from_slice`, one allocation each).
 
 use std::ops::Range;
 
@@ -91,8 +91,7 @@ use bytes::{Bytes, BytesMut};
 use reset_crypto::{ChaCha20Poly1305Suite, FrameToVerify, SealAhead};
 use reset_stable::{SlotId, StableError, StableStore};
 use reset_wire::{
-    check_frame_length, frame_overhead, infer_esn, seal_frame_ahead, verify_frame_with, WireError,
-    HEADER_LEN,
+    check_frame_length, infer_esn, seal_frame_ahead, verify_frame_with, WireError, HEADER_LEN,
 };
 
 use anti_replay::machine::DEFAULT_WAKEUP_BUFFER;
@@ -197,11 +196,11 @@ impl<S: StableStore> Outbound<S> {
         let Some(seq) = self.seq.send_next() else {
             return Ok(None);
         };
-        // The suite encrypts in place inside the wire buffer, so the
-        // per-packet allocations are the returned buffer's own two: the
-        // `Vec` behind it and the `Arc` that `freeze` wraps it in.
+        // The suite encrypts in place inside the wire buffer, so the one
+        // per-packet allocation is the returned buffer's, made at the
+        // frame's exact size by the codec; `freeze` adds none.
         let cipher = self.sa.cipher();
-        let mut wire = BytesMut::with_capacity(frame_overhead(cipher) + payload.len());
+        let mut wire = BytesMut::new();
         let (spi, esn) = (self.sa.spi(), self.sa.esn());
         seal_frame_ahead(&mut wire, spi, seq.value(), payload, cipher, esn, ahead)?;
         self.sa.account(payload.len());
@@ -523,6 +522,8 @@ pub(crate) struct DrainScratch {
     /// Reserved in one step when the first payload needs the arena, so a
     /// drain that delivers nothing encrypted reserves nothing.
     arena_bound: usize,
+    /// How many bytes of the arena this drain's payloads fill.
+    arena_used: usize,
     /// Handle onto the previous drain's frozen arena. Once the consumer
     /// has dropped that drain's payloads this is the unique owner and
     /// the next drain reclaims the allocation.
@@ -538,6 +539,7 @@ impl DrainScratch {
         self.slots.clear();
         self.arena = BytesMut::recycle(std::mem::take(&mut self.recycled), 0);
         self.arena_bound = wire_bytes;
+        self.arena_used = 0;
     }
 
     /// The drain's one decrypt: every AEAD payload in the arena, whichever
@@ -564,6 +566,7 @@ impl DrainScratch {
     /// Closes the drain: freezes the arena once and points every
     /// delivered placeholder in `out` at its decrypted slice.
     pub(crate) fn finish(&mut self, out: &mut [RxResult]) {
+        self.arena.resize(self.arena_used, 0);
         let frozen = std::mem::take(&mut self.arena).freeze();
         for (&slot, (_, _, range)) in self.slots.iter().zip(&self.jobs) {
             let RxResult::Delivered { payload, .. } = &mut out[slot] else {
@@ -698,7 +701,8 @@ impl<S: StableStore> Inbound<S> {
     /// Memory caveat: every encrypted payload of a drain is a slice of
     /// the drain's one arena, so *retaining* any single payload pins the
     /// whole buffer. Consumers that keep payloads beyond the drain loop
-    /// should copy them out (`Bytes::copy_from_slice`).
+    /// should copy them out (`Bytes::copy_from_slice`, one allocation
+    /// each).
     ///
     /// # Errors
     ///
@@ -822,7 +826,7 @@ impl<S: StableStore> Inbound<S> {
     fn window_run<'w>(
         &mut self,
         scratch: &mut DrainScratch,
-        wires: impl Iterator<Item = &'w Bytes>,
+        wires: impl Iterator<Item = &'w Bytes> + Clone,
         records: &mut impl Iterator<Item = Parsed>,
         slot: u32,
         out: &mut Vec<RxResult>,
@@ -854,6 +858,12 @@ impl<S: StableStore> Inbound<S> {
         let esn = self.sa.esn();
         let body_off = HEADER_LEN + self.sa.cipher().iv_len();
         let keystream = self.sa.aead().is_none();
+        // The run sizes and borrows the arena at its first payload (empty
+        // until then), once: its uniqueness is checked per run, not per
+        // frame, and the zero fill `resize` owes covers this run's bytes,
+        // just ahead of the copies into them.
+        let run_bytes: usize = wires.clone().map(Bytes::len).sum();
+        let mut arena: &mut [u8] = &mut [];
         for wire in wires {
             let record = records.next().expect("walk (ii) parsed every frame");
             let (seq_lo, payload_len, guess_hi, guessed_ok) = match record {
@@ -906,16 +916,20 @@ impl<S: StableStore> Inbound<S> {
                         });
                         continue;
                     }
-                    if scratch.arena.capacity() < scratch.arena_bound {
-                        // First use this drain: one reservation, so the
-                        // arena never grows by doubling inside the loop.
-                        scratch
-                            .arena
-                            .reserve(scratch.arena_bound - scratch.arena.len());
+                    if arena.is_empty() {
+                        if scratch.arena.capacity() < scratch.arena_bound {
+                            // First use this drain: one reservation, so the
+                            // arena never grows by doubling inside the loop.
+                            scratch
+                                .arena
+                                .reserve(scratch.arena_bound - scratch.arena.len());
+                        }
+                        scratch.arena.resize(scratch.arena_used + run_bytes, 0);
+                        arena = scratch.arena.as_mut();
                     }
-                    let start = scratch.arena.len();
-                    scratch.arena.extend_from_slice(&wire[body]);
-                    let range = start..start + payload_len;
+                    let range = scratch.arena_used..scratch.arena_used + payload_len;
+                    arena[range.clone()].copy_from_slice(&wire[body]);
+                    scratch.arena_used = range.end;
                     scratch.jobs.push((slot, seq.value(), range));
                     scratch.keystream |= keystream;
                     scratch.slots.push(out.len());

@@ -563,7 +563,8 @@ impl<S: StableStore> Sadb<S> {
     /// Memory caveat: every encrypted payload this call delivers, for
     /// whichever SA, is a slice of the drain's one arena. Retaining any
     /// of them pins that whole buffer and makes the next drain allocate
-    /// a fresh one; copy out (`Bytes::copy_from_slice`) what you keep.
+    /// a fresh one; copy out (`Bytes::copy_from_slice`, one allocation)
+    /// what you keep.
     ///
     /// # Errors
     ///

@@ -25,7 +25,7 @@
 //! decrypt), and [`open_frame`] verifies and decrypts in one step. Any
 //! [`reset_crypto::CipherSuite`] plugs in.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use reset_crypto::{CipherSuite, FrameToVerify, SealAhead, MAX_IV_LEN};
 
 use crate::WireError;
@@ -52,9 +52,9 @@ pub fn frame_overhead(suite: &dyn CipherSuite) -> usize {
 
 /// Seals a plaintext payload under `suite` into a caller-owned buffer:
 /// header, the suite's explicit IV (if any), the encrypted payload, and
-/// the suite's ICV. The buffer is cleared first and its allocation
-/// reused, so a sender draining a queue through one scratch `BytesMut`
-/// seals packets without per-packet allocation.
+/// the suite's ICV. The buffer is resized to the frame and its
+/// allocation reused, so a sender draining a queue through one scratch
+/// `BytesMut` seals packets without per-packet allocation.
 ///
 /// `seq` is the full 64-bit sequence number; its low half goes on the
 /// wire, and if `esn` is true the high half is mixed into the ICV (the
@@ -99,12 +99,13 @@ pub fn seal_frame_into(
 }
 
 /// The sealing body behind [`seal_frame_into`] and [`seal_frame`]: lays
-/// the frame out in `buf` and hands header, payload and `ahead` to
-/// [`CipherSuite::seal`], the suite's one sending verb. A sender that
-/// seals consecutive sequence numbers under one key keeps one `ahead`
-/// across the calls, so the lanes one frame leaves spare compute
-/// keystream for the next; [`SealAhead`] says what that sender owes when
-/// the key changes. The bytes written never depend on `ahead`.
+/// the frame out in `buf`, sized once and written in place, and hands
+/// header, payload and `ahead` to [`CipherSuite::seal`], the suite's one
+/// sending verb, whose ICV fills the tail. A sender that seals
+/// consecutive sequence numbers under one key keeps one `ahead` across
+/// the calls, so the lanes one frame leaves spare compute keystream for
+/// the next; [`SealAhead`] says what that sender owes when the key
+/// changes. The bytes written never depend on `ahead`.
 ///
 /// # Errors
 ///
@@ -124,26 +125,26 @@ pub fn seal_frame_ahead(
     }
     let iv_len = suite.iv_len();
     assert!(iv_len <= MAX_IV_LEN, "explicit IV too long for the codec");
-    buf.clear();
-    buf.reserve(HEADER_LEN + iv_len + payload.len() + suite.icv_len());
-    buf.put_u32(spi);
-    buf.put_u32(seq as u32);
-    buf.put_u32(payload.len() as u32);
+    let body_start = HEADER_LEN + iv_len;
+    let body_end = body_start + payload.len();
+    buf.resize(body_end + suite.icv_len(), 0);
+    let frame = buf.as_mut();
+    frame[0..4].copy_from_slice(&spi.to_be_bytes());
+    frame[4..8].copy_from_slice(&(seq as u32).to_be_bytes());
+    frame[8..12].copy_from_slice(&(payload.len() as u32).to_be_bytes());
     if iv_len > 0 {
-        let mut iv = [0u8; MAX_IV_LEN];
-        suite.fill_iv(seq, &mut iv[..iv_len]);
-        buf.put_slice(&iv[..iv_len]);
+        suite.fill_iv(seq, &mut frame[HEADER_LEN..body_start]);
     }
-    let body_start = buf.len();
-    buf.put_slice(payload);
-    let esn_hi = if esn { Some((seq >> 32) as u32) } else { None };
-    let (aad, body) = buf.as_mut().split_at_mut(body_start);
-    let icv = suite.seal(seq, aad, body, esn_hi, ahead);
-    buf.put_slice(&icv);
+    frame[body_start..body_end].copy_from_slice(payload);
+    let (aad, rest) = frame.split_at_mut(body_start);
+    let (body, tail) = rest.split_at_mut(payload.len());
+    let esn_hi = esn.then_some((seq >> 32) as u32);
+    tail.copy_from_slice(&suite.seal(seq, aad, body, esn_hi, ahead));
     Ok(())
 }
 
-/// [`seal_frame_into`] returning freshly allocated wire bytes.
+/// [`seal_frame_into`] returning freshly allocated wire bytes (one
+/// allocation, of the frame's size).
 ///
 /// # Errors
 ///
@@ -155,7 +156,7 @@ pub fn seal_frame(
     suite: &dyn CipherSuite,
     esn: bool,
 ) -> Result<Bytes, WireError> {
-    let mut buf = BytesMut::with_capacity(frame_overhead(suite) + payload.len());
+    let mut buf = BytesMut::new();
     seal_frame_into(&mut buf, spi, seq, payload, suite, esn)?;
     Ok(buf.freeze())
 }

@@ -8,7 +8,9 @@
 //! allocates a small constant **per batch**, whatever the frame count and
 //! however the batch falls into SPI runs — and so does the whole cycle
 //! with the background SAVEs of the default `K` issued and completed
-//! every batch; a single-frame `push_wire` allocates nothing; the machine
+//! every batch; a drain whose arena is still pinned by held payloads
+//! allocates one fresh arena more; a single-frame `push_wire` allocates
+//! nothing and `protect` exactly the one buffer it returns; the machine
 //! and its driver allocate nothing per message, nor to complete a
 //! witnessed SAVE or a wake-up; an idle `tick` allocates nothing.
 //!
@@ -204,8 +206,19 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
         assert!(BytesMut::new().is_empty() && arena.freeze().is_empty());
     });
     assert_eq!(allocs, 0, "empty Bytes/BytesMut must not allocate");
-    // ... and a recycled one keeps both its bytes and its `Arc`.
-    let frozen = BytesMut::with_capacity(256).freeze();
+    // ... a buffer is one allocation, bytes and counts together, and
+    // `freeze` hands it on ...
+    let (copied, allocs) = counted(|| Bytes::copy_from_slice(&PAYLOAD));
+    assert_eq!(allocs, 1, "Bytes::copy_from_slice");
+    let vec = PAYLOAD.to_vec();
+    let (converted, allocs) = counted(|| Bytes::from(vec));
+    assert_eq!(allocs, 1, "Bytes::from(Vec)");
+    assert_eq!(copied, converted);
+    let mut filled = BytesMut::with_capacity(256);
+    filled.extend_from_slice(&PAYLOAD);
+    let (frozen, allocs) = counted(|| filled.freeze());
+    assert_eq!(allocs, 0, "BytesMut::freeze");
+    // ... and a recycled one is that allocation again.
     let ((), allocs) = counted(|| {
         let mut arena = BytesMut::recycle(frozen, 128);
         arena.extend_from_slice(&PAYLOAD);
@@ -340,9 +353,35 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
              {allocs} times (limit {PER_SHARDED_BATCH} per batch)"
         );
 
+        // ---- a drain whose previous payloads are still held cannot
+        // reclaim its arena: it allocates one fresh one, its bytes and
+        // counts in a single allocation, on top of a free drain's count.
+        let shape = (256u32, 16usize);
+        let mut tx = gateway(shape.0, backend, NO_SAVES);
+        let mut rx = gateway(shape.0, backend, NO_SAVES);
+        let mut drain = |batch: &[Bytes]| {
+            rx.push_wire_batch(batch).unwrap();
+            rx.poll_events()
+        };
+        let events = drain(&seal_batch(&mut tx, shape.0, shape.1));
+        assert_all_delivered(&events, "warm-up");
+        let batch = seal_batch(&mut tx, shape.0, shape.1);
+        let (held, pinned) = counted(|| drain(&batch));
+        assert_all_delivered(&held, "pinned batch");
+        drop(events);
+        drop(held);
+        let batch = seal_batch(&mut tx, shape.0, shape.1);
+        let (events, free) = counted(|| drain(&batch));
+        assert_all_delivered(&events, "free batch");
+        assert_eq!(
+            pinned,
+            free + 1,
+            "{backend}: a drain behind held payloads must allocate exactly one fresh arena"
+        );
+
         // ---- single frames: push_wire allocates nothing at all once
-        // warm, and protect only what it hands out (the frame's buffer
-        // and its reference count).
+        // warm, and protect only what it hands out: the frame's one
+        // buffer, bytes and reference counts together.
         let (mut tx, mut rx) = (gateway(8, backend, NO_SAVES), gateway(8, backend, NO_SAVES));
         let (mut push, mut protect) = (0, 0);
         for i in 0..BATCH as u32 + 64 {
@@ -358,10 +397,10 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
             }
         }
         assert_eq!(push, 0, "{backend}: push_wire allocated per frame");
-        assert!(
-            protect <= 2 * BATCH as u64,
+        assert_eq!(
+            protect, BATCH as u64,
             "{backend}: protect allocated {protect} times for {BATCH} frames \
-             (the frame it returns is 2)"
+             (the frame it returns is 1)"
         );
     }
 }
