@@ -249,7 +249,9 @@ impl<const N: usize> PartialEq<[SfEffect; N]> for SfEffects {
     }
 }
 
-/// Role-specific volatile state.
+/// Role-specific volatile state. The sender's pair fits beside the
+/// window's bitmap tag, which doubles as the role's, so a role is the
+/// window's 40 bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Role {
     Sender {
@@ -265,10 +267,6 @@ enum Role {
     Receiver {
         /// The anti-replay window (volatile).
         window: AntiReplayWindow,
-        /// Messages that arrived while the wake-up SAVE was in flight.
-        buffer: Vec<SeqNum>,
-        /// Hard cap on `buffer` (see [`DEFAULT_WAKEUP_BUFFER`]).
-        buffer_limit: usize,
     },
 }
 
@@ -300,15 +298,28 @@ enum Role {
 /// );
 /// assert_eq!(m.step(SfEvent::Send), [SfEffect::Sent(SeqNum::new(50))]);
 /// ```
+///
+/// # Layout
+///
+/// `#[repr(C)]` puts what every message reads first, in one 57-byte run:
+/// `K`, `lst`, the role (the sender's counter, or the receiver's
+/// window) and the phase. What only a reset or a wake-up reads follows
+/// it: the wake-up target and the receiver's wake-up buffer and cap.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[repr(C)]
 pub struct SfMachine {
     k: u64,
     /// Last counter value handed to a SAVE (paper's `lst`).
     lst: u64,
+    role: Role,
     phase: Phase,
     /// The leaped counter chosen at `BeginWakeup`, applied at `SaveDone`.
     waking_target: Option<SeqNum>,
-    role: Role,
+    /// Receiver: messages that arrived while the wake-up SAVE was in
+    /// flight. Always empty for a sender.
+    buffer: Vec<SeqNum>,
+    /// Receiver: hard cap on `buffer` (see [`DEFAULT_WAKEUP_BUFFER`]).
+    buffer_limit: usize,
 }
 
 impl SfMachine {
@@ -322,12 +333,14 @@ impl SfMachine {
         SfMachine {
             k,
             lst: SeqNum::FIRST.value(),
-            phase: Phase::Running,
-            waking_target: None,
             role: Role::Sender {
                 s: SeqNum::FIRST,
                 pre_reset_s: SeqNum::FIRST.value(),
             },
+            phase: Phase::Running,
+            waking_target: None,
+            buffer: Vec::new(),
+            buffer_limit: DEFAULT_WAKEUP_BUFFER,
         }
     }
 
@@ -342,13 +355,13 @@ impl SfMachine {
         SfMachine {
             k,
             lst: 0,
-            phase: Phase::Running,
-            waking_target: None,
             role: Role::Receiver {
                 window: AntiReplayWindow::new(w),
-                buffer: Vec::new(),
-                buffer_limit: DEFAULT_WAKEUP_BUFFER,
             },
+            phase: Phase::Running,
+            waking_target: None,
+            buffer: Vec::new(),
+            buffer_limit: DEFAULT_WAKEUP_BUFFER,
         }
     }
 
@@ -356,16 +369,16 @@ impl SfMachine {
     /// to ≥ 1); arrivals beyond it while `Waking` are reported as
     /// [`RxOutcome::DroppedDown`]. No effect on sender machines.
     pub fn set_buffer_limit(&mut self, limit: usize) {
-        if let Role::Receiver { buffer_limit, .. } = &mut self.role {
-            *buffer_limit = limit.max(1);
+        if let Role::Receiver { .. } = self.role {
+            self.buffer_limit = limit.max(1);
         }
     }
 
     /// The receiver's wake-up buffer cap ([`DEFAULT_WAKEUP_BUFFER`]
     /// unless overridden); `usize::MAX` reported for senders.
     pub fn buffer_limit(&self) -> usize {
-        match &self.role {
-            Role::Receiver { buffer_limit, .. } => *buffer_limit,
+        match self.role {
+            Role::Receiver { .. } => self.buffer_limit,
             Role::Sender { .. } => usize::MAX,
         }
     }
@@ -410,10 +423,7 @@ impl SfMachine {
     /// Receiver: sequence numbers currently held in the wake-up buffer
     /// (empty for senders).
     pub fn buffered(&self) -> &[SeqNum] {
-        match &self.role {
-            Role::Receiver { buffer, .. } => buffer,
-            Role::Sender { .. } => &[],
-        }
+        &self.buffer
     }
 
     /// `k + lst` with the overflow made well-defined: near the `SeqNum`
@@ -482,18 +492,13 @@ impl SfMachine {
                         });
                     }
                     Phase::Waking => {
-                        let Role::Receiver {
-                            buffer,
-                            buffer_limit,
-                            ..
-                        } = &mut self.role
-                        else {
+                        let Role::Receiver { .. } = self.role else {
                             panic!("Receive is a receiver event");
                         };
                         // The cap is what keeps a frame flood mid-wake-up
                         // from growing the buffer without bound.
-                        let outcome = if buffer.len() < *buffer_limit {
-                            buffer.push(seq);
+                        let outcome = if self.buffer.len() < self.buffer_limit {
+                            self.buffer.push(seq);
                             RxOutcome::Buffered
                         } else {
                             RxOutcome::DroppedDown
@@ -518,8 +523,8 @@ impl SfMachine {
                         // Poison the volatile counter so misuse is loud.
                         *s = SeqNum::ZERO;
                     }
-                    Role::Receiver { window, buffer, .. } => {
-                        buffer.clear();
+                    Role::Receiver { window } => {
+                        self.buffer.clear();
                         window.reset_naive(); // poison: rebuilt on wake-up
                     }
                 }
@@ -558,11 +563,11 @@ impl SfMachine {
                             unusable_gap: gap,
                         });
                     }
-                    Role::Receiver { window, buffer, .. } => {
+                    Role::Receiver { window } => {
                         // §4: every sequence number up to the leaped edge
                         // is assumed already received.
                         window.resume_at(leaped);
-                        buffered = std::mem::take(buffer);
+                        buffered = std::mem::take(&mut self.buffer);
                         effects.push(SfEffect::WokeUp {
                             resumed: leaped,
                             unusable_gap: 0,
@@ -592,6 +597,45 @@ impl SfMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytes of an [`SfMachine`] every message reads: `K`, `lst`,
+    /// the role and the phase. `reset-ipsec`'s record layout test counts
+    /// on this prefix (`sadb::tests::MACHINE_RUN`).
+    const PER_MESSAGE: usize = 57;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn per_message_fields_lead_the_machine() {
+        use std::mem::{offset_of, size_of};
+        assert_eq!(
+            size_of::<Role>(),
+            size_of::<AntiReplayWindow>(),
+            "the role tag is a niche"
+        );
+        assert_eq!(offset_of!(SfMachine, k), 0);
+        assert_eq!(offset_of!(SfMachine, lst), 8);
+        assert_eq!(offset_of!(SfMachine, role), 16);
+        assert_eq!(offset_of!(SfMachine, phase) + 1, PER_MESSAGE);
+        for cold in [
+            offset_of!(SfMachine, waking_target),
+            offset_of!(SfMachine, buffer),
+            offset_of!(SfMachine, buffer_limit),
+        ] {
+            assert!(
+                cold >= PER_MESSAGE,
+                "a wake-up field at {cold} splits the run"
+            );
+        }
+        // The sender's counter is inside the role's bytes too.
+        let m = SfMachine::sender(4);
+        let base = std::ptr::from_ref(&m) as usize;
+        let Role::Sender { s, .. } = &m.role else {
+            unreachable!()
+        };
+        let s = std::ptr::from_ref(s) as usize - base;
+        assert!((16..PER_MESSAGE - 8).contains(&s), "s at {s}");
+        assert!(size_of::<SfMachine>() <= 112, "{}", size_of::<SfMachine>());
+    }
 
     fn sent(fx: &[SfEffect]) -> Option<SeqNum> {
         fx.iter().find_map(|e| match e {

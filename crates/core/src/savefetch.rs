@@ -85,7 +85,13 @@ pub struct Wakeup {
 
 /// The paper's process `p` or `q` with SAVE and FETCH: an [`SfMachine`]
 /// over a one-slot [`BackgroundSaver`].
+///
+/// `#[repr(C)]`: the saver, whose last field is the SAVE in flight, then
+/// the machine, whose first fields are what every message reads. A
+/// message's driver state is the tail of the saver and the head of the
+/// machine, one run; the store handle sits just before it.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct SfDriver<S> {
     saver: BackgroundSaver<S>,
     machine: SfMachine,
@@ -372,6 +378,22 @@ impl<S: StableStore> SfDriver<S> {
 mod tests {
     use super::*;
     use reset_stable::MemStable;
+
+    #[test]
+    fn the_machine_follows_the_saver() {
+        // The saver ends in its SAVE in flight (reset-stable pins that),
+        // so the machine's per-message head continues the run.
+        use std::mem::{offset_of, size_of};
+        fn check<S>() {
+            assert_eq!(offset_of!(SfDriver<S>, saver), 0);
+            assert_eq!(
+                offset_of!(SfDriver<S>, machine),
+                size_of::<BackgroundSaver<S>>()
+            );
+        }
+        check::<MemStable>();
+        check::<Box<dyn StableStore + Send>>();
+    }
 
     fn sender(k: u64) -> SfDriver<MemStable> {
         SfDriver::sender(MemStable::new(), SlotId::sender(1), k)

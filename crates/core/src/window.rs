@@ -50,13 +50,36 @@ impl Verdict {
 /// assert_eq!(w.check_and_accept(SeqNum::new(3)), Verdict::Fresh);
 /// assert_eq!(w.right_edge(), SeqNum::new(5));
 /// ```
+///
+/// # Layout
+///
+/// `#[repr(C)]` pins the order: right edge, size, then the bitmap's
+/// words, which are inline for `w ≤ 128` (every window the gateway
+/// configures), so a receiver's window is one 40-byte block of its SA
+/// record and the check reads no second allocation. Larger windows keep
+/// their words on the heap. The inline word a `w ≤ 64` window does not
+/// use stays zero, so `==` and `Hash` compare logical state.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[repr(C)]
 pub struct AntiReplayWindow {
+    right: u64,
+    w: u64,
     /// Circular bitmap: bit `(seq mod w)` records receipt of `seq` for
     /// sequence numbers in `(right − w, right]`.
-    bits: Vec<u64>,
-    w: u64,
-    right: u64,
+    bits: Bits,
+}
+
+/// The bitmap's storage: inline up to [`Bits::INLINE`] words, boxed
+/// past that. Which one a window uses is a function of `w` alone.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Bits {
+    Inline([u64; Bits::INLINE]),
+    Heap(Box<[u64]>),
+}
+
+impl Bits {
+    /// Words kept inline: a 128-entry window.
+    const INLINE: usize = 2;
 }
 
 impl AntiReplayWindow {
@@ -82,14 +105,38 @@ impl AntiReplayWindow {
     pub fn with_right_edge(w: u64, right: SeqNum, all_seen: bool) -> Self {
         assert!(w > 0, "window size must be positive");
         let words = (w as usize).div_ceil(64);
-        let fill = if all_seen { u64::MAX } else { 0 };
-        let mut win = AntiReplayWindow {
-            bits: vec![fill; words],
-            w,
-            right: right.value(),
+        let bits = if words <= Bits::INLINE {
+            Bits::Inline([0; Bits::INLINE])
+        } else {
+            Bits::Heap(vec![0; words].into_boxed_slice())
         };
-        win.mask_tail_word();
+        let mut win = AntiReplayWindow {
+            right: right.value(),
+            w,
+            bits,
+        };
+        if all_seen {
+            win.mark_all_seen();
+        }
         win
+    }
+
+    /// The bitmap: exactly `⌈w / 64⌉` words.
+    fn words(&self) -> &[u64] {
+        let n = (self.w as usize).div_ceil(64);
+        match &self.bits {
+            Bits::Inline(words) => &words[..n],
+            Bits::Heap(words) => words,
+        }
+    }
+
+    /// [`AntiReplayWindow::words`], mutably.
+    fn words_mut(&mut self) -> &mut [u64] {
+        let n = (self.w as usize).div_ceil(64);
+        match &mut self.bits {
+            Bits::Inline(words) => &mut words[..n],
+            Bits::Heap(words) => words,
+        }
     }
 
     /// Clears the bits of the last word beyond `w`: they correspond to no
@@ -99,8 +146,7 @@ impl AntiReplayWindow {
     fn mask_tail_word(&mut self) {
         let tail_bits = self.w % 64;
         if tail_bits != 0 {
-            let last = self.bits.len() - 1;
-            self.bits[last] &= (1u64 << tail_bits) - 1;
+            *self.words_mut().last_mut().expect("w > 0") &= (1u64 << tail_bits) - 1;
         }
     }
 
@@ -122,16 +168,12 @@ impl AntiReplayWindow {
 
     fn bit(&self, seq: u64) -> bool {
         let idx = (seq % self.w) as usize;
-        self.bits[idx / 64] >> (idx % 64) & 1 == 1
+        self.words()[idx / 64] >> (idx % 64) & 1 == 1
     }
 
-    fn set_bit(&mut self, seq: u64, value: bool) {
+    fn set_bit(&mut self, seq: u64) {
         let idx = (seq % self.w) as usize;
-        if value {
-            self.bits[idx / 64] |= 1 << (idx % 64);
-        } else {
-            self.bits[idx / 64] &= !(1 << (idx % 64));
-        }
+        self.words_mut()[idx / 64] |= 1 << (idx % 64);
     }
 
     /// Classifies `seq` without mutating the window — the paper's
@@ -169,14 +211,14 @@ impl AntiReplayWindow {
             if d > 1 {
                 if d >= self.w {
                     // The whole old window is out of range.
-                    self.bits.fill(0);
+                    self.words_mut().fill(0);
                 } else {
                     self.clear_circular((self.right + 1) % self.w, d - 1);
                 }
             }
             self.right = s;
         }
-        self.set_bit(s, true);
+        self.set_bit(s);
     }
 
     /// Clears `count` consecutive bits of the circular bitmap starting at
@@ -200,17 +242,16 @@ impl AntiReplayWindow {
         let end_word = (end / 64) as usize;
         let end_bit = end % 64;
         let low_mask = (1u64 << start_bit) - 1; // bits below the range
+        let words = self.words_mut();
         if start_word == end_word {
             // Single word: keep bits below start_bit and at/above end_bit.
             let keep = low_mask | !((1u64 << end_bit) - 1);
-            self.bits[start_word] &= keep;
+            words[start_word] &= keep;
         } else {
-            self.bits[start_word] &= low_mask;
-            for word in &mut self.bits[start_word + 1..end_word] {
-                *word = 0;
-            }
+            words[start_word] &= low_mask;
+            words[start_word + 1..end_word].fill(0);
             if end_bit != 0 {
-                self.bits[end_word] &= !((1u64 << end_bit) - 1);
+                words[end_word] &= !((1u64 << end_bit) - 1);
             }
         }
     }
@@ -230,7 +271,7 @@ impl AntiReplayWindow {
         }
         let idx = (s % self.w) as usize;
         let mask = 1u64 << (idx % 64);
-        let word = &mut self.bits[idx / 64];
+        let word = &mut self.words_mut()[idx / 64];
         if *word & mask != 0 {
             Verdict::Duplicate
         } else {
@@ -242,7 +283,7 @@ impl AntiReplayWindow {
     /// Marks the whole window "already received" without moving the right
     /// edge — §4's wake-up behaviour.
     pub fn mark_all_seen(&mut self) {
-        self.bits.fill(u64::MAX);
+        self.words_mut().fill(u64::MAX);
         self.mask_tail_word();
     }
 
@@ -259,7 +300,7 @@ impl AntiReplayWindow {
     /// experiments.
     pub fn reset_naive(&mut self) {
         self.right = 0;
-        self.bits.fill(0);
+        self.words_mut().fill(0);
     }
 }
 
@@ -454,7 +495,7 @@ mod tests {
             let win = AntiReplayWindow::with_right_edge(w, n(1000), true);
             let tail_bits = w % 64;
             if tail_bits != 0 {
-                let last = *win.bits.last().unwrap();
+                let last = *win.words().last().unwrap();
                 assert_eq!(
                     last >> tail_bits,
                     0,
@@ -491,7 +532,7 @@ mod tests {
     fn mark_all_seen_masks_tail() {
         let mut w = AntiReplayWindow::with_right_edge(70, n(100), false);
         w.mark_all_seen();
-        assert_eq!(w.bits.last().unwrap() >> (70 % 64), 0);
+        assert_eq!(w.words().last().unwrap() >> (70 % 64), 0);
         assert_eq!(w, AntiReplayWindow::with_right_edge(70, n(100), true));
     }
 
@@ -503,10 +544,10 @@ mod tests {
             let mut win = AntiReplayWindow::new(w);
             win.accept(n(3));
             win.reset_naive();
-            let bits = win.bits.as_ptr();
+            let bits = win.words().as_ptr();
             win.resume_at(n(500));
             assert_eq!(win, AntiReplayWindow::with_right_edge(w, n(500), true));
-            assert_eq!(win.bits.as_ptr(), bits, "w={w}: bitmap reallocated");
+            assert_eq!(win.words().as_ptr(), bits, "w={w}: bitmap reallocated");
         }
     }
 
@@ -548,6 +589,109 @@ mod tests {
         }
     }
 
+    /// The sizes either side of the inline/heap boundary, and one far
+    /// past it.
+    const BOUNDARY_SIZES: [u64; 8] = [1, 63, 64, 65, 127, 128, 129, 1024];
+
+    fn hash_of(win: &AntiReplayWindow) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        win.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn seeded_differential_against_a_set_model_at_the_inline_boundary() {
+        // The model is the paper's boolean array taken literally: the set
+        // of numbers marked received, and the right edge.
+        use std::collections::BTreeSet;
+        let mut rng = 0x2545F4914F6CDD1Du64;
+        let mut next = move |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        for w in BOUNDARY_SIZES {
+            let mut win = AntiReplayWindow::new(w);
+            let mut seen = BTreeSet::from([0u64]);
+            let mut right = 0u64;
+            for step in 0..600 {
+                match next(16) {
+                    // §4 wake-up: everything up to the new edge is seen.
+                    0 => {
+                        right += next(3 * w + 2);
+                        win.resume_at(n(right));
+                        seen = (right.saturating_sub(w - 1)..=right).collect();
+                    }
+                    // A jump past the whole window.
+                    1 => {
+                        let s = right + w + next(2 * w + 1);
+                        win.accept(n(s));
+                        right = s;
+                        seen.insert(s);
+                    }
+                    // Traffic around the edge: in order, reordered, stale.
+                    _ => {
+                        let s = (right + 3).saturating_sub(next(w + 6));
+                        let model = if s > right {
+                            Verdict::Fresh
+                        } else if s + w <= right {
+                            Verdict::Stale
+                        } else if seen.contains(&s) {
+                            Verdict::Duplicate
+                        } else {
+                            Verdict::Fresh
+                        };
+                        assert_eq!(win.check(n(s)), model, "w={w} step={step} s={s}");
+                        if model == Verdict::Fresh {
+                            win.accept(n(s));
+                            right = right.max(s);
+                            seen.insert(s);
+                        }
+                    }
+                }
+                seen.retain(|&x| x + w > right);
+                for probe in right.saturating_sub(w + 1)..=right + 1 {
+                    let want = if probe > right {
+                        Verdict::Fresh
+                    } else if probe + w <= right {
+                        Verdict::Stale
+                    } else if seen.contains(&probe) {
+                        Verdict::Duplicate
+                    } else {
+                        Verdict::Fresh
+                    };
+                    assert_eq!(win.check(n(probe)), want, "w={w} step={step} probe={probe}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_and_slid_windows_are_equal_and_hash_equal_at_every_size() {
+        for w in BOUNDARY_SIZES {
+            for right in [w / 2, w, 3 * w + 7] {
+                let mut resumed = AntiReplayWindow::new(w);
+                resumed.accept(n(1));
+                resumed.resume_at(n(right));
+                // The same state reached by traffic: every number the
+                // window covers, every other one first, from the top.
+                let mut slid = AntiReplayWindow::new(w);
+                let low = right.saturating_sub(w - 1).max(1);
+                let covered = (low..=right).rev();
+                for s in covered.clone().step_by(2).chain(covered.skip(1).step_by(2)) {
+                    slid.check_and_accept(n(s));
+                }
+                if low > right {
+                    slid.accept(n(right));
+                }
+                assert_eq!(resumed, slid, "w={w} right={right}");
+                assert_eq!(hash_of(&resumed), hash_of(&slid), "w={w} right={right}");
+            }
+        }
+    }
+
     #[test]
     fn fused_check_and_accept_matches_two_step() {
         let mut rng_state = 0x9E3779B97F4A7C15u64;
@@ -563,6 +707,22 @@ mod tests {
             }
             assert_eq!(v1, v2, "seq {s}");
             assert_eq!(fused, two_step, "state diverged at seq {s}");
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn words_are_inline_up_to_128_entries() {
+        // A receiver's window is one 40-byte block of its SA record: no
+        // second allocation to miss on (ARCHITECTURE.md, "Who owns
+        // per-SA state").
+        assert_eq!(std::mem::size_of::<AntiReplayWindow>(), 40);
+        for w in BOUNDARY_SIZES {
+            let win = AntiReplayWindow::new(w);
+            let start = std::ptr::from_ref(&win) as usize;
+            let words = win.words().as_ptr() as usize;
+            let inline = (start..start + 40).contains(&words);
+            assert_eq!(inline, w <= 128, "w={w}");
         }
     }
 

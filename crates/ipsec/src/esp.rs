@@ -97,6 +97,7 @@ use reset_wire::{
 use anti_replay::machine::DEFAULT_WAKEUP_BUFFER;
 use anti_replay::{Phase, RxOutcome, SeqNum, SfDriver};
 
+use crate::dpd::DpdState;
 use crate::sa::SecurityAssociation;
 use crate::IpsecError;
 
@@ -123,7 +124,13 @@ use crate::IpsecError;
 /// }
 /// # Ok::<(), reset_ipsec::IpsecError>(())
 /// ```
+///
+/// `#[repr(C)]`: the SA, then its driver. A send reads the SA's tail
+/// (lifetime, key, usage) and the driver's head (the SAVE in flight, the
+/// counter, `K`, `lst`, the phase), so both are one run of the record
+/// (`crate::sadb`, "Storage layout").
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct Outbound<S> {
     sa: SecurityAssociation,
     seq: SfDriver<S>,
@@ -579,9 +586,23 @@ impl DrainScratch {
 }
 
 /// Receiver half of one SA's datapath.
+///
+/// `#[repr(C)]`: the SA, the dead-peer state, then the driver, so what a
+/// received frame reads — the SA's key, usage, SPI and ESN flag, the
+/// detector and its deadline, the SAVE in flight, `K`, `lst`, the window
+/// and the phase — is one run of the record (`crate::sadb`, "Storage
+/// layout"). The wake-up buffer and the counters only errors touch come
+/// last.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct Inbound<S> {
     sa: SecurityAssociation,
+    /// The [`crate::Gateway`]'s dead-peer state for this SA: a delivery
+    /// updates it, so it lives beside what the delivery already read. It
+    /// belongs to the SA, not to one generation of its keys: an install
+    /// over a live receiver through [`crate::Sadb`] carries it over. A
+    /// standalone endpoint leaves it empty.
+    pub(crate) dpd: DpdState,
     rx: SfDriver<S>,
     /// Wire packets that arrived during a wake-up (the §4 buffer, held at
     /// the packet level so payloads survive to delivery). Bounded by
@@ -601,6 +622,7 @@ impl<S: StableStore> Inbound<S> {
         let slot = SlotId::receiver(sa.spi());
         Inbound {
             sa,
+            dpd: DpdState::default(),
             rx: SfDriver::receiver(store, slot, k, w),
             pending: Vec::new(),
             wakeup_buffer: DEFAULT_WAKEUP_BUFFER,

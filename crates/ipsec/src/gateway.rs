@@ -38,11 +38,11 @@ use reset_telemetry::{EventKind, Severity, Telemetry};
 
 use anti_replay::{Phase, RxOutcome, SeqNum};
 
-use crate::dpd::{DpdAction, DpdConfig, DpdDetector};
+use crate::dpd::{DpdAction, DpdConfig, DpdDetector, DpdState};
 use crate::esp::{Inbound, Outbound, RxReject, RxResult};
 use crate::rekey::{rekey, rekey_due, RekeyRequest};
 use crate::sa::{CryptoSuite, SaKeys, SaLifetime, SecurityAssociation};
-use crate::sadb::{SaPolicy, Sadb};
+use crate::sadb::{SaRecord, Sadb};
 use crate::IpsecError;
 
 /// Which directional endpoint a store is being created for (the
@@ -426,7 +426,8 @@ pub struct Gateway<S> {
     recover_started: Option<Instant>,
     make_store: Box<dyn FnMut(u32, SaDirection) -> S + Send>,
     // Per-SA state (detector, live DPD deadline, rekey generation) is
-    // in the SA's record in the SADB, its `SaPolicy`, and leaves with it.
+    // in the SA's record in the SADB — the dead-peer state in its inbound
+    // half, the rekey generation in its `SaPolicy` — and leaves with it.
     // The SPI-keyed fields below hold only work that is due: each entry
     // is a hint, verified against the live record when drained, so none
     // needs removing at teardown.
@@ -436,9 +437,10 @@ pub struct Gateway<S> {
     dpd_unarmed: BTreeSet<u32>,
     /// Every scheduled DPD deadline as `(deadline, push number, SPI)`,
     /// earliest first; the push number (`dpd_pushed` at the push) makes
-    /// equal deadlines fire in scheduling order. Only the entry whose deadline matches the record's
-    /// `dpd_deadline` is live — superseded ones, and those of an SA torn
-    /// down since, fire as stale no-ops. The live deadline never
+    /// equal deadlines fire in scheduling order. Only the entry whose
+    /// deadline matches the inbound half's `DpdState::deadline` is live —
+    /// superseded ones, and those of an SA torn down since, fire as stale
+    /// no-ops. The live deadline never
     /// exceeds the detector's true next transition, so a tick can skip
     /// every SPI the heap does not surface; an entry that fires early
     /// merely polls `Idle` and re-arms at the true deadline.
@@ -588,7 +590,7 @@ impl<S: StableStore> Gateway<S> {
             // Installing over a live receiver restarts its detector too:
             // the one it had judged the SA this one replaces.
             let record = self.sadb.record_mut(spi).expect("just installed");
-            record.policy.dpd = None;
+            record.dpd_mut().expect("just installed").detector = None;
             self.dpd_unarmed.insert(spi);
         }
     }
@@ -722,12 +724,12 @@ impl<S: StableStore> Gateway<S> {
     /// its first clock reading one), and it is where inbound usage grows.
     fn note_delivery(&mut self, spi: u32, slot: u32) {
         let record = self.sadb.record_at_mut(slot);
-        if let Some(cfg) = self.dpd_cfg {
+        if let (Some(cfg), Some(dpd)) = (&self.dpd_cfg, record.dpd_mut()) {
             // Re-scheduling is usually a no-op (traffic pushes the
             // deadline later); a grace-exit can pull it earlier, which
             // must supersede the live entry.
             heard_from(
-                &mut record.policy,
+                dpd,
                 cfg,
                 self.now_ns,
                 &mut self.dpd_heap,
@@ -796,12 +798,15 @@ impl<S: StableStore> Gateway<S> {
         // entry whose receiver is gone, or was armed by a delivery since,
         // is stale.
         while let Some(spi) = self.dpd_unarmed.pop_first() {
-            let (Some(cfg), Some(record)) = (self.dpd_cfg, self.sadb.record_mut(spi)) else {
+            let (Some(cfg), Some(record)) = (&self.dpd_cfg, self.sadb.record_mut(spi)) else {
                 continue;
             };
-            if record.inbound().is_some() && record.policy.dpd.is_none() {
+            let Some(dpd) = record.dpd_mut() else {
+                continue;
+            };
+            if dpd.detector.is_none() {
                 heard_from(
-                    &mut record.policy,
+                    dpd,
                     cfg,
                     now_ns,
                     &mut self.dpd_heap,
@@ -825,30 +830,28 @@ impl<S: StableStore> Gateway<S> {
         }
         if !self.timer_scratch.is_empty() {
             let mut due = std::mem::take(&mut self.timer_scratch);
+            let cfg = self
+                .dpd_cfg
+                .expect("only a configured gateway arms deadlines");
             for &(deadline, spi) in &due {
-                let Some(record) = self.sadb.record_mut(spi) else {
+                let Some(dpd) = self.sadb.record_mut(spi).and_then(SaRecord::dpd_mut) else {
                     continue; // torn down: stale entry
                 };
-                if record.policy.dpd_deadline != Some(deadline) {
+                if dpd.deadline != Some(deadline) {
                     continue; // superseded, or a previous SA's: stale entry
                 }
-                record.policy.dpd_deadline = None;
-                let Some(det) = record.policy.dpd.as_mut() else {
+                dpd.deadline = None;
+                let Some(det) = dpd.detector.as_mut() else {
                     continue;
                 };
-                let action = det.poll(now_ns);
+                let action = det.poll(now_ns, &cfg);
                 if action == DpdAction::TearDown {
                     self.remove_peer(spi);
                     self.trace(Severity::Warn, "peer_dead", spi, 0);
                     self.emit(GatewayEvent::PeerDead { spi });
                     continue; // record gone; nothing to re-arm
                 }
-                schedule_dpd(
-                    &mut record.policy,
-                    &mut self.dpd_heap,
-                    &mut self.dpd_pushed,
-                    spi,
-                );
+                schedule_dpd(dpd, &cfg, &mut self.dpd_heap, &mut self.dpd_pushed, spi);
                 if action == DpdAction::SendProbe {
                     self.emit(GatewayEvent::ProbeDue { spi });
                 }
@@ -1079,7 +1082,7 @@ impl<S: StableStore> Gateway<S> {
     /// (peer presumed down, SAs kept alive awaiting its recovery).
     /// `None` when DPD is not configured or the SPI unknown.
     pub fn in_grace(&self, spi: u32) -> Option<bool> {
-        let detector = self.sadb.record(spi)?.policy.dpd.as_ref()?;
+        let detector = self.sadb.inbound(spi)?.dpd.detector.as_ref()?;
         Some(detector.in_grace())
     }
 
@@ -1123,16 +1126,17 @@ fn erase_slots<S: StableStore>(
 /// or the first clock reading of a freshly installed receiver — creating
 /// the detector on first use, and keeps its heap entry in step.
 fn heard_from(
-    policy: &mut SaPolicy,
-    cfg: DpdConfig,
+    dpd: &mut DpdState,
+    cfg: &DpdConfig,
     now_ns: u64,
     heap: &mut BinaryHeap<Reverse<(u64, u64, u32)>>,
     pushed: &mut u64,
     spi: u32,
 ) {
-    let detector = policy.dpd.get_or_insert_with(|| DpdDetector::new(cfg));
-    detector.on_traffic(now_ns);
-    schedule_dpd(policy, heap, pushed, spi);
+    dpd.detector
+        .get_or_insert_with(DpdDetector::new)
+        .on_traffic(now_ns);
+    schedule_dpd(dpd, cfg, heap, pushed, spi);
 }
 
 /// (Re-)schedules `spi`'s live heap entry at its detector's next
@@ -1140,19 +1144,20 @@ fn heard_from(
 /// the new deadline stays live (it fires early and re-arms); a later one
 /// is superseded so detection is never delayed.
 fn schedule_dpd(
-    policy: &mut SaPolicy,
+    dpd: &mut DpdState,
+    cfg: &DpdConfig,
     heap: &mut BinaryHeap<Reverse<(u64, u64, u32)>>,
     pushed: &mut u64,
     spi: u32,
 ) {
-    let Some(deadline) = policy.dpd.as_ref().and_then(|det| det.next_deadline()) else {
+    let Some(deadline) = dpd.detector.as_ref().and_then(|det| det.next_deadline(cfg)) else {
         // Dead detector or none: whatever heap entry remains is stale
         // and will be ignored when it fires.
-        policy.dpd_deadline = None;
+        dpd.deadline = None;
         return;
     };
-    if policy.dpd_deadline.is_none_or(|live| live > deadline) {
-        policy.dpd_deadline = Some(deadline);
+    if dpd.deadline.is_none_or(|live| live > deadline) {
+        dpd.deadline = Some(deadline);
         heap.push(Reverse((deadline, *pushed, spi)));
         *pushed += 1;
     }

@@ -6,9 +6,7 @@
 //! SA's lifetime — so persisting the two counters is enough to rescue the
 //! whole SA across a reset, avoiding a full renegotiation.
 
-use reset_crypto::{
-    prf_plus_with, Backend, ChaCha20Poly1305Suite, CipherSuite, HmacKey, HmacSha256Suite,
-};
+use reset_crypto::{Backend, ChaCha20Poly1305Suite, CipherSuite, HmacKey, HmacSha256Suite};
 
 use crate::IpsecError;
 
@@ -148,11 +146,13 @@ impl SaKeys {
 
     /// [`SaKeys::derive`] under the material's precomputed PRF schedule,
     /// for callers that derive many SAs under one master.
+    /// The 64 bytes are PRF+'s first two blocks over the seed
+    /// `label ‖ "-key"`, computed here into the stack so an install
+    /// allocates nothing: `T1 = prf(K, seed ‖ 1)`, `T2 = prf(K, T1 ‖ seed ‖ 2)`.
     pub(crate) fn derive_with(material: &HmacKey, label: &[u8]) -> SaKeys {
-        let mut seed = Vec::with_capacity(label.len() + 4);
-        seed.extend_from_slice(label);
-        seed.extend_from_slice(b"-key");
-        SaKeys::from_keymat(&prf_plus_with(material, &seed, 64))
+        let t1 = material.mac_parts(&[label, b"-key", &[1]]);
+        let t2 = material.mac_parts(&[&t1, label, b"-key", &[2]]);
+        SaKeys { auth: t1, enc: t2 }
     }
 
     /// Splits 64 bytes of KEYMAT into the two keys, `auth` first.
@@ -211,21 +211,32 @@ pub struct SaUsage {
 /// assert_eq!(sa.spi(), 0x1001);
 /// assert!(sa.check_lifetime().is_ok());
 /// ```
+///
+/// # Layout
+///
+/// `#[repr(C)]` keeps the raw keys first and everything a frame reads
+/// after them, in one run to the end of the struct: the lifetime (read
+/// by every send), the transform with its key, the usage, the SPI and
+/// the ESN flag. The endpoints place their per-frame state right after
+/// the SA, so that run continues into it.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[repr(C)]
 pub struct SecurityAssociation {
-    spi: u32,
+    /// The negotiated keys, kept to rebuild the transform; no frame
+    /// reads them.
     keys: SaKeys,
+    lifetime: SaLifetime,
     /// The instantiated transform: precomputed key schedules (HMAC
     /// ipad/opad states, ChaCha key words) built once at SA install so
     /// the per-packet path never reruns a key schedule.
     cipher: SuiteState,
-    suite: CryptoSuite,
-    lifetime: SaLifetime,
     usage: SaUsage,
+    spi: u32,
     /// Extended sequence numbers enabled (64-bit counters on a 32-bit
     /// wire field) — the realistic approximation of the paper's unbounded
     /// integers.
     esn: bool,
+    suite: CryptoSuite,
 }
 
 impl SecurityAssociation {
@@ -234,13 +245,13 @@ impl SecurityAssociation {
         let suite = CryptoSuite::default();
         let cipher = suite.build(&keys);
         SecurityAssociation {
-            spi,
             keys,
-            cipher,
-            suite,
             lifetime: SaLifetime::UNLIMITED,
+            cipher,
             usage: SaUsage::default(),
+            spi,
             esn: true,
+            suite,
         }
     }
 
@@ -345,6 +356,31 @@ impl SecurityAssociation {
         } else {
             Ok(())
         }
+    }
+}
+
+/// `(address, length)` of `field`, for the record layout tests.
+#[cfg(test)]
+pub(crate) fn span_of<T>(field: &T) -> (usize, usize) {
+    (std::ptr::from_ref(field) as usize, std::mem::size_of::<T>())
+}
+
+#[cfg(test)]
+impl SecurityAssociation {
+    /// The fields a frame reads — the transform with its key, the usage,
+    /// the SPI and the ESN flag, and on a send the lifetime — for the
+    /// record layout test (`sadb::tests`).
+    pub(crate) fn frame_fields(&self, send: bool) -> Vec<(usize, usize)> {
+        let mut fields = vec![
+            span_of(&self.cipher),
+            span_of(&self.usage),
+            span_of(&self.spi),
+            span_of(&self.esn),
+        ];
+        if send {
+            fields.push(span_of(&self.lifetime));
+        }
+        fields
     }
 }
 

@@ -11,13 +11,22 @@
 //! The paper's SA is self-contained — its counter, its window, its one
 //! SAVE slot, nothing shared — and so is its storage: everything kept
 //! for one SPI is **one record** in one slab vector (one free-list; freed
-//! slots are reused). A record holds the SPI, the outbound and inbound
-//! halves (either may be absent) and a crate-internal policy block: the
-//! [`crate::Gateway`]'s DPD detector, the deadline of its one live
-//! DPD heap entry, the rekey generation, and this module's "SAVE
-//! queued" bits. A standalone database never fills it, and a reused slot
-//! starts from a default one, so nothing a torn-down SA knew reaches its
-//! successor.
+//! slots are reused). A record holds the outbound and inbound halves
+//! (either may be absent), the SPI and a crate-internal policy block: the
+//! rekey generation and this module's "SAVE queued" bits. The
+//! [`crate::Gateway`]'s DPD detector and the deadline of its one live
+//! heap entry are in the inbound half, and an install over a live one
+//! carries them over. A reused slot starts from a vacant record, so
+//! nothing a torn-down SA knew reaches its successor.
+//!
+//! The record is `#[repr(C)]`, and so is every type inside it, so that
+//! what a frame reads on each direction is one run at a fixed place: a
+//! send reads 185 bytes from the outbound SA's lifetime to its machine's
+//! phase, a receive 209 bytes from the inbound SA's key to its machine's
+//! phase, with the DPD state, the SAVE in flight and the window between.
+//! Keys, wake-up buffers and the rekey generation lie outside both runs.
+//! `tests::each_directions_frame_fields_are_one_short_run` measures them
+//! (ARCHITECTURE.md, "Who owns per-SA state").
 //!
 //! One `HashMap<spi, slot>` under std's default keyed hasher is the
 //! index. Every lookup by SPI — a drained run, a send (`protect_on`),
@@ -43,13 +52,13 @@
 //! slot.
 //!
 //! The stated cost: a record with one direction installed carries the
-//! other's empty half inline (~0.3 KB; an SA keeps its keys inline and
-//! an HMAC SA boxes its schedules, and the SAVE/FETCH driver is a
-//! machine over a one-slot saver, 160 B). A database keyed in both
-//! directions — every gateway — pays nothing; a sender-only or
-//! receiver-only one pays it per SA. The
-//! halves are not boxed to avoid it: that is a pointer chase and an
-//! allocation per SA on the path a wide fleet measures.
+//! other's empty half inline (304 B outbound, 384 B inbound; an SA keeps
+//! its keys inline and an HMAC SA boxes its schedules, and the SAVE/FETCH
+//! driver is a machine over a one-slot saver, 160 B). A database keyed in
+//! both directions — every gateway — pays nothing; a sender-only or
+//! receiver-only one pays it per SA. The halves are not boxed to avoid
+//! it: that is a pointer chase and an allocation per SA on the path a
+//! wide fleet measures.
 //!
 //! # The drain scratch and the arena
 //!
@@ -136,7 +145,7 @@ use reset_stable::{StableError, StableStore};
 
 use anti_replay::{Phase, SeqNum, SfDriver};
 
-use crate::dpd::DpdDetector;
+use crate::dpd::DpdState;
 use crate::esp::{drain, DrainScratch, Inbound, Outbound, Receivers, Run, RxResult};
 use crate::IpsecError;
 
@@ -163,44 +172,45 @@ impl Half {
     const BOTH: [Half; 2] = [Half::Outbound, Half::Inbound];
 }
 
-/// What a [`crate::Gateway`] keeps per SA besides the endpoints — state,
-/// as opposed to the due-lists' work (module docs). A standalone [`Sadb`]
-/// leaves it at its default.
+/// What the host keeps per SA besides the endpoints and outside the
+/// frame path — state, as opposed to the due-lists' work (module docs).
+/// A standalone [`Sadb`] counts no rekeys. (The dead-peer state a
+/// [`crate::Gateway`] keeps per SA is in the inbound half, where a
+/// delivery reads it; see [`Inbound`].)
 #[derive(Debug, Default)]
+#[repr(C)]
 pub(crate) struct SaPolicy {
-    /// The inbound half's dead-peer detector; `None` until its first
-    /// clock reading (and always, when DPD is off).
-    pub(crate) dpd: Option<DpdDetector>,
-    /// Deadline of the SPI's single *live* DPD heap entry. The heap
-    /// has no cancel: an entry that fires with any other deadline —
-    /// superseded, or scheduled for a previous owner of the SPI — is
-    /// stale and ignored.
-    pub(crate) dpd_deadline: Option<u64>,
+    /// Per [`Half`]: an entry for it is in the database's SAVE due-list.
+    save_queued: [bool; 2],
     /// Rekeys performed on this SA, folded into the deterministic nonces
     /// so each generation derives fresh key material.
     pub(crate) rekey_generation: u32,
-    /// Per [`Half`]: an entry for it is in the database's SAVE due-list.
-    save_queued: [bool; 2],
 }
 
 /// Everything the host keeps for one SPI (module docs, "Storage layout").
 /// A free slab slot holds a vacant record: no halves, default policy.
 #[derive(Debug)]
+#[repr(C)]
 pub(crate) struct SaRecord<S> {
-    spi: u32,
     outbound: Option<Outbound<S>>,
     inbound: Option<Inbound<S>>,
+    spi: u32,
     pub(crate) policy: SaPolicy,
 }
 
 impl<S: StableStore> SaRecord<S> {
     fn vacant() -> Self {
         SaRecord {
-            spi: 0,
             outbound: None,
             inbound: None,
+            spi: 0,
             policy: SaPolicy::default(),
         }
+    }
+
+    /// The inbound half's dead-peer state, if that half is installed.
+    pub(crate) fn dpd_mut(&mut self) -> Option<&mut DpdState> {
+        self.inbound.as_mut().map(|inbound| &mut inbound.dpd)
     }
 
     pub(crate) fn outbound(&self) -> Option<&Outbound<S>> {
@@ -444,7 +454,13 @@ impl<S: StableStore> Sadb<S> {
         let slot = self.slot_for(sa.spi());
         let half = &mut self.slots[slot].inbound;
         self.endpoints += usize::from(half.is_none());
-        half.insert(Inbound::new(sa, store, k, w))
+        // The dead-peer state is the SA's, not a generation's: a rekey or
+        // a replacement keeps it (the gateway restarts the detector where
+        // an install must).
+        let dpd = half.take().map(|old| old.dpd).unwrap_or_default();
+        let inbound = half.insert(Inbound::new(sa, store, k, w));
+        inbound.dpd = dpd;
+        inbound
     }
 
     /// The record serving `spi`, if either direction is installed.
@@ -892,9 +908,61 @@ mod tests {
             "SfDriver is {driver} B, over 160 (ROADMAP 4(c), rss_bytes_per_sa)"
         );
         assert!(
-            record <= 768,
-            "SaRecord is {record} B, over 768 (ROADMAP 4(c), rss_bytes_per_sa)"
+            record <= 736,
+            "SaRecord is {record} B, over 736 (ROADMAP 4(c), rss_bytes_per_sa)"
         );
+    }
+
+    /// `SfMachine`'s per-message head (`K`, `lst`, role, phase), which
+    /// `anti_replay::machine::tests::per_message_fields_lead_the_machine`
+    /// pins.
+    const MACHINE_RUN: usize = 57;
+
+    /// Bytes from the first to the end of the last of `fields`.
+    fn run_of(fields: &[(usize, usize)]) -> usize {
+        let start = fields.iter().map(|&(at, _)| at).min().unwrap();
+        let end = fields.iter().map(|&(at, len)| at + len).max().unwrap();
+        end - start
+    }
+
+    /// The longest run each direction may read per frame. A send's is
+    /// three lines. A receive's is the floor of this nesting: the SA's
+    /// tail (64 B), the dead-peer state (40), the saver (48) and the
+    /// machine's head (57). The saver's store handle, slot and witness
+    /// (32 B) sit inside it, because the saver is one struct and its
+    /// last field is the SAVE in flight.
+    const SEND_RUN: usize = 192;
+    const RECEIVE_RUN: usize = 209;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn each_directions_frame_fields_are_one_short_run() {
+        // ARCHITECTURE.md, "Who owns per-SA state": the fields a frame
+        // reads on each direction sit in one run of the record, so a wide
+        // fleet misses on few lines per frame. A field added inside a run
+        // lengthens it and fails here.
+        use crate::sa::span_of;
+        type Boxed = Box<dyn StableStore + Send>;
+        let mut db: Sadb<Boxed> = Sadb::new();
+        db.install_outbound(sa(1), Box::new(MemStable::new()), 10);
+        db.install_inbound(sa(1), Box::new(MemStable::new()), 10, 64);
+        let record = db.record(1).unwrap();
+        let (out, inb) = (record.outbound().unwrap(), record.inbound().unwrap());
+        // A driver's saver ends in the SAVE in flight (reset-stable pins
+        // that), and the machine's head follows it.
+        let driver = |d: &SfDriver<Boxed>| {
+            let (saver, machine) = (span_of(d).0, span_of(d.machine()).0);
+            [(saver, machine - saver), (machine, MACHINE_RUN)]
+        };
+        let mut tx = out.sa().frame_fields(true);
+        tx.extend(driver(out.seq_state()));
+        let mut rx = inb.sa().frame_fields(false);
+        rx.push(span_of(&inb.dpd));
+        rx.extend(driver(inb.seq_state()));
+        rx.push(span_of(inb.seq_state().machine().window().unwrap()));
+        let (tx, rx) = (run_of(&tx), run_of(&rx));
+        assert!(tx <= SEND_RUN, "a send reads a {tx} B run");
+        assert!(rx <= RECEIVE_RUN, "a receive reads a {rx} B run");
     }
 
     #[test]

@@ -2,7 +2,13 @@
 //! SAVE/FETCH machine with the machine-vs-driver differential oracle.
 //!
 //! Prints per-config state/transition/trace counts; exits non-zero (with
-//! the shrunk, replayable schedule) on any invariant or parity failure.
+//! the shrunk, replayable schedule) on any invariant or parity failure,
+//! and when a rung's (states, transitions) differ from the recorded pair.
+//!
+//! The explorer deduplicates states by `SfMachine`'s `Eq`/`Hash`, so a
+//! layout or representation change that altered either would move the
+//! counts silently. A change that alters the model on purpose re-records
+//! the pairs below and says which rung moved and why.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -12,10 +18,12 @@ use reset_model::{explore, shrink, Config};
 fn main() -> ExitCode {
     // A ladder of bounds: the cheap rungs localize a failure fast; the
     // top rungs are the actual coverage target (N sends × R resets ×
-    // save races × replay/reorder/drop adversary).
+    // save races × replay/reorder/drop adversary). Each rung carries its
+    // recorded (states, transitions).
     let configs = [
         (
             "tiny (K=1, N=2, R=1+0)",
+            (1_636, 6_072),
             Config {
                 k_p: 1,
                 k_q: 1,
@@ -27,9 +35,14 @@ fn main() -> ExitCode {
                 buffer_limit: None,
             },
         ),
-        ("reference (K=2, N=4, R=1+1)", Config::small()),
+        (
+            "reference (K=2, N=4, R=1+1)",
+            (281_713, 1_265_782),
+            Config::small(),
+        ),
         (
             "tight-buffer (K=2, N=4, R=0+1, cap=1)",
+            (48_534, 330_574),
             Config {
                 k_p: 2,
                 k_q: 2,
@@ -43,6 +56,7 @@ fn main() -> ExitCode {
         ),
         (
             "deep (K=3, N=4, R=1+1, w=4)",
+            (151_992, 664_697),
             Config {
                 k_p: 3,
                 k_q: 3,
@@ -58,7 +72,8 @@ fn main() -> ExitCode {
 
     let mut total_states = 0u64;
     let mut total_transitions = 0u64;
-    for (name, cfg) in configs {
+    let mut moved = false;
+    for (name, recorded, cfg) in configs {
         let t0 = Instant::now();
         match explore(cfg) {
             Ok(report) => {
@@ -71,6 +86,14 @@ fn main() -> ExitCode {
                     report.traces,
                     t0.elapsed()
                 );
+                if (report.states, report.transitions) != recorded {
+                    eprintln!(
+                        "model-check {name}: counts moved from the recorded {} states, \
+                         {} transitions",
+                        recorded.0, recorded.1
+                    );
+                    moved = true;
+                }
             }
             Err(violation) => {
                 eprintln!("model-check {name}: FAILED");
@@ -86,6 +109,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+    }
+    if moved {
+        eprintln!("model-check FAILED: state counts differ from the recorded ones (see above)");
+        return ExitCode::FAILURE;
     }
     println!(
         "model-check PASS: {total_states} states, {total_transitions} transitions, \

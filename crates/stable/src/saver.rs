@@ -94,12 +94,15 @@ impl SaveLatencyModel {
 /// assert_eq!(saver.fetch()?, Some(200));
 /// # Ok::<(), reset_stable::StableError>(())
 /// ```
+///
+/// `#[repr(C)]` puts the SAVE in flight last, where an owner that
+/// places its own per-message state right after the saver reads both
+/// in one run; the store handle, slot and witness come first.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct BackgroundSaver<S> {
     store: S,
     slot: SlotId,
-    /// The value of the SAVE in flight, if any.
-    pending: Option<u64>,
     /// Newest store generation witnessed as durable for the slot. This
     /// is the rollback witness: it survives
     /// [`crash`](BackgroundSaver::crash) the same way the store handle
@@ -108,6 +111,8 @@ pub struct BackgroundSaver<S> {
     /// caught by [`fetch_checked`](BackgroundSaver::fetch_checked). Plain
     /// stores witness generation 0 and the check is vacuous.
     acked: u64,
+    /// The value of the SAVE in flight, if any.
+    pending: Option<u64>,
 }
 
 impl<S: StableStore> BackgroundSaver<S> {
@@ -116,8 +121,8 @@ impl<S: StableStore> BackgroundSaver<S> {
         BackgroundSaver {
             store,
             slot,
-            pending: None,
             acked: 0,
+            pending: None,
         }
     }
 
@@ -237,6 +242,17 @@ impl<S: StableStore> BackgroundSaver<S> {
 mod tests {
     use super::*;
     use crate::MemStable;
+
+    #[test]
+    fn the_save_in_flight_is_the_last_field() {
+        use std::mem::{offset_of, size_of};
+        fn check<S>() {
+            let end = offset_of!(BackgroundSaver<S>, pending) + size_of::<Option<u64>>();
+            assert_eq!(end, size_of::<BackgroundSaver<S>>());
+        }
+        check::<MemStable>();
+        check::<Box<dyn StableStore + Send>>();
+    }
 
     const SLOT: SlotId = SlotId::raw(1);
 

@@ -12,7 +12,8 @@
 //! allocates one fresh arena more; a single-frame `push_wire` allocates
 //! nothing and `protect` exactly the one buffer it returns; the machine
 //! and its driver allocate nothing per message, nor to complete a
-//! witnessed SAVE or a wake-up; an idle `tick` allocates nothing.
+//! witnessed SAVE or a wake-up; an idle `tick` allocates nothing, and
+//! installing an SA pair nothing but its share of the fleet's growth.
 //!
 //! A counting `#[global_allocator]` sees every thread (the sharded drain
 //! allocates on its workers), so everything lives in **one** `#[test]`:
@@ -290,6 +291,25 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
     });
     assert_eq!(allocs, 0, "64 idle ticks over 256 SAs allocated");
     assert_eq!(gw.poll_events(), vec![], "idle ticks must not emit events");
+
+    // ---- installing an SA pair allocates nothing per pair: the keys
+    // derive into the stack and the window's words are inline. What is
+    // left is the slab's and the index's growth, amortized over the
+    // fleet: 1 024 installs after 2 048.
+    let mut gw = GatewayBuilder::in_memory().build();
+    for spi in 1..=2048u32 {
+        gw.add_peer(spi, b"alloc-install-master");
+    }
+    let ((), allocs) = counted(|| {
+        for spi in 2049..=3072u32 {
+            gw.add_peer(spi, b"alloc-install-master");
+        }
+    });
+    let per_pair = allocs as f64 / 1024.0;
+    assert!(
+        per_pair <= 0.01,
+        "add_peer allocated {per_pair:.2} times per SA pair ({allocs} for 1 024)"
+    );
 
     for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
         // ---- the drain: per-batch constant, whatever the run length.
