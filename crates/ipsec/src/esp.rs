@@ -14,12 +14,26 @@
 //! nowhere else. A drain is a list of runs — consecutive frames for one
 //! SA — and three walks over it plus one decrypt:
 //!
-//! 1. **Resolve.** [`crate::Sadb::process_batch`] cuts a batch into SPI
-//!    runs and finds every run's slot before any frame is verified.
+//! 1. **Resolve, then warm.** [`crate::Sadb::process_batch`] cuts a
+//!    batch into SPI runs and probes the SPI index for every run's slot,
+//!    reading no record. A second loop, the warm pass, then drops each run
+//!    whose record has no inbound half (its frames are unknown SAs) and
+//!    loads one word from every line of each other run's receive run
+//!    (`Inbound::warm`), so the walks below find those lines in cache.
+//!    The loads are a loop of their own because then they are
+//!    independent: in the probe loop each one waits at the end of a
+//!    chain (hash, probe, record), so a fleet past the cache misses on one
+//!    record at a time, while here the core keeps many misses in flight —
+//!    the group prefetching of hash joins (Chen, Ailamaki, Gibbons and
+//!    Mowry, ICDE 2004). They are demand loads, folded into one value
+//!    the drain passes to [`std::hint::black_box`], not prefetch
+//!    intrinsics, which would need `unsafe` in a crate that forbids it.
+//!    On a fleet that fits in cache the pass is one more walk over hot
+//!    records per batch: one record per SPI run.
 //!    [`Inbound::process_batch`] is a batch of one run, resolved to
-//!    itself; [`Inbound::process`] is a batch of one frame, and the frames
-//!    buffered during a wake-up are one too when [`Inbound::finish_wakeup`]
-//!    resolves them.
+//!    itself without a warm pass; [`Inbound::process`] is a batch of one
+//!    frame, and the frames buffered during a wake-up are one too when
+//!    [`Inbound::finish_wakeup`] resolves them.
 //! 2. **Verify.** Every frame of every running run is parsed and its ICV
 //!    verified, the ESN high half guessed at the SA's right edge as of
 //!    batch start. An AEAD SA's frames go into stack groups of 16 that
@@ -628,6 +642,26 @@ impl<S: StableStore> Inbound<S> {
             wakeup_buffer: DEFAULT_WAKEUP_BUFFER,
             auth_failures: 0,
         }
+    }
+
+    /// Loads one word from every 64-byte line of the receive run — the
+    /// SA's key and SPI, the dead-peer deadline and detector, the SAVE in
+    /// flight, the right edge and the phase — and folds them into a value
+    /// that means nothing. The drain's warm pass calls it on every
+    /// resolved run before walk (ii) reads the record (module docs, "One
+    /// receive path"). The first read is the run's first byte, the last
+    /// its last, and no two consecutive ones are more than 64 bytes
+    /// apart, so wherever the record lies no line of the run stays cold
+    /// (`sadb::tests::the_warm_pass_reads_every_line_of_the_receive_run`).
+    pub(crate) fn warm(&self) -> u64 {
+        let machine = self.rx.machine();
+        let right = machine.window().map_or(0, |w| w.right_edge().value());
+        self.sa.warm()
+            ^ self.dpd.deadline.unwrap_or(0)
+            ^ u64::from(self.dpd.detector.is_some())
+            ^ self.rx.pending_save().unwrap_or(0)
+            ^ right
+            ^ machine.phase() as u64
     }
 
     /// Caps the wake-up packet buffer at `limit` frames (clamped to ≥ 1;

@@ -1281,6 +1281,41 @@ mod tests {
     }
 
     #[test]
+    fn frames_for_an_outbound_only_spi_are_unknown_in_arrival_order() {
+        // The receiver sends on 0x22 but does not receive on it: the
+        // SPI's record is live, yet no frame naming it is served, and its
+        // verdicts keep their places among the delivered ones.
+        let (mut p, mut q) = pair(CryptoSuite::default());
+        let send_only = SecurityAssociation::new(0x22, SaKeys::derive(b"gw-test", b"0x22"));
+        p.install_outbound(send_only.clone());
+        q.install_outbound(send_only);
+        let mut seal = |spi| p.protect(spi, b"x").unwrap().unwrap().wire;
+        let batch = [seal(0x11), seal(0x22), seal(0x22), seal(0x11), seal(0x22)];
+        q.push_wire_batch(&batch).unwrap();
+        let kinds: Vec<_> = q
+            .poll_events()
+            .iter()
+            .map(|ev| match ev {
+                GatewayEvent::Delivered { spi, seq, .. } => (*spi, Some(seq.value())),
+                GatewayEvent::UnknownSa { spi } => (*spi, None),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                (0x11, Some(1)),
+                (0x22, None),
+                (0x22, None),
+                (0x11, Some(2)),
+                (0x22, None)
+            ]
+        );
+        // The send half is untouched.
+        assert_eq!(q.protect(0x22, b"y").unwrap().unwrap().seq.value(), 1);
+    }
+
+    #[test]
     fn protect_on_unknown_spi_errors() {
         let (mut p, _) = pair(CryptoSuite::default());
         assert!(matches!(

@@ -22,8 +22,13 @@
 //! * [`Completion`] — one job's pending result. Submitting returns
 //!   immediately; [`Completion::wait`] blocks until the worker has run
 //!   the job and reports either the job's value or the fact that the
-//!   job panicked. Waiting on completions **in shard index order** is
-//!   the pool's completion barrier: it reproduces exactly the stable
+//!   job panicked. The answer comes back through a one-slot [`Reply`],
+//!   not a channel: a fresh `mpsc` channel per job allocates its queue
+//!   on the answer's send, and again on the wait if the waiter has to
+//!   block, so a drain's allocation count would depend on thread
+//!   timing. A reply is one allocation, and std's `Mutex` and `Condvar`
+//!   allocate nothing to wait. Waiting on completions **in shard index
+//!   order** is the pool's completion barrier: it reproduces exactly the stable
 //!   shard-then-arrival event merge the scoped implementation produced.
 //! * [`ShardPanic`] — a job panic, carried back to the submitting
 //!   thread. Fallible verbs surface it as
@@ -54,7 +59,8 @@
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 
 use crate::gateway::Gateway;
@@ -105,6 +111,53 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// One job's answer slot, shared by the submitter and the job: filled
+/// once, with the job's result or — when the job is dropped unrun
+/// because its worker is gone — with `None`. Neither side can panic
+/// while it holds the lock, and each update is one store, so a poisoned
+/// lock still guards a valid slot.
+pub(crate) struct Reply<R> {
+    slot: Mutex<Option<Option<JobResult<R>>>>,
+    filled: Condvar,
+}
+
+impl<R> Reply<R> {
+    fn post(&self, answer: Option<JobResult<R>>) {
+        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(answer);
+        self.filled.notify_one();
+    }
+
+    /// Blocks until the slot is filled and takes the answer.
+    fn take(&self) -> Option<JobResult<R>> {
+        let slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = self
+            .filled
+            .wait_while(slot, |slot| slot.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        slot.take().expect("filled")
+    }
+}
+
+/// The job's end of a [`Reply`]. Dropped without answering — the job
+/// never ran — it posts `None`, so the waiter never hangs.
+struct Replier<R>(Option<Arc<Reply<R>>>);
+
+impl<R> Replier<R> {
+    fn send(mut self, result: JobResult<R>) {
+        if let Some(reply) = self.0.take() {
+            reply.post(Some(result));
+        }
+    }
+}
+
+impl<R> Drop for Replier<R> {
+    fn drop(&mut self) {
+        if let Some(reply) = self.0.take() {
+            reply.post(None);
+        }
+    }
+}
+
 /// A submitted job's result: already computed (inline shard) or
 /// pending on the worker (threaded shard). Dropping it without waiting
 /// is allowed (the answer is discarded).
@@ -118,8 +171,8 @@ pub(crate) enum Completion<R> {
     },
     /// The job is queued on (or running on) a worker thread.
     Pending {
-        /// Receives the job's outcome from the worker.
-        rx: Receiver<JobResult<R>>,
+        /// Where the worker leaves the job's outcome.
+        reply: Arc<Reply<R>>,
         /// Shard index, for error attribution.
         shard: usize,
     },
@@ -128,20 +181,19 @@ pub(crate) enum Completion<R> {
 impl<R> Completion<R> {
     /// Blocks until the job has run. `Err` means the job panicked or
     /// its worker was already down — never a hang: the worker answers
-    /// every job it receives, and a dead worker's dropped channel makes
-    /// `recv` return immediately.
+    /// every job it receives, and a job dropped unrun answers `None`.
     pub fn wait(self) -> Result<R, ShardPanic> {
         let (outcome, shard) = match self {
-            Completion::Ready { result, shard } => (Ok(result), shard),
-            Completion::Pending { rx, shard } => (rx.recv(), shard),
+            Completion::Ready { result, shard } => (Some(result), shard),
+            Completion::Pending { reply, shard } => (reply.take(), shard),
         };
         match outcome {
-            Ok(Ok(value)) => Ok(value),
-            Ok(Err(payload)) => Err(ShardPanic {
+            Some(Ok(value)) => Ok(value),
+            Some(Err(payload)) => Err(ShardPanic {
                 shard,
                 message: panic_message(payload.as_ref()),
             }),
-            Err(_) => Err(ShardPanic {
+            None => Err(ShardPanic {
                 shard,
                 message: "worker exited before answering the job".to_string(),
             }),
@@ -230,20 +282,24 @@ impl<S: Send + 'static> ShardWorker<S> {
                 }
             }
             Backend::Thread { jobs, .. } => {
-                let (tx, rx) = channel::<JobResult<R>>();
+                let reply = Arc::new(Reply {
+                    slot: Mutex::new(None),
+                    filled: Condvar::new(),
+                });
+                let replier = Replier(Some(Arc::clone(&reply)));
                 let job: ShardJob<S> = Box::new(move |gateway| {
                     let result = catch_unwind(AssertUnwindSafe(|| f(gateway)));
                     // A dropped Completion just discards the answer.
-                    let _ = tx.send(result);
+                    replier.send(result);
                 });
                 if let Some(jobs) = jobs {
-                    // On a closed queue the job (and with it `tx`) is
-                    // dropped, so the waiter sees "worker exited" — no
-                    // special case.
+                    // On a closed queue the job (and with it the
+                    // replier) is dropped, so the waiter sees "worker
+                    // exited" — no special case.
                     let _ = jobs.send(job);
                 }
                 Completion::Pending {
-                    rx,
+                    reply,
                     shard: self.index,
                 }
             }
@@ -369,6 +425,24 @@ mod tests {
             w.run(|g| g.protect(5, b"c").unwrap().unwrap().seq.value()),
             3
         );
+    }
+
+    #[test]
+    fn a_job_its_worker_never_runs_answers_instead_of_hanging() {
+        // A queue whose worker is gone refuses the job, and the reply
+        // the dropped job held answers the waiter.
+        let (jobs, queue) = channel();
+        drop(queue);
+        let w: ShardWorker<MemStable> = ShardWorker {
+            backend: Backend::Thread {
+                jobs: Some(jobs),
+                handle: None,
+            },
+            index: 4,
+        };
+        let err = w.submit(|_g| 1).wait().unwrap_err();
+        assert_eq!(err.shard, 4);
+        assert_eq!(err.message, "worker exited before answering the job");
     }
 
     #[test]

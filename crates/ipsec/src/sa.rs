@@ -322,6 +322,21 @@ impl SecurityAssociation {
         }
     }
 
+    /// The SA's words for the receive drain's warm pass
+    /// ([`crate::Inbound`]'s `warm`): the head of the transform, which
+    /// starts the receive run, and the SPI near its end. The value means
+    /// nothing; the loads are the point.
+    pub(crate) fn warm(&self) -> u64 {
+        let head = match &self.cipher {
+            // An HMAC SA's transform is the pointer to its schedules.
+            SuiteState::Hmac(suite) => std::ptr::from_ref::<HmacSha256Suite>(suite).addr() as u64,
+            // Equality reads the key. Without `black_box` the compiler
+            // sees the key compared with itself and loads nothing.
+            SuiteState::Aead(suite) => u64::from(suite == std::hint::black_box(suite)),
+        };
+        head ^ u64::from(self.spi)
+    }
+
     /// The negotiated suite.
     pub fn suite(&self) -> CryptoSuite {
         self.suite
@@ -381,6 +396,15 @@ impl SecurityAssociation {
             fields.push(span_of(&self.lifetime));
         }
         fields
+    }
+
+    /// Where [`SecurityAssociation::warm`] reads, for the same test.
+    pub(crate) fn warm_fields(&self) -> [(usize, usize); 2] {
+        let head = match &self.cipher {
+            SuiteState::Hmac(suite) => span_of(suite),
+            SuiteState::Aead(suite) => span_of(suite),
+        };
+        [head, span_of(&self.spi)]
     }
 }
 

@@ -45,11 +45,17 @@
 //! ordered one beside it would cost every install, and sorting anew for
 //! each recovery half cost a 2¹⁸-SA fleet ~20 % of `recover_ns_per_sa`.
 //!
-//! The [`Sadb::process_batch`] drain resolves first. Walk (i) cuts the
-//! batch into runs of one SPI and looks every run's slot up. The walks
-//! that verify, window and decrypt follow over the resolved runs (see
-//! [`crate::esp`], "One receive path"), and the gateway gets each run's
-//! slot.
+//! The [`Sadb::process_batch`] drain resolves first. Walk (i) is two
+//! loops. *Resolve* cuts the batch into runs of one SPI and probes the
+//! index for every run's slot; it reads no record. *Warm* then reads each
+//! resolved record: a slot with no inbound half serves no run (its frames
+//! are unknown SAs), and every other run's inbound half loads one word a
+//! line of its receive run. The loads of one loop do not wait on each
+//! other, so a wide fleet's misses overlap instead of coming one record
+//! at a time (see [`crate::esp`], "One receive path", for why the loop is
+//! separate and why it uses demand loads). The walks that verify, window
+//! and decrypt follow over the resolved runs, and the gateway gets each
+//! run's slot.
 //!
 //! The stated cost: a record with one direction installed carries the
 //! other's empty half inline (304 B outbound, 384 B inbound; an SA keeps
@@ -616,9 +622,9 @@ impl<S: StableStore> Sadb<S> {
     /// The sharded fan-out passes `|i| &batch[route[i]]` to drain its
     /// share of a *shared* batch without cloning a per-shard `Vec<Bytes>`
     /// first; the slice form passes `|i| &wires[i]`. This is walk (i) of
-    /// the drain (module docs, "Storage layout"); the rest is
-    /// `esp::drain`, inside one drain of the database's scratch, which
-    /// also keeps the list of runs ([`Sadb::runs_mut`]).
+    /// the drain, resolve then warm (module docs, "Storage layout"); the
+    /// rest is `esp::drain`, inside one drain of the database's scratch,
+    /// which also keeps the list of runs ([`Sadb::runs_mut`]).
     pub(crate) fn process_batch_routed<'w>(
         &mut self,
         n: usize,
@@ -626,9 +632,9 @@ impl<S: StableStore> Sadb<S> {
         out: &mut Vec<RxResult>,
     ) {
         self.scratch.begin((0..n).map(|i| at(i).len()).sum());
-        self.scratch.runs.clear();
-        // ---- Walk (i): resolve. Cut the frames into runs of one SPI and
-        // find every run's slot.
+        // ---- Walk (i), resolve: cut the frames into runs of one SPI and
+        // probe the index for every run's slot. No record is read here, so
+        // the probes do not wait on each other's misses.
         let mut i = 0;
         while i < n {
             let wire = at(i);
@@ -638,23 +644,34 @@ impl<S: StableStore> Sadb<S> {
                     while j < n && at(j).get(0..4) == Some(&wire[0..4]) {
                         j += 1;
                     }
-                    let slot = self.index.get(&spi).copied();
-                    let served = |&slot: &u32| self.slots[slot as usize].inbound().is_some();
-                    (spi, slot.filter(served))
+                    (spi, self.index.get(&spi).copied())
                 }
                 // A frame too short to name an SPI is a run of its own,
                 // reported as SPI 0.
                 None => (0, None),
             };
-            let run = Run {
+            self.scratch.resolved.push(Run {
                 spi,
                 slot,
                 len: j - i,
-            };
-            self.scratch.resolved.push(run);
-            self.scratch.runs.push(run);
+            });
             i = j;
         }
+        // ---- Walk (i), warm: a slot with no inbound half serves no run;
+        // every other run's record is read one word a line, in a loop of
+        // its own, so the misses of many records are in flight at once.
+        let mut warm = 0;
+        self.scratch.runs.clear();
+        for run in &mut self.scratch.resolved {
+            if let Some(slot) = run.slot {
+                match self.slots[slot as usize].inbound() {
+                    Some(inbound) => warm ^= inbound.warm(),
+                    None => run.slot = None,
+                }
+            }
+            self.scratch.runs.push(*run);
+        }
+        std::hint::black_box(warm);
         let mut records = Records {
             slots: &mut self.slots,
             saves: &mut self.saves,
@@ -864,7 +881,7 @@ impl<S: StableStore> Sadb<S> {
 mod tests {
     use super::*;
     use crate::esp::RxReject;
-    use crate::sa::{SaKeys, SecurityAssociation};
+    use crate::sa::{span_of, SaKeys, SecurityAssociation};
     use reset_stable::MemStable;
 
     fn sa(spi: u32) -> SecurityAssociation {
@@ -934,6 +951,34 @@ mod tests {
     const SEND_RUN: usize = 192;
     const RECEIVE_RUN: usize = 209;
 
+    type Boxed = Box<dyn StableStore + Send>;
+
+    /// SPI 1 both ways over boxed stores, the record the benchmark's fleet
+    /// holds.
+    fn boxed_pair() -> Sadb<Boxed> {
+        let mut db: Sadb<Boxed> = Sadb::new();
+        db.install_outbound(sa(1), Box::new(MemStable::new()), 10);
+        db.install_inbound(sa(1), Box::new(MemStable::new()), 10, 64);
+        db
+    }
+
+    /// A driver's per-message fields: the saver's tail, which ends in the
+    /// SAVE in flight (reset-stable pins that), and the machine's head
+    /// right after it.
+    fn driver_run(d: &SfDriver<Boxed>) -> [(usize, usize); 2] {
+        let (saver, machine) = (span_of(d).0, span_of(d.machine()).0);
+        [(saver, machine - saver), (machine, MACHINE_RUN)]
+    }
+
+    /// The fields a received frame reads.
+    fn receive_fields(inb: &Inbound<Boxed>) -> Vec<(usize, usize)> {
+        let mut rx = inb.sa().frame_fields(false);
+        rx.push(span_of(&inb.dpd));
+        rx.extend(driver_run(inb.seq_state()));
+        rx.push(span_of(inb.seq_state().machine().window().unwrap()));
+        rx
+    }
+
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn each_directions_frame_fields_are_one_short_run() {
@@ -941,28 +986,60 @@ mod tests {
         // reads on each direction sit in one run of the record, so a wide
         // fleet misses on few lines per frame. A field added inside a run
         // lengthens it and fails here.
-        use crate::sa::span_of;
-        type Boxed = Box<dyn StableStore + Send>;
-        let mut db: Sadb<Boxed> = Sadb::new();
-        db.install_outbound(sa(1), Box::new(MemStable::new()), 10);
-        db.install_inbound(sa(1), Box::new(MemStable::new()), 10, 64);
+        let db = boxed_pair();
         let record = db.record(1).unwrap();
         let (out, inb) = (record.outbound().unwrap(), record.inbound().unwrap());
-        // A driver's saver ends in the SAVE in flight (reset-stable pins
-        // that), and the machine's head follows it.
-        let driver = |d: &SfDriver<Boxed>| {
-            let (saver, machine) = (span_of(d).0, span_of(d.machine()).0);
-            [(saver, machine - saver), (machine, MACHINE_RUN)]
-        };
         let mut tx = out.sa().frame_fields(true);
-        tx.extend(driver(out.seq_state()));
-        let mut rx = inb.sa().frame_fields(false);
-        rx.push(span_of(&inb.dpd));
-        rx.extend(driver(inb.seq_state()));
-        rx.push(span_of(inb.seq_state().machine().window().unwrap()));
-        let (tx, rx) = (run_of(&tx), run_of(&rx));
+        tx.extend(driver_run(out.seq_state()));
+        let (tx, rx) = (run_of(&tx), run_of(&receive_fields(inb)));
         assert!(tx <= SEND_RUN, "a send reads a {tx} B run");
         assert!(rx <= RECEIVE_RUN, "a receive reads a {rx} B run");
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_warm_pass_reads_every_line_of_the_receive_run() {
+        // The drain's warm pass (`Inbound::warm`) loads one field on each
+        // 64-byte line of the receive run, so walks (ii) and (iii) find
+        // the run in cache. A layout change that lengthens the run or
+        // opens a gap of more than a line between two of these fields
+        // leaves a line cold for some placement of the record, and fails
+        // here. The list mirrors `Inbound::warm`.
+        let db = boxed_pair();
+        let inb = db.record(1).unwrap().inbound().unwrap();
+        let run = receive_fields(inb);
+        let start = run.iter().map(|&(at, _)| at).min().unwrap();
+        let end = start + run_of(&run);
+        let machine = span_of(inb.seq_state().machine()).0;
+        let pending = std::mem::size_of::<Option<u64>>();
+        let mut reads = inb.sa().warm_fields().to_vec();
+        reads.extend([
+            span_of(&inb.dpd.deadline),
+            span_of(&inb.dpd.detector),
+            (machine - pending, pending),
+            span_of(inb.seq_state().machine().window().unwrap()),
+            // The phase closes the machine's head.
+            (machine + MACHINE_RUN - 1, 1),
+        ]);
+        for &(at, len) in &reads {
+            assert!(
+                start <= at && at + len <= end,
+                "a warm read at {at} is outside the run"
+            );
+        }
+        // The record where it lies (shift 0), and every other placement
+        // its alignment allows.
+        let align = std::mem::align_of::<SaRecord<Boxed>>();
+        for shift in (0..64).step_by(align) {
+            let line = |at: usize| (at + shift) / 64;
+            for l in line(start)..=line(end - 1) {
+                assert!(
+                    reads.iter().any(|&(at, _)| line(at) == l),
+                    "shifted {shift} B, line {} of the receive run has no warm read",
+                    l - line(start)
+                );
+            }
+        }
     }
 
     #[test]
@@ -1002,6 +1079,41 @@ mod tests {
         assert_eq!(
             process_one(&mut db, &Bytes::from(foreign)),
             RxResult::Rejected(RxReject::UnknownSa { spi: 42 })
+        );
+    }
+
+    #[test]
+    fn a_drain_never_serves_an_spi_without_an_inbound_half() {
+        // SPI 9 has a record, but only its outbound half: the warm pass
+        // must drop its runs, so every frame naming it is an unknown SA
+        // and no run hands the record on to the gateway.
+        let mut db = sadb_with(2);
+        db.install_outbound(sa(9), MemStable::new(), 10);
+        let mut seal = |spi| db.protect(spi, b"x").unwrap().unwrap();
+        let batch = [seal(1), seal(9), seal(9), seal(2), seal(9)];
+        let results = db.process_batch(&batch).unwrap();
+        let unknown = RxResult::Rejected(RxReject::UnknownSa { spi: 9 });
+        assert!(results[0].is_delivered() && results[3].is_delivered());
+        assert_eq!([&results[1], &results[2], &results[4]], [&unknown; 3]);
+        let runs: Vec<_> = db
+            .runs_mut()
+            .iter()
+            .map(|r| (r.spi, r.slot.is_some(), r.len))
+            .collect();
+        assert_eq!(
+            runs,
+            [(1, true, 1), (9, false, 2), (2, true, 1), (9, false, 1)]
+        );
+        assert!(db.inbound(9).is_none());
+        assert_eq!(
+            db.outbound(9)
+                .unwrap()
+                .seq_state()
+                .machine()
+                .next_seq()
+                .unwrap()
+                .value(),
+            4
         );
     }
 

@@ -109,11 +109,17 @@ const PAYLOAD: [u8; 64] = [0xA7; 64];
 /// (10 800 a batch) and 11 per frame on singleton runs (45 000); before
 /// ISSUE 18 a batch that issued its SAVEs allocated 42.
 const PER_BATCH: u64 = 4;
-/// The same through a 2-shard pool, which adds its fan-out per batch: the
-/// shared `Arc<[Bytes]>`, per-shard route vectors (grown by doubling),
-/// jobs, completions and per-shard event vectors. Measured: 33–35, and
-/// 42–43 with a `save_completed` (one more job per shard) in the cycle.
-const PER_SHARDED_BATCH: u64 = 64;
+/// The same through a 2-shard pool, exactly, for runs of 16 over 256 SAs
+/// and for singleton runs over 4 096: the fan-out adds the shared
+/// `Arc<[Bytes]>`, per-shard route vectors (grown by doubling, one step
+/// further for the singletons), and per job its box, its reply slot and
+/// its shard's event vector. Before the reply was a one-slot `Mutex` and
+/// `Condvar` it was a fresh channel per job, which allocated once more
+/// when the waiter had to block: 33–35, a function of thread timing.
+const SHARDED_BATCH: [u64; 2] = [30, 31];
+/// The 2-shard cycle at the default `K` with a `save_completed` (one
+/// more job per shard), exactly (42–44 with the reply channel).
+const SHARDED_SAVE_CYCLE: u64 = 36;
 
 fn sa(spi: u32, backend: Backend) -> SecurityAssociation {
     let keys = SaKeys::derive(b"it-alloc", &spi.to_be_bytes());
@@ -315,7 +321,10 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
         // ---- the drain: per-batch constant, whatever the run length.
         // (a) 16-frame runs over 256 SAs; (b) singleton runs over 4 096
         // distinct SAs — every frame a different SA than the last.
-        for (sas, run) in [(256u32, 16usize), (BATCH as u32, 1)] {
+        for ((sas, run), sharded) in [(256u32, 16usize), (BATCH as u32, 1)]
+            .into_iter()
+            .zip(SHARDED_BATCH)
+        {
             let mut rx = gateway(sas, backend, NO_SAVES);
             let allocs = drain_allocs((sas, run), backend, (1, 1), |batch| {
                 rx.push_wire_batch(batch).unwrap();
@@ -331,10 +340,10 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
                 rx.push_wire_batch(batch).unwrap();
                 rx.poll_events()
             });
-            assert!(
-                allocs <= PER_SHARDED_BATCH,
+            assert_eq!(
+                allocs, sharded,
                 "{backend}: 2 shards, runs of {run} over {sas} SAs allocated {allocs} \
-                 times (limit {PER_SHARDED_BATCH} per batch)"
+                 times a batch"
             );
         }
 
@@ -367,10 +376,10 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
             rx.save_completed().unwrap();
             events
         });
-        assert!(
-            allocs <= PER_SHARDED_BATCH,
+        assert_eq!(
+            allocs, SHARDED_SAVE_CYCLE,
             "{backend}: 2 shards, a batch with its SAVEs issued and completed allocated \
-             {allocs} times (limit {PER_SHARDED_BATCH} per batch)"
+             {allocs} times"
         );
 
         // ---- a drain whose previous payloads are still held cannot
