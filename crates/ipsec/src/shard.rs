@@ -470,7 +470,9 @@ impl<S: StableStore + Send + 'static> ShardedGateway<S> {
     pub fn submit_batch(&mut self, wires: &[Bytes]) {
         let n = self.workers.len();
         let batch: Arc<[Bytes]> = Arc::from(wires);
-        let mut routes: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // Each route is reserved for the whole batch once, so routing
+        // never regrows it.
+        let mut routes: Vec<Vec<u32>> = (0..n).map(|_| Vec::with_capacity(wires.len())).collect();
         for (i, wire) in batch.iter().enumerate() {
             let spi = reset_wire::peek_spi(wire).unwrap_or(0);
             routes[reset_wire::spi_shard(spi, n)].push(i as u32);

@@ -111,15 +111,17 @@ const PAYLOAD: [u8; 64] = [0xA7; 64];
 const PER_BATCH: u64 = 4;
 /// The same through a 2-shard pool, exactly, for runs of 16 over 256 SAs
 /// and for singleton runs over 4 096: the fan-out adds the shared
-/// `Arc<[Bytes]>`, per-shard route vectors (grown by doubling, one step
-/// further for the singletons), and per job its box, its reply slot and
-/// its shard's event vector. Before the reply was a one-slot `Mutex` and
-/// `Condvar` it was a fresh channel per job, which allocated once more
-/// when the waiter had to block: 33–35, a function of thread timing.
-const SHARDED_BATCH: [u64; 2] = [30, 31];
+/// `Arc<[Bytes]>`, one route vector per shard reserved for the whole
+/// batch, and per job its box, its reply slot and its shard's event
+/// vector. While the route vectors grew by doubling the counts were 30
+/// and 31; before the reply was a one-slot `Mutex` and `Condvar` it was
+/// a fresh channel per job, which allocated once more when the waiter
+/// had to block: 33–35, a function of thread timing.
+const SHARDED_BATCH: [u64; 2] = [12, 12];
 /// The 2-shard cycle at the default `K` with a `save_completed` (one
-/// more job per shard), exactly (42–44 with the reply channel).
-const SHARDED_SAVE_CYCLE: u64 = 36;
+/// more job per shard), exactly (36 with growing route vectors, 42–44
+/// with the reply channel).
+const SHARDED_SAVE_CYCLE: u64 = 18;
 
 fn sa(spi: u32, backend: Backend) -> SecurityAssociation {
     let keys = SaKeys::derive(b"it-alloc", &spi.to_be_bytes());
