@@ -1,11 +1,12 @@
-//! The reset-naive protocol of §2/§3 — the paper's baseline.
+//! The reset-naive receiver of §2/§3 — the paper's baseline.
 //!
 //! Without SAVE/FETCH, a reset throws the counters back to their initial
 //! values (`s = 1`, `r = 0`, window forgotten). §3 shows this admits an
 //! **unbounded** number of accepted replays (receiver reset), an
 //! unbounded number of discarded fresh messages (sender reset), and a
-//! blackhole attack (both reset). These types exist so experiments t3 can
-//! demonstrate exactly those failures next to the SAVE/FETCH fix.
+//! blackhole attack (both reset). Experiment t6 drives this receiver's
+//! bare window through faulty channels; t3 runs the same naive restart on
+//! the engine (the scenario runner's [`Protocol::Baseline`]).
 //!
 //! The §3 attack and the §4 defence, side by side:
 //!
@@ -37,75 +38,10 @@
 //! }
 //! # Ok::<(), reset_stable::StableError>(())
 //! ```
+//!
+//! [`Protocol::Baseline`]: crate::Protocol::Baseline
 
 use anti_replay::{AntiReplayWindow, SeqNum, Verdict};
-
-/// Process `p` of §2: a bare counter, forgotten on reset.
-///
-/// # Examples
-///
-/// ```
-/// use reset_harness::BaselineSender;
-///
-/// let mut p = BaselineSender::new();
-/// assert_eq!(p.send_next().value(), 1);
-/// assert_eq!(p.send_next().value(), 2);
-/// p.reset_and_wake();
-/// assert_eq!(p.send_next().value(), 1); // the §3 problem
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineSender {
-    s: SeqNum,
-    sent: u64,
-    resets: u64,
-}
-
-impl Default for BaselineSender {
-    fn default() -> Self {
-        BaselineSender::new()
-    }
-}
-
-impl BaselineSender {
-    /// A sender at the paper's initial state (`s = 1`).
-    pub fn new() -> Self {
-        BaselineSender {
-            s: SeqNum::FIRST,
-            sent: 0,
-            resets: 0,
-        }
-    }
-
-    /// Sends the next message: returns its sequence number.
-    pub fn send_next(&mut self) -> SeqNum {
-        let seq = self.s;
-        self.s = self.s.next();
-        self.sent += 1;
-        seq
-    }
-
-    /// The next sequence number that would be used.
-    pub fn next_seq(&self) -> SeqNum {
-        self.s
-    }
-
-    /// Reset + immediate wake-up: everything volatile is gone, so the
-    /// counter restarts at 1.
-    pub fn reset_and_wake(&mut self) {
-        self.s = SeqNum::FIRST;
-        self.resets += 1;
-    }
-
-    /// Messages sent across all incarnations.
-    pub fn total_sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Resets experienced.
-    pub fn resets(&self) -> u64 {
-        self.resets
-    }
-}
 
 /// Process `q` of §2: window + right edge, forgotten on reset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,7 +49,6 @@ pub struct BaselineReceiver {
     window: AntiReplayWindow,
     delivered: u64,
     discarded: u64,
-    resets: u64,
 }
 
 impl BaselineReceiver {
@@ -127,7 +62,6 @@ impl BaselineReceiver {
             window: AntiReplayWindow::new(w),
             delivered: 0,
             discarded: 0,
-            resets: 0,
         }
     }
 
@@ -142,11 +76,6 @@ impl BaselineReceiver {
         v
     }
 
-    /// The window (read-only).
-    pub fn window(&self) -> &AntiReplayWindow {
-        &self.window
-    }
-
     /// Right edge `r`.
     pub fn right_edge(&self) -> SeqNum {
         self.window.right_edge()
@@ -156,7 +85,6 @@ impl BaselineReceiver {
     /// all entries forgotten) that accepts arbitrary replays.
     pub fn reset_and_wake(&mut self) {
         self.window.reset_naive();
-        self.resets += 1;
     }
 
     /// Messages delivered across all incarnations.
@@ -168,24 +96,27 @@ impl BaselineReceiver {
     pub fn total_discarded(&self) -> u64 {
         self.discarded
     }
-
-    /// Resets experienced.
-    pub fn resets(&self) -> u64 {
-        self.resets
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Process `p` of §2 is a bare counter: sends `s`, then increments.
+    /// Its naive restart is `*p = SeqNum::FIRST`.
+    fn send(p: &mut SeqNum) -> SeqNum {
+        let seq = *p;
+        *p = p.next();
+        seq
+    }
+
     #[test]
     fn normal_operation_is_correct() {
         // Without resets the baseline satisfies both §2 conditions.
-        let mut p = BaselineSender::new();
+        let mut p = SeqNum::FIRST;
         let mut q = BaselineReceiver::new(32);
         for _ in 0..100 {
-            let s = p.send_next();
+            let s = send(&mut p);
             assert!(q.receive(s).is_deliverable());
         }
         // Full replay: all discarded.
@@ -198,11 +129,11 @@ mod tests {
 
     #[test]
     fn section3_receiver_reset_accepts_unbounded_replays() {
-        let mut p = BaselineSender::new();
+        let mut p = SeqNum::FIRST;
         let mut q = BaselineReceiver::new(32);
         let x = 500; // pre-reset traffic, "unbounded" in the paper
         for _ in 0..x {
-            q.receive(p.send_next());
+            q.receive(send(&mut p));
         }
         q.reset_and_wake();
         // The adversary replays 1..=x in order: ALL are accepted.
@@ -217,18 +148,18 @@ mod tests {
 
     #[test]
     fn section3_sender_reset_discards_unbounded_fresh() {
-        let mut p = BaselineSender::new();
+        let mut p = SeqNum::FIRST;
         let mut q = BaselineReceiver::new(32);
         let y = 500;
         for _ in 0..y {
-            q.receive(p.send_next());
+            q.receive(send(&mut p));
         }
-        p.reset_and_wake();
+        p = SeqNum::FIRST;
         // Fresh messages restart at 1: everything left of y − w + 1 is
         // discarded as a presumed replay.
         let mut discarded = 0;
         for _ in 0..400 {
-            if !q.receive(p.send_next()).is_deliverable() {
+            if !q.receive(send(&mut p)).is_deliverable() {
                 discarded += 1;
             }
         }
@@ -237,13 +168,13 @@ mod tests {
 
     #[test]
     fn section3_both_reset_blackhole_attack() {
-        let mut p = BaselineSender::new();
+        let mut p = SeqNum::FIRST;
         let mut q = BaselineReceiver::new(32);
         let z = 300u64; // highest recorded sequence number
         for _ in 0..z {
-            q.receive(p.send_next());
+            q.receive(send(&mut p));
         }
-        p.reset_and_wake();
+        p = SeqNum::FIRST;
         q.reset_and_wake();
         // Adversary replays msg(z): q's fresh window accepts it and the
         // right edge jumps to z.
@@ -252,20 +183,10 @@ mod tests {
         // Every fresh message from p (1, 2, ...) is now blackholed.
         let mut blackholed = 0;
         for _ in 0..200 {
-            if !q.receive(p.send_next()).is_deliverable() {
+            if !q.receive(send(&mut p)).is_deliverable() {
                 blackholed += 1;
             }
         }
         assert_eq!(blackholed, 200);
-    }
-
-    #[test]
-    fn counters_survive_resets() {
-        let mut p = BaselineSender::new();
-        p.send_next();
-        p.reset_and_wake();
-        p.send_next();
-        assert_eq!(p.total_sent(), 2);
-        assert_eq!(p.resets(), 1);
     }
 }

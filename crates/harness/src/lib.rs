@@ -1,23 +1,24 @@
 //! # reset-harness — experiments regenerating every figure and table
 //!
 //! This crate turns the reproduction into numbers: a deterministic timed
-//! [scenario runner](run_scenario) that wires the SAVE/FETCH protocol (or
-//! the vulnerable baseline) to a faulty channel, a replay adversary, a
+//! [scenario runner](run_scenario) that drives the shipped engine — a
+//! [`reset_ipsec::ShardedGateway`] pair under SAVE/FETCH or under the §3
+//! naive restart — over a faulty channel, a replay adversary, a
 //! latency-modelled persistent store and an online convergence
-//! [`Monitor`](anti_replay::Monitor) — plus one module per figure/table
+//! [`Monitor`](anti_replay::Monitor), plus one module per figure/table
 //! of the paper under [`experiments`].
 //!
 //! It also holds the figure code that has no place on the gateway path:
-//! the reset-naive §2 protocol ([`BaselineSender`] / [`BaselineReceiver`],
-//! for t3 and t6) and the ISAKMP main-mode handshake over the OAKLEY
-//! Diffie–Hellman groups with its cost ledger ([`run_handshake`],
-//! [`HandshakeCost`], [`CostModel`], for t5).
+//! the reset-naive §2 receiver ([`BaselineReceiver`], for t6) and the
+//! ISAKMP main-mode handshake over the OAKLEY Diffie–Hellman groups with
+//! its cost ledger ([`run_handshake`], [`HandshakeCost`], [`CostModel`],
+//! for t5).
 //!
 //! Run everything:
 //!
 //! ```text
 //! cargo run -p reset-harness --bin experiments -- all
-//! cargo run -p reset-harness --bin experiments -- fig1 --seed 7
+//! cargo run -p reset-harness --bin experiments -- fig1 t3
 //! ```
 //!
 //! # The unified report schema (`reset-report/v1`)
@@ -80,7 +81,7 @@ mod report;
 mod scenario;
 mod workload;
 
-pub use baseline::{BaselineReceiver, BaselineSender};
+pub use baseline::BaselineReceiver;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
 pub use churn::{run_churn, AdversaryZoo, ChurnConfig, ChurnReport};

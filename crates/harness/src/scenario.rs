@@ -7,35 +7,34 @@
 //! §5 guarantees. All randomness forks from one seed; runs are exactly
 //! reproducible.
 //!
-//! Two [`Transport`]s drive the same experiment matrix: the abstract
-//! sequence-number model (fast, crypto-free) and the real ESP datapath —
-//! a [`reset_ipsec::ShardedGateway`] pair exchanging suite-framed wire
-//! bytes over the faulty link, so every fault/adversary/reset scenario
-//! can sweep cipher suites too. Fleet transports
-//! ([`Transport::esp_fleet`] with `shards > 1`) run on the engine's
-//! persistent worker-pool runtime: the pool's threads are spawned once
-//! when the scenario builds its gateways, every `protect`/`push_wire`
-//! routes as a job to the owning shard's long-lived worker, and the
-//! timed wake-up hooks (`Ev::Wake` → `begin_recover`,
-//! `Ev::FinishWake` → `finish_recover`) submit the recovery halves
-//! shard-parallel while the simulator models the SAVE device latency
-//! between them. With `shards == 1` (the default) the pool is
-//! degenerate — zero threads, jobs run inline — so single-tunnel
+//! Every scenario runs the shipped engine: a
+//! [`reset_ipsec::ShardedGateway`] pair exchanging suite-framed wire
+//! bytes over the faulty link, so the adversary replays recorded
+//! ciphertext and every fault/adversary/reset scenario can sweep cipher
+//! suites. [`Protocol`] is the one switch between SAVE/FETCH and the §3
+//! naive restart. Fleet transports ([`Transport::esp_fleet`] with
+//! `shards > 1`) run on the engine's persistent worker-pool runtime: the
+//! pool's threads are spawned once when the scenario builds its
+//! gateways, every `protect`/`push_wire` routes as a job to the owning
+//! shard's long-lived worker, and the timed wake-up hooks (`Ev::Wake` →
+//! `begin_recover`, `Ev::FinishWake` → `finish_recover`) submit the
+//! recovery halves shard-parallel while the simulator models the SAVE
+//! device latency between them. With `shards == 1` (the default) the
+//! pool is degenerate — zero threads, jobs run inline — so single-tunnel
 //! scenarios cost exactly what a plain [`reset_ipsec::Gateway`] would.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use anti_replay::{Monitor, MsgId, Origin, Phase, Report, RxOutcome, SeqNum, SfDriver};
+use anti_replay::{Monitor, MsgId, Origin, Phase, Report, SeqNum};
 use bytes::Bytes;
 use reset_channel::{Link, LinkConfig, LinkStats, Tap};
 use reset_ipsec::{
     CryptoSuite, GatewayBuilder, GatewayEvent, SaKeys, SecurityAssociation, ShardedGateway,
 };
 use reset_sim::{DetRng, SimDuration, SimTime, Simulator};
-use reset_stable::{MemStable, SaveLatencyModel, SlotId};
+use reset_stable::{MemStable, SaveLatencyModel};
 use reset_telemetry::Json;
 
-use crate::baseline::{BaselineReceiver, BaselineSender};
 use crate::report::{RunReport, RunTotals, SaVerdict};
 use crate::workload::Workload;
 
@@ -44,69 +43,48 @@ use crate::workload::Workload;
 pub enum Protocol {
     /// §4: SAVE/FETCH with the `2K` leap.
     SaveFetch,
-    /// §2 protocol with the §3 naive restart (the vulnerable baseline).
+    /// §2 protocol with the §3 naive restart (the vulnerable baseline):
+    /// a reset rebuilds the struck gateway from scratch — counters at 1,
+    /// window empty, tearing down and respawning the whole pool, which is
+    /// exactly what a naive restart costs.
     Baseline,
 }
 
-/// What actually crosses the link.
+/// What crosses the link: real ESP frames sealed by a
+/// [`reset_ipsec::ShardedGateway`] pair on the persistent worker-pool
+/// runtime. The adversary replays recorded *ciphertext*, resets strike
+/// whole gateways, and recovery runs the engine's shard-parallel
+/// SAVE/FETCH path on the pool's long-lived workers.
+///
+/// Build it with [`Transport::esp`] or [`Transport::esp_fleet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Abstract sequence numbers (the paper's model): no bytes, no
-    /// crypto — fastest, and the default.
-    Model,
-    /// Real ESP frames sealed under `suite` by a
-    /// [`reset_ipsec::ShardedGateway`] pair on the persistent
-    /// worker-pool runtime: the adversary replays recorded
-    /// *ciphertext*, resets strike whole gateways, and recovery runs
-    /// the engine's shard-parallel SAVE/FETCH path on the pool's
-    /// long-lived workers. Under [`Protocol::Baseline`] a reset
-    /// rebuilds the struck gateway from scratch (the §3 naive restart:
-    /// counters at 1, window empty — tearing down and respawning the
-    /// whole pool, which is exactly what a naive restart costs).
-    ///
-    /// Prefer the [`Transport::esp`] / [`Transport::esp_fleet`]
-    /// constructors over writing the variant out.
-    Esp {
-        /// Cipher suite every SA of the fleet negotiates.
-        suite: CryptoSuite,
-        /// How many SAs (SPIs `1..=sa_count`) the gateway pair serves;
-        /// the workload round-robins sends across them. `1` reproduces
-        /// the paper's single-tunnel experiments.
-        sa_count: u32,
-        /// Worker shards per gateway (see
-        /// [`reset_ipsec::GatewayBuilder::shards`]). `1` is the
-        /// single-threaded engine, bit-identical to
-        /// [`reset_ipsec::Gateway`].
-        shards: usize,
-    },
+pub struct Transport {
+    /// Cipher suite every SA of the fleet negotiates.
+    pub suite: CryptoSuite,
+    /// How many SAs (SPIs `1..=sa_count`) the gateway pair serves; the
+    /// workload round-robins sends across them. `1` reproduces the
+    /// paper's single-tunnel experiments.
+    pub sa_count: u32,
+    /// Worker shards per gateway (see
+    /// [`reset_ipsec::GatewayBuilder::shards`]). `1` is the
+    /// single-threaded engine, bit-identical to [`reset_ipsec::Gateway`].
+    pub shards: usize,
 }
 
 impl Transport {
-    /// Single-SA, single-shard ESP transport — the paper's one-tunnel
-    /// experiments over real frames.
+    /// Single-SA, single-shard transport — the paper's one-tunnel
+    /// experiments.
     pub fn esp(suite: CryptoSuite) -> Transport {
-        Transport::Esp {
-            suite,
-            sa_count: 1,
-            shards: 1,
-        }
+        Transport::esp_fleet(suite, 1, 1)
     }
 
     /// A many-SA fleet between one sharded gateway pair: reset storms
     /// exercise `recover_all` at gateway scale, shard-parallel.
     pub fn esp_fleet(suite: CryptoSuite, sa_count: u32, shards: usize) -> Transport {
-        Transport::Esp {
+        Transport {
             suite,
             sa_count: sa_count.max(1),
             shards: shards.max(1),
-        }
-    }
-
-    /// How many SAs the transport drives (1 for the abstract model).
-    pub fn sa_count(&self) -> u32 {
-        match self {
-            Transport::Model => 1,
-            Transport::Esp { sa_count, .. } => *sa_count,
         }
     }
 }
@@ -139,7 +117,8 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// Protocol variant.
     pub protocol: Protocol,
-    /// What crosses the link: the abstract model or real ESP frames.
+    /// The gateway pair's suite, fleet size and shard count (default:
+    /// one SA, one shard, the default suite).
     pub transport: Transport,
     /// Sender save interval `Kp`.
     pub kp: u64,
@@ -170,7 +149,7 @@ impl Default for ScenarioConfig {
         ScenarioConfig {
             seed: 0,
             protocol: Protocol::SaveFetch,
-            transport: Transport::Model,
+            transport: Transport::esp(CryptoSuite::default()),
             kp: 25,
             kq: 25,
             w: 64,
@@ -265,14 +244,14 @@ enum Side {
 
 /// One message instance on the wire: the SA it belongs to, the sequence
 /// number the protocol sees, the ground-truth instance identity the
-/// monitor tracks, and — under [`Transport::Esp`] — the sealed frame
-/// the adversary records and replays byte-for-byte.
+/// monitor tracks, and the sealed frame the adversary records and
+/// replays byte-for-byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Msg {
     id: MsgId,
     spi: u32,
     seq: SeqNum,
-    wire: Option<Bytes>,
+    wire: Bytes,
 }
 
 #[derive(Debug, Clone)]
@@ -287,82 +266,39 @@ enum Ev {
     AdversaryTick,
 }
 
-#[allow(clippy::large_enum_variant)] // one Proto per scenario; size is irrelevant
-enum Proto {
-    Sf {
-        p: SfDriver<MemStable>,
-        q: SfDriver<MemStable>,
-    },
-    Base {
-        p: BaselineSender,
-        q: BaselineReceiver,
-    },
-    /// Real ESP frames through a [`ShardedGateway`] pair serving SPIs
-    /// `1..=sa_count`. `baseline` selects the §3 naive restart (rebuild
-    /// from scratch) over SAVE/FETCH.
-    Esp {
-        tx: ShardedGateway<MemStable>,
-        rx: ShardedGateway<MemStable>,
-        suite: CryptoSuite,
-        sa_count: u32,
-        shards: usize,
-        baseline: bool,
-    },
-}
-
-/// The representative SA every [`Transport::Esp`] scenario serves (SPI
-/// 1 of the fleet): phase probes and the outcome's final counters read
-/// it.
+/// The representative SA every scenario serves (SPI 1 of the fleet):
+/// phase probes and the outcome's final counters read it.
 const ESP_SPI: u32 = 1;
 /// Shared keying material both gateway halves derive the fleet from.
 const ESP_MASTER: &[u8] = b"scenario-esp-master";
-/// Fixed application payload (the model transport carries none).
+/// Fixed application payload.
 const ESP_PAYLOAD: &[u8] = b"scenario payload";
 
-/// The next sequence number a SAVE/FETCH sender would send.
-fn sf_next_seq(p: &SfDriver<MemStable>) -> SeqNum {
-    p.machine().next_seq().expect("sender")
-}
-
-fn esp_sa(suite: CryptoSuite, spi: u32) -> SecurityAssociation {
-    let keys = SaKeys::derive(ESP_MASTER, &spi.to_be_bytes());
-    SecurityAssociation::new(spi, keys).with_suite(suite)
-}
-
-/// The sender half: a sharded gateway holding the outbound fleet.
-fn esp_tx_gateway(
-    kp: u64,
-    w: u64,
-    suite: CryptoSuite,
-    sa_count: u32,
-    shards: usize,
-) -> ShardedGateway<MemStable> {
+/// One half of the gateway pair at its initial state: the sender `p`
+/// holds the outbound fleet and saves every `kp`, the receiver `q` the
+/// inbound fleet and saves every `kq`.
+fn esp_gateway(cfg: &ScenarioConfig, side: Side) -> ShardedGateway<MemStable> {
+    let Transport {
+        suite,
+        sa_count,
+        shards,
+    } = cfg.transport;
+    let k = match side {
+        Side::P => cfg.kp,
+        Side::Q => cfg.kq,
+    };
     let mut gw = GatewayBuilder::in_memory_sharded(shards)
         .suite(suite)
-        .save_interval(kp)
-        .window(w)
+        .save_interval(k)
+        .window(cfg.w)
         .build_sharded();
     for spi in 1..=sa_count {
-        gw.install_outbound(esp_sa(suite, spi));
-    }
-    gw
-}
-
-/// The receiver half: a sharded gateway holding the inbound fleet.
-fn esp_rx_gateway(
-    kq: u64,
-    w: u64,
-    suite: CryptoSuite,
-    sa_count: u32,
-    shards: usize,
-) -> ShardedGateway<MemStable> {
-    let mut gw = GatewayBuilder::in_memory_sharded(shards)
-        .suite(suite)
-        .save_interval(kq)
-        .window(w)
-        .build_sharded();
-    for spi in 1..=sa_count {
-        gw.install_inbound(esp_sa(suite, spi));
+        let keys = SaKeys::derive(ESP_MASTER, &spi.to_be_bytes());
+        let sa = SecurityAssociation::new(spi, keys).with_suite(suite);
+        match side {
+            Side::P => gw.install_outbound(sa),
+            Side::Q => gw.install_inbound(sa),
+        }
     }
     gw
 }
@@ -385,7 +321,13 @@ pub fn run_scenario(config: ScenarioConfig) -> ScenarioOutcome {
 struct ScenarioRunner {
     cfg: ScenarioConfig,
     sim: Simulator<Ev>,
-    proto: Proto,
+    /// The sender `p`'s gateway (outbound fleet).
+    tx: ShardedGateway<MemStable>,
+    /// The receiver `q`'s gateway (inbound fleet).
+    rx: ShardedGateway<MemStable>,
+    /// [`Protocol::Baseline`]: resets rebuild the struck gateway and
+    /// nothing is saved.
+    baseline: bool,
     /// One ground-truth monitor per SA (index `spi - 1`; the paper's
     /// guarantees — and sequence-number identity — are per-SA).
     monitors: Vec<Monitor>,
@@ -416,51 +358,26 @@ struct ScenarioRunner {
 }
 
 impl ScenarioRunner {
-    fn new(cfg: ScenarioConfig) -> Self {
+    fn new(mut cfg: ScenarioConfig) -> Self {
+        // The constructors clamp these, but the fields are public —
+        // clamp again so a hand-built `sa_count: 0` degrades to the
+        // minimal fleet instead of panicking mid-run.
+        cfg.transport.sa_count = cfg.transport.sa_count.max(1);
+        cfg.transport.shards = cfg.transport.shards.max(1);
         let mut sim = Simulator::new(cfg.seed);
         let link_rng = sim.rng().fork();
         let workload_rng = sim.rng().fork();
         let latency_rng = sim.rng().fork();
         let adv_rng = sim.rng().fork();
-        let proto = match (cfg.protocol, cfg.transport) {
-            (Protocol::SaveFetch, Transport::Model) => Proto::Sf {
-                p: SfDriver::sender(MemStable::new(), SlotId::sender(1), cfg.kp),
-                q: SfDriver::receiver(MemStable::new(), SlotId::receiver(1), cfg.kq, cfg.w),
-            },
-            (Protocol::Baseline, Transport::Model) => Proto::Base {
-                p: BaselineSender::new(),
-                q: BaselineReceiver::new(cfg.w),
-            },
-            (
-                protocol,
-                Transport::Esp {
-                    suite,
-                    sa_count,
-                    shards,
-                },
-            ) => {
-                // The esp/esp_fleet constructors clamp these, but the
-                // variant's fields are public — clamp again here so a
-                // hand-built `Esp { sa_count: 0, .. }` degrades to the
-                // minimal fleet instead of panicking mid-run.
-                let (sa_count, shards) = (sa_count.max(1), shards.max(1));
-                Proto::Esp {
-                    tx: esp_tx_gateway(cfg.kp, cfg.w, suite, sa_count, shards),
-                    rx: esp_rx_gateway(cfg.kq, cfg.w, suite, sa_count, shards),
-                    suite,
-                    sa_count,
-                    shards,
-                    baseline: protocol == Protocol::Baseline,
-                }
-            }
-        };
-        let sa_count = cfg.transport.sa_count().max(1) as usize;
+        let sa_count = cfg.transport.sa_count as usize;
         let link = Link::new(cfg.link, link_rng);
         let workload = cfg.workload.clone();
         ScenarioRunner {
+            tx: esp_gateway(&cfg, Side::P),
+            rx: esp_gateway(&cfg, Side::Q),
+            baseline: cfg.protocol == Protocol::Baseline,
             cfg,
             sim,
-            proto,
             monitors: (0..sa_count).map(|_| Monitor::new()).collect(),
             tap: Tap::new(),
             link,
@@ -513,7 +430,7 @@ impl ScenarioRunner {
             Ev::SaveDone(side) => self.on_save_done(side),
             Ev::Reset(side) => self.on_reset(now, side),
             Ev::Wake(side) => self.on_wake(now, side),
-            Ev::FinishWake(side) => self.on_finish_wake(now, side),
+            Ev::FinishWake(side) => self.on_finish_wake(side),
             Ev::AdversaryTick => self.on_adversary_tick(now),
         }
     }
@@ -523,28 +440,35 @@ impl ScenarioRunner {
         &mut self.monitors[spi.saturating_sub(1) as usize]
     }
 
+    /// The gateway of `side`.
+    fn gateway(&mut self, side: Side) -> &mut ShardedGateway<MemStable> {
+        match side {
+            Side::P => &mut self.tx,
+            Side::Q => &mut self.rx,
+        }
+    }
+
+    /// The next sequence number of every SA of the sender's fleet.
+    fn sender_counters(&self) -> Vec<SeqNum> {
+        (1..=self.cfg.transport.sa_count)
+            .map(|spi| self.tx.next_seq(spi).expect("sa installed"))
+            .collect()
+    }
+
     fn on_send(&mut self, now: SimTime) {
         // Sends round-robin across the fleet (SPI 1..=sa_count); with a
         // single SA this degenerates to the original fixed-SPI stream.
         let spi = 1 + (self.send_attempts % self.monitors.len() as u64) as u32;
         self.send_attempts += 1;
-        let sent = match &mut self.proto {
-            Proto::Sf { p, .. } => p.send_next().map(|seq| (seq, None)),
-            Proto::Base { p, .. } => Some((p.send_next(), None)),
-            Proto::Esp { tx, .. } => tx
-                .protect(spi, ESP_PAYLOAD)
-                .expect("mem store")
-                .map(|frame| (frame.seq, Some(frame.wire))),
-        };
-        if let Some((seq, wire)) = sent {
+        if let Some(frame) = self.tx.protect(spi, ESP_PAYLOAD).expect("mem store") {
             let msg = Msg {
                 id: MsgId(self.next_msg_id),
                 spi,
-                seq,
-                wire,
+                seq: frame.seq,
+                wire: frame.wire,
             };
             self.next_msg_id += 1;
-            self.mon(spi).on_send(msg.id, seq);
+            self.mon(spi).on_send(msg.id, msg.seq);
             self.tap.record(msg.clone());
             self.transmit(now, msg, true);
             self.maybe_schedule_save(Side::P, now);
@@ -570,34 +494,9 @@ impl ScenarioRunner {
     }
 
     fn on_deliver(&mut self, msg: Msg, origin: Origin) {
-        match &mut self.proto {
-            Proto::Sf { q, .. } => match q.receive(msg.seq) {
-                RxOutcome::Delivered => self.mon(msg.spi).on_deliver(Some(msg.id), msg.seq, origin),
-                RxOutcome::DiscardedStale | RxOutcome::DiscardedDuplicate => {
-                    self.mon(msg.spi).on_discard(Some(msg.id), msg.seq, origin)
-                }
-                RxOutcome::Buffered => self
-                    .buffered_meta
-                    .entry(msg.spi)
-                    .or_default()
-                    .push_back((msg.id, origin)),
-                RxOutcome::DroppedDown => self.dropped_down += 1,
-            },
-            Proto::Base { q, .. } => {
-                if q.receive(msg.seq).is_deliverable() {
-                    self.mon(msg.spi).on_deliver(Some(msg.id), msg.seq, origin);
-                } else {
-                    self.mon(msg.spi).on_discard(Some(msg.id), msg.seq, origin);
-                }
-            }
-            Proto::Esp { rx, .. } => {
-                let wire = msg.wire.as_ref().expect("esp transport frames carry bytes");
-                rx.push_wire(wire).expect("mem store");
-                let events = rx.poll_events();
-                for ev in events {
-                    self.note_gateway_event(ev, &msg, origin);
-                }
-            }
+        self.rx.push_wire(&msg.wire).expect("mem store");
+        for ev in self.rx.poll_events() {
+            self.note_gateway_event(ev, &msg, origin);
         }
         // Receiver-side background save (SAVE/FETCH only).
         let now = self.sim.now();
@@ -632,171 +531,82 @@ impl ScenarioRunner {
     }
 
     fn maybe_schedule_save(&mut self, side: Side, now: SimTime) {
-        let (pending, outstanding) = match (&self.proto, side) {
-            (Proto::Sf { p, .. }, Side::P) => (p.pending_save().is_some(), self.p_save_outstanding),
-            (Proto::Sf { q, .. }, Side::Q) => (q.pending_save().is_some(), self.q_save_outstanding),
-            // The baseline performs no SAVEs (its restart ignores the
-            // store), so only SAVE/FETCH gateways model save latency.
-            (Proto::Esp { baseline: true, .. }, _) | (Proto::Base { .. }, _) => return,
-            (Proto::Esp { tx, .. }, Side::P) => (tx.pending_save(), self.p_save_outstanding),
-            (Proto::Esp { rx, .. }, Side::Q) => (rx.pending_save(), self.q_save_outstanding),
+        // The baseline performs no SAVEs (its restart ignores the store),
+        // so only SAVE/FETCH gateways model save latency.
+        if self.baseline || !self.gateway(side).pending_save() {
+            return;
+        }
+        let outstanding = match side {
+            Side::P => &mut self.p_save_outstanding,
+            Side::Q => &mut self.q_save_outstanding,
         };
-        if pending && !outstanding {
+        if !*outstanding {
+            *outstanding = true;
             let d = self.cfg.save_latency.sample_ns(self.latency_rng.next_u64());
             self.sim
                 .schedule_at(now + SimDuration::from_nanos(d), Ev::SaveDone(side));
-            match side {
-                Side::P => self.p_save_outstanding = true,
-                Side::Q => self.q_save_outstanding = true,
-            }
         }
     }
 
     fn on_save_done(&mut self, side: Side) {
-        match (&mut self.proto, side) {
-            (Proto::Sf { p, .. }, Side::P) => {
-                self.p_save_outstanding = false;
-                p.save_completed().expect("mem store");
-            }
-            (Proto::Sf { q, .. }, Side::Q) => {
-                self.q_save_outstanding = false;
-                q.save_completed().expect("mem store");
-            }
-            (Proto::Esp { baseline: true, .. }, _) | (Proto::Base { .. }, _) => return,
-            (Proto::Esp { tx, .. }, Side::P) => {
-                self.p_save_outstanding = false;
-                tx.save_completed().expect("mem store");
-            }
-            (Proto::Esp { rx, .. }, Side::Q) => {
-                self.q_save_outstanding = false;
-                rx.save_completed().expect("mem store");
-            }
+        match side {
+            Side::P => self.p_save_outstanding = false,
+            Side::Q => self.q_save_outstanding = false,
         }
+        self.gateway(side).save_completed().expect("mem store");
         // A superseding issue may already be pending again.
         let now = self.sim.now();
         self.maybe_schedule_save(side, now);
     }
 
     fn on_reset(&mut self, now: SimTime, side: Side) {
-        match &mut self.proto {
-            Proto::Sf { p, q } => match side {
+        if self.baseline {
+            // §3 naive restart: the struck gateway is rebuilt from
+            // scratch — counters at 1, window empty, same keys — and
+            // resumes immediately.
+            match side {
                 Side::P => {
-                    if p.phase() == Phase::Running {
-                        self.p_next_at_reset[0] = sf_next_seq(p);
-                    }
-                    p.reset();
+                    let old_next = self.sender_counters();
+                    self.tx = esp_gateway(&self.cfg, Side::P);
                     self.p_resets += 1;
-                    self.sim
-                        .schedule_at(now + self.cfg.downtime, Ev::Wake(Side::P));
-                }
-                Side::Q => {
-                    // Buffered instances die with the machine.
-                    self.buffered_meta.clear();
-                    q.reset();
-                    self.q_resets += 1;
-                    self.sim
-                        .schedule_at(now + self.cfg.downtime, Ev::Wake(Side::Q));
-                }
-            },
-            Proto::Base { p, q } => match side {
-                Side::P => {
-                    let old_next = p.next_seq();
-                    p.reset_and_wake();
-                    self.p_resets += 1;
-                    // The baseline "resumes" at 1 — the monitor records the
-                    // stale resume as a violation, which t3 reports.
                     let kp = self.cfg.kp;
-                    self.mon(1).on_sender_wakeup(old_next, SeqNum::FIRST, kp);
+                    for (i, old) in old_next.into_iter().enumerate() {
+                        self.mon(i as u32 + 1)
+                            .on_sender_wakeup(old, SeqNum::FIRST, kp);
+                    }
                     if self.cfg.adversary == AdversaryPlan::ReplayLatestOnRestart {
                         self.pending_latest_replay = true;
                         self.try_latest_replay();
                     }
                 }
                 Side::Q => {
-                    q.reset_and_wake();
+                    self.buffered_meta.clear();
+                    self.rx = esp_gateway(&self.cfg, Side::Q);
                     self.q_resets += 1;
-                    match self.cfg.adversary {
-                        AdversaryPlan::ReplayAllOnReceiverRestart => self.replay_all(),
-                        AdversaryPlan::ReplayLatestOnRestart => {
-                            self.pending_latest_replay = true;
-                            self.try_latest_replay();
-                        }
-                        _ => {}
-                    }
-                }
-            },
-            Proto::Esp {
-                tx,
-                rx,
-                suite,
-                sa_count,
-                shards,
-                baseline,
-            } => {
-                let (suite, sa_count, shards) = (*suite, *sa_count, *shards);
-                if *baseline {
-                    // §3 naive restart over real frames: the struck
-                    // gateway is rebuilt from scratch — counters at 1,
-                    // window empty, same keys — and resumes immediately.
-                    match side {
-                        Side::P => {
-                            let old_next: Vec<SeqNum> = (1..=sa_count)
-                                .map(|spi| tx.next_seq(spi).expect("sa installed"))
-                                .collect();
-                            *tx = esp_tx_gateway(self.cfg.kp, self.cfg.w, suite, sa_count, shards);
-                            self.p_resets += 1;
-                            let kp = self.cfg.kp;
-                            for (i, old) in old_next.into_iter().enumerate() {
-                                self.mon(i as u32 + 1)
-                                    .on_sender_wakeup(old, SeqNum::FIRST, kp);
-                            }
-                            if self.cfg.adversary == AdversaryPlan::ReplayLatestOnRestart {
-                                self.pending_latest_replay = true;
-                                self.try_latest_replay();
-                            }
-                        }
-                        Side::Q => {
-                            self.buffered_meta.clear();
-                            *rx = esp_rx_gateway(self.cfg.kq, self.cfg.w, suite, sa_count, shards);
-                            self.q_resets += 1;
-                            match self.cfg.adversary {
-                                AdversaryPlan::ReplayAllOnReceiverRestart => self.replay_all(),
-                                AdversaryPlan::ReplayLatestOnRestart => {
-                                    self.pending_latest_replay = true;
-                                    self.try_latest_replay();
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                } else {
-                    // SAVE/FETCH: the whole fleet goes down and recovers
-                    // through the engine's shard-parallel FETCH + 2K
-                    // leap after the configured downtime.
-                    match side {
-                        Side::P => {
-                            if tx.phase(ESP_SPI) == Some(Phase::Running) {
-                                for spi in 1..=sa_count {
-                                    self.p_next_at_reset[spi as usize - 1] =
-                                        tx.next_seq(spi).expect("sa installed");
-                                }
-                            }
-                            tx.reset();
-                            self.p_resets += 1;
-                            self.sim
-                                .schedule_at(now + self.cfg.downtime, Ev::Wake(Side::P));
-                        }
-                        Side::Q => {
-                            self.buffered_meta.clear();
-                            rx.reset();
-                            self.q_resets += 1;
-                            self.sim
-                                .schedule_at(now + self.cfg.downtime, Ev::Wake(Side::Q));
-                        }
-                    }
+                    self.post_receiver_wakeup_adversary();
                 }
             }
+            return;
         }
+        // SAVE/FETCH: the whole fleet goes down and recovers through the
+        // engine's shard-parallel FETCH + 2K leap after the configured
+        // downtime.
+        match side {
+            Side::P => {
+                if self.tx.phase(ESP_SPI) == Some(Phase::Running) {
+                    self.p_next_at_reset = self.sender_counters();
+                }
+                self.tx.reset();
+                self.p_resets += 1;
+            }
+            Side::Q => {
+                self.buffered_meta.clear();
+                self.rx.reset();
+                self.q_resets += 1;
+            }
+        }
+        self.sim
+            .schedule_at(now + self.cfg.downtime, Ev::Wake(side));
     }
 
     /// Adversary injection happens at the receiver's last hop: the §2
@@ -823,87 +633,33 @@ impl ScenarioRunner {
 
     fn on_wake(&mut self, now: SimTime, side: Side) {
         let d = self.cfg.save_latency.sample_ns(self.latency_rng.next_u64());
-        let began = match (&mut self.proto, side) {
-            (Proto::Sf { p, q }, side) => {
-                let sf = match side {
-                    Side::P => p,
-                    Side::Q => q,
-                };
-                // Stale wakes after overlapping resets are ignored.
-                if sf.phase() != Phase::Down {
-                    return;
-                }
-                sf.begin_wakeup().expect("mem store");
-                true
-            }
-            (Proto::Esp { tx, .. }, Side::P) => {
-                if tx.phase(ESP_SPI) != Some(Phase::Down) {
-                    return;
-                }
-                tx.begin_recover().expect("mem store");
-                true
-            }
-            (Proto::Esp { rx, .. }, Side::Q) => {
-                if rx.phase(ESP_SPI) != Some(Phase::Down) {
-                    return;
-                }
-                rx.begin_recover().expect("mem store");
-                true
-            }
-            (Proto::Base { .. }, _) => false,
-        };
-        if began {
-            self.sim
-                .schedule_at(now + SimDuration::from_nanos(d), Ev::FinishWake(side));
+        let gw = self.gateway(side);
+        // Stale wakes after overlapping resets are ignored.
+        if gw.phase(ESP_SPI) != Some(Phase::Down) {
+            return;
         }
+        gw.begin_recover().expect("mem store");
+        self.sim
+            .schedule_at(now + SimDuration::from_nanos(d), Ev::FinishWake(side));
     }
 
-    fn on_finish_wake(&mut self, _now: SimTime, side: Side) {
-        match (&mut self.proto, side) {
-            (Proto::Sf { p, .. }, Side::P) => {
-                if p.phase() != Phase::Waking {
-                    return;
-                }
-                let resumed = p.finish_wakeup().expect("mem store").resumed;
-                let (old, kp) = (self.p_next_at_reset[0], self.cfg.kp);
-                self.mon(1).on_sender_wakeup(old, resumed, kp);
-            }
-            (Proto::Sf { q, .. }, Side::Q) => {
-                if q.phase() != Phase::Waking {
-                    return;
-                }
-                let outcomes = q.finish_wakeup().expect("mem store").buffered;
-                for (seq, outcome) in outcomes {
-                    let (id, origin) = self.pop_buffered_meta(1);
-                    match outcome {
-                        RxOutcome::Delivered => self.mon(1).on_deliver(id, seq, origin),
-                        _ => self.mon(1).on_discard(id, seq, origin),
-                    }
-                }
-                self.post_receiver_wakeup_adversary();
-            }
-            (Proto::Esp { tx, sa_count, .. }, Side::P) => {
-                if tx.phase(ESP_SPI) != Some(Phase::Waking) {
-                    return;
-                }
-                let sa_count = *sa_count;
-                tx.finish_recover().expect("mem store");
-                tx.poll_events(); // Recovered{..}: the monitor tracks senders itself
-                let resumed: Vec<SeqNum> = (1..=sa_count)
-                    .map(|spi| tx.next_seq(spi).expect("sa installed"))
-                    .collect();
+    fn on_finish_wake(&mut self, side: Side) {
+        let gw = self.gateway(side);
+        if gw.phase(ESP_SPI) != Some(Phase::Waking) {
+            return;
+        }
+        gw.finish_recover().expect("mem store");
+        let events = gw.poll_events();
+        match side {
+            Side::P => {
+                // Recovered{..} only: the monitor tracks senders itself.
                 let kp = self.cfg.kp;
-                for (i, resumed) in resumed.into_iter().enumerate() {
+                for (i, resumed) in self.sender_counters().into_iter().enumerate() {
                     let old = self.p_next_at_reset[i];
                     self.mon(i as u32 + 1).on_sender_wakeup(old, resumed, kp);
                 }
             }
-            (Proto::Esp { rx, .. }, Side::Q) => {
-                if rx.phase(ESP_SPI) != Some(Phase::Waking) {
-                    return;
-                }
-                rx.finish_recover().expect("mem store");
-                let events = rx.poll_events();
+            Side::Q => {
                 for ev in events {
                     match ev {
                         GatewayEvent::Recovered { .. } => {}
@@ -923,7 +679,6 @@ impl ScenarioRunner {
                 }
                 self.post_receiver_wakeup_adversary();
             }
-            (Proto::Base { .. }, _) => {}
         }
     }
 
@@ -958,17 +713,8 @@ impl ScenarioRunner {
     }
 
     fn finish(self) -> ScenarioOutcome {
-        let (final_next_seq, final_right_edge) = match &self.proto {
-            Proto::Sf { p, q } => {
-                let edge = q.machine().window().expect("receiver").right_edge();
-                (sf_next_seq(p).value(), edge.value())
-            }
-            Proto::Base { p, q } => (p.next_seq().value(), q.right_edge().value()),
-            Proto::Esp { tx, rx, .. } => (
-                tx.next_seq(ESP_SPI).expect("sa installed").value(),
-                rx.right_edge(ESP_SPI).expect("sa installed").value(),
-            ),
-        };
+        let final_next_seq = self.tx.next_seq(ESP_SPI).expect("sa installed").value();
+        let final_right_edge = self.rx.right_edge(ESP_SPI).expect("sa installed").value();
         let per_sa: Vec<Report> = self
             .monitors
             .into_iter()
@@ -1234,33 +980,6 @@ mod tests {
             "counter restarted at 1 inside the receiver's window: {}",
             out.monitor.fresh_discarded
         );
-    }
-
-    #[test]
-    fn esp_transport_matches_model_verdicts() {
-        // The same seeded experiment must reach the same *qualitative*
-        // verdict over real frames as over the abstract model.
-        let run = |transport| {
-            let cfg = ScenarioConfig {
-                transport,
-                receiver_resets: vec![SimTime::from_millis(3)],
-                sender_resets: vec![SimTime::from_millis(6)],
-                link: LinkConfig::lossy(0.05),
-                adversary: AdversaryPlan::ReplayAllOnReceiverRestart,
-                ..ScenarioConfig::default()
-            };
-            run_scenario(cfg)
-        };
-        let model = run(Transport::Model);
-        let esp = run(Transport::esp(CryptoSuite::default()));
-        for out in [&model, &esp] {
-            assert!(out.monitor.clean(), "{:?}", out.monitor.violations);
-            assert_eq!(out.monitor.replays_accepted, 0);
-            assert!(out.monitor.replays_rejected > 0);
-        }
-        // Identical send schedules: the workload stream is transport-
-        // independent.
-        assert_eq!(model.monitor.sent, esp.monitor.sent);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The §3 replay attack, run against both protocols — over the abstract
-//! model *and* over real ESP frames in both cipher suites.
+//! The §3 replay attack, run against both protocols over real ESP
+//! frames in both cipher suites.
 //!
 //! ```text
 //! cargo run -p system-tests --example replay_attack
@@ -9,11 +9,10 @@
 //! mid-stream and the adversary replays the entire recorded history at
 //! the instant it restarts. Under the naive baseline every replayed
 //! packet is accepted; under SAVE/FETCH none are, and the fresh-message
-//! sacrifice stays within the paper's `2K` bound. With
-//! [`Transport::Esp`] the experiment runs through a real
-//! [`reset_ipsec::Gateway`] pair: the adversary replays recorded
-//! *ciphertext*, and the verdict is identical for every suite — the
-//! defence is the window, not the transform.
+//! sacrifice stays within the paper's `2K` bound. The experiment runs
+//! through a real [`reset_ipsec::ShardedGateway`] pair: the adversary
+//! replays recorded *ciphertext*, and the verdict is identical for every
+//! suite — the defence is the window, not the transform.
 
 use reset_harness::{run_scenario, AdversaryPlan, Protocol, ScenarioConfig, Transport};
 use reset_ipsec::CryptoSuite;
@@ -31,21 +30,16 @@ fn attack(protocol: Protocol, transport: Transport) -> reset_harness::ScenarioOu
 }
 
 fn transport_name(t: Transport) -> String {
-    match t {
-        Transport::Model => "abstract model".to_string(),
-        Transport::Esp {
-            suite,
-            sa_count,
-            shards,
-        } => format!("ESP frames, {suite:?}, {sa_count} SA(s) x {shards} shard(s)"),
-    }
+    format!(
+        "ESP frames, {:?}, {} SA(s) x {} shard(s)",
+        t.suite, t.sa_count, t.shards
+    )
 }
 
 fn main() {
     println!("=== The Section 3 attack: reset the receiver, replay everything ===");
 
     let transports = [
-        Transport::Model,
         Transport::esp(CryptoSuite::HmacSha256WithKeystream),
         Transport::esp(CryptoSuite::ChaCha20Poly1305),
         // The same attack against a 64-SA fleet on a 4-shard gateway
@@ -91,6 +85,6 @@ fn main() {
     }
     println!(
         "\nresult: the attack devastates the baseline and bounces off SAVE/FETCH — \
-         on the model and on real ciphertext in every suite."
+         on real ciphertext in every suite."
     );
 }
