@@ -681,7 +681,8 @@ impl<S: StableStore> Gateway<S> {
         // Timing is gated on the handle so the uninstrumented path
         // never reads the clock.
         let started = self.telemetry.as_ref().map(|_| Instant::now());
-        self.sadb.process_batch_routed(n, at, &mut self.rx_scratch);
+        let (sadb, out, mut notes) = self.drain_parts();
+        sadb.process_batch_routed(n, at, out, |inbound| notes.note(inbound));
         self.emit_rx();
         if let (Some(t), Some(started)) = (&self.telemetry, started) {
             t.record_drain(
@@ -694,54 +695,36 @@ impl<S: StableStore> Gateway<S> {
         Ok(())
     }
 
+    /// What a receive drain works on: the SADB, the result vector it
+    /// fills and the delivery notes it takes, borrowed apart.
+    fn drain_parts(&mut self) -> (&mut Sadb<S>, &mut Vec<RxResult>, DeliveryNotes<'_>) {
+        let notes = DeliveryNotes {
+            dpd_cfg: self.dpd_cfg.as_ref(),
+            rekey_after: self.rekey_after,
+            now_ns: self.now_ns,
+            dpd_heap: &mut self.dpd_heap,
+            dpd_pushed: &mut self.dpd_pushed,
+            rekey_due: &mut self.rekey_due,
+        };
+        (&mut self.sadb, &mut self.rx_scratch, notes)
+    }
+
     /// Turns the verdicts the SADB just left in `rx_scratch` into events,
     /// in order, walking the SPI runs it recorded beside them: a run names
-    /// its SPI and its record's slot, so no frame is parsed and no SA
-    /// looked up again. What a delivery means for the SA's policies is
-    /// settled once per run that delivered anything: every step of it is
-    /// idempotent at a fixed clock and reads post-drain state.
+    /// its SPI, so no frame is parsed and no SA looked up again. What the
+    /// deliveries meant for the SAs' policies the drain has already noted.
     fn emit_rx(&mut self) {
         let mut results = std::mem::take(&mut self.rx_scratch);
         let runs = std::mem::take(self.sadb.runs_mut());
         let mut verdicts = results.drain(..);
         for run in &runs {
-            let mut delivered = false;
             for result in verdicts.by_ref().take(run.len) {
-                delivered |= result.is_delivered();
                 self.emit(event_from_rx(run.spi, result));
-            }
-            if let (true, Some(slot)) = (delivered, run.slot) {
-                self.note_delivery(run.spi, slot);
             }
         }
         drop(verdicts);
         self.rx_scratch = results;
         *self.sadb.runs_mut() = runs;
-    }
-
-    /// Authenticated traffic arrived on the SA in slab slot `slot`: only
-    /// that proves the peer alive (and gives a detector still waiting for
-    /// its first clock reading one), and it is where inbound usage grows.
-    fn note_delivery(&mut self, spi: u32, slot: u32) {
-        let record = self.sadb.record_at_mut(slot);
-        if let (Some(cfg), Some(dpd)) = (&self.dpd_cfg, record.dpd_mut()) {
-            // Re-scheduling is usually a no-op (traffic pushes the
-            // deadline later); a grace-exit can pull it earlier, which
-            // must supersede the live entry.
-            heard_from(
-                dpd,
-                cfg,
-                self.now_ns,
-                &mut self.dpd_heap,
-                &mut self.dpd_pushed,
-                spi,
-            );
-        }
-        if let (Some(lifetime), Some(inbound)) = (self.rekey_after, record.inbound()) {
-            if rekey_due(inbound.sa(), &lifetime) {
-                self.rekey_due.insert(spi);
-            }
-        }
     }
 
     /// Appends `ev` to the event queue, counting its kind into the
@@ -1002,7 +985,8 @@ impl<S: StableStore> Gateway<S> {
     /// waking; retry — the paper's SAVE device is merely slow, not
     /// untrusted, so retrying the completion is safe).
     pub fn finish_recover(&mut self) -> Result<usize, IpsecError> {
-        let sas = self.sadb.finish_recover_all(&mut self.rx_scratch)?;
+        let (sadb, out, mut notes) = self.drain_parts();
+        let sas = sadb.finish_recover_all(out, |inbound| notes.note(inbound))?;
         self.emit(GatewayEvent::Recovered { sas });
         self.emit_rx();
         if let (Some(t), Some(started)) = (&self.telemetry, self.recover_started.take()) {
@@ -1089,6 +1073,49 @@ impl<S: StableStore> Gateway<S> {
     /// Read access to the underlying SADB.
     pub fn sadb(&self) -> &Sadb<S> {
         &self.sadb
+    }
+}
+
+/// What a delivery means for an SA's policies, with the gateway's state
+/// it updates borrowed for one drain ([`Gateway::drain_parts`]).
+struct DeliveryNotes<'a> {
+    dpd_cfg: Option<&'a DpdConfig>,
+    rekey_after: Option<SaLifetime>,
+    now_ns: u64,
+    dpd_heap: &'a mut BinaryHeap<Reverse<(u64, u64, u32)>>,
+    dpd_pushed: &'a mut u64,
+    rekey_due: &'a mut BTreeSet<u32>,
+}
+
+impl DeliveryNotes<'_> {
+    /// Authenticated traffic arrived on `inbound`: only that proves the
+    /// peer alive (and gives a detector still waiting for its first clock
+    /// reading one), and it is where inbound usage grows. A drain notes
+    /// each run that delivered, right after windowing it, and a wake-up
+    /// each SA whose buffered frames did. Every step is idempotent at a
+    /// fixed clock and usage only grows, so noting an SA again later in
+    /// the same drain — a second run of it, or one run cut in two by a
+    /// slice — leaves what noting it once after the drain would.
+    fn note<S: StableStore>(&mut self, inbound: &mut Inbound<S>) {
+        let spi = inbound.sa().spi();
+        if let Some(cfg) = self.dpd_cfg {
+            // Re-scheduling is usually a no-op (traffic pushes the
+            // deadline later); a grace-exit can pull it earlier, which
+            // must supersede the live entry.
+            heard_from(
+                &mut inbound.dpd,
+                cfg,
+                self.now_ns,
+                self.dpd_heap,
+                self.dpd_pushed,
+                spi,
+            );
+        }
+        if let Some(lifetime) = &self.rekey_after {
+            if rekey_due(inbound.sa(), lifetime) {
+                self.rekey_due.insert(spi);
+            }
+        }
     }
 }
 
@@ -1563,6 +1590,65 @@ mod tests {
                 .any(|e| matches!(e, GatewayEvent::ProbeDue { .. })),
             "traffic within the idle timeout must suppress probes"
         );
+    }
+
+    #[test]
+    fn a_run_cut_by_a_drain_slice_is_noted_as_the_whole_run() {
+        // SPI 0x21's run of 16 starts 8 frames before the first slice
+        // ends, so `cut` windows and notes it as two runs; `whole` drains
+        // the same run in a batch of its own. Both detectors are in grace,
+        // so the first note pulls the deadline earlier and pushes a heap
+        // entry; the rekey lifetime falls in the run's second half.
+        use crate::esp::DRAIN_SLICE;
+        let dpd = DpdConfig {
+            idle_timeout_ns: 1_000,
+            probe_interval_ns: 500,
+            max_probes: 1,
+            grace_period_ns: 2_000,
+        };
+        let lifetime = SaLifetime {
+            max_packets: 12,
+            max_bytes: u64::MAX,
+        };
+        let build = || {
+            GatewayBuilder::in_memory()
+                .dpd(dpd)
+                .rekey_after(lifetime)
+                .build()
+        };
+        let (mut p, mut cut, mut whole) = (build(), build(), build());
+        for gw in [&mut p, &mut cut, &mut whole] {
+            gw.add_peer(0x20, b"slice-master");
+            gw.add_peer(0x21, b"slice-master");
+        }
+        for gw in [&mut cut, &mut whole] {
+            for t in [0, 1_000, 1_500] {
+                gw.tick(t);
+            }
+            gw.poll_events();
+            assert_eq!(gw.in_grace(0x21), Some(true));
+        }
+        let mut seal = |spi, n| -> Vec<Bytes> {
+            let mut frame = || p.protect(spi, b"x").unwrap().unwrap().wire;
+            (0..n).map(|_| frame()).collect()
+        };
+        let (filler, run) = (seal(0x20, DRAIN_SLICE - 8), seal(0x21, 16));
+        cut.push_wire_batch(&[filler.clone(), run.clone()].concat())
+            .unwrap();
+        whole.push_wire_batch(&filler).unwrap();
+        whole.push_wire_batch(&run).unwrap();
+        let runs: Vec<_> = cut.sadb.runs_mut().iter().map(|r| (r.spi, r.len)).collect();
+        assert_eq!(runs, [(0x20, DRAIN_SLICE - 8), (0x21, 8), (0x21, 8)]);
+
+        assert_eq!(cut.poll_events(), whole.poll_events());
+        let dpd_state =
+            |gw: &Gateway<MemStable>| format!("{:?}", gw.sadb.inbound(0x21).unwrap().dpd);
+        assert_eq!(dpd_state(&cut), dpd_state(&whole));
+        assert_eq!(cut.in_grace(0x21), Some(false));
+        let heap = |gw: &Gateway<MemStable>| (gw.dpd_heap.clone().into_sorted_vec(), gw.dpd_pushed);
+        assert_eq!(heap(&cut), heap(&whole));
+        assert_eq!(cut.rekey_due, whole.rekey_due);
+        assert!(cut.rekey_due.contains(&0x21));
     }
 
     type FaultyGateway = Gateway<reset_stable::FaultyStable<MemStable>>;

@@ -172,7 +172,7 @@ mod shard;
 
 pub use dpd::{DpdAction, DpdConfig, DpdDetector};
 pub use error::IpsecError;
-pub use esp::{Inbound, Outbound, RxReject, RxResult};
+pub use esp::{Inbound, Outbound, RxReject, RxResult, DRAIN_SLICE};
 pub use gateway::{Gateway, GatewayBuilder, GatewayEvent, SaDirection, SentFrame};
 pub use rekey::{rekey, rekey_due, RekeyRequest};
 pub use reset_crypto::Backend;

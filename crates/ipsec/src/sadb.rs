@@ -45,17 +45,22 @@
 //! ordered one beside it would cost every install, and sorting anew for
 //! each recovery half cost a 2¹⁸-SA fleet ~20 % of `recover_ns_per_sa`.
 //!
-//! The [`Sadb::process_batch`] drain resolves first. Walk (i) is two
-//! loops. *Resolve* cuts the batch into runs of one SPI and probes the
-//! index for every run's slot; it reads no record. *Warm* then reads each
-//! resolved record: a slot with no inbound half serves no run (its frames
-//! are unknown SAs), and every other run's inbound half loads one word a
-//! line of its receive run. The loads of one loop do not wait on each
-//! other, so a wide fleet's misses overlap instead of coming one record
-//! at a time (see [`crate::esp`], "One receive path", for why the loop is
-//! separate and why it uses demand loads). The walks that verify, window
-//! and decrypt follow over the resolved runs, and the gateway gets each
-//! run's slot.
+//! The [`Sadb::process_batch`] drain runs in slices of
+//! [`crate::DRAIN_SLICE`] frames, and each slice resolves first. Walk (i)
+//! is two loops over the slice. *Resolve* cuts it into runs of one SPI —
+//! the last one cut at the slice's end — and probes the index for every
+//! run's slot; it reads no record. *Warm* then reads each resolved
+//! record: a slot with no inbound half serves no run (its frames are
+//! unknown SAs), and every other run's inbound half loads one word a line
+//! of its receive run. The loads of one loop do not wait on each other,
+//! so a wide fleet's misses overlap instead of coming one record at a
+//! time (see [`crate::esp`], "One receive path", for why the loop is
+//! separate, why it uses demand loads and why a slice is 256 frames).
+//! The walks that verify, window and decrypt follow over the slice's
+//! runs, while the slice's records are still in cache; the windowing walk
+//! queues each run's SAVE and hands each run that delivered to the
+//! caller's delivery note (the gateway's DPD and rekey-due marks). The
+//! runs of every slice are kept, in order, for the gateway's events.
 //!
 //! The stated cost: a record with one direction installed carries the
 //! other's empty half inline (304 B outbound, 384 B inbound; an SA keeps
@@ -144,6 +149,7 @@
 //! the same rule.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use bytes::Bytes;
 use reset_crypto::SealAhead;
@@ -288,14 +294,66 @@ impl<S: StableStore> SaRecord<S> {
     }
 }
 
-/// The database as a drain sees it: the records walk (i) resolved its
-/// runs to, and the due-list a windowed run queues its SAVE on.
-struct Records<'a, S> {
+/// The database as a drain sees it: the index and records walk (i)
+/// resolves its runs on, the due-list a windowed run queues its SAVE on,
+/// and the caller's note of a run that delivered.
+struct Records<'a, S, N> {
     slots: &'a mut [SaRecord<S>],
+    index: &'a HashMap<u32, u32>,
     saves: &'a mut Vec<(Half, u32, u32)>,
+    note: N,
 }
 
-impl<S: StableStore> Receivers<S> for Records<'_, S> {
+impl<S: StableStore, N: FnMut(&mut Inbound<S>)> Receivers<S> for Records<'_, S, N> {
+    /// Walk (i) is two loops over the slice (module docs, "Storage
+    /// layout"), and the runs it resolves are also the gateway's.
+    fn resolve<'w>(
+        &mut self,
+        slice: Range<usize>,
+        at: impl Fn(usize) -> &'w Bytes,
+        scratch: &mut DrainScratch,
+    ) {
+        // ---- Resolve: cut the frames into runs of one SPI and probe the
+        // index for every run's slot. No record is read here, so the
+        // probes do not wait on each other's misses.
+        let mut i = slice.start;
+        while i < slice.end {
+            let wire = at(i);
+            let mut j = i + 1;
+            let (spi, slot) = match reset_wire::peek_spi(wire) {
+                Some(spi) => {
+                    while j < slice.end && at(j).get(0..4) == Some(&wire[0..4]) {
+                        j += 1;
+                    }
+                    (spi, self.index.get(&spi).copied())
+                }
+                // A frame too short to name an SPI is a run of its own,
+                // reported as SPI 0.
+                None => (0, None),
+            };
+            scratch.resolved.push(Run {
+                spi,
+                slot,
+                len: j - i,
+            });
+            i = j;
+        }
+        // ---- Warm: a slot with no inbound half serves no run; every
+        // other run's record is read one word a line, in a loop of its
+        // own, so the misses of many records are in flight at once.
+        let mut warm = 0;
+        for run in &mut scratch.resolved {
+            if let Some(slot) = run.slot {
+                match self.slots[slot as usize].inbound() {
+                    Some(inbound) => warm ^= inbound.warm(),
+                    None => run.slot = None,
+                }
+            }
+        }
+        std::hint::black_box(warm);
+        scratch.runs.extend_from_slice(&scratch.resolved);
+    }
+
     fn receiver(&self, slot: u32) -> &Inbound<S> {
         self.slots[slot as usize]
             .inbound()
@@ -307,8 +365,13 @@ impl<S: StableStore> Receivers<S> for Records<'_, S> {
         inbound.expect("walk (i) resolved the run on it")
     }
 
-    fn windowed(&mut self, slot: u32) {
-        self.slots[slot as usize].queue_save(Half::Inbound, slot, self.saves);
+    fn windowed(&mut self, slot: u32, delivered: bool) {
+        let record = &mut self.slots[slot as usize];
+        record.queue_save(Half::Inbound, slot, self.saves);
+        if delivered {
+            let inbound = record.inbound.as_mut();
+            (self.note)(inbound.expect("walk (i) resolved the run on it"));
+        }
     }
 }
 
@@ -481,12 +544,6 @@ impl<S: StableStore> Sadb<S> {
         Some(&mut self.slots[slot as usize])
     }
 
-    /// The record in slab slot `slot`, as a [`Run`] of the last drain
-    /// names it — no lookup by SPI.
-    pub(crate) fn record_at_mut(&mut self, slot: u32) -> &mut SaRecord<S> {
-        &mut self.slots[slot as usize]
-    }
-
     /// Looks up an outbound SA (read-only).
     pub fn outbound(&self, spi: u32) -> Option<&Outbound<S>> {
         self.record(spi)?.outbound()
@@ -612,7 +669,7 @@ impl<S: StableStore> Sadb<S> {
     /// ```
     pub fn process_batch(&mut self, wires: &[Bytes]) -> Result<Vec<RxResult>, IpsecError> {
         let mut out = Vec::with_capacity(wires.len());
-        self.process_batch_routed(wires.len(), |i| &wires[i], &mut out);
+        self.process_batch_routed(wires.len(), |i| &wires[i], &mut out, |_| {});
         Ok(out)
     }
 
@@ -621,62 +678,28 @@ impl<S: StableStore> Sadb<S> {
     /// result per frame to `out` (the gateway passes a vector it reuses).
     /// The sharded fan-out passes `|i| &batch[route[i]]` to drain its
     /// share of a *shared* batch without cloning a per-shard `Vec<Bytes>`
-    /// first; the slice form passes `|i| &wires[i]`. This is walk (i) of
-    /// the drain, resolve then warm (module docs, "Storage layout"); the
-    /// rest is `esp::drain`, inside one drain of the database's scratch,
-    /// which also keeps the list of runs ([`Sadb::runs_mut`]).
+    /// first; the slice form passes `|i| &wires[i]`. The drain is
+    /// `esp::drain` on the database's scratch, with this database's walk
+    /// (i), resolve then warm (module docs, "Storage layout"), slice by
+    /// slice; the scratch also keeps the list of runs
+    /// ([`Sadb::runs_mut`]). `note` is called on the inbound half of every
+    /// run that delivered a frame, right after walk (iii) windowed it,
+    /// while its record is in cache.
     pub(crate) fn process_batch_routed<'w>(
         &mut self,
         n: usize,
         at: impl Fn(usize) -> &'w Bytes + Copy,
         out: &mut Vec<RxResult>,
+        note: impl FnMut(&mut Inbound<S>),
     ) {
-        self.scratch.begin((0..n).map(|i| at(i).len()).sum());
-        // ---- Walk (i), resolve: cut the frames into runs of one SPI and
-        // probe the index for every run's slot. No record is read here, so
-        // the probes do not wait on each other's misses.
-        let mut i = 0;
-        while i < n {
-            let wire = at(i);
-            let mut j = i + 1;
-            let (spi, slot) = match reset_wire::peek_spi(wire) {
-                Some(spi) => {
-                    while j < n && at(j).get(0..4) == Some(&wire[0..4]) {
-                        j += 1;
-                    }
-                    (spi, self.index.get(&spi).copied())
-                }
-                // A frame too short to name an SPI is a run of its own,
-                // reported as SPI 0.
-                None => (0, None),
-            };
-            self.scratch.resolved.push(Run {
-                spi,
-                slot,
-                len: j - i,
-            });
-            i = j;
-        }
-        // ---- Walk (i), warm: a slot with no inbound half serves no run;
-        // every other run's record is read one word a line, in a loop of
-        // its own, so the misses of many records are in flight at once.
-        let mut warm = 0;
         self.scratch.runs.clear();
-        for run in &mut self.scratch.resolved {
-            if let Some(slot) = run.slot {
-                match self.slots[slot as usize].inbound() {
-                    Some(inbound) => warm ^= inbound.warm(),
-                    None => run.slot = None,
-                }
-            }
-            self.scratch.runs.push(*run);
-        }
-        std::hint::black_box(warm);
         let mut records = Records {
             slots: &mut self.slots,
+            index: &self.index,
             saves: &mut self.saves,
+            note,
         };
-        drain(&mut self.scratch, &mut records, at, out);
+        drain(&mut self.scratch, &mut records, n, at, out);
     }
 
     /// How the result vector of the last [`Sadb::process_batch_routed`]
@@ -777,19 +800,22 @@ impl<S: StableStore> Sadb<S> {
     /// SA directions recovered. The buffered packets' outcomes — per
     /// inbound SA in SPI order, each SA's in arrival order — are appended
     /// to `out` in the shape of a drain: [`Sadb::runs_mut`] describes
-    /// them, one run per SA that had any.
+    /// them, one run per SA that had any. Once the sweep has succeeded,
+    /// `note` is called on the inbound half of every such run that
+    /// delivered a frame, as a drain calls it.
     ///
     /// # Errors
     ///
     /// First store failure aborts the sweep, and the outcomes gathered so
-    /// far are dropped with it.
+    /// far are dropped with it, unnoted.
     pub(crate) fn finish_recover_all(
         &mut self,
         out: &mut Vec<RxResult>,
+        mut note: impl FnMut(&mut Inbound<S>),
     ) -> Result<usize, StableError> {
         self.scratch.runs.clear();
         let unswept = out.len();
-        self.in_order(|db, order| {
+        let recovered = self.in_order(|db, order| {
             let mut n = 0;
             for half in Half::BOTH {
                 for &(spi, slot) in order {
@@ -819,7 +845,18 @@ impl<S: StableStore> Sadb<S> {
                 }
             }
             Ok(n)
-        })
+        })?;
+        let mut verdicts = out[unswept..].iter();
+        for run in &self.scratch.runs {
+            let mut delivered = false;
+            for verdict in verdicts.by_ref().take(run.len) {
+                delivered |= verdict.is_delivered();
+            }
+            if let (true, Some(slot)) = (delivered, run.slot) {
+                note(self.slots[slot as usize].inbound.as_mut().expect("it woke"));
+            }
+        }
+        Ok(recovered)
     }
 
     /// True iff any SA actually has a background SAVE in flight. Walks
@@ -1377,7 +1414,8 @@ mod tests {
         let route: Vec<u32> = (0..batch.len() as u32).filter(|i| i % 2 == 0).collect();
         let gathered: Vec<Bytes> = route.iter().map(|&i| batch[i as usize].clone()).collect();
         let mut routed = Vec::new();
-        db_routed.process_batch_routed(route.len(), |i| &batch[route[i] as usize], &mut routed);
+        let at = |i: usize| &batch[route[i] as usize];
+        db_routed.process_batch_routed(route.len(), at, &mut routed, |_| {});
         let contig = db_contig.process_batch(&gathered).unwrap();
         assert_eq!(routed.len(), route.len());
         assert_eq!(routed, contig);
@@ -1421,7 +1459,7 @@ mod tests {
         assert_eq!(failed.len(), 1, "{failed:?}");
         assert_eq!(failed[0].0, 2);
         // The sweep did not abort: the other five directions woke.
-        let recovered = db.finish_recover_all(&mut Vec::new()).unwrap();
+        let recovered = db.finish_recover_all(&mut Vec::new(), |_| {}).unwrap();
         assert_eq!(recovered, 5, "3 outbound + 2 healthy inbound");
         assert_eq!(db.inbound(2).unwrap().phase(), Phase::Down);
     }
@@ -1449,7 +1487,7 @@ mod tests {
         };
         assert_eq!(process_one(&mut db, &w), RxResult::Buffered);
         let mut buffered = Vec::new();
-        let recovered = db.finish_recover_all(&mut buffered).unwrap();
+        let recovered = db.finish_recover_all(&mut buffered, |_| {}).unwrap();
         assert_eq!(recovered, 8, "4 SAs x 2 directions");
         assert_eq!(buffered.len(), 1);
         assert!(buffered[0].is_delivered(), "{buffered:?}");

@@ -53,7 +53,11 @@ impl FileStable {
     /// Orphaned `.tmp` files — the residue of a crash between the write and
     /// the rename — are removed: they hold at best a record the crash made
     /// non-durable, and leaving them around would leak one file per
-    /// interrupted SAVE forever.
+    /// interrupted SAVE forever. A temp is named after the process that
+    /// wrote it (`slot-<id>.<pid>.tmp`), and the sweep spares this
+    /// process's own: those belong to live handles, mid-store. Another
+    /// process's temps and legacy ones without a pid are swept, so a
+    /// crashed process's residue goes at the next process's open.
     ///
     /// # Errors
     ///
@@ -61,9 +65,14 @@ impl FileStable {
     pub fn open(dir: impl AsRef<Path>, durability: Durability) -> Result<Self, StableError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
+        let own = format!(".{}", std::process::id());
         for entry in fs::read_dir(&dir)? {
             let path = entry?.path();
-            if path.extension().is_some_and(|e| e == "tmp") {
+            let residue = path.extension().is_some_and(|e| e == "tmp")
+                && !path
+                    .file_stem()
+                    .is_some_and(|stem| stem.to_string_lossy().ends_with(&own));
+            if residue {
                 let _ = fs::remove_file(&path);
             }
         }
@@ -80,7 +89,9 @@ impl FileStable {
     }
 
     fn tmp_path(&self, slot: SlotId) -> PathBuf {
-        self.dir.join(format!("slot-{:016x}.tmp", slot.as_u64()))
+        let pid = std::process::id();
+        self.dir
+            .join(format!("slot-{:016x}.{pid}.tmp", slot.as_u64()))
     }
 }
 
@@ -89,10 +100,12 @@ impl StableStore for FileStable {
         let tmp = self.tmp_path(slot);
         let dst = self.slot_path(slot);
         let rec = encode_record(slot, value);
-        // A concurrent `open()` of the same directory sweeps `.tmp` files
-        // and can race away this write's temp between the write and the
-        // rename. Each open sweeps once, so redoing the write converges;
-        // the bound only guards against a pathological open() storm.
+        // An `open()` of the same directory in *another* process sweeps
+        // this process's temps as a crash's residue, and can race this
+        // write's temp away between the write and the rename (an open in
+        // this process spares it). Each open sweeps once, so redoing the
+        // write converges; the bound only guards against a pathological
+        // storm of opens from other processes.
         for attempt in 0..16 {
             {
                 let mut f = fs::File::create(&tmp)?;
@@ -220,8 +233,9 @@ mod tests {
         let dir = tmpdir("orphan");
         let mut s = FileStable::open(&dir, Durability::ProcessCrash).unwrap();
         s.store(SlotId::raw(6), 11).unwrap();
-        // Simulate a crash between write and rename: a stray .tmp remains.
-        let orphan = s.tmp_path(SlotId::raw(7));
+        // Simulate a crash between write and rename: a stray .tmp of the
+        // crashed process (another pid than this one) remains.
+        let orphan = crashed_tmp(&dir, 7);
         fs::write(&orphan, b"partial record from a crashed SAVE").unwrap();
         drop(s);
         let s2 = FileStable::open(&dir, Durability::ProcessCrash).unwrap();
@@ -234,10 +248,32 @@ mod tests {
         let _ = fs::remove_dir_all(dir);
     }
 
+    /// The temp of slot `slot` as a process that is gone left it: no
+    /// process has pid `u32::MAX`.
+    fn crashed_tmp(dir: &Path, slot: u64) -> PathBuf {
+        dir.join(format!("slot-{slot:016x}.{}.tmp", u32::MAX))
+    }
+
+    #[test]
+    fn open_sweeps_legacy_and_foreign_temps_but_not_its_own() {
+        let dir = tmpdir("foreign");
+        let s = FileStable::open(&dir, Durability::ProcessCrash).unwrap();
+        let own = s.tmp_path(SlotId::raw(1));
+        let foreign = crashed_tmp(&dir, 2);
+        let legacy = dir.join(format!("slot-{:016x}.tmp", 3));
+        for path in [&own, &foreign, &legacy] {
+            fs::write(path, b"partial").unwrap();
+        }
+        drop(FileStable::open(&dir, Durability::ProcessCrash).unwrap());
+        assert!(own.exists(), "a live handle's temp in this process");
+        assert!(!foreign.exists() && !legacy.exists());
+        let _ = fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn open_sweep_does_not_break_concurrent_writers() {
-        // open() sweeps `.tmp` residue; a handle mid-store must survive
-        // having its in-flight temp raced away (store redoes the write).
+        // open() sweeps `.tmp` residue, but never this process's own, so
+        // a handle mid-store is not raced by opens in its own process.
         let dir = tmpdir("sweep-race");
         let dir2 = dir.clone();
         std::thread::scope(|scope| {
@@ -253,6 +289,13 @@ mod tests {
         });
         let s = FileStable::open(&dir, Durability::ProcessCrash).unwrap();
         assert_eq!(s.load(SlotId::raw(1)).unwrap(), Some(499));
+        let own = format!(".{}.tmp", std::process::id());
+        let left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(&own))
+            .collect();
+        assert!(left.is_empty(), "temps left behind: {left:?}");
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -6,6 +6,7 @@
 use bytes::Bytes;
 use reset_ipsec::{
     Backend, CryptoSuite, DpdConfig, Gateway, GatewayBuilder, GatewayEvent, IpsecError, SaLifetime,
+    DRAIN_SLICE,
 };
 use reset_sim::DetRng;
 use reset_stable::MemStable;
@@ -586,4 +587,194 @@ fn sent_frames_equal_the_scalar_seal_across_runs_rekeys_teardown_and_resets() {
         policy_rekeys >= 10,
         "policy rekeys fired inside runs: {policy_rekeys}"
     );
+}
+
+/// A fresh frame on `spi`, sealed by `p`.
+fn fresh(p: &mut Gateway<MemStable>, spi: u32) -> Bytes {
+    let f = p.protect(spi, &[spi as u8; 48]).expect("datapath");
+    f.expect("endpoint up").wire
+}
+
+/// `push_wire_batch` drains in slices of `DRAIN_SLICE` frames, and the
+/// slices must not show. One batch of `3 × DRAIN_SLICE + 37` frames and
+/// the same frames pushed one at a time leave equal event streams, equal
+/// `auth_failures`, equal DPD state and equal rekey due-sets. The last
+/// two are the gateway's own: their equality is read off `in_grace`, the
+/// timer count and the events the clock then draws from them — every
+/// heap entry fires in (deadline, push) order, the due-set's SAs rekey
+/// at the first tick — all equal, tick by tick.
+///
+/// The batch holds a run of 16 across each slice boundary, singleton
+/// runs, an unknown SPI, runts, replays and flipped ICVs. One SA's ESN
+/// crosses 2³² in the second slice after its earlier frames sat in the
+/// first, and a frame right after the crossing is one whose high half,
+/// guessed at slice start, the crossing made stale. Half of the SAs are
+/// in DPD grace when the batch lands, so a delivery pulls their deadline
+/// earlier; the other half were installed after the last tick, so a
+/// delivery arms them. Both push heap entries, in the order of the notes.
+#[test]
+fn drain_slices_are_invisible_for_both_suites() {
+    const GRACE: [u32; 4] = [0x71, 0x72, 0x73, 0x74];
+    const LATE: [u32; 4] = [0x75, 0x76, 0x77, 0x78];
+    const ESN_SPI: u32 = 0x79;
+    const N: usize = 3 * DRAIN_SLICE + 37;
+    const WRAP: u64 = 1 << 32;
+    let dpd = DpdConfig {
+        idle_timeout_ns: 1_000,
+        probe_interval_ns: 500,
+        max_probes: 1,
+        grace_period_ns: 2_000,
+    };
+    let lifetime = SaLifetime {
+        max_packets: 90,
+        max_bytes: u64::MAX,
+    };
+    let spis: Vec<u32> = GRACE.into_iter().chain(LATE).collect();
+    for suite in SUITES {
+        let build = || {
+            GatewayBuilder::in_memory()
+                .suite(suite)
+                .save_interval(8)
+                .window(64)
+                .dpd(dpd)
+                .rekey_after(lifetime)
+                .skeyid(b"drain-slices-phase1")
+                .build()
+        };
+        let (mut p, mut batch, mut single) = (build(), build(), build());
+        for spi in GRACE.into_iter().chain([ESN_SPI]) {
+            for gw in [&mut p, &mut batch, &mut single] {
+                gw.add_peer(spi, MASTER);
+            }
+        }
+        for gw in [&mut batch, &mut single] {
+            for t in [0, 1_000, 1_500] {
+                gw.tick(t);
+            }
+            gw.poll_events();
+            assert_eq!(gw.in_grace(GRACE[0]), Some(true), "{suite:?}");
+        }
+        for spi in LATE {
+            for gw in [&mut p, &mut batch, &mut single] {
+                gw.add_peer(spi, MASTER);
+            }
+        }
+
+        let esn_sa = p.sadb().outbound(ESN_SPI).expect("installed").sa().clone();
+        let esn = |seq: u64| seal_frame(ESN_SPI, seq, b"esn", esn_sa.cipher(), true).unwrap();
+        let mut rng = DetRng::new(0x511C_E5ED ^ suite as u64);
+        let mut frames: Vec<Bytes> = Vec::with_capacity(N);
+        // Singletons and short runs, skewed towards the first SAs so that
+        // some cross the rekey lifetime and some do not, with a replay of
+        // an earlier frame now and then.
+        let mut fill = |frames: &mut Vec<Bytes>, p: &mut Gateway<MemStable>, until: usize| {
+            while frames.len() < until {
+                if rng.chance(0.1) {
+                    let old = frames[rng.below(frames.len() as u64) as usize].clone();
+                    frames.push(old);
+                    continue;
+                }
+                let skew = rng.below(spis.len() as u64) + 1;
+                let spi = spis[rng.below(skew) as usize];
+                let len = if rng.chance(0.6) {
+                    1
+                } else {
+                    rng.range_inclusive(2, 5)
+                };
+                for _ in 0..len.min((until - frames.len()) as u64) {
+                    frames.push(fresh(p, spi));
+                }
+            }
+        };
+        let junk = |frames: &mut Vec<Bytes>, p: &mut Gateway<MemStable>, spi: u32| {
+            let mut flipped = fresh(p, spi).to_vec();
+            *flipped.last_mut().unwrap() ^= 1;
+            let mut unknown = fresh(p, spi).to_vec();
+            unknown[..4].copy_from_slice(&0xDEAD_u32.to_be_bytes());
+            frames.extend([
+                Bytes::from(flipped),
+                Bytes::from(unknown),
+                Bytes::copy_from_slice(&[0xAB; 3]),
+            ]);
+        };
+        // Slice 1: the ESN SA's first frames, far below 2³².
+        frames.push(esn(100));
+        frames.extend((WRAP - 48..WRAP - 40).map(esn));
+        junk(&mut frames, &mut p, GRACE[1]);
+        fill(&mut frames, &mut p, DRAIN_SLICE - 8);
+        for boundary in 1..=3 {
+            // A run of 16 across the boundary.
+            let spi = spis[boundary];
+            frames.extend((0..16).map(|_| fresh(&mut p, spi)));
+            if boundary == 1 {
+                // Slice 2: the ESN SA crosses 2³² in one run; the frame
+                // after the crossing was sealed under high half 0, which
+                // the slice-start edge infers and the live edge does not.
+                fill(&mut frames, &mut p, DRAIN_SLICE + 40);
+                frames.extend((WRAP - 8..WRAP + 8).map(esn));
+                frames.push(esn((1 << 31) + 3));
+                frames.push(esn(WRAP - 44));
+            }
+            junk(&mut frames, &mut p, LATE[boundary]);
+            fill(
+                &mut frames,
+                &mut p,
+                ((boundary + 1) * DRAIN_SLICE - 8).min(N),
+            );
+        }
+        assert_eq!(frames.len(), N);
+        for boundary in (1..=3).map(|b| b * DRAIN_SLICE) {
+            let spi = |i: usize| frames[i][..4].to_vec();
+            assert!((boundary - 8..boundary + 8).all(|i| spi(i) == spi(boundary)));
+        }
+
+        batch.push_wire_batch(&frames).unwrap();
+        for wire in &frames {
+            single.push_wire(wire).unwrap();
+        }
+        let events = batch.poll_events();
+        assert_eq!(events, single.poll_events(), "{suite:?}");
+        let count = |kind: fn(&GatewayEvent) -> bool| events.iter().filter(|e| kind(e)).count();
+        assert!(count(|e| matches!(e, GatewayEvent::Delivered { .. })) > N / 2);
+        assert!(count(|e| matches!(e, GatewayEvent::ReplayDropped { .. })) >= 10);
+        assert!(count(|e| matches!(e, GatewayEvent::UnknownSa { spi: 0xDEAD })) == 4);
+        assert!(count(|e| matches!(e, GatewayEvent::AuthFailed { spi: 0 })) == 4);
+        let stale = GatewayEvent::AuthFailed { spi: ESN_SPI };
+        assert!(events.contains(&stale), "{suite:?}: the stale guess");
+        assert_eq!(batch.right_edge(ESN_SPI).unwrap().value(), WRAP + 7);
+        for spi in spis.iter().copied().chain([ESN_SPI]) {
+            let failures =
+                |gw: &Gateway<MemStable>| gw.sadb().inbound(spi).unwrap().auth_failures();
+            assert_eq!(
+                failures(&batch),
+                failures(&single),
+                "{suite:?} spi {spi:#x}"
+            );
+            assert_eq!(
+                batch.in_grace(spi),
+                single.in_grace(spi),
+                "{suite:?} spi {spi:#x}"
+            );
+        }
+        assert_eq!(format!("{batch:?}"), format!("{single:?}"), "{suite:?}");
+
+        // The clock runs on past every deadline the drain scheduled.
+        let (mut probes, mut rekeys) = (0, 0);
+        for t in (1_750..=9_000).step_by(250) {
+            batch.tick(t);
+            single.tick(t);
+            let fired = batch.poll_events();
+            assert_eq!(fired, single.poll_events(), "{suite:?} at {t} ns");
+            assert_eq!(format!("{batch:?}"), format!("{single:?}"), "{suite:?}");
+            for e in &fired {
+                probes += usize::from(matches!(e, GatewayEvent::ProbeDue { .. }));
+                rekeys += usize::from(matches!(e, GatewayEvent::RekeyStarted { .. }));
+            }
+        }
+        assert!(probes >= spis.len(), "{suite:?}: {probes} probes");
+        assert!(
+            (1..spis.len()).contains(&rekeys),
+            "{suite:?}: {rekeys} rekeys"
+        );
+    }
 }
