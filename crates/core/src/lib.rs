@@ -33,8 +33,6 @@
 //!   either role, that owns the stable store: the §4 protocol with
 //!   SAVE/FETCH, background-save races, wake-up leap and (bounded)
 //!   receive buffering.
-//! * [`Monitor`] / [`Report`] — online ground-truth checking of the §5
-//!   theorem.
 //!
 //! The §2 protocol with the §3 naive restart (the vulnerable baseline)
 //! is figure code and lives above the gateway, in `reset-harness`. This
@@ -94,13 +92,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod convergence;
 pub mod machine;
 mod savefetch;
 mod seq;
 mod window;
 
-pub use convergence::{Monitor, MsgId, Origin, Report, Violation};
 pub use machine::{FetchFaultKind, SfEffect, SfEvent, SfMachine};
 pub use savefetch::{Phase, RxOutcome, SfDriver, Wakeup};
 pub use seq::SeqNum;

@@ -15,10 +15,10 @@
 use std::collections::HashSet;
 
 use anti_replay::SeqNum;
-use reset_channel::{max_reorder_degree, Link, LinkConfig};
 use reset_sim::{DetRng, SimDuration, SimTime};
 
 use crate::baseline::BaselineReceiver;
+use crate::channel::{max_reorder_degree, reorder_degrees, Link, LinkConfig};
 use crate::report::Table;
 
 /// Result of one channel configuration run.
@@ -70,7 +70,7 @@ pub fn run_one(label: &str, link_cfg: LinkConfig, w: u64, n: u64, seed: u64) -> 
 
     // Per-message reorder degree (paper §2 definition), computed on the
     // first arrival of each message.
-    let degrees = reset_channel::reorder_degrees(&receive_order);
+    let degrees = reorder_degrees(&receive_order);
     let mut first_degree: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
     for (i, &s) in receive_order.iter().enumerate() {
         first_degree.entry(s).or_insert(degrees[i]);

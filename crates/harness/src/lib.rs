@@ -3,10 +3,10 @@
 //! This crate turns the reproduction into numbers: a deterministic timed
 //! [scenario runner](run_scenario) that drives the shipped engine — a
 //! [`reset_ipsec::ShardedGateway`] pair under SAVE/FETCH or under the §3
-//! naive restart — over a faulty channel, a replay adversary, a
-//! latency-modelled persistent store and an online convergence
-//! [`Monitor`](anti_replay::Monitor), plus one module per figure/table
-//! of the paper under [`experiments`].
+//! naive restart — over the paper's §2 channel (a faulty [`LinkConfig`]
+//! link and a replay adversary), a latency-modelled persistent store and
+//! an online monitor of the §5 guarantees (its [`Report`]), plus one
+//! module per figure/table of the paper under [`experiments`].
 //!
 //! It also holds the figure code that has no place on the gateway path:
 //! the reset-naive §2 receiver ([`BaselineReceiver`], for t6) and the
@@ -73,10 +73,12 @@
 
 mod baseline;
 pub mod campaign;
+mod channel;
 pub mod churn;
 mod dh;
 pub mod experiments;
 mod ike;
+mod monitor;
 mod report;
 mod scenario;
 mod workload;
@@ -84,12 +86,14 @@ mod workload;
 pub use baseline::BaselineReceiver;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
+pub use channel::{reorder_degrees, LinkConfig, LinkStats};
 pub use churn::{run_churn, AdversaryZoo, ChurnConfig, ChurnReport};
 pub use dh::{oakley_group1, oakley_group2, toy_group, DhGroup, DhKeyPair};
 pub use ike::{
     run_handshake, run_handshake_mismatched_psk, run_handshake_with_suites, CostModel,
     EstablishedPair, HandshakeAuthFailed, HandshakeCost, IkeMessage,
 };
+pub use monitor::{Report, Violation};
 pub use report::{RunReport, RunTotals, SaVerdict, Table, TimelinePoint, REPORT_SCHEMA};
 pub use scenario::{
     run_scenario, AdversaryPlan, Protocol, ScenarioConfig, ScenarioOutcome, Transport,

@@ -1,7 +1,7 @@
 //! Online convergence monitor — ground truth for the paper's theorem.
 //!
-//! Experiments attach a [`Monitor`] next to the protocol under test and
-//! feed it every send, delivery and discard. The monitor checks, *while
+//! The scenario runner attaches one [`Monitor`] per SA next to the
+//! gateway pair and feeds it every send, delivery and discard. The monitor checks, *while
 //! the run executes*, the three §5 guarantees:
 //!
 //! * **No replay accepted** — no sequence number is ever delivered twice
@@ -22,15 +22,15 @@
 
 use std::collections::HashSet;
 
-use crate::seq::SeqNum;
+use anti_replay::SeqNum;
 
 /// Identity of one sent message instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MsgId(pub u64);
+pub(crate) struct MsgId(pub(crate) u64);
 
 /// Where a received packet copy came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Origin {
+pub(crate) enum Origin {
     /// The sender's original transmission.
     Original,
     /// A duplicate created by the channel.
@@ -39,7 +39,7 @@ pub enum Origin {
     Adversary,
 }
 
-/// A violation detected by the monitor.
+/// A violation of a §5 guarantee, found by the scenario's monitor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// A sequence number was delivered more than once — Discrimination
@@ -65,7 +65,7 @@ pub enum Violation {
     },
 }
 
-/// Aggregated results of a monitored run.
+/// Ground-truth results of a monitored scenario run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
     /// Messages sent by the sender (original instances).
@@ -97,11 +97,11 @@ impl Report {
     }
 
     /// Folds another SA's report into this one: counters sum,
-    /// violations concatenate. Fleet experiments (one [`Monitor`] per
+    /// violations concatenate. Fleet scenarios (one [`Monitor`] per
     /// SA) merge their per-SA reports into one aggregate this way —
     /// the fold lives here, next to the fields, so a counter added to
     /// [`Report`] cannot be silently dropped from aggregates.
-    pub fn merge(&mut self, other: &Report) {
+    pub(crate) fn merge(&mut self, other: &Report) {
         let Report {
             sent,
             fresh_delivered,
@@ -124,23 +124,8 @@ impl Report {
 }
 
 /// Ground-truth tracker for one unidirectional SA.
-///
-/// # Examples
-///
-/// ```
-/// use anti_replay::{Monitor, MsgId, Origin, SeqNum};
-///
-/// let mut m = Monitor::new();
-/// m.on_send(MsgId(0), SeqNum::new(1));
-/// m.on_deliver(Some(MsgId(0)), SeqNum::new(1), Origin::Original);
-/// // The adversary replays it; the protocol (correctly) rejects:
-/// m.on_discard(Some(MsgId(0)), SeqNum::new(1), Origin::Adversary);
-/// let report = m.into_report();
-/// assert!(report.clean());
-/// assert_eq!(report.replays_rejected, 1);
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct Monitor {
+pub(crate) struct Monitor {
     delivered_seqs: HashSet<u64>,
     delivered_instances: HashSet<MsgId>,
     discarded_instances: HashSet<MsgId>,
@@ -150,20 +135,19 @@ pub struct Monitor {
 
 impl Monitor {
     /// A fresh monitor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Monitor::default()
     }
 
     /// Records an original transmission.
-    pub fn on_send(&mut self, id: MsgId, seq: SeqNum) {
-        let _ = id;
+    pub(crate) fn on_send(&mut self, seq: SeqNum) {
         self.report.sent += 1;
         self.max_used = self.max_used.max(seq.value());
     }
 
     /// Records a delivery of a copy of instance `id` (if known) carrying
     /// `seq`, received via `origin`.
-    pub fn on_deliver(&mut self, id: Option<MsgId>, seq: SeqNum, origin: Origin) {
+    pub(crate) fn on_deliver(&mut self, id: Option<MsgId>, seq: SeqNum, origin: Origin) {
         if !self.delivered_seqs.insert(seq.value()) {
             // Discrimination broken: this sequence number already reached
             // the application once.
@@ -185,9 +169,8 @@ impl Monitor {
         }
     }
 
-    /// Records a discard of a copy of instance `id` carrying `seq`.
-    pub fn on_discard(&mut self, id: Option<MsgId>, seq: SeqNum, origin: Origin) {
-        let _ = seq;
+    /// Records a discard of a copy of instance `id`.
+    pub(crate) fn on_discard(&mut self, id: Option<MsgId>, origin: Origin) {
         match origin {
             Origin::Original => {
                 // A discarded original whose instance never got delivered
@@ -211,7 +194,7 @@ impl Monitor {
     /// Records a sender wake-up: it previously would have used
     /// `old_next`, and resumed at `resumed`. Checks freshness and the
     /// `2K` waste bound.
-    pub fn on_sender_wakeup(&mut self, old_next: SeqNum, resumed: SeqNum, k: u64) {
+    pub(crate) fn on_sender_wakeup(&mut self, old_next: SeqNum, resumed: SeqNum, k: u64) {
         if resumed.value() <= self.max_used {
             self.report.violations.push(Violation::StaleResume {
                 resumed,
@@ -227,23 +210,8 @@ impl Monitor {
         }
     }
 
-    /// Highest sequence number used by the sender so far.
-    pub fn max_used(&self) -> SeqNum {
-        SeqNum::new(self.max_used)
-    }
-
-    /// Whether sequence number `seq` has been delivered already.
-    pub fn seq_was_delivered(&self, seq: SeqNum) -> bool {
-        self.delivered_seqs.contains(&seq.value())
-    }
-
-    /// Read access to the running report.
-    pub fn report(&self) -> &Report {
-        &self.report
-    }
-
     /// Finalizes the run.
-    pub fn into_report(self) -> Report {
+    pub(crate) fn into_report(self) -> Report {
         self.report
     }
 }
@@ -257,13 +225,25 @@ mod tests {
     }
 
     #[test]
+    fn rejected_replay_keeps_the_report_clean() {
+        let mut m = Monitor::new();
+        m.on_send(n(1));
+        m.on_deliver(Some(MsgId(0)), n(1), Origin::Original);
+        // The adversary replays it; the protocol (correctly) rejects:
+        m.on_discard(Some(MsgId(0)), Origin::Adversary);
+        let report = m.into_report();
+        assert!(report.clean());
+        assert_eq!(report.replays_rejected, 1);
+    }
+
+    #[test]
     fn merge_sums_counters_and_concatenates_violations() {
         let mut a = Monitor::new();
-        a.on_send(MsgId(0), n(1));
+        a.on_send(n(1));
         a.on_deliver(Some(MsgId(0)), n(1), Origin::Original);
-        a.on_discard(Some(MsgId(0)), n(1), Origin::Adversary);
+        a.on_discard(Some(MsgId(0)), Origin::Adversary);
         let mut b = Monitor::new();
-        b.on_send(MsgId(1), n(1));
+        b.on_send(n(1));
         b.on_deliver(Some(MsgId(1)), n(1), Origin::Original);
         b.on_deliver(Some(MsgId(1)), n(1), Origin::Adversary); // double
         let mut total = a.into_report();
@@ -280,7 +260,7 @@ mod tests {
     fn clean_run_reports_clean() {
         let mut m = Monitor::new();
         for s in 1..=10u64 {
-            m.on_send(MsgId(s), n(s));
+            m.on_send(n(s));
             m.on_deliver(Some(MsgId(s)), n(s), Origin::Original);
         }
         let r = m.into_report();
@@ -293,7 +273,7 @@ mod tests {
     #[test]
     fn double_delivery_is_flagged() {
         let mut m = Monitor::new();
-        m.on_send(MsgId(0), n(1));
+        m.on_send(n(1));
         m.on_deliver(Some(MsgId(0)), n(1), Origin::Original);
         m.on_deliver(Some(MsgId(0)), n(1), Origin::Adversary);
         let r = m.into_report();
@@ -311,18 +291,18 @@ mod tests {
         // delivering the reused number is indistinguishable from an
         // accepted replay.
         let mut m = Monitor::new();
-        m.on_send(MsgId(0), n(1));
+        m.on_send(n(1));
         m.on_deliver(Some(MsgId(0)), n(1), Origin::Original);
-        m.on_send(MsgId(1), n(1)); // reused counter, new instance
+        m.on_send(n(1)); // reused counter, new instance
         m.on_deliver(Some(MsgId(1)), n(1), Origin::Original);
-        assert_eq!(m.report().replays_accepted, 1);
+        assert_eq!(m.report.replays_accepted, 1);
     }
 
     #[test]
     fn adversary_first_delivery_is_benign_but_counted() {
         // Original was lost in transit; adversary's copy delivered first.
         let mut m = Monitor::new();
-        m.on_send(MsgId(0), n(5));
+        m.on_send(n(5));
         m.on_deliver(Some(MsgId(0)), n(5), Origin::Adversary);
         let r = m.into_report();
         assert_eq!(r.adversary_first_deliveries, 1);
@@ -333,12 +313,12 @@ mod tests {
     #[test]
     fn discarded_fresh_counted_once_per_instance() {
         let mut m = Monitor::new();
-        m.on_send(MsgId(0), n(1));
+        m.on_send(n(1));
         m.on_deliver(Some(MsgId(0)), n(1), Origin::Original);
-        m.on_discard(Some(MsgId(0)), n(1), Origin::ChannelDup); // dup rejected: fine
-        m.on_send(MsgId(1), n(2));
-        m.on_discard(Some(MsgId(1)), n(2), Origin::Original); // real fresh loss
-        m.on_discard(Some(MsgId(1)), n(2), Origin::Original); // repeat not recounted
+        m.on_discard(Some(MsgId(0)), Origin::ChannelDup); // dup rejected: fine
+        m.on_send(n(2));
+        m.on_discard(Some(MsgId(1)), Origin::Original); // real fresh loss
+        m.on_discard(Some(MsgId(1)), Origin::Original); // repeat not recounted
         let r = m.into_report();
         assert_eq!(r.fresh_discarded, 1);
         assert!(r.clean());
@@ -349,9 +329,9 @@ mod tests {
         // Adversary copy beat the original; the late original's discard
         // is not a loss — the instance reached the application.
         let mut m = Monitor::new();
-        m.on_send(MsgId(0), n(3));
+        m.on_send(n(3));
         m.on_deliver(Some(MsgId(0)), n(3), Origin::Adversary);
-        m.on_discard(Some(MsgId(0)), n(3), Origin::Original);
+        m.on_discard(Some(MsgId(0)), Origin::Original);
         let r = m.into_report();
         assert_eq!(r.fresh_discarded, 0);
         assert_eq!(r.fresh_delivered, 1);
@@ -361,16 +341,16 @@ mod tests {
     fn sender_wakeup_freshness_checked() {
         let mut m = Monitor::new();
         for s in 1..=30u64 {
-            m.on_send(MsgId(s), n(s));
+            m.on_send(n(s));
         }
         // Good resume: above max_used, waste within 2K.
         m.on_sender_wakeup(n(31), n(41), 10);
-        assert!(m.report().clean());
-        assert_eq!(m.report().seqs_lost_to_leaps, 10);
+        assert!(m.report.clean());
+        assert_eq!(m.report.seqs_lost_to_leaps, 10);
         // Bad resume: at or below max_used.
         m.on_sender_wakeup(n(31), n(30), 10);
         assert!(matches!(
-            m.report().violations[0],
+            m.report.violations[0],
             Violation::StaleResume { .. }
         ));
     }
@@ -378,9 +358,9 @@ mod tests {
     #[test]
     fn oversized_leap_flagged() {
         let mut m = Monitor::new();
-        m.on_send(MsgId(0), n(1));
+        m.on_send(n(1));
         m.on_sender_wakeup(n(2), n(100), 10);
-        assert!(m.report().violations.iter().any(|v| matches!(
+        assert!(m.report.violations.iter().any(|v| matches!(
             v,
             Violation::LeapTooLarge {
                 lost: 98,
@@ -392,19 +372,11 @@ mod tests {
     #[test]
     fn replay_rejection_counted() {
         let mut m = Monitor::new();
-        m.on_send(MsgId(0), n(1));
+        m.on_send(n(1));
         m.on_deliver(Some(MsgId(0)), n(1), Origin::Original);
         for _ in 0..5 {
-            m.on_discard(Some(MsgId(0)), n(1), Origin::Adversary);
+            m.on_discard(Some(MsgId(0)), Origin::Adversary);
         }
-        assert_eq!(m.report().replays_rejected, 5);
-    }
-
-    #[test]
-    fn seq_delivery_queries() {
-        let mut m = Monitor::new();
-        m.on_deliver(Some(MsgId(0)), n(9), Origin::Original);
-        assert!(m.seq_was_delivered(n(9)));
-        assert!(!m.seq_was_delivered(n(10)));
+        assert_eq!(m.report.replays_rejected, 5);
     }
 }

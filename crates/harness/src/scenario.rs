@@ -25,9 +25,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use anti_replay::{Monitor, MsgId, Origin, Phase, Report, SeqNum};
+use anti_replay::{Phase, SeqNum};
 use bytes::Bytes;
-use reset_channel::{Link, LinkConfig, LinkStats, Tap};
 use reset_ipsec::{
     CryptoSuite, GatewayBuilder, GatewayEvent, SaKeys, SecurityAssociation, ShardedGateway,
 };
@@ -35,6 +34,8 @@ use reset_sim::{DetRng, SimDuration, SimTime, Simulator};
 use reset_stable::{MemStable, SaveLatencyModel};
 use reset_telemetry::Json;
 
+use crate::channel::{Link, LinkConfig, LinkStats, Tap};
+use crate::monitor::{Monitor, MsgId, Origin, Report};
 use crate::report::{RunReport, RunTotals, SaVerdict};
 use crate::workload::Workload;
 
@@ -468,7 +469,7 @@ impl ScenarioRunner {
                 wire: frame.wire,
             };
             self.next_msg_id += 1;
-            self.mon(spi).on_send(msg.id, msg.seq);
+            self.mon(spi).on_send(msg.seq);
             self.tap.record(msg.clone());
             self.transmit(now, msg, true);
             self.maybe_schedule_save(Side::P, now);
@@ -510,8 +511,8 @@ impl ScenarioRunner {
             GatewayEvent::Delivered { seq, .. } => {
                 self.mon(msg.spi).on_deliver(Some(msg.id), seq, origin)
             }
-            GatewayEvent::ReplayDropped { seq, .. } => {
-                self.mon(msg.spi).on_discard(Some(msg.id), seq, origin)
+            GatewayEvent::ReplayDropped { .. } => {
+                self.mon(msg.spi).on_discard(Some(msg.id), origin)
             }
             GatewayEvent::Buffered { .. } => self
                 .buffered_meta
@@ -523,7 +524,7 @@ impl ScenarioRunner {
             // would be a harness bug, but count it as a discard rather
             // than corrupting the run.
             GatewayEvent::AuthFailed { .. } | GatewayEvent::UnknownSa { .. } => {
-                self.mon(msg.spi).on_discard(Some(msg.id), msg.seq, origin)
+                self.mon(msg.spi).on_discard(Some(msg.id), origin)
             }
             // No DPD/rekey policies are configured on scenario gateways.
             _ => {}
@@ -670,9 +671,9 @@ impl ScenarioRunner {
                             let (id, origin) = self.pop_buffered_meta(spi);
                             self.mon(spi).on_deliver(id, seq, origin);
                         }
-                        GatewayEvent::ReplayDropped { spi, seq, .. } => {
+                        GatewayEvent::ReplayDropped { spi, .. } => {
                             let (id, origin) = self.pop_buffered_meta(spi);
-                            self.mon(spi).on_discard(id, seq, origin);
+                            self.mon(spi).on_discard(id, origin);
                         }
                         other => unreachable!("unexpected recovery event {other:?}"),
                     }
@@ -720,8 +721,14 @@ impl ScenarioRunner {
             .into_iter()
             .map(Monitor::into_report)
             .collect();
+        // Counters sum and violations concatenate in SPI order, so the
+        // aggregate is clean only if every SA's run was.
+        let monitor = per_sa.iter().fold(Report::default(), |mut total, r| {
+            total.merge(r);
+            total
+        });
         ScenarioOutcome {
-            monitor: aggregate_reports(&per_sa),
+            monitor,
             per_sa,
             dropped_down: self.dropped_down,
             link: self.link.stats(),
@@ -733,17 +740,6 @@ impl ScenarioRunner {
             end_time: self.sim.now(),
         }
     }
-}
-
-/// Folds the fleet's per-SA reports into one via [`Report::merge`]
-/// (counters sum, violations concatenate in SPI order). `clean()` on
-/// the aggregate therefore means every SA's run was clean.
-fn aggregate_reports(per_sa: &[Report]) -> Report {
-    let mut total = Report::default();
-    for r in per_sa {
-        total.merge(r);
-    }
-    total
 }
 
 #[cfg(test)]

@@ -73,7 +73,7 @@
 //! # The million-SA control plane
 //!
 //! Three structural choices keep the control plane flat as the fleet
-//! grows from thousands of SAs to a million (ROADMAP item 2):
+//! grows from thousands of SAs to a million:
 //!
 //! * **One deadline heap.** Every DPD probe/teardown deadline lives in
 //!   one `BinaryHeap` ordered by (deadline, scheduling order), and rekey
@@ -102,7 +102,8 @@
 //!   per-shard *frame indices* (`Vec<u32>`) instead of cloning `Bytes`
 //!   handles per shard; per-shard frame counts still flow to
 //!   telemetry, feeding the occupancy signal the deferred
-//!   rebalancing work (ROADMAP 2(iv)) will consume.
+//!   rebalancing work (ROADMAP, "Give the shard pool its verdict")
+//!   would consume.
 //!
 //! ## One receive path
 //!

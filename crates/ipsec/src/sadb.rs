@@ -943,8 +943,8 @@ mod tests {
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn records_stay_small() {
-        // A wide fleet's memory is these records (ROADMAP 4(c),
-        // `rss_bytes_per_sa`): an SA carries its keys inline and boxes
+        // A wide fleet's memory is these records (ROADMAP, "Exact rows
+        // for exact quantities"; `rss_bytes_per_sa`): an SA carries its keys inline and boxes
         // the HMAC schedules an AEAD SA never uses, and each half's
         // SAVE/FETCH driver is a machine over a one-slot saver that
         // counts nothing. The record is the one the benchmark's fleet
@@ -955,15 +955,15 @@ mod tests {
         let record = std::mem::size_of::<SaRecord<Box<dyn StableStore + Send>>>();
         assert!(
             sa <= 160,
-            "SecurityAssociation is {sa} B, over 160 (ROADMAP 4(c), rss_bytes_per_sa)"
+            "SecurityAssociation is {sa} B, over 160 (rss_bytes_per_sa)"
         );
         assert!(
             driver <= 160,
-            "SfDriver is {driver} B, over 160 (ROADMAP 4(c), rss_bytes_per_sa)"
+            "SfDriver is {driver} B, over 160 (rss_bytes_per_sa)"
         );
         assert!(
             record <= 736,
-            "SaRecord is {record} B, over 736 (ROADMAP 4(c), rss_bytes_per_sa)"
+            "SaRecord is {record} B, over 736 (rss_bytes_per_sa)"
         );
     }
 

@@ -1102,8 +1102,8 @@ mod tests {
             assert_eq!(a, b, "per-SPI stream diverged for spi {spi}");
         }
         // Telemetry attributed every routed frame to its owning shard —
-        // the occupancy signal deferred rebalancing (ROADMAP 2(iv))
-        // will consume.
+        // the occupancy signal deferred rebalancing (ROADMAP, "Give the
+        // shard pool its verdict") would consume.
         let mut expected = vec![0u64; shards];
         for wire in &wires {
             let spi = reset_wire::peek_spi(wire).unwrap_or(0);

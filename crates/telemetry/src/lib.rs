@@ -424,8 +424,8 @@ impl Snapshot {
         self.shards.iter().map(|s| s.frames).sum()
     }
 
-    /// Per-shard frame counts (the skew profile item 2(iv)'s
-    /// occupancy-aware rebalancing consumes).
+    /// Per-shard frame counts (the skew profile occupancy-aware
+    /// rebalancing would consume).
     pub fn shard_frames(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.frames).collect()
     }

@@ -18,8 +18,7 @@
 //! checks after every event that no replay is accepted on any SA and
 //! all losses stay bounded.
 
-use reset_channel::LinkConfig;
-use reset_harness::{run_scenario, AdversaryPlan, Protocol, ScenarioConfig, Transport};
+use reset_harness::{run_scenario, AdversaryPlan, LinkConfig, Protocol, ScenarioConfig, Transport};
 use reset_ipsec::CryptoSuite;
 use reset_sim::{SimDuration, SimTime};
 

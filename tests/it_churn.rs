@@ -78,8 +78,9 @@ fn single_shard_replay_flood_never_lands() {
     let report = run_single_strategy(zoo, 0xF100);
     assert!(report.shard_flood_replays > 0, "strategy never fired");
     // The flood aims at one canonical partition, so the receiver's
-    // telemetry must show per-shard load skew — the evidence ROADMAP
-    // item 2(iv)'s occupancy-aware rebalancing consumes.
+    // telemetry must show per-shard load skew — the evidence the
+    // occupancy-aware rebalancing in ROADMAP's "Give the shard pool its
+    // verdict" would consume.
     let frames = report.telemetry.shard_frames();
     let (min, max) = (
         frames.iter().min().copied().unwrap_or(0),

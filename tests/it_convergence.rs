@@ -4,8 +4,7 @@
 //! latency-modelled stores + monitor) across fault schedules and
 //! parameter sweeps that unit tests don't reach.
 
-use reset_channel::LinkConfig;
-use reset_harness::{run_scenario, AdversaryPlan, Protocol, ScenarioConfig, Workload};
+use reset_harness::{run_scenario, AdversaryPlan, LinkConfig, Protocol, ScenarioConfig, Workload};
 use reset_sim::{SimDuration, SimTime};
 use reset_stable::SaveLatencyModel;
 

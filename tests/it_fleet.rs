@@ -1,5 +1,4 @@
-//! Idle-tick flatness across fleet sizes (ROADMAP item 2: "a million
-//! tunnels").
+//! Idle-tick flatness across fleet sizes, up to a million tunnels.
 //!
 //! The control-plane property the DPD deadline heap exists for: an
 //! *idle* `tick` costs the same whether the SADB holds a few hundred SAs

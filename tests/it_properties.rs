@@ -61,7 +61,7 @@ fn window_delivers_all_with_bounded_reorder() {
         for chunk in seqs.chunks_mut((w as usize / 2).max(1)) {
             gen.shuffle(chunk);
         }
-        let degrees = reset_channel::reorder_degrees(&seqs);
+        let degrees = reset_harness::reorder_degrees(&seqs);
         if !degrees.iter().all(|&d| d < w) {
             continue; // premise violated by this draw; skip like prop_assume
         }
