@@ -151,7 +151,7 @@ impl Link {
 }
 
 /// Passive recorder + active replayer sitting on a link.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct Tap<M> {
     recorded: Vec<M>,
     injected: u64,

@@ -1,8 +1,8 @@
 //! Online convergence monitor — ground truth for the paper's theorem.
 //!
 //! The scenario runner attaches one [`Monitor`] per SA next to the
-//! gateway pair and feeds it every send, delivery and discard. The monitor checks, *while
-//! the run executes*, the three §5 guarantees:
+//! gateway pair and feeds it every send, delivery and discard. The
+//! monitor checks, *while the run executes*, the three §5 guarantees:
 //!
 //! * **No replay accepted** — no sequence number is ever delivered twice
 //!   (Discrimination). Under the broken §3 baseline this is also what an
