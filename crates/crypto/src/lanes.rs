@@ -16,6 +16,15 @@
 //! `tests/backend_differential.rs` pins it end-to-end through the
 //! suites.
 //!
+//! ChaCha20 has a second layout, for groups too short to fill the lanes:
+//! the row kernel ([`chacha_rows_kernel`], after Goll and Gueron,
+//! "Vectorization on ChaCha Stream Cipher", 2014) holds one state *row*
+//! of one block in each group of four lanes, so an AVX2 register set is
+//! two blocks, an SSE2 set one, and a pass of two interleaved sets costs
+//! about what one does. It is the same generic body over [`Vec32`], plus
+//! one op: the diagonal round's word rotation within each group of four
+//! lanes. [`chacha_units`] alone decides which layout a group takes.
+//!
 //! This is the only module in the crate allowed to contain `unsafe`
 //! code, and every unsafe block is one of exactly three shapes: a call
 //! to a `std::arch` intrinsic (safe by the target-feature contract of
@@ -93,6 +102,18 @@ trait Vec32: Copy {
     #[inline(always)]
     fn rotr(self, n: u32) -> Self {
         self.rotl(32 - n)
+    }
+    /// Rotates each group of four lanes down by `n` (`0 < n < 4`): lane
+    /// `4g + i` takes lane `4g + (i + n) % 4`. In the row layout a group
+    /// is one state row of one block, and this is the diagonal round's
+    /// shift. The x86 types override it with one in-half word shuffle.
+    #[inline(always)]
+    fn rotate_quads(self, n: usize) -> Self {
+        let mut lanes = [0u32; MAX_LANES];
+        self.store(&mut lanes);
+        let rotated: [u32; MAX_LANES] =
+            core::array::from_fn(|l| lanes[l - l % 4 + (l % 4 + n) % 4]);
+        Self::load(&rotated)
     }
     /// Writes 16 finalized state words (one vector per word, lanes
     /// across blocks) as `LANES` contiguous little-endian 64-byte
@@ -301,8 +322,8 @@ mod x86 {
     //! the runtime check for `sha`, `ssse3` and `sse4.1`.
 
     use super::{
-        chacha_blocks_kernel, poly1305_kernel, sha256_multiway_kernel, BlockJob, Limbs26, Vec32,
-        Vec64, K, POLY_MAX_LANES,
+        chacha_blocks_kernel, chacha_rows_kernel, poly1305_kernel, sha256_multiway_kernel,
+        BlockJob, Limbs26, Vec32, Vec64, K, POLY_MAX_LANES,
     };
     use std::arch::x86_64::*;
 
@@ -367,6 +388,18 @@ mod x86 {
             // SAFETY: sse2 is part of the x86_64 baseline ISA.
             S4(unsafe {
                 _mm_shufflehi_epi16(_mm_shufflelo_epi16(self.0, 0b10_11_00_01), 0b10_11_00_01)
+            })
+        }
+        #[inline(always)]
+        fn rotate_quads(self, n: usize) -> Self {
+            // Word i takes word (i + n) % 4: selectors 0x39, 0x4e, 0x93.
+            // SAFETY: sse2 is part of the x86_64 baseline ISA.
+            S4(unsafe {
+                match n {
+                    1 => _mm_shuffle_epi32::<0b00_11_10_01>(self.0),
+                    2 => _mm_shuffle_epi32::<0b01_00_11_10>(self.0),
+                    _ => _mm_shuffle_epi32::<0b10_01_00_11>(self.0),
+                }
             })
         }
         #[inline(always)]
@@ -490,6 +523,19 @@ mod x86 {
             // SAFETY: as above.
             A8(unsafe {
                 _mm256_shuffle_epi8(self.0, core::mem::transmute::<[u8; 32], __m256i>(MASK))
+            })
+        }
+        #[inline(always)]
+        fn rotate_quads(self, n: usize) -> Self {
+            // `vpshufd` shuffles each 128-bit half by the same selector,
+            // so each half's row rotates on its own.
+            // SAFETY: reachable only behind the runtime AVX2 check.
+            A8(unsafe {
+                match n {
+                    1 => _mm256_shuffle_epi32::<0b00_11_10_01>(self.0),
+                    2 => _mm256_shuffle_epi32::<0b01_00_11_10>(self.0),
+                    _ => _mm256_shuffle_epi32::<0b10_01_00_11>(self.0),
+                }
             })
         }
         #[inline(always)]
@@ -696,6 +742,16 @@ mod x86 {
     }
 
     #[target_feature(enable = "sse2")]
+    pub(super) fn chacha_rows_sse2(jobs: &[BlockJob<'_>], out: &mut [[u8; 64]]) {
+        chacha_rows_kernel::<S4>(jobs, out);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn chacha_rows_avx2(jobs: &[BlockJob<'_>], out: &mut [[u8; 64]]) {
+        chacha_rows_kernel::<A8>(jobs, out);
+    }
+
+    #[target_feature(enable = "sse2")]
     pub(super) fn sha256_multiway_sse2(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
         sha256_multiway_kernel::<S4>(states, blocks);
     }
@@ -855,8 +911,101 @@ fn chacha_blocks_kernel<V: Vec32>(jobs: &[BlockJob<'_>], out: &mut [[u8; 64]]) {
     V::store_blocks(&x, out);
 }
 
+/// ChaCha20 blocks in the row layout (Goll and Gueron, "Vectorization on
+/// ChaCha Stream Cipher", 2014): each group of four lanes holds one state
+/// row of one block, so a register holds `V::LANES / 4` blocks — each
+/// under its own job's key, counter and nonce — and four registers are a
+/// set. The column round is four lane-wise quarter rounds; the diagonal
+/// round rotates rows 1–3 within each group first and back after. A pass
+/// runs one set, or two interleaved sets when it has more blocks than one
+/// set holds, for any `jobs.len()`; a group past the last job repeats it.
+/// Identical output to `jobs.len()` calls of [`chacha20_block`].
 #[inline(always)]
-fn vector_quarter_round<V: Vec32>(x: &mut [V; 16], a: usize, b: usize, c: usize, d: usize) {
+fn chacha_rows_kernel<V: Vec32>(jobs: &[BlockJob<'_>], out: &mut [[u8; 64]]) {
+    debug_assert_eq!(jobs.len(), out.len());
+    let per_set = V::LANES / 4;
+    for (jobs, out) in jobs.chunks(2 * per_set).zip(out.chunks_mut(2 * per_set)) {
+        match jobs.len() <= per_set {
+            true => chacha_rows_pass::<V, 1>(jobs, out),
+            false => chacha_rows_pass::<V, 2>(jobs, out),
+        }
+    }
+}
+
+/// One pass of [`chacha_rows_kernel`] over `SETS` register sets.
+#[inline(always)]
+fn chacha_rows_pass<V: Vec32, const SETS: usize>(jobs: &[BlockJob<'_>], out: &mut [[u8; 64]]) {
+    let per_set = V::LANES / 4;
+    let word = |bytes: &[u8], w: usize| {
+        u32::from_le_bytes(bytes[w * 4..w * 4 + 4].try_into().expect("fixed"))
+    };
+    // Built by plain loops: a closure here (`array::from_fn`) is
+    // compiled apart from the `#[target_feature]` entry point, without
+    // its features.
+    let mut init = [[V::splat(0); 4]; SETS];
+    for (s, set) in init.iter_mut().enumerate() {
+        let mut rows = [[0u32; MAX_LANES]; 4];
+        for h in 0..per_set {
+            let (key, counter, nonce) = jobs[(s * per_set + h).min(jobs.len() - 1)];
+            let at = 4 * h;
+            rows[0][at..at + 4].copy_from_slice(&SIGMA);
+            for i in 0..4 {
+                rows[1][at + i] = word(key, i);
+                rows[2][at + i] = word(key, 4 + i);
+            }
+            rows[3][at] = counter;
+            for i in 0..3 {
+                rows[3][at + 1 + i] = word(&nonce, i);
+            }
+        }
+        for (reg, row) in set.iter_mut().zip(&rows) {
+            *reg = V::load(row);
+        }
+    }
+    let mut x = init;
+    for _ in 0..10 {
+        for set in &mut x {
+            vector_quarter_round(set, 0, 1, 2, 3);
+        }
+        for set in &mut x {
+            set[1] = set[1].rotate_quads(1);
+            set[2] = set[2].rotate_quads(2);
+            set[3] = set[3].rotate_quads(3);
+        }
+        for set in &mut x {
+            vector_quarter_round(set, 0, 1, 2, 3);
+        }
+        for set in &mut x {
+            set[1] = set[1].rotate_quads(3);
+            set[2] = set[2].rotate_quads(2);
+            set[3] = set[3].rotate_quads(1);
+        }
+    }
+    let mut lanes = [0u32; MAX_LANES];
+    for (s, (set, init)) in x.iter().zip(&init).enumerate() {
+        for (r, (row, start)) in set.iter().zip(init).enumerate() {
+            row.add(*start).store(&mut lanes);
+            for h in 0..per_set {
+                let Some(block) = out.get_mut(s * per_set + h) else {
+                    break;
+                };
+                for i in 0..4 {
+                    let at = 16 * r + 4 * i;
+                    block[at..at + 4].copy_from_slice(&lanes[4 * h + i].to_le_bytes());
+                }
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn vector_quarter_round<V: Vec32, const N: usize>(
+    x: &mut [V; N],
+    a: usize,
+    b: usize,
+    c: usize,
+    d: usize,
+) {
     x[a] = x[a].add(x[b]);
     x[d] = x[d].xor(x[a]).rotl16();
     x[c] = x[c].add(x[d]);
@@ -1055,6 +1204,40 @@ pub(crate) fn chacha_blocks(backend: Backend, jobs: &[BlockJob<'_>], out: &mut [
     }
 }
 
+/// Computes `jobs.len()` ChaCha20 blocks, each under its job's key, on
+/// `backend`'s row kernel ([`chacha_rows_kernel`]): any count, in passes
+/// of at most two register sets. Callers come here only with a vector
+/// backend.
+#[allow(unsafe_code)]
+pub(crate) fn chacha_rows(backend: Backend, jobs: &[BlockJob<'_>], out: &mut [[u8; 64]]) {
+    assert_eq!(jobs.len(), out.len());
+    match backend {
+        Backend::Scalar => unreachable!("the scalar backend runs no lane code"),
+        Backend::Lanes4 => {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: sse2 is part of the x86_64 baseline ISA.
+            unsafe {
+                x86::chacha_rows_sse2(jobs, out)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            chacha_rows_kernel::<P4>(jobs, out)
+        }
+        Backend::Avx2 => {
+            assert!(
+                Backend::Avx2.is_supported(),
+                "avx2 backend invoked on a host without AVX2"
+            );
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the assert above proves runtime AVX2 support.
+            unsafe {
+                x86::chacha_rows_avx2(jobs, out)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            unreachable!("avx2 backend is never supported off x86_64")
+        }
+    }
+}
+
 /// Compresses `blocks[l]` into `states[l]` for each lane. For SIMD
 /// backends the slice lengths must equal [`Backend::lanes`]; the scalar
 /// backend accepts any length.
@@ -1199,13 +1382,26 @@ pub(crate) fn xor_keystream(dst: &mut [u8], ks: &[u8; 64]) {
     }
 }
 
-/// A partial lane group of at least this many blocks runs on the vector
-/// kernel, padded to its width; a smaller one is scalar blocks. A kernel
-/// pass costs about two scalar blocks on both vector backends (measured:
-/// 190–225 ns against 87–118 ns), so two real blocks are a wash — and
-/// left scalar, a fleet whose runs are single frames never touches the
-/// wide registers at all.
-const PAD_FROM: usize = 3;
+/// A partial lane group of at most this many blocks runs on the row
+/// kernel ([`chacha_rows`]) on [`Backend::Avx2`]; a larger one runs on the
+/// column kernel, padded to its width. A row pass of up to two register
+/// sets — four blocks on AVX2, two on SSE2 — costs one to one and a half
+/// scalar blocks, and the first block past them costs a second pass, more
+/// than a padded column pass. Measured, ns per call (2-core AVX2 x86_64,
+/// release, best of seven runs of 200 000 calls, three sessions): one /
+/// two scalar blocks 141–170 / 274–330; AVX2 rows of 1–5 blocks 131–134 /
+/// 125–138 / 173–188 / 168–178 / 304–312, a padded 8-lane column pass
+/// 278–296; SSE2 rows of 1–3 blocks 137–149 / 188–194 / 328–338, a padded
+/// 4-lane column pass 265–299. So `Lanes4` takes the row kernel up to two
+/// blocks ([`row_max`]), and no vector backend computes a scalar block.
+const ROW_MAX: usize = 4;
+
+/// How many blocks a partial lane group on `backend` may hold and still
+/// take the row kernel: [`ROW_MAX`] on AVX2, scaled to the lane width (2
+/// on `Lanes4`). [`Backend::Scalar`]'s groups are one block, never partial.
+fn row_max(backend: Backend) -> usize {
+    ROW_MAX * backend.lanes() / MAX_LANES
+}
 
 /// Message bytes from which `Poly1305::update_wide` runs a message's
 /// whole blocks strided through the lanes; a shorter one is scalar
@@ -1242,9 +1438,11 @@ pub(crate) const POLY_PAD_FROM: usize = 3;
 /// * `extra` are blocks the caller could use but does not need. They are
 ///   drawn only to top up lanes the last group would otherwise pad —
 ///   never to start a group, and not at all when nothing is pending;
-/// * [`PAD_FROM`] or more blocks then run on the kernel, the pad lanes
-///   repeating the last real job (so nothing is computed, and no counter
-///   advanced, that nobody asked for); fewer are scalar blocks.
+/// * at most [`row_max`] blocks then run on the row kernel, one block per
+///   four lanes; more run on the column kernel, the pad lanes repeating
+///   the last real job (so nothing is computed, and no counter advanced,
+///   that nobody asked for). Scalar blocks remain only on
+///   [`Backend::Scalar`], the oracle.
 ///
 /// Nothing is allocated. The working arrays are locals of this function,
 /// not fields of a scheduler object, on purpose: the kernels take them by
@@ -1283,17 +1481,15 @@ pub(crate) fn chacha_units<'k, T: Copy + Default>(
         tags[filled] = tag;
         filled += 1;
     }
-    if filled >= PAD_FROM {
+    if filled <= row_max(backend) {
+        chacha_rows(backend, &jobs[..filled], &mut ks[..filled]);
+    } else {
         let last = jobs[filled - 1];
         jobs[filled..lanes].fill(last);
         chacha_blocks(backend, &jobs[..lanes], &mut ks[..lanes]);
-        for (tag, block) in tags[..filled].iter().zip(&ks) {
-            sink(*tag, block);
-        }
-    } else {
-        for (tag, (key, counter, nonce)) in tags[..filled].iter().zip(&jobs) {
-            sink(*tag, &chacha20_block(key, *counter, nonce));
-        }
+    }
+    for (tag, block) in tags[..filled].iter().zip(&ks) {
+        sink(*tag, block);
     }
 }
 
@@ -1364,32 +1560,110 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chacha_blocks_matches_scalar_rfc_vector_in_every_lane() {
-        // The RFC 8439 §2.3.2 block, placed in each lane position with a
-        // distinct decoy key — and counter and nonce — in every other
-        // lane: a lane that read a neighbour's key row misses the vector.
-        let key: [u8; 32] = core::array::from_fn(|i| i as u8);
-        let decoys: [[u8; 32]; MAX_LANES] = core::array::from_fn(|l| [0xd0 ^ l as u8; 32]);
+    /// `count` jobs with the RFC 8439 §2.3.2 block (`key`, counter 1, its
+    /// nonce) at `pos` and a distinct decoy key — and counter and nonce —
+    /// everywhere else: a lane, or a row group, that read a neighbour's
+    /// key row misses the vector.
+    fn rfc_job_among_decoys<'k>(
+        key: &'k [u8; 32],
+        decoys: &'k [[u8; 32]; MAX_LANES],
+        count: usize,
+        pos: usize,
+    ) -> Vec<BlockJob<'k>> {
         let mut rfc_nonce = [0u8; 12];
         rfc_nonce[3] = 0x09;
         rfc_nonce[7] = 0x4a;
-        let expect = chacha20_block(&key, 1, &rfc_nonce);
+        (0..count)
+            .map(|l| match l == pos {
+                true => (key, 1, rfc_nonce),
+                false => (&decoys[l], l as u32 * 7 + 2, [l as u8; 12]),
+            })
+            .collect()
+    }
+
+    /// Runs `kernel` over `jobs` and checks every block against the
+    /// scalar oracle.
+    fn assert_blocks_match_scalar(
+        kernel: impl Fn(&[BlockJob<'_>], &mut [[u8; 64]]),
+        jobs: &[BlockJob<'_>],
+        at: &str,
+    ) {
+        let mut out = vec![[0u8; 64]; jobs.len()];
+        kernel(jobs, &mut out);
+        for (l, (key, counter, nonce)) in jobs.iter().enumerate() {
+            assert_eq!(
+                out[l],
+                chacha20_block(key, *counter, nonce),
+                "{at} block {l}"
+            );
+        }
+    }
+
+    #[test]
+    fn chacha_blocks_matches_scalar_rfc_vector_in_every_lane() {
+        let key: [u8; 32] = core::array::from_fn(|i| i as u8);
+        let decoys: [[u8; 32]; MAX_LANES] = core::array::from_fn(|l| [0xd0 ^ l as u8; 32]);
         for backend in supported_simd_backends() {
             let lanes = backend.lanes();
             for pos in 0..lanes {
-                let jobs: Vec<BlockJob<'_>> = (0..lanes)
-                    .map(|l| match l == pos {
-                        true => (&key, 1, rfc_nonce),
-                        false => (&decoys[l], l as u32 * 7 + 2, [l as u8; 12]),
-                    })
-                    .collect();
-                let mut out = vec![[0u8; 64]; lanes];
-                chacha_blocks(backend, &jobs, &mut out);
-                assert_eq!(out[pos], expect, "{backend} lane {pos}");
-                for (l, (key, counter, nonce)) in jobs.iter().enumerate() {
-                    let scalar = chacha20_block(key, *counter, nonce);
-                    assert_eq!(out[l], scalar, "{backend} lane {l}");
+                let jobs = rfc_job_among_decoys(&key, &decoys, lanes, pos);
+                let kernel =
+                    |jobs: &[BlockJob<'_>], out: &mut [[u8; 64]]| chacha_blocks(backend, jobs, out);
+                assert_blocks_match_scalar(kernel, &jobs, &format!("{backend} lane {pos}"));
+            }
+        }
+    }
+
+    #[test]
+    fn chacha_rows_matches_scalar_rfc_vector_in_every_position() {
+        // Every job count up to a full group of lanes — one and two
+        // register sets, half-filled sets, and past `ROW_MAX` the counts a
+        // row pass is never given today — with the RFC block in each
+        // position.
+        let key: [u8; 32] = core::array::from_fn(|i| i as u8);
+        let decoys: [[u8; 32]; MAX_LANES] = core::array::from_fn(|l| [0xd0 ^ l as u8; 32]);
+        for backend in supported_simd_backends() {
+            for count in 1..=backend.lanes() {
+                for pos in 0..count {
+                    let jobs = rfc_job_among_decoys(&key, &decoys, count, pos);
+                    let kernel = |jobs: &[BlockJob<'_>], out: &mut [[u8; 64]]| {
+                        chacha_rows(backend, jobs, out)
+                    };
+                    let at = format!("{backend} rows of {count}, position {pos}");
+                    assert_blocks_match_scalar(kernel, &jobs, &at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chacha_units_matches_scalar_blocks_for_every_tail_and_look_ahead() {
+        // Every unit count to two full groups and one over (so every tail,
+        // row or padded column, after zero, one and two full passes), with
+        // 0..=lanes extra blocks on offer, under three keys mixed within
+        // each group: the sink sees each unit, then each extra the tail
+        // had room for, as its scalar block and in order.
+        let keys: [[u8; 32]; 3] = core::array::from_fn(|k| [0x60 + k as u8; 32]);
+        let job = |i: usize| -> BlockJob<'_> { (&keys[i % 3], i as u32 * 5 + 1, [i as u8; 12]) };
+        for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
+            let lanes = backend.lanes();
+            for n in 1..=2 * lanes + 1 {
+                for extra in 0..=lanes {
+                    let units = (0..n).map(|i| (job(i), i));
+                    let extras = (n..n + extra).map(|i| (job(i), i));
+                    let mut seen = Vec::new();
+                    chacha_units(backend, units, extras, |i, block| seen.push((i, *block)));
+                    let drawn = match n % lanes {
+                        0 => 0,
+                        tail => extra.min(lanes - tail),
+                    };
+                    let expect: Vec<(usize, [u8; 64])> = (0..n + drawn)
+                        .map(|i| {
+                            let (key, counter, nonce) = job(i);
+                            (i, chacha20_block(key, counter, &nonce))
+                        })
+                        .collect();
+                    assert_eq!(seen, expect, "{backend}: {n} units, {extra} extra");
                 }
             }
         }
@@ -1403,10 +1677,10 @@ mod tests {
         let jobs: Vec<BlockJob<'_>> = (0..4)
             .map(|l| (&keys[l], l as u32 + 1, [l as u8 ^ 0x5a; 12]))
             .collect();
-        let mut out = [[0u8; 64]; 4];
-        chacha_blocks_kernel::<P4>(&jobs, &mut out);
-        for (l, (key, counter, nonce)) in jobs.iter().enumerate() {
-            assert_eq!(out[l], chacha20_block(key, *counter, nonce), "lane {l}");
+        assert_blocks_match_scalar(chacha_blocks_kernel::<P4>, &jobs, "portable columns");
+        for count in 1..=4 {
+            let at = format!("portable rows of {count}");
+            assert_blocks_match_scalar(chacha_rows_kernel::<P4>, &jobs[..count], &at);
         }
         let mut states = [[0u32; 8]; 4];
         let mut blocks = [[0u8; 64]; 4];

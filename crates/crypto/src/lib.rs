@@ -66,8 +66,10 @@
 
 // `deny`, not `forbid`: the SIMD kernels in `lanes` carry a scoped
 // `allow(unsafe_code)` for `std::arch` intrinsics and register↔array
-// transmutes. Everything else in the crate stays unsafe-free.
+// transmutes. Everything else in the crate stays unsafe-free, and every
+// unsafe block there states why it is sound in a `// SAFETY:` comment.
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 mod aead;

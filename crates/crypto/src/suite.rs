@@ -100,12 +100,15 @@
 //! cross-key verbs. Every batch verb
 //! fills groups across packets; where the last group cannot be filled,
 //! one rule (written once, `chacha_units` in `crate::lanes`) decides:
-//! **three or more blocks run on the vector kernel, padded to its width;
-//! one or two are scalar blocks** — a kernel pass costs about two scalar
-//! blocks, so a padded pass of three never loses and a short tail never
-//! pays for lanes it cannot use. `encrypt` / `decrypt` / `decrypt_batch`
-//! pad by repeating their last real block (nothing they did not ask for
-//! is computed).
+//! **up to half a group — four blocks on `Avx2`, two on `Lanes4` — runs
+//! on the row kernel, one block per four lanes; more run on the column
+//! kernel, padded to its width.** A row pass costs about one scalar
+//! block: measured on AVX2, two blocks 125–138 ns and four 168–178 ns
+//! against 274–330 ns for two scalar blocks and 278–296 ns for a padded
+//! 8-lane pass (`ROW_MAX` in `crate::lanes` has both widths). No vector
+//! backend computes a scalar block. `encrypt` / `decrypt` /
+//! `decrypt_batch` pad by repeating their last real block (nothing they
+//! did not ask for is computed).
 //!
 //! [`CipherSuite::seal`] has something better to put in those lanes. A
 //! sender knows its future — `s := s + 1` per message — so the nonce of
@@ -116,20 +119,21 @@
 //! counters of the sequence numbers that follow — `(seq + 1, 0)`,
 //! `(seq + 1, 1)`, … "the next frames look like this one" — into a
 //! [`SealAhead`], at most one group of blocks (blocks offered this way
-//! are real blocks: a topped-up group runs on the kernel whatever the
-//! rule above would have done with the frame's own one or two). It bets
-//! only on a run:
+//! are real blocks: a group they top up is a full column pass, and only
+//! a group they cannot fill meets the rule above). It bets only on a
+//! run:
 //! the look-ahead remembers the sequence number it sealed last, and a
 //! frame is computed ahead for only when it follows that number by one —
-//! a first send pads like everyone else, computes nothing it may not
-//! use and copies nothing. The next `seal` first
+//! a first send's group meets the rule above like everyone else's (a
+//! 64-byte frame's counters 0 and 1 are one row pass), computes nothing
+//! it may not use and copies nothing. The next `seal` first
 //! takes the blocks cached under its exact `(seq, counter)`, computes
 //! only what is missing, and forgets whatever was cached at or before its
 //! own sequence number: a block is used at most once, a leap simply
 //! misses, and a guess about a frame that turns out shorter, longer or
 //! never sent costs nothing but the lanes that were spare anyway. On a
 //! run of 64-byte frames that is, from the second frame on, one 8-lane
-//! pass per four frames instead of two scalar blocks per frame.
+//! pass per four frames instead of a row pass per frame.
 //!
 //! The look-ahead changes no byte: a cached block is the same pure
 //! function of `(key, seq, counter)` it would be if computed on demand,

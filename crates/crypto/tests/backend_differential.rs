@@ -2,10 +2,12 @@
 //! byte-identical to the scalar oracle through the full suite surface —
 //! `encrypt`, `decrypt`, `icv`, `verify_batch`, `decrypt_batch` — over
 //! randomized batches of mixed payload sizes, mixed suites, ESN and
-//! non-ESN frames, and deliberate corruptions; and through the sending
-//! verb, `seal`, with its look-ahead carried from frame to frame the way
-//! a sender carries it. The suite-level KATs (RFC 8439 seal equivalence,
-//! raw-HMAC equivalence) re-run per backend.
+//! non-ESN frames, and deliberate corruptions; through the sending verb,
+//! `seal`, with its look-ahead carried from frame to frame the way a
+//! sender carries it and as a wide fleet's first sends; and through the
+//! cross-key verbs on batches too short to fill a lane group. The
+//! suite-level KATs (RFC 8439 seal equivalence, raw-HMAC equivalence)
+//! re-run per backend.
 
 use reset_crypto::{
     chacha20_poly1305_seal, hmac_sha256_96, Backend, ChaCha20Poly1305Suite, CipherSuite,
@@ -287,6 +289,118 @@ fn seal_with_a_carried_look_ahead_matches_scalar_encrypt_then_icv() {
             let at = format!("{backend} seal {i}: key {key} seq {seq} len {len} esn {esn_hi:?}");
             assert_eq!(body, expect, "{at}");
             assert_eq!(icv, expect_icv, "{at}");
+        }
+    }
+}
+
+/// A wide fleet's sends: every seal is a first send. The look-ahead is
+/// cleared and the key changes before each one, as when consecutive
+/// sends name different SAs, so nothing is computed ahead and the
+/// frame's own counter 0 and payload blocks — 1 to 5 of them for 0..=200
+/// bytes — are the whole lane group: the partial groups a vector backend
+/// runs on its row kernel (or, past `ROW_MAX`, padded). Sequence numbers
+/// step by one from seal to seal, so a look-ahead that was not cleared
+/// would be in a run. Against the scalar suite's `encrypt` + `icv`, at
+/// every length, with and without `esn_hi`.
+#[test]
+fn first_sends_match_scalar_encrypt_then_icv() {
+    const KEYS: usize = 3;
+    let key = |k: usize| [0x70 + k as u8; 32];
+    let oracles: [_; KEYS] =
+        std::array::from_fn(|k| ChaCha20Poly1305Suite::new(key(k)).with_backend(Backend::Scalar));
+    for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
+        let lanes: [_; KEYS] =
+            std::array::from_fn(|k| ChaCha20Poly1305Suite::new(key(k)).with_backend(backend));
+        let mut rng = XorShift(0xf125_75e4_d000_0001);
+        let mut ahead = SealAhead::default();
+        let mut seq = (1u64 << 32) - 200;
+        for len in 0..=200usize {
+            for esn in [false, true] {
+                seq += 1;
+                let k = (seq % KEYS as u64) as usize;
+                ahead.clear();
+                let esn_hi = esn.then_some((seq >> 32) as u32);
+                let mut header = [0u8; 12];
+                rng.fill(&mut header);
+                let mut plain = vec![0u8; len];
+                rng.fill(&mut plain);
+                let mut expect = plain.clone();
+                oracles[k].encrypt(seq, &mut expect);
+                let expect_icv = oracles[k].icv(seq, &header, &expect, esn_hi);
+                let mut body = plain;
+                let icv = lanes[k].seal(seq, &header, &mut body, esn_hi, &mut ahead);
+                let at = format!("{backend} first send: key {k} seq {seq} len {len} esn {esn}");
+                assert_eq!(body, expect, "{at}");
+                assert_eq!(icv, expect_icv, "{at}");
+            }
+        }
+    }
+}
+
+/// The cross-key verbs on batches too short to fill a lane group: 1..=5
+/// frames of 0..=200 bytes, each under its own key. The verify's units
+/// are the frames' counter-0 blocks and the decrypt's their payload
+/// blocks, so every batch ends in a partial group of every size.
+/// `verify_batch_across` must give each frame's scalar `verify`, with one
+/// frame's tag flipped in a third of the batches (the victim walks
+/// through the positions), and `decrypt_batch_across` each frame's
+/// scalar `decrypt`.
+#[test]
+fn across_verbs_on_short_batches_match_scalar() {
+    const KEYS: usize = 5;
+    let key = |k: usize| [0x90 + k as u8; 32];
+    let oracles: [_; KEYS] =
+        std::array::from_fn(|k| ChaCha20Poly1305Suite::new(key(k)).with_backend(Backend::Scalar));
+    for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
+        let lanes: [_; KEYS] =
+            std::array::from_fn(|k| ChaCha20Poly1305Suite::new(key(k)).with_backend(backend));
+        let mut rng = XorShift(0xac20_55b4_7c40_0001);
+        let mut seq = 1u64 << 40;
+        for n in 1..=KEYS {
+            for first in 0..=200usize {
+                let mut storage: Vec<OwnedFrame> = (0..n)
+                    .map(|i| {
+                        seq += 1;
+                        let mut header = vec![0u8; 12];
+                        rng.fill(&mut header);
+                        let mut body = vec![0u8; (first + 41 * i) % 201];
+                        rng.fill(&mut body);
+                        let esn_hi = (i % 2 == 1).then_some((seq >> 32) as u32);
+                        oracles[i].encrypt(seq, &mut body);
+                        let icv = oracles[i].icv(seq, &header, &body, esn_hi).to_vec();
+                        (seq, header, body, esn_hi, icv)
+                    })
+                    .collect();
+                if first % 3 == 0 {
+                    storage[first % n].4[first % 16] ^= 1 << (first % 8);
+                }
+                let at = format!("{backend} batch of {n} from len {first}");
+                let frames = borrowed(&storage);
+                let expect: Vec<bool> = (frames.iter().enumerate())
+                    .map(|(i, f)| oracles[i].verify(f))
+                    .collect();
+                let across: Vec<_> = (frames.iter().enumerate())
+                    .map(|(i, f)| (&lanes[i], *f))
+                    .collect();
+                let mut ok = Vec::new();
+                ChaCha20Poly1305Suite::verify_batch_across(&across, &mut ok);
+                assert_eq!(ok, expect, "verify {at}");
+
+                let mut arena = Vec::new();
+                let mut jobs = Vec::new();
+                for (i, (seq, _, ct, _, _)) in storage.iter().enumerate() {
+                    let start = arena.len();
+                    arena.extend_from_slice(ct);
+                    jobs.push((i, *seq, start..start + ct.len()));
+                }
+                let mut expect = arena.clone();
+                for (i, seq, range) in &jobs {
+                    oracles[*i].decrypt(*seq, &mut expect[range.clone()]);
+                }
+                let across = (jobs.iter()).map(|(i, seq, range)| (&lanes[*i], *seq, range.clone()));
+                ChaCha20Poly1305Suite::decrypt_batch_across(&mut arena, across);
+                assert_eq!(arena, expect, "decrypt {at}");
+            }
         }
     }
 }

@@ -120,7 +120,7 @@
 //! The gain needs a property of the traffic: *consecutive sends on one
 //! SA*. A send whose predecessor on this database named another SPI finds
 //! nothing cached and computes exactly what it did before (a 64 B frame:
-//! two scalar blocks) and nothing ahead: the suite bets spare lanes
+//! its two blocks in one row pass on a vector backend) and nothing ahead: the suite bets spare lanes
 //! only from the second consecutive sequence number on, so a fleet whose
 //! sends are runs of one never fills (or has to overwrite) the
 //! look-ahead at all.
