@@ -1388,7 +1388,7 @@ pub(crate) fn xor_keystream(dst: &mut [u8], ks: &[u8; 64]) {
 /// sets — four blocks on AVX2, two on SSE2 — costs one to one and a half
 /// scalar blocks, and the first block past them costs a second pass, more
 /// than a padded column pass. Measured, ns per call (2-core AVX2 x86_64,
-/// release, best of seven runs of 200 000 calls, three sessions): one /
+/// release, best of seven runs of 200 000 calls, over three repeats): one /
 /// two scalar blocks 141–170 / 274–330; AVX2 rows of 1–5 blocks 131–134 /
 /// 125–138 / 173–188 / 168–178 / 304–312, a padded 8-lane column pass
 /// 278–296; SSE2 rows of 1–3 blocks 137–149 / 188–194 / 328–338, a padded
