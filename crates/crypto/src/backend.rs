@@ -1,9 +1,9 @@
 //! Crypto backend selection: scalar oracle vs. multi-lane SIMD kernels.
 //!
-//! Every [`crate::CipherSuite`] implementation in this crate runs its bulk
-//! primitives (ChaCha20 keystream generation, SHA-256 compression) through
-//! one of the backends below, chosen **once at suite construction** and
-//! never re-probed on the datapath. The backend only changes *how many
+//! [`crate::ChaCha20Poly1305Suite`] runs its bulk primitives (ChaCha20
+//! keystream generation, the Poly1305 multiply) through one of the
+//! backends below, chosen **once at suite construction** and never
+//! re-probed on the datapath. The backend only changes *how many
 //! packets (or blocks) a single pass computes* — never a single output
 //! byte. [`Backend::Scalar`] is the reference implementation and the
 //! differential oracle: `tests/backend_differential.rs` replays randomized
@@ -18,15 +18,13 @@
 //!    AVX2, else [`Backend::Lanes4`];
 //! 3. [`Backend::Scalar`] as the unconditional fallback.
 //!
-//! Single-stream SHA-256 carries no backend: [`crate::Sha256`],
-//! [`crate::HmacKey`] (`new`, `mac_parts`, `finish_outer`) and PRF+
-//! follow [`Backend::select`], not a suite's forced backend. Where it is
-//! not [`Backend::Scalar`] and the CPU has the SHA extensions (`sha`,
-//! `ssse3`, `sse4.1`), they compress on those; otherwise on the scalar
-//! body. So `RESET_CRYPTO_BACKEND=scalar` makes the whole process the
-//! pure oracle, while a suite built `with_backend(Backend::Scalar)` in a
-//! process that selected a vector backend hashes its HMAC frames on the
-//! SHA extensions — the same bytes either way.
+//! SHA-256 carries no backend, and neither does the HMAC suite built on
+//! it: [`crate::Sha256`], [`crate::HmacKey`] (`new`, `mac_parts`,
+//! `finish_outer`, so every HMAC) and PRF+ follow [`Backend::select`].
+//! Where it is not [`Backend::Scalar`] and the CPU has the SHA extensions
+//! (`sha`, `ssse3`, `sse4.1`), they compress on those; otherwise on the
+//! scalar body — the same bytes either way. So
+//! `RESET_CRYPTO_BACKEND=scalar` makes the whole process the pure oracle.
 
 use core::fmt;
 use std::sync::OnceLock;

@@ -12,7 +12,11 @@
 //! * [`HmacKey`] — precomputes the ipad/opad-absorbed states once per
 //!   key. Each subsequent MAC starts from cheap state clones, so a
 //!   64-byte packet costs 3 compression calls instead of 5. This is what
-//!   the SA datapath holds.
+//!   the SA datapath holds. Its [`HmacKey::mac_parts`] is the batch
+//!   verify's one path: the inner hash straight from the ipad chain
+//!   value, the outer one fixed-layout compression, each on whatever
+//!   `crate::sha256::compress_block` runs in this process (the SHA
+//!   extensions, or the scalar oracle).
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
@@ -85,14 +89,6 @@ impl HmacKey {
         h.finalize()
     }
 
-    /// One-shot truncated 96-bit tag (`HMAC-SHA-256-96` style).
-    pub fn mac_96(&self, msg: &[u8]) -> [u8; 12] {
-        let full = self.mac(msg);
-        let mut out = [0u8; 12];
-        out.copy_from_slice(&full[..12]);
-        out
-    }
-
     /// Finishes an HMAC from an already-computed inner digest with a
     /// single compression — the batch-verify fast path.
     ///
@@ -123,17 +119,6 @@ impl HmacKey {
     /// for per-message inner hashes on the batch path.
     pub fn inner_state(&self) -> Sha256 {
         self.inner.clone()
-    }
-
-    /// The eight chain-value words after absorbing `key ⊕ ipad` — the
-    /// lane seed for the multi-buffer batch verify path.
-    pub(crate) fn inner_state_words(&self) -> [u32; 8] {
-        self.inner.state_words()
-    }
-
-    /// The eight chain-value words after absorbing `key ⊕ opad`.
-    pub(crate) fn outer_state_words(&self) -> [u32; 8] {
-        self.outer.state_words()
     }
 
     /// One-shot MAC over the concatenation of `parts` with minimal
@@ -335,7 +320,6 @@ block-size data. The key needs to be hashed before being used by the HMAC algori
                     hmac_sha256(&key, &msg),
                     "key_len {key_len} msg_len {msg_len}"
                 );
-                assert_eq!(hk.mac_96(&msg), hmac_sha256_96(&key, &msg));
             }
         }
     }

@@ -1,20 +1,19 @@
-//! Multi-lane kernels: interleaved ChaCha20 blocks, multi-buffer
-//! SHA-256 compression, and Poly1305 with one multiplier per lane.
+//! Multi-lane kernels: interleaved ChaCha20 blocks and Poly1305 with one
+//! multiplier per lane.
 //!
 //! Each kernel computes N independent streams per pass by holding one
 //! state *word* across N lanes of a vector register — the classic
-//! multi-buffer layout. The two bit-mixing kernels share one generic
-//! body each via the [`Vec32`] trait: a portable `[u32; 4]` manual-lane
+//! multi-buffer layout. The bit-mixing one, ChaCha20, has one generic
+//! body over the [`Vec32`] trait: a portable `[u32; 4]` manual-lane
 //! fallback, SSE2 (`__m128i`, 4 lanes), and AVX2 (`__m256i`, 8 lanes).
 //! The arithmetic one, [`poly1305_kernel`], runs over [`Vec64`] — the
 //! same registers cut into half as many 64-bit lanes (portable
 //! `[u64; 2]`, SSE2 2, AVX2 4), because its limb products need the
 //! width. The arithmetic is identical in every implementation, so every
 //! backend is byte-for-byte equal to the scalar functions in
-//! [`crate::chacha`] / [`crate::sha256`] / [`crate::poly1305`] — the
-//! unit tests below pin that per lane position, and
-//! `tests/backend_differential.rs` pins it end-to-end through the
-//! suites.
+//! `crate::chacha` / `crate::poly1305` — the unit tests below pin that
+//! per lane position, and `tests/backend_differential.rs` pins it
+//! end-to-end through the suites.
 //!
 //! ChaCha20 has a second layout, for groups too short to fill the lanes:
 //! the row kernel ([`chacha_rows_kernel`], after Goll and Gueron,
@@ -35,15 +34,17 @@
 //! site. The Poly1305 kernel adds instances of the first two and none of
 //! the third: its limbs and message words pass by register.
 //!
-//! The fourth kernel is not a lane kernel: one SHA-256 compression on
-//! the x86 SHA extensions ([`sha256_compress_ext`]), for the hashes that
-//! chain block on block — `Sha256`, HMAC, PRF+ — and so cannot fill
-//! lanes. `crate::sha256::compress_block` dispatches to it where
-//! [`sha_ext_selected`] says so. It adds no `unsafe` shape: inside its
-//! `#[target_feature]` function the intrinsics are safe calls, its
-//! state and message words pass by register, and its one `unsafe` is the
-//! call into it behind a runtime feature check, as for the AVX2 entry
-//! points.
+//! The last kernel is not a lane kernel: one SHA-256 compression on the
+//! x86 SHA extensions ([`sha256_compress_ext`]), for every SHA-256 the
+//! crate computes: `Sha256`, HMAC with its batch verify, PRF+. SHA-256
+//! has no lane kernel: at HMAC batch verify, a frame per lane
+//! (multi-buffer, Gueron and Krasnov, 2012) lost to this single stream
+//! (`ARCHITECTURE.md`, "The HMAC decision"). `crate::sha256::compress_block`
+//! dispatches here where [`sha_ext_selected`] says so. It adds no
+//! `unsafe` shape: inside its `#[target_feature]` function the
+//! intrinsics are safe calls, its state and message words pass by
+//! register, and its one `unsafe` is the call into it behind a runtime
+//! feature check, as for the AVX2 entry points.
 
 use crate::backend::Backend;
 use crate::chacha::{chacha20_block, chacha20_xor, CHACHA_KEY_LEN, CHACHA_NONCE_LEN, SIGMA};
@@ -74,10 +75,6 @@ trait Vec32: Copy {
     fn add(self, o: Self) -> Self;
     /// Lane-wise XOR.
     fn xor(self, o: Self) -> Self;
-    /// Lane-wise AND.
-    fn and(self, o: Self) -> Self;
-    /// Lane-wise `(!self) & o` (the SHA-256 `Ch` building block).
-    fn andnot(self, o: Self) -> Self;
     /// Lane-wise logical shift left by `n` bits (`0 < n < 32`).
     fn shl(self, n: u32) -> Self;
     /// Lane-wise logical shift right by `n` bits (`0 < n < 32`).
@@ -97,11 +94,6 @@ trait Vec32: Copy {
     #[inline(always)]
     fn rotl8(self) -> Self {
         self.rotl(8)
-    }
-    /// Lane-wise rotate right.
-    #[inline(always)]
-    fn rotr(self, n: u32) -> Self {
-        self.rotl(32 - n)
     }
     /// Rotates each group of four lanes down by `n` (`0 < n < 4`): lane
     /// `4g + i` takes lane `4g + (i + n) % 4`. In the row layout a group
@@ -169,24 +161,6 @@ impl Vec32 for P4 {
             self.0[1] ^ o.0[1],
             self.0[2] ^ o.0[2],
             self.0[3] ^ o.0[3],
-        ])
-    }
-    #[inline(always)]
-    fn and(self, o: Self) -> Self {
-        P4([
-            self.0[0] & o.0[0],
-            self.0[1] & o.0[1],
-            self.0[2] & o.0[2],
-            self.0[3] & o.0[3],
-        ])
-    }
-    #[inline(always)]
-    fn andnot(self, o: Self) -> Self {
-        P4([
-            !self.0[0] & o.0[0],
-            !self.0[1] & o.0[1],
-            !self.0[2] & o.0[2],
-            !self.0[3] & o.0[3],
         ])
     }
     #[inline(always)]
@@ -322,8 +296,8 @@ mod x86 {
     //! the runtime check for `sha`, `ssse3` and `sse4.1`.
 
     use super::{
-        chacha_blocks_kernel, chacha_rows_kernel, poly1305_kernel, sha256_multiway_kernel,
-        BlockJob, Limbs26, Vec32, Vec64, K, POLY_MAX_LANES,
+        chacha_blocks_kernel, chacha_rows_kernel, poly1305_kernel, BlockJob, Limbs26, Vec32, Vec64,
+        K, POLY_MAX_LANES,
     };
     use std::arch::x86_64::*;
 
@@ -359,16 +333,6 @@ mod x86 {
         fn xor(self, o: Self) -> Self {
             // SAFETY: as above.
             S4(unsafe { _mm_xor_si128(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn and(self, o: Self) -> Self {
-            // SAFETY: as above.
-            S4(unsafe { _mm_and_si128(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn andnot(self, o: Self) -> Self {
-            // SAFETY: as above. `_mm_andnot_si128(a, b)` computes `!a & b`.
-            S4(unsafe { _mm_andnot_si128(self.0, o.0) })
         }
         #[inline(always)]
         fn shl(self, n: u32) -> Self {
@@ -476,16 +440,6 @@ mod x86 {
         fn xor(self, o: Self) -> Self {
             // SAFETY: as above.
             A8(unsafe { _mm256_xor_si256(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn and(self, o: Self) -> Self {
-            // SAFETY: as above.
-            A8(unsafe { _mm256_and_si256(self.0, o.0) })
-        }
-        #[inline(always)]
-        fn andnot(self, o: Self) -> Self {
-            // SAFETY: as above. `_mm256_andnot_si256(a, b)` computes `!a & b`.
-            A8(unsafe { _mm256_andnot_si256(self.0, o.0) })
         }
         #[inline(always)]
         fn shl(self, n: u32) -> Self {
@@ -751,16 +705,6 @@ mod x86 {
         chacha_rows_kernel::<A8>(jobs, out);
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) fn sha256_multiway_sse2(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-        sha256_multiway_kernel::<S4>(states, blocks);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn sha256_multiway_avx2(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-        sha256_multiway_kernel::<A8>(states, blocks);
-    }
-
     /// The 2-lane kernel. Safe and without `#[target_feature]` (sse2 is
     /// the x86_64 baseline; [`S2`] says so at each intrinsic) because it
     /// must be `#[inline(never)]`, and rustc drops that attribute from
@@ -1016,64 +960,6 @@ fn vector_quarter_round<V: Vec32, const N: usize>(
     x[b] = x[b].xor(x[c]).rotl(7);
 }
 
-/// N-way SHA-256 compression: lane `l` compresses `blocks[l]` into
-/// `states[l]`. Identical to N calls of the scalar `compress_block`.
-#[inline(always)]
-fn sha256_multiway_kernel<V: Vec32>(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    let lanes = V::LANES;
-    debug_assert_eq!(states.len(), lanes);
-    debug_assert_eq!(blocks.len(), lanes);
-    let mut tmp = [0u32; MAX_LANES];
-    let mut w = [V::splat(0); 64];
-    for i in 0..16 {
-        for (l, block) in blocks.iter().enumerate() {
-            tmp[l] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("fixed"));
-        }
-        w[i] = V::load(&tmp);
-    }
-    for i in 16..64 {
-        let s0 = w[i - 15]
-            .rotr(7)
-            .xor(w[i - 15].rotr(18))
-            .xor(w[i - 15].shr(3));
-        let s1 = w[i - 2]
-            .rotr(17)
-            .xor(w[i - 2].rotr(19))
-            .xor(w[i - 2].shr(10));
-        w[i] = w[i - 16].add(s0).add(w[i - 7]).add(s1);
-    }
-    let mut v = [V::splat(0); 8];
-    for (j, slot) in v.iter_mut().enumerate() {
-        for (l, state) in states.iter().enumerate() {
-            tmp[l] = state[j];
-        }
-        *slot = V::load(&tmp);
-    }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = v;
-    for i in 0..64 {
-        let s1 = e.rotr(6).xor(e.rotr(11)).xor(e.rotr(25));
-        let ch = e.and(f).xor(e.andnot(g));
-        let t1 = h.add(s1).add(ch).add(V::splat(K[i])).add(w[i]);
-        let s0 = a.rotr(2).xor(a.rotr(13)).xor(a.rotr(22));
-        let maj = a.and(b).xor(a.and(c)).xor(b.and(c));
-        let t2 = s0.add(maj);
-        h = g;
-        g = f;
-        f = e;
-        e = d.add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.add(t2);
-    }
-    for (j, vv) in [a, b, c, d, e, f, g, h].iter().enumerate() {
-        vv.store(&mut tmp);
-        for (l, state) in states.iter_mut().enumerate() {
-            state[j] = state[j].wrapping_add(tmp[l]);
-        }
-    }
-}
-
 /// A Poly1305 value per lane in radix 2²⁶, limb-major: `limbs[i][l]` is
 /// limb `i` (weight 2^(26·i)) of lane `l`. Accumulators and multiplier
 /// rows both travel in this shape; `crate::poly1305` owns the conversion
@@ -1231,45 +1117,6 @@ pub(crate) fn chacha_rows(backend: Backend, jobs: &[BlockJob<'_>], out: &mut [[u
             // SAFETY: the assert above proves runtime AVX2 support.
             unsafe {
                 x86::chacha_rows_avx2(jobs, out)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("avx2 backend is never supported off x86_64")
-        }
-    }
-}
-
-/// Compresses `blocks[l]` into `states[l]` for each lane. For SIMD
-/// backends the slice lengths must equal [`Backend::lanes`]; the scalar
-/// backend accepts any length.
-#[allow(unsafe_code)]
-pub(crate) fn sha256_multiway(backend: Backend, states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    assert_eq!(states.len(), blocks.len());
-    match backend {
-        Backend::Scalar => {
-            for (state, block) in states.iter_mut().zip(blocks.iter()) {
-                crate::sha256::compress_block_scalar(state, block);
-            }
-        }
-        Backend::Lanes4 => {
-            assert_eq!(states.len(), 4);
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: sse2 is part of the x86_64 baseline ISA.
-            unsafe {
-                x86::sha256_multiway_sse2(states, blocks)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            sha256_multiway_kernel::<P4>(states, blocks)
-        }
-        Backend::Avx2 => {
-            assert_eq!(states.len(), 8);
-            assert!(
-                Backend::Avx2.is_supported(),
-                "avx2 backend invoked on a host without AVX2"
-            );
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the assert above proves runtime AVX2 support.
-            unsafe {
-                x86::sha256_multiway_avx2(states, blocks)
             }
             #[cfg(not(target_arch = "x86_64"))]
             unreachable!("avx2 backend is never supported off x86_64")
@@ -1682,19 +1529,7 @@ mod tests {
             let at = format!("portable rows of {count}");
             assert_blocks_match_scalar(chacha_rows_kernel::<P4>, &jobs[..count], &at);
         }
-        let mut states = [[0u32; 8]; 4];
-        let mut blocks = [[0u8; 64]; 4];
         let mut seed = 99u64;
-        for l in 0..4 {
-            states[l] = Sha256::new().state_words();
-            fill(&mut seed, &mut blocks[l]);
-        }
-        let mut expect = states;
-        for l in 0..4 {
-            crate::sha256::compress_block_scalar(&mut expect[l], &blocks[l]);
-        }
-        sha256_multiway_kernel::<P4>(&mut states, &blocks);
-        assert_eq!(states, expect);
         let run =
             |h: &mut Limbs26, rows: &Limbs26, steps, block: &dyn Fn(usize, usize) -> [u8; 16]| {
                 poly1305_kernel::<P2>(h, rows, steps, block)
@@ -1858,35 +1693,6 @@ mod tests {
                         assert_poly_steps_match_scalar(run, lanes, &per_lane, &at);
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn sha256_multiway_matches_scalar_compression() {
-        let mut seed = 0x1234_5678_9abc_def0u64;
-        for backend in supported_simd_backends() {
-            let lanes = backend.lanes();
-            for _round in 0..16 {
-                let mut states = vec![[0u32; 8]; lanes];
-                let mut blocks = vec![[0u8; 64]; lanes];
-                for l in 0..lanes {
-                    // Start from the real IV and from random chain values.
-                    if l % 2 == 0 {
-                        states[l] = Sha256::new().state_words();
-                    } else {
-                        for w in states[l].iter_mut() {
-                            *w = xorshift(&mut seed) as u32;
-                        }
-                    }
-                    fill(&mut seed, &mut blocks[l]);
-                }
-                let mut expect = states.clone();
-                for l in 0..lanes {
-                    crate::sha256::compress_block_scalar(&mut expect[l], &blocks[l]);
-                }
-                sha256_multiway(backend, &mut states, &blocks);
-                assert_eq!(states, expect, "{backend}");
             }
         }
     }

@@ -3,7 +3,7 @@
 //! The offline build has no cryptography crates, so the pieces IPsec needs
 //! are implemented here and validated against published test vectors:
 //!
-//! * [`Sha256`] / [`sha256`] — FIPS 180-4, NIST vectors.
+//! * [`Sha256`] / [`sha256()`] — FIPS 180-4, NIST vectors.
 //! * [`HmacSha256`] / [`hmac_sha256`] / [`hmac_sha256_96`] — RFC 2104 /
 //!   RFC 4231 vectors; the ESP integrity check (ICV) that makes replay the
 //!   *only* attack available to the adversary, exactly as the paper
@@ -41,12 +41,14 @@
 //!
 //! # Backends
 //!
-//! Each suite runs its bulk primitives through a [`Backend`] chosen once
-//! at construction: the scalar reference path, 4-lane SSE2/portable
+//! The AEAD suite runs its bulk primitives through a [`Backend`] chosen
+//! once at construction: the scalar reference path, 4-lane SSE2/portable
 //! kernels, or 8-lane AVX2 kernels (see the [`suite`](CipherSuite)
 //! rustdoc for the selection order and the scalar-oracle guarantee, and
 //! the repo-level `ARCHITECTURE.md` for where backends sit in the crate
-//! map and how to add one).
+//! map and how to add one). The HMAC suite has no backend: SHA-256 runs
+//! on the SHA extensions where the process selects them, and on the
+//! scalar oracle elsewhere.
 //!
 //! Scope note: these implementations model *behaviour and cost* for the
 //! reproduction. They are not hardened against side channels (except

@@ -22,8 +22,8 @@ const H0: [u32; 8] = [
     0x5be0_cd19,
 ];
 
-/// The round constants — shared with the multi-buffer compression in
-/// [`crate::lanes`], which runs the same schedule across N lanes.
+/// The round constants — shared with the SHA-extensions compression in
+/// [`crate::lanes`], which adds them to the message four words at a time.
 pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,

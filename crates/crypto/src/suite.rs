@@ -8,8 +8,8 @@
 //!
 //! * [`HmacSha256Suite`] — the legacy transform: HMAC-SHA-256-96 ICV
 //!   plus the HMAC-CTR keystream (or null encryption for the auth-only
-//!   configuration). Wire-compatible with the pre-suite codec, and the
-//!   only suite with a specialized [`CipherSuite::verify_batch`].
+//!   configuration). Wire-compatible with the pre-suite codec; its
+//!   [`CipherSuite::verify_batch`] is one amortized HMAC per frame.
 //! * [`ChaCha20Poly1305Suite`] — the first real AEAD: RFC 8439
 //!   ChaCha20 encryption with a Poly1305 tag over the ESP header (and
 //!   implicit ESN high half) as AAD.
@@ -21,10 +21,9 @@
 //!
 //! # The backend model
 //!
-//! Both suites run their bulk primitives — ChaCha20 block generation,
-//! SHA-256 compression and the Poly1305 multiply — through a [`Backend`]
-//! fixed **once at suite construction** and never re-probed on the
-//! datapath:
+//! The AEAD suite runs its bulk primitives — ChaCha20 block generation
+//! and the Poly1305 multiply — through a [`Backend`] fixed **once at
+//! suite construction** and never re-probed on the datapath:
 //!
 //! * [`Backend::Scalar`] — one stream at a time, pure safe Rust; the
 //!   reference implementation.
@@ -70,13 +69,17 @@
 //! equal shapes, not equal keys. The single-key `verify_batch` /
 //! `decrypt_batch` are those verbs with one key in every lane: one
 //! scheduler, no second path. A cross-key call runs on its first suite's
-//! backend, which changes no byte. The HMAC suites have no cross-key form
-//! (their multi-buffer SHA-256 starts every lane from one key's
-//! ipad/opad state): they do not run on a wide hot path, as
-//! `ARCHITECTURE.md` records.
+//! backend, which changes no byte.
 //!
-//! The auto-selecting constructors ([`ChaCha20Poly1305Suite::new`],
-//! [`HmacSha256Suite::with_keystream`], …) pick a backend in this order:
+//! The HMAC suites have no backend and no lanes. SHA-256 chains block on
+//! block, so every HMAC, batch verify included, is one single-stream
+//! hash per frame ([`HmacKey::mac_parts`]) on whatever SHA-256 the
+//! process selected: the SHA extensions where the CPU has them and the
+//! selection below is not `scalar`, the scalar oracle otherwise. They do
+//! not run on a wide hot path, as `ARCHITECTURE.md` records.
+//!
+//! The auto-selecting constructor ([`ChaCha20Poly1305Suite::new`]) picks
+//! a backend in this order:
 //!
 //! 1. the `RESET_CRYPTO_BACKEND` environment variable, when it names a
 //!    backend this host supports (`scalar` / `lanes4` / `avx2`) — the
@@ -172,13 +175,12 @@ use crate::chacha::{chacha20_block, CHACHA_KEY_LEN, CHACHA_NONCE_LEN};
 use crate::ct::ct_eq;
 use crate::hmac::HmacKey;
 use crate::lanes::{
-    chacha20_xor_jobs, chacha_units, poly1305_lanes, sha256_multiway, xor_keystream, MAX_LANES,
-    POLY_MAX_LANES, POLY_PAD_FROM,
+    chacha20_xor_jobs, chacha_units, poly1305_lanes, xor_keystream, MAX_LANES, POLY_MAX_LANES,
+    POLY_PAD_FROM,
 };
 use crate::prf::xor_keystream_with;
-use crate::sha256::{BLOCK_LEN, DIGEST_LEN};
+use crate::sha256::DIGEST_LEN;
 use core::ops::Range;
-use std::collections::BTreeMap;
 
 /// The largest ICV any in-repo suite emits (the Poly1305 tag).
 pub const MAX_ICV_LEN: usize = 16;
@@ -465,75 +467,27 @@ pub const HMAC_ICV_LEN: usize = 12;
 /// suite.decrypt(7, &mut body);
 /// assert_eq!(&body, b"secret");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HmacSha256Suite {
     auth: HmacKey,
     enc: Option<HmacKey>,
-    backend: Backend,
 }
-
-/// Equality is over the key material only: the backend changes how the
-/// bytes are computed, never what they are, so two suites that differ
-/// only in backend are interchangeable.
-impl PartialEq for HmacSha256Suite {
-    fn eq(&self, other: &Self) -> bool {
-        self.auth == other.auth && self.enc == other.enc
-    }
-}
-
-impl Eq for HmacSha256Suite {}
 
 impl HmacSha256Suite {
     /// Integrity + keystream confidentiality (the default transform).
-    /// The backend is auto-selected (see [`Backend::select`]).
     pub fn with_keystream(auth_key: &[u8], enc_key: &[u8]) -> Self {
         HmacSha256Suite {
             auth: HmacKey::new(auth_key),
             enc: Some(HmacKey::new(enc_key)),
-            backend: Backend::select(),
         }
     }
 
     /// Integrity only (ESP with null encryption, RFC 2410 style).
-    /// The backend is auto-selected (see [`Backend::select`]).
     pub fn auth_only(auth_key: &[u8]) -> Self {
         HmacSha256Suite {
             auth: HmacKey::new(auth_key),
             enc: None,
-            backend: Backend::select(),
         }
-    }
-
-    /// Forces a specific backend, bypassing auto-selection — tests,
-    /// benches, and the scalar differential oracle use this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this host cannot run `backend`
-    /// ([`Backend::is_supported`]).
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        assert!(
-            backend.is_supported(),
-            "backend {backend} is not supported on this host"
-        );
-        self.backend = backend;
-        self
-    }
-
-    /// The backend this suite computes its bulk primitives with.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// The precomputed authentication key schedule (legacy-codec
-    /// interop and benches).
-    pub fn auth_key(&self) -> &HmacKey {
-        &self.auth
-    }
-
-    /// The precomputed encryption key schedule, when the suite encrypts.
-    pub fn enc_key(&self) -> Option<&HmacKey> {
-        self.enc.as_ref()
     }
 
     fn tag(&self, header: &[u8], ciphertext: &[u8], esn_hi: Option<u32>) -> [u8; DIGEST_LEN] {
@@ -544,122 +498,6 @@ impl HmacSha256Suite {
             h.update(&hi.to_be_bytes());
         }
         h.finalize()
-    }
-
-    /// The scalar amortized verify ([`HmacKey::mac_parts`]): the fallback
-    /// for partial lane groups on the multi-buffer path, and the whole
-    /// batch path on [`Backend::Scalar`].
-    fn verify_frame_amortized(&self, f: &FrameToVerify<'_>) -> bool {
-        let full = match f.esn_hi {
-            Some(hi) => self
-                .auth
-                .mac_parts(&[f.header, f.ciphertext, &hi.to_be_bytes()]),
-            None => self.auth.mac_parts(&[f.header, f.ciphertext]),
-        };
-        f.icv.len() == HMAC_ICV_LEN && ct_eq(f.icv, &full[..HMAC_ICV_LEN])
-    }
-
-    /// Multi-buffer batch verify: frames are bucketed by inner padded
-    /// block count so full lane groups compress in lockstep through
-    /// [`sha256_multiway`]; the outer hash is always the one
-    /// fixed-layout block of [`HmacKey::finish_outer`], so it lanes
-    /// perfectly. Partial groups fall back to the scalar amortized path
-    /// — byte-identical either way.
-    fn verify_batch_multiway(&self, frames: &[FrameToVerify<'_>], ok: &mut Vec<bool>) {
-        let lanes = self.backend.lanes();
-        ok.resize(frames.len(), false);
-        let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, f) in frames.iter().enumerate() {
-            let msg_len =
-                f.header.len() + f.ciphertext.len() + if f.esn_hi.is_some() { 4 } else { 0 };
-            buckets
-                .entry((msg_len + 9).div_ceil(64))
-                .or_default()
-                .push(i);
-        }
-        let mut states = [[0u32; 8]; MAX_LANES];
-        let mut blocks = [[0u8; 64]; MAX_LANES];
-        let mut esn_bytes = [[0u8; 4]; MAX_LANES];
-        for (nblocks, idxs) in &buckets {
-            for chunk in idxs.chunks(lanes) {
-                if chunk.len() < lanes {
-                    for &i in chunk {
-                        ok[i] = self.verify_frame_amortized(&frames[i]);
-                    }
-                    continue;
-                }
-                for (l, &i) in chunk.iter().enumerate() {
-                    states[l] = self.auth.inner_state_words();
-                    if let Some(hi) = frames[i].esn_hi {
-                        esn_bytes[l] = hi.to_be_bytes();
-                    }
-                }
-                for b in 0..*nblocks {
-                    for (l, &i) in chunk.iter().enumerate() {
-                        let f = &frames[i];
-                        let esn: &[u8] = match f.esn_hi {
-                            Some(_) => &esn_bytes[l],
-                            None => &[],
-                        };
-                        fill_padded_block(&[f.header, f.ciphertext, esn], b, &mut blocks[l]);
-                    }
-                    sha256_multiway(self.backend, &mut states[..lanes], &blocks[..lanes]);
-                }
-                // Outer hash: digest ‖ 0x80 ‖ zeros ‖ bit length 768,
-                // one compression per lane from the opad state.
-                for l in 0..lanes {
-                    let mut block = [0u8; BLOCK_LEN];
-                    for (j, w) in states[l].iter().enumerate() {
-                        block[j * 4..j * 4 + 4].copy_from_slice(&w.to_be_bytes());
-                    }
-                    block[DIGEST_LEN] = 0x80;
-                    let bit_len = ((BLOCK_LEN + DIGEST_LEN) as u64) * 8;
-                    block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
-                    blocks[l] = block;
-                    states[l] = self.auth.outer_state_words();
-                }
-                sha256_multiway(self.backend, &mut states[..lanes], &blocks[..lanes]);
-                for (l, &i) in chunk.iter().enumerate() {
-                    let mut full = [0u8; DIGEST_LEN];
-                    for (j, w) in states[l].iter().enumerate() {
-                        full[j * 4..j * 4 + 4].copy_from_slice(&w.to_be_bytes());
-                    }
-                    let f = &frames[i];
-                    ok[i] = f.icv.len() == HMAC_ICV_LEN && ct_eq(f.icv, &full[..HMAC_ICV_LEN]);
-                }
-            }
-        }
-    }
-}
-
-/// Materializes 64-byte block `block_idx` of the SHA-256 padded stream
-/// for a message given as concatenated `parts`, as absorbed *after* one
-/// already-compressed key block (HMAC's ipad prefix): padding is `0x80`,
-/// zeros, then the 64-bit bit length of `BLOCK_LEN + message`.
-fn fill_padded_block(parts: &[&[u8]], block_idx: usize, out: &mut [u8; BLOCK_LEN]) {
-    out.fill(0);
-    let start = block_idx * BLOCK_LEN;
-    let end = start + BLOCK_LEN;
-    let mut off = 0usize;
-    for p in parts {
-        let p_end = off + p.len();
-        if p_end > start && off < end {
-            let s = start.max(off);
-            let e = end.min(p_end);
-            out[s - start..e - start].copy_from_slice(&p[s - off..e - off]);
-        }
-        off = p_end;
-    }
-    if (start..end).contains(&off) {
-        out[off - start] = 0x80;
-    }
-    let padded_len = (off + 9).div_ceil(BLOCK_LEN) * BLOCK_LEN;
-    let bits = ((BLOCK_LEN + off) as u64) * 8;
-    for (k, &bb) in bits.to_be_bytes().iter().enumerate() {
-        let pos = padded_len - 8 + k;
-        if pos >= start && pos < end {
-            out[pos - start] = bb;
-        }
     }
 }
 
@@ -703,27 +541,24 @@ impl CipherSuite for HmacSha256Suite {
         Icv::new(&self.tag(header, ciphertext, esn_hi)[..HMAC_ICV_LEN])
     }
 
-    /// The amortized batch path. On [`Backend::Scalar`] it is built on
-    /// [`HmacKey::mac_parts`]: every frame's inner hash resumes straight
-    /// from the one precomputed ipad chain value through a stack block
-    /// buffer, and the outer hash is the single fixed-layout compression
-    /// of [`HmacKey::finish_outer`]. On SIMD backends, frames with equal
-    /// inner block counts additionally compress
-    /// [`Backend::lanes`]-at-a-time through the multi-buffer SHA-256
-    /// kernel (partial lane groups stay on the scalar path). The
-    /// sequential [`CipherSuite::verify`] deliberately stays on the
+    /// The amortized batch path, built on [`HmacKey::mac_parts`]: every
+    /// frame's inner hash resumes straight from the one precomputed ipad
+    /// chain value through a stack block buffer, and the outer hash is
+    /// the single fixed-layout compression of [`HmacKey::finish_outer`].
+    /// The sequential [`CipherSuite::verify`] deliberately stays on the
     /// independent reference path (`begin`/`update`/`finalize`), so the
     /// differential tests compare genuinely distinct implementations.
     fn verify_batch(&self, frames: &[FrameToVerify<'_>], ok: &mut Vec<bool>) {
         ok.clear();
-        if self.backend != Backend::Scalar && frames.len() >= self.backend.lanes() {
-            self.verify_batch_multiway(frames, ok);
-            return;
-        }
-        ok.reserve(frames.len());
-        for f in frames {
-            ok.push(self.verify_frame_amortized(f));
-        }
+        ok.extend(frames.iter().map(|f| {
+            let full = match f.esn_hi {
+                Some(hi) => self
+                    .auth
+                    .mac_parts(&[f.header, f.ciphertext, &hi.to_be_bytes()]),
+                None => self.auth.mac_parts(&[f.header, f.ciphertext]),
+            };
+            f.icv.len() == HMAC_ICV_LEN && ct_eq(f.icv, &full[..HMAC_ICV_LEN])
+        }));
     }
 }
 

@@ -3,7 +3,7 @@
 //! The paper's cost argument compares rescuing an SA with SAVE/FETCH
 //! against the IETF remedy of renegotiating the whole SA — whose dominant
 //! cost is these modular exponentiations. The primes below are the actual
-//! OAKLEY "Well-Known Group" moduli cited by the paper's reference [9].
+//! OAKLEY "Well-Known Group" moduli cited by the paper's reference \[9\].
 
 use reset_crypto::BigUint;
 

@@ -4,7 +4,7 @@
 //! whole SA (paper §3, citing the DPD drafts). Re-establishment runs a
 //! key-management exchange: proposals, a Diffie–Hellman exchange and
 //! mutual authentication — six messages in ISAKMP main mode (RFC 2408 /
-//! RFC 2412, the paper's references [8] and [9]).
+//! RFC 2412, the paper's references \[8\] and \[9\]).
 //!
 //! This module implements a faithful *shape* of that exchange: real DH
 //! over the OAKLEY groups, real PRF key derivation, real transcript

@@ -85,13 +85,6 @@
 //! the input (non-encrypting suites) or decrypted in place in an arena
 //! shared by the whole drain and frozen once at its end.
 //!
-//! One exception, below this crate: on the SIMD backends the two HMAC
-//! suites' multi-buffer verifier still builds a bucket map per
-//! `verify_batch` call (`reset_crypto`, `verify_batch_multiway`), i.e.
-//! per group of up to 16 frames. The default ChaCha20-Poly1305 suite and
-//! the scalar backend allocate nothing; `tests/it_alloc.rs` counts the
-//! default suite on every backend.
-//!
 //! # One send path
 //!
 //! A frame is sealed in one body too: [`Outbound::protect`] and

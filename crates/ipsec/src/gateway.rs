@@ -545,7 +545,7 @@ impl<S: StableStore> Gateway<S> {
     }
 
     /// Installs an externally built SA (e.g. negotiated by IKE, or from
-    /// [`crate::rekey`]) in both directions,
+    /// [`crate::rekey()`]) in both directions,
     /// with fresh stores from the builder's factory.
     pub fn install_pair(&mut self, sa: SecurityAssociation) {
         self.install_outbound(sa.clone());

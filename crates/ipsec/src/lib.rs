@@ -140,7 +140,7 @@
 //!   only the counters change per packet, which is the whole point.
 //! * [`Sadb`] — a host's SA database; `recover_all` is the cheap
 //!   SAVE/FETCH reboot path.
-//! * [`rekey`] — the quick-mode key derivation a lifetime rekey runs
+//! * [`rekey()`] — the quick-mode key derivation a lifetime rekey runs
 //!   under the existing phase-1 secret.
 //! * [`Outbound`] / [`Inbound`] / [`RxResult`] — the ESP datapath with
 //!   SAVE/FETCH-protected counters and RFC 4304 ESN.

@@ -14,7 +14,7 @@
 //! # Moving parts
 //!
 //! * [`ShardWorker`] — one long-lived thread owning one shard's
-//!   `Gateway` outright. Jobs arrive over an spsc [`mpsc::channel`] (a
+//!   `Gateway` outright. Jobs arrive over an spsc [`channel`] (a
 //!   single producer — the `ShardedGateway` — and the worker as the
 //!   single consumer) and execute strictly in submission order, so the
 //!   per-shard serialization the determinism argument needs is a
@@ -32,7 +32,7 @@
 //!   shard-then-arrival event merge the scoped implementation produced.
 //! * [`ShardPanic`] — a job panic, carried back to the submitting
 //!   thread. Fallible verbs surface it as
-//!   [`IpsecError::WorkerPanicked`](crate::IpsecError::WorkerPanicked);
+//!   [`IpsecError::WorkerPanicked`];
 //!   infallible verbs re-raise it on the caller. Either way the caller
 //!   learns immediately — a panicking shard job can never hang the
 //!   submitter, because the worker wraps every job in `catch_unwind`

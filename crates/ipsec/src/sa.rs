@@ -116,7 +116,7 @@ impl SuiteState {
 /// Keys derived for one unidirectional SA.
 ///
 /// Both keys are inline: every key the repo derives or negotiates —
-/// [`SaKeys::derive`], [`crate::rekey`], the IKE handshake — is 32
+/// [`SaKeys::derive`], [`crate::rekey()`], the IKE handshake — is 32
 /// bytes, so an SA carries its 64 key bytes without two heap copies.
 #[derive(Clone, PartialEq, Eq)]
 pub struct SaKeys {
@@ -268,17 +268,17 @@ impl SecurityAssociation {
     /// how the bytes are computed, never what they are. By default SAs
     /// auto-select the strongest backend the host supports
     /// ([`Backend::select`]); forcing matters for backend differential
-    /// tests.
+    /// tests. An HMAC transform has no backend (its SHA-256 follows the
+    /// process's selection) and passes through unchanged.
     ///
     /// # Panics
     ///
     /// Panics if this host cannot run `backend`
-    /// ([`Backend::is_supported`]).
+    /// ([`Backend::is_supported`]) and the transform is the AEAD.
     pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.cipher = match self.cipher {
-            SuiteState::Hmac(s) => SuiteState::Hmac(Box::new(s.with_backend(backend))),
-            SuiteState::Aead(s) => SuiteState::Aead(s.with_backend(backend)),
-        };
+        if let SuiteState::Aead(s) = self.cipher {
+            self.cipher = SuiteState::Aead(s.with_backend(backend));
+        }
         self
     }
 

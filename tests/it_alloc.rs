@@ -14,6 +14,8 @@
 //! and its driver allocate nothing per message, nor to complete a
 //! witnessed SAVE or a wake-up; an idle `tick` allocates nothing, and
 //! installing an SA pair nothing but its share of the fleet's growth.
+//! The datapath counts hold on every crypto backend, for the default
+//! suite and for the HMAC one.
 //!
 //! A counting `#[global_allocator]` sees every thread (the sharded drain
 //! allocates on its workers), so everything lives in **one** `#[test]`:
@@ -26,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use anti_replay::{SeqNum, SfDriver, SfEvent, SfMachine};
 use bytes::{Bytes, BytesMut};
 use reset_ipsec::{
-    Backend, DpdConfig, Gateway, GatewayBuilder, GatewayEvent, SaKeys, SaLifetime,
+    Backend, CryptoSuite, DpdConfig, Gateway, GatewayBuilder, GatewayEvent, SaKeys, SaLifetime,
     SecurityAssociation, ShardedGateway,
 };
 use reset_stable::{MemStable, SlotId, StableError, StableStore};
@@ -123,9 +125,15 @@ const SHARDED_BATCH: [u64; 2] = [12, 12];
 /// with the reply channel).
 const SHARDED_SAVE_CYCLE: u64 = 18;
 
-fn sa(spi: u32, backend: Backend) -> SecurityAssociation {
+/// The transform a fleet runs: its suite, and the crypto backend forced
+/// on it.
+type Crypto = (CryptoSuite, Backend);
+
+fn sa(spi: u32, (suite, backend): Crypto) -> SecurityAssociation {
     let keys = SaKeys::derive(b"it-alloc", &spi.to_be_bytes());
-    SecurityAssociation::new(spi, keys).with_backend(backend)
+    SecurityAssociation::new(spi, keys)
+        .with_suite(suite)
+        .with_backend(backend)
 }
 
 /// A save interval no SA reaches: the fleets built with it issue no
@@ -139,23 +147,23 @@ const NO_SAVES: u64 = 1 << 40;
 /// SAVEs are issued in two batches of every three.
 const DEFAULT_K: u64 = 25;
 
-/// A plain gateway over `sas` SA pairs, default suite, DPD off.
-fn gateway(sas: u32, backend: Backend, k: u64) -> Gateway<MemStable> {
+/// A plain gateway over `sas` SA pairs, DPD off.
+fn gateway(sas: u32, crypto: Crypto, k: u64) -> Gateway<MemStable> {
     let mut gw = GatewayBuilder::in_memory().save_interval(k).build();
     for spi in SPI_BASE..SPI_BASE + sas {
-        gw.install_pair(sa(spi, backend));
+        gw.install_pair(sa(spi, crypto));
     }
     gw
 }
 
 /// The same fleet behind a 2-shard pool.
-fn sharded_gateway(sas: u32, backend: Backend, k: u64) -> ShardedGateway<MemStable> {
+fn sharded_gateway(sas: u32, crypto: Crypto, k: u64) -> ShardedGateway<MemStable> {
     let mut gw = GatewayBuilder::in_memory()
         .save_interval(k)
         .shards(2)
         .build_sharded();
     for spi in SPI_BASE..SPI_BASE + sas {
-        gw.install_pair(sa(spi, backend));
+        gw.install_pair(sa(spi, crypto));
     }
     gw
 }
@@ -186,11 +194,11 @@ fn assert_all_delivered(events: &[GatewayEvent], what: &str) {
 /// one of `measured` further batches allocates.
 fn drain_allocs(
     (sas, run): (u32, usize),
-    backend: Backend,
+    crypto: Crypto,
     (warm_up, measured): (usize, usize),
     mut drain: impl FnMut(&[Bytes]) -> Vec<GatewayEvent>,
 ) -> u64 {
-    let mut tx = gateway(sas, backend, NO_SAVES);
+    let mut tx = gateway(sas, crypto, NO_SAVES);
     for _ in 0..warm_up {
         assert_all_delivered(&drain(&seal_batch(&mut tx, sas, run)), "warm-up");
     }
@@ -319,119 +327,127 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
         "add_peer allocated {per_pair:.2} times per SA pair ({allocs} for 1 024)"
     );
 
+    // Every backend, for the default suite and the HMAC one.
     for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
-        // ---- the drain: per-batch constant, whatever the run length.
-        // (a) 16-frame runs over 256 SAs; (b) singleton runs over 4 096
-        // distinct SAs — every frame a different SA than the last.
-        for ((sas, run), sharded) in [(256u32, 16usize), (BATCH as u32, 1)]
-            .into_iter()
-            .zip(SHARDED_BATCH)
-        {
-            let mut rx = gateway(sas, backend, NO_SAVES);
-            let allocs = drain_allocs((sas, run), backend, (1, 1), |batch| {
+        for suite in [CryptoSuite::default(), CryptoSuite::HmacSha256WithKeystream] {
+            let crypto = (suite, backend);
+            // ---- the drain: per-batch constant, whatever the run length.
+            // (a) 16-frame runs over 256 SAs; (b) singleton runs over 4 096
+            // distinct SAs — every frame a different SA than the last.
+            for ((sas, run), sharded) in [(256u32, 16usize), (BATCH as u32, 1)]
+                .into_iter()
+                .zip(SHARDED_BATCH)
+            {
+                let mut rx = gateway(sas, crypto, NO_SAVES);
+                let allocs = drain_allocs((sas, run), crypto, (1, 1), |batch| {
+                    rx.push_wire_batch(batch).unwrap();
+                    rx.poll_events()
+                });
+                assert!(
+                    allocs <= PER_BATCH,
+                    "{suite:?} on {backend}: {BATCH} frames in runs of {run} over {sas} SAs \
+                     allocated {allocs} times (limit {PER_BATCH} per batch)"
+                );
+                let mut rx = sharded_gateway(sas, crypto, NO_SAVES);
+                let allocs = drain_allocs((sas, run), crypto, (1, 1), |batch| {
+                    rx.push_wire_batch(batch).unwrap();
+                    rx.poll_events()
+                });
+                assert_eq!(
+                    allocs, sharded,
+                    "{suite:?} on {backend}: 2 shards, runs of {run} over {sas} SAs allocated \
+                     {allocs} times a batch"
+                );
+            }
+
+            // ---- the whole receive cycle at the default K: every SA issues a
+            // SAVE in two batches of three and the driver completes them after
+            // each batch. Owing and completing SAVEs is per-batch bookkeeping
+            // in reused memory, so the constants are the drain's. Warm until
+            // every SA has saved once (its store has the slot); then no batch
+            // of a full issue pattern may exceed them.
+            let shape = (256u32, 16usize);
+            let mut rx = gateway(shape.0, crypto, DEFAULT_K);
+            let mut batches_that_saved = 0;
+            let allocs = drain_allocs(shape, crypto, (2, 6), |batch| {
                 rx.push_wire_batch(batch).unwrap();
-                rx.poll_events()
+                let events = rx.poll_events();
+                batches_that_saved += u32::from(rx.pending_save());
+                rx.save_completed().unwrap();
+                events
             });
+            assert!(batches_that_saved >= 4, "the cycle must issue SAVEs");
             assert!(
                 allocs <= PER_BATCH,
-                "{backend}: {BATCH} frames in runs of {run} over {sas} SAs allocated \
-                 {allocs} times (limit {PER_BATCH} per batch)"
+                "{suite:?} on {backend}: a batch with its SAVEs issued and completed \
+                 allocated {allocs} times (limit {PER_BATCH} per batch)"
             );
-            let mut rx = sharded_gateway(sas, backend, NO_SAVES);
-            let allocs = drain_allocs((sas, run), backend, (1, 1), |batch| {
+            let mut rx = sharded_gateway(shape.0, crypto, DEFAULT_K);
+            let allocs = drain_allocs(shape, crypto, (2, 6), |batch| {
                 rx.push_wire_batch(batch).unwrap();
-                rx.poll_events()
+                let events = rx.poll_events();
+                rx.save_completed().unwrap();
+                events
             });
             assert_eq!(
-                allocs, sharded,
-                "{backend}: 2 shards, runs of {run} over {sas} SAs allocated {allocs} \
-                 times a batch"
+                allocs, SHARDED_SAVE_CYCLE,
+                "{suite:?} on {backend}: 2 shards, a batch with its SAVEs issued and \
+                 completed allocated {allocs} times"
+            );
+
+            // ---- a drain whose previous payloads are still held cannot
+            // reclaim its arena: it allocates one fresh one, its bytes and
+            // counts in a single allocation, on top of a free drain's count.
+            let shape = (256u32, 16usize);
+            let mut tx = gateway(shape.0, crypto, NO_SAVES);
+            let mut rx = gateway(shape.0, crypto, NO_SAVES);
+            let mut drain = |batch: &[Bytes]| {
+                rx.push_wire_batch(batch).unwrap();
+                rx.poll_events()
+            };
+            let events = drain(&seal_batch(&mut tx, shape.0, shape.1));
+            assert_all_delivered(&events, "warm-up");
+            let batch = seal_batch(&mut tx, shape.0, shape.1);
+            let (held, pinned) = counted(|| drain(&batch));
+            assert_all_delivered(&held, "pinned batch");
+            drop(events);
+            drop(held);
+            let batch = seal_batch(&mut tx, shape.0, shape.1);
+            let (events, free) = counted(|| drain(&batch));
+            assert_all_delivered(&events, "free batch");
+            assert_eq!(
+                pinned,
+                free + 1,
+                "{suite:?} on {backend}: a drain behind held payloads must allocate exactly \
+                 one fresh arena"
+            );
+
+            // ---- single frames: push_wire allocates nothing at all once
+            // warm, and protect only what it hands out: the frame's one
+            // buffer, bytes and reference counts together.
+            let (mut tx, mut rx) = (gateway(8, crypto, NO_SAVES), gateway(8, crypto, NO_SAVES));
+            let (mut push, mut protect) = (0, 0);
+            for i in 0..BATCH as u32 + 64 {
+                let spi = SPI_BASE + i % 8;
+                let (frame, sealed) = counted(|| tx.protect(spi, &PAYLOAD).unwrap().unwrap());
+                let ((), pushed) = counted(|| rx.push_wire(&frame.wire).unwrap());
+                // The consumer drops each payload before the next frame.
+                let events = rx.poll_events();
+                assert!(matches!(events[..], [GatewayEvent::Delivered { .. }]));
+                if i >= 64 {
+                    push += pushed;
+                    protect += sealed;
+                }
+            }
+            assert_eq!(
+                push, 0,
+                "{suite:?} on {backend}: push_wire allocated per frame"
+            );
+            assert_eq!(
+                protect, BATCH as u64,
+                "{suite:?} on {backend}: protect allocated {protect} times for {BATCH} frames \
+                 (the frame it returns is 1)"
             );
         }
-
-        // ---- the whole receive cycle at the default K: every SA issues a
-        // SAVE in two batches of three and the driver completes them after
-        // each batch. Owing and completing SAVEs is per-batch bookkeeping
-        // in reused memory, so the constants are the drain's. Warm until
-        // every SA has saved once (its store has the slot); then no batch
-        // of a full issue pattern may exceed them.
-        let shape = (256u32, 16usize);
-        let mut rx = gateway(shape.0, backend, DEFAULT_K);
-        let mut batches_that_saved = 0;
-        let allocs = drain_allocs(shape, backend, (2, 6), |batch| {
-            rx.push_wire_batch(batch).unwrap();
-            let events = rx.poll_events();
-            batches_that_saved += u32::from(rx.pending_save());
-            rx.save_completed().unwrap();
-            events
-        });
-        assert!(batches_that_saved >= 4, "the cycle must issue SAVEs");
-        assert!(
-            allocs <= PER_BATCH,
-            "{backend}: a batch with its SAVEs issued and completed allocated {allocs} \
-             times (limit {PER_BATCH} per batch)"
-        );
-        let mut rx = sharded_gateway(shape.0, backend, DEFAULT_K);
-        let allocs = drain_allocs(shape, backend, (2, 6), |batch| {
-            rx.push_wire_batch(batch).unwrap();
-            let events = rx.poll_events();
-            rx.save_completed().unwrap();
-            events
-        });
-        assert_eq!(
-            allocs, SHARDED_SAVE_CYCLE,
-            "{backend}: 2 shards, a batch with its SAVEs issued and completed allocated \
-             {allocs} times"
-        );
-
-        // ---- a drain whose previous payloads are still held cannot
-        // reclaim its arena: it allocates one fresh one, its bytes and
-        // counts in a single allocation, on top of a free drain's count.
-        let shape = (256u32, 16usize);
-        let mut tx = gateway(shape.0, backend, NO_SAVES);
-        let mut rx = gateway(shape.0, backend, NO_SAVES);
-        let mut drain = |batch: &[Bytes]| {
-            rx.push_wire_batch(batch).unwrap();
-            rx.poll_events()
-        };
-        let events = drain(&seal_batch(&mut tx, shape.0, shape.1));
-        assert_all_delivered(&events, "warm-up");
-        let batch = seal_batch(&mut tx, shape.0, shape.1);
-        let (held, pinned) = counted(|| drain(&batch));
-        assert_all_delivered(&held, "pinned batch");
-        drop(events);
-        drop(held);
-        let batch = seal_batch(&mut tx, shape.0, shape.1);
-        let (events, free) = counted(|| drain(&batch));
-        assert_all_delivered(&events, "free batch");
-        assert_eq!(
-            pinned,
-            free + 1,
-            "{backend}: a drain behind held payloads must allocate exactly one fresh arena"
-        );
-
-        // ---- single frames: push_wire allocates nothing at all once
-        // warm, and protect only what it hands out: the frame's one
-        // buffer, bytes and reference counts together.
-        let (mut tx, mut rx) = (gateway(8, backend, NO_SAVES), gateway(8, backend, NO_SAVES));
-        let (mut push, mut protect) = (0, 0);
-        for i in 0..BATCH as u32 + 64 {
-            let spi = SPI_BASE + i % 8;
-            let (frame, sealed) = counted(|| tx.protect(spi, &PAYLOAD).unwrap().unwrap());
-            let ((), pushed) = counted(|| rx.push_wire(&frame.wire).unwrap());
-            // The consumer drops each payload before the next frame.
-            let events = rx.poll_events();
-            assert!(matches!(events[..], [GatewayEvent::Delivered { .. }]));
-            if i >= 64 {
-                push += pushed;
-                protect += sealed;
-            }
-        }
-        assert_eq!(push, 0, "{backend}: push_wire allocated per frame");
-        assert_eq!(
-            protect, BATCH as u64,
-            "{backend}: protect allocated {protect} times for {BATCH} frames \
-             (the frame it returns is 1)"
-        );
     }
 }
