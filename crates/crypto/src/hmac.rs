@@ -115,12 +115,6 @@ impl HmacKey {
         out
     }
 
-    /// The precomputed ipad-absorbed inner state — the starting point
-    /// for per-message inner hashes on the batch path.
-    pub fn inner_state(&self) -> Sha256 {
-        self.inner.clone()
-    }
-
     /// One-shot MAC over the concatenation of `parts` with minimal
     /// bookkeeping: the inner hash runs straight from the precomputed
     /// ipad chain value through a stack block buffer (no hasher clone,
@@ -341,7 +335,7 @@ block-size data. The key needs to be hashed before being used by the HMAC algori
             let hk = HmacKey::new(&key);
             for msg_len in [0usize, 1, 12, 55, 64, 200] {
                 let msg: Vec<u8> = (0..msg_len).map(|i| (i * 3 + 1) as u8).collect();
-                let mut inner = hk.inner_state();
+                let mut inner = hk.inner.clone();
                 inner.update(&msg);
                 let fast = hk.finish_outer(&inner.finalize());
                 assert_eq!(fast, hk.mac(&msg), "key_len {key_len} msg_len {msg_len}");

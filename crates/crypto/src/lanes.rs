@@ -1216,7 +1216,7 @@ pub(crate) fn poly1305_steps(
 /// optimizer widens the pair of word loads/stores to vector ops), with a
 /// byte tail for non-multiple-of-8 payload ends.
 #[inline(always)]
-pub(crate) fn xor_keystream(dst: &mut [u8], ks: &[u8; 64]) {
+pub(crate) fn xor_block(dst: &mut [u8], ks: &[u8; 64]) {
     let words = dst.len() / 8;
     for i in 0..words {
         let off = i * 8;
@@ -1377,7 +1377,7 @@ pub(crate) fn chacha20_xor_jobs<'k>(
         })
     });
     chacha_units(backend, units, std::iter::empty(), |(off, len), block| {
-        xor_keystream(&mut buf[off..off + len], block)
+        xor_block(&mut buf[off..off + len], block)
     });
 }
 

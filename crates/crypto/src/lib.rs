@@ -13,8 +13,7 @@
 //!   each packet's MAC skips the key schedule (3 compressions instead of
 //!   5 for a 64-byte payload).
 //! * [`ct_eq`] — constant-time tag comparison.
-//! * [`prf_plus`] / [`xor_keystream`] — key derivation and a stand-in
-//!   confidentiality transform for the simulated ESP.
+//! * [`prf_plus`] — key derivation.
 //! * [`chacha20_block`] / [`Poly1305`] / [`chacha20_poly1305_seal`] —
 //!   RFC 8439 ChaCha20, the Poly1305 one-time MAC, and their AEAD
 //!   composition, each checked against the RFC's vectors.
@@ -29,11 +28,10 @@
 //! and SA datapath program against: a trait over seal/open with the
 //! suite's key, IV and ICV lengths as metadata, plus an overridable
 //! [`CipherSuite::verify_batch`] for amortized per-SA batch
-//! verification. In-repo implementations: [`HmacSha256Suite`] (the
-//! legacy HMAC-SHA-256-96 + keystream transform, wire-compatible with
-//! the pre-suite codec, with a two-pass batch verifier built on
-//! [`HmacKey::finish_outer`]) and [`ChaCha20Poly1305Suite`] (RFC 8439
-//! AEAD). To add a suite: implement the trait here with published
+//! verification. In-repo implementations: [`HmacSha256Suite`]
+//! (HMAC-SHA-256-96 with null encryption, integrity only, with a batch
+//! verifier built on [`HmacKey::mac_parts`]) and [`ChaCha20Poly1305Suite`]
+//! (the RFC 8439 AEAD, the only suite that encrypts). To add a suite: implement the trait here with published
 //! known-answer vectors for its primitives, then register it in
 //! `reset_ipsec::CryptoSuite` so IKE can negotiate it and SAs can build
 //! it from derived key material; `tests/it_suites.rs` differential-runs
@@ -95,7 +93,7 @@ pub use chacha::{chacha20_block, chacha20_xor, CHACHA_KEY_LEN, CHACHA_NONCE_LEN}
 pub use ct::ct_eq;
 pub use hmac::{hmac_sha256, hmac_sha256_96, HmacKey, HmacSha256};
 pub use poly1305::{poly1305, Poly1305, POLY1305_KEY_LEN, POLY1305_TAG_LEN};
-pub use prf::{prf_plus, prf_plus_with, xor_keystream, xor_keystream_with};
+pub use prf::{prf_plus, prf_plus_with};
 pub use sha256::{from_hex, sha256, to_hex, Sha256, BLOCK_LEN, DIGEST_LEN};
 pub use suite::{
     ChaCha20Poly1305Suite, CipherSuite, FrameToVerify, HmacSha256Suite, Icv, SealAhead,

@@ -1,6 +1,5 @@
 //! Key derivation: an HMAC-based PRF+ expansion (in the style of
-//! ISAKMP/IKE SKEYID derivation) and a keystream generator used as the
-//! ESP confidentiality transform in the simulation.
+//! ISAKMP/IKE SKEYID derivation).
 //!
 //! PRF+ has one body, [`prf_plus_with`], keyed by a precomputed
 //! [`HmacKey`]: every output block starts from the key's ipad/opad
@@ -66,48 +65,6 @@ pub fn prf_plus_with(key: &HmacKey, seed: &[u8], out_len: usize) -> Vec<u8> {
         counter = counter.wrapping_add(1);
     }
     out
-}
-
-/// XORs `data` with a keystream derived from `(key, nonce)` — a CTR-style
-/// stream built on HMAC blocks. Encryption and decryption are the same
-/// operation. This stands in for the paper's unspecified ESP cipher; the
-/// anti-replay analysis never depends on the cipher's identity, only on
-/// packets being unforgeable (ICV) and confidential-looking.
-///
-/// # Examples
-///
-/// ```
-/// use reset_crypto::xor_keystream;
-///
-/// let mut buf = b"attack at dawn".to_vec();
-/// xor_keystream(b"key", 7, &mut buf);
-/// assert_ne!(&buf, b"attack at dawn");
-/// xor_keystream(b"key", 7, &mut buf);
-/// assert_eq!(&buf, b"attack at dawn");
-/// ```
-pub fn xor_keystream(key: &[u8], nonce: u64, data: &mut [u8]) {
-    xor_keystream_with(&HmacKey::new(key), nonce, data);
-}
-
-/// [`xor_keystream`] with a precomputed [`HmacKey`]: the datapath form.
-/// The naive form reruns the HMAC key schedule for every 32-byte
-/// keystream block; an SA holds the schedule once and pays only the
-/// message compressions per block. The generated keystream is identical.
-pub fn xor_keystream_with(key: &HmacKey, nonce: u64, data: &mut [u8]) {
-    let mut block_index = 0u64;
-    let mut offset = 0usize;
-    while offset < data.len() {
-        let mut msg = [0u8; 16];
-        msg[..8].copy_from_slice(&nonce.to_be_bytes());
-        msg[8..].copy_from_slice(&block_index.to_be_bytes());
-        let ks = key.mac(&msg);
-        let take = (data.len() - offset).min(ks.len());
-        for i in 0..take {
-            data[offset + i] ^= ks[i];
-        }
-        offset += take;
-        block_index += 1;
-    }
 }
 
 #[cfg(test)]
@@ -193,54 +150,5 @@ mod tests {
     #[should_panic(expected = "too long")]
     fn prf_plus_overlong_panics() {
         let _ = prf_plus(b"k", b"s", 255 * 32 + 1);
-    }
-
-    #[test]
-    fn keystream_round_trips() {
-        let mut data: Vec<u8> = (0..200u8).collect();
-        let orig = data.clone();
-        xor_keystream(b"key", 42, &mut data);
-        assert_ne!(data, orig);
-        xor_keystream(b"key", 42, &mut data);
-        assert_eq!(data, orig);
-    }
-
-    #[test]
-    fn keystream_nonce_sensitivity() {
-        let mut a = vec![0u8; 64];
-        let mut b = vec![0u8; 64];
-        xor_keystream(b"key", 1, &mut a);
-        xor_keystream(b"key", 2, &mut b);
-        assert_ne!(a, b, "different nonces must give different streams");
-    }
-
-    #[test]
-    fn keystream_empty_is_noop() {
-        let mut empty: Vec<u8> = Vec::new();
-        xor_keystream(b"key", 0, &mut empty);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn keyed_keystream_matches_naive() {
-        let hk = HmacKey::new(b"stream-key");
-        for len in [0usize, 1, 31, 32, 33, 64, 200] {
-            let mut a: Vec<u8> = (0..len as u8).collect();
-            let mut b = a.clone();
-            xor_keystream(b"stream-key", 99, &mut a);
-            xor_keystream_with(&hk, 99, &mut b);
-            assert_eq!(a, b, "len {len}");
-        }
-    }
-
-    #[test]
-    fn keystream_cross_block_boundary() {
-        // 33 bytes spans two HMAC blocks; decrypting in two chunks with the
-        // same nonce must still work because blocks are position-based.
-        let mut whole = vec![0xAAu8; 70];
-        let orig = whole.clone();
-        xor_keystream(b"key", 9, &mut whole);
-        xor_keystream(b"key", 9, &mut whole);
-        assert_eq!(whole, orig);
     }
 }

@@ -6,13 +6,13 @@
 //! integrity tag, and (optionally) an amortized batch verifier. Two
 //! in-repo implementations exist:
 //!
-//! * [`HmacSha256Suite`] — the legacy transform: HMAC-SHA-256-96 ICV
-//!   plus the HMAC-CTR keystream (or null encryption for the auth-only
-//!   configuration). Wire-compatible with the pre-suite codec; its
-//!   [`CipherSuite::verify_batch`] is one amortized HMAC per frame.
-//! * [`ChaCha20Poly1305Suite`] — the first real AEAD: RFC 8439
-//!   ChaCha20 encryption with a Poly1305 tag over the ESP header (and
-//!   implicit ESN high half) as AAD.
+//! * [`HmacSha256Suite`] — integrity only: an HMAC-SHA-256-96 ICV with
+//!   null encryption (RFC 2410), so its payloads travel in the clear and
+//!   are delivered without a copy. Its [`CipherSuite::verify_batch`] is
+//!   one amortized HMAC per frame.
+//! * [`ChaCha20Poly1305Suite`] — the AEAD, and the only suite that
+//!   encrypts: RFC 8439 ChaCha20 encryption with a Poly1305 tag over the
+//!   ESP header (and implicit ESN high half) as AAD.
 //!
 //! Per-packet nonces are derived from the 64-bit sequence number, which
 //! IPsec guarantees unique per SA per direction, so neither suite
@@ -71,7 +71,7 @@
 //! scheduler, no second path. A cross-key call runs on its first suite's
 //! backend, which changes no byte.
 //!
-//! The HMAC suites have no backend and no lanes. SHA-256 chains block on
+//! The HMAC suite has no backend and no lanes. SHA-256 chains block on
 //! block, so every HMAC, batch verify included, is one single-stream
 //! hash per frame ([`HmacKey::mac_parts`]) on whatever SHA-256 the
 //! process selected: the SHA extensions where the CPU has them and the
@@ -175,10 +175,9 @@ use crate::chacha::{chacha20_block, CHACHA_KEY_LEN, CHACHA_NONCE_LEN};
 use crate::ct::ct_eq;
 use crate::hmac::HmacKey;
 use crate::lanes::{
-    chacha20_xor_jobs, chacha_units, poly1305_lanes, xor_keystream, MAX_LANES, POLY_MAX_LANES,
+    chacha20_xor_jobs, chacha_units, poly1305_lanes, xor_block, MAX_LANES, POLY_MAX_LANES,
     POLY_PAD_FROM,
 };
-use crate::prf::xor_keystream_with;
 use crate::sha256::DIGEST_LEN;
 use core::ops::Range;
 
@@ -449,44 +448,29 @@ pub trait CipherSuite {
 /// bits, the classic ESP transform).
 pub const HMAC_ICV_LEN: usize = 12;
 
-/// The legacy suite: HMAC-SHA-256-96 integrity with the HMAC-CTR
-/// keystream confidentiality transform, or null encryption when built
-/// [`HmacSha256Suite::auth_only`]. Byte-compatible with the pre-suite
-/// wire codec.
+/// The integrity-only suite: HMAC-SHA-256-96 with null encryption
+/// (RFC 2410), so `encrypt` and `decrypt` leave the payload as it is.
 ///
 /// # Examples
 ///
 /// ```
 /// use reset_crypto::{CipherSuite, HmacSha256Suite};
 ///
-/// let suite = HmacSha256Suite::with_keystream(b"auth-key", b"enc-key");
-/// let mut body = *b"secret";
-/// suite.encrypt(7, &mut body);
-/// let icv = suite.icv(7, b"header", &body, None);
+/// let suite = HmacSha256Suite::auth_only(b"auth-key");
+/// assert!(!suite.encrypts());
+/// let icv = suite.icv(7, b"header", b"payload", None);
 /// assert_eq!(icv.len(), suite.icv_len());
-/// suite.decrypt(7, &mut body);
-/// assert_eq!(&body, b"secret");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HmacSha256Suite {
     auth: HmacKey,
-    enc: Option<HmacKey>,
 }
 
 impl HmacSha256Suite {
-    /// Integrity + keystream confidentiality (the default transform).
-    pub fn with_keystream(auth_key: &[u8], enc_key: &[u8]) -> Self {
-        HmacSha256Suite {
-            auth: HmacKey::new(auth_key),
-            enc: Some(HmacKey::new(enc_key)),
-        }
-    }
-
     /// Integrity only (ESP with null encryption, RFC 2410 style).
     pub fn auth_only(auth_key: &[u8]) -> Self {
         HmacSha256Suite {
             auth: HmacKey::new(auth_key),
-            enc: None,
         }
     }
 
@@ -503,19 +487,11 @@ impl HmacSha256Suite {
 
 impl CipherSuite for HmacSha256Suite {
     fn name(&self) -> &'static str {
-        if self.enc.is_some() {
-            "hmac-sha256-keystream"
-        } else {
-            "hmac-sha256-auth-only"
-        }
+        "hmac-sha256-auth-only"
     }
 
     fn key_len(&self) -> usize {
-        if self.enc.is_some() {
-            64
-        } else {
-            32
-        }
+        32
     }
 
     fn icv_len(&self) -> usize {
@@ -523,19 +499,12 @@ impl CipherSuite for HmacSha256Suite {
     }
 
     fn encrypts(&self) -> bool {
-        self.enc.is_some()
+        false
     }
 
-    fn encrypt(&self, seq: u64, body: &mut [u8]) {
-        if let Some(enc) = &self.enc {
-            xor_keystream_with(enc, seq, body);
-        }
-    }
+    fn encrypt(&self, _seq: u64, _body: &mut [u8]) {}
 
-    fn decrypt(&self, seq: u64, body: &mut [u8]) {
-        // The keystream is an involution.
-        self.encrypt(seq, body);
-    }
+    fn decrypt(&self, _seq: u64, _body: &mut [u8]) {}
 
     fn icv(&self, _seq: u64, header: &[u8], ciphertext: &[u8], esn_hi: Option<u32>) -> Icv {
         Icv::new(&self.tag(header, ciphertext, esn_hi)[..HMAC_ICV_LEN])
@@ -909,7 +878,7 @@ impl CipherSuite for ChaCha20Poly1305Suite {
                 0 => *block0 = *block,
                 c => {
                     let end = body.len().min(c * 64);
-                    xor_keystream(&mut body[(c - 1) * 64..end], block);
+                    xor_block(&mut body[(c - 1) * 64..end], block);
                 }
             }
         }
@@ -1002,7 +971,7 @@ mod tests {
 
     #[test]
     fn hmac_suite_matches_raw_hmac_over_concatenation() {
-        let suite = HmacSha256Suite::with_keystream(b"auth", b"enc");
+        let suite = HmacSha256Suite::auth_only(b"auth");
         let header = b"HDRBYTES0012";
         let ct = b"ciphertext region";
         let icv = suite.icv(5, header, ct, None);
@@ -1017,7 +986,7 @@ mod tests {
 
     #[test]
     fn hmac_batch_agrees_with_sequential_including_corruption() {
-        let suite = HmacSha256Suite::with_keystream(b"batch-auth", b"batch-enc");
+        let suite = HmacSha256Suite::auth_only(b"batch-auth");
         let mut storage: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> = Vec::new();
         for i in 0..50u64 {
             let header = vec![i as u8; 12];
@@ -1110,7 +1079,7 @@ mod tests {
 
     #[test]
     fn suites_reject_each_others_tags() {
-        let hmac = HmacSha256Suite::with_keystream(b"k", b"e");
+        let hmac = HmacSha256Suite::auth_only(b"k");
         let aead = ChaCha20Poly1305Suite::new([1u8; 32]);
         let body = b"payload".to_vec();
         let hmac_icv = hmac.icv(1, b"hdr", &body, None);
@@ -1121,18 +1090,16 @@ mod tests {
 
     #[test]
     fn metadata_is_consistent() {
-        let hk = HmacSha256Suite::with_keystream(b"a", b"e");
         let ha = HmacSha256Suite::auth_only(b"a");
         let cc = ChaCha20Poly1305Suite::new([0u8; 32]);
-        for s in [&hk as &dyn CipherSuite, &ha, &cc] {
+        for s in [&ha as &dyn CipherSuite, &cc] {
             assert!(s.icv_len() <= MAX_ICV_LEN, "{}", s.name());
             assert_eq!(s.iv_len(), 0, "{}", s.name());
             assert!(s.key_len() >= 32, "{}", s.name());
         }
-        assert!(hk.encrypts());
         assert!(!ha.encrypts());
         assert!(cc.encrypts());
-        assert_ne!(hk.name(), ha.name());
+        assert_ne!(ha.name(), cc.name());
     }
 
     #[test]
@@ -1146,7 +1113,6 @@ mod tests {
     #[test]
     fn encrypt_decrypt_round_trip_all_suites() {
         let suites: Vec<Box<dyn CipherSuite>> = vec![
-            Box::new(HmacSha256Suite::with_keystream(b"a", b"e")),
             Box::new(HmacSha256Suite::auth_only(b"a")),
             Box::new(ChaCha20Poly1305Suite::new([3u8; 32])),
         ];

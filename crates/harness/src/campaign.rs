@@ -61,7 +61,7 @@ impl Default for CampaignConfig {
         CampaignConfig {
             seed: 0x0001_cdc5_2003,
             suites: vec![
-                CryptoSuite::HmacSha256WithKeystream,
+                CryptoSuite::HmacSha256AuthOnly,
                 CryptoSuite::ChaCha20Poly1305,
             ],
             shard_counts: vec![1, 4],
@@ -79,7 +79,7 @@ impl CampaignConfig {
     pub fn quick(seed: u64) -> Self {
         CampaignConfig {
             seed,
-            suites: vec![CryptoSuite::HmacSha256WithKeystream],
+            suites: vec![CryptoSuite::HmacSha256AuthOnly],
             shard_counts: vec![1],
             sas: 3,
             rounds: 6,

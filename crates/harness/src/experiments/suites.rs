@@ -125,10 +125,10 @@ mod tests {
 
     #[test]
     fn overheads_reflect_icv_sizes() {
-        let legacy = run(CryptoSuite::HmacSha256WithKeystream, 50, 64);
+        let auth_only = run(CryptoSuite::HmacSha256AuthOnly, 50, 64);
         let aead = run(CryptoSuite::ChaCha20Poly1305, 50, 64);
         // 16-byte Poly1305 tag vs 12-byte truncated HMAC.
-        assert_eq!(aead.overhead_bytes, legacy.overhead_bytes + 4);
+        assert_eq!(aead.overhead_bytes, auth_only.overhead_bytes + 4);
     }
 
     #[test]
@@ -138,7 +138,7 @@ mod tests {
         // Default preference order: the AEAD leads with its 16-byte tag.
         assert_eq!(t.cell(0, 0), Some("chacha20-poly1305"));
         assert_eq!(t.cell(0, 1), Some("28B"));
-        assert_eq!(t.cell(1, 0), Some("hmac-sha256-keystream"));
+        assert_eq!(t.cell(1, 0), Some("hmac-sha256-auth-only"));
         assert_eq!(t.cell(1, 1), Some("24B"));
     }
 }

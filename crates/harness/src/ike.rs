@@ -11,7 +11,10 @@
 //! authentication with a pre-shared key, and an exact cost ledger
 //! (messages, round trips, modular exponentiations, PRF invocations,
 //! bytes). Experiment t5 compares this ledger against the SAVE/FETCH
-//! recovery path, reproducing the paper's cost argument.
+//! recovery path, reproducing the paper's cost argument. The default
+//! proposal offers every suite in [`CryptoSuite::ALL`] — the
+//! ChaCha20-Poly1305 AEAD, then HMAC-SHA-256-96 with null encryption —
+//! at 8 bytes a transform, so the ledger's bytes follow that list.
 //!
 //! None of this is on the gateway path: an SA pair negotiated here is
 //! installed with `reset_ipsec::Gateway::install_pair`, and the
@@ -453,7 +456,7 @@ mod tests {
             2,
             &[
                 CryptoSuite::ChaCha20Poly1305,
-                CryptoSuite::HmacSha256WithKeystream,
+                CryptoSuite::HmacSha256AuthOnly,
             ],
         )
         .unwrap();
@@ -492,7 +495,7 @@ mod tests {
     #[test]
     fn wire_lengths_nonzero() {
         let p = IkeMessage::Proposal {
-            suites: vec![CryptoSuite::HmacSha256WithKeystream],
+            suites: vec![CryptoSuite::HmacSha256AuthOnly],
             nonce_i: [0; 16],
         };
         assert!(p.wire_len() > 16);

@@ -840,10 +840,10 @@ mod tests {
         assert_eq!(out.monitor.replays_accepted, 0, "dups never double-deliver");
     }
 
-    /// The two real transforms the §3 experiments must sweep (auth-only
-    /// is covered by the unit layers; it changes nothing here).
+    /// The two transforms the §3 experiments must sweep: the auth-only
+    /// one delivers without a copy, the AEAD through the drain's arena.
     const ESP_SUITES: [CryptoSuite; 2] = [
-        CryptoSuite::HmacSha256WithKeystream,
+        CryptoSuite::HmacSha256AuthOnly,
         CryptoSuite::ChaCha20Poly1305,
     ];
 

@@ -44,7 +44,7 @@
 //!    [`reset_crypto::ChaCha20Poly1305Suite::verify_batch_across`] keying
 //!    each lane with its own SA — so a wide fleet, whose runs are single
 //!    frames, still fills the lanes; a slice's last group may be partial.
-//!    The HMAC suites verify per run through
+//!    The HMAC suite verifies per run through
 //!    [`reset_crypto::CipherSuite::verify_batch`], in groups of that run's
 //!    frames.
 //! 3. **Window.** Per run, in arrival order: the window, the machine,
@@ -57,9 +57,10 @@
 //!    stale — so every verdict is the one a frame-at-a-time receiver would
 //!    reach.
 //! 4. **Decrypt.** One call over the slice's payloads:
-//!    [`reset_crypto::ChaCha20Poly1305Suite::decrypt_batch_across`] for
-//!    every AEAD payload whichever SA it is for, the keystream suite's
-//!    payloads one at a time.
+//!    [`reset_crypto::ChaCha20Poly1305Suite::decrypt_batch_across`], each
+//!    payload under its own SA's key. The AEAD is the only suite that
+//!    encrypts; an auth-only payload is delivered without a copy and
+//!    never decrypted.
 //!
 //! Why slices: the warm pass overlaps the record misses, but over a whole
 //! 4 096-frame batch of a wide fleet it warms 4 096 receive runs on as
@@ -600,9 +601,6 @@ pub(crate) struct DrainScratch {
     /// `(slot, seq, arena range)` of every payload this drain delivered
     /// into the arena, for the decrypt of its slice.
     jobs: Vec<(u32, u64, Range<usize>)>,
-    /// Whether a job of the current slice is under the keystream suite,
-    /// which the cross-key decrypt does not take.
-    keystream: bool,
     /// Per job, the index of its placeholder in the result vector.
     slots: Vec<usize>,
     /// The drain's decryption arena, empty between drains.
@@ -629,25 +627,15 @@ impl DrainScratch {
         self.arena_used = 0;
     }
 
-    /// A slice's one decrypt, over the jobs from `from` on: every AEAD
-    /// payload, whichever SA delivered it, in one cross-key call; the
-    /// keystream suite's, which has no lanes across keys, one at a time.
+    /// A slice's one decrypt, over the jobs from `from` on: every
+    /// payload, whichever SA delivered it, in one cross-key AEAD call.
     /// `sa_of` names the SA a job's slot holds.
     fn decrypt<'s>(&mut self, from: usize, sa_of: impl Fn(u32) -> &'s SecurityAssociation) {
-        let buf = self.arena.as_mut();
-        let jobs = &self.jobs[from..];
-        let aead = jobs
-            .iter()
-            .filter_map(|(slot, seq, range)| Some((sa_of(*slot).aead()?, *seq, range.clone())));
-        ChaCha20Poly1305Suite::decrypt_batch_across(buf, aead);
-        if std::mem::take(&mut self.keystream) {
-            for (slot, seq, range) in jobs {
-                let sa = sa_of(*slot);
-                if sa.aead().is_none() {
-                    sa.cipher().decrypt(*seq, &mut buf[range.clone()]);
-                }
-            }
-        }
+        let jobs = self.jobs[from..].iter().map(|(slot, seq, range)| {
+            let suite = sa_of(*slot).aead().expect("only an AEAD payload is a job");
+            (suite, *seq, range.clone())
+        });
+        ChaCha20Poly1305Suite::decrypt_batch_across(self.arena.as_mut(), jobs);
     }
 
     /// Closes the drain: freezes the arena once and points every
@@ -847,7 +835,7 @@ impl<S: StableStore> Inbound<S> {
     /// well-framed one to a verify call. ESN high halves are guessed at
     /// the right edge as of slice start, and re-checked in walk (iii). An
     /// AEAD SA's frames join `across`, the cross-SA group the drain
-    /// flushes; the HMAC suites verify a run's frames through their own
+    /// flushes; the HMAC suite verifies a run's frames through its own
     /// `verify_batch`, in stack groups of this run.
     fn parse_run<'a, 'w: 'a>(
         &'a self,
@@ -973,7 +961,6 @@ impl<S: StableStore> Inbound<S> {
         // decrypt fills the lanes across frames and SAs.
         let esn = self.sa.esn();
         let body_off = HEADER_LEN + self.sa.cipher().iv_len();
-        let keystream = self.sa.aead().is_none();
         // The run sizes and borrows the arena at its first payload (empty
         // until then), once: its uniqueness is checked per run, not per
         // frame, and the zero fill `resize` owes covers this run's bytes,
@@ -1026,8 +1013,9 @@ impl<S: StableStore> Inbound<S> {
                     delivered = true;
                     self.sa.account(payload_len);
                     let body = body_off..body_off + payload_len;
-                    if !self.sa.cipher().encrypts() {
-                        // Zero-copy: the payload is a slice of the input.
+                    if self.sa.aead().is_none() {
+                        // Zero-copy: the payload of the one suite that
+                        // does not encrypt is a slice of the input.
                         out.push(RxResult::Delivered {
                             payload: wire.slice(body),
                             seq,
@@ -1049,7 +1037,6 @@ impl<S: StableStore> Inbound<S> {
                     arena[range.clone()].copy_from_slice(&wire[body]);
                     scratch.arena_used = range.end;
                     scratch.jobs.push((slot, seq.value(), range));
-                    scratch.keystream |= keystream;
                     scratch.slots.push(out.len());
                     out.push(RxResult::Delivered {
                         payload: Bytes::new(),
@@ -1677,23 +1664,23 @@ mod tests {
         // Same keys, different negotiated suite: every frame must be
         // rejected by the ICV check, not misparsed.
         let keys = SaKeys::derive(b"cross", b"d");
-        let legacy = SecurityAssociation::new(0x63, keys.clone())
-            .with_suite(CryptoSuite::HmacSha256WithKeystream);
+        let hmac = SecurityAssociation::new(0x63, keys.clone())
+            .with_suite(CryptoSuite::HmacSha256AuthOnly);
         let aead = SecurityAssociation::new(0x63, keys).with_suite(CryptoSuite::ChaCha20Poly1305);
-        let mut tx_legacy = Outbound::new(legacy.clone(), MemStable::new(), 25);
+        let mut tx_hmac = Outbound::new(hmac.clone(), MemStable::new(), 25);
         let mut tx_aead = Outbound::new(aead.clone(), MemStable::new(), 25);
-        let mut rx_legacy = Inbound::new(legacy, MemStable::new(), 25, 64);
+        let mut rx_hmac = Inbound::new(hmac, MemStable::new(), 25, 64);
         let mut rx_aead = Inbound::new(aead, MemStable::new(), 25, 64);
         for _ in 0..5 {
-            let from_legacy = tx_legacy.protect(b"legacy frame").unwrap().unwrap();
+            let from_hmac = tx_hmac.protect(b"auth-only frame").unwrap().unwrap();
             let from_aead = tx_aead.protect(b"aead frame").unwrap().unwrap();
-            assert!(rx_aead.process(&from_legacy).is_err(), "stale-suite frame");
-            assert!(rx_legacy.process(&from_aead).is_err(), "future-suite frame");
-            assert!(rx_legacy.process(&from_legacy).unwrap().is_delivered());
+            assert!(rx_aead.process(&from_hmac).is_err(), "stale-suite frame");
+            assert!(rx_hmac.process(&from_aead).is_err(), "future-suite frame");
+            assert!(rx_hmac.process(&from_hmac).unwrap().is_delivered());
             assert!(rx_aead.process(&from_aead).unwrap().is_delivered());
         }
         assert_eq!(rx_aead.auth_failures(), 5);
-        assert_eq!(rx_legacy.auth_failures(), 5);
+        assert_eq!(rx_hmac.auth_failures(), 5);
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub struct RekeyRequest {
     /// SPI for the replacement SA.
     pub new_spi: u32,
     /// Suite for the replacement SA. A rekey may migrate the SA to a
-    /// different transform (e.g. legacy HMAC+keystream → ChaCha20-
-    /// Poly1305); the suite id is bound into the key derivation, so the
+    /// different transform (e.g. HMAC auth-only → ChaCha20-Poly1305);
+    /// the suite id is bound into the key derivation, so the
     /// replacement's keys differ from those the same nonces and SPI
     /// would derive under any other suite.
     pub suite: CryptoSuite,
@@ -157,12 +157,12 @@ mod tests {
     fn suite_migration_derives_distinct_keys_and_installs_suite() {
         let aead = rekey(&req(0x70)); // default suite: the AEAD
         let mut r = req(0x70);
-        r.suite = CryptoSuite::HmacSha256WithKeystream;
-        let legacy = rekey(&r);
+        r.suite = CryptoSuite::HmacSha256AuthOnly;
+        let auth_only = rekey(&r);
         assert_eq!(aead.suite(), CryptoSuite::ChaCha20Poly1305);
-        assert_eq!(legacy.suite(), CryptoSuite::HmacSha256WithKeystream);
+        assert_eq!(auth_only.suite(), CryptoSuite::HmacSha256AuthOnly);
         assert_ne!(
-            legacy.keys(),
+            auth_only.keys(),
             aead.keys(),
             "keymat domains separated by suite id"
         );

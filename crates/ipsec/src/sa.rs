@@ -16,26 +16,21 @@ use crate::IpsecError;
 /// carry the [`CryptoSuite::wire_id`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CryptoSuite {
-    /// HMAC-SHA-256-96 integrity + HMAC-CTR keystream confidentiality
-    /// (the original transform; still negotiable).
-    HmacSha256WithKeystream,
-    /// Integrity only (ESP with null encryption, RFC 2410 style).
+    /// HMAC-SHA-256-96 integrity with null encryption (RFC 2410): the
+    /// payload travels in the clear and is delivered without a copy.
     HmacSha256AuthOnly,
     /// ChaCha20-Poly1305 AEAD (RFC 8439): one transform providing both
-    /// confidentiality and a 128-bit tag. The default — it runs the
-    /// batched receive pipeline ~5× faster than the HMAC+keystream
-    /// transform (see the `suites` experiment).
+    /// confidentiality and a 128-bit tag. The default, and the only
+    /// suite that encrypts.
     #[default]
     ChaCha20Poly1305,
 }
 
 impl CryptoSuite {
     /// Every negotiable suite, in default preference order (the AEAD
-    /// first: it is both the fastest and the only single-pass
-    /// transform).
+    /// first: it is the only one that encrypts).
     pub const ALL: &'static [CryptoSuite] = &[
         CryptoSuite::ChaCha20Poly1305,
-        CryptoSuite::HmacSha256WithKeystream,
         CryptoSuite::HmacSha256AuthOnly,
     ];
 
@@ -44,17 +39,16 @@ impl CryptoSuite {
     /// SA-class key.
     pub fn name(self) -> &'static str {
         match self {
-            CryptoSuite::HmacSha256WithKeystream => "hmac-sha256-keystream",
             CryptoSuite::HmacSha256AuthOnly => "hmac-sha256-auth-only",
             CryptoSuite::ChaCha20Poly1305 => "chacha20-poly1305",
         }
     }
 
     /// The transform identifier carried in IKE proposals and rekey
-    /// exchanges.
+    /// exchanges. Id 1, the retired HMAC-CTR keystream transform, is
+    /// never reused.
     pub fn wire_id(self) -> u8 {
         match self {
-            CryptoSuite::HmacSha256WithKeystream => 1,
             CryptoSuite::HmacSha256AuthOnly => 2,
             CryptoSuite::ChaCha20Poly1305 => 3,
         }
@@ -64,7 +58,6 @@ impl CryptoSuite {
     /// responder must reject rather than default).
     pub fn from_wire_id(id: u8) -> Option<CryptoSuite> {
         match id {
-            1 => Some(CryptoSuite::HmacSha256WithKeystream),
             2 => Some(CryptoSuite::HmacSha256AuthOnly),
             3 => Some(CryptoSuite::ChaCha20Poly1305),
             _ => None,
@@ -76,9 +69,6 @@ impl CryptoSuite {
     /// ([`reset_crypto::Backend::select`]).
     fn build(self, keys: &SaKeys) -> SuiteState {
         match self {
-            CryptoSuite::HmacSha256WithKeystream => SuiteState::Hmac(Box::new(
-                HmacSha256Suite::with_keystream(&keys.auth, &keys.enc),
-            )),
             CryptoSuite::HmacSha256AuthOnly => {
                 SuiteState::Hmac(Box::new(HmacSha256Suite::auth_only(&keys.auth)))
             }
@@ -92,12 +82,12 @@ impl CryptoSuite {
 /// [`SecurityAssociation::cipher`] hands the datapath a `&dyn
 /// CipherSuite`.
 ///
-/// The HMAC suite is boxed. Its two precomputed schedules are ~0.46 KB,
-/// against the AEAD's 32-byte key; inline, every SA — the default AEAD
-/// fleet included — would carry that much in its record. The cost falls
-/// on HMAC SAs alone: one pointer chase per crypto call and one
-/// allocation per install. Those suites are off the wide fleet's hot
-/// path (ARCHITECTURE.md, "The backend model").
+/// The HMAC suite is boxed. Its precomputed key schedule (the ipad and
+/// opad states) is 224 bytes, against the AEAD's 32-byte key; inline,
+/// every SA — the default AEAD fleet included — would carry that much in
+/// its record. The cost falls on HMAC SAs alone: one pointer chase per
+/// crypto call and one allocation per install. That suite is off the
+/// wide fleet's hot path (ARCHITECTURE.md, "The backend model").
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum SuiteState {
     Hmac(Box<HmacSha256Suite>),
@@ -485,21 +475,21 @@ mod tests {
         }
         assert_eq!(CryptoSuite::from_wire_id(0), None);
         assert_eq!(CryptoSuite::from_wire_id(99), None);
+        // Id 1 named the retired HMAC-CTR keystream transform: a proposal
+        // or rekey that carries it is refused, not read as another suite.
+        assert_eq!(CryptoSuite::from_wire_id(1), None);
     }
 
     #[test]
     fn cipher_metadata_tracks_suite() {
         let keys = SaKeys::derive(b"s", b"m");
-        let legacy = SecurityAssociation::new(1, keys.clone())
-            .with_suite(CryptoSuite::HmacSha256WithKeystream);
-        assert_eq!(legacy.cipher().icv_len(), 12);
-        assert!(legacy.cipher().encrypts());
-        let aead = legacy.clone().with_suite(CryptoSuite::ChaCha20Poly1305);
-        assert_eq!(aead.cipher().icv_len(), 16);
-        assert!(aead.cipher().encrypts());
         let auth_only =
             SecurityAssociation::new(1, keys).with_suite(CryptoSuite::HmacSha256AuthOnly);
+        assert_eq!(auth_only.cipher().icv_len(), 12);
         assert!(!auth_only.cipher().encrypts());
+        let aead = auth_only.clone().with_suite(CryptoSuite::ChaCha20Poly1305);
+        assert_eq!(aead.cipher().icv_len(), 16);
+        assert!(aead.cipher().encrypts());
     }
 
     #[test]

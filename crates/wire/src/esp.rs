@@ -11,7 +11,7 @@
 //!
 //! The ICV authenticates everything before it (header and IV as
 //! associated data, the encrypted payload as ciphertext) under the SA's
-//! suite — `HMAC-SHA-256-96` for the HMAC suites (no IV, 12-byte ICV), a
+//! suite — `HMAC-SHA-256-96` for the HMAC suite (no IV, 12-byte ICV), a
 //! Poly1305 tag for ChaCha20-Poly1305 (16 bytes). As in real IPsec, only
 //! the **low 32 bits** of the sequence number travel on the wire; with
 //! extended sequence numbers (ESN) the high 32 bits are implicit and are
@@ -508,12 +508,12 @@ mod tests {
 
     #[test]
     fn explicit_iv_region_is_laid_out_and_authenticated() {
-        use reset_crypto::Icv;
+        use reset_crypto::{ChaCha20Poly1305Suite, Icv};
         /// A test-only suite with a 8-byte explicit IV riding on the
-        /// wire, delegating crypto to the HMAC suite — exercises the
-        /// layout math for `iv_len > 0`.
+        /// wire, delegating crypto to the AEAD — exercises the layout
+        /// math for `iv_len > 0` on an encrypting suite.
         #[derive(Debug)]
-        struct ExplicitIv(HmacSha256Suite);
+        struct ExplicitIv(ChaCha20Poly1305Suite);
         impl CipherSuite for ExplicitIv {
             fn name(&self) -> &'static str {
                 "test-explicit-iv"
@@ -540,11 +540,13 @@ mod tests {
                 self.0.icv(seq, header, ct, esn_hi)
             }
         }
-        let suite = ExplicitIv(HmacSha256Suite::with_keystream(b"a", b"e"));
+        let suite = ExplicitIv(ChaCha20Poly1305Suite::new([0x1e; 32]));
         let wire = seal_frame(4, 0x0102, b"iv payload", &suite, false).unwrap();
-        assert_eq!(wire.len(), HEADER_LEN + 8 + b"iv payload".len() + 12);
+        assert_eq!(wire.len(), HEADER_LEN + 8 + b"iv payload".len() + 16);
         // Default fill_iv: seq big-endian in the IV's trailing bytes.
         assert_eq!(&wire[HEADER_LEN..HEADER_LEN + 8], &0x0102u64.to_be_bytes());
+        // The payload after the IV travels encrypted.
+        assert_ne!(&wire[HEADER_LEN + 8..HEADER_LEN + 18], b"iv payload");
         let pkt = open_frame(&wire, &suite, None).unwrap();
         assert_eq!(&pkt.payload[..], b"iv payload");
         // Corrupting the IV region breaks authentication (it is AAD).

@@ -30,10 +30,10 @@
 //!
 //! ```
 //! use bytes::Bytes;
-//! use reset_crypto::HmacSha256Suite;
+//! use reset_crypto::ChaCha20Poly1305Suite;
 //! use reset_wire::{open_frame, seal_frame, WireError};
 //!
-//! let suite = HmacSha256Suite::with_keystream(b"sa-auth-key", b"sa-enc-key");
+//! let suite = ChaCha20Poly1305Suite::new([0x5a; 32]);
 //! let wire = seal_frame(0xABCD, 1, b"first packet", &suite, false)?;
 //!
 //! // The adversary can replay these bytes verbatim...

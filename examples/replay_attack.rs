@@ -11,8 +11,9 @@
 //! packet is accepted; under SAVE/FETCH none are, and the fresh-message
 //! sacrifice stays within the paper's `2K` bound. The experiment runs
 //! through a real [`reset_ipsec::ShardedGateway`] pair: the adversary
-//! replays recorded *ciphertext*, and the verdict is identical for every
-//! suite — the defence is the window, not the transform.
+//! replays recorded frames — authenticated cleartext under the auth-only
+//! suite, ciphertext under the AEAD — and the verdict is identical for
+//! every suite: the defence is the window, not the transform.
 
 use reset_harness::{run_scenario, AdversaryPlan, Protocol, ScenarioConfig, Transport};
 use reset_ipsec::CryptoSuite;
@@ -40,7 +41,7 @@ fn main() {
     println!("=== The Section 3 attack: reset the receiver, replay everything ===");
 
     let transports = [
-        Transport::esp(CryptoSuite::HmacSha256WithKeystream),
+        Transport::esp(CryptoSuite::HmacSha256AuthOnly),
         Transport::esp(CryptoSuite::ChaCha20Poly1305),
         // The same attack against a 64-SA fleet on a 4-shard gateway
         // (four persistent pool workers per side, spawned once at
@@ -85,6 +86,6 @@ fn main() {
     }
     println!(
         "\nresult: the attack devastates the baseline and bounces off SAVE/FETCH — \
-         on real ciphertext in every suite."
+         on real ESP frames in every suite."
     );
 }

@@ -9,13 +9,15 @@
 //! however the batch falls into SPI runs — and so does the whole cycle
 //! with the background SAVEs of the default `K` issued and completed
 //! every batch; a drain whose arena is still pinned by held payloads
-//! allocates one fresh arena more; a single-frame `push_wire` allocates
+//! allocates one fresh arena more (and the auth-only suite, whose payloads
+//! are slices of their frames, pins no arena and allocates exactly its
+//! event vector); a single-frame `push_wire` allocates
 //! nothing and `protect` exactly the one buffer it returns; the machine
 //! and its driver allocate nothing per message, nor to complete a
 //! witnessed SAVE or a wake-up; an idle `tick` allocates nothing, and
 //! installing an SA pair nothing but its share of the fleet's growth.
 //! The datapath counts hold on every crypto backend, for the default
-//! suite and for the HMAC one.
+//! suite and for the HMAC auth-only one.
 //!
 //! A counting `#[global_allocator]` sees every thread (the sharded drain
 //! allocates on its workers), so everything lives in **one** `#[test]`:
@@ -111,6 +113,10 @@ const PAYLOAD: [u8; 64] = [0xA7; 64];
 /// (10 800 a batch) and 11 per frame on singleton runs (45 000); before
 /// ISSUE 18 a batch that issued its SAVEs allocated 42.
 const PER_BATCH: u64 = 4;
+/// What a plain gateway's drain allocates per batch, exactly, when every
+/// payload is a slice of its frame (the auth-only suite): the event
+/// vector. No arena is reserved, reclaimed or pinned.
+const ZERO_COPY_BATCH: u64 = 1;
 /// The same through a 2-shard pool, exactly, for runs of 16 over 256 SAs
 /// and for singleton runs over 4 096: the fan-out adds the shared
 /// `Arc<[Bytes]>`, one route vector per shard reserved for the whole
@@ -128,6 +134,16 @@ const SHARDED_SAVE_CYCLE: u64 = 18;
 /// The transform a fleet runs: its suite, and the crypto backend forced
 /// on it.
 type Crypto = (CryptoSuite, Backend);
+
+/// Whether a plain gateway's per-batch count is the suite's: exactly
+/// [`ZERO_COPY_BATCH`] without a copy, at most [`PER_BATCH`] through the
+/// decryption arena.
+fn plain_batch_ok(suite: CryptoSuite, allocs: u64) -> bool {
+    match suite {
+        CryptoSuite::HmacSha256AuthOnly => allocs == ZERO_COPY_BATCH,
+        CryptoSuite::ChaCha20Poly1305 => allocs <= PER_BATCH,
+    }
+}
 
 fn sa(spi: u32, (suite, backend): Crypto) -> SecurityAssociation {
     let keys = SaKeys::derive(b"it-alloc", &spi.to_be_bytes());
@@ -327,9 +343,9 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
         "add_peer allocated {per_pair:.2} times per SA pair ({allocs} for 1 024)"
     );
 
-    // Every backend, for the default suite and the HMAC one.
+    // Every backend, for the default suite and the auth-only one.
     for backend in Backend::ALL.into_iter().filter(|b| b.is_supported()) {
-        for suite in [CryptoSuite::default(), CryptoSuite::HmacSha256WithKeystream] {
+        for suite in [CryptoSuite::default(), CryptoSuite::HmacSha256AuthOnly] {
             let crypto = (suite, backend);
             // ---- the drain: per-batch constant, whatever the run length.
             // (a) 16-frame runs over 256 SAs; (b) singleton runs over 4 096
@@ -344,9 +360,10 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
                     rx.poll_events()
                 });
                 assert!(
-                    allocs <= PER_BATCH,
+                    plain_batch_ok(suite, allocs),
                     "{suite:?} on {backend}: {BATCH} frames in runs of {run} over {sas} SAs \
-                     allocated {allocs} times (limit {PER_BATCH} per batch)"
+                     allocated {allocs} times (limit {PER_BATCH} per batch, exactly \
+                     {ZERO_COPY_BATCH} zero-copy)"
                 );
                 let mut rx = sharded_gateway(sas, crypto, NO_SAVES);
                 let allocs = drain_allocs((sas, run), crypto, (1, 1), |batch| {
@@ -378,9 +395,10 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
             });
             assert!(batches_that_saved >= 4, "the cycle must issue SAVEs");
             assert!(
-                allocs <= PER_BATCH,
+                plain_batch_ok(suite, allocs),
                 "{suite:?} on {backend}: a batch with its SAVEs issued and completed \
-                 allocated {allocs} times (limit {PER_BATCH} per batch)"
+                 allocated {allocs} times (limit {PER_BATCH} per batch, exactly \
+                 {ZERO_COPY_BATCH} zero-copy)"
             );
             let mut rx = sharded_gateway(shape.0, crypto, DEFAULT_K);
             let allocs = drain_allocs(shape, crypto, (2, 6), |batch| {
@@ -398,6 +416,11 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
             // ---- a drain whose previous payloads are still held cannot
             // reclaim its arena: it allocates one fresh one, its bytes and
             // counts in a single allocation, on top of a free drain's count.
+            // A zero-copy payload holds its frame, not an arena.
+            let fresh_arenas = match suite {
+                CryptoSuite::HmacSha256AuthOnly => 0,
+                CryptoSuite::ChaCha20Poly1305 => 1,
+            };
             let shape = (256u32, 16usize);
             let mut tx = gateway(shape.0, crypto, NO_SAVES);
             let mut rx = gateway(shape.0, crypto, NO_SAVES);
@@ -417,9 +440,9 @@ fn the_datapath_allocates_per_batch_not_per_frame() {
             assert_all_delivered(&events, "free batch");
             assert_eq!(
                 pinned,
-                free + 1,
+                free + fresh_arenas,
                 "{suite:?} on {backend}: a drain behind held payloads must allocate exactly \
-                 one fresh arena"
+                 {fresh_arenas} fresh arena(s)"
             );
 
             // ---- single frames: push_wire allocates nothing at all once

@@ -2,7 +2,7 @@
 //! churn, folded into one SHA-256 per (suite, engine).
 //!
 //! A seeded operation mix drives the engine under test — a plain
-//! [`Gateway`] and a 2-shard [`ShardedGateway`], both real suites — beside
+//! [`Gateway`] and a 2-shard [`ShardedGateway`], both suites — beside
 //! a plain peer gateway: installs and teardowns with SPI and slot reuse,
 //! `protect`, batches of fresh / replayed / corrupted / unknown-SPI / runt
 //! frames in long SPI runs and in singletons, `save_completed`, `tick`
@@ -16,9 +16,12 @@
 //!
 //! No other test pins *global* event order with timers armed and SAs
 //! coming and going, and it is the one property a change to how per-SA
-//! state is stored must not move. The constants below were recorded at
-//! commit `66ffa97` (the parent of ISSUE 18) and are not to be re-recorded
-//! by a refactor: a mismatch means behaviour moved. One sequence is kept
+//! state is stored must not move. The `ChaCha20Poly1305` constants below
+//! were recorded at commit `66ffa97` (the parent of ISSUE 18), the
+//! `HmacSha256AuthOnly` ones by running this mix at commit `1dad588`, the
+//! last with the HMAC-CTR keystream suite, with auth-only in that suite's
+//! row. Neither is to be re-recorded by a refactor: a mismatch means
+//! behaviour moved. One sequence is kept
 //! out of the mix on purpose — tearing down, replacing or re-fetching an SA
 //! between `begin_recover` and `finish_recover` — because ISSUE 18 fixes a
 //! bug there (`gateway.rs` unit tests pin the fixed behaviour).
@@ -43,12 +46,12 @@ const OPS: u32 = 5_000;
 const POOL: u32 = 320;
 const SKEYID: &[u8] = b"digest-skeyid";
 
-/// Recorded at the parent commit; see the module docs.
+/// Recorded before the refactors they guard; see the module docs.
 const EXPECTED: [(CryptoSuite, &str, &str); 2] = [
     (
-        CryptoSuite::HmacSha256WithKeystream,
-        "58bcaaf732ed0464d99bc63876bbf8497f52936b151005ac73ef7faa7befbcf8",
-        "67f11b73d4a2a13fc7ac367e79eb6f6f7a7c6aef63827c0c7bbd052d73819637",
+        CryptoSuite::HmacSha256AuthOnly,
+        "1e5804752b6e9c5b1b300c55b302645596f53b5224e8c6a45aa7f772028b0af8",
+        "51d174d63d1b2930ba918ab062714a5bd61d7b80349febec434ebf36d2cd1a18",
     ),
     (
         CryptoSuite::ChaCha20Poly1305,

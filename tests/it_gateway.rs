@@ -15,9 +15,10 @@ use reset_wire::seal_frame;
 const SPI: u32 = 0x6A7E;
 const MASTER: &[u8] = b"it-gateway-master";
 
-/// The two real transforms the §3 experiments sweep.
+/// The two transforms the §3 experiments sweep: auth-only (delivered
+/// without a copy) and the AEAD (decrypted through the drain's arena).
 const SUITES: [CryptoSuite; 2] = [
-    CryptoSuite::HmacSha256WithKeystream,
+    CryptoSuite::HmacSha256AuthOnly,
     CryptoSuite::ChaCha20Poly1305,
 ];
 
@@ -737,8 +738,22 @@ fn drain_slices_are_invisible_for_both_suites() {
         let count = |kind: fn(&GatewayEvent) -> bool| events.iter().filter(|e| kind(e)).count();
         assert!(count(|e| matches!(e, GatewayEvent::Delivered { .. })) > N / 2);
         assert!(count(|e| matches!(e, GatewayEvent::ReplayDropped { .. })) >= 10);
-        assert!(count(|e| matches!(e, GatewayEvent::UnknownSa { spi: 0xDEAD })) == 4);
-        assert!(count(|e| matches!(e, GatewayEvent::AuthFailed { spi: 0 })) == 4);
+        // Four of each were put in; a replay may have copied more.
+        let sent = |kind: fn(&Bytes) -> bool| frames.iter().filter(|f| kind(f)).count();
+        let unknown = sent(|f| f.starts_with(&0xDEAD_u32.to_be_bytes()));
+        let runts = sent(|f| f.len() < 4);
+        assert!(
+            unknown >= 4 && runts >= 4,
+            "{suite:?}: {unknown} unknown, {runts} runts"
+        );
+        assert_eq!(
+            count(|e| matches!(e, GatewayEvent::UnknownSa { spi: 0xDEAD })),
+            unknown
+        );
+        assert_eq!(
+            count(|e| matches!(e, GatewayEvent::AuthFailed { spi: 0 })),
+            runts
+        );
         let stale = GatewayEvent::AuthFailed { spi: ESN_SPI };
         assert!(events.contains(&stale), "{suite:?}: the stale guess");
         assert_eq!(batch.right_edge(ESN_SPI).unwrap().value(), WRAP + 7);

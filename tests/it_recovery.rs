@@ -232,14 +232,14 @@ fn down_peer_drops_traffic() {
 
 #[test]
 fn recovery_after_suite_change_converges_and_blocks_stale_suite_replays() {
-    // A gateway rekeys one SA from the legacy suite to the AEAD suite,
+    // A gateway rekeys one SA from the auth-only suite to the AEAD suite,
     // then the whole host resets. SAVE/FETCH recovery must rescue the
     // *migrated* SA (counters only — the new suite and keys live in the
     // SADB, exactly the paper's point that only counters change per
     // packet), while frames recorded under the old suite stay dead.
     let spi = 0x900u32;
     let keys0 = SaKeys::derive(b"rec-mig", b"gen0");
-    let sa0 = SecurityAssociation::new(spi, keys0).with_suite(CryptoSuite::HmacSha256WithKeystream);
+    let sa0 = SecurityAssociation::new(spi, keys0).with_suite(CryptoSuite::HmacSha256AuthOnly);
     let mut db: Sadb<MemStable> = Sadb::new();
     db.install_outbound(sa0.clone(), MemStable::new(), 10);
     db.install_inbound(sa0, MemStable::new(), 10, 64);

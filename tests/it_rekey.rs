@@ -115,11 +115,10 @@ fn rekey_reusing_spi_resets_counters_and_slots() {
 
 #[test]
 fn rekey_to_aead_suite_delivers_in_order_and_rejects_stale_suite_frames() {
-    // Generation 0 runs the legacy HMAC+keystream suite.
+    // Generation 0 runs the HMAC auth-only suite.
     let keys = SaKeys::derive(b"phase1", b"mig0");
-    let sa0 =
-        SecurityAssociation::new(0x400, keys).with_suite(CryptoSuite::HmacSha256WithKeystream);
-    assert_eq!(sa0.suite(), CryptoSuite::HmacSha256WithKeystream);
+    let sa0 = SecurityAssociation::new(0x400, keys).with_suite(CryptoSuite::HmacSha256AuthOnly);
+    assert_eq!(sa0.suite(), CryptoSuite::HmacSha256AuthOnly);
     let (mut tx0, mut rx0) = fresh_pair(&sa0, 10);
     let mut recorded_gen0 = Vec::new();
     for i in 0..25u32 {

@@ -38,10 +38,10 @@ use reset_ipsec::{
 use reset_sim::DetRng;
 use reset_stable::MemStable;
 
-/// The two real transforms (auth-only adds nothing over the HMAC one
-/// for routing/merging semantics).
+/// The two transforms: auth-only (delivered without a copy) and the
+/// AEAD (decrypted through each shard's arena).
 const SUITES: [CryptoSuite; 2] = [
-    CryptoSuite::HmacSha256WithKeystream,
+    CryptoSuite::HmacSha256AuthOnly,
     CryptoSuite::ChaCha20Poly1305,
 ];
 
@@ -468,13 +468,13 @@ fn malformed_frames_become_events_never_panics() {
 #[test]
 fn cross_suite_frames_fail_authentication_through_shard_routing() {
     let spis = fleet_spis();
-    let mut tx_legacy = tx_gateway(CryptoSuite::HmacSha256WithKeystream);
+    let mut tx_auth_only = tx_gateway(CryptoSuite::HmacSha256AuthOnly);
     let mut rx_aead = rx_sharded(CryptoSuite::ChaCha20Poly1305, 4);
     let frames: Vec<Bytes> = spis
         .iter()
         .take(16)
         .map(|&spi| {
-            tx_legacy
+            tx_auth_only
                 .protect(spi, b"wrong suite")
                 .unwrap()
                 .unwrap()
