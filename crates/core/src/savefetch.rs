@@ -252,6 +252,13 @@ impl<S: StableStore> SfDriver<S> {
         self.saver.complete()
     }
 
+    /// [`BackgroundSaver::stage`]s the SAVE in flight: `true` iff the store
+    /// deferred it to the flush [`save_completed`](Self::save_completed) or
+    /// [`finish_wakeup`](Self::finish_wakeup) then settles on.
+    pub fn stage_save(&mut self) -> Result<bool, StableError> {
+        self.saver.stage()
+    }
+
     /// Drops the in-flight background SAVE without completing it — the
     /// device failed the write. Volatile protocol state is untouched
     /// (`lst` advanced at issue time), so a later FETCH simply finds an

@@ -184,6 +184,16 @@ impl Half {
     const BOTH: [Half; 2] = [Half::Outbound, Half::Inbound];
 }
 
+/// A half of a record that a sweep visits, as the SAVE due-list holds it.
+type SweepEntry = (Half, u32, u32);
+
+/// A recovery sweep over `order`: outbound halves SPI ascending, then inbound.
+fn sweep_order(order: &[(u32, u32)]) -> impl Iterator<Item = SweepEntry> + Clone + '_ {
+    Half::BOTH
+        .into_iter()
+        .flat_map(move |half| order.iter().map(move |&(spi, slot)| (half, spi, slot)))
+}
+
 /// What the host keeps per SA besides the endpoints and outside the
 /// frame path — state, as opposed to the due-lists' work (module docs).
 /// A standalone [`Sadb`] counts no rekeys. (The dead-peer state a
@@ -274,6 +284,11 @@ impl<S: StableStore> SaRecord<S> {
                 driver.finish_wakeup().map(|_| Vec::new())
             }
         }
+    }
+
+    /// The driver of `half` if it is installed and waking.
+    fn waking(&mut self, half: Half) -> Option<&mut SfDriver<S>> {
+        self.driver_mut(half).filter(|d| d.phase() == Phase::Waking)
     }
 
     /// True iff `half` is installed and has a SAVE in flight.
@@ -737,18 +752,50 @@ impl<S: StableStore> Sadb<S> {
     pub fn recover_all(&mut self) -> Result<usize, StableError> {
         self.in_order(|db, order| {
             let mut n = 0;
-            for half in Half::BOTH {
-                for &(_, slot) in order {
-                    let record = &mut db.slots[slot as usize];
-                    if let Some(driver) = record.driver_mut(half) {
-                        driver.begin_wakeup()?;
-                        record.finish_wakeup(half, &mut db.scratch)?;
-                        n += 1;
-                    }
+            let stage = |db: &mut Self, (half, _, slot): SweepEntry| {
+                let driver = db.slots[slot as usize].driver_mut(half);
+                driver.map_or(Ok(false), |d| d.begin_wakeup().and_then(|_| d.stage_save()))
+            };
+            let settle = |db: &mut Self, (half, _, slot): SweepEntry| {
+                let record = &mut db.slots[slot as usize];
+                if record.waking(half).is_some() {
+                    record.finish_wakeup(half, &mut db.scratch)?;
+                    n += 1;
                 }
-            }
+                Ok(())
+            };
+            db.sweep_saves(sweep_order(order), stage, settle)?;
             Ok(n)
         })
+    }
+
+    /// One sweep of SAVEs, so that a store that defers its writes (a
+    /// shared [`reset_stable::WalStable`]) writes it at once. `stage` says
+    /// whether the store deferred an entry's SAVE; `settle` completes an
+    /// entry that still needs it. Each entry settles right after its stage
+    /// until one is deferred; from there pass 1 only stages and pass 2
+    /// settles, in order. A store failure aborts; staged SAVEs stay owed.
+    fn sweep_saves(
+        &mut self,
+        entries: impl Iterator<Item = SweepEntry> + Clone,
+        mut stage: impl FnMut(&mut Self, SweepEntry) -> Result<bool, StableError>,
+        mut settle: impl FnMut(&mut Self, SweepEntry) -> Result<(), StableError>,
+    ) -> Result<(), StableError> {
+        let mut deferred_from = None;
+        for (at, entry) in entries.clone().enumerate() {
+            let deferred = stage(self, entry)?;
+            match deferred_from {
+                None if deferred => deferred_from = Some(at),
+                None => settle(self, entry)?,
+                Some(_) => {}
+            }
+        }
+        if let Some(from) = deferred_from {
+            for entry in entries.skip(from) {
+                settle(self, entry)?;
+            }
+        }
+        Ok(())
     }
 
     /// Runs an SPI-ordered sweep over the kept order ([`Sadb::take_order`])
@@ -815,37 +862,36 @@ impl<S: StableStore> Sadb<S> {
     ) -> Result<usize, StableError> {
         self.scratch.runs.clear();
         let unswept = out.len();
-        let recovered = self.in_order(|db, order| {
+        let recovered: Result<usize, StableError> = self.in_order(|db, order| {
             let mut n = 0;
-            for half in Half::BOTH {
-                for &(spi, slot) in order {
-                    let record = &mut db.slots[slot as usize];
-                    if record.driver(half).map(SfDriver::phase) != Some(Phase::Waking) {
-                        continue;
-                    }
-                    let buffered = match record.finish_wakeup(half, &mut db.scratch) {
-                        Ok(buffered) => buffered,
-                        Err(e) => {
-                            // The verdicts of the SAs that did wake go with
-                            // the failed sweep; a retry reports the rest.
-                            out.truncate(unswept);
-                            return Err(e);
-                        }
-                    };
-                    // Classifying buffered frames can put a *new*
-                    // background SAVE in flight behind the wake-up one.
-                    record.queue_save(half, slot, &mut db.saves);
-                    if !buffered.is_empty() {
-                        let len = buffered.len();
-                        let slot = Some(slot);
-                        db.scratch.runs.push(Run { spi, slot, len });
-                        out.extend(buffered);
-                    }
-                    n += 1;
+            let stage = |db: &mut Self, (half, _, slot): SweepEntry| {
+                let driver = db.slots[slot as usize].waking(half);
+                driver.map_or(Ok(false), SfDriver::stage_save)
+            };
+            let settle = |db: &mut Self, (half, spi, slot): SweepEntry| {
+                let record = &mut db.slots[slot as usize];
+                if record.waking(half).is_none() {
+                    return Ok(());
                 }
-            }
+                let buffered = record.finish_wakeup(half, &mut db.scratch)?;
+                // Classifying buffered frames can put a *new* background
+                // SAVE in flight behind the wake-up one.
+                record.queue_save(half, slot, &mut db.saves);
+                if !buffered.is_empty() {
+                    let len = buffered.len();
+                    let slot = Some(slot);
+                    db.scratch.runs.push(Run { spi, slot, len });
+                    out.extend(buffered);
+                }
+                n += 1;
+                Ok(())
+            };
+            db.sweep_saves(sweep_order(order), stage, settle)?;
             Ok(n)
-        })?;
+        });
+        // The verdicts of the SAs that did wake go with a failed sweep; a
+        // retry reports the rest.
+        let recovered = recovered.inspect_err(|_| out.truncate(unswept))?;
         let mut verdicts = out[unswept..].iter();
         for run in &self.scratch.runs {
             let mut delivered = false;
@@ -875,27 +921,36 @@ impl<S: StableStore> Sadb<S> {
     /// failing entry (and everything after it) stays queued so the
     /// completion can be retried.
     pub(crate) fn complete_pending_saves(&mut self) -> Result<(), StableError> {
-        self.saves.sort_unstable();
+        let mut saves = std::mem::take(&mut self.saves);
+        saves.sort_unstable();
         let mut done = 0;
-        let mut result = Ok(());
-        for &(half, spi, slot) in &self.saves {
-            let record = &mut self.slots[slot as usize];
-            // A slot that changed hands answers for its new SPI only,
-            // which queues (and sorts) under its own entry.
+        let stage = |db: &mut Self, entry| db.owing(entry).map_or(Ok(false), SfDriver::stage_save);
+        // Every entry settles, in order, so `done` counts a prefix.
+        let result = self.sweep_saves(saves.iter().copied(), stage, |db, entry| {
+            if let Some(driver) = db.owing(entry) {
+                driver.save_completed()?;
+            }
+            let (half, spi, slot) = entry;
+            let record = &mut db.slots[slot as usize];
             if record.spi == spi {
-                if record.owes_save(half) {
-                    let driver = record.driver_mut(half).expect("owes a SAVE");
-                    result = driver.save_completed().map(drop);
-                    if result.is_err() {
-                        break;
-                    }
-                }
                 record.policy.save_queued[half as usize] = false;
             }
             done += 1;
-        }
-        self.saves.drain(..done);
+            Ok(())
+        });
+        // A failing entry, and everything after it, stays queued.
+        saves.drain(..done);
+        self.saves = saves;
         result
+    }
+
+    /// The driver of a due-list entry that still owes its SAVE. A slot
+    /// that changed hands answers for its new SPI only, which queues (and
+    /// sorts) under its own entry.
+    fn owing(&mut self, (half, spi, slot): SweepEntry) -> Option<&mut SfDriver<S>> {
+        let record = &mut self.slots[slot as usize];
+        let owes = record.spi == spi && record.owes_save(half);
+        owes.then(|| record.driver_mut(half).expect("owes a SAVE"))
     }
 
     /// Every installed SPI (either direction), ascending — the sweep

@@ -407,7 +407,7 @@ mod tests {
         assert!(saver.pending().is_some(), "retry remains possible");
         // Retry succeeds.
         assert_eq!(saver.complete().unwrap(), Some(42));
-        assert_eq!(saver.fetch().unwrap(), Some(42));
+        assert_eq!(saver.fetch_checked().unwrap(), Some(42));
     }
 
     #[test]
@@ -454,12 +454,14 @@ mod tests {
     fn rollback_is_caught_by_fetch_checked_not_fetch() {
         let slot = SlotId::raw(6);
         let mut saver = BackgroundSaver::new(FaultyStable::new(MemStable::new()), slot);
-        saver.save_now(100).unwrap();
-        saver.save_now(125).unwrap();
+        saver.issue(100);
+        saver.complete().unwrap();
+        saver.issue(125);
+        saver.complete().unwrap();
         saver.store_mut().push_fault(Fault::RollbackLoad);
         saver.store_mut().push_fault(Fault::RollbackLoad);
         // The plain FETCH resurrects the replayable counter...
-        assert_eq!(saver.fetch().unwrap(), Some(100));
+        assert_eq!(saver.store().load(slot).unwrap(), Some(100));
         // ...the witnessed FETCH fails closed.
         assert!(matches!(
             saver.fetch_checked(),

@@ -13,15 +13,18 @@
 //! |---|---|---|---|
 //! | [`MemStable`] | process lifetime (harness owns it) | ~ns | simulation, tests |
 //! | [`FileStable`] | one atomic file per slot | 1 create + write + rename (+ 2 fsync) | few SAs, simple ops |
-//! | [`WalStable`] | one shared append-only log | 1 append (+ 1 fsync), amortised compaction | fleets — a whole shard's slots coalesce into sequential appends |
+//! | [`WalStable`] | one shared append-only log | 1 append (+ 1 fsync) per *sweep* of SAVEs, amortised compaction | fleets — a whole shard's slots coalesce into one append per sweep |
 //!
 //! [`FileStable`] is the paper's literal "write-to-file" device: atomic
 //! rename per slot, checksummed records, `O(slots)` files. [`WalStable`]
-//! batches an entire fleet's counter SAVEs into sequential appends on a
-//! single log — the layout that makes 1k+ SA gateways cheap — with CRC-
-//! protected records, periodic compaction, and crash-recoverable replay
-//! (a torn tail is truncated to the last good record on open). Handles are
-//! cheaply cloneable, so one WAL can serve every slot of a shard.
+//! batches an entire fleet's counter SAVEs into appends on a single log —
+//! the layout that makes 1k+ SA gateways cheap — with CRC-protected
+//! records, periodic compaction, and crash-recoverable replay (a torn
+//! tail is truncated to the last good record on open). Handles are
+//! cheaply cloneable, so one WAL can serve every slot of a shard. A sweep
+//! of SAVEs (a recovery's wake-ups, one `save_completed`) stages them all
+//! ([`StableStore::stage_witnessed`]) and the first
+//! [`StableStore::flush`] writes them; the others are durable at once.
 //!
 //! ## Generations and failing closed
 //!
@@ -44,9 +47,7 @@
 //! [`FaultyStable`] wraps any backend and injects scripted or seeded
 //! faults: clean SAVE failures, torn writes that persist garbage behind a
 //! successful return, stale-generation rollbacks on FETCH, erase failures.
-//! [`WalStable::crash_next_compaction`] adds power-loss-mid-compaction
-//! schedules. Together these drive the fault-injection campaign in the
-//! harness crate.
+//! It drives the fault-injection campaign in the harness crate.
 //!
 //! # Examples
 //!
@@ -57,10 +58,11 @@
 //! use reset_stable::{BackgroundSaver, MemStable, SlotId};
 //!
 //! let mut disk = BackgroundSaver::new(MemStable::new(), SlotId::sender(0x22));
-//! disk.save_now(100)?;         // SAVE(100) completed earlier
+//! disk.issue(100);
+//! disk.complete()?;            // SAVE(100) completed earlier
 //! disk.issue(125);             // SAVE(125) still in flight...
 //! disk.crash();                // ...when the reset strikes
-//! assert_eq!(disk.fetch()?, Some(100)); // FETCH sees the stale value
+//! assert_eq!(disk.fetch_checked()?, Some(100)); // FETCH sees the stale value
 //! # Ok::<(), reset_stable::StableError>(())
 //! ```
 //!
@@ -72,8 +74,10 @@
 //!
 //! let store = FaultyStable::new(MemStable::new());
 //! let mut disk = BackgroundSaver::new(store, SlotId::receiver(0x22));
-//! disk.save_now(100)?;
-//! disk.save_now(125)?;         // both SAVEs acknowledged durable
+//! for value in [100, 125] {
+//!     disk.issue(value);
+//!     disk.complete()?;        // both SAVEs acknowledged durable
+//! }
 //! disk.store_mut().push_fault(Fault::RollbackLoad); // ...but the disk was restored
 //! assert!(matches!(
 //!     disk.fetch_checked(),
@@ -104,4 +108,4 @@ pub use record::{
 };
 pub use saver::{BackgroundSaver, SaveLatencyModel};
 pub use store::{SlotId, StableStore};
-pub use wal::{CompactionCrash, WalStable};
+pub use wal::WalStable;

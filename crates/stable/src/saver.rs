@@ -12,8 +12,13 @@
 //! whatever was in flight. The completion *instant* is chosen by the
 //! driver (simulator or real clock) using a [`SaveLatencyModel`].
 //!
+//! A completion is two steps, [`stage`] and a settle: a sweep over many
+//! savers that share one device stages every SAVE first, and the first
+//! settle after that writes them all ([`StableStore::flush`]).
+//!
 //! [`issue`]: BackgroundSaver::issue
 //! [`complete`]: BackgroundSaver::complete
+//! [`stage`]: BackgroundSaver::stage
 //! [`crash`]: BackgroundSaver::crash
 
 use crate::{SlotId, StableError, StableStore};
@@ -84,14 +89,14 @@ impl SaveLatencyModel {
 /// use reset_stable::{BackgroundSaver, MemStable, SlotId};
 ///
 /// let mut saver = BackgroundSaver::new(MemStable::new(), SlotId::sender(1));
-/// saver.issue(100);                 // SAVE(100) begins...
-/// saver.crash();                    // ...reset strikes first
-/// assert_eq!(saver.fetch()?, None); // nothing was ever durable
+/// saver.issue(100);                         // SAVE(100) begins...
+/// saver.crash();                            // ...reset strikes first
+/// assert_eq!(saver.fetch_checked()?, None); // nothing was ever durable
 ///
 /// saver.issue(200);
-/// saver.complete()?;                // SAVE finished
+/// saver.complete()?;                        // SAVE finished
 /// saver.crash();
-/// assert_eq!(saver.fetch()?, Some(200));
+/// assert_eq!(saver.fetch_checked()?, Some(200));
 /// # Ok::<(), reset_stable::StableError>(())
 /// ```
 ///
@@ -111,8 +116,9 @@ pub struct BackgroundSaver<S> {
     /// caught by [`fetch_checked`](BackgroundSaver::fetch_checked). Plain
     /// stores witness generation 0 and the check is vacuous.
     acked: u64,
-    /// The value of the SAVE in flight, if any.
-    pending: Option<u64>,
+    /// The value of the SAVE in flight, if any, and whether it is staged
+    /// in the store, owed to a flush.
+    pending: Option<(u64, bool)>,
 }
 
 impl<S: StableStore> BackgroundSaver<S> {
@@ -126,35 +132,57 @@ impl<S: StableStore> BackgroundSaver<S> {
         }
     }
 
-    /// One durable write, witnessed: the acked generation becomes the
-    /// newest one seen (generation 0 — a plain store — changes nothing).
-    fn write(&mut self, value: u64) -> Result<(), StableError> {
-        let generation = self.store.store_witnessed(self.slot, value)?;
+    /// The SAVE in flight is durable under `generation` (0: a plain store).
+    fn durable(&mut self, generation: u64) {
         self.acked = self.acked.max(generation);
-        Ok(())
+        self.pending = None;
     }
 
     /// Begins a background SAVE of `value`. A SAVE already in flight is
     /// superseded: the disk queue collapses to the newest value.
     pub fn issue(&mut self, value: u64) {
-        self.pending = Some(value);
+        self.pending = Some((value, false));
     }
 
-    /// Completes the in-flight SAVE, making it durable. Returns the
-    /// committed value, or `None` if nothing was pending (e.g. the save
-    /// was wiped by a crash before its completion event fired).
+    /// The first half of [`complete`](BackgroundSaver::complete): hands
+    /// the SAVE in flight to [`StableStore::stage_witnessed`]. `true` iff
+    /// it is staged, owed to the flush `complete` then settles on (staging
+    /// twice stages once); `false` if durable already or none is in flight.
     ///
     /// # Errors
     ///
     /// Propagates the underlying store error; the pending save is kept so
     /// the caller may retry.
-    pub fn complete(&mut self) -> Result<Option<u64>, StableError> {
-        let Some(value) = self.pending else {
-            return Ok(None);
+    pub fn stage(&mut self) -> Result<bool, StableError> {
+        let Some((value, false)) = self.pending else {
+            return Ok(self.pending.is_some());
         };
-        self.write(value)?;
-        self.pending = None;
-        Ok(Some(value))
+        match self.store.stage_witnessed(self.slot, value)? {
+            Some(generation) => self.durable(generation),
+            None => self.pending = Some((value, true)),
+        }
+        Ok(self.pending.is_some())
+    }
+
+    /// Completes the in-flight SAVE, making it durable: a
+    /// [`stage`](BackgroundSaver::stage), then, if it was staged, a settle
+    /// on the store's flush. Returns the committed value, or `None` if
+    /// nothing was pending (e.g. the save was wiped by a crash before its
+    /// completion event fired).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying store error; the pending save is kept so
+    /// the caller may retry (a failed flush lost a staged write, so the
+    /// retry stages it anew).
+    pub fn complete(&mut self) -> Result<Option<u64>, StableError> {
+        let value = self.pending();
+        if self.stage()? {
+            self.pending = value.map(|value| (value, false));
+            let generation = self.store.flush()?;
+            self.durable(generation);
+        }
+        Ok(value)
     }
 
     /// A reset: the in-flight SAVE (volatile) is lost; durable state is
@@ -163,27 +191,8 @@ impl<S: StableStore> BackgroundSaver<S> {
         self.pending = None;
     }
 
-    /// Synchronous SAVE: durable when this returns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying store error.
-    pub fn save_now(&mut self, value: u64) -> Result<(), StableError> {
-        self.write(value)
-    }
-
-    /// FETCH: the last durable value of the slot (pending saves
-    /// invisible).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying store error (e.g. a corrupt record).
-    pub fn fetch(&self) -> Result<Option<u64>, StableError> {
-        self.store.load(self.slot)
-    }
-
-    /// FETCH with rollback detection: like
-    /// [`fetch`](BackgroundSaver::fetch), but compares the generation the
+    /// FETCH with rollback detection: the last durable value of the slot
+    /// (pending saves invisible), checked by comparing the generation the
     /// store serves against the newest generation this saver witnessed as
     /// durable. A store serving an older generation — or nothing at all
     /// after a witnessed save — has rolled back, and the caller must fail
@@ -211,15 +220,9 @@ impl<S: StableStore> BackgroundSaver<S> {
         }
     }
 
-    /// The newest generation witnessed as durable (0 when no witnessed
-    /// save completed, or the store doesn't track generations).
-    pub fn acked_generation(&self) -> u64 {
-        self.acked
-    }
-
     /// The value of the SAVE currently in flight, if any.
     pub fn pending(&self) -> Option<u64> {
-        self.pending
+        self.pending.map(|(value, _)| value)
     }
 
     /// Shared access to the wrapped store.
@@ -264,9 +267,9 @@ mod tests {
     fn pending_save_is_invisible_until_complete() {
         let mut s = saver(MemStable::new());
         s.issue(10);
-        assert_eq!(s.fetch().unwrap(), None, "not durable yet");
+        assert_eq!(s.store().load(SLOT).unwrap(), None, "not durable yet");
         assert_eq!(s.complete().unwrap(), Some(10));
-        assert_eq!(s.fetch().unwrap(), Some(10));
+        assert_eq!(s.store().load(SLOT).unwrap(), Some(10));
     }
 
     #[test]
@@ -278,7 +281,7 @@ mod tests {
         s.complete().unwrap(); // SAVE(100) durable
         s.issue(125); // SAVE(125) in flight...
         s.crash(); // ...reset
-        assert_eq!(s.fetch().unwrap(), Some(100));
+        assert_eq!(s.store().load(SLOT).unwrap(), Some(100));
         assert_eq!(s.pending(), None);
     }
 
@@ -291,7 +294,7 @@ mod tests {
         s.issue(125);
         s.complete().unwrap();
         s.crash();
-        assert_eq!(s.fetch().unwrap(), Some(125));
+        assert_eq!(s.store().load(SLOT).unwrap(), Some(125));
     }
 
     #[test]
@@ -301,7 +304,7 @@ mod tests {
         s.issue(2);
         assert_eq!(s.pending(), Some(2), "second issue supersedes");
         assert_eq!(s.complete().unwrap(), Some(2));
-        assert_eq!(s.fetch().unwrap(), Some(2), "newest value wins");
+        assert_eq!(s.store().load(SLOT).unwrap(), Some(2), "newest value wins");
         assert_eq!(s.complete().unwrap(), None, "the superseded SAVE is gone");
     }
 
@@ -312,11 +315,13 @@ mod tests {
     }
 
     #[test]
-    fn save_now_is_immediately_durable() {
+    fn a_plain_store_stages_durable_at_once() {
         let mut s = saver(MemStable::new());
-        s.save_now(77).unwrap();
-        assert_eq!(s.fetch().unwrap(), Some(77));
+        s.issue(77);
+        assert!(!s.stage().unwrap(), "nothing owed to a flush");
+        assert_eq!(s.store().load(SLOT).unwrap(), Some(77));
         assert_eq!(s.pending(), None, "nothing left in flight");
+        assert_eq!(s.complete().unwrap(), None);
     }
 
     #[test]
@@ -377,10 +382,11 @@ mod tests {
     #[test]
     fn fetch_checked_passes_on_current_generation() {
         let mut s = saver(GenStore::default());
-        s.save_now(100).unwrap();
+        s.issue(100);
+        s.complete().unwrap();
         s.issue(125);
         s.complete().unwrap();
-        assert_eq!(s.acked_generation(), 2);
+        assert_eq!(s.acked, 2);
         s.crash();
         assert_eq!(s.fetch_checked().unwrap(), Some(125));
     }
@@ -388,8 +394,10 @@ mod tests {
     #[test]
     fn fetch_checked_flags_stale_generation_as_rollback() {
         let mut s = saver(GenStore::default());
-        s.save_now(100).unwrap();
-        s.save_now(125).unwrap();
+        s.issue(100);
+        s.complete().unwrap();
+        s.issue(125);
+        s.complete().unwrap();
         // The store rolls back: it serves generation 1 after acking 2.
         s.store().serve_gen.set(Some(1));
         let err = s.fetch_checked().unwrap_err();
@@ -405,13 +413,14 @@ mod tests {
             "{err}"
         );
         // Plain fetch stays oblivious — the witness is what catches it.
-        assert_eq!(s.fetch().unwrap(), Some(125));
+        assert_eq!(s.store().load(SLOT).unwrap(), Some(125));
     }
 
     #[test]
     fn fetch_checked_flags_vanished_slot_as_rollback() {
         let mut s = saver(GenStore::default());
-        s.save_now(100).unwrap();
+        s.issue(100);
+        s.complete().unwrap();
         s.store_mut().inner.erase(SLOT).unwrap(); // data loss behind our back
         let err = s.fetch_checked().unwrap_err();
         assert!(
@@ -423,8 +432,9 @@ mod tests {
     #[test]
     fn fetch_checked_is_vacuous_for_plain_stores() {
         let mut s = saver(MemStable::new());
-        s.save_now(77).unwrap();
-        assert_eq!(s.acked_generation(), 0);
+        s.issue(77);
+        s.complete().unwrap();
+        assert_eq!(s.acked, 0);
         assert_eq!(s.fetch_checked().unwrap(), Some(77));
         s.store_mut().erase(SLOT).unwrap();
         // A plain store can't witness, so a vanished slot reads as None.
@@ -434,7 +444,8 @@ mod tests {
     #[test]
     fn into_inner_returns_store() {
         let mut s = saver(MemStable::new());
-        s.save_now(5).unwrap();
+        s.issue(5);
+        s.complete().unwrap();
         let store = s.into_inner();
         assert_eq!(store.load(SLOT).unwrap(), Some(5));
     }

@@ -129,6 +129,22 @@ pub trait StableStore {
         Ok(0)
     }
 
+    /// The first phase of a two-phase witnessed write, with the errors of
+    /// [`store`](StableStore::store): durable at once, `Some(generation)`
+    /// as [`store_witnessed`](StableStore::store_witnessed) gives (the
+    /// default), or staged, `None`, and owed to this handle's next
+    /// [`flush`](StableStore::flush); until then loads serve the old value.
+    fn stage_witnessed(&mut self, slot: SlotId, value: u64) -> Result<Option<u64>, StableError> {
+        self.store_witnessed(slot, value).map(Some)
+    }
+
+    /// The second phase: `Ok` once this handle's last staged write is
+    /// durable, with its generation (`0` if it owes none). A failed flush
+    /// loses the staged write; stage it again.
+    fn flush(&mut self) -> Result<u64, StableError> {
+        Ok(0)
+    }
+
     /// Like [`load`](StableStore::load), but pairs the value with the
     /// generation it was recorded under (`0` for backends without
     /// generation tracking). A caller holding a newer witnessed generation
@@ -156,6 +172,12 @@ impl<S: StableStore + ?Sized> StableStore for &mut S {
     fn store_witnessed(&mut self, slot: SlotId, value: u64) -> Result<u64, StableError> {
         (**self).store_witnessed(slot, value)
     }
+    fn stage_witnessed(&mut self, slot: SlotId, value: u64) -> Result<Option<u64>, StableError> {
+        (**self).stage_witnessed(slot, value)
+    }
+    fn flush(&mut self) -> Result<u64, StableError> {
+        (**self).flush()
+    }
     fn load_witnessed(&self, slot: SlotId) -> Result<Option<(u64, u64)>, StableError> {
         (**self).load_witnessed(slot)
     }
@@ -173,6 +195,12 @@ impl<S: StableStore + ?Sized> StableStore for Box<S> {
     }
     fn store_witnessed(&mut self, slot: SlotId, value: u64) -> Result<u64, StableError> {
         (**self).store_witnessed(slot, value)
+    }
+    fn stage_witnessed(&mut self, slot: SlotId, value: u64) -> Result<Option<u64>, StableError> {
+        (**self).stage_witnessed(slot, value)
+    }
+    fn flush(&mut self) -> Result<u64, StableError> {
+        (**self).flush()
     }
     fn load_witnessed(&self, slot: SlotId) -> Result<Option<(u64, u64)>, StableError> {
         (**self).load_witnessed(slot)

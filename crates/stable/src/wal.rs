@@ -1,4 +1,4 @@
-//! Write-ahead-log stable store: one append per SAVE, fleet-wide.
+//! Write-ahead-log stable store: one append per sweep of SAVEs.
 //!
 //! [`FileStable`](crate::FileStable) pays a create + write + rename per
 //! SAVE per slot — fine at 256 SAs, ruinous at the million-SA fleets the
@@ -8,6 +8,12 @@
 //! the log is periodically **compacted** (snapshot of the live table
 //! written to a temp file, fsynced, atomically renamed over the log).
 //!
+//! A staged record waits in one buffer on the shared log; a flush writes
+//! all that any handle staged with one `write_all` (and one `sync_all`
+//! under [`Durability::PowerLoss`]), then applies it to the table. A
+//! handle's flush is `Ok` once *its* last staged record is durable — one
+//! generation compare — so a sweep's first flush writes the whole sweep.
+//!
 //! Every record carries a **monotonic generation number**. The generation
 //! is the rollback witness: [`StableStore::store_witnessed`] returns it,
 //! [`BackgroundSaver`](crate::BackgroundSaver) remembers the newest acked
@@ -16,13 +22,18 @@
 //! with [`StableError::Rollback`] instead of resurrecting a replayable
 //! anti-replay window.
 //!
+//! A failed write is not written behind ([`open`](WalStable::open) would
+//! stop at its torn prefix): the log is truncated to its durable length,
+//! and every handle that staged before it gets `Err` from its flush. If
+//! the truncate fails too, the log refuses every later call.
+//!
 //! Crash recovery on [`open`](WalStable::open):
 //!
 //! * orphaned compaction temp files (crash between snapshot write and
 //!   rename) are deleted — the log itself is still authoritative;
 //! * the log is replayed record by record; the first torn or corrupt
 //!   record marks the **torn tail** and the log is truncated there, so a
-//!   crash mid-append loses at most the in-flight SAVE (exactly the
+//!   crash mid-write loses at most the SAVEs not yet flushed (exactly the
 //!   semantics [`BackgroundSaver`](crate::BackgroundSaver) models);
 //! * the generation counter resumes past the highest replayed generation,
 //!   so generations stay monotonic across process crashes.
@@ -34,9 +45,9 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use reset_telemetry::Telemetry;
@@ -46,18 +57,6 @@ use crate::{Durability, SlotId, StableError, StableStore};
 
 /// Default number of appended records between compactions.
 const DEFAULT_COMPACT_EVERY: u64 = 8192;
-
-/// Where an injected power loss strikes during compaction (test hook for
-/// the fault-injection campaign).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompactionCrash {
-    /// Power dies halfway through writing the snapshot temp file: a torn
-    /// temp file exists, the log is untouched.
-    TornSnapshot,
-    /// Power dies after the snapshot is fully written but before the
-    /// rename: a complete orphan temp file exists, the log is untouched.
-    BeforeRename,
-}
 
 #[derive(Debug, Clone, Copy)]
 struct SlotEntry {
@@ -75,14 +74,29 @@ struct WalInner {
     durability: Durability,
     table: HashMap<u64, SlotEntry>,
     next_generation: u64,
+    /// The records staged since the last write, and their table entries.
+    staged_bytes: Vec<u8>,
+    staged: Vec<(u64, SlotEntry)>,
+    /// The newest generations durable and lost to a failed write, and
+    /// the log's durable length.
+    durable: u64,
+    lost: u64,
+    len: u64,
+    /// A failed write could not be truncated away: every call is refused.
+    broken: bool,
     appended_since_compact: u64,
     compact_every: u64,
     compactions: u64,
-    crash_next_compaction: Option<CompactionCrash>,
     /// Optional instrumentation: append/compaction stats flow into the
     /// shared [`Telemetry`] handle when one is attached. `None` (the
     /// default) keeps the store unobserved at zero cost.
     telemetry: Option<Telemetry>,
+    /// Test hooks: a power loss inside the next compaction, and a next
+    /// write that lands half its bytes, plus one, and fails.
+    #[cfg(test)]
+    crash_next_compaction: Option<tests::CompactionCrash>,
+    #[cfg(test)]
+    tear_next_write: bool,
 }
 
 /// Shared-file write-ahead-log store. See the [crate docs](crate).
@@ -102,6 +116,9 @@ struct WalInner {
 #[derive(Debug, Clone)]
 pub struct WalStable {
     inner: Arc<Mutex<WalInner>>,
+    /// The generation of this handle's last staged record not yet flushed,
+    /// or 0 (a clone owes what its original owes).
+    staged: u64,
 }
 
 impl WalStable {
@@ -176,12 +193,22 @@ impl WalStable {
                 durability,
                 table,
                 next_generation: max_generation + 1,
+                staged_bytes: Vec::new(),
+                staged: Vec::new(),
+                durable: max_generation,
+                lost: 0,
+                len: good_len,
+                broken: false,
                 appended_since_compact: 0,
                 compact_every: DEFAULT_COMPACT_EVERY,
                 compactions: 0,
-                crash_next_compaction: None,
                 telemetry: None,
+                #[cfg(test)]
+                crash_next_compaction: None,
+                #[cfg(test)]
+                tear_next_write: false,
             })),
+            staged: 0,
         })
     }
 
@@ -191,32 +218,22 @@ impl WalStable {
         PathBuf::from(os)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, WalInner> {
+    fn lock(&self) -> MutexGuard<'_, WalInner> {
         self.inner.lock().expect("wal store poisoned")
     }
 
-    /// The log file backing this store.
-    pub fn path(&self) -> PathBuf {
-        self.lock().path.clone()
-    }
-
-    /// Compact after this many appended records (default 8192).
-    pub fn set_compact_every(&self, records: u64) {
-        self.lock().compact_every = records.max(1);
+    /// [`WalStable::lock`] for a store operation: refused once broken.
+    fn live(&self) -> Result<MutexGuard<'_, WalInner>, StableError> {
+        let inner = self.lock();
+        match inner.broken {
+            false => Ok(inner),
+            true => Err(io::Error::other("log refused after an untruncated failed write").into()),
+        }
     }
 
     /// How many compactions have run on this handle's log since open.
     pub fn compactions(&self) -> u64 {
         self.lock().compactions
-    }
-
-    /// Number of live (non-tombstone) slots in the table.
-    pub fn live_slots(&self) -> usize {
-        self.lock()
-            .table
-            .values()
-            .filter(|e| e.value.is_some())
-            .count()
     }
 
     /// Attaches a [`Telemetry`] handle: every subsequent append records
@@ -227,56 +244,87 @@ impl WalStable {
         self.lock().telemetry = Some(telemetry.clone());
     }
 
-    /// Arms an injected power loss inside the *next* compaction (consumed
-    /// once). The compaction returns [`StableError::Injected`] with the
-    /// on-disk state frozen at the chosen point; reopening the log from
-    /// disk must then recover the pre-compaction contents.
-    pub fn crash_next_compaction(&self, at: CompactionCrash) {
-        self.lock().crash_next_compaction = Some(at);
+    /// A stage and a flush of `value` (`None`: a tombstone) for `slot`.
+    fn append(&mut self, slot: SlotId, value: Option<u64>) -> Result<u64, StableError> {
+        let generation = self.live()?.stage(slot, value);
+        self.staged = generation;
+        self.flush()
+    }
+}
+
+impl WalInner {
+    /// Stages a record, owed to a write; returns its generation.
+    fn stage(&mut self, slot: SlotId, value: Option<u64>) -> u64 {
+        let (generation, tombstone) = (self.next_generation, value.is_none());
+        self.next_generation += 1;
+        let record = encode_wal_record(&WalRecord {
+            slot,
+            generation,
+            value: value.unwrap_or(0),
+            tombstone,
+        });
+        let entry = SlotEntry { generation, value };
+        self.staged_bytes.extend_from_slice(&record);
+        self.staged.push((slot.as_u64(), entry));
+        generation
     }
 
-    fn append(&self, rec: WalRecord) -> Result<u64, StableError> {
-        let mut inner = self.lock();
-        let generation = inner.next_generation;
-        let rec = WalRecord { generation, ..rec };
-        let bytes = encode_wal_record(&rec);
-        inner.file.write_all(&bytes)?;
-        if inner.durability == Durability::PowerLoss {
-            inner.file.sync_all()?;
+    /// Writes every staged record with one `write_all`, then applies them
+    /// to the table; appends may trigger a compaction.
+    fn write(&mut self) -> Result<(), StableError> {
+        let written = (|| {
+            #[cfg(test)]
+            if std::mem::take(&mut self.tear_next_write) {
+                let torn = self.staged_bytes.len() / 2 + 1;
+                self.file.write_all(&self.staged_bytes[..torn])?;
+                return Err(io::Error::other("write torn by a test"));
+            }
+            self.file.write_all(&self.staged_bytes)?;
+            match self.durability {
+                Durability::PowerLoss => self.file.sync_all(),
+                Durability::ProcessCrash => Ok(()),
+            }
+        })();
+        let bytes = self.staged_bytes.len() as u64;
+        self.staged_bytes.clear();
+        if let Err(e) = written {
+            // Truncate the failed write away, and lose the whole group.
+            self.lost = self.next_generation - 1;
+            self.staged.clear();
+            self.broken = self.file.set_len(self.len).is_err();
+            return Err(e.into());
         }
-        inner.next_generation += 1;
-        inner.table.insert(
-            rec.slot.as_u64(),
-            SlotEntry {
-                generation,
-                value: if rec.tombstone { None } else { Some(rec.value) },
-            },
-        );
-        inner.appended_since_compact += 1;
-        if let Some(t) = &inner.telemetry {
-            t.record_wal_append(WAL_RECORD_LEN as u64);
+        self.len += bytes;
+        self.durable = self.next_generation - 1;
+        self.appended_since_compact += self.staged.len() as u64;
+        for (slot, entry) in self.staged.drain(..) {
+            self.table.insert(slot, entry);
+            if let Some(t) = &self.telemetry {
+                t.record_wal_append(WAL_RECORD_LEN as u64);
+            }
         }
-        if inner.appended_since_compact >= inner.compact_every {
+        if self.appended_since_compact >= self.compact_every {
             let started = Instant::now();
-            Self::compact(&mut inner)?;
-            if let Some(t) = &inner.telemetry {
+            self.compact()?;
+            if let Some(t) = &self.telemetry {
                 t.record_wal_compaction(started.elapsed().as_nanos() as u64);
             }
         }
-        Ok(generation)
+        Ok(())
     }
 
     /// Snapshot the live table to a temp file and atomically rename it
     /// over the log. Tombstones are re-written too: they carry the slot's
     /// generation high-water mark.
-    fn compact(inner: &mut WalInner) -> Result<(), StableError> {
-        let tmp = Self::tmp_path(&inner.path);
-        let crash = inner.crash_next_compaction.take();
-        let mut snapshot = Vec::with_capacity(inner.table.len() * WAL_RECORD_LEN);
-        let mut slots: Vec<u64> = inner.table.keys().copied().collect();
+    fn compact(&mut self) -> Result<(), StableError> {
+        let tmp = WalStable::tmp_path(&self.path);
+        #[cfg(test)]
+        let crash = self.crash_next_compaction.take();
+        let mut snapshot = Vec::with_capacity(self.table.len() * WAL_RECORD_LEN);
+        let mut slots: Vec<u64> = self.table.keys().copied().collect();
         slots.sort_unstable();
         for slot in slots {
-            let entry = inner.table[&slot];
+            let entry = self.table[&slot];
             snapshot.extend_from_slice(&encode_wal_record(&WalRecord {
                 slot: SlotId::raw(slot),
                 generation: entry.generation,
@@ -286,22 +334,24 @@ impl WalStable {
         }
         {
             let mut f = fs::File::create(&tmp)?;
-            if crash == Some(CompactionCrash::TornSnapshot) {
+            #[cfg(test)]
+            if crash == Some(tests::CompactionCrash::TornSnapshot) {
                 f.write_all(&snapshot[..snapshot.len() / 2 + 1])?;
                 f.sync_all()?;
                 return Err(StableError::Injected("power loss mid-compaction snapshot"));
             }
             f.write_all(&snapshot)?;
-            if inner.durability == Durability::PowerLoss {
+            if self.durability == Durability::PowerLoss {
                 f.sync_all()?;
             }
         }
-        if crash == Some(CompactionCrash::BeforeRename) {
+        #[cfg(test)]
+        if crash == Some(tests::CompactionCrash::BeforeRename) {
             return Err(StableError::Injected("power loss before compaction rename"));
         }
-        fs::rename(&tmp, &inner.path)?;
-        if inner.durability == Durability::PowerLoss {
-            if let Some(parent) = inner.path.parent() {
+        fs::rename(&tmp, &self.path)?;
+        if self.durability == Durability::PowerLoss {
+            if let Some(parent) = self.path.parent() {
                 if !parent.as_os_str().is_empty() {
                     fs::File::open(parent)?.sync_all()?;
                 }
@@ -309,52 +359,55 @@ impl WalStable {
         }
         // The append handle still points at the renamed-away inode;
         // reopen on the snapshot.
-        inner.file = fs::OpenOptions::new().append(true).open(&inner.path)?;
-        inner.appended_since_compact = 0;
-        inner.compactions += 1;
+        self.file = fs::OpenOptions::new().append(true).open(&self.path)?;
+        self.len = snapshot.len() as u64;
+        self.appended_since_compact = 0;
+        self.compactions += 1;
         Ok(())
     }
 }
 
 impl StableStore for WalStable {
     fn store(&mut self, slot: SlotId, value: u64) -> Result<(), StableError> {
-        self.append(WalRecord {
-            slot,
-            generation: 0,
-            value,
-            tombstone: false,
-        })
-        .map(|_| ())
+        self.append(slot, Some(value)).map(drop)
     }
 
     fn load(&self, slot: SlotId) -> Result<Option<u64>, StableError> {
-        Ok(self.lock().table.get(&slot.as_u64()).and_then(|e| e.value))
+        Ok(self.live()?.table.get(&slot.as_u64()).and_then(|e| e.value))
     }
 
     fn erase(&mut self, slot: SlotId) -> Result<(), StableError> {
-        if self.lock().table.contains_key(&slot.as_u64()) {
-            self.append(WalRecord {
-                slot,
-                generation: 0,
-                value: 0,
-                tombstone: true,
-            })?;
+        if self.live()?.table.contains_key(&slot.as_u64()) {
+            self.append(slot, None)?;
         }
         Ok(())
     }
 
     fn store_witnessed(&mut self, slot: SlotId, value: u64) -> Result<u64, StableError> {
-        self.append(WalRecord {
-            slot,
-            generation: 0,
-            value,
-            tombstone: false,
-        })
+        self.append(slot, Some(value))
+    }
+
+    fn stage_witnessed(&mut self, slot: SlotId, value: u64) -> Result<Option<u64>, StableError> {
+        let generation = self.live()?.stage(slot, Some(value));
+        self.staged = generation;
+        Ok(None)
+    }
+
+    fn flush(&mut self) -> Result<u64, StableError> {
+        let generation = std::mem::take(&mut self.staged);
+        let mut inner = self.live()?;
+        if generation != 0 && generation <= inner.lost {
+            return Err(io::Error::other("staged record lost to a failed write").into());
+        }
+        if generation > inner.durable {
+            inner.write()?;
+        }
+        Ok(generation)
     }
 
     fn load_witnessed(&self, slot: SlotId) -> Result<Option<(u64, u64)>, StableError> {
         Ok(self
-            .lock()
+            .live()?
             .table
             .get(&slot.as_u64())
             .and_then(|e| e.value.map(|v| (v, e.generation))))
@@ -364,6 +417,21 @@ impl StableStore for WalStable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BackgroundSaver;
+
+    /// Where an injected power loss strikes during compaction: the
+    /// compaction returns [`StableError::Injected`] with the on-disk state
+    /// frozen there, and reopening the log must recover the pre-compaction
+    /// contents.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum CompactionCrash {
+        /// Power dies halfway through writing the snapshot temp file: a
+        /// torn temp file exists, the log is untouched.
+        TornSnapshot,
+        /// Power dies after the snapshot is fully written but before the
+        /// rename: a complete orphan temp file exists, the log is untouched.
+        BeforeRename,
+    }
 
     fn tmpwal(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -373,6 +441,11 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&d);
         d.join("log.wal")
+    }
+
+    /// Compact after this many appended records (default 8192).
+    fn set_compact_every(w: &WalStable, records: u64) {
+        w.lock().compact_every = records;
     }
 
     fn cleanup(path: &Path) {
@@ -466,7 +539,11 @@ mod tests {
         }
         let w = WalStable::open(&path, Durability::ProcessCrash).unwrap();
         assert_eq!(w.load(SlotId::raw(5)).unwrap(), None);
-        assert_eq!(w.live_slots(), 0);
+        assert_eq!(
+            w.lock().table.len(),
+            1,
+            "one tombstone, none for the absent slot"
+        );
         cleanup(&path);
     }
 
@@ -474,7 +551,7 @@ mod tests {
     fn compaction_shrinks_log_and_preserves_contents() {
         let path = tmpwal("compact");
         let mut w = WalStable::open(&path, Durability::ProcessCrash).unwrap();
-        w.set_compact_every(64);
+        set_compact_every(&w, 64);
         for round in 0..10u64 {
             for slot in 0..16u64 {
                 w.store(SlotId::raw(slot), round * 100 + slot).unwrap();
@@ -506,11 +583,11 @@ mod tests {
                 CompactionCrash::BeforeRename => "plc-rename",
             });
             let mut w = WalStable::open(&path, Durability::PowerLoss).unwrap();
-            w.set_compact_every(8);
+            set_compact_every(&w, 8);
             for i in 0..7u64 {
                 w.store(SlotId::raw(i), i + 1).unwrap();
             }
-            w.crash_next_compaction(crash);
+            w.lock().crash_next_compaction = Some(crash);
             // The 8th append triggers the compaction, which "loses power".
             let err = w.store(SlotId::raw(7), 8).unwrap_err();
             assert!(matches!(err, StableError::Injected(_)), "{err}");
@@ -537,7 +614,134 @@ mod tests {
         b.store(SlotId::sender(2), 22).unwrap();
         assert_eq!(a.load(SlotId::sender(2)).unwrap(), Some(22));
         assert_eq!(b.load(SlotId::sender(1)).unwrap(), Some(11));
-        assert_eq!(a.live_slots(), 2);
+        assert_eq!(a.lock().table.len(), 2);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_sweep_of_staged_saves_is_one_write() {
+        let path = tmpwal("sweep");
+        let wal = WalStable::open(&path, Durability::ProcessCrash).unwrap();
+        let mut handles = [wal.clone(), wal.clone(), wal.clone()];
+        let mut staged = Vec::new();
+        for (slot, h) in handles.iter_mut().enumerate() {
+            assert_eq!(
+                h.stage_witnessed(SlotId::raw(slot as u64), 7).unwrap(),
+                None
+            );
+            staged.push(h.staged);
+        }
+        assert_eq!(fs::metadata(&path).unwrap().len(), 0, "staged, not written");
+        assert_eq!(wal.load(SlotId::raw(0)).unwrap(), None, "not durable yet");
+        assert_eq!(handles[1].flush().unwrap(), staged[1]);
+        let group = 3 * WAL_RECORD_LEN as u64;
+        assert_eq!(
+            fs::metadata(&path).unwrap().len(),
+            group,
+            "one write, all three"
+        );
+        for (slot, (h, generation)) in handles.iter_mut().zip(staged).enumerate() {
+            // Handle 1 owes nothing now; the others' records landed with
+            // its write, so their flushes write nothing.
+            let owed = if slot == 1 { 0 } else { generation };
+            assert_eq!(h.flush().unwrap(), owed);
+            let served = h.load_witnessed(SlotId::raw(slot as u64)).unwrap();
+            assert_eq!(served, Some((7, generation)));
+        }
+        assert_eq!(fs::metadata(&path).unwrap().len(), group);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn boxed_and_borrowed_handles_forward_the_staged_write() {
+        let path = tmpwal("forward");
+        let wal = WalStable::open(&path, Durability::ProcessCrash).unwrap();
+        let mut boxed: Box<dyn StableStore + Send> = Box::new(wal.clone());
+        let mut handle = wal.clone();
+        let mut borrowed = &mut handle;
+        let stores: [&mut dyn StableStore; 2] = [&mut boxed, &mut borrowed];
+        for (slot, store) in stores.into_iter().enumerate() {
+            let slot = SlotId::raw(slot as u64);
+            assert_eq!(store.stage_witnessed(slot, 9).unwrap(), None, "deferred");
+            let generation = store.flush().unwrap();
+            assert_eq!(wal.load_witnessed(slot).unwrap(), Some((9, generation)));
+        }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_torn_group_write_fails_every_handle_and_is_truncated_away() {
+        let path = tmpwal("torn-group");
+        let wal = WalStable::open(&path, Durability::ProcessCrash).unwrap();
+        let mut savers: Vec<_> = (0..4u64)
+            .map(|slot| BackgroundSaver::new(wal.clone(), SlotId::raw(slot)))
+            .collect();
+        let sweep = |savers: &mut Vec<BackgroundSaver<WalStable>>, base: u64| {
+            for (slot, s) in savers.iter_mut().enumerate() {
+                s.issue(base + slot as u64);
+                assert!(s.stage().unwrap(), "a WAL defers to the flush");
+            }
+        };
+        sweep(&mut savers, 10);
+        for s in &mut savers {
+            s.complete().unwrap();
+        }
+        let durable_len = fs::metadata(&path).unwrap().len();
+
+        // The next sweep's one write lands half its bytes and fails.
+        sweep(&mut savers, 20);
+        wal.lock().tear_next_write = true;
+        for (slot, s) in savers.iter_mut().enumerate() {
+            assert!(s.complete().is_err(), "slot {slot}: its record was lost");
+            assert_eq!(s.pending(), Some(20 + slot as u64), "still owed");
+            assert_eq!(
+                wal.load(SlotId::raw(slot as u64)).unwrap(),
+                Some(10 + slot as u64)
+            );
+        }
+        assert_eq!(
+            fs::metadata(&path).unwrap().len(),
+            durable_len,
+            "torn prefix removed"
+        );
+
+        // A retry stages again and lands, behind the last durable record.
+        for s in savers.iter_mut() {
+            assert!(s.stage().unwrap());
+        }
+        for (slot, s) in savers.iter_mut().enumerate() {
+            assert_eq!(s.complete().unwrap(), Some(20 + slot as u64));
+        }
+        drop(savers);
+        drop(wal);
+        let reopened = WalStable::open(&path, Durability::ProcessCrash).unwrap();
+        for slot in 0..4u64 {
+            let saver = BackgroundSaver::new(reopened.clone(), SlotId::raw(slot));
+            assert_eq!(
+                saver.fetch_checked().unwrap(),
+                Some(20 + slot),
+                "every acked value"
+            );
+        }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_write_that_cannot_be_truncated_away_refuses_every_call() {
+        let path = tmpwal("broken");
+        let mut w = WalStable::open(&path, Durability::ProcessCrash).unwrap();
+        w.store(SlotId::raw(1), 5).unwrap();
+        // A read-only descriptor: the write fails, and so does the truncate.
+        w.lock().file = fs::File::open(&path).unwrap();
+        assert!(w.store(SlotId::raw(1), 6).is_err());
+        assert!(w.load(SlotId::raw(1)).is_err(), "refused");
+        assert!(
+            w.clone().store(SlotId::raw(2), 1).is_err(),
+            "refused on every handle"
+        );
+        drop(w);
+        let w = WalStable::open(&path, Durability::ProcessCrash).unwrap();
+        assert_eq!(w.load(SlotId::raw(1)).unwrap(), Some(5));
         cleanup(&path);
     }
 
@@ -567,7 +771,7 @@ mod tests {
         let w = WalStable::open(&path, Durability::ProcessCrash).unwrap();
         let t = Telemetry::new();
         w.attach_telemetry(&t);
-        w.set_compact_every(8);
+        set_compact_every(&w, 8);
         let mut clone = w.clone(); // shares the attachment
         for v in 0..20u64 {
             clone.store(SlotId::sender(1), v).unwrap();

@@ -1,7 +1,7 @@
-//! Same-run cost ratios: two contracts no end-to-end metric can hold.
+//! Same-run cost ratios: three contracts no end-to-end metric can hold.
 //!
 //! The benchmark of record (`BENCHMARK.json`) compares a change against
-//! its parent, workload by workload. These two claims compare two
+//! its parent, workload by workload. These claims compare two
 //! configurations of *one* build inside one process instead, so they
 //! hold on any host whatever its absolute speed:
 //!
@@ -16,6 +16,10 @@
 //!   been observed. Both run at `Durability::ProcessCrash`, the paper's
 //!   reset model: `PowerLoss` adds an fsync to either and does not change
 //!   which is cheaper.
+//! * **A sweep is one write.** [`SWEEP`] SAVEs staged on a `WalStable`
+//!   and flushed once are at least [`STAGED_FLOOR`]× cheaper than the
+//!   same SAVEs one `store_witnessed` (one `write(2)`) each; 10–20× has
+//!   been measured.
 //!
 //! Each side is sampled several times, interleaved with the other, and
 //! the minima are compared: the minimum is the run the scheduler and the
@@ -38,6 +42,9 @@ const TELEMETRY_CEILING: f64 = 1.5;
 /// How much cheaper the shared WAL's SAVE round must be than
 /// file-per-slot's.
 const WAL_FLOOR: f64 = 5.0;
+/// How much cheaper a sweep's staged SAVEs and one flush must be than
+/// its SAVEs written one by one.
+const STAGED_FLOOR: f64 = 4.0;
 
 /// The drain: 512 frames of 64 B over 8 SAs, in bursts of 16 per SA as a
 /// NIC RSS queue delivers them.
@@ -50,6 +57,11 @@ const DRAIN_SAMPLES: usize = 21;
 const SLOTS: u64 = 1024;
 /// Interleaved SAVE rounds per backend (file-per-slot rounds are slow).
 const SAVE_ROUNDS: u64 = 5;
+
+/// The sweep: one SAVE per slot, staged or written one by one.
+const SWEEP: u64 = 512;
+/// Interleaved sweep samples per side.
+const SWEEP_SAMPLES: u64 = 11;
 
 /// A gateway over `SAS` SAs, with or without `telemetry`.
 fn gateway(telemetry: Option<&Telemetry>) -> Gateway<MemStable> {
@@ -88,6 +100,24 @@ fn time_save_round(store: &mut impl StableStore, round: u64) -> Duration {
         store
             .store(SlotId::raw(slot), round * SLOTS + slot)
             .expect("SAVE");
+    }
+    start.elapsed()
+}
+
+/// Times one sweep over [`SWEEP`] slots, round `round`: every SAVE
+/// staged and one flush, or every SAVE written by itself.
+fn time_sweep(wal: &mut WalStable, round: u64, staged: bool) -> Duration {
+    let start = Instant::now();
+    for slot in 0..SWEEP {
+        let (slot, value) = (SlotId::raw(slot), round * SWEEP + slot);
+        if staged {
+            wal.stage_witnessed(slot, value).expect("stage");
+        } else {
+            wal.store_witnessed(slot, value).expect("SAVE");
+        }
+    }
+    if staged {
+        wal.flush().expect("flush");
     }
     start.elapsed()
 }
@@ -145,5 +175,28 @@ fn telemetry_and_the_wal_keep_their_cost_ratios() {
         ratio >= WAL_FLOOR,
         "a WAL SAVE round took {wal_round:?}, only {ratio:.1}x cheaper than file-per-slot's \
          {file_round:?} (floor {WAL_FLOOR}x)"
+    );
+
+    // ---- a sweep of SAVEs on the WAL: staged and flushed once, vs one
+    // write each.
+    let sweep_dir = scratch_dir("sweep");
+    let mut wal =
+        WalStable::open(sweep_dir.join("sweep.wal"), Durability::ProcessCrash).expect("open wal");
+    let (mut one_by_one, mut staged) = (Duration::MAX, Duration::MAX);
+    for round in 1..=SWEEP_SAMPLES {
+        one_by_one = one_by_one.min(time_sweep(&mut wal, 2 * round, false));
+        staged = staged.min(time_sweep(&mut wal, 2 * round + 1, true));
+    }
+    drop(wal);
+    let _ = fs::remove_dir_all(&sweep_dir);
+    let ratio = one_by_one.as_secs_f64() / staged.as_secs_f64();
+    eprintln!(
+        "sweep of {SWEEP} WAL SAVEs: one write each {one_by_one:?}, staged + one flush \
+         {staged:?} ({ratio:.1}x)"
+    );
+    assert!(
+        ratio >= STAGED_FLOOR,
+        "a staged sweep took {staged:?}, only {ratio:.1}x cheaper than {SWEEP} single writes' \
+         {one_by_one:?} (floor {STAGED_FLOOR}x)"
     );
 }

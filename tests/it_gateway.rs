@@ -663,7 +663,7 @@ fn drain_slices_are_invisible_for_both_suites() {
 
         let esn_sa = p.sadb().outbound(ESN_SPI).expect("installed").sa().clone();
         let esn = |seq: u64| seal_frame(ESN_SPI, seq, b"esn", esn_sa.cipher(), true).unwrap();
-        let mut rng = DetRng::new(0x511C_E5ED ^ suite as u64);
+        let mut rng = DetRng::new(0x511C_E5ED ^ suite.wire_id() as u64);
         let mut frames: Vec<Bytes> = Vec::with_capacity(N);
         // Singletons and short runs, skewed towards the first SAs so that
         // some cross the rekey lifetime and some do not, with a replay of
