@@ -252,9 +252,8 @@ impl<S: StableStore> SfDriver<S> {
         self.saver.complete()
     }
 
-    /// [`BackgroundSaver::stage`]s the SAVE in flight: `true` iff the store
-    /// deferred it to the flush [`save_completed`](Self::save_completed) or
-    /// [`finish_wakeup`](Self::finish_wakeup) then settles on.
+    /// [`BackgroundSaver::stage`]s the SAVE in flight: `true` iff it is owed
+    /// to the flush that the completion then settles on.
     pub fn stage_save(&mut self) -> Result<bool, StableError> {
         self.saver.stage()
     }

@@ -12,13 +12,12 @@
 //! whatever was in flight. The completion *instant* is chosen by the
 //! driver (simulator or real clock) using a [`SaveLatencyModel`].
 //!
-//! A completion is two steps, [`stage`] and a settle: a sweep over many
-//! savers that share one device stages every SAVE first, and the first
-//! settle after that writes them all ([`StableStore::flush`]).
+//! A completion is two steps, [`stage`](BackgroundSaver::stage) and a
+//! settle: a sweep over many savers that share one device stages every
+//! SAVE first, and the first settle writes them all ([`StableStore::flush`]).
 //!
 //! [`issue`]: BackgroundSaver::issue
 //! [`complete`]: BackgroundSaver::complete
-//! [`stage`]: BackgroundSaver::stage
 //! [`crash`]: BackgroundSaver::crash
 
 use crate::{SlotId, StableError, StableStore};
@@ -116,8 +115,8 @@ pub struct BackgroundSaver<S> {
     /// caught by [`fetch_checked`](BackgroundSaver::fetch_checked). Plain
     /// stores witness generation 0 and the check is vacuous.
     acked: u64,
-    /// The value of the SAVE in flight, if any, and whether it is staged
-    /// in the store, owed to a flush.
+    /// The value of the SAVE in flight, if any, and whether it was staged,
+    /// so that `complete` settles it on a flush without staging it again.
     pending: Option<(u64, bool)>,
 }
 
@@ -146,16 +145,17 @@ impl<S: StableStore> BackgroundSaver<S> {
 
     /// The first half of [`complete`](BackgroundSaver::complete): hands
     /// the SAVE in flight to [`StableStore::stage_witnessed`]. `true` iff
-    /// it is staged, owed to the flush `complete` then settles on (staging
-    /// twice stages once); `false` if durable already or none is in flight.
+    /// it is staged, owed to the flush `complete` then settles on; `false`
+    /// if durable already or none is in flight. Each call stages anew, so
+    /// a sweep retried after a failed write re-stages what that write lost.
     ///
     /// # Errors
     ///
     /// Propagates the underlying store error; the pending save is kept so
     /// the caller may retry.
     pub fn stage(&mut self) -> Result<bool, StableError> {
-        let Some((value, false)) = self.pending else {
-            return Ok(self.pending.is_some());
+        let Some((value, _)) = self.pending else {
+            return Ok(false);
         };
         match self.store.stage_witnessed(self.slot, value)? {
             Some(generation) => self.durable(generation),
@@ -164,11 +164,11 @@ impl<S: StableStore> BackgroundSaver<S> {
         Ok(self.pending.is_some())
     }
 
-    /// Completes the in-flight SAVE, making it durable: a
-    /// [`stage`](BackgroundSaver::stage), then, if it was staged, a settle
-    /// on the store's flush. Returns the committed value, or `None` if
-    /// nothing was pending (e.g. the save was wiped by a crash before its
-    /// completion event fired).
+    /// Completes the in-flight SAVE, making it durable: a staged one
+    /// settles on the store's flush, any other is
+    /// [`stage`](BackgroundSaver::stage)d first. Returns the committed
+    /// value, or `None` if nothing was pending (e.g. the save was wiped by
+    /// a crash before its completion event fired).
     ///
     /// # Errors
     ///
@@ -177,9 +177,9 @@ impl<S: StableStore> BackgroundSaver<S> {
     /// retry stages it anew).
     pub fn complete(&mut self) -> Result<Option<u64>, StableError> {
         let value = self.pending();
-        if self.stage()? {
+        if matches!(self.pending, Some((_, true))) || self.stage()? {
             self.pending = value.map(|value| (value, false));
-            let generation = self.store.flush()?;
+            let generation = self.store.flush(self.slot)?;
             self.durable(generation);
         }
         Ok(value)

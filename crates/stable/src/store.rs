@@ -138,10 +138,10 @@ pub trait StableStore {
         self.store_witnessed(slot, value).map(Some)
     }
 
-    /// The second phase: `Ok` once this handle's last staged write is
-    /// durable, with its generation (`0` if it owes none). A failed flush
-    /// loses the staged write; stage it again.
-    fn flush(&mut self) -> Result<u64, StableError> {
+    /// The second phase: `Ok` once this handle's last staged write, of
+    /// `slot`, is durable, with its generation (`0` if it owes none). A
+    /// failed flush loses the staged write; stage it again.
+    fn flush(&mut self, _slot: SlotId) -> Result<u64, StableError> {
         Ok(0)
     }
 
@@ -175,8 +175,8 @@ impl<S: StableStore + ?Sized> StableStore for &mut S {
     fn stage_witnessed(&mut self, slot: SlotId, value: u64) -> Result<Option<u64>, StableError> {
         (**self).stage_witnessed(slot, value)
     }
-    fn flush(&mut self) -> Result<u64, StableError> {
-        (**self).flush()
+    fn flush(&mut self, slot: SlotId) -> Result<u64, StableError> {
+        (**self).flush(slot)
     }
     fn load_witnessed(&self, slot: SlotId) -> Result<Option<(u64, u64)>, StableError> {
         (**self).load_witnessed(slot)
@@ -199,8 +199,8 @@ impl<S: StableStore + ?Sized> StableStore for Box<S> {
     fn stage_witnessed(&mut self, slot: SlotId, value: u64) -> Result<Option<u64>, StableError> {
         (**self).stage_witnessed(slot, value)
     }
-    fn flush(&mut self) -> Result<u64, StableError> {
-        (**self).flush()
+    fn flush(&mut self, slot: SlotId) -> Result<u64, StableError> {
+        (**self).flush(slot)
     }
     fn load_witnessed(&self, slot: SlotId) -> Result<Option<(u64, u64)>, StableError> {
         (**self).load_witnessed(slot)

@@ -12,7 +12,8 @@
 //! all that any handle staged with one `write_all` (and one `sync_all`
 //! under [`Durability::PowerLoss`]), then applies it to the table. A
 //! handle's flush is `Ok` once *its* last staged record is durable — one
-//! generation compare — so a sweep's first flush writes the whole sweep.
+//! generation compare, or a look at its slot's entry for one staged before
+//! a failed write — so a sweep's first flush writes the whole sweep.
 //!
 //! Every record carries a **monotonic generation number**. The generation
 //! is the rollback witness: [`StableStore::store_witnessed`] returns it,
@@ -24,8 +25,8 @@
 //!
 //! A failed write is not written behind ([`open`](WalStable::open) would
 //! stop at its torn prefix): the log is truncated to its durable length,
-//! and every handle that staged before it gets `Err` from its flush. If
-//! the truncate fails too, the log refuses every later call.
+//! and every record it carried is lost (its handle's flush is `Err`) until
+//! staged again. If the truncate fails too, the log refuses every call.
 //!
 //! Crash recovery on [`open`](WalStable::open):
 //!
@@ -224,11 +225,8 @@ impl WalStable {
 
     /// [`WalStable::lock`] for a store operation: refused once broken.
     fn live(&self) -> Result<MutexGuard<'_, WalInner>, StableError> {
-        let inner = self.lock();
-        match inner.broken {
-            false => Ok(inner),
-            true => Err(io::Error::other("log refused after an untruncated failed write").into()),
-        }
+        let inner = Some(self.lock()).filter(|inner| !inner.broken);
+        inner.ok_or_else(|| io::Error::other("log refused after a failed truncate").into())
     }
 
     /// How many compactions have run on this handle's log since open.
@@ -248,7 +246,7 @@ impl WalStable {
     fn append(&mut self, slot: SlotId, value: Option<u64>) -> Result<u64, StableError> {
         let generation = self.live()?.stage(slot, value);
         self.staged = generation;
-        self.flush()
+        self.flush(slot)
     }
 }
 
@@ -393,14 +391,17 @@ impl StableStore for WalStable {
         Ok(None)
     }
 
-    fn flush(&mut self) -> Result<u64, StableError> {
+    fn flush(&mut self, slot: SlotId) -> Result<u64, StableError> {
         let generation = std::mem::take(&mut self.staged);
         let mut inner = self.live()?;
-        if generation != 0 && generation <= inner.lost {
-            return Err(io::Error::other("staged record lost to a failed write").into());
-        }
-        if generation > inner.durable {
+        // Staged before the last failed write: durable only if the slot holds it.
+        if generation > inner.durable.max(inner.lost) {
             inner.write()?;
+        } else if generation != 0
+            && generation <= inner.lost
+            && inner.table.get(&slot.as_u64()).map(|e| e.generation) != Some(generation)
+        {
+            return Err(io::Error::other("staged record lost to a failed write").into());
         }
         Ok(generation)
     }
@@ -633,7 +634,7 @@ mod tests {
         }
         assert_eq!(fs::metadata(&path).unwrap().len(), 0, "staged, not written");
         assert_eq!(wal.load(SlotId::raw(0)).unwrap(), None, "not durable yet");
-        assert_eq!(handles[1].flush().unwrap(), staged[1]);
+        assert_eq!(handles[1].flush(SlotId::raw(1)).unwrap(), staged[1]);
         let group = 3 * WAL_RECORD_LEN as u64;
         assert_eq!(
             fs::metadata(&path).unwrap().len(),
@@ -644,7 +645,7 @@ mod tests {
             // Handle 1 owes nothing now; the others' records landed with
             // its write, so their flushes write nothing.
             let owed = if slot == 1 { 0 } else { generation };
-            assert_eq!(h.flush().unwrap(), owed);
+            assert_eq!(h.flush(SlotId::raw(slot as u64)).unwrap(), owed);
             let served = h.load_witnessed(SlotId::raw(slot as u64)).unwrap();
             assert_eq!(served, Some((7, generation)));
         }
@@ -663,7 +664,7 @@ mod tests {
         for (slot, store) in stores.into_iter().enumerate() {
             let slot = SlotId::raw(slot as u64);
             assert_eq!(store.stage_witnessed(slot, 9).unwrap(), None, "deferred");
-            let generation = store.flush().unwrap();
+            let generation = store.flush(slot).unwrap();
             assert_eq!(wal.load_witnessed(slot).unwrap(), Some((9, generation)));
         }
         cleanup(&path);
@@ -723,6 +724,63 @@ mod tests {
                 "every acked value"
             );
         }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_sweep_retried_after_a_torn_write_lands_in_one_retry() {
+        let path = tmpwal("retry");
+        let wal = WalStable::open(&path, Durability::ProcessCrash).unwrap();
+        let mut savers: Vec<_> = (0..4u64)
+            .map(|slot| BackgroundSaver::new(wal.clone(), SlotId::raw(slot)))
+            .collect();
+        // A sweep as the gateway runs one: stage every SAVE, then settle
+        // in order and stop at the first failure.
+        let sweep = |savers: &mut [BackgroundSaver<WalStable>]| {
+            for s in savers.iter_mut() {
+                assert!(s.stage().unwrap(), "a WAL defers to the flush");
+            }
+            savers.iter_mut().try_for_each(|s| s.complete().map(drop))
+        };
+        for (slot, s) in savers.iter_mut().enumerate() {
+            s.issue(30 + slot as u64);
+        }
+        wal.lock().tear_next_write = true;
+        assert!(sweep(&mut savers).is_err(), "the group write failed");
+        assert_eq!(fs::metadata(&path).unwrap().len(), 0, "torn prefix removed");
+        // Only the first saver settled; the others still hold the staged
+        // flag of a record the failed write lost. One retry lands all.
+        sweep(&mut savers).unwrap();
+        let group = 4 * WAL_RECORD_LEN as u64;
+        assert_eq!(fs::metadata(&path).unwrap().len(), group, "one write");
+        drop((savers, wal));
+        let reopened = WalStable::open(&path, Durability::ProcessCrash).unwrap();
+        for slot in 0..4u64 {
+            assert_eq!(reopened.load(SlotId::raw(slot)).unwrap(), Some(30 + slot));
+        }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_record_another_handle_wrote_outlives_a_later_failed_write() {
+        let path = tmpwal("outlives");
+        let wal = WalStable::open(&path, Durability::ProcessCrash).unwrap();
+        let [mut a, mut b, mut c, mut d] = [(); 4].map(|()| wal.clone());
+        let slot = SlotId::raw;
+        assert_eq!(a.stage_witnessed(slot(0), 1).unwrap(), None);
+        assert_eq!(b.stage_witnessed(slot(1), 2).unwrap(), None);
+        let written = b.flush(slot(1)).unwrap();
+        // A later group fails: c's and d's records are lost, a's was
+        // written with b's.
+        assert_eq!(c.stage_witnessed(slot(2), 3).unwrap(), None);
+        assert_eq!(d.stage_witnessed(slot(3), 4).unwrap(), None);
+        wal.lock().tear_next_write = true;
+        assert!(c.flush(slot(2)).is_err());
+        assert!(d.flush(slot(3)).is_err(), "staged before the failed write");
+        let generation = a.flush(slot(0)).unwrap();
+        assert_eq!(generation, written - 1, "a staged just before b");
+        assert_eq!(wal.load_witnessed(slot(0)).unwrap(), Some((1, generation)));
+        assert_eq!(wal.load(slot(3)).unwrap(), None);
         cleanup(&path);
     }
 

@@ -117,7 +117,7 @@ fn time_sweep(wal: &mut WalStable, round: u64, staged: bool) -> Duration {
         }
     }
     if staged {
-        wal.flush().expect("flush");
+        wal.flush(SlotId::raw(SWEEP - 1)).expect("flush");
     }
     start.elapsed()
 }

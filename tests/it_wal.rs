@@ -17,11 +17,16 @@
 //! that owes a SAVE must make exactly one write system call on the
 //! calling thread (`/proc/thread-self/io`, `syscw`), through the
 //! `Box<dyn StableStore + Send>` stores a deployment builds.
+//!
+//! A failed group write loses every record staged before it; then one
+//! retry of the recovery's second half, or of a `save_completed`, must
+//! land the whole sweep.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::sync::{Arc, Mutex};
 
+use anti_replay::Phase;
 use bytes::Bytes;
 use reset_ipsec::{Gateway, GatewayBuilder, GatewayEvent, ShardedGateway};
 use reset_sim::DetRng;
@@ -43,11 +48,24 @@ fn spis() -> impl Iterator<Item = u32> {
 /// Each slot's last acknowledged `(value, generation)`.
 type AckedLog = Arc<Mutex<BTreeMap<SlotId, (u64, u64)>>>;
 
+/// Scripted failed group writes, shared by every handle: when armed, the
+/// next flush fails, and every record staged before it is lost with it.
+#[derive(Default)]
+struct Losses {
+    fail_next: bool,
+    /// Failed writes so far; a record staged under a smaller count is lost.
+    failed: u64,
+}
+
+type LossLog = Arc<Mutex<Losses>>;
+
 /// A `WalStable` handle that notes every write it acknowledged durable.
 struct Acked {
     wal: WalStable,
-    staged: Option<(SlotId, u64)>,
+    /// The staged record: slot, value and the failed writes before it.
+    staged: Option<(SlotId, u64, u64)>,
     acked: AckedLog,
+    losses: LossLog,
 }
 
 impl Acked {
@@ -82,14 +100,22 @@ impl StableStore for Acked {
         let staged = self.wal.stage_witnessed(slot, value)?;
         match staged {
             Some(generation) => self.ack(slot, value, generation),
-            None => self.staged = Some((slot, value)),
+            None => self.staged = Some((slot, value, self.losses.lock().unwrap().failed)),
         }
         Ok(staged)
     }
-    fn flush(&mut self) -> Result<u64, StableError> {
+    fn flush(&mut self, slot: SlotId) -> Result<u64, StableError> {
         let staged = self.staged.take();
-        let generation = self.wal.flush()?;
-        if let Some((slot, value)) = staged {
+        let mut losses = self.losses.lock().unwrap();
+        losses.failed += u64::from(std::mem::take(&mut losses.fail_next));
+        if staged.is_some_and(|(_, _, before)| before < losses.failed) {
+            return Err(StableError::Injected(
+                "a failed group write lost the record",
+            ));
+        }
+        drop(losses);
+        let generation = self.wal.flush(slot)?;
+        if let Some((slot, value, _)) = staged {
             self.ack(slot, value, generation);
         }
         Ok(generation)
@@ -117,6 +143,9 @@ trait Engine {
     fn recover(&mut self);
     fn begin(&mut self);
     fn finish(&mut self);
+    fn try_finish(&mut self) -> bool;
+    fn try_save(&mut self) -> bool;
+    fn phase(&self, spi: u32) -> Option<Phase>;
 }
 
 macro_rules! engine {
@@ -150,6 +179,15 @@ macro_rules! engine {
             }
             fn finish(&mut self) {
                 self.finish_recover().unwrap();
+            }
+            fn try_finish(&mut self) -> bool {
+                self.finish_recover().is_ok()
+            }
+            fn try_save(&mut self) -> bool {
+                self.save_completed().is_ok()
+            }
+            fn phase(&self, spi: u32) -> Option<Phase> {
+                $engine::phase(self, spi)
             }
         }
     };
@@ -256,15 +294,14 @@ fn drive<E: Engine>(engine: &mut E, count_writes: bool) -> (Run, usize) {
     (run, checked)
 }
 
-fn wal_builder(wal: &WalStable, acked: &AckedLog) -> GatewayBuilder<Store> {
-    let (wal, acked) = (wal.clone(), Arc::clone(acked));
+fn wal_builder(wal: &WalStable, acked: &AckedLog, losses: &LossLog) -> GatewayBuilder<Store> {
+    let (wal, acked, losses) = (wal.clone(), Arc::clone(acked), Arc::clone(losses));
     GatewayBuilder::with_stores(move |_, _| {
-        let wal = wal.clone();
-        let acked = Arc::clone(&acked);
         Box::new(Acked {
-            wal,
+            wal: wal.clone(),
             staged: None,
-            acked,
+            acked: Arc::clone(&acked),
+            losses: Arc::clone(&losses),
         }) as Store
     })
     .save_interval(8)
@@ -316,7 +353,7 @@ fn a_wal_backed_gateway_reports_what_an_in_memory_one_does() {
     let path = scratch("gateway");
     let wal = WalStable::open(&path, Durability::ProcessCrash).unwrap();
     let acked = AckedLog::default();
-    let mut gw = wal_builder(&wal, &acked).build();
+    let mut gw = wal_builder(&wal, &acked, &LossLog::default()).build();
     install(&mut gw, Gateway::add_peer);
     let (got, checked) = drive(&mut gw, syscw().is_some());
     assert_eq!(
@@ -359,7 +396,9 @@ fn a_wal_backed_pool_reports_what_an_in_memory_one_does() {
         let path = scratch(&format!("pool-{shards}"));
         let wal = WalStable::open(&path, Durability::ProcessCrash).unwrap();
         let acked = AckedLog::default();
-        let mut pool = wal_builder(&wal, &acked).shards(shards).build_sharded();
+        let mut pool = wal_builder(&wal, &acked, &LossLog::default())
+            .shards(shards)
+            .build_sharded();
         install(&mut pool, ShardedGateway::add_peer);
         let (got, _) = drive(&mut pool, false);
         assert_eq!(got, expected, "{shards} shards over one log");
@@ -367,4 +406,70 @@ fn a_wal_backed_pool_reports_what_an_in_memory_one_does() {
         reopen_serves_the_acked_values(&path, &acked, &format!("{shards} shards"));
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
+}
+
+/// Drives `engine` until it owes SAVEs in both roles of every SA: each
+/// SA sends and receives more than one save interval's frames.
+fn owe_saves<E: Engine>(engine: &mut E, peer: &mut Gateway<reset_stable::MemStable>) {
+    for _ in 0..9 {
+        let wires: Vec<Bytes> = spis()
+            .map(|spi| peer.protect(spi, b"in").unwrap().unwrap().wire)
+            .collect();
+        engine.push(&wires);
+        for spi in spis() {
+            let wire = engine.protect(spi, b"out").expect("running");
+            peer.push_wire(&wire).unwrap();
+        }
+    }
+    engine.poll();
+    peer.poll_events();
+}
+
+/// Fails the next group write: `f` must fail once and land on one retry.
+fn one_retry<E: Engine>(engine: &mut E, losses: &LossLog, what: &str, f: fn(&mut E) -> bool) {
+    losses.lock().unwrap().fail_next = true;
+    assert!(!f(engine), "{what}: the failed write is reported");
+    assert!(f(engine), "{what}: one retry lands the whole sweep");
+}
+
+fn a_failed_group_write_costs_one_retry<E: Engine>(engine: &mut E, losses: &LossLog) {
+    let mut peer = GatewayBuilder::in_memory()
+        .save_interval(8)
+        .window(64)
+        .build();
+    install(&mut peer, Gateway::add_peer);
+    owe_saves(engine, &mut peer);
+    engine.save();
+    engine.reset();
+    engine.begin();
+    one_retry(engine, losses, "finish_recover", E::try_finish);
+    for spi in spis() {
+        assert_eq!(engine.phase(spi), Some(Phase::Running), "{spi:#x} woke");
+    }
+    owe_saves(engine, &mut peer);
+    assert!(engine.owes_save());
+    one_retry(engine, losses, "save_completed", E::try_save);
+    assert!(!engine.owes_save(), "every SAVE landed");
+}
+
+#[test]
+fn one_retry_lands_a_sweep_whose_group_write_failed() {
+    let path = scratch("retry-gateway");
+    let wal = WalStable::open(&path, Durability::ProcessCrash).unwrap();
+    let (acked, losses) = (AckedLog::default(), LossLog::default());
+    let mut gw = wal_builder(&wal, &acked, &losses).build();
+    install(&mut gw, Gateway::add_peer);
+    a_failed_group_write_costs_one_retry(&mut gw, &losses);
+    reopen_serves_the_acked_values(&path, &acked, "gateway retry");
+    let _ = fs::remove_dir_all(path.parent().unwrap());
+
+    let path = scratch("retry-pool");
+    let wal = WalStable::open(&path, Durability::ProcessCrash).unwrap();
+    let (acked, losses) = (AckedLog::default(), LossLog::default());
+    let mut pool = wal_builder(&wal, &acked, &losses).shards(2).build_sharded();
+    install(&mut pool, ShardedGateway::add_peer);
+    a_failed_group_write_costs_one_retry(&mut pool, &losses);
+    drop(pool);
+    reopen_serves_the_acked_values(&path, &acked, "pool retry");
+    let _ = fs::remove_dir_all(path.parent().unwrap());
 }
